@@ -212,6 +212,9 @@ Rational = Union[int, Fraction]
 def dirichlet_convolve(
     f: Callable[[int], Rational], g: Callable[[int], Rational], n: int
 ) -> Fraction:
-    """(f * g)(n) = sum_{d|n} f(d) g(n/d)."""
-    total = sum(Fraction(f(d)) * Fraction(g(n // d)) for d in divisors(n))
-    return Fraction(total)
+    """(f * g)(n) = sum_{d|n} f(d) g(n/d).
+
+    The terms are summed as the ints or Fractions f and g return, and the
+    total is converted once.
+    """
+    return Fraction(sum(f(d) * g(n // d) for d in divisors(n)))

@@ -18,6 +18,22 @@ Summation bounds are part of the contract and differ per identity:
     inverse DFT                   j = 1 .. k
 
 An off-by-one here breaks exact checks silently, hence the table.
+
+Three direct sides are literal sums over j that are regrouped so that the
+work shared by many cases of one modulus is done once per k:
+
+    gcd weight                    gcd-class totals W_d = sum over
+                                  gcd(j, k) = d of c_k(j), once per k
+    power and Bernoulli weights   power moments N_e(k) = sum_{j<k} j^e c_k(j),
+                                  once per (k, e)
+
+The gcd classes collect the terms by gcd(j, k); the moments split a
+summand that is a polynomial in j (j^r, or k^m D B_m(j/k)) into its powers
+of j. Both still add c_k(j) over every j of the row c_k(0..k). Neither
+uses the closed side's arithmetic (phi, the Mobius convolution, Jordan
+totients); the Bernoulli weight reads Bernoulli numbers only as the
+coefficients of B_m(x) in its summand. So a closed side that is wrong
+still disagrees with them: the check is not a tautology.
 """
 
 from __future__ import annotations
@@ -140,13 +156,39 @@ def random_function(index: int, seed: int = DEFAULT_SEED) -> ArithmeticFunction:
 # --- power weight ---------------------------------------------------------
 
 
+@lru_cache(maxsize=1 << 12)
+def _power_moment(k: int, e: int) -> int:
+    """N_e(k) = sum_{j=0}^{k-1} j^e c_k(j), with 0^0 = 1.
+
+    Shared by the power weight (e = r) and the Bernoulli weight (every
+    e <= m), whose cases repeat the same k. Zero entries of the row are
+    skipped; only the bigint result is cached.
+    """
+    row = ramanujan_row(k).values
+    return sum(j**e * c for j, c in enumerate(row[:k]) if c)
+
+
 def s_r_direct(k: int, r: int) -> Fraction:
-    """S_r(k) = (1/k^(r+1)) sum_{j=1}^{k} j^r c_k(j), from the definition."""
+    """S_r(k) = (1/k^(r+1)) sum_{j=1}^{k} j^r c_k(j), from the definition.
+
+    The sum is the power moment N_r(k) over j = 0..k-1 (the j = 0 term is
+    0^r = 0) plus the j = k term k^r c_k(k).
+    """
     if k < 1 or r < 1:
         raise ValueError("s_r_direct requires k >= 1 and r >= 1")
-    row = ramanujan_row(k).values
-    num = sum(j**r * row[j] for j in range(1, k + 1))
+    num = _power_moment(k, r) + k**r * ramanujan_row(k).values[k]
     return Fraction(num, k ** (r + 1))
+
+
+@lru_cache(maxsize=256)
+def _s_r_coefficients(r: int) -> Tuple[Tuple[int, ...], int]:
+    """(n_0..n_M, D) with C(r+1, 2m) B_{2m} / (r+1) = n_m / D, M = floor(r/2)."""
+    coeffs = [
+        Fraction(binomial(r + 1, 2 * m), r + 1) * bernoulli_number(2 * m)
+        for m in range(r // 2 + 1)
+    ]
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(int(c * d) for c in coeffs), d
 
 
 def s_r_closed(k: int, r: int) -> Fraction:
@@ -156,17 +198,19 @@ def s_r_closed(k: int, r: int) -> Fraction:
             C(r+1, 2m) B_{2m} J_{2m}(k) / k^(2m),
 
     where J_{2m}(k)/k^(2m) is the product of (1 - p^(-2m)) over p | k.
+    The sum is put over the one denominator D k^(2M), M = floor(r/2),
+    with D from the cached coefficients n_m / D of each r.
     """
     if k < 1 or r < 1:
         raise ValueError("s_r_closed requires k >= 1 and r >= 1")
-    acc = Fraction(euler_phi(k), 2 * k)
-    for m in range(r // 2 + 1):
-        acc += (
-            Fraction(binomial(r + 1, 2 * m), r + 1)
-            * bernoulli_number(2 * m)
-            * Fraction(jordan_totient(2 * m, k), k ** (2 * m))
-        )
-    return acc
+    nums, d = _s_r_coefficients(r)
+    top = len(nums) - 1
+    total = sum(
+        n * jordan_totient(2 * m, k) * k ** (2 * (top - m)) for m, n in enumerate(nums)
+    )
+    scale = d * k ** (2 * top)
+    # phi(k)/(2k) + total/scale over the denominator 2k * scale.
+    return Fraction(euler_phi(k) * scale + 2 * k * total, 2 * k * scale)
 
 
 # --- log weight -----------------------------------------------------------
@@ -215,15 +259,30 @@ def log_weighted_pair(k: int, tolerance: float = DEFAULT_TOLERANCE) -> FloatPair
 # --- gcd weight -----------------------------------------------------------
 
 
+@lru_cache(maxsize=1 << 12)
+def _gcd_class_totals(k: int) -> Tuple[Tuple[int, int], ...]:
+    """((d, W_d) for d | k, ascending), W_d = sum of c_k(j) over 1 <= j <= k
+    with gcd(j, k) = d: one pass over the row per modulus."""
+    row = ramanujan_row(k).values
+    totals = dict.fromkeys(divisors(k), 0)  # gcd(j, k) is always a divisor
+    gcd = math.gcd
+    for j in range(1, k + 1):
+        totals[gcd(j, k)] += row[j]
+    return tuple(totals.items())
+
+
 def gcd_weighted_pair(k: int, f: ArithmeticFunction) -> ExactPair:
-    """sum_{j=1}^{k} f(gcd(j, k)) c_k(j)  vs  phi(k) (mu * f)(k), exactly."""
+    """sum_{j=1}^{k} f(gcd(j, k)) c_k(j)  vs  phi(k) (mu * f)(k), exactly.
+
+    The left side groups the j by d = gcd(j, k): sum_{d|k} f(d) W_d, with
+    the class totals W_d computed once per k and shared by every f. Both
+    sides read f at the divisors of k only, so f is evaluated once there.
+    """
     if k < 1:
         raise ValueError(f"gcd_weighted_pair requires k >= 1, got {k}")
-    row = ramanujan_row(k).values
-    fval = {d: f(d) for d in divisors(k)}  # gcd(j, k) is always a divisor
-    gcd = math.gcd
-    lhs = sum(fval[gcd(j, k)] * row[j] for j in range(1, k + 1))
-    rhs = euler_phi(k) * dirichlet_convolve(mobius, f, k)
+    fval = {d: f(d) for d in divisors(k)}
+    lhs = sum(fval[d] * w for d, w in _gcd_class_totals(k))
+    rhs = euler_phi(k) * dirichlet_convolve(mobius, fval.__getitem__, k)
     return ExactPair(Fraction(lhs), Fraction(rhs))
 
 
@@ -348,24 +407,18 @@ def _bernoulli_poly_scaled(m: int) -> Tuple[Tuple[int, ...], int]:
 def bernoulli_weighted_pair(k: int, m: int) -> ExactPair:
     """sum_{j=0}^{k-1} B_m(j/k) c_k(j)  vs  (B_m / k^(m-1)) J_m(k), exactly.
 
-    The left side is evaluated with integer Horner on k^m * D * B_m(j/k)
-    (D clears the Bernoulli denominators), then divided back out, which
-    is the same rational sum without per-term Fraction reductions.
+    k^m * D * B_m(j/k) = sum_t (c_t k^t) j^(m-t) is an integer polynomial
+    in j (D clears the Bernoulli denominators), so the left side is
+    sum_t c_t k^t N_{m-t}(k) over the power moments N_e(k), divided back
+    out once. The zero coefficients (odd t >= 3) need no moment.
     """
     if k < 1 or m < 1:
         raise ValueError("bernoulli_weighted_pair requires k >= 1 and m >= 1")
-    row = ramanujan_row(k).values
     base, d = _bernoulli_poly_scaled(m)
-    # k^m * D * B_m(j/k) = sum_t (c_t k^t) j^(m-t): integer polynomial in j.
-    coeffs = [c * k**t for t, c in enumerate(base)]
-    total = 0
-    for j in range(k):
-        acc = 0
-        for c in coeffs:
-            acc = acc * j + c
-        total += acc * row[j]
+    total = sum(c * k**t * _power_moment(k, m - t) for t, c in enumerate(base) if c)
     lhs = Fraction(total, d * k**m)
-    rhs = bernoulli_number(m) * Fraction(jordan_totient(m, k), k ** (m - 1))
+    b = bernoulli_number(m)
+    rhs = Fraction(b.numerator * jordan_totient(m, k), b.denominator * k ** (m - 1))
     return ExactPair(lhs, rhs)
 
 

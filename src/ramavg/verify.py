@@ -143,7 +143,7 @@ def cases_to_csv(cases: Iterable[IdentityCase]) -> str:
 
 
 def _fmt_rational(x: Union[int, Fraction]) -> str:
-    x = Fraction(x)
+    # ints and Fractions are both already in lowest terms.
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -157,15 +157,17 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-_Outcome = Tuple[str, str, bool, Optional[float]]
+# (lhs, rhs, passed, abs_error, error): error is the reason a case failed
+# when the two rendered sides alone do not show it.
+_Outcome = Tuple[str, str, bool, Optional[float], Optional[str]]
 
 
 def _exact_outcome(lhs, rhs) -> _Outcome:
-    return _fmt_rational(lhs), _fmt_rational(rhs), Fraction(lhs) == Fraction(rhs), None
+    return _fmt_rational(lhs), _fmt_rational(rhs), lhs == rhs, None, None
 
 
 def _float_outcome(pair: averages.FloatPair) -> _Outcome:
-    return _fmt_float(pair.lhs), _fmt_float(pair.rhs), pair.ok, pair.abs_error
+    return _fmt_float(pair.lhs), _fmt_float(pair.rhs), pair.ok, pair.abs_error, None
 
 
 # --- the identity catalog ---------------------------------------------------
@@ -514,11 +516,11 @@ def _build_catalog() -> Dict[str, IdentityDef]:
         a = ramanujan_sum(k, j)
         b = ramanujan_sum_holder(k, j)
         f = ramanujan_sum_float(k, j)
-        float_ok = round(f) == a and abs(f - a) <= 1e-6 * k
-        lhs, rhs, passed, _ = _exact_outcome(a, b)
-        if not float_ok:
-            return lhs, rhs, False, None
-        return lhs, rhs, passed, None
+        outcome = _exact_outcome(a, b)
+        if round(f) == a and abs(f - a) <= 1e-6 * k:
+            return outcome
+        reason = f"float oracle {_fmt_float(f)} disagrees with the exact value {a}"
+        return outcome[0], outcome[1], False, None, reason
 
     defs.append(
         IdentityDef(
@@ -588,7 +590,21 @@ def _build_catalog() -> Dict[str, IdentityDef]:
         )
     )
 
-    # bernoulli-poly-sum: sum_{j<k} B_m(j/k) = B_m / k^(m-1)
+    # bernoulli-poly-sum: sum_{j<k} B_m(j/k) = B_m / k^(m-1). The left side
+    # evaluates every B_m(j/k) by integer Horner on k^m D B_m(j/k) (D
+    # clears the Bernoulli denominators) and divides once at the end. It
+    # stays a loop over j: exact.power_sum would be a closed form.
+    def bps_direct(k, m):
+        base, d = averages._bernoulli_poly_scaled(m)
+        coeffs = [c * k**t for t, c in enumerate(base)]
+        total = 0
+        for j in range(k):
+            acc = 0
+            for c in coeffs:
+                acc = acc * j + c
+            total += acc
+        return Fraction(total, d * k**m)
+
     def v_bps(p):
         _positive_int(p[0], "k")
         _positive_int(p[1], "m")
@@ -597,7 +613,7 @@ def _build_catalog() -> Dict[str, IdentityDef]:
         IdentityDef(
             "bernoulli-poly-sum", "exact", ("k", "m"), v_bps,
             lambda p, tol, seed: _exact_outcome(
-                sum(exact.bernoulli_polynomial(p[1], Fraction(j, p[0])) for j in range(p[0])),
+                bps_direct(p[0], p[1]),
                 exact.bernoulli_number(p[1]) / p[0] ** (p[1] - 1),
             ),
             lambda b, seed: [
@@ -638,14 +654,24 @@ def _render_params(names: Sequence[str], values: tuple) -> str:
     return ",".join(f"{n}={_fmt_value(v)}" for n, v in zip(names, values))
 
 
+def _check_tolerance(tolerance: float) -> None:
+    if not (0 < tolerance <= averages.DEFAULT_TOLERANCE):
+        raise ConfigError(
+            f"tolerance may only be tightened below {averages.DEFAULT_TOLERANCE}, "
+            f"got {tolerance}"
+        )
+
+
 def run_identity(
     tag: str,
     params: tuple,
     tolerance: float = averages.DEFAULT_TOLERANCE,
     seed: int = averages.DEFAULT_SEED,
 ) -> IdentityCase:
-    """Evaluate one case. Schema violations raise ParamError; evaluator
-    failures (budget, internal assertions) become failed cases instead."""
+    """Evaluate one case. Schema violations raise ParamError and a loosened
+    tolerance raises ConfigError; evaluator failures (budget, internal
+    assertions) become failed cases instead."""
+    _check_tolerance(tolerance)
     if tag not in _CATALOG:
         raise ConfigError(f"unknown identity {tag!r}")
     ident = _CATALOG[tag]
@@ -656,7 +682,7 @@ def run_identity(
     ident.validate(params)
     rendered = _render_params(ident.param_names, params)
     try:
-        lhs, rhs, passed, abs_error = ident.evaluate(params, tolerance, seed)
+        lhs, rhs, passed, abs_error, error = ident.evaluate(params, tolerance, seed)
     except (multivar.BudgetError, RuntimeError, OverflowError, ValueError) as exc:
         return IdentityCase(tag, rendered, ident.mode, "", "", False, None, str(exc))
     return IdentityCase(
@@ -667,6 +693,7 @@ def run_identity(
         rhs,
         passed,
         abs_error if ident.mode == "tolerance" else None,
+        error,
     )
 
 
@@ -731,11 +758,7 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     grid is chunked in order and results are merged in submission order.
     """
     start = time.perf_counter()
-    if not (0 < config.tolerance <= averages.DEFAULT_TOLERANCE):
-        raise ConfigError(
-            f"tolerance may only be tightened below {averages.DEFAULT_TOLERANCE}, "
-            f"got {config.tolerance}"
-        )
+    _check_tolerance(config.tolerance)
     tags = list(config.identities) if config.identities else list(IDENTITY_TAGS)
     for tag in tags:
         if tag not in _CATALOG:

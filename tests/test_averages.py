@@ -236,8 +236,8 @@ class TestBernoulliWeight:
                 assert bernoulli_weighted_pair(k, m).ok
 
     def test_scaled_horner_matches_naive_polynomial_sum(self):
-        # The pair evaluator uses an integer-scaled Horner; check it against
-        # per-term bernoulli_polynomial evaluation.
+        # The pair evaluator sums cached integer power moments; check it
+        # against per-term bernoulli_polynomial evaluation.
         for k in range(1, 26):
             row = ramanujan_row(k).values
             for m in range(1, 6):

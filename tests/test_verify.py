@@ -94,6 +94,21 @@ class TestRunIdentity:
         assert run_identity("prop3", (30, "sigma")).passed
         assert run_identity("prop3", (30, "rand07")).passed
 
+    def test_cross_evaluator_float_mismatch_has_a_reason(self, monkeypatch):
+        import ramavg.verify as verify
+
+        monkeypatch.setattr(verify, "ramanujan_sum_float", lambda k, j: 0.25)
+        case = run_identity("cross-evaluator", (6, 1))
+        assert not case.passed
+        assert case.lhs == case.rhs == "1"
+        assert case.error == "float oracle 0.25 disagrees with the exact value 1"
+
+    def test_tolerance_may_only_tighten(self):
+        for bad in (0.0, -1e-9, 2e-8, 1e-6):
+            with pytest.raises(ConfigError):
+                run_identity("prop2", (5,), tolerance=bad)
+        assert run_identity("prop2", (5,), tolerance=1e-10).passed
+
     def test_half_sum_r0_reports_the_known_mismatch(self):
         case = run_identity("half-sum", (0,))
         assert not case.passed
