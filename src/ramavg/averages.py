@@ -143,7 +143,7 @@ def random_function(index: int, seed: int = DEFAULT_SEED) -> ArithmeticFunction:
     """Seeded integer-valued test function, values in [-32768, 32767].
 
     Hash-derived rather than drawn from a stateful RNG so that the value
-    at n never depends on evaluation order (sweeps may run in parallel).
+    at n never depends on evaluation order.
     """
 
     def fn(n: int) -> int:

@@ -33,6 +33,22 @@ from .verify import (
 _FORMATS = ("plain", "json", "csv")
 
 
+# name -> (parameter names, evaluator). The lambdas look their function up
+# when called, so a patched or wrapped module attribute is the one used.
+_COMPUTE = {
+    "c": (("k", "j"), lambda k, j: ramanujan_sum(k, j)),
+    "phi": (("n",), lambda n: euler_phi(n)),
+    "mu": (("n",), lambda n: mobius(n)),
+    "jordan": (("m", "n"), lambda m, n: jordan_totient(m, n)),
+    "tau": (("n",), lambda n: divisor_count_and_sum(n)[0]),
+    "sigma": (("n",), lambda n: divisor_count_and_sum(n)[1]),
+    "bernoulli": (("m",), lambda m: bernoulli_number(m)),
+    "S": (("k", "r"), lambda k, r: s_r_closed(k, r)),
+    "E": (("ks",), lambda ks: orbicyclic_divisor(ks)),
+    "g": (("ks", "m"), lambda ks, m: g_m(ks, m)),
+}
+
+
 def _parse_ks(text: str):
     try:
         ks = tuple(int(part) for part in text.split(","))
@@ -59,7 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=_FORMATS, default="plain")
     parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
                         help="float comparison tolerance; may only be tightened")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads (0 = auto)")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted and ignored: sweeps always run serially")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="seed for randomized test functions and tuple pairs")
     parser.add_argument("--approx", action="store_true",
@@ -67,10 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", parents=[common], help="compute a single value")
-    p_compute.add_argument(
-        "function",
-        choices=("c", "phi", "mu", "jordan", "tau", "sigma", "bernoulli", "S", "E", "g"),
-    )
+    p_compute.add_argument("function", choices=tuple(_COMPUTE))
     p_compute.add_argument("--k", type=int)
     p_compute.add_argument("--j", type=int)
     p_compute.add_argument("--n", type=int)
@@ -107,23 +121,9 @@ def _render_rational(value, fmt: str, approx: bool) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-_COMPUTE_SCHEMAS = {
-    "c": ("k", "j"),
-    "phi": ("n",),
-    "mu": ("n",),
-    "tau": ("n",),
-    "sigma": ("n",),
-    "jordan": ("m", "n"),
-    "bernoulli": ("m",),
-    "S": ("k", "r"),
-    "E": ("ks",),
-    "g": ("ks", "m"),
-}
-
-
 def _cmd_compute(args) -> int:
     fn = args.function
-    wanted = _COMPUTE_SCHEMAS[fn]
+    wanted, evaluate = _COMPUTE[fn]
     supplied = {
         name: getattr(args, name)
         for name in ("k", "j", "n", "m", "r", "ks")
@@ -144,26 +144,7 @@ def _cmd_compute(args) -> int:
         )
         return 2
     try:
-        if fn == "c":
-            value = ramanujan_sum(args.k, args.j)
-        elif fn == "phi":
-            value = euler_phi(args.n)
-        elif fn == "mu":
-            value = mobius(args.n)
-        elif fn == "tau":
-            value = divisor_count_and_sum(args.n)[0]
-        elif fn == "sigma":
-            value = divisor_count_and_sum(args.n)[1]
-        elif fn == "jordan":
-            value = jordan_totient(args.m, args.n)
-        elif fn == "bernoulli":
-            value = bernoulli_number(args.m)
-        elif fn == "S":
-            value = s_r_closed(args.k, args.r)
-        elif fn == "E":
-            value = orbicyclic_divisor(args.ks)
-        else:
-            value = g_m(args.ks, args.m)
+        value = evaluate(*(supplied[name] for name in wanted))
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -239,7 +220,6 @@ def _cmd_verify(args) -> int:
         m_max=args.m_max,
         n_max=args.n_max,
         tolerance=args.tolerance,
-        threads=args.threads,
         seed=args.seed,
         keep_cases=(args.format == "csv"),
     )

@@ -41,6 +41,7 @@ __all__ = [
     "g_m",
     "s_r_multi_direct",
     "s_r_multi_closed",
+    "multiplicativity_sides",
     "multiplicativity_check",
 ]
 
@@ -244,8 +245,8 @@ def s_r_multi_closed(t, r: int) -> Fraction:
     return acc
 
 
-def multiplicativity_check(a, b) -> bool:
-    """Whether E(a_1 b_1, ..., a_n b_n) = E(a) E(b) for coprime tuples.
+def multiplicativity_sides(a, b) -> Tuple[int, int]:
+    """(E(a_1 b_1, ..., a_n b_n), E(a) E(b)) for coprime tuples.
 
     Requires equal arity and gcd(prod a_i, prod b_i) = 1; evaluation uses
     the divisor representation so componentwise products stay affordable.
@@ -257,4 +258,10 @@ def multiplicativity_check(a, b) -> bool:
     if math.gcd(math.prod(a.ks), math.prod(b.ks)) != 1:
         raise ValueError(f"tuples {a.ks} and {b.ks} are not coprime")
     combined = ModulusTuple(tuple(x * y for x, y in zip(a.ks, b.ks)))
-    return orbicyclic_divisor(combined) == orbicyclic_divisor(a) * orbicyclic_divisor(b)
+    return orbicyclic_divisor(combined), orbicyclic_divisor(a) * orbicyclic_divisor(b)
+
+
+def multiplicativity_check(a, b) -> bool:
+    """Whether E(a_1 b_1, ..., a_n b_n) = E(a) E(b) for coprime tuples."""
+    lhs, rhs = multiplicativity_sides(a, b)
+    return lhs == rhs

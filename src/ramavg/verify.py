@@ -6,25 +6,29 @@ criterion |lhs - rhs| <= tol * (1 + max|side|)). The mode is owned here,
 not by callers, so an exact identity can never be checked sloppily from
 the command line.
 
+Each identity declares its parameters once, as a schema (kind, minimum,
+optional cap, grid bound). One validator checks every case against it,
+and the default grid of most identities is the product of the declared
+ranges; only grids of another shape are spelled out.
+
 A sweep never aborts on a failing or erroring case; errors are recorded
 on the case and the report's exit status carries the overall verdict.
-Reports are deterministic: cases are generated in ascending parameter
-order, chunks are merged back in submission order, and the JSON body
-(everything except wall_time_seconds) is byte-stable across reruns and
-thread counts.
+Sweeps run serially, one case at a time through run_identity. Reports
+are deterministic: cases are generated in ascending parameter order and
+the JSON body (everything except wall_time_seconds) is byte-stable
+across reruns.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from itertools import product as iter_product
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import averages, exact, multivar
@@ -46,9 +50,6 @@ __all__ = [
     "report_body_json",
     "cases_to_csv",
 ]
-
-CHUNK_SIZE = 1024
-
 
 class ConfigError(ValueError):
     """Bad suite configuration (unknown identity, empty grid, tolerance)."""
@@ -174,30 +175,38 @@ def _float_outcome(pair: averages.FloatPair) -> _Outcome:
 
 
 @dataclass(frozen=True)
+class Param:
+    """One parameter of an identity's schema.
+
+    kind is "int" (an integer >= minimum and, when cap is set, <= cap),
+    "moduli" (a non-empty tuple of positive integers), "function" (a named
+    or seeded random arithmetic function) or "choice" (one of choices).
+    bound names the grid bound an "int" parameter ranges up to, starting
+    at its minimum, when the identity's grid is the product of such ranges.
+    """
+
+    name: str
+    kind: str = "int"
+    minimum: int = 1
+    cap: Optional[int] = None
+    bound: Optional[str] = None
+    choices: Tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
 class IdentityDef:
     tag: str
     mode: str  # "exact" | "tolerance"
-    param_names: Tuple[str, ...]
-    validate: Callable[[tuple], None]
+    params: Tuple[Param, ...]
     evaluate: Callable[[tuple, float, int], _Outcome]  # (params, tolerance, seed)
-    grid: Callable[[dict, int], List[tuple]]  # (bounds, seed) -> ascending params
     bounds: Dict[str, int]  # default grid bounds
+    # (bounds, seed) -> ascending params; None means the product of the
+    # parameters' ranges.
+    grid: Optional[Callable[[dict, int], List[tuple]]] = None
+    param_names: Tuple[str, ...] = field(init=False)
 
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ParamError(msg)
-
-
-def _positive_int(v, name: str) -> None:
-    _require(isinstance(v, int) and v >= 1, f"{name} must be a positive integer, got {v!r}")
-
-
-def _valid_tuple(v) -> None:
-    _require(
-        isinstance(v, tuple) and len(v) >= 1 and all(isinstance(x, int) and x >= 1 for x in v),
-        f"ks must be a non-empty tuple of positive integers, got {v!r}",
-    )
+    def __post_init__(self):
+        object.__setattr__(self, "param_names", tuple(p.name for p in self.params))
 
 
 def _resolve_function(name, seed: int) -> averages.ArithmeticFunction:
@@ -206,6 +215,51 @@ def _resolve_function(name, seed: int) -> averages.ArithmeticFunction:
     if isinstance(name, str) and name.startswith("rand") and name[4:].isdigit():
         return averages.random_function(int(name[4:]), seed)
     raise ParamError(f"unknown arithmetic function {name!r}")
+
+
+def _check_param(p: Param, v) -> None:
+    if p.kind == "int":
+        if p.minimum == 0 and not (isinstance(v, int) and v >= 0):
+            raise ParamError(f"{p.name} must be a non-negative integer, got {v!r}")
+        if p.minimum >= 1 and not (isinstance(v, int) and v >= 1):
+            raise ParamError(f"{p.name} must be a positive integer, got {v!r}")
+        if v < p.minimum:
+            raise ParamError(f"{p.name} must be >= {p.minimum}, got {v}")
+        if p.cap is not None and v > p.cap:
+            raise ParamError(f"{p.name} must be <= {p.cap}")
+    elif p.kind == "moduli":
+        if not (isinstance(v, tuple) and v and all(isinstance(x, int) and x >= 1 for x in v)):
+            raise ParamError(f"{p.name} must be a non-empty tuple of positive integers, got {v!r}")
+    elif p.kind == "function":
+        _resolve_function(v, 0)
+    elif v not in p.choices:
+        raise ParamError(f"{p.name} must be one of {'/'.join(p.choices)}, got {v!r}")
+
+
+def _check_coprime_pair(a: tuple, b: tuple) -> None:
+    """e-multiplicativity's one constraint across two parameters."""
+    if len(a) != len(b):
+        raise ParamError("tuples must have equal arity")
+    if math.gcd(math.prod(a), math.prod(b)) != 1:
+        raise ParamError(f"tuples {a} and {b} are not coprime")
+
+
+def _validate(ident: IdentityDef, params: tuple) -> None:
+    """Check params against the identity's schema; raises ParamError."""
+    if len(params) != len(ident.params):
+        raise ParamError(
+            f"{ident.tag} expects parameters {ident.param_names}, got {len(params)} values"
+        )
+    for p, v in zip(ident.params, params):
+        _check_param(p, v)
+    if ident.tag == "e-multiplicativity":
+        _check_coprime_pair(*params)
+
+
+def _grid(ident: IdentityDef, bounds: Dict[str, int], seed: int) -> List[tuple]:
+    if ident.grid is not None:
+        return ident.grid(bounds, seed)
+    return list(iter_product(*(range(p.minimum, bounds[p.bound] + 1) for p in ident.params)))
 
 
 def _tuple_grid(component_max: int, arity_max: int) -> List[tuple]:
@@ -234,417 +288,238 @@ def _coprime_pair_grid(pairs: int, component_max: int, arity_max: int, seed: int
     return out
 
 
-def _build_catalog() -> Dict[str, IdentityDef]:
-    defs: List[IdentityDef] = []
+# Evaluators read averages.*, multivar.*, exact.* and the ramanujan_sum*
+# names of this module when they are called, never when the catalog is
+# built, so a patched attribute (a test's fault injection, a tracer's
+# wrapper) is the one that runs.
 
-    # prop1: power weight, exact
-    def v_prop1(p):
-        _positive_int(p[0], "k")
-        _positive_int(p[1], "r")
 
-    defs.append(
+def _pair_outcome(pair: averages.ExactPair) -> _Outcome:
+    return _exact_outcome(pair.lhs, pair.rhs)
+
+
+def _prop3(p, tol, seed):
+    return _pair_outcome(averages.gcd_weighted_pair(p[0], _resolve_function(p[1], seed)))
+
+
+def _prop3_grid(b, seed):
+    names = list(averages.NAMED_FUNCTIONS) + [f"rand{i:02d}" for i in range(b["rand_count"])]
+    return [(k, name) for k in range(1, b["k_max"] + 1) for name in names]
+
+
+# The three stated specializations of prop3.
+_COROLLARY_RHS = {
+    "id": lambda k: Fraction(euler_phi(k)) ** 2,
+    "tau": lambda k: Fraction(euler_phi(k)),
+    "sigma": lambda k: Fraction(k * euler_phi(k)),
+}
+
+
+def _prop3_corollary(p, tol, seed):
+    pair = averages.gcd_weighted_pair(p[0], averages.NAMED_FUNCTIONS[p[1]])
+    return _exact_outcome(pair.lhs, _COROLLARY_RHS[p[1]](p[0]))
+
+
+def _prop7_corollary(p, tol, seed):
+    """S_1 = prod phi / (2k) + E/2."""
+    t = multivar.ModulusTuple(p[0])
+    lhs = multivar.s_r_multi_direct(t, 1)
+    rhs = Fraction(math.prod(euler_phi(k) for k in t.ks), 2 * t.lcm_value) + Fraction(
+        multivar.orbicyclic_divisor(t), 2
+    )
+    return _exact_outcome(lhs, rhs)
+
+
+def _cross_evaluator(p, tol, seed):
+    """Divisor formula vs Holder form vs the rounded float definition."""
+    k, j = p
+    a = ramanujan_sum(k, j)
+    b = ramanujan_sum_holder(k, j)
+    f = ramanujan_sum_float(k, j)
+    outcome = _exact_outcome(a, b)
+    if round(f) == a and abs(f - a) <= 1e-6 * k:
+        return outcome
+    reason = f"float oracle {_fmt_float(f)} disagrees with the exact value {a}"
+    return outcome[0], outcome[1], False, None, reason
+
+
+def _bernoulli_poly_sum_direct(k: int, m: int) -> Fraction:
+    """sum_{j<k} B_m(j/k), each term by integer Horner on k^m D B_m(j/k)
+    (D clears the Bernoulli denominators), with one division at the end.
+    It stays a loop over j: exact.power_sum would be a closed form."""
+    base, d = averages._bernoulli_poly_scaled(m)
+    coeffs = [c * k**t for t, c in enumerate(base)]
+    total = 0
+    for j in range(k):
+        acc = 0
+        for c in coeffs:
+            acc = acc * j + c
+        total += acc
+    return Fraction(total, d * k**m)
+
+
+def _tuple_param_grid(b, seed):
+    return [(t,) for t in _tuple_grid(b["k_max"], b["n_max"])]
+
+
+_K = Param("k", bound="k_max")
+_KS = Param("ks", "moduli")
+
+_CATALOG: Dict[str, IdentityDef] = {
+    d.tag: d
+    for d in (
         IdentityDef(
-            "prop1",
-            "exact",
-            ("k", "r"),
-            v_prop1,
+            "prop1", "exact", (_K, Param("r", bound="r_max")),
             lambda p, tol, seed: _exact_outcome(
                 averages.s_r_direct(p[0], p[1]), averages.s_r_closed(p[0], p[1])
             ),
-            lambda b, seed: [
-                (k, r)
-                for k in range(1, b["k_max"] + 1)
-                for r in range(1, b["r_max"] + 1)
-            ],
             {"k_max": 1000, "r_max": 10},
-        )
-    )
-
-    # prop2: log weight, tolerance
-    defs.append(
+        ),
         IdentityDef(
-            "prop2",
-            "tolerance",
-            ("k",),
-            lambda p: _positive_int(p[0], "k"),
+            "prop2", "tolerance", (_K,),
             lambda p, tol, seed: _float_outcome(averages.log_weighted_pair(p[0], tol)),
-            lambda b, seed: [(k,) for k in range(1, b["k_max"] + 1)],
             {"k_max": 500},
-        )
-    )
-
-    # prop3: gcd weight with arbitrary f, exact
-    def v_prop3(p):
-        _positive_int(p[0], "k")
-        _resolve_function(p[1], 0)
-
-    def e_prop3(p, tol, seed):
-        f = _resolve_function(p[1], seed)
-        pair = averages.gcd_weighted_pair(p[0], f)
-        return _exact_outcome(pair.lhs, pair.rhs)
-
-    def g_prop3(b, seed):
-        names = list(averages.NAMED_FUNCTIONS) + [
-            f"rand{i:02d}" for i in range(b["rand_count"])
-        ]
-        return [(k, name) for k in range(1, b["k_max"] + 1) for name in names]
-
-    defs.append(
+        ),
         IdentityDef(
-            "prop3", "exact", ("k", "f"), v_prop3, e_prop3, g_prop3,
-            {"k_max": 1000, "rand_count": 20},
-        )
-    )
-
-    # prop3-corollary: the three stated specializations, exact
-    _COROLLARY_RHS = {
-        "id": lambda k: Fraction(euler_phi(k)) ** 2,
-        "tau": lambda k: Fraction(euler_phi(k)),
-        "sigma": lambda k: Fraction(k * euler_phi(k)),
-    }
-
-    def v_prop3c(p):
-        _positive_int(p[0], "k")
-        _require(p[1] in _COROLLARY_RHS, f"corollary f must be one of id/tau/sigma, got {p[1]!r}")
-
-    def e_prop3c(p, tol, seed):
-        pair = averages.gcd_weighted_pair(p[0], averages.NAMED_FUNCTIONS[p[1]])
-        return _exact_outcome(pair.lhs, _COROLLARY_RHS[p[1]](p[0]))
-
-    defs.append(
+            "prop3", "exact", (Param("k"), Param("f", "function")), _prop3,
+            {"k_max": 1000, "rand_count": 20}, _prop3_grid,
+        ),
         IdentityDef(
-            "prop3-corollary", "exact", ("k", "f"), v_prop3c, e_prop3c,
-            lambda b, seed: [
-                (k, name) for k in range(1, b["k_max"] + 1) for name in ("id", "tau", "sigma")
-            ],
+            "prop3-corollary", "exact",
+            (Param("k"), Param("f", "choice", choices=tuple(_COROLLARY_RHS))),
+            _prop3_corollary,
             {"k_max": 1000},
-        )
-    )
-
-    # prop4: log-Gamma weight, tolerance, k > 1
-    def v_prop4(p):
-        _positive_int(p[0], "k")
-        _require(p[0] >= 2, f"k must be >= 2, got {p[0]}")
-
-    defs.append(
+            lambda b, seed: [
+                (k, name) for k in range(1, b["k_max"] + 1) for name in _COROLLARY_RHS
+            ],
+        ),
         IdentityDef(
-            "prop4", "tolerance", ("k",), v_prop4,
+            "prop4", "tolerance", (Param("k", minimum=2, bound="k_max"),),
             lambda p, tol, seed: _float_outcome(averages.gamma_weighted_pair(p[0], tol)),
-            lambda b, seed: [(k,) for k in range(2, b["k_max"] + 1)],
             {"k_max": 500},
-        )
-    )
-
-    # gamma-product: Gauss product in log scale, tolerance
-    defs.append(
+        ),
         IdentityDef(
-            "gamma-product", "tolerance", ("n",),
-            lambda p: _positive_int(p[0], "n"),
+            "gamma-product", "tolerance", (Param("n", bound="n_max"),),
             lambda p, tol, seed: _float_outcome(averages.gamma_product_check(p[0], tol)),
-            lambda b, seed: [(n,) for n in range(1, b["n_max"] + 1)],
             {"n_max": 500},
-        )
-    )
-
-    # mobius-log, tolerance
-    defs.append(
+        ),
         IdentityDef(
-            "mobius-log", "tolerance", ("k",),
-            lambda p: _positive_int(p[0], "k"),
+            "mobius-log", "tolerance", (_K,),
             lambda p, tol, seed: _float_outcome(averages.mobius_log_check(p[0], tol)),
-            lambda b, seed: [(k,) for k in range(1, b["k_max"] + 1)],
             {"k_max": 500},
-        )
-    )
-
-    # prop5-exact: binomial weight, both sides big integers
-    def e_prop5(p, tol, seed):
-        pair = averages.binomial_weighted_exact(p[0])
-        return _exact_outcome(pair.lhs, pair.rhs)
-
-    defs.append(
+        ),
         IdentityDef(
-            "prop5-exact", "exact", ("k",),
-            lambda p: _positive_int(p[0], "k"),
-            e_prop5,
-            lambda b, seed: [(k,) for k in range(1, b["k_max"] + 1)],
+            "prop5-exact", "exact", (_K,),
+            lambda p, tol, seed: _pair_outcome(averages.binomial_weighted_exact(p[0])),
             {"k_max": 200},
-        )
-    )
-
-    # prop5-cosine: binomial weight vs cosine double sum, tolerance
-    def v_prop5c(p):
-        _positive_int(p[0], "k")
-        _require(p[0] <= averages.COSINE_LIMIT, f"k must be <= {averages.COSINE_LIMIT}")
-
-    defs.append(
+        ),
         IdentityDef(
-            "prop5-cosine", "tolerance", ("k",), v_prop5c,
+            "prop5-cosine", "tolerance", (Param("k", cap=averages.COSINE_LIMIT, bound="k_max"),),
             lambda p, tol, seed: _float_outcome(averages.binomial_weighted_cosine(p[0], tol)),
-            lambda b, seed: [(k,) for k in range(1, b["k_max"] + 1)],
             {"k_max": 200},
-        )
-    )
-
-    # prop6: Bernoulli polynomial weight, exact
-    def v_prop6(p):
-        _positive_int(p[0], "k")
-        _positive_int(p[1], "m")
-
-    def e_prop6(p, tol, seed):
-        pair = averages.bernoulli_weighted_pair(p[0], p[1])
-        return _exact_outcome(pair.lhs, pair.rhs)
-
-    defs.append(
+        ),
         IdentityDef(
-            "prop6", "exact", ("k", "m"), v_prop6, e_prop6,
-            lambda b, seed: [
-                (k, m)
-                for k in range(1, b["k_max"] + 1)
-                for m in range(1, b["m_max"] + 1)
-            ],
+            "prop6", "exact", (_K, Param("m", bound="m_max")),
+            lambda p, tol, seed: _pair_outcome(averages.bernoulli_weighted_pair(p[0], p[1])),
             {"k_max": 500, "m_max": 8},
-        )
-    )
-
-    # inverse-dft, tolerance
-    def v_dft(p):
-        _positive_int(p[0], "k")
-        _positive_int(p[1], "n")
-        _require(p[0] <= averages.DFT_LIMIT, f"k must be <= {averages.DFT_LIMIT}")
-
-    defs.append(
+        ),
         IdentityDef(
-            "inverse-dft", "tolerance", ("k", "n"), v_dft,
+            "inverse-dft", "tolerance",
+            (Param("k", cap=averages.DFT_LIMIT, bound="k_max"), Param("n", bound="n_max")),
             lambda p, tol, seed: _float_outcome(averages.inverse_dft_check(p[0], p[1], tol)),
-            lambda b, seed: [
-                (k, n)
-                for k in range(1, b["k_max"] + 1)
-                for n in range(1, b["n_max"] + 1)
-            ],
             {"k_max": 500, "n_max": 500},
-        )
-    )
-
-    # prop7: multivariable power weight, exact
-    def v_prop7(p):
-        _valid_tuple(p[0])
-        _positive_int(p[1], "r")
-
-    defs.append(
+        ),
         IdentityDef(
-            "prop7", "exact", ("ks", "r"), v_prop7,
+            "prop7", "exact", (_KS, Param("r")),
             lambda p, tol, seed: _exact_outcome(
                 multivar.s_r_multi_direct(p[0], p[1]), multivar.s_r_multi_closed(p[0], p[1])
             ),
+            {"k_max": 40, "n_max": 3, "r_max": 5},
             lambda b, seed: [
                 (t, r)
                 for t in _tuple_grid(b["k_max"], b["n_max"])
                 for r in range(1, b["r_max"] + 1)
             ],
-            {"k_max": 40, "n_max": 3, "r_max": 5},
-        )
-    )
-
-    # prop7-corollary (r = 1): S_1 = prod phi / (2k) + E/2, exact
-    def e_prop7c(p, tol, seed):
-        t = multivar.ModulusTuple(p[0])
-        lhs = multivar.s_r_multi_direct(t, 1)
-        rhs = Fraction(math.prod(euler_phi(k) for k in t.ks), 2 * t.lcm_value) + Fraction(
-            multivar.orbicyclic_divisor(t), 2
-        )
-        return _exact_outcome(lhs, rhs)
-
-    defs.append(
+        ),
         IdentityDef(
-            "prop7-corollary", "exact", ("ks",),
-            lambda p: _valid_tuple(p[0]),
-            e_prop7c,
-            lambda b, seed: [(t,) for t in _tuple_grid(b["k_max"], b["n_max"])],
-            {"k_max": 40, "n_max": 3},
-        )
-    )
-
-    # e-integrality: direct E is a non-negative integer equal to the divisor form
-    def e_eint(p, tol, seed):
-        return _exact_outcome(
-            multivar.orbicyclic_direct(p[0]), multivar.orbicyclic_divisor(p[0])
-        )
-
-    defs.append(
+            "prop7-corollary", "exact", (_KS,), _prop7_corollary,
+            {"k_max": 40, "n_max": 3}, _tuple_param_grid,
+        ),
+        # Direct E is a non-negative integer equal to the divisor form.
         IdentityDef(
-            "e-integrality", "exact", ("ks",),
-            lambda p: _valid_tuple(p[0]),
-            e_eint,
-            lambda b, seed: [(t,) for t in _tuple_grid(b["k_max"], b["n_max"])],
-            {"k_max": 40, "n_max": 3},
-        )
-    )
-
-    # e-multiplicativity on seeded coprime pairs
-    def v_emult(p):
-        _valid_tuple(p[0])
-        _valid_tuple(p[1])
-        _require(len(p[0]) == len(p[1]), "tuples must have equal arity")
-        _require(
-            math.gcd(math.prod(p[0]), math.prod(p[1])) == 1,
-            f"tuples {p[0]} and {p[1]} are not coprime",
-        )
-
-    def e_emult(p, tol, seed):
-        a, b = multivar.ModulusTuple(p[0]), multivar.ModulusTuple(p[1])
-        combined = multivar.ModulusTuple(tuple(x * y for x, y in zip(a.ks, b.ks)))
-        lhs = multivar.orbicyclic_divisor(combined)
-        rhs = multivar.orbicyclic_divisor(a) * multivar.orbicyclic_divisor(b)
-        return _exact_outcome(lhs, rhs)
-
-    defs.append(
+            "e-integrality", "exact", (_KS,),
+            lambda p, tol, seed: _exact_outcome(
+                multivar.orbicyclic_direct(p[0]), multivar.orbicyclic_divisor(p[0])
+            ),
+            {"k_max": 40, "n_max": 3}, _tuple_param_grid,
+        ),
         IdentityDef(
-            "e-multiplicativity", "exact", ("a", "b"), v_emult, e_emult,
-            lambda b, seed: _coprime_pair_grid(b["pairs"], b["k_max"], b["n_max"], seed),
+            "e-multiplicativity", "exact", (Param("a", "moduli"), Param("b", "moduli")),
+            lambda p, tol, seed: _exact_outcome(*multivar.multiplicativity_sides(p[0], p[1])),
             {"k_max": 30, "n_max": 3, "pairs": 200},
-        )
-    )
-
-    # cross-evaluator: divisor formula vs Holder vs rounded float definition
-    def v_cross(p):
-        _positive_int(p[0], "k")
-        _require(isinstance(p[1], int) and p[1] >= 0, f"j must be a non-negative integer")
-
-    def e_cross(p, tol, seed):
-        k, j = p
-        a = ramanujan_sum(k, j)
-        b = ramanujan_sum_holder(k, j)
-        f = ramanujan_sum_float(k, j)
-        outcome = _exact_outcome(a, b)
-        if round(f) == a and abs(f - a) <= 1e-6 * k:
-            return outcome
-        reason = f"float oracle {_fmt_float(f)} disagrees with the exact value {a}"
-        return outcome[0], outcome[1], False, None, reason
-
-    defs.append(
+            lambda b, seed: _coprime_pair_grid(b["pairs"], b["k_max"], b["n_max"], seed),
+        ),
         IdentityDef(
-            "cross-evaluator", "exact", ("k", "j"), v_cross, e_cross,
-            lambda b, seed: [
-                (k, j) for k in range(1, b["k_max"] + 1) for j in range(0, k + 1)
-            ],
+            "cross-evaluator", "exact", (Param("k"), Param("j", minimum=0)), _cross_evaluator,
             {"k_max": 300},
-        )
-    )
-
-    # half-sum: sum C(r+1, 2m) B_2m = (r+1)/2. True for r >= 1 only: at
-    # r = 0 there is no B_1 term to absorb and the sum is B_0 = 1, so the
-    # default grid starts at 1 (run_identity still accepts r = 0 and will
-    # honestly report the mismatch).
-    defs.append(
+            lambda b, seed: [(k, j) for k in range(1, b["k_max"] + 1) for j in range(0, k + 1)],
+        ),
+        # sum C(r+1, 2m) B_2m = (r+1)/2. True for r >= 1 only: at r = 0
+        # there is no B_1 term to absorb and the sum is B_0 = 1, so the
+        # default grid starts at 1 (run_identity still accepts r = 0 and
+        # will honestly report the mismatch).
         IdentityDef(
-            "half-sum", "exact", ("r",),
-            lambda p: _require(isinstance(p[0], int) and p[0] >= 0, "r must be >= 0"),
+            "half-sum", "exact", (Param("r", minimum=0),),
             lambda p, tol, seed: _exact_outcome(
                 exact.half_sum_check(p[0]), Fraction(p[0] + 1, 2)
             ),
-            lambda b, seed: [(r,) for r in range(1, b["r_max"] + 1)],
             {"r_max": 40},
-        )
-    )
-
-    # faulhaber: closed-form power sum vs the brute-force loop
-    def v_faul(p):
-        _positive_int(p[0], "n")
-        _positive_int(p[1], "r")
-
-    defs.append(
+            lambda b, seed: [(r,) for r in range(1, b["r_max"] + 1)],
+        ),
+        # Closed-form power sum vs the brute-force loop.
         IdentityDef(
-            "faulhaber", "exact", ("n", "r"), v_faul,
+            "faulhaber", "exact", (Param("n", bound="n_max"), Param("r", bound="r_max")),
             lambda p, tol, seed: _exact_outcome(
                 exact.power_sum(p[0], p[1]), sum(j ** p[1] for j in range(1, p[0] + 1))
             ),
-            lambda b, seed: [
-                (n, r)
-                for n in range(1, b["n_max"] + 1)
-                for r in range(1, b["r_max"] + 1)
-            ],
             {"n_max": 200, "r_max": 10},
-        )
-    )
-
-    # coprime-power-sum: closed form vs gcd-filtered brute force, n >= 2
-    def v_cps(p):
-        _positive_int(p[0], "n")
-        _require(p[0] >= 2, f"n must be >= 2, got {p[0]}")
-        _positive_int(p[1], "r")
-
-    defs.append(
+        ),
+        # Closed form vs gcd-filtered brute force.
         IdentityDef(
-            "coprime-power-sum", "exact", ("n", "r"), v_cps,
+            "coprime-power-sum", "exact",
+            (Param("n", minimum=2, bound="n_max"), Param("r", bound="r_max")),
             lambda p, tol, seed: _exact_outcome(
                 exact.coprime_power_sum(p[0], p[1]),
                 sum(j ** p[1] for j in range(1, p[0] + 1) if math.gcd(j, p[0]) == 1),
             ),
-            lambda b, seed: [
-                (n, r)
-                for n in range(2, b["n_max"] + 1)
-                for r in range(1, b["r_max"] + 1)
-            ],
             {"n_max": 200, "r_max": 8},
-        )
-    )
-
-    # bernoulli-poly-sum: sum_{j<k} B_m(j/k) = B_m / k^(m-1). The left side
-    # evaluates every B_m(j/k) by integer Horner on k^m D B_m(j/k) (D
-    # clears the Bernoulli denominators) and divides once at the end. It
-    # stays a loop over j: exact.power_sum would be a closed form.
-    def bps_direct(k, m):
-        base, d = averages._bernoulli_poly_scaled(m)
-        coeffs = [c * k**t for t, c in enumerate(base)]
-        total = 0
-        for j in range(k):
-            acc = 0
-            for c in coeffs:
-                acc = acc * j + c
-            total += acc
-        return Fraction(total, d * k**m)
-
-    def v_bps(p):
-        _positive_int(p[0], "k")
-        _positive_int(p[1], "m")
-
-    defs.append(
+        ),
+        # sum_{j<k} B_m(j/k) = B_m / k^(m-1).
         IdentityDef(
-            "bernoulli-poly-sum", "exact", ("k", "m"), v_bps,
+            "bernoulli-poly-sum", "exact", (_K, Param("m", bound="m_max")),
             lambda p, tol, seed: _exact_outcome(
-                bps_direct(p[0], p[1]),
+                _bernoulli_poly_sum_direct(p[0], p[1]),
                 exact.bernoulli_number(p[1]) / p[0] ** (p[1] - 1),
             ),
-            lambda b, seed: [
-                (k, m)
-                for k in range(1, b["k_max"] + 1)
-                for m in range(1, b["m_max"] + 1)
-            ],
             {"k_max": 60, "m_max": 8},
-        )
+        ),
     )
-
-    ordered = {}
-    for d in defs:
-        ordered[d.tag] = d
-    return ordered
-
-
-_CATALOG = _build_catalog()
+}
 IDENTITY_TAGS: Tuple[str, ...] = tuple(_CATALOG)
 
 
-def identity_mode(tag: str) -> str:
+def _lookup(tag: str) -> IdentityDef:
     if tag not in _CATALOG:
         raise ConfigError(f"unknown identity {tag!r}")
-    return _CATALOG[tag].mode
+    return _CATALOG[tag]
+
+
+def identity_mode(tag: str) -> str:
+    return _lookup(tag).mode
 
 
 def default_bounds(tag: str) -> Dict[str, int]:
-    if tag not in _CATALOG:
-        raise ConfigError(f"unknown identity {tag!r}")
-    return dict(_CATALOG[tag].bounds)
+    return dict(_lookup(tag).bounds)
 
 
 # --- running cases ----------------------------------------------------------
@@ -672,14 +547,8 @@ def run_identity(
     tolerance raises ConfigError; evaluator failures (budget, internal
     assertions) become failed cases instead."""
     _check_tolerance(tolerance)
-    if tag not in _CATALOG:
-        raise ConfigError(f"unknown identity {tag!r}")
-    ident = _CATALOG[tag]
-    if len(params) != len(ident.param_names):
-        raise ParamError(
-            f"{tag} expects parameters {ident.param_names}, got {len(params)} values"
-        )
-    ident.validate(params)
+    ident = _lookup(tag)
+    _validate(ident, params)
     rendered = _render_params(ident.param_names, params)
     try:
         lhs, rhs, passed, abs_error, error = ident.evaluate(params, tolerance, seed)
@@ -711,7 +580,6 @@ class SuiteConfig:
     m_max: Optional[int] = None
     n_max: Optional[int] = None
     tolerance: float = averages.DEFAULT_TOLERANCE
-    threads: int = 1  # 0 = auto
     seed: int = averages.DEFAULT_SEED
     keep_cases: bool = False
 
@@ -730,84 +598,49 @@ def _describe_bounds(tag: str, bounds: Dict[str, int]) -> str:
     return f"{tag}[{inner}]"
 
 
-def _run_chunk(args):
-    tag, chunk, tolerance, seed, keep_cases = args
-    cases = [run_identity(tag, params, tolerance, seed) for params in chunk]
-    passed = sum(1 for c in cases if c.passed)
-    failures = [c for c in cases if not c.passed]
-    worst = 0.0
-    has_err = False
-    for c in cases:
-        if c.abs_error is not None:
-            has_err = True
-            if c.abs_error > worst:
-                worst = c.abs_error
-    return (
-        len(cases),
-        passed,
-        failures,
-        worst if has_err else None,
-        cases if keep_cases else None,
-    )
-
-
 def run_suite(config: SuiteConfig) -> VerificationReport:
-    """Sweep the configured identities over their grids and aggregate.
+    """Sweep the configured identities over their grids, in catalog-entry
+    order and ascending parameter order, and aggregate.
 
-    The report is identical (except wall time) for any thread count: the
-    grid is chunked in order and results are merged in submission order.
+    Every case goes through run_identity, one after another.
     """
     start = time.perf_counter()
     _check_tolerance(config.tolerance)
     tags = list(config.identities) if config.identities else list(IDENTITY_TAGS)
-    for tag in tags:
-        if tag not in _CATALOG:
-            raise ConfigError(f"unknown identity {tag!r}")
+    idents = [_lookup(tag) for tag in tags]
 
-    jobs = []
-    grid_parts = []
-    total_planned = 0
-    for tag in tags:
-        ident = _CATALOG[tag]
+    plans = []
+    for ident in idents:
         bounds = _effective_bounds(ident, config)
-        grid = ident.grid(bounds, config.seed)
-        grid_parts.append(_describe_bounds(tag, bounds))
-        total_planned += len(grid)
-        for i in range(0, len(grid), CHUNK_SIZE):
-            jobs.append(
-                (tag, grid[i : i + CHUNK_SIZE], config.tolerance, config.seed, config.keep_cases)
-            )
-    if total_planned == 0:
+        plans.append((ident.tag, _grid(ident, bounds, config.seed), _describe_bounds(ident.tag, bounds)))
+    if not any(grid for _, grid, _ in plans):
         raise ConfigError(f"empty grid for identities {tags}")
-
-    threads = config.threads if config.threads > 0 else (os.cpu_count() or 1)
-    if threads == 1:
-        results = [_run_chunk(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_run_chunk, jobs))
 
     total = 0
     passed = 0
     failures: List[IdentityCase] = []
     worst: Dict[str, float] = {}
-    all_cases: List[IdentityCase] = [] if config.keep_cases else None
-    for job, (count, ok, fails, worst_err, cases) in zip(jobs, results):
-        tag = job[0]
-        total += count
-        passed += ok
-        failures.extend(fails)
-        if worst_err is not None:
-            worst[tag] = max(worst.get(tag, 0.0), worst_err)
-        if cases is not None:
-            all_cases.extend(cases)
+    all_cases: Optional[List[IdentityCase]] = [] if config.keep_cases else None
+    for tag, grid, _ in plans:
+        for params in grid:
+            case = run_identity(tag, params, config.tolerance, config.seed)
+            total += 1
+            if case.passed:
+                passed += 1
+            else:
+                failures.append(case)
+            if case.abs_error is not None:
+                worst[tag] = max(worst.get(tag, 0.0), case.abs_error)
+            if all_cases is not None:
+                all_cases.append(case)
 
     # Catalog-order keys for byte-stable serialization.
     worst_ordered = {tag: worst[tag] for tag in tags if tag in worst}
     suite_name = "all" if config.identities is None else ",".join(tags)
+    grid_text = "; ".join(describe for _, _, describe in plans)
     return VerificationReport(
         suite=suite_name,
-        grid="; ".join(grid_parts) + f"; seed={config.seed}; tolerance={config.tolerance:g}",
+        grid=grid_text + f"; seed={config.seed}; tolerance={config.tolerance:g}",
         total=total,
         passed=passed,
         failed=total - passed,

