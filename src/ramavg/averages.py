@@ -31,9 +31,9 @@ The gcd classes collect the terms by gcd(j, k); the moments split a
 summand that is a polynomial in j (j^r, or k^m D B_m(j/k)) into its powers
 of j. Both still add c_k(j) over every j of the row c_k(0..k). Neither
 uses the closed side's arithmetic (phi, the Mobius convolution, Jordan
-totients); the Bernoulli weight reads Bernoulli numbers only as the
-coefficients of B_m(x) in its summand. So a closed side that is wrong
-still disagrees with them: the check is not a tautology.
+totients); the Bernoulli weight reads Bernoulli numbers only through
+exact's table of the coefficients of B_m(x). So a closed side that is
+wrong still disagrees with them: the check is not a tautology.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from .arith import (
     mobius,
     von_mangoldt,
 )
-from .exact import bernoulli_number, binomial
+from .exact import bernoulli_number, bernoulli_polynomial_coefficients, binomial, power_sum_closed
 from .ramanujan import ramanujan_row, _unit_roots
 
 __all__ = [
@@ -180,37 +180,19 @@ def s_r_direct(k: int, r: int) -> Fraction:
     return Fraction(num, k ** (r + 1))
 
 
-@lru_cache(maxsize=256)
-def _s_r_coefficients(r: int) -> Tuple[Tuple[int, ...], int]:
-    """(n_0..n_M, D) with C(r+1, 2m) B_{2m} / (r+1) = n_m / D, M = floor(r/2)."""
-    coeffs = [
-        Fraction(binomial(r + 1, 2 * m), r + 1) * bernoulli_number(2 * m)
-        for m in range(r // 2 + 1)
-    ]
-    d = math.lcm(*(c.denominator for c in coeffs))
-    return tuple(int(c * d) for c in coeffs), d
-
-
 def s_r_closed(k: int, r: int) -> Fraction:
     """S_r(k) by the closed form
 
         phi(k)/(2k) + 1/(r+1) * sum_{m=0}^{floor(r/2)}
             C(r+1, 2m) B_{2m} J_{2m}(k) / k^(2m),
 
-    where J_{2m}(k)/k^(2m) is the product of (1 - p^(-2m)) over p | k.
-    The sum is put over the one denominator D k^(2M), M = floor(r/2),
-    with D from the cached coefficients n_m / D of each r.
+    where J_{2m}(k)/k^(2m) is the product of (1 - p^(-2m)) over p | k:
+    exact.power_sum_closed with lead phi(k) and weights J_{2m}(k).
     """
     if k < 1 or r < 1:
         raise ValueError("s_r_closed requires k >= 1 and r >= 1")
-    nums, d = _s_r_coefficients(r)
-    top = len(nums) - 1
-    total = sum(
-        n * jordan_totient(2 * m, k) * k ** (2 * (top - m)) for m, n in enumerate(nums)
-    )
-    scale = d * k ** (2 * top)
-    # phi(k)/(2k) + total/scale over the denominator 2k * scale.
-    return Fraction(euler_phi(k) * scale + 2 * k * total, 2 * k * scale)
+    weights = [jordan_totient(2 * m, k) for m in range(r // 2 + 1)]
+    return power_sum_closed(k, r, euler_phi(k), weights)
 
 
 # --- log weight -----------------------------------------------------------
@@ -330,6 +312,12 @@ def mobius_log_check(k: int, tolerance: float = DEFAULT_TOLERANCE) -> FloatPair:
 # --- binomial weight ------------------------------------------------------
 
 
+def _binomial_row_sum(k: int) -> int:
+    """sum_{j=0}^{k} C(k, j) c_k(j), the left side of both binomial weights."""
+    row = ramanujan_row(k).values
+    return sum(binomial(k, j) * row[j] for j in range(0, k + 1))
+
+
 def binomial_weighted_exact(k: int) -> ExactPair:
     """sum_{j=0}^{k} C(k, j) c_k(j)  vs  the divisor-side big integer
 
@@ -337,8 +325,7 @@ def binomial_weighted_exact(k: int) -> ExactPair:
     """
     if k < 1:
         raise ValueError(f"binomial_weighted_exact requires k >= 1, got {k}")
-    row = ramanujan_row(k).values
-    lhs = sum(binomial(k, j) * row[j] for j in range(0, k + 1))
+    lhs = _binomial_row_sum(k)
     rhs = 0
     for d in divisors(k):
         mu_kd = mobius(k // d)
@@ -374,9 +361,7 @@ def binomial_weighted_cosine(k: int, tolerance: float = DEFAULT_TOLERANCE) -> Fl
         raise ValueError(f"binomial_weighted_cosine requires k >= 1, got {k}")
     if k > COSINE_LIMIT:
         raise ValueError(f"k={k} exceeds the cosine evaluation bound {COSINE_LIMIT}")
-    row = ramanujan_row(k).values
-    exact_lhs = sum(binomial(k, j) * row[j] for j in range(0, k + 1))
-    lhs = float(Fraction(exact_lhs, 2**k))
+    lhs = float(Fraction(_binomial_row_sum(k), 2**k))
     rhs = 0.0
     for d in divisors(k):
         mu_kd = mobius(k // d)
@@ -393,17 +378,6 @@ def binomial_weighted_cosine(k: int, tolerance: float = DEFAULT_TOLERANCE) -> Fl
 # --- Bernoulli polynomial weight ------------------------------------------
 
 
-@lru_cache(maxsize=256)
-def _bernoulli_poly_scaled(m: int) -> Tuple[Tuple[int, ...], int]:
-    """Coefficients of D * B_m(x) with D clearing every denominator:
-
-    returns (c_0..c_m, D) with D * B_m(x) = sum_t c_t x^(m-t).
-    """
-    coeffs = [binomial(m, t) * bernoulli_number(t) for t in range(m + 1)]
-    d = math.lcm(*(c.denominator for c in coeffs))
-    return tuple(int(c * d) for c in coeffs), d
-
-
 def bernoulli_weighted_pair(k: int, m: int) -> ExactPair:
     """sum_{j=0}^{k-1} B_m(j/k) c_k(j)  vs  (B_m / k^(m-1)) J_m(k), exactly.
 
@@ -414,7 +388,7 @@ def bernoulli_weighted_pair(k: int, m: int) -> ExactPair:
     """
     if k < 1 or m < 1:
         raise ValueError("bernoulli_weighted_pair requires k >= 1 and m >= 1")
-    base, d = _bernoulli_poly_scaled(m)
+    base, d = bernoulli_polynomial_coefficients(m)
     total = sum(c * k**t * _power_moment(k, m - t) for t, c in enumerate(base) if c)
     lhs = Fraction(total, d * k**m)
     b = bernoulli_number(m)

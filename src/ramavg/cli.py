@@ -1,7 +1,8 @@
 """Command-line front end: compute single values, tabulate rows and
 averages, and run verification sweeps.
 
-Exit codes: 0 success, 1 verification failures, 2 bad usage/configuration.
+Exit codes: 0 success, 1 verification failures, 2 bad usage/configuration,
+141 (128 + SIGPIPE) when the reader of stdout closes early; stderr stays empty.
 Exact values are printed as reduced rationals ("p/q", or a bare integer);
 decimals only appear with --approx (17 significant digits).
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from itertools import product as iter_product
@@ -248,13 +250,18 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "compute":
-        return _cmd_compute(args)
-    if args.command == "table":
-        return _cmd_table(args)
-    return _cmd_verify(args)
+    args = _build_parser().parse_args(argv)
+    command = {"compute": _cmd_compute, "table": _cmd_table}.get(args.command, _cmd_verify)
+    try:
+        status = command(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Later writes, and the interpreter's flush at exit, go to devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    return status
 
 
 if __name__ == "__main__":

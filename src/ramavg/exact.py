@@ -1,5 +1,7 @@
-"""Exact rational arithmetic: Bernoulli numbers, Bernoulli polynomials,
-binomial coefficients, and two power-sum closed forms.
+"""Exact rational arithmetic: Bernoulli numbers and polynomials (with one
+cached table of the coefficients of D B_m(x)), binomial coefficients, and
+power_sum_closed, the one closed form of S_r(k), S_r(k_1..k_n), power_sum,
+coprime_power_sum and half_sum_check; each supplies its own weights.
 
 Convention note (important): B_1 = -1/2 throughout. The power-sum closed
 form used here,
@@ -18,15 +20,21 @@ of the package builds on.
 
 from __future__ import annotations
 
+import math
 import threading
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
-from typing import List, Union
+from typing import List, Sequence, Tuple, Union
+
+from .arith import factorize
 
 __all__ = [
     "binomial",
     "bernoulli_number",
     "bernoulli_polynomial",
+    "bernoulli_polynomial_coefficients",
+    "power_sum_closed",
     "power_sum",
     "coprime_power_sum",
     "half_sum_check",
@@ -83,13 +91,34 @@ def bernoulli_polynomial(m: int, x: Rational) -> Fraction:
     return total
 
 
+@lru_cache(maxsize=256)
+def bernoulli_polynomial_coefficients(m: int) -> Tuple[Tuple[int, ...], int]:
+    """(c_0..c_m, D) with D * B_m(x) = sum_t c_t x^(m-t), D the lcm of theirs."""
+    coeffs = [comb(m, t) * bernoulli_number(t) for t in range(m + 1)]
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (d // c.denominator) for c in coeffs), d
+
+
+def power_sum_closed(k: int, r: int, lead: int, weights: Sequence[int]) -> Fraction:
+    """lead/(2k) + 1/(r+1) sum_{m=0}^{M} C(r+1, 2m) B_{2m} X_m / k^(2m), with
+    X_m = weights[m] and M = floor(r/2). C(r+1, 2m) B_{2m} = c_{2m} / D are
+    the even coefficients of D B_{r+1}(x), so the sum goes over the one
+    denominator 2k (r+1) D k^(2M): integer weights keep it in integers.
+    """
+    coeffs, d = bernoulli_polynomial_coefficients(r + 1)
+    k2 = k * k
+    total = 0
+    for c, x in zip(coeffs[: r + 1 : 2], weights, strict=True):  # Horner in k^2
+        total = total * k2 + c * x
+    scale = (r + 1) * d * k2 ** (r // 2)
+    return Fraction(lead * scale + 2 * k * total, 2 * k * scale)
+
+
 def power_sum(n: int, r: int) -> int:
     """sum_{j=1}^{n} j^r via the closed form; the result must be integral."""
     if n < 1 or r < 1:
         raise ValueError("power_sum requires n >= 1 and r >= 1")
-    acc = Fraction(n**r, 2)
-    for m in range(r // 2 + 1):
-        acc += Fraction(comb(r + 1, 2 * m) * n ** (r + 1 - 2 * m), r + 1) * bernoulli_number(2 * m)
+    acc = n ** (r + 1) * power_sum_closed(n, r, 1, [1] * (r // 2 + 1))
     if acc.denominator != 1:
         raise RuntimeError(f"power_sum({n}, {r}) is non-integral: {acc}")
     return acc.numerator
@@ -101,22 +130,18 @@ def coprime_power_sum(n: int, r: int) -> int:
         n^(r+1)/(r+1) * sum_{m=0}^{floor(r/2)} C(r+1, 2m) B_{2m} / n^(2m)
                         * prod_{p|n} (1 - p^(2m-1)),
 
-    which is stated for n > 1 only. The result must be integral.
+    which is stated for n > 1 only. The product is phi(n)/n at m = 0, so the
+    weights are scaled by n: (n / rad n) prod_{p|n} (p - p^(2m)). The result
+    must be integral.
     """
-    from .arith import factorize
-
     if n < 2:
         raise ValueError("coprime_power_sum requires n >= 2")
     if r < 1:
         raise ValueError("coprime_power_sum requires r >= 1")
     primes = factorize(n).primes
-    acc = Fraction(0)
-    for m in range(r // 2 + 1):
-        term = Fraction(comb(r + 1, 2 * m)) * bernoulli_number(2 * m) / n ** (2 * m)
-        for p in primes:
-            term *= 1 - Fraction(p) ** (2 * m - 1)
-        acc += term
-    acc *= Fraction(n ** (r + 1), r + 1)
+    cofactor = n // math.prod(primes)
+    weights = [cofactor * math.prod(p - p ** (2 * m) for p in primes) for m in range(r // 2 + 1)]
+    acc = n**r * power_sum_closed(n, r, 0, weights)
     if acc.denominator != 1:
         raise RuntimeError(f"coprime_power_sum({n}, {r}) is non-integral: {acc}")
     return acc.numerator
@@ -131,6 +156,4 @@ def half_sum_check(r: int) -> Fraction:
     """
     if r < 0:
         raise ValueError(f"half_sum_check requires r >= 0, got {r}")
-    return Fraction(
-        sum(comb(r + 1, 2 * m) * bernoulli_number(2 * m) for m in range(r // 2 + 1))
-    )
+    return (r + 1) * power_sum_closed(1, r, 0, [1] * (r // 2 + 1))

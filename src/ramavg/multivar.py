@@ -1,6 +1,6 @@
 """Products of Ramanujan sums over several moduli: the orbicyclic average
 E(k_1..k_n), the auxiliary divisor sums g_m, and the multivariable power
-weighted average with its closed form.
+weighted average with its closed form over one denominator.
 
     E(k_1..k_n)   = (1/k) sum_{j=1}^{k} c_{k_1}(j) ... c_{k_n}(j)
                   = sum over divisor tuples of
@@ -8,9 +8,9 @@ weighted average with its closed form.
     g_m(k_1..k_n) = same divisor sum with lcm(d_1..d_n)^(2m-1) instead
     S_r(k_1..k_n) = (1/k^(r+1)) sum_{j=1}^{k} j^r c_{k_1}(j) ... c_{k_n}(j)
 
-with k = lcm(k_1..k_n) throughout. Direct sums run over one full period;
-divisor sums enumerate the divisor lattice under an explicit budget of
-prod tau(k_i) <= 10**7 and reject bigger requests outright.
+with k = lcm(k_1..k_n) throughout. Direct sums run over one period of at
+most PERIOD_BUDGET entries and divisor sums over at most DIVISOR_TUPLE_BUDGET
+tuples; both raise BudgetError before allocating anything.
 
 Single-component tuples go through exactly the same code paths as n >= 2;
 their agreement with the single-variable module is asserted by tests, not
@@ -29,12 +29,13 @@ from typing import Dict, List, Sequence, Tuple, Union
 import numpy as np
 
 from .arith import divisors, euler_phi, mobius
-from .exact import bernoulli_number, binomial
+from .exact import power_sum_closed
 from .ramanujan import ramanujan_row
 
 __all__ = [
     "BudgetError",
     "DIVISOR_TUPLE_BUDGET",
+    "PERIOD_BUDGET",
     "ModulusTuple",
     "orbicyclic_direct",
     "orbicyclic_divisor",
@@ -46,13 +47,14 @@ __all__ = [
 ]
 
 DIVISOR_TUPLE_BUDGET = 10**7
+PERIOD_BUDGET = 10**7  # entries of one product row; the default grids peak at 57,720
 
 _INT64_SAFE = 1 << 62
 _MASK31 = (1 << 31) - 1
 
 
 class BudgetError(RuntimeError):
-    """The divisor-tuple enumeration would exceed its budget."""
+    """A divisor-tuple enumeration or a period row would exceed its budget."""
 
 
 @dataclass(frozen=True)
@@ -91,8 +93,10 @@ def _product_row(t: ModulusTuple):
     element bound is prod phi(k_i)); otherwise a plain Python list.
     """
     length = t.lcm_value
+    if length > PERIOD_BUDGET:
+        raise BudgetError(f"period lcm{t.ks} = {length} exceeds {PERIOD_BUDGET}")
     bound = math.prod(euler_phi(k) for k in t.ks)
-    if length < (1 << 31) and bound < _INT64_SAFE:
+    if bound < _INT64_SAFE:
         row = np.ones(length, dtype=np.int64)
         for k in t.ks:
             base = np.array(ramanujan_row(k).values[1:], dtype=np.int64)
@@ -225,7 +229,7 @@ def s_r_multi_direct(t, r: int) -> Fraction:
 
 
 def s_r_multi_closed(t, r: int) -> Fraction:
-    """S_r(k_1..k_n) by the closed form
+    """S_r(k_1..k_n) by exact.power_sum_closed, with integer weights E = g_0 and g_m:
 
         prod_i phi(k_i) / (2k) + 1/(r+1) * sum_{m=0}^{floor(r/2)}
             C(r+1, 2m) (B_{2m} / k^(2m)) g_m(k_1..k_n).
@@ -233,16 +237,8 @@ def s_r_multi_closed(t, r: int) -> Fraction:
     t = _as_tuple(t)
     if r < 1:
         raise ValueError(f"s_r_multi_closed requires r >= 1, got {r}")
-    k = t.lcm_value
-    acc = Fraction(math.prod(euler_phi(ki) for ki in t.ks), 2 * k)
-    for m in range(r // 2 + 1):
-        acc += (
-            Fraction(binomial(r + 1, 2 * m), r + 1)
-            * bernoulli_number(2 * m)
-            * g_m(t, m)
-            / k ** (2 * m)
-        )
-    return acc
+    weights = [orbicyclic_divisor(t)] + [g_m(t, m).numerator for m in range(1, r // 2 + 1)]
+    return power_sum_closed(t.lcm_value, r, math.prod(euler_phi(ki) for ki in t.ks), weights)
 
 
 def multiplicativity_sides(a, b) -> Tuple[int, int]:

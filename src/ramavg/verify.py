@@ -347,7 +347,7 @@ def _bernoulli_poly_sum_direct(k: int, m: int) -> Fraction:
     """sum_{j<k} B_m(j/k), each term by integer Horner on k^m D B_m(j/k)
     (D clears the Bernoulli denominators), with one division at the end.
     It stays a loop over j: exact.power_sum would be a closed form."""
-    base, d = averages._bernoulli_poly_scaled(m)
+    base, d = exact.bernoulli_polynomial_coefficients(m)
     coeffs = [c * k**t for t, c in enumerate(base)]
     total = 0
     for j in range(k):

@@ -1,6 +1,11 @@
 import csv
+import errno
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -195,3 +200,50 @@ class TestVerify:
         body1.pop("wall_time_seconds")
         body4.pop("wall_time_seconds")
         assert body1 == body4
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone away: every write raises EPIPE."""
+
+    def __init__(self, fd):
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def fileno(self):
+        return self._fd
+
+
+class TestBrokenPipe:
+    def test_exits_141_and_silences_stdout(self, monkeypatch, tmp_path, capsys):
+        target = tmp_path / "stdout"
+        fd = os.open(target, os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+            code = main(["verify", "--identity", "half-sum", "--r-max", "3", "--format", "csv"])
+            os.write(fd, b"after")  # lands in devnull, not in the file
+        finally:
+            os.close(fd)
+        assert code == 141
+        assert target.read_bytes() == b""
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_reader_prints_no_traceback(self, unbuffered):
+        # Buffered, the report first reaches the pipe at a flush: main's,
+        # or else the interpreter's at exit.
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ramavg.cli", "verify", "--identity", "half-sum",
+             "--r-max", "3", "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()  # before the report is written
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 
 from ramavg.averages import s_r_closed
 from ramavg.multivar import (
+    PERIOD_BUDGET,
     BudgetError,
     ModulusTuple,
     _weighted_power_sum,
@@ -111,6 +112,18 @@ class TestOrbicyclic:
         # tau(720720) = 240, so three copies enumerate 240^3 > 10^7 tuples.
         with pytest.raises(BudgetError):
             orbicyclic_divisor((720720, 720720, 720720))
+
+    def test_period_budget_rejection(self, monkeypatch):
+        # lcm(10007, 1009) = 10,097,063 is just past the budget, so a missing
+        # check would cost about 80 MB; np.ones is gone to catch it earlier.
+        t = (10007, 1009)
+        assert math.lcm(*t) > PERIOD_BUDGET
+        monkeypatch.setattr(np, "ones", None)
+        with pytest.raises(BudgetError, match="period"):
+            orbicyclic_direct(t)
+        with pytest.raises(BudgetError, match="period"):
+            s_r_multi_direct(t, 1)
+        assert orbicyclic_divisor(t) == 0  # the divisor side needs no row
 
 
 class TestGm:

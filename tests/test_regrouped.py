@@ -1,9 +1,10 @@
 """Each regrouped direct side equals the literal per-j sum it replaces.
 
 The evaluators of the power, gcd and Bernoulli weights group the terms
-of their left sides (by gcd class, by power moment) and the closed side
-of the power weight sits over one integer denominator. The sums below
-are written out term by term, with Fractions, as the definitions read.
+of their left sides (by gcd class, by power moment), and every
+power-weighted closed side sits over one integer denominator
+(exact.power_sum_closed). The sums below are written out term by term,
+with chained Fractions, as the definitions read.
 """
 
 import math
@@ -22,7 +23,16 @@ from ramavg.averages import (
     s_r_closed,
     s_r_direct,
 )
-from ramavg.exact import bernoulli_number, bernoulli_polynomial, binomial
+from ramavg.arith import factorize
+from ramavg.exact import (
+    bernoulli_number,
+    bernoulli_polynomial,
+    binomial,
+    coprime_power_sum,
+    half_sum_check,
+    power_sum,
+)
+from ramavg.multivar import g_m, s_r_multi_closed
 from ramavg.ramanujan import ramanujan_row
 from ramavg.verify import run_identity
 
@@ -98,6 +108,20 @@ class TestPowerMoments:
             )
         assert s_r_closed(k, r) == chained
 
+    @given(st.lists(st.integers(1, 30), min_size=1, max_size=3), st.integers(1, 10))
+    @settings(max_examples=80, deadline=None)
+    def test_s_r_multi_closed_against_chained_fractions(self, ks, r):
+        k = math.lcm(*ks)
+        chained = Fraction(math.prod(euler_phi(ki) for ki in ks), 2 * k)
+        for m in range(r // 2 + 1):
+            chained += (
+                Fraction(binomial(r + 1, 2 * m), r + 1)
+                * bernoulli_number(2 * m)
+                * g_m(ks, m)
+                / k ** (2 * m)
+            )
+        assert s_r_multi_closed(ks, r) == chained
+
     @given(K, st.integers(1, 8))
     @settings(max_examples=40, deadline=None)
     def test_bernoulli_weight(self, k, m):
@@ -115,3 +139,36 @@ class TestBernoulliPolySum:
         case = run_identity("bernoulli-poly-sum", (k, m))
         assert case.passed
         assert Fraction(case.lhs) == literal
+
+
+class TestFaulhaberClosedForms:
+    """The exact closed forms against the chained-Fraction loops they replace."""
+
+    @given(st.integers(1, 300), st.integers(1, 16))
+    @settings(max_examples=80, deadline=None)
+    def test_power_sum(self, n, r):
+        acc = Fraction(n**r, 2)
+        for m in range(r // 2 + 1):
+            term = Fraction(binomial(r + 1, 2 * m) * n ** (r + 1 - 2 * m), r + 1)
+            acc += term * bernoulli_number(2 * m)
+        assert power_sum(n, r) == acc
+
+    @given(st.integers(2, 300), st.integers(1, 16))
+    @settings(max_examples=80, deadline=None)
+    def test_coprime_power_sum(self, n, r):
+        acc = Fraction(0)
+        for m in range(r // 2 + 1):
+            term = Fraction(binomial(r + 1, 2 * m)) * bernoulli_number(2 * m) / n ** (2 * m)
+            for p in factorize(n).primes:
+                term *= 1 - Fraction(p) ** (2 * m - 1)
+            acc += term
+        acc *= Fraction(n ** (r + 1), r + 1)
+        assert coprime_power_sum(n, r) == acc
+
+    @given(st.integers(0, 60))
+    @settings(max_examples=40, deadline=None)
+    def test_half_sum(self, r):
+        chained = Fraction(
+            sum(binomial(r + 1, 2 * m) * bernoulli_number(2 * m) for m in range(r // 2 + 1))
+        )
+        assert half_sum_check(r) == chained

@@ -13,8 +13,7 @@ from hypothesis import given, settings
 import pytest
 
 from ramavg.arith import divisors, euler_phi, factorize, mobius
-from ramavg.averages import _bernoulli_poly_scaled
-from ramavg.exact import bernoulli_number, bernoulli_polynomial
+from ramavg.exact import bernoulli_number, bernoulli_polynomial, bernoulli_polynomial_coefficients
 
 sympy = pytest.importorskip("sympy")
 
@@ -46,7 +45,7 @@ class TestBernoulli:
     @pytest.mark.parametrize("m", range(0, 13))
     def test_scaled_polynomial_coefficients(self, m):
         # D * B_m(x) = sum_t c_t x^(m-t): the coefficients of both kernels.
-        coeffs, d = _bernoulli_poly_scaled(m)
+        coeffs, d = bernoulli_polynomial_coefficients(m)
         x = sympy.Symbol("x")
         expected = sympy.Poly(sympy.bernoulli(m, x), x).all_coeffs()
         assert [Fraction(c, d) for c in coeffs] == [to_fraction(c) for c in expected]
