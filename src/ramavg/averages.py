@@ -19,19 +19,22 @@ Summation bounds are part of the contract and differ per identity:
 
 An off-by-one here breaks exact checks silently, hence the table.
 
-Three direct sides are literal sums over j that are regrouped so that the
+Four direct sides are literal sums over j that are regrouped so that the
 work shared by many cases of one modulus is done once per k:
 
     gcd weight                    gcd-class totals W_d = sum over
                                   gcd(j, k) = d of c_k(j), once per k
     power and Bernoulli weights   power moments N_e(k) = sum_{j<k} j^e c_k(j),
                                   once per (k, e)
+    inverse DFT                   one inverse FFT of c_k(0..k-1) gives the
+                                  sum at every n mod k, once per k
 
 The gcd classes collect the terms by gcd(j, k); the moments split a
 summand that is a polynomial in j (j^r, or k^m D B_m(j/k)) into its powers
-of j. Both still add c_k(j) over every j of the row c_k(0..k). Neither
-uses the closed side's arithmetic (phi, the Mobius convolution, Jordan
-totients); the Bernoulli weight reads Bernoulli numbers only through
+of j; the FFT evaluates the sum over j for every n together. Each still
+adds c_k(j) over every j of the row c_k(0..k). None uses the closed side's
+arithmetic (phi, the Mobius convolution, Jordan totients, gcd(k, n)); the
+Bernoulli weight reads Bernoulli numbers only through
 exact's table of the coefficients of B_m(x). So a closed side that is
 wrong still disagrees with them: the check is not a tautology.
 """
@@ -59,7 +62,7 @@ from .arith import (
     von_mangoldt,
 )
 from .exact import bernoulli_number, bernoulli_polynomial_coefficients, binomial, power_sum_closed
-from .ramanujan import ramanujan_row, _unit_roots
+from .ramanujan import ramanujan_row
 
 __all__ = [
     "DEFAULT_TOLERANCE",
@@ -399,26 +402,25 @@ def bernoulli_weighted_pair(k: int, m: int) -> ExactPair:
 # --- inverse DFT ----------------------------------------------------------
 
 
-@lru_cache(maxsize=1024)
-def _dft_row(k: int) -> Tuple[np.ndarray, np.ndarray]:
-    row = np.array(ramanujan_row(k).values[1:], dtype=np.float64)
-    jarr = np.arange(1, k + 1, dtype=np.int64)
-    return row, jarr
+@lru_cache(maxsize=256)
+def _dft_values(k: int) -> np.ndarray:
+    """(1/k) sum_{j=1}^{k} exp(2 pi i j n / k) c_k(j) for n = 0..k-1: the
+    inverse FFT of c_k(0..k-1), whose j = 0 entry stands for j = k."""
+    return np.fft.ifft(np.array(ramanujan_row(k).values[:k], dtype=np.float64))
 
 
 def inverse_dft_check(k: int, n: int, tolerance: float = DEFAULT_TOLERANCE) -> FloatPair:
     """(1/k) sum_{j=1}^{k} exp(2 pi i j n / k) c_k(j)  vs  [gcd(k, n) = 1].
 
-    The imaginary part of the sum must cancel to below 1e-8 * k.
+    The left side is entry n mod k of the per-modulus FFT _dft_values(k).
+    Its imaginary part must cancel to below 1e-8 (1e-8 * k on the sum).
     """
     if k < 1 or n < 1:
         raise ValueError("inverse_dft_check requires k >= 1 and n >= 1")
     if k > DFT_LIMIT:
         raise ValueError(f"k={k} exceeds the DFT evaluation bound {DFT_LIMIT}")
-    row, jarr = _dft_row(k)
-    z = (row * _unit_roots(k)[(jarr * n) % k]).sum()
-    if abs(z.imag) > 1e-8 * k:
-        raise RuntimeError(f"imaginary part {z.imag} too large for k={k}, n={n}")
-    lhs = float(z.real) / k
+    z = _dft_values(k)[n % k]
+    if abs(z.imag) > 1e-8:
+        raise RuntimeError(f"imaginary part {z.imag} of the mean too large for k={k}, n={n}")
     rhs = 1.0 if math.gcd(k, n) == 1 else 0.0
-    return FloatPair(lhs, rhs, tolerance)
+    return FloatPair(float(z.real), rhs, tolerance)

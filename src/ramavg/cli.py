@@ -10,6 +10,7 @@ decimals only appear with --approx (17 significant digits).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -21,7 +22,7 @@ from .arith import divisor_count_and_sum, euler_phi, jordan_totient, mobius
 from .averages import DEFAULT_SEED, DEFAULT_TOLERANCE, s_r_closed
 from .exact import bernoulli_number
 from .multivar import g_m, orbicyclic_divisor
-from .ramanujan import ramanujan_row, ramanujan_sum
+from .ramanujan import BudgetError, ramanujan_row, ramanujan_sum
 from .verify import (
     ConfigError,
     IDENTITY_TAGS,
@@ -160,7 +161,11 @@ def _cmd_table(args) -> int:
         if args.k is None or args.k < 1:
             print("usage: ramavg table ramanujan-row --k <positive int>", file=sys.stderr)
             return 2
-        values = ramanujan_row(args.k).values
+        try:
+            values = ramanujan_row(args.k).values
+        except BudgetError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         if fmt == "json":
             print(json.dumps({"k": args.k, "values": list(values)}))
         elif fmt == "csv":
@@ -207,6 +212,21 @@ def _cmd_table(args) -> int:
     return 0
 
 
+def _write(text: str) -> None:
+    """Write text to stdout in full. Unbuffered (python -u), stdout hands
+    the bytes straight to the file, and a write into a pipe whose reader
+    closes meanwhile returns short without an error; the rest is written
+    until the closed pipe raises BrokenPipeError."""
+    raw = getattr(sys.stdout, "buffer", None)
+    if not isinstance(raw, io.RawIOBase):
+        sys.stdout.write(text)  # a buffered stream writes all or raises
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        data = data[raw.write(data):]
+
+
 def _cmd_verify(args) -> int:
     identities: Optional[List[str]] = None
     if args.identities:
@@ -231,9 +251,9 @@ def _cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
-        print(report_to_json(report))
+        _write(report_to_json(report) + "\n")
     elif args.format == "csv":
-        sys.stdout.write(cases_to_csv(report.cases))
+        _write(cases_to_csv(report.cases))
     else:
         print(f"suite: {report.suite}")
         print(f"grid: {report.grid}")

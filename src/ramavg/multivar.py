@@ -10,7 +10,8 @@ weighted average with its closed form over one denominator.
 
 with k = lcm(k_1..k_n) throughout. Direct sums run over one period of at
 most PERIOD_BUDGET entries and divisor sums over at most DIVISOR_TUPLE_BUDGET
-tuples; both raise BudgetError before allocating anything.
+tuples; both raise BudgetError (the one class of ramanujan, which bounds
+single rows by ROW_BUDGET) before allocating anything.
 
 Single-component tuples go through exactly the same code paths as n >= 2;
 their agreement with the single-variable module is asserted by tests, not
@@ -30,7 +31,7 @@ import numpy as np
 
 from .arith import divisors, euler_phi, mobius
 from .exact import power_sum_closed
-from .ramanujan import ramanujan_row
+from .ramanujan import BudgetError, ramanujan_row
 
 __all__ = [
     "BudgetError",
@@ -51,10 +52,6 @@ PERIOD_BUDGET = 10**7  # entries of one product row; the default grids peak at 5
 
 _INT64_SAFE = 1 << 62
 _MASK31 = (1 << 31) - 1
-
-
-class BudgetError(RuntimeError):
-    """A divisor-tuple enumeration or a period row would exceed its budget."""
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,14 @@
 
 The first two are exact integer arithmetic and are what the identity
 evaluators consume. The float definitional sum exists purely as a test
-oracle and is never used inside an identity evaluation path.
+oracle and is never used inside an identity evaluation path. It is
+computed as one inverse FFT per modulus of the indicator of the residues
+coprime to k, which gives the definitional sum at every j mod k at once;
+it reads no divisors, Mobius values or phi, so it stays independent of
+the other two.
+
+A row c_k(0..k) is refused with BudgetError before it is allocated when
+k exceeds ROW_BUDGET.
 
 j is an arbitrary integer everywhere: it is reduced mod k up front, and
 j = 0 falls under gcd(k, 0) = k, giving c_k(0) = phi(k). That convention
@@ -31,11 +38,20 @@ __all__ = [
     "ramanujan_sum_float",
     "ramanujan_row",
     "FLOAT_EVAL_LIMIT",
+    "ROW_BUDGET",
+    "BudgetError",
 ]
 
 # Beyond this k the definitional float sum accumulates too much error to
 # be a trustworthy oracle.
 FLOAT_EVAL_LIMIT = 10**5
+# Largest k of a row c_k(0..k). Not below multivar.PERIOD_BUDGET, so every
+# modulus of a product row within that budget has its row.
+ROW_BUDGET = 10**7
+
+
+class BudgetError(RuntimeError):
+    """A row, a period row or a divisor-tuple enumeration would exceed its budget."""
 
 
 @dataclass(frozen=True)
@@ -74,28 +90,25 @@ def ramanujan_sum_holder(k: int, j: int) -> int:
     return num // den
 
 
-@lru_cache(maxsize=2048)
-def _unit_roots(k: int) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(k) / k)
-
-
-@lru_cache(maxsize=2048)
-def _coprime_residues(k: int) -> np.ndarray:
-    return np.array([m for m in range(1, k + 1) if math.gcd(m, k) == 1], dtype=np.int64)
+@lru_cache(maxsize=256)
+def _float_row(k: int) -> np.ndarray:
+    """sum over m in 0..k-1 with gcd(m, k) = 1 of exp(2 pi i m j / k), for
+    j = 0..k-1: the unnormalised inverse FFT of the coprime indicator."""
+    coprime = (np.gcd(np.arange(k), k) == 1).astype(np.float64)
+    return np.fft.ifft(coprime, norm="forward")
 
 
 def ramanujan_sum_float(k: int, j: int) -> float:
     """c_k(j) from the definitional sum of roots of unity, as a float.
 
-    exp(2 pi i m j / k) is looked up in a table of k-th roots indexed by
-    m*j mod k, which evaluates the identical terms without per-term exp
-    calls. The imaginary part must cancel to below 1e-6 * k.
+    The sum is entry j mod k of the per-modulus FFT _float_row(k). The
+    imaginary part must cancel to below 1e-6 * k.
     """
     if k < 1:
         raise ValueError(f"ramanujan_sum_float requires k >= 1, got {k}")
     if k > FLOAT_EVAL_LIMIT:
         raise ValueError(f"k={k} exceeds the float evaluation bound {FLOAT_EVAL_LIMIT}")
-    z = _unit_roots(k)[(_coprime_residues(k) * j) % k].sum()
+    z = _float_row(k)[j % k]
     if abs(z.imag) >= 1e-6 * k:
         raise RuntimeError(f"imaginary part {z.imag} too large for k={k}, j={j}")
     return float(z.real)
@@ -110,8 +123,11 @@ def ramanujan_row(k: int) -> RamanujanRow:
     """
     if k < 1:
         raise ValueError(f"ramanujan_row requires k >= 1, got {k}")
+    if k > ROW_BUDGET:
+        raise BudgetError(f"row c_k(0..k) for k={k} exceeds the row budget {ROW_BUDGET}")
+    divs = divisors(k)
     row = [0] * (k + 1)
-    for d in divisors(k):
+    for d in divs:
         v = d * mobius(k // d)
         if v:
             for j in range(0, k + 1, d):

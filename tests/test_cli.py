@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import ramavg.averages as averages
+import ramavg.ramanujan as ramanujan
 from ramavg.cli import main
 
 
@@ -93,6 +94,14 @@ class TestTable:
         data = json.loads(out)
         assert code == 0
         assert data == {"k": 6, "values": [2, 1, -1, -2, -1, 1, 2]}
+
+    def test_ramanujan_row_over_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(ramanujan, "divisors", None)  # no row is built
+        code, out, err = run_cli(
+            capsys, "table", "ramanujan-row", "--k", str(ramanujan.ROW_BUDGET + 1)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "row budget" in err
 
     def test_s_r_csv_has_five_data_rows(self, capsys):
         code, out, _ = run_cli(
@@ -229,20 +238,38 @@ class TestBrokenPipe:
         assert target.read_bytes() == b""
         assert capsys.readouterr().err == ""
 
-    @pytest.mark.parametrize("unbuffered", ["", "1"])
-    def test_closed_reader_prints_no_traceback(self, unbuffered):
-        # Buffered, the report first reaches the pipe at a flush: main's,
-        # or else the interpreter's at exit.
+    @staticmethod
+    def _spawn(unbuffered, *argv):
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = unbuffered
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "ramavg.cli", "verify", "--identity", "half-sum",
-             "--r-max", "3", "--format", "json"],
+        return subprocess.Popen(
+            [sys.executable, "-m", "ramavg.cli", "verify", *argv],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
         )
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_reader_prints_no_traceback(self, unbuffered):
+        # Buffered, the report first reaches the pipe at a flush: main's,
+        # or else the interpreter's at exit.
+        proc = self._spawn(unbuffered, "--identity", "half-sum", "--r-max", "3", "--format", "json")
         proc.stdout.close()  # before the report is written
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_reader_closing_mid_report(self, unbuffered):
+        # The CSV (about 330 kB) outgrows the pipe, so the writer is still
+        # inside its one write when the reader leaves after the header.
+        # Unbuffered, that write returns short with no error; the rest of
+        # the report must still be attempted, so the exit status is 141.
+        proc = self._spawn(unbuffered, "--identity", "cross-evaluator", "--k-max", "120",
+                           "--format", "csv")
+        assert proc.stdout.readline() == b"identity,params,mode,lhs,rhs,abs_error,pass\n"
+        proc.stdout.close()
         err = proc.stderr.read()
         proc.stderr.close()
         assert proc.wait(timeout=60) == 141

@@ -5,9 +5,14 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import ramavg.multivar as multivar
+import ramavg.ramanujan as ramanujan
 from ramavg.arith import euler_phi, mobius
+from ramavg.averages import s_r_direct
 from ramavg.ramanujan import (
     FLOAT_EVAL_LIMIT,
+    ROW_BUDGET,
+    BudgetError,
     RamanujanRow,
     ramanujan_row,
     ramanujan_sum,
@@ -123,3 +128,14 @@ class TestRows:
     def test_rejects_k_zero(self):
         with pytest.raises(ValueError):
             ramanujan_row(0)
+
+    def test_row_budget_rejection(self, monkeypatch):
+        # The row is allocated after divisors(k); with divisors gone, a
+        # missing check fails before it allocates ROW_BUDGET entries.
+        k = ROW_BUDGET + 1
+        monkeypatch.setattr(ramanujan, "divisors", None)
+        with pytest.raises(BudgetError, match="row budget"):
+            ramanujan_row(k)
+        with pytest.raises(BudgetError, match="row budget"):
+            s_r_direct(k, 1)
+        assert multivar.BudgetError is BudgetError

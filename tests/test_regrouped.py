@@ -4,14 +4,21 @@ The evaluators of the power, gcd and Bernoulli weights group the terms
 of their left sides (by gcd class, by power moment), and every
 power-weighted closed side sits over one integer denominator
 (exact.power_sum_closed). The sums below are written out term by term,
-with chained Fractions, as the definitions read.
+with chained Fractions, as the definitions read. The two float Fourier
+sums (the inverse DFT and the definitional c_k(j)) read one cached FFT per
+modulus; they are pinned to the per-case numpy sums they replace.
 """
 
 import math
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import numpy as np
+import pytest
 from hypothesis import given, settings
+
+import ramavg.averages as averages
+import ramavg.ramanujan as ramanujan
 
 from ramavg.arith import dirichlet_convolve, divisors, euler_phi, jordan_totient, mobius
 from ramavg.averages import (
@@ -19,6 +26,7 @@ from ramavg.averages import (
     ArithmeticFunction,
     bernoulli_weighted_pair,
     gcd_weighted_pair,
+    inverse_dft_check,
     random_function,
     s_r_closed,
     s_r_direct,
@@ -33,7 +41,7 @@ from ramavg.exact import (
     power_sum,
 )
 from ramavg.multivar import g_m, s_r_multi_closed
-from ramavg.ramanujan import ramanujan_row
+from ramavg.ramanujan import FLOAT_EVAL_LIMIT, ramanujan_row, ramanujan_sum_float
 from ramavg.verify import run_identity
 
 K = st.integers(1, 200)
@@ -172,3 +180,63 @@ class TestFaulhaberClosedForms:
             sum(binomial(r + 1, 2 * m) * bernoulli_number(2 * m) for m in range(r // 2 + 1))
         )
         assert half_sum_check(r) == chained
+
+
+def numpy_dft_mean(k, n):
+    """(1/k) sum_{j=1}^{k} exp(2 pi i j n / k) c_k(j), one case at a time."""
+    roots = np.exp(2j * np.pi * np.arange(k) / k)
+    row = np.array(ramanujan_row(k).values[1:], dtype=np.float64)
+    jarr = np.arange(1, k + 1, dtype=np.int64)
+    return float((row * roots[(jarr * n) % k]).sum().real) / k
+
+
+def numpy_root_sum(k, j):
+    """sum over m coprime to k of exp(2 pi i m j / k), one case at a time."""
+    roots = np.exp(2j * np.pi * np.arange(k) / k)
+    coprime = np.array([m for m in range(1, k + 1) if math.gcd(m, k) == 1], dtype=np.int64)
+    return float(roots[(coprime * j) % k].sum().real)
+
+
+class TestFourierSums:
+    """One FFT per modulus against the per-case numpy sums it replaces."""
+
+    @given(st.integers(1, 300), st.integers(1, 900))
+    @settings(max_examples=120, deadline=None)
+    def test_inverse_dft(self, k, n):
+        for m in (n, k * (n % 4 + 1)):  # any n, and n = 0 (mod k)
+            assert abs(inverse_dft_check(k, m).lhs - numpy_dft_mean(k, m)) <= 1e-9 * k
+
+    @given(st.integers(1, 300), st.integers(-900, 900))
+    @settings(max_examples=120, deadline=None)
+    def test_float_oracle(self, k, j):
+        for i in (j, k * (j % 4)):  # any j, negative ones too, and j = 0 (mod k)
+            assert abs(ramanujan_sum_float(k, i) - numpy_root_sum(k, i)) <= 1e-9 * k
+
+    def test_k_one(self):
+        for i in (-2, 0, 1, 5):
+            assert ramanujan_sum_float(1, i) == numpy_root_sum(1, i) == 1.0
+        for n in (1, 2, 7):
+            assert inverse_dft_check(1, n).lhs == numpy_dft_mean(1, n) == 1.0
+
+    def test_at_the_evaluation_limits(self):
+        k = FLOAT_EVAL_LIMIT
+        for j in (0, 1, 12345, -40000, k):
+            assert abs(ramanujan_sum_float(k, j) - numpy_root_sum(k, j)) <= 1e-9 * k
+        k = averages.DFT_LIMIT
+        for n in (1, 2, 12345, k, 3 * k + 7):
+            assert abs(inverse_dft_check(k, n).lhs - numpy_dft_mean(k, n)) <= 1e-9 * k
+
+    def test_imaginary_part_guards(self, monkeypatch):
+        # The inverse DFT allows |Im| <= 1e-8 on the mean; the float oracle
+        # |Im| < 1e-6 k on the sum. Values on both sides of each bound.
+        k = 7
+        monkeypatch.setattr(averages, "_dft_values", lambda k: np.full(k, 1 + 0.9e-8j))
+        assert inverse_dft_check(k, 3).lhs == 1.0
+        monkeypatch.setattr(averages, "_dft_values", lambda k: np.full(k, 1 + 1.1e-8j))
+        with pytest.raises(RuntimeError, match="imaginary"):
+            inverse_dft_check(k, 3)
+        monkeypatch.setattr(ramanujan, "_float_row", lambda k: np.full(k, 1 + 0.9e-6j * k))
+        assert ramanujan_sum_float(k, 3) == 1.0
+        monkeypatch.setattr(ramanujan, "_float_row", lambda k: np.full(k, 1 + 1.1e-6j * k))
+        with pytest.raises(RuntimeError, match="imaginary"):
+            ramanujan_sum_float(k, 3)
