@@ -8,7 +8,6 @@ inputs up to 2**40; larger inputs are rejected rather than silently slow.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -33,7 +32,6 @@ __all__ = [
 _PRIME_TABLE_BOUND = 1 << 20
 FACTOR_LIMIT = 1 << 40
 
-_prime_lock = threading.Lock()
 _primes: Optional[Tuple[int, ...]] = None
 
 
@@ -41,14 +39,12 @@ def _prime_table() -> Tuple[int, ...]:
     """Primes below 2**20, sieved once on first use (read-only afterwards)."""
     global _primes
     if _primes is None:
-        with _prime_lock:
-            if _primes is None:
-                sieve = bytearray([1]) * _PRIME_TABLE_BOUND
-                sieve[0] = sieve[1] = 0
-                for p in range(2, math.isqrt(_PRIME_TABLE_BOUND) + 1):
-                    if sieve[p]:
-                        sieve[p * p :: p] = bytearray(len(range(p * p, _PRIME_TABLE_BOUND, p)))
-                _primes = tuple(i for i in range(_PRIME_TABLE_BOUND) if sieve[i])
+        sieve = bytearray([1]) * _PRIME_TABLE_BOUND
+        sieve[0] = sieve[1] = 0
+        for p in range(2, math.isqrt(_PRIME_TABLE_BOUND) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = bytearray(len(range(p * p, _PRIME_TABLE_BOUND, p)))
+        _primes = tuple(i for i in range(_PRIME_TABLE_BOUND) if sieve[i])
     return _primes
 
 

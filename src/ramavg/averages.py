@@ -25,7 +25,7 @@ work shared by many cases of one modulus is done once per k:
     gcd weight                    gcd-class totals W_d = sum over
                                   gcd(j, k) = d of c_k(j), once per k
     power and Bernoulli weights   power moments N_e(k) = sum_{j<k} j^e c_k(j),
-                                  once per (k, e)
+                                  for every e by one ladder in e per k
     inverse DFT                   one inverse FFT of c_k(0..k-1) gives the
                                   sum at every n mod k, once per k
 
@@ -42,12 +42,11 @@ wrong still disagrees with them: the check is not a tautology.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from hashlib import blake2b
-from typing import Callable, Dict, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -77,6 +76,7 @@ __all__ = [
     "log_factorial",
     "cos_pi",
     "s_r_direct",
+    "s_r_direct_batch",
     "s_r_closed",
     "log_weighted_pair",
     "gcd_weighted_pair",
@@ -87,6 +87,7 @@ __all__ = [
     "binomial_weighted_cosine",
     "bernoulli_weighted_pair",
     "inverse_dft_check",
+    "inverse_dft_batch",
 ]
 
 DEFAULT_TOLERANCE = 1e-8
@@ -160,27 +161,49 @@ def random_function(index: int, seed: int = DEFAULT_SEED) -> ArithmeticFunction:
 
 
 @lru_cache(maxsize=1 << 12)
-def _power_moment(k: int, e: int) -> int:
-    """N_e(k) = sum_{j=0}^{k-1} j^e c_k(j), with 0^0 = 1.
+def _moment_table(k: int) -> List[int]:
+    """N_0(k), N_1(k), ... as far as _power_moments has extended them."""
+    return []
+
+
+def _power_moments(k: int, e_max: int) -> List[int]:
+    """N_e(k) = sum_{j=0}^{k-1} j^e c_k(j) for e = 0..e_max (0^0 = 1).
 
     Shared by the power weight (e = r) and the Bernoulli weight (every
-    e <= m), whose cases repeat the same k. Zero entries of the row are
-    skipped; only the bigint result is cached.
+    e <= m), whose cases repeat the same k. The missing moments come from
+    one ladder w_j <- w_j j over the non-zero entries of the row, started
+    at the first missing e; only the bigint moments are cached.
     """
-    row = ramanujan_row(k).values
-    return sum(j**e * c for j, c in enumerate(row[:k]) if c)
+    table = _moment_table(k)
+    if len(table) <= e_max:
+        row = ramanujan_row(k).values
+        js = [j for j in range(k) if row[j]]
+        e = len(table)
+        w = [j**e * row[j] for j in js]
+        table.append(sum(w))
+        for _ in range(e, e_max):
+            w = [x * j for x, j in zip(w, js)]
+            table.append(sum(w))
+    return table
+
+
+def s_r_direct_batch(k: int, rs: Sequence[int]) -> List[Fraction]:
+    """S_r(k) = (1/k^(r+1)) sum_{j=1}^{k} j^r c_k(j) for every r in rs,
+    from the definition.
+
+    Each sum is the power moment N_r(k) over j = 0..k-1 (the j = 0 term
+    is 0^r = 0) plus the j = k term k^r c_k(k).
+    """
+    if k < 1 or any(r < 1 for r in rs):
+        raise ValueError("s_r_direct requires k >= 1 and r >= 1")
+    moments = _power_moments(k, max(rs, default=0))
+    last = ramanujan_row(k).values[k]
+    return [Fraction(moments[r] + k**r * last, k ** (r + 1)) for r in rs]
 
 
 def s_r_direct(k: int, r: int) -> Fraction:
-    """S_r(k) = (1/k^(r+1)) sum_{j=1}^{k} j^r c_k(j), from the definition.
-
-    The sum is the power moment N_r(k) over j = 0..k-1 (the j = 0 term is
-    0^r = 0) plus the j = k term k^r c_k(k).
-    """
-    if k < 1 or r < 1:
-        raise ValueError("s_r_direct requires k >= 1 and r >= 1")
-    num = _power_moment(k, r) + k**r * ramanujan_row(k).values[k]
-    return Fraction(num, k ** (r + 1))
+    """S_r(k) from the definition; see s_r_direct_batch."""
+    return s_r_direct_batch(k, (r,))[0]
 
 
 def s_r_closed(k: int, r: int) -> Fraction:
@@ -201,7 +224,6 @@ def s_r_closed(k: int, r: int) -> Fraction:
 # --- log weight -----------------------------------------------------------
 
 _LOG_FACT_TABLE_LIMIT = 10**5
-_log_fact_lock = threading.Lock()
 _log_fact_table = [0.0, 0.0]  # log(0!), log(1!)
 _log_fact_comp = 0.0  # Kahan compensation carried across extensions
 
@@ -214,16 +236,15 @@ def log_factorial(d: int) -> float:
     if d > _LOG_FACT_TABLE_LIMIT:
         return math.lgamma(d + 1)
     if d >= len(_log_fact_table):
-        with _log_fact_lock:
-            total = _log_fact_table[-1]
-            comp = _log_fact_comp
-            for m in range(len(_log_fact_table), d + 1):
-                y = math.log(m) - comp
-                t = total + y
-                comp = (t - total) - y
-                total = t
-                _log_fact_table.append(total)
-            _log_fact_comp = comp
+        total = _log_fact_table[-1]
+        comp = _log_fact_comp
+        for m in range(len(_log_fact_table), d + 1):
+            y = math.log(m) - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+            _log_fact_table.append(total)
+        _log_fact_comp = comp
     return _log_fact_table[d]
 
 
@@ -392,7 +413,8 @@ def bernoulli_weighted_pair(k: int, m: int) -> ExactPair:
     if k < 1 or m < 1:
         raise ValueError("bernoulli_weighted_pair requires k >= 1 and m >= 1")
     base, d = bernoulli_polynomial_coefficients(m)
-    total = sum(c * k**t * _power_moment(k, m - t) for t, c in enumerate(base) if c)
+    moments = _power_moments(k, m)
+    total = sum(c * k**t * moments[m - t] for t, c in enumerate(base) if c)
     lhs = Fraction(total, d * k**m)
     b = bernoulli_number(m)
     rhs = Fraction(b.numerator * jordan_totient(m, k), b.denominator * k ** (m - 1))
@@ -409,18 +431,32 @@ def _dft_values(k: int) -> np.ndarray:
     return np.fft.ifft(np.array(ramanujan_row(k).values[:k], dtype=np.float64))
 
 
-def inverse_dft_check(k: int, n: int, tolerance: float = DEFAULT_TOLERANCE) -> FloatPair:
-    """(1/k) sum_{j=1}^{k} exp(2 pi i j n / k) c_k(j)  vs  [gcd(k, n) = 1].
+def inverse_dft_batch(
+    k: int, ns: Sequence[int], tolerance: float = DEFAULT_TOLERANCE
+) -> List[FloatPair]:
+    """(1/k) sum_{j=1}^{k} exp(2 pi i j n / k) c_k(j)  vs  [gcd(k, n) = 1],
+    for every n in ns.
 
-    The left side is entry n mod k of the per-modulus FFT _dft_values(k).
-    Its imaginary part must cancel to below 1e-8 (1e-8 * k on the sum).
+    The left side is entry n mod k of the per-modulus FFT _dft_values(k),
+    read once for the batch. Its imaginary part must cancel to below 1e-8
+    (1e-8 * k on the sum).
     """
-    if k < 1 or n < 1:
+    if k < 1 or any(n < 1 for n in ns):
         raise ValueError("inverse_dft_check requires k >= 1 and n >= 1")
     if k > DFT_LIMIT:
         raise ValueError(f"k={k} exceeds the DFT evaluation bound {DFT_LIMIT}")
-    z = _dft_values(k)[n % k]
-    if abs(z.imag) > 1e-8:
-        raise RuntimeError(f"imaginary part {z.imag} of the mean too large for k={k}, n={n}")
-    rhs = 1.0 if math.gcd(k, n) == 1 else 0.0
-    return FloatPair(float(z.real), rhs, tolerance)
+    values = _dft_values(k)
+    real = values.real.tolist()
+    imag = values.imag.tolist()
+    out = []
+    for n in ns:
+        i = n % k
+        if abs(imag[i]) > 1e-8:
+            raise RuntimeError(f"imaginary part {imag[i]} of the mean too large for k={k}, n={n}")
+        out.append(FloatPair(real[i], 1.0 if math.gcd(k, n) == 1 else 0.0, tolerance))
+    return out
+
+
+def inverse_dft_check(k: int, n: int, tolerance: float = DEFAULT_TOLERANCE) -> FloatPair:
+    """One case of inverse_dft_batch."""
+    return inverse_dft_batch(k, (n,), tolerance)[0]

@@ -21,7 +21,6 @@ of the package builds on.
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -50,9 +49,7 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
-# Memoized Bernoulli numbers B_0, B_1, ... Extension happens under a lock
-# so each index is computed at most once; reads of filled indices are free.
-_bernoulli_lock = threading.Lock()
+# Memoized Bernoulli numbers B_0, B_1, ..., extended on demand.
 _bernoulli_table: List[Fraction] = [Fraction(1)]
 
 
@@ -63,17 +60,13 @@ def bernoulli_number(m: int) -> Fraction:
     """
     if m < 0:
         raise ValueError(f"bernoulli_number requires m >= 0, got {m}")
-    if m >= len(_bernoulli_table):
-        with _bernoulli_lock:
-            while m >= len(_bernoulli_table):
-                mm = len(_bernoulli_table)
-                if mm % 2 == 1 and mm >= 3:
-                    _bernoulli_table.append(Fraction(0))
-                    continue
-                acc = sum(
-                    comb(mm + 1, j) * _bernoulli_table[j] for j in range(mm)
-                )
-                _bernoulli_table.append(Fraction(-acc, mm + 1))
+    while m >= len(_bernoulli_table):
+        mm = len(_bernoulli_table)
+        if mm % 2 == 1 and mm >= 3:
+            _bernoulli_table.append(Fraction(0))
+            continue
+        acc = sum(comb(mm + 1, j) * _bernoulli_table[j] for j in range(mm))
+        _bernoulli_table.append(Fraction(-acc, mm + 1))
     return _bernoulli_table[m]
 
 

@@ -8,7 +8,10 @@ weighted average with its closed form over one denominator.
     g_m(k_1..k_n) = same divisor sum with lcm(d_1..d_n)^(2m-1) instead
     S_r(k_1..k_n) = (1/k^(r+1)) sum_{j=1}^{k} j^r c_{k_1}(j) ... c_{k_n}(j)
 
-with k = lcm(k_1..k_n) throughout. Direct sums run over one period of at
+with k = lcm(k_1..k_n) throughout. The *_batch forms of S_r take every r
+of one tuple at once: one product row and one ladder in r for the direct
+side, E and each g_m read once for the closed side; s_r_multi_direct and
+s_r_multi_closed are batches of one. Direct sums run over one period of at
 most PERIOD_BUDGET entries and divisor sums over at most DIVISOR_TUPLE_BUDGET
 tuples; both raise BudgetError (the one class of ramanujan, which bounds
 single rows by ROW_BUDGET) before allocating anything.
@@ -42,7 +45,9 @@ __all__ = [
     "orbicyclic_divisor",
     "g_m",
     "s_r_multi_direct",
+    "s_r_multi_direct_batch",
     "s_r_multi_closed",
+    "s_r_multi_closed_batch",
     "multiplicativity_sides",
     "multiplicativity_check",
 ]
@@ -115,19 +120,33 @@ def _exact_int64_sum(arr: np.ndarray, bound: int, length: int) -> int:
     return (hi << 31) + int((arr & _MASK31).sum())
 
 
-def _weighted_power_sum(values, r: int, bound: int) -> int:
-    """Exact sum_{j=1}^{L} j^r values[j-1], for ndarray or list input.
+def _weighted_power_sums(values, rs: Sequence[int], bound: int) -> List[int]:
+    """Exact sum_{j=1}^{L} j^r values[j-1] for every r in rs, ndarray or list input.
 
-    The ndarray path stays in int64 by splitting any staged product into
+    One ladder carries the staged products values[j-1] j^r from r to r + 1,
+    so every r <= max(rs) costs one step, not a restart from r = 0. The
+    ndarray path stays in int64 by splitting any staged product into
     31-bit halves before it could overflow; every intermediate is bounded
-    and the final per-piece sums are reassembled as Python integers.
+    and the per-piece sums are reassembled as Python integers.
     """
+    wanted = set(rs)
+    top = max(rs, default=0)
+    sums = {}
     if isinstance(values, list):
-        return sum(j**r * v for j, v in enumerate(values, start=1))
+        for r in range(top + 1):
+            if r in wanted:
+                sums[r] = sum(values)
+            if r < top:
+                values = [v * j for j, v in enumerate(values, start=1)]
+        return [sums[r] for r in rs]
     length = len(values)
     j = np.arange(1, length + 1, dtype=np.int64)
     entries = [(1, values, bound)]
-    for _ in range(r):
+    for r in range(top + 1):
+        if r in wanted:
+            sums[r] = sum(w * _exact_int64_sum(arr, b, length) for w, arr, b in entries)
+        if r == top:
+            break
         nxt = []
         for w, arr, b in entries:
             if b * length >= _INT64_SAFE:
@@ -136,7 +155,12 @@ def _weighted_power_sum(values, r: int, bound: int) -> int:
             else:
                 nxt.append((w, arr * j, b * length))
         entries = nxt
-    return sum(w * _exact_int64_sum(arr, b, length) for w, arr, b in entries)
+    return [sums[r] for r in rs]
+
+
+def _weighted_power_sum(values, r: int, bound: int) -> int:
+    """Exact sum_{j=1}^{L} j^r values[j-1]: a ladder of one."""
+    return _weighted_power_sums(values, (r,), bound)[0]
 
 
 def orbicyclic_direct(t) -> int:
@@ -215,27 +239,43 @@ def g_m(t, m: int) -> Fraction:
 # --- the multivariable weighted average -------------------------------------
 
 
+def s_r_multi_direct_batch(t, rs: Sequence[int]) -> List[Fraction]:
+    """S_r(k_1..k_n) for every r in rs, from the defining sum over one
+    period: one product row and one ladder in r for the whole batch."""
+    t = _as_tuple(t)
+    for r in rs:
+        if r < 1:
+            raise ValueError(f"s_r_multi_direct requires r >= 1, got {r}")
+    values, bound = _product_row(t)
+    totals = _weighted_power_sums(values, rs, bound)
+    return [Fraction(total, t.lcm_value ** (r + 1)) for total, r in zip(totals, rs)]
+
+
 def s_r_multi_direct(t, r: int) -> Fraction:
     """S_r(k_1..k_n) from the defining sum over one period."""
-    t = _as_tuple(t)
-    if r < 1:
-        raise ValueError(f"s_r_multi_direct requires r >= 1, got {r}")
-    values, bound = _product_row(t)
-    total = _weighted_power_sum(values, r, bound)
-    return Fraction(total, t.lcm_value ** (r + 1))
+    return s_r_multi_direct_batch(t, (r,))[0]
 
 
-def s_r_multi_closed(t, r: int) -> Fraction:
-    """S_r(k_1..k_n) by exact.power_sum_closed, with integer weights E = g_0 and g_m:
+def s_r_multi_closed_batch(t, rs: Sequence[int]) -> List[Fraction]:
+    """S_r(k_1..k_n) for every r in rs by exact.power_sum_closed, with
+    integer weights E = g_0 and g_m read once for the whole batch:
 
         prod_i phi(k_i) / (2k) + 1/(r+1) * sum_{m=0}^{floor(r/2)}
             C(r+1, 2m) (B_{2m} / k^(2m)) g_m(k_1..k_n).
     """
     t = _as_tuple(t)
-    if r < 1:
-        raise ValueError(f"s_r_multi_closed requires r >= 1, got {r}")
-    weights = [orbicyclic_divisor(t)] + [g_m(t, m).numerator for m in range(1, r // 2 + 1)]
-    return power_sum_closed(t.lcm_value, r, math.prod(euler_phi(ki) for ki in t.ks), weights)
+    for r in rs:
+        if r < 1:
+            raise ValueError(f"s_r_multi_closed requires r >= 1, got {r}")
+    top = max(rs, default=0) // 2
+    weights = [orbicyclic_divisor(t)] + [g_m(t, m).numerator for m in range(1, top + 1)]
+    lead = math.prod(euler_phi(ki) for ki in t.ks)
+    return [power_sum_closed(t.lcm_value, r, lead, weights[: r // 2 + 1]) for r in rs]
+
+
+def s_r_multi_closed(t, r: int) -> Fraction:
+    """S_r(k_1..k_n) by its closed form; see s_r_multi_closed_batch."""
+    return s_r_multi_closed_batch(t, (r,))[0]
 
 
 def multiplicativity_sides(a, b) -> Tuple[int, int]:

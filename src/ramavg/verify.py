@@ -11,12 +11,24 @@ optional cap, grid bound). One validator checks every case against it,
 and the default grid of most identities is the product of the declared
 ranges; only grids of another shape are spelled out.
 
+Evaluation goes by runs: the cases of a grid that share their leading
+parameter (k, or the tuple ks). An identity's evaluate takes the leading
+value and the trailing values of every case of the run and returns one
+outcome per case, so a kernel can share work across the run (one moment
+ladder per k for prop1, one product row and r-ladder per tuple for prop7,
+one FFT row read per k for inverse-dft); the other identities evaluate
+case by case. run_identity evaluates a single case as a batch of one.
+run_suite validates each run's leading value once, still calls
+run_identity once per case, in order, and hands it the run; the first
+case of a run evaluates the whole run, lazily, inside its own call. If a
+run raises, each of its cases is evaluated alone, so a failure stays
+with the cases that cause it.
+
 A sweep never aborts on a failing or erroring case; errors are recorded
 on the case and the report's exit status carries the overall verdict.
-Sweeps run serially, one case at a time through run_identity. Reports
-are deterministic: cases are generated in ascending parameter order and
-the JSON body (everything except wall_time_seconds) is byte-stable
-across reruns.
+Sweeps run serially. Reports are deterministic: cases are generated in
+ascending parameter order and the JSON body (everything except
+wall_time_seconds) is byte-stable across reruns.
 """
 
 from __future__ import annotations
@@ -27,8 +39,9 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
 from itertools import product as iter_product
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import averages, exact, multivar
@@ -161,6 +174,9 @@ def _fmt_value(v) -> str:
 # (lhs, rhs, passed, abs_error, error): error is the reason a case failed
 # when the two rendered sides alone do not show it.
 _Outcome = Tuple[str, str, bool, Optional[float], Optional[str]]
+# (leading value, trailing values of each case of the run, tolerance, seed)
+# -> one _Outcome per case.
+_Evaluator = Callable[[object, Sequence[tuple], float, int], List[_Outcome]]
 
 
 def _exact_outcome(lhs, rhs) -> _Outcome:
@@ -198,7 +214,7 @@ class IdentityDef:
     tag: str
     mode: str  # "exact" | "tolerance"
     params: Tuple[Param, ...]
-    evaluate: Callable[[tuple, float, int], _Outcome]  # (params, tolerance, seed)
+    evaluate: _Evaluator
     bounds: Dict[str, int]  # default grid bounds
     # (bounds, seed) -> ascending params; None means the product of the
     # parameters' ranges.
@@ -217,18 +233,22 @@ def _resolve_function(name, seed: int) -> averages.ArithmeticFunction:
     raise ParamError(f"unknown arithmetic function {name!r}")
 
 
+def _is_int(v) -> bool:
+    # bool is an int subclass, but True would render as "True" and equal 1.
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _check_param(p: Param, v) -> None:
     if p.kind == "int":
-        if p.minimum == 0 and not (isinstance(v, int) and v >= 0):
-            raise ParamError(f"{p.name} must be a non-negative integer, got {v!r}")
-        if p.minimum >= 1 and not (isinstance(v, int) and v >= 1):
-            raise ParamError(f"{p.name} must be a positive integer, got {v!r}")
+        if not _is_int(v) or v < min(p.minimum, 1):
+            sign = "non-negative" if p.minimum == 0 else "positive"
+            raise ParamError(f"{p.name} must be a {sign} integer, got {v!r}")
         if v < p.minimum:
             raise ParamError(f"{p.name} must be >= {p.minimum}, got {v}")
         if p.cap is not None and v > p.cap:
             raise ParamError(f"{p.name} must be <= {p.cap}")
     elif p.kind == "moduli":
-        if not (isinstance(v, tuple) and v and all(isinstance(x, int) and x >= 1 for x in v)):
+        if not (isinstance(v, tuple) and v and all(_is_int(x) and x >= 1 for x in v)):
             raise ParamError(f"{p.name} must be a non-empty tuple of positive integers, got {v!r}")
     elif p.kind == "function":
         _resolve_function(v, 0)
@@ -244,13 +264,15 @@ def _check_coprime_pair(a: tuple, b: tuple) -> None:
         raise ParamError(f"tuples {a} and {b} are not coprime")
 
 
-def _validate(ident: IdentityDef, params: tuple) -> None:
-    """Check params against the identity's schema; raises ParamError."""
+def _validate(ident: IdentityDef, params: tuple, lead_checked: bool = False) -> None:
+    """Check params against the identity's schema; raises ParamError. The
+    leading value is skipped when its run has checked it already."""
     if len(params) != len(ident.params):
         raise ParamError(
             f"{ident.tag} expects parameters {ident.param_names}, got {len(params)} values"
         )
-    for p, v in zip(ident.params, params):
+    start = 1 if lead_checked else 0
+    for p, v in zip(ident.params[start:], params[start:]):
         _check_param(p, v)
     if ident.tag == "e-multiplicativity":
         _check_coprime_pair(*params)
@@ -298,6 +320,34 @@ def _pair_outcome(pair: averages.ExactPair) -> _Outcome:
     return _exact_outcome(pair.lhs, pair.rhs)
 
 
+def _per_case(fn: Callable[[tuple, float, int], _Outcome]) -> _Evaluator:
+    """The batch evaluator of an identity without a kernel: fn(params,
+    tolerance, seed) on each case of the run."""
+    return lambda lead, rests, tol, seed: [fn((lead, *rest), tol, seed) for rest in rests]
+
+
+def _prop1(k, rests, tol, seed):
+    """One moment ladder for every r of the run; the closed side per case."""
+    rs = [r for r, in rests]
+    return [
+        _exact_outcome(lhs, averages.s_r_closed(k, r))
+        for lhs, r in zip(averages.s_r_direct_batch(k, rs), rs)
+    ]
+
+
+def _inverse_dft(k, rests, tol, seed):
+    pairs = averages.inverse_dft_batch(k, [n for n, in rests], tol)
+    return [_float_outcome(pair) for pair in pairs]
+
+
+def _prop7(ks, rests, tol, seed):
+    """One ModulusTuple, product row and ladder in r for the whole run."""
+    t = multivar.ModulusTuple(ks)
+    rs = [r for r, in rests]
+    lhs = multivar.s_r_multi_direct_batch(t, rs)
+    return list(map(_exact_outcome, lhs, multivar.s_r_multi_closed_batch(t, rs)))
+
+
 def _prop3(p, tol, seed):
     return _pair_outcome(averages.gcd_weighted_pair(p[0], _resolve_function(p[1], seed)))
 
@@ -330,17 +380,20 @@ def _prop7_corollary(p, tol, seed):
     return _exact_outcome(lhs, rhs)
 
 
-def _cross_evaluator(p, tol, seed):
+def _cross_evaluator(k, rests, tol, seed):
     """Divisor formula vs Holder form vs the rounded float definition."""
-    k, j = p
-    a = ramanujan_sum(k, j)
-    b = ramanujan_sum_holder(k, j)
-    f = ramanujan_sum_float(k, j)
-    outcome = _exact_outcome(a, b)
-    if round(f) == a and abs(f - a) <= 1e-6 * k:
-        return outcome
-    reason = f"float oracle {_fmt_float(f)} disagrees with the exact value {a}"
-    return outcome[0], outcome[1], False, None, reason
+    divisor, holder, oracle = ramanujan_sum, ramanujan_sum_holder, ramanujan_sum_float
+    out = []
+    for (j,) in rests:
+        a = divisor(k, j)
+        b = holder(k, j)
+        f = oracle(k, j)
+        outcome = _exact_outcome(a, b)
+        if not (round(f) == a and abs(f - a) <= 1e-6 * k):
+            reason = f"float oracle {_fmt_float(f)} disagrees with the exact value {a}"
+            outcome = outcome[0], outcome[1], False, None, reason
+        out.append(outcome)
+    return out
 
 
 def _bernoulli_poly_sum_direct(k: int, m: int) -> Fraction:
@@ -370,24 +423,22 @@ _CATALOG: Dict[str, IdentityDef] = {
     for d in (
         IdentityDef(
             "prop1", "exact", (_K, Param("r", bound="r_max")),
-            lambda p, tol, seed: _exact_outcome(
-                averages.s_r_direct(p[0], p[1]), averages.s_r_closed(p[0], p[1])
-            ),
+            _prop1,
             {"k_max": 1000, "r_max": 10},
         ),
         IdentityDef(
             "prop2", "tolerance", (_K,),
-            lambda p, tol, seed: _float_outcome(averages.log_weighted_pair(p[0], tol)),
+            _per_case(lambda p, tol, seed: _float_outcome(averages.log_weighted_pair(p[0], tol))),
             {"k_max": 500},
         ),
         IdentityDef(
-            "prop3", "exact", (Param("k"), Param("f", "function")), _prop3,
+            "prop3", "exact", (Param("k"), Param("f", "function")), _per_case(_prop3),
             {"k_max": 1000, "rand_count": 20}, _prop3_grid,
         ),
         IdentityDef(
             "prop3-corollary", "exact",
             (Param("k"), Param("f", "choice", choices=tuple(_COROLLARY_RHS))),
-            _prop3_corollary,
+            _per_case(_prop3_corollary),
             {"k_max": 1000},
             lambda b, seed: [
                 (k, name) for k in range(1, b["k_max"] + 1) for name in _COROLLARY_RHS
@@ -395,45 +446,47 @@ _CATALOG: Dict[str, IdentityDef] = {
         ),
         IdentityDef(
             "prop4", "tolerance", (Param("k", minimum=2, bound="k_max"),),
-            lambda p, tol, seed: _float_outcome(averages.gamma_weighted_pair(p[0], tol)),
+            _per_case(lambda p, tol, seed: _float_outcome(averages.gamma_weighted_pair(p[0], tol))),
             {"k_max": 500},
         ),
         IdentityDef(
             "gamma-product", "tolerance", (Param("n", bound="n_max"),),
-            lambda p, tol, seed: _float_outcome(averages.gamma_product_check(p[0], tol)),
+            _per_case(lambda p, tol, seed: _float_outcome(averages.gamma_product_check(p[0], tol))),
             {"n_max": 500},
         ),
         IdentityDef(
             "mobius-log", "tolerance", (_K,),
-            lambda p, tol, seed: _float_outcome(averages.mobius_log_check(p[0], tol)),
+            _per_case(lambda p, tol, seed: _float_outcome(averages.mobius_log_check(p[0], tol))),
             {"k_max": 500},
         ),
         IdentityDef(
             "prop5-exact", "exact", (_K,),
-            lambda p, tol, seed: _pair_outcome(averages.binomial_weighted_exact(p[0])),
+            _per_case(lambda p, tol, seed: _pair_outcome(averages.binomial_weighted_exact(p[0]))),
             {"k_max": 200},
         ),
         IdentityDef(
             "prop5-cosine", "tolerance", (Param("k", cap=averages.COSINE_LIMIT, bound="k_max"),),
-            lambda p, tol, seed: _float_outcome(averages.binomial_weighted_cosine(p[0], tol)),
+            _per_case(
+                lambda p, tol, seed: _float_outcome(averages.binomial_weighted_cosine(p[0], tol))
+            ),
             {"k_max": 200},
         ),
         IdentityDef(
             "prop6", "exact", (_K, Param("m", bound="m_max")),
-            lambda p, tol, seed: _pair_outcome(averages.bernoulli_weighted_pair(p[0], p[1])),
+            _per_case(
+                lambda p, tol, seed: _pair_outcome(averages.bernoulli_weighted_pair(p[0], p[1]))
+            ),
             {"k_max": 500, "m_max": 8},
         ),
         IdentityDef(
             "inverse-dft", "tolerance",
             (Param("k", cap=averages.DFT_LIMIT, bound="k_max"), Param("n", bound="n_max")),
-            lambda p, tol, seed: _float_outcome(averages.inverse_dft_check(p[0], p[1], tol)),
+            _inverse_dft,
             {"k_max": 500, "n_max": 500},
         ),
         IdentityDef(
             "prop7", "exact", (_KS, Param("r")),
-            lambda p, tol, seed: _exact_outcome(
-                multivar.s_r_multi_direct(p[0], p[1]), multivar.s_r_multi_closed(p[0], p[1])
-            ),
+            _prop7,
             {"k_max": 40, "n_max": 3, "r_max": 5},
             lambda b, seed: [
                 (t, r)
@@ -442,20 +495,22 @@ _CATALOG: Dict[str, IdentityDef] = {
             ],
         ),
         IdentityDef(
-            "prop7-corollary", "exact", (_KS,), _prop7_corollary,
+            "prop7-corollary", "exact", (_KS,), _per_case(_prop7_corollary),
             {"k_max": 40, "n_max": 3}, _tuple_param_grid,
         ),
         # Direct E is a non-negative integer equal to the divisor form.
         IdentityDef(
             "e-integrality", "exact", (_KS,),
-            lambda p, tol, seed: _exact_outcome(
+            _per_case(lambda p, tol, seed: _exact_outcome(
                 multivar.orbicyclic_direct(p[0]), multivar.orbicyclic_divisor(p[0])
-            ),
+            )),
             {"k_max": 40, "n_max": 3}, _tuple_param_grid,
         ),
         IdentityDef(
             "e-multiplicativity", "exact", (Param("a", "moduli"), Param("b", "moduli")),
-            lambda p, tol, seed: _exact_outcome(*multivar.multiplicativity_sides(p[0], p[1])),
+            _per_case(
+                lambda p, tol, seed: _exact_outcome(*multivar.multiplicativity_sides(p[0], p[1]))
+            ),
             {"k_max": 30, "n_max": 3, "pairs": 200},
             lambda b, seed: _coprime_pair_grid(b["pairs"], b["k_max"], b["n_max"], seed),
         ),
@@ -470,37 +525,37 @@ _CATALOG: Dict[str, IdentityDef] = {
         # will honestly report the mismatch).
         IdentityDef(
             "half-sum", "exact", (Param("r", minimum=0),),
-            lambda p, tol, seed: _exact_outcome(
+            _per_case(lambda p, tol, seed: _exact_outcome(
                 exact.half_sum_check(p[0]), Fraction(p[0] + 1, 2)
-            ),
+            )),
             {"r_max": 40},
             lambda b, seed: [(r,) for r in range(1, b["r_max"] + 1)],
         ),
         # Closed-form power sum vs the brute-force loop.
         IdentityDef(
             "faulhaber", "exact", (Param("n", bound="n_max"), Param("r", bound="r_max")),
-            lambda p, tol, seed: _exact_outcome(
+            _per_case(lambda p, tol, seed: _exact_outcome(
                 exact.power_sum(p[0], p[1]), sum(j ** p[1] for j in range(1, p[0] + 1))
-            ),
+            )),
             {"n_max": 200, "r_max": 10},
         ),
         # Closed form vs gcd-filtered brute force.
         IdentityDef(
             "coprime-power-sum", "exact",
             (Param("n", minimum=2, bound="n_max"), Param("r", bound="r_max")),
-            lambda p, tol, seed: _exact_outcome(
+            _per_case(lambda p, tol, seed: _exact_outcome(
                 exact.coprime_power_sum(p[0], p[1]),
                 sum(j ** p[1] for j in range(1, p[0] + 1) if math.gcd(j, p[0]) == 1),
-            ),
+            )),
             {"n_max": 200, "r_max": 8},
         ),
         # sum_{j<k} B_m(j/k) = B_m / k^(m-1).
         IdentityDef(
             "bernoulli-poly-sum", "exact", (_K, Param("m", bound="m_max")),
-            lambda p, tol, seed: _exact_outcome(
+            _per_case(lambda p, tol, seed: _exact_outcome(
                 _bernoulli_poly_sum_direct(p[0], p[1]),
                 exact.bernoulli_number(p[1]) / p[0] ** (p[1] - 1),
-            ),
+            )),
             {"k_max": 60, "m_max": 8},
         ),
     )
@@ -525,10 +580,6 @@ def default_bounds(tag: str) -> Dict[str, int]:
 # --- running cases ----------------------------------------------------------
 
 
-def _render_params(names: Sequence[str], values: tuple) -> str:
-    return ",".join(f"{n}={_fmt_value(v)}" for n, v in zip(names, values))
-
-
 def _check_tolerance(tolerance: float) -> None:
     if not (0 < tolerance <= averages.DEFAULT_TOLERANCE):
         raise ConfigError(
@@ -537,33 +588,72 @@ def _check_tolerance(tolerance: float) -> None:
         )
 
 
+_CAUGHT = (multivar.BudgetError, RuntimeError, OverflowError, ValueError)
+
+
+def _evaluate(ident: IdentityDef, lead, rests: Sequence[tuple], tolerance: float, seed: int):
+    """The outcomes of one run. When the run raises, each of its cases is
+    evaluated as a batch of one, so a failure stays with the cases that
+    cause it and its reason is the one the case gives alone."""
+    try:
+        return ident.evaluate(lead, rests, tolerance, seed)
+    except _CAUGHT as exc:
+        if len(rests) == 1:
+            return [("", "", False, None, str(exc))]
+        return [_evaluate(ident, lead, (rest,), tolerance, seed)[0] for rest in rests]
+
+
+class _Run:
+    """The cases of one identity that share the leading parameter, with
+    their trailing values already validated. The run is evaluated when
+    its first case is read."""
+
+    __slots__ = ("ident", "lead", "rests", "tolerance", "seed", "prefix", "_outcomes")
+
+    def __init__(self, ident: IdentityDef, lead, rests: Sequence[tuple], tolerance, seed):
+        self.ident = ident
+        self.lead = lead
+        self.rests = rests
+        self.tolerance = tolerance
+        self.seed = seed
+        self.prefix = f"{ident.param_names[0]}={_fmt_value(lead)}"
+        self._outcomes: Optional[List[_Outcome]] = None
+
+    def case(self, index: int) -> IdentityCase:
+        if self._outcomes is None:
+            self._outcomes = _evaluate(self.ident, self.lead, self.rests, self.tolerance, self.seed)
+        ident = self.ident
+        lhs, rhs, passed, abs_error, error = self._outcomes[index]
+        rendered = self.prefix
+        for name, v in zip(ident.param_names[1:], self.rests[index]):
+            rendered += f",{name}={_fmt_value(v)}"
+        if ident.mode != "tolerance":
+            abs_error = None
+        return IdentityCase(ident.tag, rendered, ident.mode, lhs, rhs, passed, abs_error, error)
+
+
 def run_identity(
     tag: str,
     params: tuple,
     tolerance: float = averages.DEFAULT_TOLERANCE,
     seed: int = averages.DEFAULT_SEED,
+    *,
+    _run: Optional[Tuple[_Run, int]] = None,
 ) -> IdentityCase:
-    """Evaluate one case. Schema violations raise ParamError and a loosened
-    tolerance raises ConfigError; evaluator failures (budget, internal
-    assertions) become failed cases instead."""
-    _check_tolerance(tolerance)
-    ident = _lookup(tag)
-    _validate(ident, params)
-    rendered = _render_params(ident.param_names, params)
-    try:
-        lhs, rhs, passed, abs_error, error = ident.evaluate(params, tolerance, seed)
-    except (multivar.BudgetError, RuntimeError, OverflowError, ValueError) as exc:
-        return IdentityCase(tag, rendered, ident.mode, "", "", False, None, str(exc))
-    return IdentityCase(
-        tag,
-        rendered,
-        ident.mode,
-        lhs,
-        rhs,
-        passed,
-        abs_error if ident.mode == "tolerance" else None,
-        error,
-    )
+    """Evaluate one case, as a batch of one. Schema violations raise
+    ParamError and a loosened tolerance raises ConfigError; evaluator
+    failures (budget, internal assertions) become failed cases instead.
+
+    run_suite passes _run = (run, index), the validated run that params
+    belong to, so that the run is evaluated once for all of its cases.
+    """
+    if _run is None:
+        _check_tolerance(tolerance)
+        ident = _lookup(tag)
+        _validate(ident, params)
+        _run = (_Run(ident, params[0], (params[1:],), tolerance, seed), 0)
+    run, index = _run
+    return run.case(index)
 
 
 # --- suites -----------------------------------------------------------------
@@ -602,7 +692,10 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     """Sweep the configured identities over their grids, in catalog-entry
     order and ascending parameter order, and aggregate.
 
-    Every case goes through run_identity, one after another.
+    Each grid is walked in runs of cases with equal params[0]: the
+    leading value is validated once per run, each trailing value by its
+    own Param. Every case still goes through run_identity, one after
+    another, and the first case of a run evaluates the whole run.
     """
     start = time.perf_counter()
     _check_tolerance(config.tolerance)
@@ -622,17 +715,24 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     worst: Dict[str, float] = {}
     all_cases: Optional[List[IdentityCase]] = [] if config.keep_cases else None
     for tag, grid, _ in plans:
-        for params in grid:
-            case = run_identity(tag, params, config.tolerance, config.seed)
-            total += 1
-            if case.passed:
-                passed += 1
-            else:
-                failures.append(case)
-            if case.abs_error is not None:
-                worst[tag] = max(worst.get(tag, 0.0), case.abs_error)
-            if all_cases is not None:
-                all_cases.append(case)
+        ident = _lookup(tag)
+        for lead, group in groupby(grid, key=itemgetter(0)):
+            cases = list(group)
+            _check_param(ident.params[0], lead)
+            for params in cases:
+                _validate(ident, params, lead_checked=True)
+            run = _Run(ident, lead, [params[1:] for params in cases], config.tolerance, config.seed)
+            for index, params in enumerate(cases):
+                case = run_identity(tag, params, config.tolerance, config.seed, _run=(run, index))
+                total += 1
+                if case.passed:
+                    passed += 1
+                else:
+                    failures.append(case)
+                if case.abs_error is not None:
+                    worst[tag] = max(worst.get(tag, 0.0), case.abs_error)
+                if all_cases is not None:
+                    all_cases.append(case)
 
     # Catalog-order keys for byte-stable serialization.
     worst_ordered = {tag: worst[tag] for tag in tags if tag in worst}

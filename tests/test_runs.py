@@ -1,0 +1,193 @@
+"""The sweep engine evaluates each grid in runs of cases that share their
+leading parameter (k, or the tuple ks). A run must report exactly what its
+cases report one at a time through run_identity, and a failure inside a
+run must stay with the cases that cause it.
+"""
+
+import pytest
+
+import ramavg.averages as averages
+import ramavg.multivar as multivar
+import ramavg.verify as verify
+from ramavg.verify import IDENTITY_TAGS, ParamError, SuiteConfig, run_identity, run_suite
+
+MULTIVAR_TAGS = {"prop7", "prop7-corollary", "e-integrality", "e-multiplicativity"}
+
+
+def small_config(tag):
+    if tag in MULTIVAR_TAGS:
+        bounds = dict(k_max=8, n_max=3, r_max=4)
+    else:
+        bounds = dict(k_max=12, n_max=12, r_max=4, m_max=4)
+    return SuiteConfig(identities=[tag], keep_cases=True, **bounds)
+
+
+def grid_of(config):
+    ident = verify._lookup(config.identities[0])
+    return verify._grid(ident, verify._effective_bounds(ident, config), config.seed)
+
+
+def clear_run_caches():
+    # Singles must rebuild what a run shares: the moment ladder restarts
+    # from the first missing power, product rows and FFTs are recomputed.
+    averages._moment_table.cache_clear()
+    averages._dft_values.cache_clear()
+    multivar._product_row.cache_clear()
+    multivar._divisor_terms.cache_clear()
+
+
+@pytest.mark.parametrize("tag", IDENTITY_TAGS)
+def test_a_run_equals_its_batches_of_one(tag):
+    config = small_config(tag)
+    grid = grid_of(config)
+    clear_run_caches()
+    batched = run_suite(config).cases
+    clear_run_caches()
+    singles = [run_identity(tag, params) for params in grid]
+    assert len(batched) == len(singles) == len(grid)
+    for a, b in zip(batched, singles):
+        assert a.as_dict() == b.as_dict()
+    assert all(c.passed for c in batched)
+
+
+def test_runs_of_one_leading_value_each():
+    # prop1 over k <= 3, r <= 2: three runs of two cases, one per k.
+    report = run_suite(SuiteConfig(identities=["prop1"], k_max=3, r_max=2, keep_cases=True))
+    assert [c.params for c in report.cases] == [
+        "k=1,r=1", "k=1,r=2", "k=2,r=1", "k=2,r=2", "k=3,r=1", "k=3,r=2",
+    ]
+
+
+def test_every_case_calls_run_identity_and_the_first_evaluates_the_run(monkeypatch):
+    # The per-case run_identity call is what a tracer times per identity,
+    # so the run's work must happen inside one of them: the first.
+    real_run, real_batch = verify.run_identity, multivar.s_r_multi_direct_batch
+    calls, inside, evaluated_at = [], [False], []
+
+    def traced(tag, params, *args, **kwargs):
+        calls.append(params)
+        inside[0] = True
+        try:
+            return real_run(tag, params, *args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def batch(t, rs):
+        evaluated_at.append((len(calls), inside[0], tuple(rs)))
+        return real_batch(t, rs)
+
+    monkeypatch.setattr(verify, "run_identity", traced)
+    monkeypatch.setattr(multivar, "s_r_multi_direct_batch", batch)
+    report = run_suite(SuiteConfig(identities=["prop7"], k_max=3, n_max=2, r_max=3))
+    assert report.total == len(calls) == 9 * 3  # 9 multisets, r = 1..3
+    assert evaluated_at == [(1 + 3 * i, True, (1, 2, 3)) for i in range(9)]
+
+
+def assert_only_these_fail(config, failing):
+    """Exactly the cases in `failing` fail, each with the error of its batch
+    of one; every other case of the grid, its run neighbours included, passes."""
+    cases = run_suite(config).cases
+    grid = grid_of(config)
+    assert len(cases) == len(grid)
+    failed = {params for case, params in zip(cases, grid) if not case.passed}
+    assert failed == set(failing)
+    for case, params in zip(cases, grid):
+        if params in failing:
+            alone = run_identity(config.identities[0], params)
+            assert not alone.passed
+            assert case.error == alone.error and case.error
+        else:
+            assert case.passed and case.error is None
+
+
+def test_imaginary_part_fails_only_its_own_cases(monkeypatch):
+    real = averages._dft_values
+
+    def skewed(k):
+        values = real(k).copy()
+        if k == 6:
+            values[2] += 2e-8j
+        return values
+
+    monkeypatch.setattr(averages, "_dft_values", skewed)
+    # Entry 2 of k = 6 is read by n = 2 and n = 8; the rest of the k = 6
+    # run and the k = 5 and k = 7 runs must pass.
+    assert_only_these_fail(small_config("inverse-dft"), {(6, 2), (6, 8)})
+    assert run_identity("inverse-dft", (6, 2)).error == (
+        "imaginary part 2e-08 of the mean too large for k=6, n=2"
+    )
+
+
+def test_budget_refusal_fails_only_its_tuple(monkeypatch):
+    real = multivar._product_row
+
+    def refusing(t):
+        if t.ks == (2, 3):
+            raise multivar.BudgetError(f"period lcm{t.ks} refused")
+        return real(t)
+
+    monkeypatch.setattr(multivar, "_product_row", refusing)
+    config = SuiteConfig(identities=["prop7"], k_max=4, n_max=2, r_max=4, keep_cases=True)
+    assert_only_these_fail(config, {((2, 3), r) for r in range(1, 5)})
+
+
+def test_wrong_float_oracle_fails_only_its_case(monkeypatch):
+    real = verify.ramanujan_sum_float
+    monkeypatch.setattr(
+        verify, "ramanujan_sum_float", lambda k, j: real(k, j) + (0.5 if (k, j) == (6, 4) else 0)
+    )
+    assert_only_these_fail(small_config("cross-evaluator"), {(6, 4)})
+    assert run_identity("cross-evaluator", (6, 4)).error == (
+        "float oracle -0.5 disagrees with the exact value -1"
+    )
+
+
+# --- bool is not an integer -------------------------------------------------
+
+# Per tag, the smallest accepted parameters (as in test_verify's schema table).
+MINIMAL = {
+    "prop1": (1, 1), "prop2": (1,), "prop3": (1, "id"), "prop3-corollary": (1, "tau"),
+    "prop4": (2,), "gamma-product": (1,), "mobius-log": (1,), "prop5-exact": (1,),
+    "prop5-cosine": (1,), "prop6": (1, 1), "inverse-dft": (1, 1), "prop7": ((1,), 1),
+    "prop7-corollary": ((1,),), "e-integrality": ((1,),), "e-multiplicativity": ((1,), (1,)),
+    "cross-evaluator": (1, 0), "half-sum": (0,), "faulhaber": (1, 1),
+    "coprime-power-sum": (2, 1), "bernoulli-poly-sum": (1, 1),
+}
+
+
+def test_minimal_table_covers_every_tag():
+    assert set(MINIMAL) == set(IDENTITY_TAGS)
+    for tag, params in MINIMAL.items():
+        assert run_identity(tag, params).identity == tag
+
+
+INT_TAGS = [t for t in IDENTITY_TAGS if any(type(v) is int for v in MINIMAL[t])]
+MODULI_TAGS = [t for t in IDENTITY_TAGS if any(type(v) is tuple for v in MINIMAL[t])]
+
+
+@pytest.mark.parametrize("tag", INT_TAGS)
+def test_bool_is_not_an_int_parameter(tag):
+    params = MINIMAL[tag]
+    for i, v in enumerate(params):
+        if type(v) is int:
+            for flag in (True, False):
+                with pytest.raises(ParamError, match="integer"):
+                    run_identity(tag, params[:i] + (flag,) + params[i + 1 :])
+
+
+@pytest.mark.parametrize("tag", MODULI_TAGS)
+def test_bool_is_not_a_modulus(tag):
+    params = MINIMAL[tag]
+    for i, v in enumerate(params):
+        if type(v) is tuple:
+            with pytest.raises(ParamError, match="positive integers"):
+                run_identity(tag, params[:i] + ((True, 2),) + params[i + 1 :])
+
+
+def test_bool_rendering_example_is_refused():
+    with pytest.raises(ParamError):
+        run_identity("prop1", (True, 1))
+    with pytest.raises(ParamError):
+        run_identity("prop7", ((True, 2), 1))
+    assert run_identity("prop1", (1, 1)).params == "k=1,r=1"
+    assert run_identity("prop7", ((1, 2), 1)).params == "ks=1|2,r=1"
