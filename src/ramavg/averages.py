@@ -42,7 +42,7 @@ wrong still disagrees with them: the check is not a tautology.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from hashlib import blake2b
@@ -124,10 +124,10 @@ class FloatPair:
     lhs: float
     rhs: float
     tolerance: float = DEFAULT_TOLERANCE
+    abs_error: float = field(init=False)  # |lhs - rhs|, computed once
 
-    @property
-    def abs_error(self) -> float:
-        return abs(self.lhs - self.rhs)
+    def __post_init__(self):
+        object.__setattr__(self, "abs_error", abs(self.lhs - self.rhs))
 
     @property
     def ok(self) -> bool:

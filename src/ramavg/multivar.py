@@ -8,13 +8,31 @@ weighted average with its closed form over one denominator.
     g_m(k_1..k_n) = same divisor sum with lcm(d_1..d_n)^(2m-1) instead
     S_r(k_1..k_n) = (1/k^(r+1)) sum_{j=1}^{k} j^r c_{k_1}(j) ... c_{k_n}(j)
 
-with k = lcm(k_1..k_n) throughout. The *_batch forms of S_r take every r
-of one tuple at once: one product row and one ladder in r for the direct
-side, E and each g_m read once for the closed side; s_r_multi_direct and
-s_r_multi_closed are batches of one. Direct sums run over one period of at
+with k = lcm(k_1..k_n) throughout. Direct sums run over one period of at
 most PERIOD_BUDGET entries and divisor sums over at most DIVISOR_TUPLE_BUDGET
 tuples; both raise BudgetError (the one class of ramanujan, which bounds
 single rows by ROW_BUDGET) before allocating anything.
+
+Each tuple's product row and divisor lattice are built once per sweep in
+catalog order, where prop7 asks for its largest r first; a later request
+for a larger r rebuilds the row. Two per-tuple tables, keyed by ks and
+bounded by lru_cache at 1 << 14 tuples (the default grid has 12,340), hold
+only bigints:
+
+    _power_sum_table   T_r = sum_{j=1}^{k} j^r prod_i c_{k_i}(j), r = 0..top,
+                       from one product row and one int64 ladder in r, and
+                       rebuilt to a larger top when a caller asks for one;
+    _weight_table      k E, g_1, g_2, ... from one divisor lattice, extended
+                       on demand.
+
+E (from T_0 and from k E), S_r and g_m read them. The tables hold k E, not
+E, so both integrality checks run at every read and their RuntimeError is
+never cached. A BudgetError is raised before anything is stored, so a table
+is either empty or complete up to its top. A table of top R holds R + 1
+integers of at most log2(prod phi(k_i)) + (R + 1) log2(k) + 1 bits; both
+tables of the default multivariable grids take about 6.3 MB. No sweep
+re-reads a product row, so _product_row keeps one: at most PERIOD_BUDGET
+int64 entries, 80 MB, where its earlier 64 rows could take 5.1 GB.
 
 Single-component tuples go through exactly the same code paths as n >= 2;
 their agreement with the single-variable module is asserted by tests, not
@@ -24,6 +42,7 @@ assumed here.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -67,7 +86,7 @@ class ModulusTuple:
     lcm_value: int = field(init=False)
 
     def __post_init__(self):
-        ks = tuple(int(k) for k in self.ks)
+        ks = tuple(map(_modulus, self.ks))
         if not ks:
             raise ValueError("ModulusTuple requires at least one modulus")
         if any(k < 1 for k in ks):
@@ -80,6 +99,16 @@ class ModulusTuple:
         return len(self.ks)
 
 
+def _modulus(k) -> int:
+    """k as an int: bool and non-integral values are refused, numpy integers pass."""
+    if isinstance(k, bool):
+        raise ValueError(f"moduli must be integers, got {k!r}")
+    try:
+        return operator.index(k)
+    except TypeError:
+        raise ValueError(f"moduli must be integers, got {k!r}") from None
+
+
 def _as_tuple(t: Union[ModulusTuple, Sequence[int]]) -> ModulusTuple:
     return t if isinstance(t, ModulusTuple) else ModulusTuple(tuple(t))
 
@@ -87,7 +116,7 @@ def _as_tuple(t: Union[ModulusTuple, Sequence[int]]) -> ModulusTuple:
 # --- direct side: one period of the product row ----------------------------
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _product_row(t: ModulusTuple):
     """(values, element_bound) for c_{k_1}(j) ... c_{k_n}(j), j = 1..lcm.
 
@@ -101,8 +130,8 @@ def _product_row(t: ModulusTuple):
     if bound < _INT64_SAFE:
         row = np.ones(length, dtype=np.int64)
         for k in t.ks:
-            base = np.array(ramanujan_row(k).values[1:], dtype=np.int64)
-            row *= np.tile(base, length // k)
+            periods = row.reshape(-1, k)  # a view: one period of c_k per line
+            periods *= ramanujan_row(k).values[1:]
         return row, bound
     values = [1] * length
     for k in t.ks:
@@ -158,16 +187,28 @@ def _weighted_power_sums(values, rs: Sequence[int], bound: int) -> List[int]:
     return [sums[r] for r in rs]
 
 
-def _weighted_power_sum(values, r: int, bound: int) -> int:
-    """Exact sum_{j=1}^{L} j^r values[j-1]: a ladder of one."""
-    return _weighted_power_sums(values, (r,), bound)[0]
+@lru_cache(maxsize=1 << 14)
+def _power_sum_table(ks: Tuple[int, ...]) -> List[int]:
+    """T_0, T_1, ... of the tuple ks as far as _power_sums has built them."""
+    return []
+
+
+def _power_sums(t: ModulusTuple, top: int) -> List[int]:
+    """T_r = sum_{j=1}^{k} j^r c_{k_1}(j) ... c_{k_n}(j) for r = 0..top at
+    least: a literal sum over one period. A table short of top is rebuilt
+    from one product row and one ladder in r; it is replaced only once the
+    new one is complete."""
+    table = _power_sum_table(t.ks)
+    if len(table) <= top:
+        values, bound = _product_row(t)
+        table[:] = _weighted_power_sums(values, range(top + 1), bound)
+    return table
 
 
 def orbicyclic_direct(t) -> int:
     """E by the defining average; must come out a non-negative integer."""
     t = _as_tuple(t)
-    values, bound = _product_row(t)
-    total = _weighted_power_sum(values, 0, bound)
+    total = _power_sums(t, 0)[0]
     if total % t.lcm_value:
         raise RuntimeError(f"E{t.ks} is non-integral: {total}/{t.lcm_value}")
     result = total // t.lcm_value
@@ -209,15 +250,38 @@ def _divisor_terms(t: ModulusTuple) -> Tuple[Tuple[int, int], ...]:
     return tuple(sorted(agg.items()))
 
 
+@lru_cache(maxsize=1 << 14)
+def _weight_table(ks: Tuple[int, ...]) -> List[int]:
+    """k g_0 = k E, g_1, g_2, ... of the tuple ks as far as _weights has
+    extended them."""
+    return []
+
+
+def _weights(t: ModulusTuple, top: int) -> List[int]:
+    """k g_0 and g_1..g_top at least, from one divisor lattice: each missing
+    weight is a sum over the lattice terms, never over the product row. The
+    table is extended only once every missing weight is computed."""
+    table = _weight_table(t.ks)
+    if len(table) <= top:
+        terms = _divisor_terms(t)
+        table += [
+            sum(coef * (t.lcm_value // lc if m == 0 else lc ** (2 * m - 1)) for lc, coef in terms)
+            for m in range(len(table), top + 1)
+        ]
+    return table
+
+
+def _divisor_e(t: ModulusTuple, weights: Sequence[int]) -> int:
+    """E = (k g_0) / k from a weight table; integrality is asserted."""
+    if weights[0] % t.lcm_value:
+        raise RuntimeError(f"divisor form of E{t.ks} is non-integral")
+    return weights[0] // t.lcm_value
+
+
 def orbicyclic_divisor(t) -> int:
     """E by the divisor-lattice representation; integrality is asserted."""
     t = _as_tuple(t)
-    total = 0
-    for lc, coef in _divisor_terms(t):
-        total += coef * (t.lcm_value // lc)
-    if total % t.lcm_value:
-        raise RuntimeError(f"divisor form of E{t.ks} is non-integral")
-    return total // t.lcm_value
+    return _divisor_e(t, _weights(t, 0))
 
 
 def g_m(t, m: int) -> Fraction:
@@ -229,11 +293,8 @@ def g_m(t, m: int) -> Fraction:
     t = _as_tuple(t)
     if m < 0:
         raise ValueError(f"g_m requires m >= 0, got {m}")
-    terms = _divisor_terms(t)
-    if m == 0:
-        total = sum(coef * (t.lcm_value // lc) for lc, coef in terms)
-        return Fraction(total, t.lcm_value)
-    return Fraction(sum(coef * lc ** (2 * m - 1) for lc, coef in terms))
+    weight = _weights(t, m)[m]
+    return Fraction(weight, t.lcm_value) if m == 0 else Fraction(weight)
 
 
 # --- the multivariable weighted average -------------------------------------
@@ -241,14 +302,13 @@ def g_m(t, m: int) -> Fraction:
 
 def s_r_multi_direct_batch(t, rs: Sequence[int]) -> List[Fraction]:
     """S_r(k_1..k_n) for every r in rs, from the defining sum over one
-    period: one product row and one ladder in r for the whole batch."""
+    period: T_r read from the tuple's power-sum table."""
     t = _as_tuple(t)
     for r in rs:
         if r < 1:
             raise ValueError(f"s_r_multi_direct requires r >= 1, got {r}")
-    values, bound = _product_row(t)
-    totals = _weighted_power_sums(values, rs, bound)
-    return [Fraction(total, t.lcm_value ** (r + 1)) for total, r in zip(totals, rs)]
+    totals = _power_sums(t, max(rs, default=0))
+    return [Fraction(totals[r], t.lcm_value ** (r + 1)) for r in rs]
 
 
 def s_r_multi_direct(t, r: int) -> Fraction:
@@ -258,7 +318,7 @@ def s_r_multi_direct(t, r: int) -> Fraction:
 
 def s_r_multi_closed_batch(t, rs: Sequence[int]) -> List[Fraction]:
     """S_r(k_1..k_n) for every r in rs by exact.power_sum_closed, with
-    integer weights E = g_0 and g_m read once for the whole batch:
+    integer weights E = g_0 and g_m read from the tuple's weight table:
 
         prod_i phi(k_i) / (2k) + 1/(r+1) * sum_{m=0}^{floor(r/2)}
             C(r+1, 2m) (B_{2m} / k^(2m)) g_m(k_1..k_n).
@@ -267,8 +327,8 @@ def s_r_multi_closed_batch(t, rs: Sequence[int]) -> List[Fraction]:
     for r in rs:
         if r < 1:
             raise ValueError(f"s_r_multi_closed requires r >= 1, got {r}")
-    top = max(rs, default=0) // 2
-    weights = [orbicyclic_divisor(t)] + [g_m(t, m).numerator for m in range(1, top + 1)]
+    table = _weights(t, max(rs, default=0) // 2)
+    weights = [_divisor_e(t, table), *table[1:]]
     lead = math.prod(euler_phi(ki) for ki in t.ks)
     return [power_sum_closed(t.lcm_value, r, lead, weights[: r // 2 + 1]) for r in rs]
 

@@ -341,7 +341,7 @@ def _inverse_dft(k, rests, tol, seed):
 
 
 def _prop7(ks, rests, tol, seed):
-    """One ModulusTuple, product row and ladder in r for the whole run."""
+    """One ModulusTuple and one read of each tuple table for the whole run."""
     t = multivar.ModulusTuple(ks)
     rs = [r for r, in rests]
     lhs = multivar.s_r_multi_direct_batch(t, rs)

@@ -10,6 +10,7 @@ from ramavg.averages import (
     COSINE_LIMIT,
     NAMED_FUNCTIONS,
     ArithmeticFunction,
+    FloatPair,
     bernoulli_weighted_pair,
     binomial_weighted_cosine,
     binomial_weighted_exact,
@@ -266,3 +267,14 @@ class TestInverseDft:
     def test_rejects_oversized_k(self):
         with pytest.raises(ValueError):
             inverse_dft_check(10**5 + 1, 1)
+
+
+class TestFloatPair:
+    def test_error_is_stored_and_the_rule_is_mixed(self):
+        pair = FloatPair(1.0, 1.5, 1e-8)
+        assert pair.abs_error == 0.5 and not pair.ok
+        assert "abs_error" in vars(pair)  # a field, not recomputed per read
+        # |lhs - rhs| <= tol * (1 + max|side|): loose for large sides, absolute near 0.
+        assert FloatPair(1e9, 1e9 + 5.0, 1e-8).ok
+        assert FloatPair(0.0, 5e-9, 1e-8).ok
+        assert not FloatPair(0.0, 2e-8, 1e-8).ok

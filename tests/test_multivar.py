@@ -12,7 +12,7 @@ from ramavg.multivar import (
     PERIOD_BUDGET,
     BudgetError,
     ModulusTuple,
-    _weighted_power_sum,
+    _weighted_power_sums,
     g_m,
     multiplicativity_check,
     orbicyclic_direct,
@@ -21,6 +21,10 @@ from ramavg.multivar import (
     s_r_multi_direct,
 )
 from ramavg.ramanujan import ramanujan_sum
+
+
+def _weighted_power_sum(values, r, bound):
+    return _weighted_power_sums(values, (r,), bound)[0]
 
 
 def e_brute(ks):
@@ -50,6 +54,29 @@ class TestModulusTuple:
             ModulusTuple(())
         with pytest.raises(ValueError):
             ModulusTuple((3, 0))
+
+    @pytest.mark.parametrize(
+        "bad", [True, False, np.True_, 2.5, 2.9, 2.0, Fraction(4, 2), "3", None]
+    )
+    def test_rejects_bool_and_non_integral_moduli(self, bad):
+        with pytest.raises(ValueError, match="integers"):
+            ModulusTuple((bad, 3))
+
+    def test_non_integral_moduli_are_not_truncated(self):
+        with pytest.raises(ValueError):
+            orbicyclic_direct((2.5, 3))
+        with pytest.raises(ValueError):
+            orbicyclic_divisor((2.5, 3))
+        with pytest.raises(ValueError):
+            g_m((2.9,), 1)
+        with pytest.raises(ValueError):
+            s_r_multi_direct((3, 2.5), 1)
+
+    def test_accepts_numpy_integers(self):
+        t = ModulusTuple((np.int64(4), np.uint8(6), np.int32(10)))
+        assert t.ks == (4, 6, 10) and all(type(k) is int for k in t.ks)
+        assert t.lcm_value == 60
+        assert orbicyclic_direct((np.int64(2), np.int16(2))) == 1
 
 
 class TestWeightedPowerSum:

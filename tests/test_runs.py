@@ -9,6 +9,7 @@ import pytest
 import ramavg.averages as averages
 import ramavg.multivar as multivar
 import ramavg.verify as verify
+from ramavg.ramanujan import ramanujan_sum
 from ramavg.verify import IDENTITY_TAGS, ParamError, SuiteConfig, run_identity, run_suite
 
 MULTIVAR_TAGS = {"prop7", "prop7-corollary", "e-integrality", "e-multiplicativity"}
@@ -27,17 +28,11 @@ def grid_of(config):
     return verify._grid(ident, verify._effective_bounds(ident, config), config.seed)
 
 
-def clear_run_caches():
-    # Singles must rebuild what a run shares: the moment ladder restarts
-    # from the first missing power, product rows and FFTs are recomputed.
-    averages._moment_table.cache_clear()
-    averages._dft_values.cache_clear()
-    multivar._product_row.cache_clear()
-    multivar._divisor_terms.cache_clear()
-
-
 @pytest.mark.parametrize("tag", IDENTITY_TAGS)
-def test_a_run_equals_its_batches_of_one(tag):
+def test_a_run_equals_its_batches_of_one(tag, clear_run_caches):
+    # Singles must rebuild what a run shares: the moment ladder restarts
+    # from the first missing power, product rows, FFTs and tuple tables are
+    # recomputed.
     config = small_config(tag)
     grid = grid_of(config)
     clear_run_caches()
@@ -191,3 +186,76 @@ def test_bool_rendering_example_is_refused():
         run_identity("prop7", ((True, 2), 1))
     assert run_identity("prop1", (1, 1)).params == "k=1,r=1"
     assert run_identity("prop7", ((1, 2), 1)).params == "ks=1|2,r=1"
+
+
+# --- per-tuple tables shared by the tuple identities ------------------------
+
+TUPLE_TAGS = ["prop7", "prop7-corollary", "e-integrality"]
+
+
+def tuple_config(tags, **bounds):
+    return SuiteConfig(identities=tags, keep_cases=True, **{"k_max": 8, "n_max": 3, **bounds})
+
+
+def test_one_product_row_and_one_lattice_per_tuple(monkeypatch):
+    rows, lattices = [], []
+    real_row, real_terms = multivar._product_row, multivar._divisor_terms
+
+    def row(t):
+        rows.append(t.ks)
+        return real_row(t)
+
+    def terms(t):
+        lattices.append(t.ks)
+        return real_terms(t)
+
+    monkeypatch.setattr(multivar, "_product_row", row)
+    monkeypatch.setattr(multivar, "_divisor_terms", terms)
+    report = run_suite(tuple_config(TUPLE_TAGS, r_max=5))
+    tuples = verify._tuple_grid(8, 3)
+    assert report.total == 7 * len(tuples) and report.failed == 0
+    assert rows == lattices == tuples
+
+
+def test_a_growing_power_table_gives_the_cases_of_fresh_singles(clear_run_caches):
+    # e-integrality fills each table to r = 0; prop7 rebuilds it to r = 5.
+    config = tuple_config(["e-integrality", "prop7"], r_max=5)
+    swept = [c.as_dict() for c in run_suite(config).cases]
+    assert len(multivar._power_sum_table((2, 3))) == 6
+    singles = []
+    for tag in config.identities:
+        clear_run_caches()
+        ident = verify._lookup(tag)
+        grid = verify._grid(ident, verify._effective_bounds(ident, config), config.seed)
+        singles += [run_identity(tag, params).as_dict() for params in grid]
+    assert swept == singles
+    assert all(case["pass"] for case in swept)
+
+
+def test_a_refused_row_fails_its_tuple_everywhere_and_stores_nothing(monkeypatch):
+    real = multivar._product_row
+
+    def refusing(t):
+        if t.ks == (2, 3):
+            raise multivar.BudgetError(f"period lcm{t.ks} refused")
+        return real(t)
+
+    monkeypatch.setattr(multivar, "_product_row", refusing)
+    config = tuple_config(TUPLE_TAGS, k_max=4, n_max=2, r_max=4)
+    cases = run_suite(config).cases
+    failed = {(c.identity, c.params) for c in cases if not c.passed}
+    assert failed == {
+        *(("prop7", f"ks=2|3,r={r}") for r in range(1, 5)),
+        ("prop7-corollary", "ks=2|3"),
+        ("e-integrality", "ks=2|3"),
+    }
+    assert {c.error for c in cases if not c.passed} == {"period lcm(2, 3) refused"}
+    assert multivar._power_sum_table((2, 3)) == []
+    assert len(multivar._power_sum_table((2, 4))) == 5
+
+    monkeypatch.setattr(multivar, "_product_row", real)
+    assert run_suite(config).failed == 0
+    assert multivar._power_sum_table((2, 3)) == [
+        sum(j**r * ramanujan_sum(2, j) * ramanujan_sum(3, j) for j in range(1, 7))
+        for r in range(5)
+    ]
