@@ -35,6 +35,10 @@ from .verify import (
 
 _FORMATS = ("plain", "json", "csv")
 
+# The most moduli one table may list: k_max for s-r, n * k_max**n for
+# e-values. It is checked before any row is built.
+TABLE_BUDGET = 100_000
+
 
 # name -> (parameter names, evaluator). The lambdas look their function up
 # when called, so a patched or wrapped module attribute is the one used.
@@ -155,6 +159,13 @@ def _cmd_compute(args) -> int:
     return 0
 
 
+def _over_budget(moduli: int) -> bool:
+    if moduli <= TABLE_BUDGET:
+        return False
+    print(f"error: the table would list more than {TABLE_BUDGET} moduli", file=sys.stderr)
+    return True
+
+
 def _cmd_table(args) -> int:
     fmt = args.format
     if args.kind == "ramanujan-row":
@@ -180,6 +191,8 @@ def _cmd_table(args) -> int:
         if args.k_max is None or args.k_max < 1 or args.r is None or args.r < 1:
             print("usage: ramavg table s-r --k-max <int> --r <int>", file=sys.stderr)
             return 2
+        if _over_budget(args.k_max):
+            return 2
         rows = [(k, s_r_closed(k, args.r)) for k in range(1, args.k_max + 1)]
         if fmt == "json":
             print(json.dumps(
@@ -195,6 +208,10 @@ def _cmd_table(args) -> int:
     # e-values: every ordered tuple of a given arity up to a component bound
     if args.n is None or args.n < 1 or args.k_max is None or args.k_max < 1:
         print("usage: ramavg table e-values --n <arity> --k-max <int>", file=sys.stderr)
+        return 2
+    # k_max**n is not raised to a huge n: for k_max >= 2 the budget is
+    # already exceeded at n = its bit length.
+    if _over_budget(args.n * args.k_max ** min(args.n, TABLE_BUDGET.bit_length())):
         return 2
     tuples = list(iter_product(range(1, args.k_max + 1), repeat=args.n))
     try:

@@ -17,12 +17,10 @@ value and the trailing values of every case of the run and returns one
 outcome per case, so a kernel can share work across the run (one moment
 ladder per k for prop1, one product row and r-ladder per tuple for prop7,
 one FFT row read per k for inverse-dft); the other identities evaluate
-case by case. run_identity evaluates a single case as a batch of one.
-run_suite validates each run's leading value once, still calls
-run_identity once per case, in order, and hands it the run; the first
-case of a run evaluates the whole run, lazily, inside its own call. If a
-run raises, each of its cases is evaluated alone, so a failure stays
-with the cases that cause it.
+case by case. One function validates a run, evaluates it and renders its
+cases: run_suite calls it once per run, and run_identity calls it on a
+run of one case. If a run raises, each of its cases is evaluated alone,
+so a failure stays with the cases that cause it.
 
 A sweep never aborts on a failing or erroring case; errors are recorded
 on the case and the report's exit status carries the overall verdict.
@@ -107,6 +105,9 @@ class VerificationReport:
     failures: List[IdentityCase]
     wall_time_seconds: float
     cases: Optional[List[IdentityCase]] = None  # populated when keep_cases
+    # tag -> (cases, seconds) per identity, in sweep order; like the wall
+    # time, it is not part of the body.
+    timings: Dict[str, Tuple[int, float]] = field(default_factory=dict)
 
     def body_dict(self) -> dict:
         """Everything except wall time; the determinism contract applies here."""
@@ -264,18 +265,15 @@ def _check_coprime_pair(a: tuple, b: tuple) -> None:
         raise ParamError(f"tuples {a} and {b} are not coprime")
 
 
-def _validate(ident: IdentityDef, params: tuple, lead_checked: bool = False) -> None:
-    """Check params against the identity's schema; raises ParamError. The
-    leading value is skipped when its run has checked it already."""
-    if len(params) != len(ident.params):
-        raise ParamError(
-            f"{ident.tag} expects parameters {ident.param_names}, got {len(params)} values"
-        )
-    start = 1 if lead_checked else 0
-    for p, v in zip(ident.params[start:], params[start:]):
-        _check_param(p, v)
-    if ident.tag == "e-multiplicativity":
-        _check_coprime_pair(*params)
+def _validate(ident: IdentityDef, lead, rests: Sequence[tuple]) -> None:
+    """Check one run against the identity's schema, its leading value once
+    and the trailing values of each case; raises ParamError."""
+    _check_param(ident.params[0], lead)
+    for rest in rests:
+        for p, v in zip(ident.params[1:], rest):
+            _check_param(p, v)
+        if ident.tag == "e-multiplicativity":
+            _check_coprime_pair(lead, *rest)
 
 
 def _grid(ident: IdentityDef, bounds: Dict[str, int], seed: int) -> List[tuple]:
@@ -378,6 +376,13 @@ def _prop7_corollary(p, tol, seed):
         multivar.orbicyclic_divisor(t), 2
     )
     return _exact_outcome(lhs, rhs)
+
+
+def _e_integrality(p, tol, seed):
+    """Direct E is a non-negative integer equal to the divisor form; both
+    sides read one ModulusTuple."""
+    t = multivar.ModulusTuple(p[0])
+    return _exact_outcome(multivar.orbicyclic_direct(t), multivar.orbicyclic_divisor(t))
 
 
 def _cross_evaluator(k, rests, tol, seed):
@@ -498,12 +503,8 @@ _CATALOG: Dict[str, IdentityDef] = {
             "prop7-corollary", "exact", (_KS,), _per_case(_prop7_corollary),
             {"k_max": 40, "n_max": 3}, _tuple_param_grid,
         ),
-        # Direct E is a non-negative integer equal to the divisor form.
         IdentityDef(
-            "e-integrality", "exact", (_KS,),
-            _per_case(lambda p, tol, seed: _exact_outcome(
-                multivar.orbicyclic_direct(p[0]), multivar.orbicyclic_divisor(p[0])
-            )),
+            "e-integrality", "exact", (_KS,), _per_case(_e_integrality),
             {"k_max": 40, "n_max": 3}, _tuple_param_grid,
         ),
         IdentityDef(
@@ -603,33 +604,26 @@ def _evaluate(ident: IdentityDef, lead, rests: Sequence[tuple], tolerance: float
         return [_evaluate(ident, lead, (rest,), tolerance, seed)[0] for rest in rests]
 
 
-class _Run:
-    """The cases of one identity that share the leading parameter, with
-    their trailing values already validated. The run is evaluated when
-    its first case is read."""
-
-    __slots__ = ("ident", "lead", "rests", "tolerance", "seed", "prefix", "_outcomes")
-
-    def __init__(self, ident: IdentityDef, lead, rests: Sequence[tuple], tolerance, seed):
-        self.ident = ident
-        self.lead = lead
-        self.rests = rests
-        self.tolerance = tolerance
-        self.seed = seed
-        self.prefix = f"{ident.param_names[0]}={_fmt_value(lead)}"
-        self._outcomes: Optional[List[_Outcome]] = None
-
-    def case(self, index: int) -> IdentityCase:
-        if self._outcomes is None:
-            self._outcomes = _evaluate(self.ident, self.lead, self.rests, self.tolerance, self.seed)
-        ident = self.ident
-        lhs, rhs, passed, abs_error, error = self._outcomes[index]
-        rendered = self.prefix
-        for name, v in zip(ident.param_names[1:], self.rests[index]):
+def _run_cases(
+    ident: IdentityDef, lead, rests: Sequence[tuple], tolerance: float, seed: int
+) -> List[IdentityCase]:
+    """Validate one run, evaluate it and render its cases, in order."""
+    _validate(ident, lead, rests)
+    prefix = f"{ident.param_names[0]}={_fmt_value(lead)}"
+    tolerance_mode = ident.mode == "tolerance"
+    cases = []
+    for rest, (lhs, rhs, passed, abs_error, error) in zip(
+        rests, _evaluate(ident, lead, rests, tolerance, seed)
+    ):
+        rendered = prefix
+        for name, v in zip(ident.param_names[1:], rest):
             rendered += f",{name}={_fmt_value(v)}"
-        if ident.mode != "tolerance":
+        if not tolerance_mode:
             abs_error = None
-        return IdentityCase(ident.tag, rendered, ident.mode, lhs, rhs, passed, abs_error, error)
+        cases.append(
+            IdentityCase(ident.tag, rendered, ident.mode, lhs, rhs, passed, abs_error, error)
+        )
+    return cases
 
 
 def run_identity(
@@ -637,23 +631,18 @@ def run_identity(
     params: tuple,
     tolerance: float = averages.DEFAULT_TOLERANCE,
     seed: int = averages.DEFAULT_SEED,
-    *,
-    _run: Optional[Tuple[_Run, int]] = None,
 ) -> IdentityCase:
-    """Evaluate one case, as a batch of one. Schema violations raise
+    """Evaluate one case, as a run of one. Schema violations raise
     ParamError and a loosened tolerance raises ConfigError; evaluator
     failures (budget, internal assertions) become failed cases instead.
-
-    run_suite passes _run = (run, index), the validated run that params
-    belong to, so that the run is evaluated once for all of its cases.
     """
-    if _run is None:
-        _check_tolerance(tolerance)
-        ident = _lookup(tag)
-        _validate(ident, params)
-        _run = (_Run(ident, params[0], (params[1:],), tolerance, seed), 0)
-    run, index = _run
-    return run.case(index)
+    _check_tolerance(tolerance)
+    ident = _lookup(tag)
+    if len(params) != len(ident.params):
+        raise ParamError(
+            f"{tag} expects parameters {ident.param_names}, got {len(params)} values"
+        )
+    return _run_cases(ident, params[0], (params[1:],), tolerance, seed)[0]
 
 
 # --- suites -----------------------------------------------------------------
@@ -689,23 +678,27 @@ def _describe_bounds(tag: str, bounds: Dict[str, int]) -> str:
 
 
 def run_suite(config: SuiteConfig) -> VerificationReport:
-    """Sweep the configured identities over their grids, in catalog-entry
-    order and ascending parameter order, and aggregate.
+    """Sweep the configured identities over their grids, in the order
+    selected and ascending parameter order, and aggregate.
 
-    Each grid is walked in runs of cases with equal params[0]: the
-    leading value is validated once per run, each trailing value by its
-    own Param. Every case still goes through run_identity, one after
-    another, and the first case of a run evaluates the whole run.
+    Each grid is walked in runs of cases with equal params[0], and each run
+    is validated, evaluated and rendered at once. An empty or repeated
+    selection raises ConfigError.
     """
     start = time.perf_counter()
     _check_tolerance(config.tolerance)
-    tags = list(config.identities) if config.identities else list(IDENTITY_TAGS)
+    tags = list(IDENTITY_TAGS) if config.identities is None else list(config.identities)
+    if not tags:
+        raise ConfigError("no identity selected")
+    repeated = sorted({tag for tag in tags if tags.count(tag) > 1})
+    if repeated:
+        raise ConfigError(f"identities selected more than once: {','.join(repeated)}")
     idents = [_lookup(tag) for tag in tags]
 
     plans = []
     for ident in idents:
         bounds = _effective_bounds(ident, config)
-        plans.append((ident.tag, _grid(ident, bounds, config.seed), _describe_bounds(ident.tag, bounds)))
+        plans.append((ident, _grid(ident, bounds, config.seed), _describe_bounds(ident.tag, bounds)))
     if not any(grid for _, grid, _ in plans):
         raise ConfigError(f"empty grid for identities {tags}")
 
@@ -714,16 +707,13 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     failures: List[IdentityCase] = []
     worst: Dict[str, float] = {}
     all_cases: Optional[List[IdentityCase]] = [] if config.keep_cases else None
-    for tag, grid, _ in plans:
-        ident = _lookup(tag)
+    timings: Dict[str, Tuple[int, float]] = {}
+    for ident, grid, _ in plans:
+        tag = ident.tag
+        identity_start = time.perf_counter()
         for lead, group in groupby(grid, key=itemgetter(0)):
-            cases = list(group)
-            _check_param(ident.params[0], lead)
-            for params in cases:
-                _validate(ident, params, lead_checked=True)
-            run = _Run(ident, lead, [params[1:] for params in cases], config.tolerance, config.seed)
-            for index, params in enumerate(cases):
-                case = run_identity(tag, params, config.tolerance, config.seed, _run=(run, index))
+            rests = [params[1:] for params in group]
+            for case in _run_cases(ident, lead, rests, config.tolerance, config.seed):
                 total += 1
                 if case.passed:
                     passed += 1
@@ -733,8 +723,9 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
                     worst[tag] = max(worst.get(tag, 0.0), case.abs_error)
                 if all_cases is not None:
                     all_cases.append(case)
+        timings[tag] = (len(grid), time.perf_counter() - identity_start)
 
-    # Catalog-order keys for byte-stable serialization.
+    # Keys in sweep order for byte-stable serialization.
     worst_ordered = {tag: worst[tag] for tag in tags if tag in worst}
     suite_name = "all" if config.identities is None else ",".join(tags)
     grid_text = "; ".join(describe for _, _, describe in plans)
@@ -748,4 +739,5 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         failures=failures,
         wall_time_seconds=time.perf_counter() - start,
         cases=all_cases,
+        timings=timings,
     )

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import ramavg.averages as averages
+import ramavg.cli as cli
 import ramavg.ramanujan as ramanujan
 from ramavg.cli import main
 
@@ -103,6 +104,28 @@ class TestTable:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "row budget" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("e-values", "--n", "12", "--k-max", "100"),
+        ("e-values", "--n", "2", "--k-max", "224"),  # 2 * 224**2 = 100,352 moduli
+        ("e-values", "--n", str(10**9), "--k-max", "1"),
+        ("s-r", "--k-max", str(cli.TABLE_BUDGET + 1), "--r", "1"),
+    ])
+    def test_table_over_budget(self, capsys, monkeypatch, argv):
+        for name in ("iter_product", "orbicyclic_divisor", "s_r_closed"):
+            monkeypatch.setattr(cli, name, None)  # no row is built
+        code, out, err = run_cli(capsys, "table", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: the table would list more than {cli.TABLE_BUDGET} moduli\n"
+
+    def test_table_budget_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "TABLE_BUDGET", 8)
+        code, out, _ = run_cli(capsys, "table", "e-values", "--n", "2", "--k-max", "2")
+        assert code == 0 and len(out.splitlines()) == 4
+        code, out, _ = run_cli(capsys, "table", "s-r", "--k-max", "8", "--r", "1")
+        assert code == 0 and len(out.splitlines()) == 8
+        code, out, _ = run_cli(capsys, "table", "s-r", "--k-max", "9", "--r", "1")
+        assert code == 2 and out == ""
+
     def test_s_r_csv_has_five_data_rows(self, capsys):
         code, out, _ = run_cli(
             capsys, "table", "s-r", "--k-max", "5", "--r", "1", "--format", "csv"
@@ -167,6 +190,15 @@ class TestVerify:
     def test_empty_grid_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--identity", "prop4", "--k-max", "1")
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("selection, message", [
+        ((",",), "error: no identity selected\n"),
+        (("prop1", "prop1"), "error: identities selected more than once: prop1\n"),
+    ], ids=["empty", "repeated"])
+    def test_empty_or_repeated_selection_exits_2(self, capsys, selection, message):
+        argv = [arg for tag in selection for arg in ("--identity", tag)]
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == "" and err == message
 
     def test_unknown_identity_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--identity", "prop99")

@@ -53,29 +53,31 @@ def test_runs_of_one_leading_value_each():
     ]
 
 
-def test_every_case_calls_run_identity_and_the_first_evaluates_the_run(monkeypatch):
-    # The per-case run_identity call is what a tracer times per identity,
-    # so the run's work must happen inside one of them: the first.
-    real_run, real_batch = verify.run_identity, multivar.s_r_multi_direct_batch
-    calls, inside, evaluated_at = [], [False], []
-
-    def traced(tag, params, *args, **kwargs):
-        calls.append(params)
-        inside[0] = True
-        try:
-            return real_run(tag, params, *args, **kwargs)
-        finally:
-            inside[0] = False
+def test_the_evaluator_runs_once_per_run(monkeypatch):
+    real, calls = multivar.s_r_multi_direct_batch, []
 
     def batch(t, rs):
-        evaluated_at.append((len(calls), inside[0], tuple(rs)))
-        return real_batch(t, rs)
+        calls.append((t.ks, tuple(rs)))
+        return real(t, rs)
 
-    monkeypatch.setattr(verify, "run_identity", traced)
     monkeypatch.setattr(multivar, "s_r_multi_direct_batch", batch)
     report = run_suite(SuiteConfig(identities=["prop7"], k_max=3, n_max=2, r_max=3))
-    assert report.total == len(calls) == 9 * 3  # 9 multisets, r = 1..3
-    assert evaluated_at == [(1 + 3 * i, True, (1, 2, 3)) for i in range(9)]
+    tuples = verify._tuple_grid(3, 2)
+    assert len(tuples) == 9 and report.total == 9 * 3 and report.failed == 0
+    assert calls == [(ks, (1, 2, 3)) for ks in tuples]
+
+
+def test_timings_hold_each_identity_once_in_catalog_order():
+    config = SuiteConfig(k_max=6, n_max=2, r_max=3, m_max=2)
+    report = run_suite(config)
+    assert list(report.timings) == list(IDENTITY_TAGS)
+    for tag, (cases, seconds) in report.timings.items():
+        ident = verify._lookup(tag)
+        bounds = verify._effective_bounds(ident, config)
+        assert cases == len(verify._grid(ident, bounds, config.seed)) and seconds >= 0
+    assert sum(cases for cases, _ in report.timings.values()) == report.total
+    assert sum(seconds for _, seconds in report.timings.values()) <= report.wall_time_seconds
+    assert "timings" not in report.body_dict()
 
 
 def assert_only_these_fail(config, failing):
@@ -215,6 +217,21 @@ def test_one_product_row_and_one_lattice_per_tuple(monkeypatch):
     tuples = verify._tuple_grid(8, 3)
     assert report.total == 7 * len(tuples) and report.failed == 0
     assert rows == lattices == tuples
+
+
+def test_one_modulus_tuple_per_e_integrality_case(monkeypatch):
+    built = []
+
+    class Counting(multivar.ModulusTuple):
+        def __post_init__(self):
+            built.append(self.ks)
+            super().__post_init__()
+
+    monkeypatch.setattr(multivar, "ModulusTuple", Counting)
+    report = run_suite(tuple_config(["e-integrality"]))
+    tuples = verify._tuple_grid(8, 3)
+    assert report.total == len(tuples) and report.failed == 0
+    assert built == tuples
 
 
 def test_a_growing_power_table_gives_the_cases_of_fresh_singles(clear_run_caches):

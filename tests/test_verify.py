@@ -197,6 +197,15 @@ class TestRunSuite:
         with pytest.raises(ConfigError):
             run_suite(SuiteConfig(identities=["prop4"], k_max=1))
 
+    def test_empty_selection_is_config_error(self):
+        with pytest.raises(ConfigError, match="no identity selected"):
+            run_suite(SuiteConfig(identities=[]))
+
+    def test_repeated_selection_is_config_error(self):
+        for identities in (["prop1", "prop1"], ["prop2", "prop1", "prop2"]):
+            with pytest.raises(ConfigError, match="more than once"):
+                run_suite(SuiteConfig(identities=identities, k_max=3, r_max=1))
+
     def test_tolerance_may_only_tighten(self):
         with pytest.raises(ConfigError):
             run_suite(SuiteConfig(identities=["prop2"], k_max=5, tolerance=1e-6))
