@@ -246,12 +246,13 @@ def _write(text: str) -> None:
 
 def _cmd_verify(args) -> int:
     identities: Optional[List[str]] = None
+    if args.run_all and args.identities:
+        print("error: --all and --identity cannot be combined", file=sys.stderr)
+        return 2
     if args.identities:
         identities = []
         for entry in args.identities:
             identities.extend(part for part in entry.split(",") if part)
-    if args.run_all:
-        identities = None
     config = SuiteConfig(
         identities=identities,
         k_max=args.k_max,

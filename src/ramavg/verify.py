@@ -22,6 +22,15 @@ cases: run_suite calls it once per run, and run_identity calls it on a
 run of one case. If a run raises, each of its cases is evaluated alone,
 so a failure stays with the cases that cause it.
 
+A run is validated once per column: the leading value once, and the
+values of each trailing parameter across the run as one column, so a
+valid run costs a few C-level scans rather than a check per value; a
+column that does not pass is checked value by value and raises the error
+of its first bad value. A grid bound above a parameter's cap is refused
+before any grid is built. Each case is rendered into an IdentityCase,
+a NamedTuple (an immutable tuple of its eight fields), and the CSV is
+written from the unpacked tuples.
+
 A sweep never aborts on a failing or erroring case; errors are recorded
 on the case and the report's exit status carries the overall verdict.
 Sweeps run serially. Reports are deterministic: cases are generated in
@@ -34,13 +43,14 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby
 from itertools import product as iter_product
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import averages, exact, multivar
 from .arith import euler_phi
@@ -70,8 +80,9 @@ class ParamError(ValueError):
     """Parameters violate an identity's schema."""
 
 
-@dataclass(frozen=True)
-class IdentityCase:
+class IdentityCase(NamedTuple):
+    """One rendered case. A tuple, so it is immutable and cheap to build."""
+
     identity: str
     params: str
     mode: str  # "exact" or "tolerance"
@@ -139,18 +150,14 @@ def cases_to_csv(cases: Iterable[IdentityCase]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["identity", "params", "mode", "lhs", "rhs", "abs_error", "pass"])
-    for c in cases:
-        writer.writerow(
-            [
-                c.identity,
-                c.params,
-                c.mode,
-                c.lhs,
-                c.rhs,
-                "" if c.abs_error is None else f"{c.abs_error:.17g}",
-                "true" if c.passed else "false",
-            ]
+    writer.writerows(
+        (
+            identity, params, mode, lhs, rhs,
+            "" if abs_error is None else f"{abs_error:.17g}",
+            "true" if passed else "false",
         )
+        for identity, params, mode, lhs, rhs, passed, abs_error, _ in cases
+    )
     return buf.getvalue()
 
 
@@ -196,8 +203,10 @@ class Param:
     """One parameter of an identity's schema.
 
     kind is "int" (an integer >= minimum and, when cap is set, <= cap),
-    "moduli" (a non-empty tuple of positive integers), "function" (a named
-    or seeded random arithmetic function) or "choice" (one of choices).
+    "moduli" (a non-empty tuple of positive integers), "coprime" (moduli
+    of the leading tuple's arity whose product is coprime to its product),
+    "function" (a named or seeded random arithmetic function) or "choice"
+    (one of choices).
     bound names the grid bound an "int" parameter ranges up to, starting
     at its minimum, when the identity's grid is the product of such ranges.
     """
@@ -226,12 +235,22 @@ class IdentityDef:
         object.__setattr__(self, "param_names", tuple(p.name for p in self.params))
 
 
-def _resolve_function(name, seed: int) -> averages.ArithmeticFunction:
+# rand followed by ASCII digits: str.isdigit would also take other scripts'
+# digits ("rand\u0663"), which int() reads but the report renders as given.
+_RANDOM_NAME = re.compile(r"rand([0-9]+)")
+
+
+def _is_function_name(v) -> bool:
+    return isinstance(v, str) and (
+        v in averages.NAMED_FUNCTIONS or _RANDOM_NAME.fullmatch(v) is not None
+    )
+
+
+def _resolve_function(name: str, seed: int) -> averages.ArithmeticFunction:
+    """The function of a name that passed validation."""
     if name in averages.NAMED_FUNCTIONS:
         return averages.NAMED_FUNCTIONS[name]
-    if isinstance(name, str) and name.startswith("rand") and name[4:].isdigit():
-        return averages.random_function(int(name[4:]), seed)
-    raise ParamError(f"unknown arithmetic function {name!r}")
+    return averages.random_function(int(name[4:]), seed)
 
 
 def _is_int(v) -> bool:
@@ -239,7 +258,9 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _check_param(p: Param, v) -> None:
+def _check_param(p: Param, v, lead=None) -> None:
+    """Check one value against p; lead is the run's leading value, which a
+    "coprime" value is checked against."""
     if p.kind == "int":
         if not _is_int(v) or v < min(p.minimum, 1):
             sign = "non-negative" if p.minimum == 0 else "positive"
@@ -248,32 +269,55 @@ def _check_param(p: Param, v) -> None:
             raise ParamError(f"{p.name} must be >= {p.minimum}, got {v}")
         if p.cap is not None and v > p.cap:
             raise ParamError(f"{p.name} must be <= {p.cap}")
-    elif p.kind == "moduli":
+    elif p.kind in ("moduli", "coprime"):
         if not (isinstance(v, tuple) and v and all(_is_int(x) and x >= 1 for x in v)):
             raise ParamError(f"{p.name} must be a non-empty tuple of positive integers, got {v!r}")
+        if p.kind == "coprime":
+            if len(lead) != len(v):
+                raise ParamError("tuples must have equal arity")
+            if math.gcd(math.prod(lead), math.prod(v)) != 1:
+                raise ParamError(f"tuples {lead} and {v} are not coprime")
     elif p.kind == "function":
-        _resolve_function(v, 0)
+        if not _is_function_name(v):
+            raise ParamError(f"unknown arithmetic function {v!r}")
     elif v not in p.choices:
         raise ParamError(f"{p.name} must be one of {'/'.join(p.choices)}, got {v!r}")
 
 
-def _check_coprime_pair(a: tuple, b: tuple) -> None:
-    """e-multiplicativity's one constraint across two parameters."""
-    if len(a) != len(b):
-        raise ParamError("tuples must have equal arity")
-    if math.gcd(math.prod(a), math.prod(b)) != 1:
-        raise ParamError(f"tuples {a} and {b} are not coprime")
+def _column_passes(p: Param, column: Sequence) -> bool:
+    """Whether every value of one trailing parameter across a run passes
+    the schema, tested on the column as a whole. False may also mean that
+    only _check_param can tell: a value of an int subclass, or a tuple of
+    moduli (no identity has a trailing one but e-multiplicativity's, which
+    is checked against its leading tuple)."""
+    if p.kind == "int":
+        return (
+            set(map(type, column)) == {int}
+            and min(column) >= p.minimum
+            and (p.cap is None or max(column) <= p.cap)
+        )
+    if p.kind == "function":
+        return all(map(_is_function_name, column))
+    if p.kind == "choice":
+        return all(v in p.choices for v in column)
+    return False
 
 
 def _validate(ident: IdentityDef, lead, rests: Sequence[tuple]) -> None:
-    """Check one run against the identity's schema, its leading value once
-    and the trailing values of each case; raises ParamError."""
+    """Check one run against the identity's schema; raises ParamError.
+
+    The leading value is checked once, and each trailing parameter as one
+    column of the run. A column that does not pass whole is checked value
+    by value, so the error raised is that of its first bad value. No
+    identity has more than one trailing parameter, so column order is
+    case order and the first bad value is that of the first bad case.
+    """
     _check_param(ident.params[0], lead)
-    for rest in rests:
-        for p, v in zip(ident.params[1:], rest):
-            _check_param(p, v)
-        if ident.tag == "e-multiplicativity":
-            _check_coprime_pair(lead, *rest)
+    for i, p in enumerate(ident.params[1:]):
+        column = [rest[i] for rest in rests]
+        if not _column_passes(p, column):
+            for v in column:
+                _check_param(p, v, lead)
 
 
 def _grid(ident: IdentityDef, bounds: Dict[str, int], seed: int) -> List[tuple]:
@@ -508,7 +552,7 @@ _CATALOG: Dict[str, IdentityDef] = {
             {"k_max": 40, "n_max": 3}, _tuple_param_grid,
         ),
         IdentityDef(
-            "e-multiplicativity", "exact", (Param("a", "moduli"), Param("b", "moduli")),
+            "e-multiplicativity", "exact", (Param("a", "moduli"), Param("b", "coprime")),
             _per_case(
                 lambda p, tol, seed: _exact_outcome(*multivar.multiplicativity_sides(p[0], p[1]))
             ),
@@ -683,7 +727,8 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
 
     Each grid is walked in runs of cases with equal params[0], and each run
     is validated, evaluated and rendered at once. An empty or repeated
-    selection raises ConfigError.
+    selection raises ConfigError, and a grid bound above a parameter's cap
+    raises ParamError before any grid is built.
     """
     start = time.perf_counter()
     _check_tolerance(config.tolerance)
@@ -695,10 +740,16 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         raise ConfigError(f"identities selected more than once: {','.join(repeated)}")
     idents = [_lookup(tag) for tag in tags]
 
-    plans = []
-    for ident in idents:
-        bounds = _effective_bounds(ident, config)
-        plans.append((ident, _grid(ident, bounds, config.seed), _describe_bounds(ident.tag, bounds)))
+    bounds = [_effective_bounds(ident, config) for ident in idents]
+    # A grid past a cap is refused before any grid is built or swept.
+    for ident, b in zip(idents, bounds):
+        for p in ident.params:
+            if p.cap is not None and p.bound is not None and b[p.bound] > p.cap:
+                raise ParamError(f"{p.name} must be <= {p.cap}")
+    plans = [
+        (ident, _grid(ident, b, config.seed), _describe_bounds(ident.tag, b))
+        for ident, b in zip(idents, bounds)
+    ]
     if not any(grid for _, grid, _ in plans):
         raise ConfigError(f"empty grid for identities {tags}")
 

@@ -12,6 +12,7 @@ import pytest
 import ramavg.averages as averages
 import ramavg.cli as cli
 import ramavg.ramanujan as ramanujan
+import ramavg.verify as verify
 from ramavg.cli import main
 
 
@@ -199,6 +200,29 @@ class TestVerify:
         argv = [arg for tag in selection for arg in ("--identity", tag)]
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 2 and out == "" and err == message
+
+    def test_all_with_identity_exits_2(self, capsys, monkeypatch):
+        swept = []
+        monkeypatch.setattr(cli, "run_suite", swept.append)
+        code, out, err = run_cli(
+            capsys, "verify", "--all", "--identity", "prop1", "--k-max", "2", "--format", "json"
+        )
+        assert code == 2 and out == "" and swept == []
+        assert err == "error: --all and --identity cannot be combined\n"
+
+    @pytest.mark.parametrize("tag, cap", [
+        ("prop5-cosine", averages.COSINE_LIMIT), ("inverse-dft", averages.DFT_LIMIT),
+    ])
+    def test_bound_above_cap_exits_2_before_sweeping(self, capsys, monkeypatch, tag, cap):
+        built, evaluated = [], []
+        monkeypatch.setattr(verify, "_grid", lambda *args: built.append(args) or [])
+        for name in ("binomial_weighted_cosine", "inverse_dft_batch"):
+            monkeypatch.setattr(averages, name, lambda *args: evaluated.append(args))
+        code, out, err = run_cli(
+            capsys, "verify", "--identity", tag, "--k-max", str(cap + 1), "--n-max", "1"
+        )
+        assert code == 2 and out == "" and err == f"error: k must be <= {cap}\n"
+        assert built == [] and evaluated == []
 
     def test_unknown_identity_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--identity", "prop99")

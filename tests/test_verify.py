@@ -6,9 +6,12 @@ from fractions import Fraction
 import pytest
 
 import ramavg.averages as averages
+import ramavg.verify as verify
 from ramavg.verify import (
     ConfigError,
     IDENTITY_TAGS,
+    IdentityCase,
+    Param,
     ParamError,
     SuiteConfig,
     cases_to_csv,
@@ -93,6 +96,13 @@ class TestRunIdentity:
     def test_prop3_named_and_random(self):
         assert run_identity("prop3", (30, "sigma")).passed
         assert run_identity("prop3", (30, "rand07")).passed
+
+    @pytest.mark.parametrize("name", [[1], "rand\u0663", "rand", "rand-1", b"rand07", 7])
+    def test_prop3_function_must_be_a_name(self, name):
+        # Only a named function or "rand" and ASCII digits: an unhashable
+        # value raised TypeError, and an Arabic-Indic digit passed isdigit.
+        with pytest.raises(ParamError, match="unknown arithmetic function"):
+            run_identity("prop3", (5, name))
 
     def test_cross_evaluator_float_mismatch_has_a_reason(self, monkeypatch):
         import ramavg.verify as verify
@@ -246,6 +256,25 @@ class TestRunSuite:
         # same grid shape, different functions behind the rand tags
         assert a.total == b.total
 
+    @pytest.mark.parametrize("tag, bounds", [
+        ("prop5-cosine", dict(k_max=averages.COSINE_LIMIT + 1)),
+        ("inverse-dft", dict(k_max=averages.DFT_LIMIT + 1, n_max=1)),
+    ])
+    def test_bound_above_cap_is_refused_before_the_grid(self, monkeypatch, tag, bounds):
+        built, evaluated = [], []
+        monkeypatch.setattr(verify, "_grid", lambda *args: built.append(args) or [])
+        for name in ("binomial_weighted_cosine", "inverse_dft_batch"):
+            monkeypatch.setattr(averages, name, lambda *args: evaluated.append(args))
+        with pytest.raises(ParamError, match=r"^k must be <= \d+$"):
+            run_suite(SuiteConfig(identities=["prop1", tag], r_max=1, **bounds))
+        assert built == [] and evaluated == []
+
+    def test_bound_at_cap_is_swept(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(verify, "_grid", lambda ident, b, seed: built.append(b) or [(1,)])
+        report = run_suite(SuiteConfig(identities=["prop5-cosine"], k_max=averages.COSINE_LIMIT))
+        assert built == [{"k_max": averages.COSINE_LIMIT}] and report.total == 1
+
     def test_worst_errors_only_for_tolerance_identities(self):
         report = run_suite(
             SuiteConfig(identities=["prop1", "prop2"], k_max=20, r_max=2)
@@ -293,6 +322,146 @@ class TestSerialization:
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(rows)
         assert buf.getvalue() == text
+
+
+def validate_case_by_case(ident, lead, rests):
+    """The per-value check: each case in order, each value alone."""
+    verify._check_param(ident.params[0], lead)
+    for rest in rests:
+        for p, v in zip(ident.params[1:], rest):
+            verify._check_param(p, v, lead)
+
+
+def param_error(validate, *args):
+    try:
+        validate(*args)
+    except ParamError as exc:
+        return str(exc)
+    return None
+
+
+class _Subclass(int):
+    pass
+
+
+# No catalog identity has a capped or a plain moduli trailing parameter.
+_SYNTHETIC = verify.IdentityDef("synthetic", "exact", (Param("k"), Param("n", cap=5)), None, {})
+_SYNTHETIC_MODULI = verify.IdentityDef(
+    "synthetic-moduli", "exact", (Param("k"), Param("ks", "moduli")), None, {}
+)
+# (identity, leading value, trailing column) with the bad value, if any,
+# in the middle of the run.
+COLUMNS = {
+    "bool": ("inverse-dft", 5, [1, True, 3]),
+    "float": ("cross-evaluator", 5, [0, 2.0, 1]),
+    "below minimum, positive": ("inverse-dft", 5, [1, 0, 3]),
+    "below minimum, non-negative": ("cross-evaluator", 5, [0, -1, 1]),
+    "above the cap": (_SYNTHETIC, 1, [4, 6, 5]),
+    "at the cap": (_SYNTHETIC, 1, [4, 5, 5]),
+    "int subclass": (_SYNTHETIC, 1, [1, _Subclass(2), 3]),
+    "unknown function": ("prop3", 6, ["id", "nosuch", "tau"]),
+    "unhashable function": ("prop3", 6, ["id", [1], "tau"]),
+    "non-ASCII digit": ("prop3", 6, ["rand01", "rand\u0663", "rand02"]),
+    "functions": ("prop3", 6, ["id", "rand07", "phi"]),
+    "choice": ("prop3-corollary", 6, ["id", "mu", "tau"]),
+    "choices": ("prop3-corollary", 6, ["id", "sigma", "tau"]),
+    "not coprime": ("e-multiplicativity", (2,), [(3,), (4,), (5,)]),
+    "unequal arity": ("e-multiplicativity", (2,), [(3,), (3, 5), (5,)]),
+    "bad modulus before a non-coprime one": ("e-multiplicativity", (2,), [(4,), (0,)]),
+    "coprime": ("e-multiplicativity", (2, 3), [(5, 7), (1, 1)]),
+    "empty tuple": (_SYNTHETIC_MODULI, 1, [(1, 2), (), (3,)]),
+    "zero modulus": (_SYNTHETIC_MODULI, 1, [(1, 2), (2, 0), (3,)]),
+    "bool modulus": (_SYNTHETIC_MODULI, 1, [(1, 2), (True, 2), (3,)]),
+    "list of moduli": (_SYNTHETIC_MODULI, 1, [(1, 2), [2], (3,)]),
+    "moduli": (_SYNTHETIC_MODULI, 1, [(1, 2), (2,), (3, 3, 3)]),
+}
+
+
+class TestColumnValidation:
+    def test_no_identity_has_two_trailing_parameters(self):
+        # Column order is case order only while this holds.
+        assert all(len(d.params) <= 2 for d in verify._CATALOG.values())
+
+    @pytest.mark.parametrize("name", COLUMNS)
+    def test_a_column_raises_what_its_first_bad_value_raises(self, name):
+        ident, lead, column = COLUMNS[name]
+        if isinstance(ident, str):
+            ident = verify._lookup(ident)
+        rests = [(v,) for v in column]
+        expected = param_error(validate_case_by_case, ident, lead, rests)
+        assert param_error(verify._validate, ident, lead, rests) == expected
+        bad = [v for v in column if param_error(validate_case_by_case, ident, lead, [(v,)])]
+        if bad:
+            assert expected == param_error(validate_case_by_case, ident, lead, [(bad[0],)])
+        else:
+            assert expected is None
+
+    def test_the_error_names_the_middle_value(self):
+        ident = verify._lookup("inverse-dft")
+        with pytest.raises(ParamError, match=r"^n must be a positive integer, got True$"):
+            verify._validate(ident, 5, [(1,), (True,), (3,)])
+        with pytest.raises(ParamError, match=r"^n must be <= 5$"):
+            verify._validate(_SYNTHETIC, 1, [(4,), (6,), (7,)])
+
+
+def csv_by_attributes(cases):
+    """cases_to_csv as it was written for the dataclass record."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["identity", "params", "mode", "lhs", "rhs", "abs_error", "pass"])
+    for c in cases:
+        writer.writerow(
+            [
+                c.identity,
+                c.params,
+                c.mode,
+                c.lhs,
+                c.rhs,
+                "" if c.abs_error is None else f"{c.abs_error:.17g}",
+                "true" if c.passed else "false",
+            ]
+        )
+    return buf.getvalue()
+
+
+class TestIdentityCase:
+    FIELDS = ("identity", "params", "mode", "lhs", "rhs", "passed", "abs_error", "error")
+
+    def test_fields_and_defaults(self):
+        assert IdentityCase._fields == self.FIELDS
+        case = IdentityCase("prop1", "k=1,r=1", "exact", "1", "1", True)
+        assert case.abs_error is None and case.error is None
+        assert case == ("prop1", "k=1,r=1", "exact", "1", "1", True, None, None)
+
+    def test_immutable(self):
+        case = IdentityCase("prop1", "k=1,r=1", "exact", "1", "1", True)
+        for name in self.FIELDS:
+            with pytest.raises(AttributeError):
+                setattr(case, name, None)
+
+    def test_as_dict_key_order(self):
+        case = IdentityCase("prop2", "k=3", "tolerance", "0.5", "0.5", False, 1e-3, "why")
+        assert case.as_dict() == {
+            "identity": "prop2", "params": "k=3", "mode": "tolerance", "lhs": "0.5",
+            "rhs": "0.5", "abs_error": 1e-3, "pass": False, "error": "why",
+        }
+        assert list(case.as_dict()) == [
+            "identity", "params", "mode", "lhs", "rhs", "abs_error", "pass", "error",
+        ]
+
+    def test_csv_equals_the_attribute_rendering(self):
+        cases = [
+            IdentityCase("prop1", "k=2,r=1", "exact", "1/4", "1/4", True),
+            IdentityCase("prop2", "k=5", "tolerance", "0.1", "0.10000000000000001", True,
+                         1.3877787807814457e-17),
+            IdentityCase("prop4", "k=7", "tolerance", "2.5", "3", False, 0.5),
+            IdentityCase("e-integrality", "ks=720720|720720", "exact", "", "", False,
+                         None, "budget: the lattice exceeds 10 terms"),
+            IdentityCase("prop7", "ks=1|2,r=1", "exact", '"q"', "1,2", False),
+            IdentityCase("gamma-product", "n=3", "tolerance", "1", "1", True, None),
+        ]
+        assert cases_to_csv(cases) == csv_by_attributes(cases)
+        assert cases_to_csv([]) == csv_by_attributes([])
 
 
 class TestDefaultBounds:
