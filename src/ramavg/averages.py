@@ -23,7 +23,10 @@ Four direct sides are literal sums over j that are regrouped so that the
 work shared by many cases of one modulus is done once per k:
 
     gcd weight                    gcd-class totals W_d = sum over
-                                  gcd(j, k) = d of c_k(j), once per k
+                                  gcd(j, k) = d of c_k(j), once per k;
+                                  gcd_weighted_batch reads them, the
+                                  divisors, mu(k/d) and phi(k) once for
+                                  every f of a run
     power and Bernoulli weights   power moments N_e(k) = sum_{j<k} j^e c_k(j),
                                   for every e by one ladder in e per k
     inverse DFT                   one inverse FFT of c_k(0..k-1) gives the
@@ -46,12 +49,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from hashlib import blake2b
+from operator import mul
 from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from .arith import (
-    dirichlet_convolve,
     divisor_count_and_sum,
     divisors,
     euler_phi,
@@ -80,6 +83,7 @@ __all__ = [
     "s_r_closed",
     "log_weighted_pair",
     "gcd_weighted_pair",
+    "gcd_weighted_batch",
     "gamma_weighted_pair",
     "gamma_product_check",
     "mobius_log_check",
@@ -143,15 +147,21 @@ NAMED_FUNCTIONS: Dict[str, ArithmeticFunction] = {
 }
 
 
+@lru_cache(maxsize=1 << 8)
 def random_function(index: int, seed: int = DEFAULT_SEED) -> ArithmeticFunction:
     """Seeded integer-valued test function, values in [-32768, 32767].
 
     Hash-derived rather than drawn from a stateful RNG so that the value
-    at n never depends on evaluation order.
+    at n never depends on evaluation order. One function per (index,
+    seed) is kept, and it memoizes its values by n (up to 2^12 of them),
+    so a sweep hashes each (index, n) once; a memoized value is the same
+    pure hash of (seed, index, n).
     """
+    prefix = f"{seed}:{index}:"
 
+    @lru_cache(maxsize=1 << 12)
     def fn(n: int) -> int:
-        digest = blake2b(f"{seed}:{index}:{n}".encode(), digest_size=2).digest()
+        digest = blake2b(f"{prefix}{n}".encode(), digest_size=2).digest()
         return int.from_bytes(digest, "big") - (1 << 15)
 
     return ArithmeticFunction(f"rand{index:02d}", fn)
@@ -266,30 +276,46 @@ def log_weighted_pair(k: int, tolerance: float = DEFAULT_TOLERANCE) -> FloatPair
 
 
 @lru_cache(maxsize=1 << 12)
-def _gcd_class_totals(k: int) -> Tuple[Tuple[int, int], ...]:
-    """((d, W_d) for d | k, ascending), W_d = sum of c_k(j) over 1 <= j <= k
-    with gcd(j, k) = d: one pass over the row per modulus."""
+def _gcd_class_totals(k: int) -> Tuple[int, ...]:
+    """W_d for the divisors d of k, in the order of divisors(k), where W_d
+    is the sum of c_k(j) over 1 <= j <= k with gcd(j, k) = d: one pass over
+    the row per modulus."""
     row = ramanujan_row(k).values
     totals = dict.fromkeys(divisors(k), 0)  # gcd(j, k) is always a divisor
     gcd = math.gcd
     for j in range(1, k + 1):
         totals[gcd(j, k)] += row[j]
-    return tuple(totals.items())
+    return tuple(totals.values())
 
 
-def gcd_weighted_pair(k: int, f: ArithmeticFunction) -> ExactPair:
-    """sum_{j=1}^{k} f(gcd(j, k)) c_k(j)  vs  phi(k) (mu * f)(k), exactly.
+def gcd_weighted_batch(k: int, fs: Sequence[ArithmeticFunction]) -> List[ExactPair]:
+    """sum_{j=1}^{k} f(gcd(j, k)) c_k(j)  vs  phi(k) (mu * f)(k), exactly,
+    for every f in fs.
 
-    The left side groups the j by d = gcd(j, k): sum_{d|k} f(d) W_d, with
-    the class totals W_d computed once per k and shared by every f. Both
-    sides read f at the divisors of k only, so f is evaluated once there.
+    The left side groups the j by d = gcd(j, k): sum_{d|k} f(d) W_d, over
+    the class totals W_d of the row. The right side is
+    phi(k) sum_{d|k} mu(k/d) f(d) and never reads the row. The divisors,
+    W_d, mu(k/d) and phi(k) are read once for the batch, and each f is
+    evaluated once per divisor.
     """
     if k < 1:
         raise ValueError(f"gcd_weighted_pair requires k >= 1, got {k}")
-    fval = {d: f(d) for d in divisors(k)}
-    lhs = sum(fval[d] * w for d, w in _gcd_class_totals(k))
-    rhs = euler_phi(k) * dirichlet_convolve(mobius, fval.__getitem__, k)
-    return ExactPair(Fraction(lhs), Fraction(rhs))
+    ds = divisors(k)
+    totals = _gcd_class_totals(k)
+    mus = [mobius(k // d) for d in ds]
+    phi = euler_phi(k)
+    out = []
+    for f in fs:
+        fval = list(map(f.fn, ds))
+        lhs = sum(map(mul, fval, totals))
+        rhs = phi * sum(map(mul, fval, mus))
+        out.append(ExactPair(Fraction(lhs), Fraction(rhs)))
+    return out
+
+
+def gcd_weighted_pair(k: int, f: ArithmeticFunction) -> ExactPair:
+    """One f of gcd_weighted_batch."""
+    return gcd_weighted_batch(k, (f,))[0]
 
 
 # --- log-Gamma weight -----------------------------------------------------

@@ -16,7 +16,9 @@ parameter (k, or the tuple ks). An identity's evaluate takes the leading
 value and the trailing values of every case of the run and returns one
 outcome per case, so a kernel can share work across the run (one moment
 ladder per k for prop1, one product row and r-ladder per tuple for prop7,
-one FFT row read per k for inverse-dft); the other identities evaluate
+one FFT row read per k for inverse-dft, one read of k's divisors, gcd-class
+totals, mu(k/d) and phi(k) for every f of prop3 and prop3-corollary, one
+validated run per k for cross-evaluator); the other identities evaluate
 case by case. One function validates a run, evaluates it and renders its
 cases: run_suite calls it once per run, and run_identity calls it on a
 run of one case. If a run raises, each of its cases is evaluated alone,
@@ -235,9 +237,10 @@ class IdentityDef:
         object.__setattr__(self, "param_names", tuple(p.name for p in self.params))
 
 
-# rand followed by ASCII digits: str.isdigit would also take other scripts'
-# digits ("rand\u0663"), which int() reads but the report renders as given.
-_RANDOM_NAME = re.compile(r"rand([0-9]+)")
+# rand followed by one to nine ASCII digits: str.isdigit would also take
+# other scripts' digits ("rand\u0663"), which int() reads but the report
+# renders as given, and past 4,300 digits int() refuses the string.
+_RANDOM_NAME = re.compile(r"rand([0-9]{1,9})")
 
 
 def _is_function_name(v) -> bool:
@@ -390,8 +393,11 @@ def _prop7(ks, rests, tol, seed):
     return list(map(_exact_outcome, lhs, multivar.s_r_multi_closed_batch(t, rs)))
 
 
-def _prop3(p, tol, seed):
-    return _pair_outcome(averages.gcd_weighted_pair(p[0], _resolve_function(p[1], seed)))
+def _prop3(k, rests, tol, seed):
+    """One read of k's divisors, class totals, mu(k/d) and phi(k) for
+    every f of the run."""
+    fs = [_resolve_function(name, seed) for name, in rests]
+    return list(map(_pair_outcome, averages.gcd_weighted_batch(k, fs)))
 
 
 def _prop3_grid(b, seed):
@@ -401,15 +407,17 @@ def _prop3_grid(b, seed):
 
 # The three stated specializations of prop3.
 _COROLLARY_RHS = {
-    "id": lambda k: Fraction(euler_phi(k)) ** 2,
-    "tau": lambda k: Fraction(euler_phi(k)),
-    "sigma": lambda k: Fraction(k * euler_phi(k)),
+    "id": lambda k: euler_phi(k) ** 2,
+    "tau": lambda k: euler_phi(k),
+    "sigma": lambda k: k * euler_phi(k),
 }
 
 
-def _prop3_corollary(p, tol, seed):
-    pair = averages.gcd_weighted_pair(p[0], averages.NAMED_FUNCTIONS[p[1]])
-    return _exact_outcome(pair.lhs, _COROLLARY_RHS[p[1]](p[0]))
+def _prop3_corollary(k, rests, tol, seed):
+    """prop3's kernel for the left sides; each stated closed form per case."""
+    names = [name for name, in rests]
+    pairs = averages.gcd_weighted_batch(k, [averages.NAMED_FUNCTIONS[n] for n in names])
+    return [_exact_outcome(pair.lhs, _COROLLARY_RHS[n](k)) for pair, n in zip(pairs, names)]
 
 
 def _prop7_corollary(p, tol, seed):
@@ -481,13 +489,13 @@ _CATALOG: Dict[str, IdentityDef] = {
             {"k_max": 500},
         ),
         IdentityDef(
-            "prop3", "exact", (Param("k"), Param("f", "function")), _per_case(_prop3),
+            "prop3", "exact", (Param("k"), Param("f", "function")), _prop3,
             {"k_max": 1000, "rand_count": 20}, _prop3_grid,
         ),
         IdentityDef(
             "prop3-corollary", "exact",
             (Param("k"), Param("f", "choice", choices=tuple(_COROLLARY_RHS))),
-            _per_case(_prop3_corollary),
+            _prop3_corollary,
             {"k_max": 1000},
             lambda b, seed: [
                 (k, name) for k in range(1, b["k_max"] + 1) for name in _COROLLARY_RHS

@@ -9,12 +9,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import ramavg.averages as averages  # noqa: E402
 import ramavg.multivar as multivar  # noqa: E402
 
-# What a run shares between its cases, and the per-tuple tables shared
-# between identities: a value left here by one test would bypass a fault
-# that a later test patches into the code that builds it.
+# What a run shares between its cases, the per-tuple tables shared
+# between identities and the memoized random test functions: a value left
+# here by one test would bypass a fault that a later test patches into the
+# code that builds it.
 RUN_CACHES = (
     averages._moment_table,
+    averages._gcd_class_totals,
     averages._dft_values,
+    averages.random_function,
     multivar._product_row,
     multivar._divisor_terms,
     multivar._power_sum_table,

@@ -15,7 +15,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import ramavg.averages as averages
 import ramavg.ramanujan as ramanujan
@@ -25,6 +25,7 @@ from ramavg.averages import (
     NAMED_FUNCTIONS,
     ArithmeticFunction,
     bernoulli_weighted_pair,
+    gcd_weighted_batch,
     gcd_weighted_pair,
     inverse_dft_check,
     random_function,
@@ -57,6 +58,11 @@ def literal_gcd_rhs(k, f):
 
 
 RATIONAL_F = ArithmeticFunction("rational", lambda n: Fraction(n * n + 1, n + 2))
+MIXED_F = st.one_of(
+    st.sampled_from(sorted(NAMED_FUNCTIONS)).map(NAMED_FUNCTIONS.__getitem__),
+    st.builds(random_function, st.integers(0, 19), st.integers(0, 2**32)),
+    st.just(RATIONAL_F),
+)
 
 
 class TestGcdClasses:
@@ -83,6 +89,19 @@ class TestGcdClasses:
         assert pair.lhs == literal_gcd_lhs(k, RATIONAL_F)
         assert pair.rhs == literal_gcd_rhs(k, RATIONAL_F)
         assert pair.ok
+
+    @given(st.integers(1, 60), st.lists(MIXED_F, max_size=8))
+    @example(1, [NAMED_FUNCTIONS["sigma"], random_function(3, 7), RATIONAL_F])
+    @settings(max_examples=60, deadline=None)
+    def test_batch_equals_its_pairs(self, k, fs):
+        # One read of the per-modulus data serves every f of the batch,
+        # and each f keeps its own pair: no value leaks between them.
+        batch = gcd_weighted_batch(k, fs)
+        assert batch == [gcd_weighted_pair(k, f) for f in fs]
+        for pair, f in zip(batch, fs):
+            assert type(pair.lhs) is type(pair.rhs) is Fraction
+            assert pair.lhs == literal_gcd_lhs(k, f)
+            assert pair.rhs == literal_gcd_rhs(k, f)
 
     @given(K)
     @settings(max_examples=40, deadline=None)

@@ -128,6 +128,39 @@ def test_budget_refusal_fails_only_its_tuple(monkeypatch):
     assert_only_these_fail(config, {((2, 3), r) for r in range(1, 5)})
 
 
+@pytest.mark.parametrize("tag", ["prop3", "prop3-corollary"])
+def test_a_raising_function_fails_only_its_own_cases(monkeypatch, tag):
+    real = averages.NAMED_FUNCTIONS["sigma"]
+
+    def sigma(n):
+        if n == 6:
+            raise ValueError("sigma refused 6")
+        return real(n)
+
+    refusing = averages.ArithmeticFunction("sigma", sigma)
+    monkeypatch.setitem(averages.NAMED_FUNCTIONS, "sigma", refusing)
+    # sigma is read at 6 by the divisors of k = 6 and k = 12 only; the other
+    # functions of those runs must pass.
+    assert_only_these_fail(small_config(tag), {(6, "sigma"), (12, "sigma")})
+    assert run_identity(tag, (12, "sigma")).error == "sigma refused 6"
+
+
+def test_each_random_value_is_hashed_once_per_sweep(monkeypatch):
+    real, hashed = averages.blake2b, []
+
+    def counting(data, **kwargs):
+        hashed.append(data.decode())
+        return real(data, **kwargs)
+
+    monkeypatch.setattr(averages, "blake2b", counting)
+    report = run_suite(SuiteConfig(identities=["prop3"], k_max=30, seed=7))
+    assert report.total == 30 * 25 and report.failed == 0
+    # Every n <= 30 divides some k <= 30, so each of the 20 functions is
+    # read at each n: 600 hashes, none repeated.
+    assert len(hashed) == 600
+    assert set(hashed) == {f"7:{i}:{n}" for i in range(20) for n in range(1, 31)}
+
+
 def test_wrong_float_oracle_fails_only_its_case(monkeypatch):
     real = verify.ramanujan_sum_float
     monkeypatch.setattr(

@@ -96,11 +96,19 @@ class TestRunIdentity:
     def test_prop3_named_and_random(self):
         assert run_identity("prop3", (30, "sigma")).passed
         assert run_identity("prop3", (30, "rand07")).passed
+        for name in ("rand0", "rand" + "9" * 9):
+            case = run_identity("prop3", (5, name))
+            assert case.passed and case.params == f"k=5,f={name}"
 
-    @pytest.mark.parametrize("name", [[1], "rand\u0663", "rand", "rand-1", b"rand07", 7])
+    @pytest.mark.parametrize("name", [
+        [1], "rand\u0663", "rand", "rand-1", b"rand07", 7,
+        pytest.param("rand" + "9" * 10, id="rand-10-digits"),
+        pytest.param("rand" + "9" * 5000, id="rand-5000-digits"),
+    ])
     def test_prop3_function_must_be_a_name(self, name):
-        # Only a named function or "rand" and ASCII digits: an unhashable
-        # value raised TypeError, and an Arabic-Indic digit passed isdigit.
+        # Only a named function or "rand" and one to nine ASCII digits: an
+        # unhashable value raised TypeError, an Arabic-Indic digit passed
+        # isdigit, and past 4,300 digits int() failed inside evaluation.
         with pytest.raises(ParamError, match="unknown arithmetic function"):
             run_identity("prop3", (5, name))
 
