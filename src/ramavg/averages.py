@@ -1,9 +1,10 @@
 """Weighted averages of Ramanujan sums: direct and closed-form evaluators.
 
-Every identity comes as a pair evaluator returning both sides. Rational
-identities return ExactPair (equality must be literal), transcendental
-ones return FloatPair (mixed tolerance |lhs - rhs| <= tol*(1 + max|side|),
-which stays meaningful when a side is exactly zero).
+Every identity comes as a pair evaluator returning its two sides only,
+with no tolerance. Rational identities return ExactPair (the sides must be
+equal), transcendental ones FloatPair (the sides must meet within_tolerance,
+the one mixed criterion, which the verify engine applies at its configured
+tolerance and FloatPair.ok at DEFAULT_TOLERANCE).
 
 Summation bounds are part of the contract and differ per identity:
 
@@ -45,12 +46,12 @@ wrong still disagrees with them: the check is not a tautology.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from hashlib import blake2b
 from operator import mul
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -74,6 +75,7 @@ __all__ = [
     "ArithmeticFunction",
     "ExactPair",
     "FloatPair",
+    "within_tolerance",
     "NAMED_FUNCTIONS",
     "random_function",
     "log_factorial",
@@ -113,8 +115,7 @@ class ArithmeticFunction:
         return self.fn(n)
 
 
-@dataclass(frozen=True)
-class ExactPair:
+class ExactPair(NamedTuple):
     lhs: Fraction
     rhs: Fraction
 
@@ -123,19 +124,23 @@ class ExactPair:
         return self.lhs == self.rhs
 
 
-@dataclass(frozen=True)
-class FloatPair:
+def within_tolerance(lhs: float, rhs: float, tolerance: float) -> bool:
+    """|lhs - rhs| <= tolerance * (1 + max|side|): stays meaningful when a
+    side is exactly zero."""
+    return abs(lhs - rhs) <= tolerance * (1 + max(abs(lhs), abs(rhs)))
+
+
+class FloatPair(NamedTuple):
     lhs: float
     rhs: float
-    tolerance: float = DEFAULT_TOLERANCE
-    abs_error: float = field(init=False)  # |lhs - rhs|, computed once
 
-    def __post_init__(self):
-        object.__setattr__(self, "abs_error", abs(self.lhs - self.rhs))
+    @property
+    def abs_error(self) -> float:
+        return abs(self.lhs - self.rhs)
 
     @property
     def ok(self) -> bool:
-        return self.abs_error <= self.tolerance * (1 + max(abs(self.lhs), abs(self.rhs)))
+        return within_tolerance(self.lhs, self.rhs, DEFAULT_TOLERANCE)
 
 
 NAMED_FUNCTIONS: Dict[str, ArithmeticFunction] = {
@@ -258,7 +263,7 @@ def log_factorial(d: int) -> float:
     return _log_fact_table[d]
 
 
-def log_weighted_pair(k: int, tolerance: float = DEFAULT_TOLERANCE) -> FloatPair:
+def log_weighted_pair(k: int) -> FloatPair:
     """(1/k) sum_{j=1}^{k} log(j) c_k(j)  vs  Lambda(k) + sum_{d|k} (mu(d)/d) log(d!)."""
     if k < 1:
         raise ValueError(f"log_weighted_pair requires k >= 1, got {k}")
@@ -269,7 +274,7 @@ def log_weighted_pair(k: int, tolerance: float = DEFAULT_TOLERANCE) -> FloatPair
         mu_d = mobius(d)
         if mu_d:
             rhs += mu_d * log_factorial(d) / d
-    return FloatPair(lhs, rhs, tolerance)
+    return FloatPair(lhs, rhs)
 
 
 # --- gcd weight -----------------------------------------------------------
@@ -321,7 +326,7 @@ def gcd_weighted_pair(k: int, f: ArithmeticFunction) -> ExactPair:
 # --- log-Gamma weight -----------------------------------------------------
 
 
-def gamma_weighted_pair(k: int, tolerance: float = DEFAULT_TOLERANCE) -> FloatPair:
+def gamma_weighted_pair(k: int) -> FloatPair:
     """(1/phi(k)) sum_{j=1}^{k} log Gamma(j/k) c_k(j)
     vs  (1/2) sum_{p|k} log(p)/(p-1) - log(2 pi)/2, for k > 1.
 
@@ -334,19 +339,19 @@ def gamma_weighted_pair(k: int, tolerance: float = DEFAULT_TOLERANCE) -> FloatPa
     lhs = sum(math.lgamma(j / k) * row[j] for j in range(1, k + 1)) / euler_phi(k)
     rhs = 0.5 * sum(math.log(p) / (p - 1) for p in factorize(k).primes)
     rhs -= 0.5 * math.log(2 * math.pi)
-    return FloatPair(lhs, rhs, tolerance)
+    return FloatPair(lhs, rhs)
 
 
-def gamma_product_check(n: int, tolerance: float = DEFAULT_TOLERANCE) -> FloatPair:
+def gamma_product_check(n: int) -> FloatPair:
     """log of prod_{k=1}^{n} Gamma(k/n)  vs  ((n-1)/2) log(2 pi) - (1/2) log n."""
     if n < 1:
         raise ValueError(f"gamma_product_check requires n >= 1, got {n}")
     lhs = sum(math.lgamma(k / n) for k in range(1, n + 1))
     rhs = (n - 1) / 2 * math.log(2 * math.pi) - 0.5 * math.log(n)
-    return FloatPair(lhs, rhs, tolerance)
+    return FloatPair(lhs, rhs)
 
 
-def mobius_log_check(k: int, tolerance: float = DEFAULT_TOLERANCE) -> FloatPair:
+def mobius_log_check(k: int) -> FloatPair:
     """sum_{d|k} (mu(d)/d) log d  vs  -(phi(k)/k) sum_{p|k} log(p)/(p-1)."""
     if k < 1:
         raise ValueError(f"mobius_log_check requires k >= 1, got {k}")
@@ -356,7 +361,7 @@ def mobius_log_check(k: int, tolerance: float = DEFAULT_TOLERANCE) -> FloatPair:
         if mu_d and d > 1:
             lhs += mu_d * math.log(d) / d
     rhs = -euler_phi(k) / k * sum(math.log(p) / (p - 1) for p in factorize(k).primes)
-    return FloatPair(lhs, rhs, tolerance)
+    return FloatPair(lhs, rhs)
 
 
 # --- binomial weight ------------------------------------------------------
@@ -402,7 +407,7 @@ def cos_pi(num: int, den: int) -> float:
     return math.cos(math.pi * t / den)
 
 
-def binomial_weighted_cosine(k: int, tolerance: float = DEFAULT_TOLERANCE) -> FloatPair:
+def binomial_weighted_cosine(k: int) -> FloatPair:
     """(1/2^k) sum_{j=0}^{k} C(k, j) c_k(j)  vs  the cosine double sum
 
         sum_{d|k} mu(k/d) sum_{l=1}^{d} (-1)^(l k/d) cos^k(l pi / d).
@@ -422,7 +427,7 @@ def binomial_weighted_cosine(k: int, tolerance: float = DEFAULT_TOLERANCE) -> Fl
             sign = -1.0 if (ell * (k // d)) % 2 else 1.0
             inner += sign * cos_pi(ell, d) ** k
         rhs += mu_kd * inner
-    return FloatPair(lhs, rhs, tolerance)
+    return FloatPair(lhs, rhs)
 
 
 # --- Bernoulli polynomial weight ------------------------------------------
@@ -457,9 +462,7 @@ def _dft_values(k: int) -> np.ndarray:
     return np.fft.ifft(np.array(ramanujan_row(k).values[:k], dtype=np.float64))
 
 
-def inverse_dft_batch(
-    k: int, ns: Sequence[int], tolerance: float = DEFAULT_TOLERANCE
-) -> List[FloatPair]:
+def inverse_dft_batch(k: int, ns: Sequence[int]) -> List[FloatPair]:
     """(1/k) sum_{j=1}^{k} exp(2 pi i j n / k) c_k(j)  vs  [gcd(k, n) = 1],
     for every n in ns.
 
@@ -479,10 +482,10 @@ def inverse_dft_batch(
         i = n % k
         if abs(imag[i]) > 1e-8:
             raise RuntimeError(f"imaginary part {imag[i]} of the mean too large for k={k}, n={n}")
-        out.append(FloatPair(real[i], 1.0 if math.gcd(k, n) == 1 else 0.0, tolerance))
+        out.append(FloatPair(real[i], 1.0 if math.gcd(k, n) == 1 else 0.0))
     return out
 
 
-def inverse_dft_check(k: int, n: int, tolerance: float = DEFAULT_TOLERANCE) -> FloatPair:
+def inverse_dft_check(k: int, n: int) -> FloatPair:
     """One case of inverse_dft_batch."""
-    return inverse_dft_batch(k, (n,), tolerance)[0]
+    return inverse_dft_batch(k, (n,))[0]

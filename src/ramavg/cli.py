@@ -20,7 +20,7 @@ from typing import List, Optional
 
 from .arith import divisor_count_and_sum, euler_phi, jordan_totient, mobius
 from .averages import DEFAULT_SEED, DEFAULT_TOLERANCE, s_r_closed
-from .exact import bernoulli_number
+from .exact import DEGREE_CAP, bernoulli_number
 from .multivar import g_m, orbicyclic_divisor
 from .ramanujan import BudgetError, ramanujan_row, ramanujan_sum
 from .verify import (
@@ -150,6 +150,8 @@ def _cmd_compute(args) -> int:
             file=sys.stderr,
         )
         return 2
+    if any(_over_degree_cap(flag, supplied.get(flag)) for flag in ("r", "m")):
+        return 2
     try:
         value = evaluate(*(supplied[name] for name in wanted))
     except (ValueError, RuntimeError) as exc:
@@ -157,6 +159,13 @@ def _cmd_compute(args) -> int:
         return 2
     print(_render_rational(value, args.format, args.approx))
     return 0
+
+
+def _over_degree_cap(flag: str, degree: Optional[int]) -> bool:
+    if degree is None or degree <= DEGREE_CAP:
+        return False
+    print(f"error: --{flag} must be <= {DEGREE_CAP}", file=sys.stderr)
+    return True
 
 
 def _over_budget(moduli: int) -> bool:
@@ -191,7 +200,7 @@ def _cmd_table(args) -> int:
         if args.k_max is None or args.k_max < 1 or args.r is None or args.r < 1:
             print("usage: ramavg table s-r --k-max <int> --r <int>", file=sys.stderr)
             return 2
-        if _over_budget(args.k_max):
+        if _over_budget(args.k_max) or _over_degree_cap("r", args.r):
             return 2
         rows = [(k, s_r_closed(k, args.r)) for k in range(1, args.k_max + 1)]
         if fmt == "json":

@@ -1,10 +1,10 @@
 """Identity verification engine: sweeps, comparison modes, reports.
 
-The catalog below is closed: each tag names exactly one evaluator pair
-and one comparison mode (exact rational equality, or the mixed float
-criterion |lhs - rhs| <= tol * (1 + max|side|)). The mode is owned here,
-not by callers, so an exact identity can never be checked sloppily from
-the command line.
+The catalog below is closed: each tag names exactly one evaluator and
+one comparison mode (exact rational equality, or the mixed float criterion
+averages.within_tolerance). Evaluators return sides only and _run_cases
+compares them: the mode is owned here, not by callers or evaluators, so an
+exact identity can never be checked sloppily from the command line.
 
 Each identity declares its parameters once, as a schema (kind, minimum,
 optional cap, grid bound). One validator checks every case against it,
@@ -13,16 +13,16 @@ ranges; only grids of another shape are spelled out.
 
 Evaluation goes by runs: the cases of a grid that share their leading
 parameter (k, or the tuple ks). An identity's evaluate takes the leading
-value and the trailing values of every case of the run and returns one
-outcome per case, so a kernel can share work across the run (one moment
-ladder per k for prop1, one product row and r-ladder per tuple for prop7,
-one FFT row read per k for inverse-dft, one read of k's divisors, gcd-class
-totals, mu(k/d) and phi(k) for every f of prop3 and prop3-corollary, one
-validated run per k for cross-evaluator); the other identities evaluate
-case by case. One function validates a run, evaluates it and renders its
-cases: run_suite calls it once per run, and run_identity calls it on a
-run of one case. If a run raises, each of its cases is evaluated alone,
-so a failure stays with the cases that cause it.
+value, the trailing values of every case of the run and the seed, and
+returns the sides of each case, so a kernel can share work across the run
+(one moment ladder per k for prop1, one product row and r-ladder per tuple
+for prop7, one FFT row read per k for inverse-dft, one read of k's
+divisors, gcd-class totals, mu(k/d) and phi(k) for every f of prop3 and
+prop3-corollary, one validated run per k for cross-evaluator); the other
+identities evaluate case by case. One function validates a run, evaluates it, compares and
+renders its cases: run_suite calls it once per run, and run_identity calls
+it on a run of one case. If a run raises, each of its cases is evaluated
+alone, so a failure stays with the cases that cause it.
 
 A run is validated once per column: the leading value once, and the
 values of each trailing parameter across the run as one column, so a
@@ -181,20 +181,11 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-# (lhs, rhs, passed, abs_error, error): error is the reason a case failed
-# when the two rendered sides alone do not show it.
-_Outcome = Tuple[str, str, bool, Optional[float], Optional[str]]
-# (leading value, trailing values of each case of the run, tolerance, seed)
-# -> one _Outcome per case.
-_Evaluator = Callable[[object, Sequence[tuple], float, int], List[_Outcome]]
-
-
-def _exact_outcome(lhs, rhs) -> _Outcome:
-    return _fmt_rational(lhs), _fmt_rational(rhs), lhs == rhs, None, None
-
-
-def _float_outcome(pair: averages.FloatPair) -> _Outcome:
-    return _fmt_float(pair.lhs), _fmt_float(pair.rhs), pair.ok, pair.abs_error, None
+# (leading value, trailing values of each case of the run, seed) -> the
+# sides of each case: (lhs, rhs), or (lhs, rhs, reason) for a case that
+# fails for a reason its sides do not show (cross-evaluator's float oracle;
+# (None, None, the exception) for a case that raised).
+_Evaluator = Callable[[object, Sequence[tuple], int], List[tuple]]
 
 
 # --- the identity catalog ---------------------------------------------------
@@ -209,8 +200,9 @@ class Param:
     of the leading tuple's arity whose product is coprime to its product),
     "function" (a named or seeded random arithmetic function) or "choice"
     (one of choices).
-    bound names the grid bound an "int" parameter ranges up to, starting
-    at its minimum, when the identity's grid is the product of such ranges.
+    bound names the grid bound an "int" parameter ranges up to: from its
+    minimum when the identity's grid is the product of such ranges, and
+    the bound run_suite holds to cap before any grid is built.
     """
 
     name: str
@@ -361,43 +353,37 @@ def _coprime_pair_grid(pairs: int, component_max: int, arity_max: int, seed: int
 # wrapper) is the one that runs.
 
 
-def _pair_outcome(pair: averages.ExactPair) -> _Outcome:
-    return _exact_outcome(pair.lhs, pair.rhs)
+def _per_case(fn: Callable[..., tuple]) -> _Evaluator:
+    """The batch evaluator of an identity without a kernel: fn(*params) on
+    each case of the run."""
+    return lambda lead, rests, seed: [fn(lead, *rest) for rest in rests]
 
 
-def _per_case(fn: Callable[[tuple, float, int], _Outcome]) -> _Evaluator:
-    """The batch evaluator of an identity without a kernel: fn(params,
-    tolerance, seed) on each case of the run."""
-    return lambda lead, rests, tol, seed: [fn((lead, *rest), tol, seed) for rest in rests]
-
-
-def _prop1(k, rests, tol, seed):
+def _prop1(k, rests, seed):
     """One moment ladder for every r of the run; the closed side per case."""
     rs = [r for r, in rests]
     return [
-        _exact_outcome(lhs, averages.s_r_closed(k, r))
+        (lhs, averages.s_r_closed(k, r))
         for lhs, r in zip(averages.s_r_direct_batch(k, rs), rs)
     ]
 
 
-def _inverse_dft(k, rests, tol, seed):
-    pairs = averages.inverse_dft_batch(k, [n for n, in rests], tol)
-    return [_float_outcome(pair) for pair in pairs]
+def _inverse_dft(k, rests, seed):
+    return averages.inverse_dft_batch(k, [n for n, in rests])
 
 
-def _prop7(ks, rests, tol, seed):
+def _prop7(ks, rests, seed):
     """One ModulusTuple and one read of each tuple table for the whole run."""
     t = multivar.ModulusTuple(ks)
     rs = [r for r, in rests]
     lhs = multivar.s_r_multi_direct_batch(t, rs)
-    return list(map(_exact_outcome, lhs, multivar.s_r_multi_closed_batch(t, rs)))
+    return list(zip(lhs, multivar.s_r_multi_closed_batch(t, rs)))
 
 
-def _prop3(k, rests, tol, seed):
+def _prop3(k, rests, seed):
     """One read of k's divisors, class totals, mu(k/d) and phi(k) for
     every f of the run."""
-    fs = [_resolve_function(name, seed) for name, in rests]
-    return list(map(_pair_outcome, averages.gcd_weighted_batch(k, fs)))
+    return averages.gcd_weighted_batch(k, [_resolve_function(name, seed) for name, in rests])
 
 
 def _prop3_grid(b, seed):
@@ -413,43 +399,43 @@ _COROLLARY_RHS = {
 }
 
 
-def _prop3_corollary(k, rests, tol, seed):
+def _prop3_corollary(k, rests, seed):
     """prop3's kernel for the left sides; each stated closed form per case."""
     names = [name for name, in rests]
     pairs = averages.gcd_weighted_batch(k, [averages.NAMED_FUNCTIONS[n] for n in names])
-    return [_exact_outcome(pair.lhs, _COROLLARY_RHS[n](k)) for pair, n in zip(pairs, names)]
+    return [(pair.lhs, _COROLLARY_RHS[n](k)) for pair, n in zip(pairs, names)]
 
 
-def _prop7_corollary(p, tol, seed):
+def _prop7_corollary(ks):
     """S_1 = prod phi / (2k) + E/2."""
-    t = multivar.ModulusTuple(p[0])
+    t = multivar.ModulusTuple(ks)
     lhs = multivar.s_r_multi_direct(t, 1)
     rhs = Fraction(math.prod(euler_phi(k) for k in t.ks), 2 * t.lcm_value) + Fraction(
         multivar.orbicyclic_divisor(t), 2
     )
-    return _exact_outcome(lhs, rhs)
+    return lhs, rhs
 
 
-def _e_integrality(p, tol, seed):
+def _e_integrality(ks):
     """Direct E is a non-negative integer equal to the divisor form; both
     sides read one ModulusTuple."""
-    t = multivar.ModulusTuple(p[0])
-    return _exact_outcome(multivar.orbicyclic_direct(t), multivar.orbicyclic_divisor(t))
+    t = multivar.ModulusTuple(ks)
+    return multivar.orbicyclic_direct(t), multivar.orbicyclic_divisor(t)
 
 
-def _cross_evaluator(k, rests, tol, seed):
-    """Divisor formula vs Holder form vs the rounded float definition."""
+def _cross_evaluator(k, rests, seed):
+    """Divisor formula vs Holder form, with the rounded float definition
+    as a third evaluator that fails a case by its reason."""
     divisor, holder, oracle = ramanujan_sum, ramanujan_sum_holder, ramanujan_sum_float
     out = []
     for (j,) in rests:
         a = divisor(k, j)
         b = holder(k, j)
         f = oracle(k, j)
-        outcome = _exact_outcome(a, b)
-        if not (round(f) == a and abs(f - a) <= 1e-6 * k):
-            reason = f"float oracle {_fmt_float(f)} disagrees with the exact value {a}"
-            outcome = outcome[0], outcome[1], False, None, reason
-        out.append(outcome)
+        if round(f) == a and abs(f - a) <= 1e-6 * k:
+            out.append((a, b))
+        else:
+            out.append((a, b, f"float oracle {_fmt_float(f)} disagrees with the exact value {a}"))
     return out
 
 
@@ -474,18 +460,16 @@ def _tuple_param_grid(b, seed):
 
 _K = Param("k", bound="k_max")
 _KS = Param("ks", "moduli")
+_R = Param("r", cap=exact.DEGREE_CAP, bound="r_max")
+_M = Param("m", cap=exact.DEGREE_CAP, bound="m_max")
 
 _CATALOG: Dict[str, IdentityDef] = {
     d.tag: d
     for d in (
-        IdentityDef(
-            "prop1", "exact", (_K, Param("r", bound="r_max")),
-            _prop1,
-            {"k_max": 1000, "r_max": 10},
-        ),
+        IdentityDef("prop1", "exact", (_K, _R), _prop1, {"k_max": 1000, "r_max": 10}),
         IdentityDef(
             "prop2", "tolerance", (_K,),
-            _per_case(lambda p, tol, seed: _float_outcome(averages.log_weighted_pair(p[0], tol))),
+            _per_case(lambda k: averages.log_weighted_pair(k)),
             {"k_max": 500},
         ),
         IdentityDef(
@@ -503,36 +487,32 @@ _CATALOG: Dict[str, IdentityDef] = {
         ),
         IdentityDef(
             "prop4", "tolerance", (Param("k", minimum=2, bound="k_max"),),
-            _per_case(lambda p, tol, seed: _float_outcome(averages.gamma_weighted_pair(p[0], tol))),
+            _per_case(lambda k: averages.gamma_weighted_pair(k)),
             {"k_max": 500},
         ),
         IdentityDef(
             "gamma-product", "tolerance", (Param("n", bound="n_max"),),
-            _per_case(lambda p, tol, seed: _float_outcome(averages.gamma_product_check(p[0], tol))),
+            _per_case(lambda n: averages.gamma_product_check(n)),
             {"n_max": 500},
         ),
         IdentityDef(
             "mobius-log", "tolerance", (_K,),
-            _per_case(lambda p, tol, seed: _float_outcome(averages.mobius_log_check(p[0], tol))),
+            _per_case(lambda k: averages.mobius_log_check(k)),
             {"k_max": 500},
         ),
         IdentityDef(
             "prop5-exact", "exact", (_K,),
-            _per_case(lambda p, tol, seed: _pair_outcome(averages.binomial_weighted_exact(p[0]))),
+            _per_case(lambda k: averages.binomial_weighted_exact(k)),
             {"k_max": 200},
         ),
         IdentityDef(
             "prop5-cosine", "tolerance", (Param("k", cap=averages.COSINE_LIMIT, bound="k_max"),),
-            _per_case(
-                lambda p, tol, seed: _float_outcome(averages.binomial_weighted_cosine(p[0], tol))
-            ),
+            _per_case(lambda k: averages.binomial_weighted_cosine(k)),
             {"k_max": 200},
         ),
         IdentityDef(
-            "prop6", "exact", (_K, Param("m", bound="m_max")),
-            _per_case(
-                lambda p, tol, seed: _pair_outcome(averages.bernoulli_weighted_pair(p[0], p[1]))
-            ),
+            "prop6", "exact", (_K, _M),
+            _per_case(lambda k, m: averages.bernoulli_weighted_pair(k, m)),
             {"k_max": 500, "m_max": 8},
         ),
         IdentityDef(
@@ -542,7 +522,7 @@ _CATALOG: Dict[str, IdentityDef] = {
             {"k_max": 500, "n_max": 500},
         ),
         IdentityDef(
-            "prop7", "exact", (_KS, Param("r")),
+            "prop7", "exact", (_KS, _R),
             _prop7,
             {"k_max": 40, "n_max": 3, "r_max": 5},
             lambda b, seed: [
@@ -561,9 +541,7 @@ _CATALOG: Dict[str, IdentityDef] = {
         ),
         IdentityDef(
             "e-multiplicativity", "exact", (Param("a", "moduli"), Param("b", "coprime")),
-            _per_case(
-                lambda p, tol, seed: _exact_outcome(*multivar.multiplicativity_sides(p[0], p[1]))
-            ),
+            _per_case(lambda a, b: multivar.multiplicativity_sides(a, b)),
             {"k_max": 30, "n_max": 3, "pairs": 200},
             lambda b, seed: _coprime_pair_grid(b["pairs"], b["k_max"], b["n_max"], seed),
         ),
@@ -577,37 +555,31 @@ _CATALOG: Dict[str, IdentityDef] = {
         # default grid starts at 1 (run_identity still accepts r = 0 and
         # will honestly report the mismatch).
         IdentityDef(
-            "half-sum", "exact", (Param("r", minimum=0),),
-            _per_case(lambda p, tol, seed: _exact_outcome(
-                exact.half_sum_check(p[0]), Fraction(p[0] + 1, 2)
-            )),
+            "half-sum", "exact", (Param("r", minimum=0, cap=exact.DEGREE_CAP, bound="r_max"),),
+            _per_case(lambda r: (exact.half_sum_check(r), Fraction(r + 1, 2))),
             {"r_max": 40},
             lambda b, seed: [(r,) for r in range(1, b["r_max"] + 1)],
         ),
         # Closed-form power sum vs the brute-force loop.
         IdentityDef(
-            "faulhaber", "exact", (Param("n", bound="n_max"), Param("r", bound="r_max")),
-            _per_case(lambda p, tol, seed: _exact_outcome(
-                exact.power_sum(p[0], p[1]), sum(j ** p[1] for j in range(1, p[0] + 1))
-            )),
+            "faulhaber", "exact", (Param("n", bound="n_max"), _R),
+            _per_case(lambda n, r: (exact.power_sum(n, r), sum(j**r for j in range(1, n + 1)))),
             {"n_max": 200, "r_max": 10},
         ),
         # Closed form vs gcd-filtered brute force.
         IdentityDef(
-            "coprime-power-sum", "exact",
-            (Param("n", minimum=2, bound="n_max"), Param("r", bound="r_max")),
-            _per_case(lambda p, tol, seed: _exact_outcome(
-                exact.coprime_power_sum(p[0], p[1]),
-                sum(j ** p[1] for j in range(1, p[0] + 1) if math.gcd(j, p[0]) == 1),
+            "coprime-power-sum", "exact", (Param("n", minimum=2, bound="n_max"), _R),
+            _per_case(lambda n, r: (
+                exact.coprime_power_sum(n, r),
+                sum(j**r for j in range(1, n + 1) if math.gcd(j, n) == 1),
             )),
             {"n_max": 200, "r_max": 8},
         ),
         # sum_{j<k} B_m(j/k) = B_m / k^(m-1).
         IdentityDef(
-            "bernoulli-poly-sum", "exact", (_K, Param("m", bound="m_max")),
-            _per_case(lambda p, tol, seed: _exact_outcome(
-                _bernoulli_poly_sum_direct(p[0], p[1]),
-                exact.bernoulli_number(p[1]) / p[0] ** (p[1] - 1),
+            "bernoulli-poly-sum", "exact", (_K, _M),
+            _per_case(lambda k, m: (
+                _bernoulli_poly_sum_direct(k, m), exact.bernoulli_number(m) / k ** (m - 1)
             )),
             {"k_max": 60, "m_max": 8},
         ),
@@ -644,37 +616,46 @@ def _check_tolerance(tolerance: float) -> None:
 _CAUGHT = (multivar.BudgetError, RuntimeError, OverflowError, ValueError)
 
 
-def _evaluate(ident: IdentityDef, lead, rests: Sequence[tuple], tolerance: float, seed: int):
-    """The outcomes of one run. When the run raises, each of its cases is
-    evaluated as a batch of one, so a failure stays with the cases that
-    cause it and its reason is the one the case gives alone."""
+def _evaluate(ident: IdentityDef, lead, rests: Sequence[tuple], seed: int) -> List[tuple]:
+    """The sides of each case of one run. When the run raises, each of its
+    cases is evaluated as a batch of one, so a failure stays with the cases
+    that cause it and its reason is the one the case gives alone."""
     try:
-        return ident.evaluate(lead, rests, tolerance, seed)
+        return ident.evaluate(lead, rests, seed)
     except _CAUGHT as exc:
         if len(rests) == 1:
-            return [("", "", False, None, str(exc))]
-        return [_evaluate(ident, lead, (rest,), tolerance, seed)[0] for rest in rests]
+            return [(None, None, str(exc))]
+        return [_evaluate(ident, lead, (rest,), seed)[0] for rest in rests]
 
 
 def _run_cases(
     ident: IdentityDef, lead, rests: Sequence[tuple], tolerance: float, seed: int
 ) -> List[IdentityCase]:
-    """Validate one run, evaluate it and render its cases, in order."""
+    """Validate one run, evaluate it, and compare and render its cases, in
+    order: == on the sides of an exact identity, averages.within_tolerance
+    at `tolerance` on those of a tolerance one. A case with a reason fails."""
     _validate(ident, lead, rests)
+    tag, mode = ident.tag, ident.mode
     prefix = f"{ident.param_names[0]}={_fmt_value(lead)}"
-    tolerance_mode = ident.mode == "tolerance"
     cases = []
-    for rest, (lhs, rhs, passed, abs_error, error) in zip(
-        rests, _evaluate(ident, lead, rests, tolerance, seed)
-    ):
+    for rest, sides in zip(rests, _evaluate(ident, lead, rests, seed)):
         rendered = prefix
         for name, v in zip(ident.param_names[1:], rest):
             rendered += f",{name}={_fmt_value(v)}"
-        if not tolerance_mode:
-            abs_error = None
-        cases.append(
-            IdentityCase(ident.tag, rendered, ident.mode, lhs, rhs, passed, abs_error, error)
-        )
+        lhs, rhs = sides[0], sides[1]
+        error = sides[2] if len(sides) == 3 else None
+        abs_error = None
+        if lhs is None:  # raised
+            lhs = rhs = ""
+            passed = False
+        elif mode == "exact":
+            passed = error is None and lhs == rhs
+            lhs, rhs = _fmt_rational(lhs), _fmt_rational(rhs)
+        else:
+            passed = error is None and averages.within_tolerance(lhs, rhs, tolerance)
+            abs_error = abs(lhs - rhs)
+            lhs, rhs = _fmt_float(lhs), _fmt_float(rhs)
+        cases.append(IdentityCase(tag, rendered, mode, lhs, rhs, passed, abs_error, error))
     return cases
 
 

@@ -14,6 +14,7 @@ import ramavg.cli as cli
 import ramavg.ramanujan as ramanujan
 import ramavg.verify as verify
 from ramavg.cli import main
+from ramavg.exact import DEGREE_CAP
 
 
 def run_cli(capsys, *argv):
@@ -83,6 +84,21 @@ class TestCompute:
         code, _, err = run_cli(capsys, "compute", "phi", "--n", "0")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("fn, argv, evaluator", [
+        ("bernoulli", ("--m",), "bernoulli_number"),
+        ("S", ("--k", "1", "--r"), "s_r_closed"),
+        ("g", ("--ks", "2", "--m"), "g_m"),
+        ("jordan", ("--n", "2", "--m"), "jordan_totient"),
+    ])
+    def test_degree_above_the_cap_exits_2(self, capsys, monkeypatch, fn, argv, evaluator):
+        calls = []
+        monkeypatch.setattr(cli, evaluator, lambda *args: calls.append(args) or 1)
+        code, out, err = run_cli(capsys, "compute", fn, *argv, str(DEGREE_CAP + 1))
+        assert code == 2 and out == "" and calls == []
+        assert err == f"error: {argv[-1]} must be <= {DEGREE_CAP}\n"
+        code, out, _ = run_cli(capsys, "compute", fn, *argv, str(DEGREE_CAP))
+        assert code == 0 and out == "1\n" and len(calls) == 1
+
 
 class TestTable:
     def test_ramanujan_row_plain(self, capsys):
@@ -126,6 +142,16 @@ class TestTable:
         assert code == 0 and len(out.splitlines()) == 8
         code, out, _ = run_cli(capsys, "table", "s-r", "--k-max", "9", "--r", "1")
         assert code == 2 and out == ""
+
+    def test_s_r_degree_above_the_cap_exits_2(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "s_r_closed", lambda k, r: calls.append((k, r)) or 1)
+        argv = ("table", "s-r", "--k-max", "2", "--r")
+        code, out, err = run_cli(capsys, *argv, str(DEGREE_CAP + 1))
+        assert code == 2 and out == "" and calls == []
+        assert err == f"error: --r must be <= {DEGREE_CAP}\n"
+        code, out, _ = run_cli(capsys, *argv, str(DEGREE_CAP))
+        assert code == 0 and calls == [(1, DEGREE_CAP), (2, DEGREE_CAP)]
 
     def test_s_r_csv_has_five_data_rows(self, capsys):
         code, out, _ = run_cli(
@@ -223,6 +249,15 @@ class TestVerify:
         )
         assert code == 2 and out == "" and err == f"error: k must be <= {cap}\n"
         assert built == [] and evaluated == []
+
+    def test_degree_bound_above_the_cap_exits_2_before_sweeping(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(verify, "_grid", lambda *args: built.append(args) or [])
+        code, out, err = run_cli(
+            capsys, "verify", "--identity", "prop1", "--r-max", str(DEGREE_CAP + 1)
+        )
+        assert code == 2 and out == "" and err == f"error: r must be <= {DEGREE_CAP}\n"
+        assert built == []
 
     def test_unknown_identity_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--identity", "prop99")

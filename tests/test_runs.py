@@ -80,9 +80,10 @@ def test_timings_hold_each_identity_once_in_catalog_order():
     assert "timings" not in report.body_dict()
 
 
-def assert_only_these_fail(config, failing):
-    """Exactly the cases in `failing` fail, each with the error of its batch
-    of one; every other case of the grid, its run neighbours included, passes."""
+def assert_only_these_fail(config, failing, raised=True):
+    """Exactly the cases in `failing` fail, each as its batch of one does,
+    with an error when `raised` and without one otherwise; every other case
+    of the grid, its run neighbours included, passes."""
     cases = run_suite(config).cases
     grid = grid_of(config)
     assert len(cases) == len(grid)
@@ -91,8 +92,8 @@ def assert_only_these_fail(config, failing):
     for case, params in zip(cases, grid):
         if params in failing:
             alone = run_identity(config.identities[0], params)
-            assert not alone.passed
-            assert case.error == alone.error and case.error
+            assert case == alone and not alone.passed
+            assert bool(case.error) == raised
         else:
             assert case.passed and case.error is None
 

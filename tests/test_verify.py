@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import json
 from fractions import Fraction
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import ramavg.averages as averages
+import ramavg.exact as exact
 import ramavg.verify as verify
 from ramavg.verify import (
     ConfigError,
@@ -204,6 +206,93 @@ class TestParamSchema:
         assert run_identity(tag, largest).passed
         with pytest.raises(ParamError):
             run_identity(tag, too_large)
+
+
+# The degree parameter of each tag that has one, capped at exact.DEGREE_CAP.
+DEGREE_PARAMS = {
+    "prop1": "r", "prop6": "m", "prop7": "r", "faulhaber": "r",
+    "coprime-power-sum": "r", "half-sum": "r", "bernoulli-poly-sum": "m",
+}
+
+
+def with_degree(tag, degree):
+    """SCHEMA_EDGES' smallest parameters of tag, with the degree replaced."""
+    params, _ = SCHEMA_EDGES[tag]
+    i = verify._lookup(tag).param_names.index(DEGREE_PARAMS[tag])
+    return params[:i] + (degree,) + params[i + 1 :]
+
+
+def over_cap(tag):
+    return rf"^{DEGREE_PARAMS[tag]} must be <= {exact.DEGREE_CAP}$"
+
+
+class TestDegreeCap:
+    def test_every_degree_is_capped_and_bounded(self):
+        degrees = {
+            tag: p.name for tag in IDENTITY_TAGS for p in verify._lookup(tag).params
+            if p.name in ("r", "m")
+        }
+        assert degrees == DEGREE_PARAMS
+        for tag, name in DEGREE_PARAMS.items():
+            (p,) = [p for p in verify._lookup(tag).params if p.name == name]
+            assert p.cap == exact.DEGREE_CAP and p.bound == f"{name}_max"
+
+    @pytest.mark.parametrize("tag", sorted(DEGREE_PARAMS))
+    def test_a_case_is_validated_up_to_the_cap(self, monkeypatch, tag):
+        # Only the schema is checked: no table of degree 400 is built.
+        ident = verify._lookup(tag)
+        monkeypatch.setattr(verify, "_evaluate", None)
+        params = with_degree(tag, exact.DEGREE_CAP)
+        verify._validate(ident, params[0], [params[1:]])
+        with pytest.raises(ParamError, match=over_cap(tag)):
+            run_identity(tag, with_degree(tag, exact.DEGREE_CAP + 1))
+
+    @pytest.mark.parametrize("tag", sorted(DEGREE_PARAMS))
+    def test_a_bound_above_the_cap_is_refused_before_the_grid(self, monkeypatch, tag):
+        built = []
+        params, _ = SCHEMA_EDGES[tag]
+        monkeypatch.setattr(verify, "_grid", lambda ident, b, seed: built.append(b) or [params])
+        bound = f"{DEGREE_PARAMS[tag]}_max"
+        with pytest.raises(ParamError, match=over_cap(tag)):
+            run_suite(SuiteConfig(identities=[tag], **{bound: exact.DEGREE_CAP + 1}))
+        assert built == []
+        report = run_suite(SuiteConfig(identities=[tag], **{bound: exact.DEGREE_CAP}))
+        assert [b[bound] for b in built] == [exact.DEGREE_CAP] and report.total == 1
+
+
+class TestVerdicts:
+    @pytest.mark.parametrize("tolerance", [1e-8, 1e-16])
+    def test_each_verdict_is_the_mode_criterion_on_the_rendered_sides(self, tolerance):
+        config = SuiteConfig(
+            k_max=12, n_max=3, r_max=3, m_max=3, tolerance=tolerance, keep_cases=True
+        )
+        report = run_suite(config)
+        assert {c.identity for c in report.cases} == set(IDENTITY_TAGS)
+        for case in report.cases:
+            if case.error is not None:
+                expected = False
+            elif case.mode == "exact":
+                expected = case.lhs == case.rhs
+            else:
+                a, b = float(case.lhs), float(case.rhs)
+                expected = abs(a - b) <= tolerance * (1 + max(abs(a), abs(b)))
+            assert case.passed == expected, case
+        dft_failures = [c for c in report.failures if c.identity == "inverse-dft"]
+        assert bool(dft_failures) == (tolerance < 1e-8)
+
+    def test_pairs_and_evaluators_take_no_tolerance(self):
+        with pytest.raises(TypeError):
+            averages.FloatPair(0.0, 2e-8, 1.0)
+        with pytest.raises(TypeError):
+            averages.log_weighted_pair(5, 1.0)
+        assert averages.FloatPair._fields == averages.ExactPair._fields == ("lhs", "rhs")
+        # The criterion itself is the one function that reads a tolerance.
+        for name in averages.__all__:
+            fn = getattr(averages, name)
+            if inspect.isfunction(fn) and fn is not averages.within_tolerance:
+                assert "tolerance" not in inspect.signature(fn).parameters, name
+        for ident in verify._CATALOG.values():
+            assert len(inspect.signature(ident.evaluate).parameters) == 3, ident.tag
 
 
 class TestRunSuite:
