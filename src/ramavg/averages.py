@@ -28,12 +28,13 @@ work shared by many cases of one modulus is done once per k:
                                   gcd_weighted_batch reads them, the
                                   divisors, mu(k/d) and phi(k) once for
                                   every f of a run
-    power and Bernoulli weights   power moments N_e(k) = sum_{j<k} j^e c_k(j),
-                                  for every e by one ladder in e per k
+    power and Bernoulli weights   power sums T_e = sum_{j=1}^{k} j^e c_k(j)
+                                  for every e, read from multivar's table
+                                  of the tuple (k,), one ladder in e per k
     inverse DFT                   one inverse FFT of c_k(0..k-1) gives the
                                   sum at every n mod k, once per k
 
-The gcd classes collect the terms by gcd(j, k); the moments split a
+The gcd classes collect the terms by gcd(j, k); the power sums split a
 summand that is a polynomial in j (j^r, or k^m D B_m(j/k)) into its powers
 of j; the FFT evaluates the sum over j for every n together. Each still
 adds c_k(j) over every j of the row c_k(0..k). None uses the closed side's
@@ -55,6 +56,7 @@ from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import multivar
 from .arith import (
     divisor_count_and_sum,
     divisors,
@@ -92,6 +94,7 @@ __all__ = [
     "binomial_weighted_exact",
     "binomial_weighted_cosine",
     "bernoulli_weighted_pair",
+    "bernoulli_weighted_batch",
     "inverse_dft_check",
     "inverse_dft_batch",
 ]
@@ -175,45 +178,22 @@ def random_function(index: int, seed: int = DEFAULT_SEED) -> ArithmeticFunction:
 # --- power weight ---------------------------------------------------------
 
 
-@lru_cache(maxsize=1 << 12)
-def _moment_table(k: int) -> List[int]:
-    """N_0(k), N_1(k), ... as far as _power_moments has extended them."""
-    return []
-
-
-def _power_moments(k: int, e_max: int) -> List[int]:
-    """N_e(k) = sum_{j=0}^{k-1} j^e c_k(j) for e = 0..e_max (0^0 = 1).
-
-    Shared by the power weight (e = r) and the Bernoulli weight (every
-    e <= m), whose cases repeat the same k. The missing moments come from
-    one ladder w_j <- w_j j over the non-zero entries of the row, started
-    at the first missing e; only the bigint moments are cached.
-    """
-    table = _moment_table(k)
-    if len(table) <= e_max:
-        row = ramanujan_row(k).values
-        js = [j for j in range(k) if row[j]]
-        e = len(table)
-        w = [j**e * row[j] for j in js]
-        table.append(sum(w))
-        for _ in range(e, e_max):
-            w = [x * j for x, j in zip(w, js)]
-            table.append(sum(w))
-    return table
+def _modulus_power_sums(k: int, top: int) -> Tuple[int, List[int]]:
+    """c_k(0) and T_r = sum_{j=1}^{k} j^r c_k(j) for r = 0..top at least,
+    from multivar's power-sum table of (k,). The row is read first, so a k
+    past ROW_BUDGET is refused by the row's own budget."""
+    first = ramanujan_row(k).values[0]
+    return first, multivar._power_sums(multivar.ModulusTuple((k,)), top)
 
 
 def s_r_direct_batch(k: int, rs: Sequence[int]) -> List[Fraction]:
     """S_r(k) = (1/k^(r+1)) sum_{j=1}^{k} j^r c_k(j) for every r in rs,
-    from the definition.
-
-    Each sum is the power moment N_r(k) over j = 0..k-1 (the j = 0 term
-    is 0^r = 0) plus the j = k term k^r c_k(k).
+    from the definition: T_r of the tuple (k,), read once for the batch.
     """
     if k < 1 or any(r < 1 for r in rs):
         raise ValueError("s_r_direct requires k >= 1 and r >= 1")
-    moments = _power_moments(k, max(rs, default=0))
-    last = ramanujan_row(k).values[k]
-    return [Fraction(moments[r] + k**r * last, k ** (r + 1)) for r in rs]
+    _, totals = _modulus_power_sums(k, max(rs, default=0))
+    return [Fraction(totals[r], k ** (r + 1)) for r in rs]
 
 
 def s_r_direct(k: int, r: int) -> Fraction:
@@ -433,23 +413,35 @@ def binomial_weighted_cosine(k: int) -> FloatPair:
 # --- Bernoulli polynomial weight ------------------------------------------
 
 
-def bernoulli_weighted_pair(k: int, m: int) -> ExactPair:
-    """sum_{j=0}^{k-1} B_m(j/k) c_k(j)  vs  (B_m / k^(m-1)) J_m(k), exactly.
+def bernoulli_weighted_batch(k: int, ms: Sequence[int]) -> List[ExactPair]:
+    """sum_{j=0}^{k-1} B_m(j/k) c_k(j)  vs  (B_m / k^(m-1)) J_m(k), exactly,
+    for every m in ms.
 
     k^m * D * B_m(j/k) = sum_t (c_t k^t) j^(m-t) is an integer polynomial
-    in j (D clears the Bernoulli denominators), so the left side is
-    sum_t c_t k^t N_{m-t}(k) over the power moments N_e(k), divided back
-    out once. The zero coefficients (odd t >= 3) need no moment.
+    in j (D clears the Bernoulli denominators), so sum_t c_t k^t T_{m-t},
+    over the power sums T_e of (k,) read once for the batch, sums it over
+    j = 1..k. There j = k stands in for j = 0, as c_k(k) = c_k(0); the two
+    terms differ only at m = 1, by c_k(0) D k (B_1(1) - B_1(0) = 1), which is
+    subtracted before the one division. Zero coefficients need no T.
     """
-    if k < 1 or m < 1:
+    if k < 1 or any(m < 1 for m in ms):
         raise ValueError("bernoulli_weighted_pair requires k >= 1 and m >= 1")
-    base, d = bernoulli_polynomial_coefficients(m)
-    moments = _power_moments(k, m)
-    total = sum(c * k**t * moments[m - t] for t, c in enumerate(base) if c)
-    lhs = Fraction(total, d * k**m)
-    b = bernoulli_number(m)
-    rhs = Fraction(b.numerator * jordan_totient(m, k), b.denominator * k ** (m - 1))
-    return ExactPair(lhs, rhs)
+    first, totals = _modulus_power_sums(k, max(ms, default=0))
+    out = []
+    for m in ms:
+        base, d = bernoulli_polynomial_coefficients(m)
+        total = sum(c * k**t * totals[m - t] for t, c in enumerate(base) if c)
+        if m == 1:
+            total -= first * d * k
+        b = bernoulli_number(m)
+        rhs = Fraction(b.numerator * jordan_totient(m, k), b.denominator * k ** (m - 1))
+        out.append(ExactPair(Fraction(total, d * k**m), rhs))
+    return out
+
+
+def bernoulli_weighted_pair(k: int, m: int) -> ExactPair:
+    """One m of bernoulli_weighted_batch."""
+    return bernoulli_weighted_batch(k, (m,))[0]
 
 
 # --- inverse DFT ----------------------------------------------------------

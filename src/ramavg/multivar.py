@@ -14,25 +14,28 @@ tuples; both raise BudgetError (the one class of ramanujan, which bounds
 single rows by ROW_BUDGET) before allocating anything.
 
 Each tuple's product row and divisor lattice are built once per sweep in
-catalog order, where prop7 asks for its largest r first; a later request
-for a larger r rebuilds the row. Two per-tuple tables, keyed by ks and
-bounded by lru_cache at 1 << 14 tuples (the default grid has 12,340), hold
-only bigints:
+catalog order, where each identity asks for its largest r first; a later
+request for a larger r rebuilds the row. Two per-tuple tables, keyed by ks and
+bounded by lru_cache at 1 << 14 tuples, hold only bigints:
 
     _power_sum_table   T_r = sum_{j=1}^{k} j^r prod_i c_{k_i}(j), r = 0..top,
-                       from one product row and one int64 ladder in r, and
-                       rebuilt to a larger top when a caller asks for one;
+                       from one product row and one int64 ladder in r of
+                       carried 31-bit limbs, linear in r, and rebuilt to a
+                       larger top when a caller asks for one;
     _weight_table      k E, g_1, g_2, ... from one divisor lattice, extended
                        on demand.
 
-E (from T_0 and from k E), S_r and g_m read them. The tables hold k E, not
-E, so both integrality checks run at every read and their RuntimeError is
-never cached. A BudgetError is raised before anything is stored, so a table
-is either empty or complete up to its top. A table of top R holds R + 1
-integers of at most log2(prod phi(k_i)) + (R + 1) log2(k) + 1 bits; both
-tables of the default multivariable grids take about 6.3 MB. No sweep
-re-reads a product row, so _product_row keeps one: at most PERIOD_BUDGET
-int64 entries, 80 MB, where its earlier 64 rows could take 5.1 GB.
+E (from T_0 and from k E), S_r and g_m read them, and so do averages'
+power and Bernoulli weights (prop1, prop6) through (k,). The tables hold
+k E, not E, so both integrality checks run at every read and their
+RuntimeError is never cached. A BudgetError is raised before anything is
+stored, so a table is either empty or complete up to its top. A table of
+top R holds R + 1 integers of at most log2(prod phi(k_i)) + (R + 1) log2(k)
++ 1 bits. verify --all fills 13,300 power-sum tables (the 12,340 tuples of
+the multivariable grid and the moduli 41..1000 of prop1) and 12,664 weight
+tables, about 6.8 MB together. No sweep re-reads a product row, so
+_product_row keeps one: at most PERIOD_BUDGET int64 entries, 80 MB, where
+its earlier 64 rows could take 5.1 GB.
 
 Single-component tuples go through exactly the same code paths as n >= 2;
 their agreement with the single-variable module is asserted by tests, not
@@ -149,42 +152,41 @@ def _exact_int64_sum(arr: np.ndarray, bound: int, length: int) -> int:
     return (hi << 31) + int((arr & _MASK31).sum())
 
 
-def _weighted_power_sums(values, rs: Sequence[int], bound: int) -> List[int]:
-    """Exact sum_{j=1}^{L} j^r values[j-1] for every r in rs, ndarray or list input.
+def _weighted_power_sums(values, top: int, bound: int) -> List[int]:
+    """Exact sum_{j=1}^{L} j^r values[j-1] for r = 0..top, ndarray or list input.
 
-    One ladder carries the staged products values[j-1] j^r from r to r + 1,
-    so every r <= max(rs) costs one step, not a restart from r = 0. The
-    ndarray path stays in int64 by splitting any staged product into
-    31-bit halves before it could overflow; every intermediate is bounded
-    and the per-piece sums are reassembled as Python integers.
+    One ladder carries the staged products values[j-1] j^r from r to r + 1.
+    The ndarray path (L < 2^30) stays in int64: it holds them as 31-bit
+    limbs, sum_i limbs[i] << 31 i, all bounded by one bound, and carries
+    only when the next multiply by j could overflow (bound L >= 2^62).
+    A carry leaves every limb in [0, 2^31) but a new top limb of at most
+    2^31 + 2, so the limbs grow by one about every 31 / log2(L) steps,
+    linearly in r. Their column sums are reassembled as Python integers.
     """
-    wanted = set(rs)
-    top = max(rs, default=0)
-    sums = {}
+    sums = []
     if isinstance(values, list):
         for r in range(top + 1):
-            if r in wanted:
-                sums[r] = sum(values)
-            if r < top:
+            if r:
                 values = [v * j for j, v in enumerate(values, start=1)]
-        return [sums[r] for r in rs]
+            sums.append(sum(values))
+        return sums
     length = len(values)
     j = np.arange(1, length + 1, dtype=np.int64)
-    entries = [(1, values, bound)]
+    limbs = [values]
     for r in range(top + 1):
-        if r in wanted:
-            sums[r] = sum(w * _exact_int64_sum(arr, b, length) for w, arr, b in entries)
-        if r == top:
-            break
-        nxt = []
-        for w, arr, b in entries:
-            if b * length >= _INT64_SAFE:
-                nxt.append((w << 31, (arr >> 31) * j, ((b >> 31) + 1) * length))
-                nxt.append((w, (arr & _MASK31) * j, (_MASK31 + 1) * length))
-            else:
-                nxt.append((w, arr * j, b * length))
-        entries = nxt
-    return [sums[r] for r in rs]
+        if r:
+            if bound * length >= _INT64_SAFE:
+                carry = 0  # at most (bound >> 31) + 3 <= 2^31 + 2 in magnitude
+                for i, limb in enumerate(limbs):
+                    limb = limb + carry
+                    carry = limb >> 31
+                    limbs[i] = limb & _MASK31
+                limbs.append(carry)
+                bound = _MASK31 + 3
+            limbs = [limb * j for limb in limbs]
+            bound *= length
+        sums.append(sum(_exact_int64_sum(x, bound, length) << 31 * i for i, x in enumerate(limbs)))
+    return sums
 
 
 @lru_cache(maxsize=1 << 14)
@@ -201,7 +203,7 @@ def _power_sums(t: ModulusTuple, top: int) -> List[int]:
     table = _power_sum_table(t.ks)
     if len(table) <= top:
         values, bound = _product_row(t)
-        table[:] = _weighted_power_sums(values, range(top + 1), bound)
+        table[:] = _weighted_power_sums(values, top, bound)
     return table
 
 

@@ -15,14 +15,15 @@ Evaluation goes by runs: the cases of a grid that share their leading
 parameter (k, or the tuple ks). An identity's evaluate takes the leading
 value, the trailing values of every case of the run and the seed, and
 returns the sides of each case, so a kernel can share work across the run
-(one moment ladder per k for prop1, one product row and r-ladder per tuple
-for prop7, one FFT row read per k for inverse-dft, one read of k's
-divisors, gcd-class totals, mu(k/d) and phi(k) for every f of prop3 and
-prop3-corollary, one validated run per k for cross-evaluator); the other
-identities evaluate case by case. One function validates a run, evaluates it, compares and
-renders its cases: run_suite calls it once per run, and run_identity calls
-it on a run of one case. If a run raises, each of its cases is evaluated
-alone, so a failure stays with the cases that cause it.
+(one read of the power-sum table of (k,) for prop1 and prop6, of each
+tuple table for prop7 and of the FFT row per k for inverse-dft, one read
+of k's divisors, gcd-class totals, mu(k/d) and phi(k) for every f of prop3
+and prop3-corollary, one validated run per k for cross-evaluator); the
+other identities evaluate case by case. One function validates a run,
+evaluates it, compares and renders its cases: run_suite calls it once per
+run, and run_identity calls it on a run of one case. If a run raises, each
+of its cases is evaluated alone, so a failure stays with the cases that
+cause it.
 
 A run is validated once per column: the leading value once, and the
 values of each trailing parameter across the run as one column, so a
@@ -360,12 +361,17 @@ def _per_case(fn: Callable[..., tuple]) -> _Evaluator:
 
 
 def _prop1(k, rests, seed):
-    """One moment ladder for every r of the run; the closed side per case."""
+    """One power-sum table read for every r of the run; the closed side per case."""
     rs = [r for r, in rests]
     return [
         (lhs, averages.s_r_closed(k, r))
         for lhs, r in zip(averages.s_r_direct_batch(k, rs), rs)
     ]
+
+
+def _prop6(k, rests, seed):
+    """One power-sum table read for every m of the run."""
+    return averages.bernoulli_weighted_batch(k, [m for m, in rests])
 
 
 def _inverse_dft(k, rests, seed):
@@ -510,11 +516,7 @@ _CATALOG: Dict[str, IdentityDef] = {
             _per_case(lambda k: averages.binomial_weighted_cosine(k)),
             {"k_max": 200},
         ),
-        IdentityDef(
-            "prop6", "exact", (_K, _M),
-            _per_case(lambda k, m: averages.bernoulli_weighted_pair(k, m)),
-            {"k_max": 500, "m_max": 8},
-        ),
+        IdentityDef("prop6", "exact", (_K, _M), _prop6, {"k_max": 500, "m_max": 8}),
         IdentityDef(
             "inverse-dft", "tolerance",
             (Param("k", cap=averages.DFT_LIMIT, bound="k_max"), Param("n", bound="n_max")),

@@ -14,7 +14,6 @@ import ramavg.multivar as multivar  # noqa: E402
 # here by one test would bypass a fault that a later test patches into the
 # code that builds it.
 RUN_CACHES = (
-    averages._moment_table,
     averages._gcd_class_totals,
     averages._dft_values,
     averages.random_function,

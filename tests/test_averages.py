@@ -237,8 +237,10 @@ class TestBernoulliWeight:
                 assert bernoulli_weighted_pair(k, m).ok
 
     def test_scaled_horner_matches_naive_polynomial_sum(self):
-        # The pair evaluator sums cached integer power moments; check it
-        # against per-term bernoulli_polynomial evaluation.
+        # The pair evaluator sums the power sums T_e over j = 1..k, with
+        # the j = k term standing in for j = 0 (which differs at m = 1);
+        # check it against per-term bernoulli_polynomial evaluation over
+        # j = 0..k-1.
         for k in range(1, 26):
             row = ramanujan_row(k).values
             for m in range(1, 6):

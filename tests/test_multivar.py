@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -12,6 +13,7 @@ from ramavg.multivar import (
     PERIOD_BUDGET,
     BudgetError,
     ModulusTuple,
+    _product_row,
     _weighted_power_sums,
     g_m,
     multiplicativity_check,
@@ -24,7 +26,7 @@ from ramavg.ramanujan import ramanujan_sum
 
 
 def _weighted_power_sum(values, r, bound):
-    return _weighted_power_sums(values, (r,), bound)[0]
+    return _weighted_power_sums(values, r, bound)[r]
 
 
 def e_brute(ks):
@@ -106,6 +108,60 @@ class TestWeightedPowerSum:
         values = [3, -7, 11, 0, 5]
         expected = sum((j + 1) ** 4 * v for j, v in enumerate(values))
         assert _weighted_power_sum(values, 4, 11) == expected
+
+    def test_matches_plain_ints_on_random_ladders(self):
+        # Every rung up to r = 400, bounds up to 2^62 - 1, so the ladder
+        # carries many times and the column sums split.
+        rng = random.Random(2013)
+        for _ in range(24):
+            length = rng.randint(1, rng.choice([40, 400]))
+            bound = rng.choice([1, 2**31, rng.randint(1, 2**62 - 1), 2**62 - 1])
+            values = [rng.randint(-bound, bound) for _ in range(length)]
+            top = rng.randint(0, 400 if length <= 40 else 60)
+            expected = []
+            staged = values
+            for _ in range(top + 1):
+                expected.append(sum(staged))
+                staged = [v * j for j, v in enumerate(staged, start=1)]
+            arr = np.array(values, dtype=np.int64)
+            assert _weighted_power_sums(arr, top, bound) == expected
+
+
+class TestLadderGrowth:
+    """The int64 ladder's limbs grow linearly in r, so its array
+    multiplications stay below a sum of linear per-rung bounds. The count
+    raises as soon as it passes that sum, so a ladder whose pieces grow
+    exponentially in r fails at once instead of hanging."""
+
+    @staticmethod
+    def counting_array(limit):
+        class Counting(np.ndarray):
+            multiplications = 0
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.multiply:
+                    Counting.multiplications += 1
+                    if Counting.multiplications > limit:
+                        raise AssertionError(f"more than {limit} array multiplications")
+                plain = [x.view(np.ndarray) if isinstance(x, Counting) else x for x in inputs]
+                out = getattr(ufunc, method)(*plain, **kwargs)
+                return out.view(Counting) if isinstance(out, np.ndarray) else out
+
+        return Counting
+
+    def test_multiplications_stay_linear_per_rung(self):
+        t = ModulusTuple((40,))
+        values, bound = _product_row(t)
+        top = 120
+        # At most 2 + r log2(L) / 20 limbs at rung r, one multiplication
+        # each: a limb holds 31 bits and a rung adds log2(L) = 5.3 bits.
+        limit = sum(2 + r * math.log2(len(values)) / 20 for r in range(top))
+        counting = self.counting_array(limit)
+        sums = _weighted_power_sums(values.view(counting), top, bound)
+        assert 0 < counting.multiplications <= limit
+        assert sums == [
+            sum(j**r * ramanujan_sum(40, j) for j in range(1, 41)) for r in range(top + 1)
+        ]
 
 
 class TestOrbicyclic:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 import ramavg.multivar as multivar
 import ramavg.ramanujan as ramanujan
 from ramavg.arith import euler_phi, mobius
-from ramavg.averages import s_r_direct
+from ramavg.averages import bernoulli_weighted_pair, s_r_direct
 from ramavg.ramanujan import (
     FLOAT_EVAL_LIMIT,
     ROW_BUDGET,
@@ -138,4 +138,6 @@ class TestRows:
             ramanujan_row(k)
         with pytest.raises(BudgetError, match="row budget"):
             s_r_direct(k, 1)
+        with pytest.raises(BudgetError, match="row budget"):
+            bernoulli_weighted_pair(k, 2)
         assert multivar.BudgetError is BudgetError

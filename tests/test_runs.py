@@ -15,30 +15,33 @@ from ramavg.verify import IDENTITY_TAGS, ParamError, SuiteConfig, run_identity, 
 MULTIVAR_TAGS = {"prop7", "prop7-corollary", "e-integrality", "e-multiplicativity"}
 
 
-def small_config(tag):
+def small_config(tag, *more, **override):
     if tag in MULTIVAR_TAGS:
         bounds = dict(k_max=8, n_max=3, r_max=4)
     else:
         bounds = dict(k_max=12, n_max=12, r_max=4, m_max=4)
-    return SuiteConfig(identities=[tag], keep_cases=True, **bounds)
+    return SuiteConfig(identities=[tag, *more], keep_cases=True, **{**bounds, **override})
 
 
-def grid_of(config):
-    ident = verify._lookup(config.identities[0])
+def grid_of(config, tag=None):
+    ident = verify._lookup(tag or config.identities[0])
     return verify._grid(ident, verify._effective_bounds(ident, config), config.seed)
 
 
-@pytest.mark.parametrize("tag", IDENTITY_TAGS)
-def test_a_run_equals_its_batches_of_one(tag, clear_run_caches):
-    # Singles must rebuild what a run shares: the moment ladder restarts
-    # from the first missing power, product rows, FFTs and tuple tables are
-    # recomputed.
-    config = small_config(tag)
-    grid = grid_of(config)
+@pytest.mark.parametrize(
+    "tags", [(tag,) for tag in IDENTITY_TAGS] + [("prop6", "prop1")], ids=",".join
+)
+def test_a_run_equals_its_batches_of_one(tags, clear_run_caches):
+    # Singles must rebuild what a run shares: power-sum tables grow from
+    # the first r or m, product rows, FFTs and tuple tables are recomputed.
+    # prop6 fills each table of (k,) to m = 4 and prop1 then grows it to
+    # r = 5.
+    config = small_config(*tags, r_max=5) if len(tags) > 1 else small_config(*tags)
+    grid = [(tag, params) for tag in tags for params in grid_of(config, tag)]
     clear_run_caches()
     batched = run_suite(config).cases
     clear_run_caches()
-    singles = [run_identity(tag, params) for params in grid]
+    singles = [run_identity(tag, params) for tag, params in grid]
     assert len(batched) == len(singles) == len(grid)
     for a, b in zip(batched, singles):
         assert a.as_dict() == b.as_dict()
@@ -310,3 +313,40 @@ def test_a_refused_row_fails_its_tuple_everywhere_and_stores_nothing(monkeypatch
         sum(j**r * ramanujan_sum(2, j) * ramanujan_sum(3, j) for j in range(1, 7))
         for r in range(5)
     ]
+
+
+# --- the power-sum table of (k,), shared by prop1 and prop6 ----------------
+
+
+def test_one_product_row_per_modulus_for_prop1_and_prop6(monkeypatch):
+    rows, real = [], multivar._product_row
+
+    def row(t):
+        rows.append(t.ks)
+        return real(t)
+
+    monkeypatch.setattr(multivar, "_product_row", row)
+    report = run_suite(SuiteConfig(identities=["prop1", "prop6"], k_max=12, r_max=6, m_max=6))
+    assert report.total == 2 * 12 * 6 and report.failed == 0
+    assert rows == [(k,) for k in range(1, 13)]
+
+
+def test_a_refused_one_modulus_row_fails_only_its_k(monkeypatch):
+    real = multivar._product_row
+
+    def refusing(t):
+        if t.ks == (6,):
+            raise multivar.BudgetError(f"period lcm{t.ks} refused")
+        return real(t)
+
+    monkeypatch.setattr(multivar, "_product_row", refusing)
+    config = small_config("prop1", "prop6")
+    cases = run_suite(config).cases
+    failed = {(c.identity, c.params) for c in cases if not c.passed}
+    assert failed == {
+        *(("prop1", f"k=6,r={r}") for r in range(1, 5)),
+        *(("prop6", f"k=6,m={m}") for m in range(1, 5)),
+    }
+    assert {c.error for c in cases if not c.passed} == {"period lcm(6,) refused"}
+    assert multivar._power_sum_table((6,)) == []
+    assert len(multivar._power_sum_table((5,))) == 5

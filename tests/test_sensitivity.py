@@ -76,7 +76,7 @@ SENSITIVITY = {
     "mobius-log": (averages, "mobius_log_check", one((6,))),
     "prop5-exact": (averages, "binomial_weighted_exact", one((6,))),
     "prop5-cosine": (averages, "binomial_weighted_cosine", one((6,))),
-    "prop6": (averages, "bernoulli_weighted_pair", one((6, 3))),
+    "prop6": (averages, "bernoulli_weighted_batch", batch((6, 3))),
     "inverse-dft": (averages, "inverse_dft_batch", batch((6, 4))),
     "prop7": (multivar, "s_r_multi_closed_batch", batch(((2, 3), 2))),
     "prop7-corollary": (multivar, "orbicyclic_divisor", one(((2, 3),))),
