@@ -29,10 +29,20 @@ A run is validated once per column: the leading value once, and the
 values of each trailing parameter across the run as one column, so a
 valid run costs a few C-level scans rather than a check per value; a
 column that does not pass is checked value by value and raises the error
-of its first bad value. A grid bound above a parameter's cap is refused
-before any grid is built. Each case is rendered into an IdentityCase,
-a NamedTuple (an immutable tuple of its eight fields), and the CSV is
-written from the unpacked tuples.
+of its first bad value. A run is then compared, rendered and tallied as
+columns: one comprehension per comparison mode walks the run's trailing
+values and sides together, renders each case's params from the leading
+value's text (rendered once per run) and a str.format template, and
+builds each IdentityCase, a NamedTuple (an immutable tuple of its eight
+fields), with tuple.__new__; a passing case, a failing one, one with a
+reason and one that raised all take this one path. run_suite then adds
+the run's cases to its counts, failures and worst errors once per run.
+The CSV is written from the unpacked tuples.
+
+Before any grid is built, run_suite refuses a grid bound above a
+parameter's cap, and counts the cases of every selected grid from its
+bounds (no grid is built to count it): more than GRID_BUDGET cases in all
+raise ParamError.
 
 A sweep never aborts on a failing or erroring case; errors are recorded
 on the case and the report's exit status carries the overall verdict.
@@ -62,6 +72,7 @@ from .ramanujan import ramanujan_sum, ramanujan_sum_float, ramanujan_sum_holder
 __all__ = [
     "ConfigError",
     "ParamError",
+    "GRID_BUDGET",
     "IdentityCase",
     "VerificationReport",
     "SuiteConfig",
@@ -224,10 +235,15 @@ class IdentityDef:
     # (bounds, seed) -> ascending params; None means the product of the
     # parameters' ranges.
     grid: Optional[Callable[[dict, int], List[tuple]]] = None
+    # bounds -> len(grid(bounds, seed)), counted without building the grid;
+    # given with every grid.
+    size: Optional[Callable[[dict], int]] = None
     param_names: Tuple[str, ...] = field(init=False)
+    trailing: str = field(init=False)  # ",name={}" per trailing parameter, for str.format
 
     def __post_init__(self):
         object.__setattr__(self, "param_names", tuple(p.name for p in self.params))
+        object.__setattr__(self, "trailing", "".join(f",{p.name}={{}}" for p in self.params[1:]))
 
 
 # rand followed by one to nine ASCII digits: str.isdigit would also take
@@ -316,10 +332,37 @@ def _validate(ident: IdentityDef, lead, rests: Sequence[tuple]) -> None:
                 _check_param(p, v, lead)
 
 
+# Cases of all the grids of one sweep, which run_suite counts before it
+# builds any: 4x the largest default grid (inverse-dft, 250,000 cases),
+# and above verify --all (430,000). A grid case holds about 64 bytes and a
+# case kept for the CSV about 300 more, so the budget bounds the grids to
+# about 64 MB and a CSV sweep to about 400 MB.
+GRID_BUDGET = 1_000_000
+
+
 def _grid(ident: IdentityDef, bounds: Dict[str, int], seed: int) -> List[tuple]:
     if ident.grid is not None:
         return ident.grid(bounds, seed)
     return list(iter_product(*(range(p.minimum, bounds[p.bound] + 1) for p in ident.params)))
+
+
+def _grid_size(ident: IdentityDef, bounds: Dict[str, int]) -> int:
+    """len(_grid(ident, bounds, seed)) up to GRID_BUDGET, and a number above
+    GRID_BUDGET past it, counted without building anything."""
+    if ident.size is not None:
+        return ident.size(bounds)
+    return math.prod(len(range(p.minimum, bounds[p.bound] + 1)) for p in ident.params)
+
+
+def _multiset_count(component_max: int, arity_max: int) -> int:
+    """len(_tuple_grid(component_max, arity_max)) = C(k + n, n) - 1 (the
+    hockey-stick sum of C(k + i - 1, i) over i = 1..n). Past GRID_BUDGET
+    the smaller of k and n is held to GRID_BUDGET's bit length L, so
+    math.comb stays small; the count is then at least C(2L, L) - 1, still
+    above GRID_BUDGET."""
+    k, n = max(component_max, 0), max(arity_max, 0)
+    small = min(k, n, GRID_BUDGET.bit_length())
+    return math.comb(max(k, n) + small, small) - 1
 
 
 def _tuple_grid(component_max: int, arity_max: int) -> List[tuple]:
@@ -397,6 +440,10 @@ def _prop3_grid(b, seed):
     return [(k, name) for k in range(1, b["k_max"] + 1) for name in names]
 
 
+def _prop3_size(b):
+    return max(b["k_max"], 0) * (len(averages.NAMED_FUNCTIONS) + max(b["rand_count"], 0))
+
+
 # The three stated specializations of prop3.
 _COROLLARY_RHS = {
     "id": lambda k: euler_phi(k) ** 2,
@@ -464,6 +511,10 @@ def _tuple_param_grid(b, seed):
     return [(t,) for t in _tuple_grid(b["k_max"], b["n_max"])]
 
 
+def _tuple_param_size(b):
+    return _multiset_count(b["k_max"], b["n_max"])
+
+
 _K = Param("k", bound="k_max")
 _KS = Param("ks", "moduli")
 _R = Param("r", cap=exact.DEGREE_CAP, bound="r_max")
@@ -480,7 +531,7 @@ _CATALOG: Dict[str, IdentityDef] = {
         ),
         IdentityDef(
             "prop3", "exact", (Param("k"), Param("f", "function")), _prop3,
-            {"k_max": 1000, "rand_count": 20}, _prop3_grid,
+            {"k_max": 1000, "rand_count": 20}, _prop3_grid, _prop3_size,
         ),
         IdentityDef(
             "prop3-corollary", "exact",
@@ -490,6 +541,7 @@ _CATALOG: Dict[str, IdentityDef] = {
             lambda b, seed: [
                 (k, name) for k in range(1, b["k_max"] + 1) for name in _COROLLARY_RHS
             ],
+            lambda b: max(b["k_max"], 0) * len(_COROLLARY_RHS),
         ),
         IdentityDef(
             "prop4", "tolerance", (Param("k", minimum=2, bound="k_max"),),
@@ -532,25 +584,29 @@ _CATALOG: Dict[str, IdentityDef] = {
                 for t in _tuple_grid(b["k_max"], b["n_max"])
                 for r in range(1, b["r_max"] + 1)
             ],
+            lambda b: _multiset_count(b["k_max"], b["n_max"]) * max(b["r_max"], 0),
         ),
         IdentityDef(
             "prop7-corollary", "exact", (_KS,), _per_case(_prop7_corollary),
-            {"k_max": 40, "n_max": 3}, _tuple_param_grid,
+            {"k_max": 40, "n_max": 3}, _tuple_param_grid, _tuple_param_size,
         ),
         IdentityDef(
             "e-integrality", "exact", (_KS,), _per_case(_e_integrality),
-            {"k_max": 40, "n_max": 3}, _tuple_param_grid,
+            {"k_max": 40, "n_max": 3}, _tuple_param_grid, _tuple_param_size,
         ),
         IdentityDef(
             "e-multiplicativity", "exact", (Param("a", "moduli"), Param("b", "coprime")),
             _per_case(lambda a, b: multivar.multiplicativity_sides(a, b)),
             {"k_max": 30, "n_max": 3, "pairs": 200},
             lambda b, seed: _coprime_pair_grid(b["pairs"], b["k_max"], b["n_max"], seed),
+            lambda b: max(b["pairs"], 0),
         ),
         IdentityDef(
             "cross-evaluator", "exact", (Param("k"), Param("j", minimum=0)), _cross_evaluator,
             {"k_max": 300},
             lambda b, seed: [(k, j) for k in range(1, b["k_max"] + 1) for j in range(0, k + 1)],
+            # sum of k + 1 over k = 1..k_max
+            lambda b: max(b["k_max"], 0) * (max(b["k_max"], 0) + 3) // 2,
         ),
         # sum C(r+1, 2m) B_2m = (r+1)/2. True for r >= 1 only: at r = 0
         # there is no B_1 term to absorb and the sum is B_0 = 1, so the
@@ -561,6 +617,7 @@ _CATALOG: Dict[str, IdentityDef] = {
             _per_case(lambda r: (exact.half_sum_check(r), Fraction(r + 1, 2))),
             {"r_max": 40},
             lambda b, seed: [(r,) for r in range(1, b["r_max"] + 1)],
+            lambda b: max(b["r_max"], 0),
         ),
         # Closed-form power sum vs the brute-force loop.
         IdentityDef(
@@ -617,6 +674,8 @@ def _check_tolerance(tolerance: float) -> None:
 
 _CAUGHT = (multivar.BudgetError, RuntimeError, OverflowError, ValueError)
 
+_new_case = tuple.__new__  # (IdentityCase, fields), without NamedTuple.__new__'s frame
+
 
 def _evaluate(ident: IdentityDef, lead, rests: Sequence[tuple], seed: int) -> List[tuple]:
     """The sides of each case of one run. When the run raises, each of its
@@ -634,31 +693,37 @@ def _run_cases(
     ident: IdentityDef, lead, rests: Sequence[tuple], tolerance: float, seed: int
 ) -> List[IdentityCase]:
     """Validate one run, evaluate it, and compare and render its cases, in
-    order: == on the sides of an exact identity, averages.within_tolerance
-    at `tolerance` on those of a tolerance one. A case with a reason fails."""
+    order, in one comprehension per mode: == on the sides of an exact
+    identity, averages.within_tolerance at `tolerance` on those of a
+    tolerance one. A case with a reason fails."""
     _validate(ident, lead, rests)
-    tag, mode = ident.tag, ident.mode
+    tag, mode, trailing = ident.tag, ident.mode, ident.trailing
     prefix = f"{ident.param_names[0]}={_fmt_value(lead)}"
-    cases = []
-    for rest, sides in zip(rests, _evaluate(ident, lead, rests, seed)):
-        rendered = prefix
-        for name, v in zip(ident.param_names[1:], rest):
-            rendered += f",{name}={_fmt_value(v)}"
-        lhs, rhs = sides[0], sides[1]
-        error = sides[2] if len(sides) == 3 else None
-        abs_error = None
-        if lhs is None:  # raised
-            lhs = rhs = ""
-            passed = False
-        elif mode == "exact":
-            passed = error is None and lhs == rhs
-            lhs, rhs = _fmt_rational(lhs), _fmt_rational(rhs)
-        else:
-            passed = error is None and averages.within_tolerance(lhs, rhs, tolerance)
-            abs_error = abs(lhs - rhs)
-            lhs, rhs = _fmt_float(lhs), _fmt_float(rhs)
-        cases.append(IdentityCase(tag, rendered, mode, lhs, rhs, passed, abs_error, error))
-    return cases
+    sides = _evaluate(ident, lead, rests, seed)
+    if tuple in map(type, rests[0]):  # validated: a column is all tuples or none
+        rests = [tuple(map(_fmt_value, rest)) for rest in rests]
+    # A raised case is (None, None, reason): it renders as "" and fails.
+    if mode == "exact":
+        return [
+            _new_case(IdentityCase, (
+                tag, prefix + trailing.format(*rest), mode,
+                "" if lhs is None else _fmt_rational(lhs),
+                "" if lhs is None else _fmt_rational(rhs),
+                not reason and lhs == rhs, None, reason[0] if reason else None,
+            ))
+            for rest, (lhs, rhs, *reason) in zip(rests, sides)
+        ]
+    within = averages.within_tolerance
+    return [
+        _new_case(IdentityCase, (
+            tag, prefix + trailing.format(*rest), mode,
+            "" if lhs is None else _fmt_float(lhs),
+            "" if lhs is None else _fmt_float(rhs),
+            not reason and within(lhs, rhs, tolerance),
+            None if lhs is None else abs(lhs - rhs), reason[0] if reason else None,
+        ))
+        for rest, (lhs, rhs, *reason) in zip(rests, sides)
+    ]
 
 
 def run_identity(
@@ -732,11 +797,14 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     idents = [_lookup(tag) for tag in tags]
 
     bounds = [_effective_bounds(ident, config) for ident in idents]
-    # A grid past a cap is refused before any grid is built or swept.
+    # A grid past a cap, or grids past the budget, are refused before any
+    # grid is built or swept.
     for ident, b in zip(idents, bounds):
         for p in ident.params:
             if p.cap is not None and p.bound is not None and b[p.bound] > p.cap:
                 raise ParamError(f"{p.name} must be <= {p.cap}")
+    if sum(_grid_size(ident, b) for ident, b in zip(idents, bounds)) > GRID_BUDGET:
+        raise ParamError(f"grids exceed the budget of {GRID_BUDGET} cases")
     plans = [
         (ident, _grid(ident, b, config.seed), _describe_bounds(ident.tag, b))
         for ident, b in zip(idents, bounds)
@@ -745,7 +813,6 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         raise ConfigError(f"empty grid for identities {tags}")
 
     total = 0
-    passed = 0
     failures: List[IdentityCase] = []
     worst: Dict[str, float] = {}
     all_cases: Optional[List[IdentityCase]] = [] if config.keep_cases else None
@@ -755,16 +822,17 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         identity_start = time.perf_counter()
         for lead, group in groupby(grid, key=itemgetter(0)):
             rests = [params[1:] for params in group]
-            for case in _run_cases(ident, lead, rests, config.tolerance, config.seed):
-                total += 1
-                if case.passed:
-                    passed += 1
-                else:
-                    failures.append(case)
-                if case.abs_error is not None:
-                    worst[tag] = max(worst.get(tag, 0.0), case.abs_error)
-                if all_cases is not None:
-                    all_cases.append(case)
+            cases = _run_cases(ident, lead, rests, config.tolerance, config.seed)
+            total += len(cases)
+            failures += [case for case in cases if not case[5]]  # passed
+            if ident.mode == "tolerance":
+                # A left fold from 0.0, as max() takes its arguments: a NaN
+                # error never replaces the value.
+                errors = [case[6] for case in cases if case[6] is not None]  # abs_error
+                if errors:
+                    worst[tag] = max(worst.get(tag, 0.0), *errors)
+            if all_cases is not None:
+                all_cases += cases
         timings[tag] = (len(grid), time.perf_counter() - identity_start)
 
     # Keys in sweep order for byte-stable serialization.
@@ -775,8 +843,8 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         suite=suite_name,
         grid=grid_text + f"; seed={config.seed}; tolerance={config.tolerance:g}",
         total=total,
-        passed=passed,
-        failed=total - passed,
+        passed=total - len(failures),
+        failed=len(failures),
         worst_errors=worst_ordered,
         failures=failures,
         wall_time_seconds=time.perf_counter() - start,

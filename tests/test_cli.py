@@ -259,6 +259,17 @@ class TestVerify:
         assert code == 2 and out == "" and err == f"error: r must be <= {DEGREE_CAP}\n"
         assert built == []
 
+    @pytest.mark.parametrize("argv", [
+        ("--identity", "prop1", "--k-max", "100000000"),
+        ("--identity", "cross-evaluator", "--k-max", "100000"),
+    ])
+    def test_grid_over_the_budget_exits_2_before_building(self, capsys, monkeypatch, argv):
+        built = []
+        monkeypatch.setattr(verify, "_grid", lambda *args: built.append(args) or [])
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == "" and built == []
+        assert err == f"error: grids exceed the budget of {verify.GRID_BUDGET} cases\n"
+
     def test_unknown_identity_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--identity", "prop99")
         assert code == 2 and "prop99" in err

@@ -4,6 +4,8 @@ cases report one at a time through run_identity, and a failure inside a
 run must stay with the cases that cause it.
 """
 
+import math
+
 import pytest
 
 import ramavg.averages as averages
@@ -227,6 +229,18 @@ def test_bool_rendering_example_is_refused():
     assert run_identity("prop7", ((1, 2), 1)).params == "ks=1|2,r=1"
 
 
+def test_tuple_values_render_joined_in_any_position():
+    assert run_identity("e-multiplicativity", ((2, 3), (5, 7))).params == "a=2|3,b=5|7"
+    config = SuiteConfig(identities=["e-multiplicativity"], k_max=8, n_max=3, keep_cases=True)
+
+    def joined(t):
+        return "|".join(map(str, t))
+
+    assert [c.params for c in run_suite(config).cases] == [
+        f"a={joined(a)},b={joined(b)}" for a, b in grid_of(config)
+    ]
+
+
 # --- per-tuple tables shared by the tuple identities ------------------------
 
 TUPLE_TAGS = ["prop7", "prop7-corollary", "e-integrality"]
@@ -350,3 +364,133 @@ def test_a_refused_one_modulus_row_fails_only_its_k(monkeypatch):
     assert {c.error for c in cases if not c.passed} == {"period lcm(6,) refused"}
     assert multivar._power_sum_table((6,)) == []
     assert len(multivar._power_sum_table((5,))) == 5
+
+
+# --- every outcome in one run, in each comparison mode ---------------------
+
+
+def test_mixed_runs_in_each_mode(monkeypatch):
+    """One run of an exact tag and one of a tolerance tag each hold a
+    passing case, a failing case and a case with a reason, the tolerance
+    run also a NaN lhs; one run of each raises, so its cases are evaluated
+    alone and only the raising one is recorded as raised."""
+    real_holder, real_float, real_divisor = (
+        verify.ramanujan_sum_holder, verify.ramanujan_sum_float, verify.ramanujan_sum
+    )
+
+    def divisor(k, j):
+        if (k, j) == (7, 3):
+            raise ValueError("divisor refused 7, 3")
+        return real_divisor(k, j)
+
+    def holder(k, j):
+        return real_holder(k, j) + ((k, j) == (6, 2))
+
+    def oracle(k, j):
+        return real_float(k, j) + 0.5 * ((k, j) == (6, 4))
+
+    monkeypatch.setattr(verify, "ramanujan_sum", divisor)
+    monkeypatch.setattr(verify, "ramanujan_sum_holder", holder)
+    monkeypatch.setattr(verify, "ramanujan_sum_float", oracle)
+
+    real_dft, dft_calls = averages.inverse_dft_batch, []
+
+    def dft(k, ns):
+        dft_calls.append((k, list(ns)))
+        if k == 7 and 3 in ns:
+            raise RuntimeError("dft refused 7, 3")
+        out = [tuple(pair) for pair in real_dft(k, ns)]
+        if k == 6:
+            faults = {
+                1: lambda lhs, rhs: (float("nan"), rhs),
+                3: lambda lhs, rhs: (lhs, rhs + 0.25),
+                4: lambda lhs, rhs: (lhs, rhs, "reason at 6, 4"),
+                5: lambda lhs, rhs: (lhs, rhs + 0.125),
+            }
+            out = [faults[n](*pair) if n in faults else pair for n, pair in zip(ns, out)]
+        return out
+
+    monkeypatch.setattr(averages, "inverse_dft_batch", dft)
+    config = SuiteConfig(
+        identities=["cross-evaluator", "inverse-dft"], k_max=7, n_max=5, keep_cases=True
+    )
+    report = run_suite(config)
+
+    def exact(k, j, **fields):
+        a = real_divisor(k, j)
+        case = dict(
+            identity="cross-evaluator", params=f"k={k},j={j}", mode="exact", lhs=str(a),
+            rhs=str(a), passed=True, abs_error=None, error=None,
+        )
+        return {**case, **fields}
+
+    def tolerance(k, n, **fields):
+        lhs, rhs = real_dft(k, [n])[0]
+        case = dict(
+            identity="inverse-dft", params=f"k={k},n={n}", mode="tolerance",
+            lhs=f"{lhs:.17g}", rhs=f"{rhs:.17g}", passed=True, abs_error=abs(lhs - rhs),
+            error=None,
+        )
+        return {**case, **fields}
+
+    lhs63, rhs63 = real_dft(6, [3])[0]
+    lhs65, rhs65 = real_dft(6, [5])[0]
+    expected = {
+        ("cross-evaluator", "k=6,j=2"): exact(6, 2, rhs=str(real_holder(6, 2) + 1), passed=False),
+        ("cross-evaluator", "k=6,j=4"): exact(
+            6, 4, passed=False, error="float oracle -0.5 disagrees with the exact value -1"
+        ),
+        ("cross-evaluator", "k=7,j=3"): exact(
+            7, 3, lhs="", rhs="", passed=False, error="divisor refused 7, 3"
+        ),
+        ("inverse-dft", "k=6,n=1"): tolerance(
+            6, 1, lhs="nan", passed=False, abs_error=float("nan")
+        ),
+        ("inverse-dft", "k=6,n=3"): tolerance(
+            6, 3, rhs=f"{rhs63 + 0.25:.17g}", passed=False, abs_error=abs(lhs63 - rhs63 - 0.25)
+        ),
+        ("inverse-dft", "k=6,n=4"): tolerance(6, 4, passed=False, error="reason at 6, 4"),
+        ("inverse-dft", "k=6,n=5"): tolerance(
+            6, 5, rhs=f"{rhs65 + 0.125:.17g}", passed=False, abs_error=abs(lhs65 - rhs65 - 0.125)
+        ),
+        ("inverse-dft", "k=7,n=3"): tolerance(
+            7, 3, lhs="", rhs="", passed=False, abs_error=None, error="dft refused 7, 3"
+        ),
+    }
+    grid = [("cross-evaluator", f"k={k},j={j}") for k in range(1, 8) for j in range(k + 1)]
+    grid += [("inverse-dft", f"k={k},n={n}") for k in range(1, 8) for n in range(1, 6)]
+    assert [(c.identity, c.params) for c in report.cases] == grid
+    for case in report.cases:
+        assert type(case) is verify.IdentityCase
+        got = case._asdict()
+        want = expected.get((case.identity, case.params))
+        if want is None:
+            identity, params = case.identity, case.params
+            k, v = (int(part.split("=")[1]) for part in params.split(","))
+            want = exact(k, v) if identity == "cross-evaluator" else tolerance(k, v)
+        if case.params == "k=6,n=1":  # nan != nan
+            assert math.isnan(got.pop("abs_error")) and math.isnan(want.pop("abs_error"))
+        assert got == want
+
+    failing = [key for key in grid if key in expected]
+    assert [(c.identity, c.params) for c in report.failures] == failing
+    assert report.failures == [c for c in report.cases if not c.passed]
+    assert (report.total, report.passed, report.failed) == (len(grid), len(grid) - 8, 8)
+
+    # worst_errors is the left fold of max from 0.0 over each case in order,
+    # so the NaN of k=6, n=1 never enters it; exact tags have no entry.
+    fold = 0.0
+    for case in report.cases:
+        if case.abs_error is not None:
+            fold = max(fold, case.abs_error)
+    assert report.worst_errors == {"inverse-dft": fold}
+    assert fold == abs(lhs63 - rhs63 - 0.25) and not math.isnan(fold)
+    # The k = 7 run raised, so each of its cases was evaluated alone.
+    assert [call for call in dft_calls if call[0] == 7] == [
+        (7, [1, 2, 3, 4, 5]), (7, [1]), (7, [2]), (7, [3]), (7, [4]), (7, [5]),
+    ]
+    for identity, params in expected:
+        k, v = (int(part.split("=")[1]) for part in params.split(","))
+        alone = run_identity(identity, (k, v))
+        swept = next(c for c in report.cases if (c.identity, c.params) == (identity, params))
+        assert alone.lhs == swept.lhs and alone.error == swept.error and not alone.passed

@@ -2,6 +2,7 @@ import csv
 import inspect
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -256,8 +257,105 @@ class TestDegreeCap:
         with pytest.raises(ParamError, match=over_cap(tag)):
             run_suite(SuiteConfig(identities=[tag], **{bound: exact.DEGREE_CAP + 1}))
         assert built == []
-        report = run_suite(SuiteConfig(identities=[tag], **{bound: exact.DEGREE_CAP}))
+        # k_max = 10 keeps prop7's grid under GRID_BUDGET: at its default
+        # k_max of 40 there are 12,340 tuples, 4,936,000 cases at r <= 400.
+        report = run_suite(SuiteConfig(identities=[tag], k_max=10, **{bound: exact.DEGREE_CAP}))
         assert [b[bound] for b in built] == [exact.DEGREE_CAP] and report.total == 1
+
+
+def small_bounds(tag):
+    """Bounds of every shape a count must follow: empty, negative, one
+    value, and products where the bounds differ. e-multiplicativity draws
+    its components and arities from 1..k_max and 1..n_max, so those stay
+    positive."""
+    names = verify._lookup(tag).bounds
+    sets = [{name: v for name in names} for v in (-1, 0, 1, 2, 5)]
+    sets += [{name: 3 + 2 * i for i, name in enumerate(sorted(names))}]
+    if tag == "e-multiplicativity":
+        sets = [b for b in sets if b["k_max"] >= 1 and b["n_max"] >= 1]
+    return sets
+
+
+class TestGridBudget:
+    """Counted only: no test builds a grid near GRID_BUDGET."""
+
+    @pytest.mark.parametrize("tag", sorted(EXPECTED_TAGS))
+    def test_the_count_is_the_grid_length(self, tag):
+        ident = verify._lookup(tag)
+        for bounds in small_bounds(tag):
+            size = verify._grid_size(ident, bounds)
+            assert size == len(verify._grid(ident, bounds, 7)), bounds
+
+    def test_the_multiset_count_is_the_sum_of_its_arities(self):
+        # Exact up to the budget, and over it past it.
+        for k in range(0, 30):
+            for n in range(0, 30):
+                by_arity = sum(math.comb(k + i - 1, i) for i in range(1, n + 1))
+                count = verify._multiset_count(k, n)
+                if by_arity <= verify.GRID_BUDGET:
+                    assert count == by_arity, (k, n)
+                else:
+                    assert count > verify.GRID_BUDGET, (k, n)
+
+    def test_a_count_past_the_budget_stays_past_it(self):
+        # The smaller of k and n is held to GRID_BUDGET's bit length, so no
+        # huge binomial is computed, and the count stays over the budget.
+        for k, n in [(10**8, 10**8), (10**8, 21), (21, 10**8), (1, 10**8), (2, 10**8)]:
+            assert verify._multiset_count(k, n) > verify.GRID_BUDGET
+        assert verify._multiset_count(1, verify.GRID_BUDGET) == verify.GRID_BUDGET
+
+    def test_the_default_grids_are_within_the_budget(self):
+        sizes = {
+            tag: verify._grid_size(verify._lookup(tag), default_bounds(tag))
+            for tag in IDENTITY_TAGS
+        }
+        assert max(sizes.values()) == sizes["inverse-dft"] == 250_000
+        assert sum(sizes.values()) <= verify.GRID_BUDGET
+
+    @pytest.mark.parametrize("tag, bounds, count", [
+        ("prop1", dict(k_max=6, r_max=3), 18),
+        ("prop7", dict(k_max=4, n_max=2, r_max=2), (4 + 10) * 2),
+        ("cross-evaluator", dict(k_max=5), 2 + 3 + 4 + 5 + 6),
+        ("e-multiplicativity", {}, 200),
+    ])
+    def test_both_sides_of_the_budget(self, monkeypatch, tag, bounds, count):
+        built, real = [], verify._grid
+        monkeypatch.setattr(verify, "_grid", lambda *args: built.append(args[0].tag) or real(*args))
+        config = SuiteConfig(identities=[tag], **bounds)
+        monkeypatch.setattr(verify, "GRID_BUDGET", count - 1)
+        with pytest.raises(ParamError, match=rf"^grids exceed the budget of {count - 1} cases$"):
+            run_suite(config)
+        assert built == []
+        monkeypatch.setattr(verify, "GRID_BUDGET", count)
+        report = run_suite(config)
+        assert built == [tag] and report.total == count and report.failed == 0
+
+    def test_the_budget_holds_the_sum_of_the_selected_grids(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(verify, "_grid", lambda *args: built.append(args) or [])
+        config = SuiteConfig(identities=["prop1", "cross-evaluator"], k_max=5, r_max=3)
+        monkeypatch.setattr(verify, "GRID_BUDGET", 15 + 20 - 1)
+        with pytest.raises(ParamError, match="budget"):
+            run_suite(config)
+        assert built == []
+        monkeypatch.setattr(verify, "GRID_BUDGET", 15 + 20)
+        with pytest.raises(ConfigError, match="empty grid"):  # the counter builds nothing
+            run_suite(config)
+        assert [args[0].tag for args in built] == ["prop1", "cross-evaluator"]
+
+    @pytest.mark.parametrize("tag, bounds", [
+        ("prop1", dict(k_max=10**8)),
+        ("cross-evaluator", dict(k_max=10**5)),
+        ("prop7", dict(k_max=10**8, n_max=10**8)),
+        ("prop7-corollary", dict(k_max=1, n_max=10**8)),
+        ("inverse-dft", dict(k_max=averages.DFT_LIMIT, n_max=11)),
+    ])
+    def test_a_large_grid_is_refused_before_it_is_built(self, monkeypatch, tag, bounds):
+        built = []
+        monkeypatch.setattr(verify, "_grid", lambda *args: built.append(args) or [])
+        with pytest.raises(ParamError, match="^grids exceed the budget"):
+            run_suite(SuiteConfig(identities=[tag], **bounds))
+        assert built == []
 
 
 class TestVerdicts:
