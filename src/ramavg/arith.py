@@ -1,8 +1,10 @@
 """Integer factorization and the classical arithmetic functions.
 
 Everything here is exact integer arithmetic. Factorization is trial
-division against a cached prime table (primes below 2**20), which covers
-inputs up to 2**40; larger inputs are rejected rather than silently slow.
+division against a cached prime table, which grows on demand: it holds the
+primes below a power of two from 2**10 up to 2**20, sieved again only when
+an input needs primes past its bound. The full table covers inputs up to
+2**40; larger inputs are rejected rather than silently slow.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import compress
 from typing import Callable, Optional, Tuple, Union
 
 __all__ = [
@@ -28,24 +31,38 @@ __all__ = [
     "dirichlet_convolve",
 ]
 
-# Trial division by primes < 2**20 fully factors anything below 2**40.
+# Trial division by primes < 2**20 fully factors anything up to 2**40.
+_PRIME_TABLE_MIN = 1 << 10
 _PRIME_TABLE_BOUND = 1 << 20
 FACTOR_LIMIT = 1 << 40
 
-_primes: Optional[Tuple[int, ...]] = None
+# (bound, the primes below bound), replaced in one assignment so that no
+# reader sees a bound without its primes.
+_table: Tuple[int, Tuple[int, ...]] = (0, ())
 
 
-def _prime_table() -> Tuple[int, ...]:
-    """Primes below 2**20, sieved once on first use (read-only afterwards)."""
-    global _primes
-    if _primes is None:
-        sieve = bytearray([1]) * _PRIME_TABLE_BOUND
-        sieve[0] = sieve[1] = 0
-        for p in range(2, math.isqrt(_PRIME_TABLE_BOUND) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = bytearray(len(range(p * p, _PRIME_TABLE_BOUND, p)))
-        _primes = tuple(i for i in range(_PRIME_TABLE_BOUND) if sieve[i])
-    return _primes
+def _sieve(bound: int) -> Tuple[int, ...]:
+    """The primes below bound, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * bound
+    sieve[0] = sieve[1] = 0
+    for p in range(2, math.isqrt(bound) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(range(p * p, bound, p)))
+    return tuple(compress(range(bound), sieve))
+
+
+def _prime_table(limit: int) -> Tuple[int, ...]:
+    """The prime table, grown on demand to hold every prime below limit
+    (below 2**20 at most). Its bound is a power of two from 2**10 to 2**20,
+    and it is sieved again only when limit passes that bound."""
+    global _table
+    bound, primes = _table
+    limit = min(limit, _PRIME_TABLE_BOUND)
+    if limit > bound:
+        bound = max(1 << (limit - 1).bit_length(), _PRIME_TABLE_MIN)
+        primes = _sieve(bound)
+        _table = (bound, primes)
+    return primes
 
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -118,7 +135,7 @@ def factorize(n: int) -> Factorization:
         raise ValueError(f"n={n} exceeds the supported range (2**40)")
     m = n
     out = []
-    for p in _prime_table():
+    for p in _prime_table(math.isqrt(n) + 1):
         if p * p > m:
             break
         if m % p == 0:
@@ -129,7 +146,9 @@ def factorize(n: int) -> Factorization:
                 m //= p
             out.append((p, e))
     if m > 1:
-        # No prime factor below 2**20 and m <= 2**40, so m is prime.
+        # m is prime: every prime below the table bound was tried (or the
+        # loop stopped at p * p > m), that bound is greater than isqrt(n)
+        # (or is 2**20 = isqrt(2**40), not a prime), and m <= n.
         out.append((m, 1))
     return Factorization(n, tuple(out))
 

@@ -41,8 +41,8 @@ The CSV is written from the unpacked tuples.
 
 Before any grid is built, run_suite refuses a grid bound above a
 parameter's cap, and counts the cases of every selected grid from its
-bounds (no grid is built to count it): more than GRID_BUDGET cases in all
-raise ParamError.
+bounds (no grid is built to count it), a case of moduli tuples once per
+modulus it holds: more than GRID_BUDGET in all raise ParamError.
 
 A sweep never aborts on a failing or erroring case; errors are recorded
 on the case and the report's exit status carries the overall verdict.
@@ -235,8 +235,9 @@ class IdentityDef:
     # (bounds, seed) -> ascending params; None means the product of the
     # parameters' ranges.
     grid: Optional[Callable[[dict, int], List[tuple]]] = None
-    # bounds -> len(grid(bounds, seed)), counted without building the grid;
-    # given with every grid.
+    # bounds -> the cases of grid(bounds, seed), a case of moduli tuples
+    # counted once per modulus it holds (or can hold, for drawn arities),
+    # counted without building the grid; given with every grid.
     size: Optional[Callable[[dict], int]] = None
     param_names: Tuple[str, ...] = field(init=False)
     trailing: str = field(init=False)  # ",name={}" per trailing parameter, for str.format
@@ -333,10 +334,11 @@ def _validate(ident: IdentityDef, lead, rests: Sequence[tuple]) -> None:
 
 
 # Cases of all the grids of one sweep, which run_suite counts before it
-# builds any: 4x the largest default grid (inverse-dft, 250,000 cases),
-# and above verify --all (430,000). A grid case holds about 64 bytes and a
-# case kept for the CSV about 300 more, so the budget bounds the grids to
-# about 64 MB and a CSV sweep to about 400 MB.
+# builds any, a case of moduli tuples counted once per modulus it holds:
+# 4x the largest default grid (inverse-dft, 250,000 cases), and above
+# verify --all (598,001). A grid case holds about 64 bytes and a case kept
+# for the CSV about 300 more, so the budget bounds the grids to about 64 MB
+# and a CSV sweep to about 400 MB; a modulus adds less than a case.
 GRID_BUDGET = 1_000_000
 
 
@@ -347,8 +349,9 @@ def _grid(ident: IdentityDef, bounds: Dict[str, int], seed: int) -> List[tuple]:
 
 
 def _grid_size(ident: IdentityDef, bounds: Dict[str, int]) -> int:
-    """len(_grid(ident, bounds, seed)) up to GRID_BUDGET, and a number above
-    GRID_BUDGET past it, counted without building anything."""
+    """ident.size(bounds), or the product grid's length: exact up to
+    GRID_BUDGET, and a number above GRID_BUDGET past it, counted without
+    building anything."""
     if ident.size is not None:
         return ident.size(bounds)
     return math.prod(len(range(p.minimum, bounds[p.bound] + 1)) for p in ident.params)
@@ -365,6 +368,16 @@ def _multiset_count(component_max: int, arity_max: int) -> int:
     return math.comb(max(k, n) + small, small) - 1
 
 
+def _multiset_moduli(component_max: int, arity_max: int) -> int:
+    """The moduli _tuple_grid(component_max, arity_max) holds, the sum of
+    i C(k + i - 1, i) over i = 1..n, which is k C(k + n, n - 1). It is at
+    least the case count, so past GRID_BUDGET the case count stands in."""
+    cases = _multiset_count(component_max, arity_max)
+    if cases > GRID_BUDGET or cases == 0:
+        return cases
+    return component_max * math.comb(component_max + arity_max, arity_max - 1)
+
+
 def _tuple_grid(component_max: int, arity_max: int) -> List[tuple]:
     """Ascending multisets (k_1 <= ... <= k_n) for n = 1..arity_max.
 
@@ -378,7 +391,10 @@ def _tuple_grid(component_max: int, arity_max: int) -> List[tuple]:
 
 
 def _coprime_pair_grid(pairs: int, component_max: int, arity_max: int, seed: int) -> List[tuple]:
-    """Seeded coprime tuple pairs ((a_1..a_n), (b_1..b_n))."""
+    """Seeded coprime tuple pairs ((a_1..a_n), (b_1..b_n)); none without
+    components or arities to draw from."""
+    if component_max < 1 or arity_max < 1:
+        return []
     rng = random.Random(f"e-mult:{seed}")
     out = []
     for _ in range(pairs):
@@ -512,7 +528,14 @@ def _tuple_param_grid(b, seed):
 
 
 def _tuple_param_size(b):
-    return _multiset_count(b["k_max"], b["n_max"])
+    return _multiset_moduli(b["k_max"], b["n_max"])
+
+
+def _coprime_pair_size(b):
+    """At most n_max moduli on each side of each pair."""
+    if b["k_max"] < 1:
+        return 0
+    return max(b["pairs"], 0) * 2 * max(b["n_max"], 0)
 
 
 _K = Param("k", bound="k_max")
@@ -584,7 +607,7 @@ _CATALOG: Dict[str, IdentityDef] = {
                 for t in _tuple_grid(b["k_max"], b["n_max"])
                 for r in range(1, b["r_max"] + 1)
             ],
-            lambda b: _multiset_count(b["k_max"], b["n_max"]) * max(b["r_max"], 0),
+            lambda b: _multiset_moduli(b["k_max"], b["n_max"]) * max(b["r_max"], 0),
         ),
         IdentityDef(
             "prop7-corollary", "exact", (_KS,), _per_case(_prop7_corollary),
@@ -599,7 +622,7 @@ _CATALOG: Dict[str, IdentityDef] = {
             _per_case(lambda a, b: multivar.multiplicativity_sides(a, b)),
             {"k_max": 30, "n_max": 3, "pairs": 200},
             lambda b, seed: _coprime_pair_grid(b["pairs"], b["k_max"], b["n_max"], seed),
-            lambda b: max(b["pairs"], 0),
+            _coprime_pair_size,
         ),
         IdentityDef(
             "cross-evaluator", "exact", (Param("k"), Param("j", minimum=0)), _cross_evaluator,
@@ -804,7 +827,9 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
             if p.cap is not None and p.bound is not None and b[p.bound] > p.cap:
                 raise ParamError(f"{p.name} must be <= {p.cap}")
     if sum(_grid_size(ident, b) for ident, b in zip(idents, bounds)) > GRID_BUDGET:
-        raise ParamError(f"grids exceed the budget of {GRID_BUDGET} cases")
+        raise ParamError(
+            f"grids exceed the budget of {GRID_BUDGET} cases, a tuple case counted per modulus"
+        )
     plans = [
         (ident, _grid(ident, b, config.seed), _describe_bounds(ident.tag, b))
         for ident, b in zip(idents, bounds)

@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from ramavg import arith
 from ramavg.arith import (
     FACTOR_LIMIT,
     divisor_count_and_sum,
@@ -83,6 +84,57 @@ class TestFactorize:
             last = p
             prod *= p**e
         assert prod == n
+
+
+class TestPrimeTable:
+    """The prime table grows on demand from 2**10 to 2**20."""
+
+    @pytest.fixture(autouse=True)
+    def sieved(self, monkeypatch):
+        """An empty table and an empty factorize cache; the bound of each sieve."""
+        bounds, real = [], arith._sieve
+        monkeypatch.setattr(arith, "_table", (0, ()))
+        monkeypatch.setattr(arith, "_sieve", lambda bound: bounds.append(bound) or real(bound))
+        factorize.cache_clear()
+        yield bounds
+        factorize.cache_clear()
+
+    def test_small_inputs_keep_the_first_bound(self, sieved):
+        for n in range(1, 10**4 + 1):
+            assert factorize(n).factors == trial_division(n)
+        assert sieved == [2**10] and arith._table[0] == 2**10
+        assert arith._table[1] == tuple(p for p in range(2**10) if is_prime(p))
+
+    def test_a_prime_square_just_under_the_first_bound(self, sieved):
+        assert factorize(1021**2).factors == ((1021, 2),)
+        assert sieved == [2**10]
+
+    def test_two_primes_just_above_the_first_bound(self, sieved):
+        assert factorize(12).factors == ((2, 2), (3, 1))
+        assert factorize(1031 * 1033).factors == ((1031, 1), (1033, 1))
+        assert sieved == [2**10, 2**11]
+
+    def test_the_largest_table_is_sieved_once(self, sieved):
+        # 1048573 is the largest prime below 2**20, and its square is
+        # within FACTOR_LIMIT.
+        assert 1048573**2 <= FACTOR_LIMIT
+        factorize(2)
+        assert factorize(1048573**2).factors == ((1048573, 2),)
+        assert sieved == [2**10, 2**20] and len(arith._table[1]) == 82_025
+        assert factorize(FACTOR_LIMIT).factors == ((2, 40),)
+        assert factorize(FACTOR_LIMIT - 1).factors == (
+            (3, 1), (5, 2), (11, 1), (17, 1), (31, 1), (41, 1), (61681, 1)
+        )
+        for n in range(1, 1000):
+            factorize(n)
+        assert sieved == [2**10, 2**20] and arith._table[0] == 2**20
+
+    def test_a_later_small_input_does_not_sieve_again(self, sieved):
+        factorize(1031 * 1033)
+        table = arith._table
+        for n in (2, 1021**2, 2**21 - 1, 2047**2):
+            factorize(n)
+        assert sieved == [2**11] and arith._table is table
 
 
 class TestClassicalFunctions:

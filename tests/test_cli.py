@@ -218,6 +218,15 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--identity", "prop4", "--k-max", "1")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--identity", "e-multiplicativity", "--k-max", "0"),
+        ("--identity", "e-multiplicativity", "--n-max", "0"),
+    ])
+    def test_no_coprime_pairs_to_draw_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert err == "error: empty grid for identities ['e-multiplicativity']\n"
+
     @pytest.mark.parametrize("selection, message", [
         ((",",), "error: no identity selected\n"),
         (("prop1", "prop1"), "error: identities selected more than once: prop1\n"),
@@ -262,13 +271,17 @@ class TestVerify:
     @pytest.mark.parametrize("argv", [
         ("--identity", "prop1", "--k-max", "100000000"),
         ("--identity", "cross-evaluator", "--k-max", "100000"),
+        ("--identity", "prop7-corollary", "--k-max", "1", "--n-max", "1000000"),
     ])
     def test_grid_over_the_budget_exits_2_before_building(self, capsys, monkeypatch, argv):
         built = []
         monkeypatch.setattr(verify, "_grid", lambda *args: built.append(args) or [])
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 2 and out == "" and built == []
-        assert err == f"error: grids exceed the budget of {verify.GRID_BUDGET} cases\n"
+        assert err == (
+            f"error: grids exceed the budget of {verify.GRID_BUDGET} cases,"
+            " a tuple case counted per modulus\n"
+        )
 
     def test_unknown_identity_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--identity", "prop99")

@@ -265,15 +265,16 @@ class TestDegreeCap:
 
 def small_bounds(tag):
     """Bounds of every shape a count must follow: empty, negative, one
-    value, and products where the bounds differ. e-multiplicativity draws
-    its components and arities from 1..k_max and 1..n_max, so those stay
-    positive."""
+    value, and products where the bounds differ."""
     names = verify._lookup(tag).bounds
     sets = [{name: v for name in names} for v in (-1, 0, 1, 2, 5)]
     sets += [{name: 3 + 2 * i for i, name in enumerate(sorted(names))}]
-    if tag == "e-multiplicativity":
-        sets = [b for b in sets if b["k_max"] >= 1 and b["n_max"] >= 1]
     return sets
+
+
+def moduli_held(case):
+    """A case counts once, or once per modulus of its moduli tuples."""
+    return sum(len(v) for v in case if isinstance(v, tuple)) or 1
 
 
 class TestGridBudget:
@@ -281,10 +282,17 @@ class TestGridBudget:
 
     @pytest.mark.parametrize("tag", sorted(EXPECTED_TAGS))
     def test_the_count_is_the_grid_length(self, tag):
+        # The tuple grids count the moduli their cases hold; e-multiplicativity
+        # draws each arity from 1..n_max, so it counts n_max per side.
         ident = verify._lookup(tag)
         for bounds in small_bounds(tag):
             size = verify._grid_size(ident, bounds)
-            assert size == len(verify._grid(ident, bounds, 7)), bounds
+            grid = verify._grid(ident, bounds, 7)
+            if tag == "e-multiplicativity":
+                assert size == 2 * max(bounds["n_max"], 0) * len(grid), bounds
+                assert size >= sum(map(moduli_held, grid)), bounds
+            else:
+                assert size == sum(map(moduli_held, grid)), bounds
 
     def test_the_multiset_count_is_the_sum_of_its_arities(self):
         # Exact up to the budget, and over it past it.
@@ -296,6 +304,19 @@ class TestGridBudget:
                     assert count == by_arity, (k, n)
                 else:
                     assert count > verify.GRID_BUDGET, (k, n)
+
+    def test_the_moduli_count_is_the_sum_of_its_arities(self):
+        for k in range(0, 30):
+            for n in range(0, 30):
+                by_arity = sum(i * math.comb(k + i - 1, i) for i in range(1, n + 1))
+                count = verify._multiset_moduli(k, n)
+                if verify._multiset_count(k, n) <= verify.GRID_BUDGET:
+                    assert count == by_arity == (k * math.comb(k + n, n - 1) if n else 0), (k, n)
+                else:
+                    assert count > verify.GRID_BUDGET, (k, n)
+        # 10^6 cases, within the budget as cases, but about 5 * 10^11 moduli.
+        assert verify._multiset_count(1, 10**6) == 10**6 == verify.GRID_BUDGET
+        assert verify._multiset_moduli(1, 10**6) == 10**6 * (10**6 + 1) // 2
 
     def test_a_count_past_the_budget_stays_past_it(self):
         # The smaller of k and n is held to GRID_BUDGET's bit length, so no
@@ -310,25 +331,33 @@ class TestGridBudget:
             for tag in IDENTITY_TAGS
         }
         assert max(sizes.values()) == sizes["inverse-dft"] == 250_000
-        assert sum(sizes.values()) <= verify.GRID_BUDGET
+        # 40 * C(43, 2) moduli in the multiset grids, 5 r each for prop7.
+        assert sizes["prop7"] == 5 * sizes["e-integrality"] == 5 * 36_120
+        assert sizes["e-multiplicativity"] == 200 * 2 * 3
+        assert sum(sizes.values()) == 598_001 <= verify.GRID_BUDGET
 
     @pytest.mark.parametrize("tag, bounds, count", [
         ("prop1", dict(k_max=6, r_max=3), 18),
-        ("prop7", dict(k_max=4, n_max=2, r_max=2), (4 + 10) * 2),
+        ("prop7", dict(k_max=4, n_max=2, r_max=2), (4 + 2 * 10) * 2),
         ("cross-evaluator", dict(k_max=5), 2 + 3 + 4 + 5 + 6),
-        ("e-multiplicativity", {}, 200),
+        ("e-multiplicativity", {}, 200 * 2 * 3),
+        ("prop7-corollary", dict(k_max=1, n_max=40), 40 * 41 // 2),
     ])
     def test_both_sides_of_the_budget(self, monkeypatch, tag, bounds, count):
         built, real = [], verify._grid
-        monkeypatch.setattr(verify, "_grid", lambda *args: built.append(args[0].tag) or real(*args))
+        monkeypatch.setattr(verify, "_grid", lambda *args: built.append(real(*args)) or built[-1])
         config = SuiteConfig(identities=[tag], **bounds)
         monkeypatch.setattr(verify, "GRID_BUDGET", count - 1)
-        with pytest.raises(ParamError, match=rf"^grids exceed the budget of {count - 1} cases$"):
+        message = rf"^grids exceed the budget of {count - 1} cases, a tuple case counted per modulus$"
+        with pytest.raises(ParamError, match=message):
             run_suite(config)
         assert built == []
         monkeypatch.setattr(verify, "GRID_BUDGET", count)
         report = run_suite(config)
-        assert built == [tag] and report.total == count and report.failed == 0
+        [grid] = built
+        assert report.total == len(grid) and report.failed == 0
+        if tag != "e-multiplicativity":  # which counts n_max moduli per side
+            assert sum(map(moduli_held, grid)) == count
 
     def test_the_budget_holds_the_sum_of_the_selected_grids(self, monkeypatch):
         built = []
@@ -349,6 +378,8 @@ class TestGridBudget:
         ("prop7", dict(k_max=10**8, n_max=10**8)),
         ("prop7-corollary", dict(k_max=1, n_max=10**8)),
         ("inverse-dft", dict(k_max=averages.DFT_LIMIT, n_max=11)),
+        ("prop7-corollary", dict(k_max=1, n_max=10**6)),
+        ("e-multiplicativity", dict(n_max=10**4)),
     ])
     def test_a_large_grid_is_refused_before_it_is_built(self, monkeypatch, tag, bounds):
         built = []
