@@ -119,8 +119,8 @@ class ArithmeticFunction:
 
 
 class ExactPair(NamedTuple):
-    lhs: Fraction
-    rhs: Fraction
+    lhs: Rational
+    rhs: Rational
 
     @property
     def ok(self) -> bool:
@@ -281,7 +281,8 @@ def gcd_weighted_batch(k: int, fs: Sequence[ArithmeticFunction]) -> List[ExactPa
     the class totals W_d of the row. The right side is
     phi(k) sum_{d|k} mu(k/d) f(d) and never reads the row. The divisors,
     W_d, mu(k/d) and phi(k) are read once for the batch, and each f is
-    evaluated once per divisor.
+    evaluated once per divisor. An integer-valued f gives int sides, a
+    rational one Fractions.
     """
     if k < 1:
         raise ValueError(f"gcd_weighted_pair requires k >= 1, got {k}")
@@ -294,7 +295,7 @@ def gcd_weighted_batch(k: int, fs: Sequence[ArithmeticFunction]) -> List[ExactPa
         fval = list(map(f.fn, ds))
         lhs = sum(map(mul, fval, totals))
         rhs = phi * sum(map(mul, fval, mus))
-        out.append(ExactPair(Fraction(lhs), Fraction(rhs)))
+        out.append(ExactPair(lhs, rhs))
     return out
 
 
@@ -366,7 +367,7 @@ def binomial_weighted_exact(k: int) -> ExactPair:
         mu_kd = mobius(k // d)
         if mu_kd:
             rhs += d * mu_kd * sum(binomial(k, d * m) for m in range(k // d + 1))
-    return ExactPair(Fraction(lhs), Fraction(rhs))
+    return ExactPair(lhs, rhs)
 
 
 def cos_pi(num: int, den: int) -> float:

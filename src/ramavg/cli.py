@@ -35,8 +35,9 @@ from .verify import (
 
 _FORMATS = ("plain", "json", "csv")
 
-# The most moduli one table may list: k_max for s-r, n * k_max**n for
-# e-values. It is checked before any row is built.
+# The most moduli one table may list: k_max * r for s-r, whose closed form
+# costs about r steps per modulus, and n * k_max**n for e-values. It is
+# checked before any row is built.
 TABLE_BUDGET = 100_000
 
 
@@ -171,7 +172,11 @@ def _over_degree_cap(flag: str, degree: Optional[int]) -> bool:
 def _over_budget(moduli: int) -> bool:
     if moduli <= TABLE_BUDGET:
         return False
-    print(f"error: the table would list more than {TABLE_BUDGET} moduli", file=sys.stderr)
+    print(
+        f"error: the table exceeds the budget of {TABLE_BUDGET} moduli,"
+        " an s-r modulus counted once per degree",
+        file=sys.stderr,
+    )
     return True
 
 
@@ -200,7 +205,7 @@ def _cmd_table(args) -> int:
         if args.k_max is None or args.k_max < 1 or args.r is None or args.r < 1:
             print("usage: ramavg table s-r --k-max <int> --r <int>", file=sys.stderr)
             return 2
-        if _over_budget(args.k_max) or _over_degree_cap("r", args.r):
+        if _over_degree_cap("r", args.r) or _over_budget(args.k_max * args.r):
             return 2
         rows = [(k, s_r_closed(k, args.r)) for k in range(1, args.k_max + 1)]
         if fmt == "json":

@@ -2,7 +2,7 @@
 
 The catalog below is closed: each tag names exactly one evaluator and
 one comparison mode (exact rational equality, or the mixed float criterion
-averages.within_tolerance). Evaluators return sides only and _run_cases
+averages.within_tolerance). Evaluators return sides only and _compare
 compares them: the mode is owned here, not by callers or evaluators, so an
 exact identity can never be checked sloppily from the command line.
 
@@ -19,25 +19,29 @@ returns the sides of each case, so a kernel can share work across the run
 tuple table for prop7 and of the FFT row per k for inverse-dft, one read
 of k's divisors, gcd-class totals, mu(k/d) and phi(k) for every f of prop3
 and prop3-corollary, one validated run per k for cross-evaluator); the
-other identities evaluate case by case. One function validates a run,
-evaluates it, compares and renders its cases: run_suite calls it once per
-run, and run_identity calls it on a run of one case. If a run raises, each
-of its cases is evaluated alone, so a failure stays with the cases that
-cause it.
+other identities evaluate case by case. If a run raises, each of its cases
+is evaluated alone, so a failure stays with the cases that cause it.
 
 A run is validated once per column: the leading value once, and the
 values of each trailing parameter across the run as one column, so a
 valid run costs a few C-level scans rather than a check per value; a
 column that does not pass is checked value by value and raises the error
-of its first bad value. A run is then compared, rendered and tallied as
-columns: one comprehension per comparison mode walks the run's trailing
-values and sides together, renders each case's params from the leading
-value's text (rendered once per run) and a str.format template, and
-builds each IdentityCase, a NamedTuple (an immutable tuple of its eight
-fields), with tuple.__new__; a passing case, a failing one, one with a
-reason and one that raised all take this one path. run_suite then adds
-the run's cases to its counts, failures and worst errors once per run.
-The CSV is written from the unpacked tuples.
+of its first bad value.
+
+A run is then compared and rendered in two steps, each over columns.
+_compare evaluates the run, transposes its sides into lhs, rhs and reason
+columns and compares each case once, giving a passed column and, in
+tolerance mode, an abs_error column. _render builds IdentityCases, each
+a NamedTuple (an immutable tuple of its eight fields) made by
+tuple.__new__, from those columns, or from the same rows of each: it takes
+every passed flag and abs_error from them and compares nothing, so a case
+reads the same whichever report keeps it. Its params are the leading
+value's text, rendered once per run, and a str.format template of the
+trailing values. run_suite tallies the counts and the worst errors from
+the columns, then renders every case when SuiteConfig.keep_cases is set
+(the CSV) and only the failing cases otherwise: a run whose cases all pass
+renders nothing. run_identity compares and renders its one case. The CSV
+is written from the unpacked tuples.
 
 Before any grid is built, run_suite refuses a grid bound above a
 parameter's cap, and counts the cases of every selected grid from its
@@ -60,7 +64,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement, groupby
+from itertools import combinations_with_replacement, groupby, repeat, starmap, zip_longest
 from itertools import product as iter_product
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -183,8 +187,9 @@ def _fmt_rational(x: Union[int, Fraction]) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def _fmt_float(x: float) -> str:
-    return f"{x:.17g}"
+# f"{x:.17g}" as a bound C method, so rendering a float column calls no
+# Python function.
+_fmt_float: Callable[[float], str] = "{:.17g}".format
 
 
 def _fmt_value(v) -> str:
@@ -712,41 +717,59 @@ def _evaluate(ident: IdentityDef, lead, rests: Sequence[tuple], seed: int) -> Li
         return [_evaluate(ident, lead, (rest,), seed)[0] for rest in rests]
 
 
-def _run_cases(
+class _Columns(NamedTuple):
+    """One compared run, a column per field with a row per case."""
+
+    lhs: Sequence
+    rhs: Sequence
+    reasons: Optional[Sequence[Optional[str]]]  # None when no case has a reason
+    passed: Sequence[bool]
+    errors: Optional[Sequence[Optional[float]]]  # abs_error; None in exact mode
+
+
+def _compare(
     ident: IdentityDef, lead, rests: Sequence[tuple], tolerance: float, seed: int
-) -> List[IdentityCase]:
-    """Validate one run, evaluate it, and compare and render its cases, in
-    order, in one comprehension per mode: == on the sides of an exact
-    identity, averages.within_tolerance at `tolerance` on those of a
-    tolerance one. A case with a reason fails."""
+) -> _Columns:
+    """Validate one run, evaluate it and compare each of its cases once, as
+    columns: == on the sides of an exact identity, averages.within_tolerance
+    at `tolerance` on those of a tolerance one. A case with a reason fails;
+    one that raised, (None, None, reason), has no abs_error."""
     _validate(ident, lead, rests)
+    # Pairs and triples of sides as columns; a pair's reason is None.
+    lhs, rhs, *reasons = zip_longest(*_evaluate(ident, lead, rests, seed))
+    reasons = reasons[0] if reasons else None
+    each_reason = repeat(None) if reasons is None else reasons
+    if ident.mode == "exact":
+        passed = [r is None and a == b for a, b, r in zip(lhs, rhs, each_reason)]
+        return _Columns(lhs, rhs, reasons, passed, None)
+    within = averages.within_tolerance
+    passed = [r is None and within(a, b, tolerance) for a, b, r in zip(lhs, rhs, each_reason)]
+    errors = [None if a is None else abs(a - b) for a, b in zip(lhs, rhs)]
+    return _Columns(lhs, rhs, reasons, passed, errors)
+
+
+def _render(
+    ident: IdentityDef, lead, rests: Sequence[tuple], lhs, rhs, reasons, passed, errors
+) -> List[IdentityCase]:
+    """The IdentityCases of one run's columns as _compare gave them, or of
+    the same rows of each column. Each case takes its passed flag and
+    abs_error from the columns, so rendering never compares. The params
+    are the leading value's text, rendered once, and a str.format template
+    of the trailing values; the sides of a case that raised render as ""."""
     tag, mode, trailing = ident.tag, ident.mode, ident.trailing
     prefix = f"{ident.param_names[0]}={_fmt_value(lead)}"
-    sides = _evaluate(ident, lead, rests, seed)
     if tuple in map(type, rests[0]):  # validated: a column is all tuples or none
         rests = [tuple(map(_fmt_value, rest)) for rest in rests]
-    # A raised case is (None, None, reason): it renders as "" and fails.
-    if mode == "exact":
-        return [
-            _new_case(IdentityCase, (
-                tag, prefix + trailing.format(*rest), mode,
-                "" if lhs is None else _fmt_rational(lhs),
-                "" if lhs is None else _fmt_rational(rhs),
-                not reason and lhs == rhs, None, reason[0] if reason else None,
-            ))
-            for rest, (lhs, rhs, *reason) in zip(rests, sides)
-        ]
-    within = averages.within_tolerance
-    return [
-        _new_case(IdentityCase, (
-            tag, prefix + trailing.format(*rest), mode,
-            "" if lhs is None else _fmt_float(lhs),
-            "" if lhs is None else _fmt_float(rhs),
-            not reason and within(lhs, rhs, tolerance),
-            None if lhs is None else abs(lhs - rhs), reason[0] if reason else None,
-        ))
-        for rest, (lhs, rhs, *reason) in zip(rests, sides)
-    ]
+    fmt = _fmt_rational if mode == "exact" else _fmt_float
+    if reasons is None:
+        lhs, rhs, reasons = map(fmt, lhs), map(fmt, rhs), repeat(None)
+    else:
+        lhs = ["" if v is None else fmt(v) for v in lhs]
+        rhs = ["" if v is None else fmt(v) for v in rhs]
+    return list(map(_new_case, repeat(IdentityCase), zip(
+        repeat(tag), map(prefix.__add__, starmap(trailing.format, rests)), repeat(mode),
+        lhs, rhs, passed, repeat(None) if errors is None else errors, reasons,
+    )))
 
 
 def run_identity(
@@ -765,7 +788,8 @@ def run_identity(
         raise ParamError(
             f"{tag} expects parameters {ident.param_names}, got {len(params)} values"
         )
-    return _run_cases(ident, params[0], (params[1:],), tolerance, seed)[0]
+    lead, rests = params[0], (params[1:],)
+    return _render(ident, lead, rests, *_compare(ident, lead, rests, tolerance, seed))[0]
 
 
 # --- suites -----------------------------------------------------------------
@@ -804,10 +828,11 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     """Sweep the configured identities over their grids, in the order
     selected and ascending parameter order, and aggregate.
 
-    Each grid is walked in runs of cases with equal params[0], and each run
-    is validated, evaluated and rendered at once. An empty or repeated
-    selection raises ConfigError, and a grid bound above a parameter's cap
-    raises ParamError before any grid is built.
+    Each grid is walked in runs of cases with equal params[0]. Each run is
+    validated, evaluated and compared at once; every case is rendered when
+    config.keep_cases is set, and only the failing ones otherwise. An
+    empty or repeated selection raises ConfigError, and a grid bound above
+    a parameter's cap raises ParamError before any grid is built.
     """
     start = time.perf_counter()
     _check_tolerance(config.tolerance)
@@ -847,17 +872,26 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         identity_start = time.perf_counter()
         for lead, group in groupby(grid, key=itemgetter(0)):
             rests = [params[1:] for params in group]
-            cases = _run_cases(ident, lead, rests, config.tolerance, config.seed)
-            total += len(cases)
-            failures += [case for case in cases if not case[5]]  # passed
-            if ident.mode == "tolerance":
+            columns = _compare(ident, lead, rests, config.tolerance, config.seed)
+            total += len(columns.passed)
+            if columns.errors is not None:
                 # A left fold from 0.0, as max() takes its arguments: a NaN
                 # error never replaces the value.
-                errors = [case[6] for case in cases if case[6] is not None]  # abs_error
+                errors = [e for e in columns.errors if e is not None]
                 if errors:
                     worst[tag] = max(worst.get(tag, 0.0), *errors)
             if all_cases is not None:
+                cases = _render(ident, lead, rests, *columns)
                 all_cases += cases
+                if not all(columns.passed):
+                    failures += [case for case in cases if not case[5]]  # passed
+            elif not all(columns.passed):
+                # Only the failing cases are rendered, from their rows of
+                # each column.
+                bad = [i for i, ok in enumerate(columns.passed) if not ok]
+                failures += _render(ident, lead, [rests[i] for i in bad], *(
+                    None if column is None else [column[i] for i in bad] for column in columns
+                ))
         timings[tag] = (len(grid), time.perf_counter() - identity_start)
 
     # Keys in sweep order for byte-stable serialization.

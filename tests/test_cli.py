@@ -126,13 +126,18 @@ class TestTable:
         ("e-values", "--n", "2", "--k-max", "224"),  # 2 * 224**2 = 100,352 moduli
         ("e-values", "--n", str(10**9), "--k-max", "1"),
         ("s-r", "--k-max", str(cli.TABLE_BUDGET + 1), "--r", "1"),
+        ("s-r", "--k-max", "100000", "--r", "400"),  # 4 * 10**7 modulus-degrees
+        ("s-r", "--k-max", "251", "--r", "400"),  # 100,400
     ])
     def test_table_over_budget(self, capsys, monkeypatch, argv):
         for name in ("iter_product", "orbicyclic_divisor", "s_r_closed"):
             monkeypatch.setattr(cli, name, None)  # no row is built
         code, out, err = run_cli(capsys, "table", *argv)
         assert code == 2 and out == ""
-        assert err == f"error: the table would list more than {cli.TABLE_BUDGET} moduli\n"
+        assert err == (
+            f"error: the table exceeds the budget of {cli.TABLE_BUDGET} moduli,"
+            " an s-r modulus counted once per degree\n"
+        )
 
     def test_table_budget_is_inclusive(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "TABLE_BUDGET", 8)
@@ -141,6 +146,11 @@ class TestTable:
         code, out, _ = run_cli(capsys, "table", "s-r", "--k-max", "8", "--r", "1")
         assert code == 0 and len(out.splitlines()) == 8
         code, out, _ = run_cli(capsys, "table", "s-r", "--k-max", "9", "--r", "1")
+        assert code == 2 and out == ""
+        # k_max * r counts against the budget.
+        code, out, _ = run_cli(capsys, "table", "s-r", "--k-max", "4", "--r", "2")
+        assert code == 0 and len(out.splitlines()) == 4
+        code, out, _ = run_cli(capsys, "table", "s-r", "--k-max", "3", "--r", "3")
         assert code == 2 and out == ""
 
     def test_s_r_degree_above_the_cap_exits_2(self, capsys, monkeypatch):

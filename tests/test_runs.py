@@ -4,6 +4,7 @@ cases report one at a time through run_identity, and a failure inside a
 run must stay with the cases that cause it.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -85,11 +86,26 @@ def test_timings_hold_each_identity_once_in_catalog_order():
     assert "timings" not in report.body_dict()
 
 
+def assert_reports_agree(config):
+    """The report of `config`, which keeps every case, and that of the same
+    sweep without keep_cases, which renders only the failing cases, have the
+    same body, and their failures are the kept report's failing cases in
+    order. Returns the kept report."""
+    kept = run_suite(config)
+    assert config.keep_cases and kept.cases is not None
+    bare = run_suite(dataclasses.replace(config, keep_cases=False))
+    assert bare.cases is None
+    assert bare.body_dict() == kept.body_dict()
+    assert bare.failures == kept.failures == [c for c in kept.cases if not c.passed]
+    return kept
+
+
 def assert_only_these_fail(config, failing, raised=True):
     """Exactly the cases in `failing` fail, each as its batch of one does,
     with an error when `raised` and without one otherwise; every other case
-    of the grid, its run neighbours included, passes."""
-    cases = run_suite(config).cases
+    of the grid, its run neighbours included, passes. The sweep reports
+    alike whether it keeps every case or renders only the failing ones."""
+    cases = assert_reports_agree(config).cases
     grid = grid_of(config)
     assert len(cases) == len(grid)
     failed = {params for case, params in zip(cases, grid) if not case.passed}
@@ -494,3 +510,41 @@ def test_mixed_runs_in_each_mode(monkeypatch):
         alone = run_identity(identity, (k, v))
         swept = next(c for c in report.cases if (c.identity, c.params) == (identity, params))
         assert alone.lhs == swept.lhs and alone.error == swept.error and not alone.passed
+
+    # Without keep_cases the same sweep renders only its failing cases, the
+    # raised ones and the NaN lhs among them, and reports alike. Two NaNs
+    # are never ==, so the cases are compared by repr and the body as JSON.
+    bare = run_suite(dataclasses.replace(config, keep_cases=False))
+    assert bare.cases is None
+    assert list(map(repr, bare.failures)) == list(map(repr, report.failures))
+    assert verify.report_body_json(bare) == verify.report_body_json(report)
+
+
+# --- a report renders only the cases it keeps -------------------------------
+
+
+def test_a_passing_sweep_that_keeps_no_case_renders_nothing(monkeypatch):
+    calls = {"rational": 0, "float": 0}
+
+    def counting(name, real):
+        def fmt(x):
+            calls[name] += 1
+            return real(x)
+
+        return fmt
+
+    monkeypatch.setattr(verify, "_fmt_rational", counting("rational", verify._fmt_rational))
+    monkeypatch.setattr(verify, "_fmt_float", counting("float", verify._fmt_float))
+    config = SuiteConfig(
+        identities=["prop1", "prop3", "inverse-dft", "prop7"], k_max=8, n_max=2, r_max=3
+    )
+    report = run_suite(config)
+    assert report.total > 0 and report.failed == 0 and report.failures == []
+    assert "inverse-dft" in report.worst_errors
+    assert calls == {"rational": 0, "float": 0}
+
+    # The same sweep keeping every case renders both sides of each.
+    kept = run_suite(dataclasses.replace(config, keep_cases=True))
+    exact = sum(c.mode == "exact" for c in kept.cases)
+    assert calls == {"rational": 2 * exact, "float": 2 * (kept.total - exact)}
+    assert kept.body_dict() == report.body_dict()
