@@ -14,8 +14,6 @@ from .arith import (
 )
 from .averages import (
     ArithmeticFunction,
-    ExactPair,
-    FloatPair,
     bernoulli_weighted_pair,
     binomial_weighted_cosine,
     binomial_weighted_exact,
@@ -40,7 +38,6 @@ from .multivar import (
     BudgetError,
     ModulusTuple,
     g_m,
-    multiplicativity_check,
     orbicyclic_direct,
     orbicyclic_divisor,
     s_r_multi_closed,

@@ -1,10 +1,9 @@
 """Weighted averages of Ramanujan sums: direct and closed-form evaluators.
 
-Every identity comes as a pair evaluator returning its two sides only,
-with no tolerance. Rational identities return ExactPair (the sides must be
-equal), transcendental ones FloatPair (the sides must meet within_tolerance,
-the one mixed criterion, which the verify engine applies at its configured
-tolerance and FloatPair.ok at DEFAULT_TOLERANCE).
+Every identity comes as a pair evaluator returning its two sides only, as
+a plain (lhs, rhs) tuple, with no tolerance. The verify engine compares
+them: rational sides must be equal, float sides must meet within_tolerance,
+the one mixed criterion, at the engine's configured tolerance.
 
 Summation bounds are part of the contract and differ per identity:
 
@@ -52,7 +51,7 @@ from fractions import Fraction
 from functools import lru_cache
 from hashlib import blake2b
 from operator import mul
-from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -75,8 +74,6 @@ __all__ = [
     "COSINE_LIMIT",
     "DFT_LIMIT",
     "ArithmeticFunction",
-    "ExactPair",
-    "FloatPair",
     "within_tolerance",
     "NAMED_FUNCTIONS",
     "random_function",
@@ -118,32 +115,10 @@ class ArithmeticFunction:
         return self.fn(n)
 
 
-class ExactPair(NamedTuple):
-    lhs: Rational
-    rhs: Rational
-
-    @property
-    def ok(self) -> bool:
-        return self.lhs == self.rhs
-
-
 def within_tolerance(lhs: float, rhs: float, tolerance: float) -> bool:
     """|lhs - rhs| <= tolerance * (1 + max|side|): stays meaningful when a
     side is exactly zero."""
     return abs(lhs - rhs) <= tolerance * (1 + max(abs(lhs), abs(rhs)))
-
-
-class FloatPair(NamedTuple):
-    lhs: float
-    rhs: float
-
-    @property
-    def abs_error(self) -> float:
-        return abs(self.lhs - self.rhs)
-
-    @property
-    def ok(self) -> bool:
-        return within_tolerance(self.lhs, self.rhs, DEFAULT_TOLERANCE)
 
 
 NAMED_FUNCTIONS: Dict[str, ArithmeticFunction] = {
@@ -191,7 +166,7 @@ def s_r_direct_batch(k: int, rs: Sequence[int]) -> List[Fraction]:
     from the definition: T_r of the tuple (k,), read once for the batch.
     """
     if k < 1 or any(r < 1 for r in rs):
-        raise ValueError("s_r_direct requires k >= 1 and r >= 1")
+        raise ValueError("s_r_direct_batch requires k >= 1 and r >= 1")
     _, totals = _modulus_power_sums(k, max(rs, default=0))
     return [Fraction(totals[r], k ** (r + 1)) for r in rs]
 
@@ -243,7 +218,7 @@ def log_factorial(d: int) -> float:
     return _log_fact_table[d]
 
 
-def log_weighted_pair(k: int) -> FloatPair:
+def log_weighted_pair(k: int) -> Tuple[float, float]:
     """(1/k) sum_{j=1}^{k} log(j) c_k(j)  vs  Lambda(k) + sum_{d|k} (mu(d)/d) log(d!)."""
     if k < 1:
         raise ValueError(f"log_weighted_pair requires k >= 1, got {k}")
@@ -254,7 +229,7 @@ def log_weighted_pair(k: int) -> FloatPair:
         mu_d = mobius(d)
         if mu_d:
             rhs += mu_d * log_factorial(d) / d
-    return FloatPair(lhs, rhs)
+    return lhs, rhs
 
 
 # --- gcd weight -----------------------------------------------------------
@@ -273,7 +248,9 @@ def _gcd_class_totals(k: int) -> Tuple[int, ...]:
     return tuple(totals.values())
 
 
-def gcd_weighted_batch(k: int, fs: Sequence[ArithmeticFunction]) -> List[ExactPair]:
+def gcd_weighted_batch(
+    k: int, fs: Sequence[ArithmeticFunction]
+) -> List[Tuple[Rational, Rational]]:
     """sum_{j=1}^{k} f(gcd(j, k)) c_k(j)  vs  phi(k) (mu * f)(k), exactly,
     for every f in fs.
 
@@ -285,7 +262,7 @@ def gcd_weighted_batch(k: int, fs: Sequence[ArithmeticFunction]) -> List[ExactPa
     rational one Fractions.
     """
     if k < 1:
-        raise ValueError(f"gcd_weighted_pair requires k >= 1, got {k}")
+        raise ValueError(f"gcd_weighted_batch requires k >= 1, got {k}")
     ds = divisors(k)
     totals = _gcd_class_totals(k)
     mus = [mobius(k // d) for d in ds]
@@ -295,11 +272,11 @@ def gcd_weighted_batch(k: int, fs: Sequence[ArithmeticFunction]) -> List[ExactPa
         fval = list(map(f.fn, ds))
         lhs = sum(map(mul, fval, totals))
         rhs = phi * sum(map(mul, fval, mus))
-        out.append(ExactPair(lhs, rhs))
+        out.append((lhs, rhs))
     return out
 
 
-def gcd_weighted_pair(k: int, f: ArithmeticFunction) -> ExactPair:
+def gcd_weighted_pair(k: int, f: ArithmeticFunction) -> Tuple[Rational, Rational]:
     """One f of gcd_weighted_batch."""
     return gcd_weighted_batch(k, (f,))[0]
 
@@ -307,7 +284,7 @@ def gcd_weighted_pair(k: int, f: ArithmeticFunction) -> ExactPair:
 # --- log-Gamma weight -----------------------------------------------------
 
 
-def gamma_weighted_pair(k: int) -> FloatPair:
+def gamma_weighted_pair(k: int) -> Tuple[float, float]:
     """(1/phi(k)) sum_{j=1}^{k} log Gamma(j/k) c_k(j)
     vs  (1/2) sum_{p|k} log(p)/(p-1) - log(2 pi)/2, for k > 1.
 
@@ -320,19 +297,19 @@ def gamma_weighted_pair(k: int) -> FloatPair:
     lhs = sum(math.lgamma(j / k) * row[j] for j in range(1, k + 1)) / euler_phi(k)
     rhs = 0.5 * sum(math.log(p) / (p - 1) for p in factorize(k).primes)
     rhs -= 0.5 * math.log(2 * math.pi)
-    return FloatPair(lhs, rhs)
+    return lhs, rhs
 
 
-def gamma_product_check(n: int) -> FloatPair:
+def gamma_product_check(n: int) -> Tuple[float, float]:
     """log of prod_{k=1}^{n} Gamma(k/n)  vs  ((n-1)/2) log(2 pi) - (1/2) log n."""
     if n < 1:
         raise ValueError(f"gamma_product_check requires n >= 1, got {n}")
     lhs = sum(math.lgamma(k / n) for k in range(1, n + 1))
     rhs = (n - 1) / 2 * math.log(2 * math.pi) - 0.5 * math.log(n)
-    return FloatPair(lhs, rhs)
+    return lhs, rhs
 
 
-def mobius_log_check(k: int) -> FloatPair:
+def mobius_log_check(k: int) -> Tuple[float, float]:
     """sum_{d|k} (mu(d)/d) log d  vs  -(phi(k)/k) sum_{p|k} log(p)/(p-1)."""
     if k < 1:
         raise ValueError(f"mobius_log_check requires k >= 1, got {k}")
@@ -342,7 +319,7 @@ def mobius_log_check(k: int) -> FloatPair:
         if mu_d and d > 1:
             lhs += mu_d * math.log(d) / d
     rhs = -euler_phi(k) / k * sum(math.log(p) / (p - 1) for p in factorize(k).primes)
-    return FloatPair(lhs, rhs)
+    return lhs, rhs
 
 
 # --- binomial weight ------------------------------------------------------
@@ -354,7 +331,7 @@ def _binomial_row_sum(k: int) -> int:
     return sum(binomial(k, j) * row[j] for j in range(0, k + 1))
 
 
-def binomial_weighted_exact(k: int) -> ExactPair:
+def binomial_weighted_exact(k: int) -> Tuple[int, int]:
     """sum_{j=0}^{k} C(k, j) c_k(j)  vs  the divisor-side big integer
 
         sum_{d|k} d mu(k/d) sum_{m=0}^{k/d} C(k, d m).
@@ -367,7 +344,7 @@ def binomial_weighted_exact(k: int) -> ExactPair:
         mu_kd = mobius(k // d)
         if mu_kd:
             rhs += d * mu_kd * sum(binomial(k, d * m) for m in range(k // d + 1))
-    return ExactPair(lhs, rhs)
+    return lhs, rhs
 
 
 def cos_pi(num: int, den: int) -> float:
@@ -388,7 +365,7 @@ def cos_pi(num: int, den: int) -> float:
     return math.cos(math.pi * t / den)
 
 
-def binomial_weighted_cosine(k: int) -> FloatPair:
+def binomial_weighted_cosine(k: int) -> Tuple[float, float]:
     """(1/2^k) sum_{j=0}^{k} C(k, j) c_k(j)  vs  the cosine double sum
 
         sum_{d|k} mu(k/d) sum_{l=1}^{d} (-1)^(l k/d) cos^k(l pi / d).
@@ -408,13 +385,13 @@ def binomial_weighted_cosine(k: int) -> FloatPair:
             sign = -1.0 if (ell * (k // d)) % 2 else 1.0
             inner += sign * cos_pi(ell, d) ** k
         rhs += mu_kd * inner
-    return FloatPair(lhs, rhs)
+    return lhs, rhs
 
 
 # --- Bernoulli polynomial weight ------------------------------------------
 
 
-def bernoulli_weighted_batch(k: int, ms: Sequence[int]) -> List[ExactPair]:
+def bernoulli_weighted_batch(k: int, ms: Sequence[int]) -> List[Tuple[Fraction, Fraction]]:
     """sum_{j=0}^{k-1} B_m(j/k) c_k(j)  vs  (B_m / k^(m-1)) J_m(k), exactly,
     for every m in ms.
 
@@ -426,7 +403,7 @@ def bernoulli_weighted_batch(k: int, ms: Sequence[int]) -> List[ExactPair]:
     subtracted before the one division. Zero coefficients need no T.
     """
     if k < 1 or any(m < 1 for m in ms):
-        raise ValueError("bernoulli_weighted_pair requires k >= 1 and m >= 1")
+        raise ValueError("bernoulli_weighted_batch requires k >= 1 and m >= 1")
     first, totals = _modulus_power_sums(k, max(ms, default=0))
     out = []
     for m in ms:
@@ -436,11 +413,11 @@ def bernoulli_weighted_batch(k: int, ms: Sequence[int]) -> List[ExactPair]:
             total -= first * d * k
         b = bernoulli_number(m)
         rhs = Fraction(b.numerator * jordan_totient(m, k), b.denominator * k ** (m - 1))
-        out.append(ExactPair(Fraction(total, d * k**m), rhs))
+        out.append((Fraction(total, d * k**m), rhs))
     return out
 
 
-def bernoulli_weighted_pair(k: int, m: int) -> ExactPair:
+def bernoulli_weighted_pair(k: int, m: int) -> Tuple[Fraction, Fraction]:
     """One m of bernoulli_weighted_batch."""
     return bernoulli_weighted_batch(k, (m,))[0]
 
@@ -455,7 +432,7 @@ def _dft_values(k: int) -> np.ndarray:
     return np.fft.ifft(np.array(ramanujan_row(k).values[:k], dtype=np.float64))
 
 
-def inverse_dft_batch(k: int, ns: Sequence[int]) -> List[FloatPair]:
+def inverse_dft_batch(k: int, ns: Sequence[int]) -> List[Tuple[float, float]]:
     """(1/k) sum_{j=1}^{k} exp(2 pi i j n / k) c_k(j)  vs  [gcd(k, n) = 1],
     for every n in ns.
 
@@ -464,7 +441,7 @@ def inverse_dft_batch(k: int, ns: Sequence[int]) -> List[FloatPair]:
     (1e-8 * k on the sum).
     """
     if k < 1 or any(n < 1 for n in ns):
-        raise ValueError("inverse_dft_check requires k >= 1 and n >= 1")
+        raise ValueError("inverse_dft_batch requires k >= 1 and n >= 1")
     if k > DFT_LIMIT:
         raise ValueError(f"k={k} exceeds the DFT evaluation bound {DFT_LIMIT}")
     values = _dft_values(k)
@@ -475,10 +452,10 @@ def inverse_dft_batch(k: int, ns: Sequence[int]) -> List[FloatPair]:
         i = n % k
         if abs(imag[i]) > 1e-8:
             raise RuntimeError(f"imaginary part {imag[i]} of the mean too large for k={k}, n={n}")
-        out.append(FloatPair(real[i], 1.0 if math.gcd(k, n) == 1 else 0.0))
+        out.append((real[i], 1.0 if math.gcd(k, n) == 1 else 0.0))
     return out
 
 
-def inverse_dft_check(k: int, n: int) -> FloatPair:
+def inverse_dft_check(k: int, n: int) -> Tuple[float, float]:
     """One case of inverse_dft_batch."""
     return inverse_dft_batch(k, (n,))[0]

@@ -89,7 +89,9 @@ def bernoulli_polynomial(m: int, x: Rational) -> Fraction:
     return total
 
 
-@lru_cache(maxsize=256)
+# Every degree up to the cap, read as m = r + 1, stays cached: a sweep that
+# walks more degrees than the cache holds would evict each before its reuse.
+@lru_cache(maxsize=DEGREE_CAP + 2)
 def bernoulli_polynomial_coefficients(m: int) -> Tuple[Tuple[int, ...], int]:
     """(c_0..c_m, D) with D * B_m(x) = sum_t c_t x^(m-t), D the lcm of theirs."""
     coeffs = [comb(m, t) * bernoulli_number(t) for t in range(m + 1)]

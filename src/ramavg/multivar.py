@@ -71,7 +71,6 @@ __all__ = [
     "s_r_multi_closed",
     "s_r_multi_closed_batch",
     "multiplicativity_sides",
-    "multiplicativity_check",
 ]
 
 DIVISOR_TUPLE_BUDGET = 10**7
@@ -308,7 +307,7 @@ def s_r_multi_direct_batch(t, rs: Sequence[int]) -> List[Fraction]:
     t = _as_tuple(t)
     for r in rs:
         if r < 1:
-            raise ValueError(f"s_r_multi_direct requires r >= 1, got {r}")
+            raise ValueError(f"s_r_multi_direct_batch requires r >= 1, got {r}")
     totals = _power_sums(t, max(rs, default=0))
     return [Fraction(totals[r], t.lcm_value ** (r + 1)) for r in rs]
 
@@ -328,7 +327,7 @@ def s_r_multi_closed_batch(t, rs: Sequence[int]) -> List[Fraction]:
     t = _as_tuple(t)
     for r in rs:
         if r < 1:
-            raise ValueError(f"s_r_multi_closed requires r >= 1, got {r}")
+            raise ValueError(f"s_r_multi_closed_batch requires r >= 1, got {r}")
     table = _weights(t, max(rs, default=0) // 2)
     weights = [_divisor_e(t, table), *table[1:]]
     lead = math.prod(euler_phi(ki) for ki in t.ks)
@@ -354,9 +353,3 @@ def multiplicativity_sides(a, b) -> Tuple[int, int]:
         raise ValueError(f"tuples {a.ks} and {b.ks} are not coprime")
     combined = ModulusTuple(tuple(x * y for x, y in zip(a.ks, b.ks)))
     return orbicyclic_divisor(combined), orbicyclic_divisor(a) * orbicyclic_divisor(b)
-
-
-def multiplicativity_check(a, b) -> bool:
-    """Whether E(a_1 b_1, ..., a_n b_n) = E(a) E(b) for coprime tuples."""
-    lhs, rhs = multiplicativity_sides(a, b)
-    return lhs == rhs

@@ -7,9 +7,12 @@ compares them: the mode is owned here, not by callers or evaluators, so an
 exact identity can never be checked sloppily from the command line.
 
 Each identity declares its parameters once, as a schema (kind, minimum,
-optional cap, grid bound). One validator checks every case against it,
-and the default grid of most identities is the product of the declared
-ranges; only grids of another shape are spelled out.
+optional cap, grid bound). One validator checks every case against it.
+A default grid is the product of the parameters' values (Param.values)
+and its size the product of their counts (Param.count), except three that
+are spelled out: cross-evaluator's (j <= k), e-multiplicativity's (coprime
+pairs drawn from the seed) and half-sum's (from r = 1, while its schema
+admits r = 0 so that run_identity reports that mismatch).
 
 Evaluation goes by runs: the cases of a grid that share their leading
 parameter (k, or the tuple ks). An identity's evaluate takes the leading
@@ -217,9 +220,10 @@ class Param:
     of the leading tuple's arity whose product is coprime to its product),
     "function" (a named or seeded random arithmetic function) or "choice"
     (one of choices).
-    bound names the grid bound an "int" parameter ranges up to: from its
-    minimum when the identity's grid is the product of such ranges, and
-    the bound run_suite holds to cap before any grid is built.
+    bound names the grid bound of an "int" parameter, the one run_suite
+    holds to cap before any grid is built, or the rand_count of a
+    "function" one. values and count give the parameter's factor of a
+    product grid.
     """
 
     name: str
@@ -228,6 +232,27 @@ class Param:
     cap: Optional[int] = None
     bound: Optional[str] = None
     choices: Tuple[str, ...] = ()
+
+    def values(self, bounds: Dict[str, int]) -> Sequence:
+        """The grid's values, ascending: minimum..bound, the choices, the
+        named functions then rand00.., or the multisets of k_max and n_max."""
+        if self.kind == "moduli":
+            return _tuple_grid(bounds["k_max"], bounds["n_max"])
+        if self.kind == "choice":
+            return self.choices
+        if self.kind == "function":
+            rands = (f"rand{i:02d}" for i in range(bounds[self.bound]))
+            return [*averages.NAMED_FUNCTIONS, *rands]
+        return range(self.minimum, bounds[self.bound] + 1)
+
+    def count(self, bounds: Dict[str, int]) -> int:
+        """len(values(bounds)), moduli counted once per modulus, without
+        building them (see _multiset_moduli)."""
+        if self.kind == "moduli":
+            return _multiset_moduli(bounds["k_max"], bounds["n_max"])
+        if self.kind == "function":
+            return len(averages.NAMED_FUNCTIONS) + max(bounds[self.bound], 0)
+        return len(self.values(bounds))
 
 
 @dataclass(frozen=True)
@@ -238,7 +263,7 @@ class IdentityDef:
     evaluate: _Evaluator
     bounds: Dict[str, int]  # default grid bounds
     # (bounds, seed) -> ascending params; None means the product of the
-    # parameters' ranges.
+    # parameters' values.
     grid: Optional[Callable[[dict, int], List[tuple]]] = None
     # bounds -> the cases of grid(bounds, seed), a case of moduli tuples
     # counted once per modulus it holds (or can hold, for drawn arities),
@@ -350,7 +375,7 @@ GRID_BUDGET = 1_000_000
 def _grid(ident: IdentityDef, bounds: Dict[str, int], seed: int) -> List[tuple]:
     if ident.grid is not None:
         return ident.grid(bounds, seed)
-    return list(iter_product(*(range(p.minimum, bounds[p.bound] + 1) for p in ident.params)))
+    return list(iter_product(*(p.values(bounds) for p in ident.params)))
 
 
 def _grid_size(ident: IdentityDef, bounds: Dict[str, int]) -> int:
@@ -359,7 +384,7 @@ def _grid_size(ident: IdentityDef, bounds: Dict[str, int]) -> int:
     building anything."""
     if ident.size is not None:
         return ident.size(bounds)
-    return math.prod(len(range(p.minimum, bounds[p.bound] + 1)) for p in ident.params)
+    return math.prod(p.count(bounds) for p in ident.params)
 
 
 def _multiset_count(component_max: int, arity_max: int) -> int:
@@ -456,15 +481,6 @@ def _prop3(k, rests, seed):
     return averages.gcd_weighted_batch(k, [_resolve_function(name, seed) for name, in rests])
 
 
-def _prop3_grid(b, seed):
-    names = list(averages.NAMED_FUNCTIONS) + [f"rand{i:02d}" for i in range(b["rand_count"])]
-    return [(k, name) for k in range(1, b["k_max"] + 1) for name in names]
-
-
-def _prop3_size(b):
-    return max(b["k_max"], 0) * (len(averages.NAMED_FUNCTIONS) + max(b["rand_count"], 0))
-
-
 # The three stated specializations of prop3.
 _COROLLARY_RHS = {
     "id": lambda k: euler_phi(k) ** 2,
@@ -477,7 +493,7 @@ def _prop3_corollary(k, rests, seed):
     """prop3's kernel for the left sides; each stated closed form per case."""
     names = [name for name, in rests]
     pairs = averages.gcd_weighted_batch(k, [averages.NAMED_FUNCTIONS[n] for n in names])
-    return [(pair.lhs, _COROLLARY_RHS[n](k)) for pair, n in zip(pairs, names)]
+    return [(lhs, _COROLLARY_RHS[n](k)) for (lhs, _), n in zip(pairs, names)]
 
 
 def _prop7_corollary(ks):
@@ -528,14 +544,6 @@ def _bernoulli_poly_sum_direct(k: int, m: int) -> Fraction:
     return Fraction(total, d * k**m)
 
 
-def _tuple_param_grid(b, seed):
-    return [(t,) for t in _tuple_grid(b["k_max"], b["n_max"])]
-
-
-def _tuple_param_size(b):
-    return _multiset_moduli(b["k_max"], b["n_max"])
-
-
 def _coprime_pair_size(b):
     """At most n_max moduli on each side of each pair."""
     if b["k_max"] < 1:
@@ -558,18 +566,14 @@ _CATALOG: Dict[str, IdentityDef] = {
             {"k_max": 500},
         ),
         IdentityDef(
-            "prop3", "exact", (Param("k"), Param("f", "function")), _prop3,
-            {"k_max": 1000, "rand_count": 20}, _prop3_grid, _prop3_size,
+            "prop3", "exact", (_K, Param("f", "function", bound="rand_count")), _prop3,
+            {"k_max": 1000, "rand_count": 20},
         ),
         IdentityDef(
             "prop3-corollary", "exact",
-            (Param("k"), Param("f", "choice", choices=tuple(_COROLLARY_RHS))),
+            (_K, Param("f", "choice", choices=tuple(_COROLLARY_RHS))),
             _prop3_corollary,
             {"k_max": 1000},
-            lambda b, seed: [
-                (k, name) for k in range(1, b["k_max"] + 1) for name in _COROLLARY_RHS
-            ],
-            lambda b: max(b["k_max"], 0) * len(_COROLLARY_RHS),
         ),
         IdentityDef(
             "prop4", "tolerance", (Param("k", minimum=2, bound="k_max"),),
@@ -603,24 +607,14 @@ _CATALOG: Dict[str, IdentityDef] = {
             _inverse_dft,
             {"k_max": 500, "n_max": 500},
         ),
-        IdentityDef(
-            "prop7", "exact", (_KS, _R),
-            _prop7,
-            {"k_max": 40, "n_max": 3, "r_max": 5},
-            lambda b, seed: [
-                (t, r)
-                for t in _tuple_grid(b["k_max"], b["n_max"])
-                for r in range(1, b["r_max"] + 1)
-            ],
-            lambda b: _multiset_moduli(b["k_max"], b["n_max"]) * max(b["r_max"], 0),
-        ),
+        IdentityDef("prop7", "exact", (_KS, _R), _prop7, {"k_max": 40, "n_max": 3, "r_max": 5}),
         IdentityDef(
             "prop7-corollary", "exact", (_KS,), _per_case(_prop7_corollary),
-            {"k_max": 40, "n_max": 3}, _tuple_param_grid, _tuple_param_size,
+            {"k_max": 40, "n_max": 3},
         ),
         IdentityDef(
             "e-integrality", "exact", (_KS,), _per_case(_e_integrality),
-            {"k_max": 40, "n_max": 3}, _tuple_param_grid, _tuple_param_size,
+            {"k_max": 40, "n_max": 3},
         ),
         IdentityDef(
             "e-multiplicativity", "exact", (Param("a", "moduli"), Param("b", "coprime")),

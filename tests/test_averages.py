@@ -8,16 +8,19 @@ from hypothesis import given, settings
 from ramavg.arith import euler_phi
 from ramavg.averages import (
     COSINE_LIMIT,
+    DEFAULT_TOLERANCE,
     NAMED_FUNCTIONS,
     ArithmeticFunction,
-    FloatPair,
+    bernoulli_weighted_batch,
     bernoulli_weighted_pair,
     binomial_weighted_cosine,
     binomial_weighted_exact,
     cos_pi,
     gamma_product_check,
     gamma_weighted_pair,
+    gcd_weighted_batch,
     gcd_weighted_pair,
+    inverse_dft_batch,
     inverse_dft_check,
     log_factorial,
     log_weighted_pair,
@@ -25,9 +28,22 @@ from ramavg.averages import (
     random_function,
     s_r_closed,
     s_r_direct,
+    s_r_direct_batch,
+    within_tolerance,
 )
 from ramavg.exact import bernoulli_number, bernoulli_polynomial, binomial
 from ramavg.ramanujan import ramanujan_row
+
+
+@pytest.mark.parametrize("batch, args, message", [
+    (s_r_direct_batch, (3, [1, 0]), "k >= 1 and r >= 1"),
+    (gcd_weighted_batch, (0, [NAMED_FUNCTIONS["id"]]), "k >= 1, got 0"),
+    (bernoulli_weighted_batch, (3, [1, 0]), "k >= 1 and m >= 1"),
+    (inverse_dft_batch, (3, [1, 0]), "k >= 1 and n >= 1"),
+])
+def test_a_batch_names_itself_in_its_error(batch, args, message):
+    with pytest.raises(ValueError, match=rf"^{batch.__name__} requires {message}$"):
+        batch(*args)
 
 
 class TestPowerWeight:
@@ -60,20 +76,20 @@ class TestPowerWeight:
 
 class TestLogWeight:
     def test_k1_is_exactly_zero(self):
-        pair = log_weighted_pair(1)
-        assert pair.lhs == 0.0 and pair.rhs == 0.0
+        assert log_weighted_pair(1) == (0.0, 0.0)
 
     def test_k2_both_sides_are_half_log_two(self):
-        pair = log_weighted_pair(2)
-        assert abs(pair.lhs - math.log(2) / 2) < 1e-12
-        assert abs(pair.rhs - math.log(2) / 2) < 1e-12
+        lhs, rhs = log_weighted_pair(2)
+        assert abs(lhs - math.log(2) / 2) < 1e-12
+        assert abs(rhs - math.log(2) / 2) < 1e-12
 
     def test_k30(self):
-        assert log_weighted_pair(30).abs_error <= 1e-9
+        lhs, rhs = log_weighted_pair(30)
+        assert abs(lhs - rhs) <= 1e-9
 
     def test_sweep(self):
         for k in range(1, 301):
-            assert log_weighted_pair(k).ok
+            assert within_tolerance(*log_weighted_pair(k), DEFAULT_TOLERANCE)
 
     def test_log_factorial_agrees_with_lgamma(self):
         for d in (0, 1, 2, 50, 1000, 10**5, 10**5 + 1, 10**6):
@@ -82,23 +98,25 @@ class TestLogWeight:
 
 class TestGcdWeight:
     def test_corollary_examples(self):
-        pair = gcd_weighted_pair(6, NAMED_FUNCTIONS["id"])
-        assert pair.lhs == pair.rhs == euler_phi(6) ** 2 == 4
-        pair = gcd_weighted_pair(6, NAMED_FUNCTIONS["tau"])
-        assert pair.lhs == pair.rhs == euler_phi(6) == 2
-        pair = gcd_weighted_pair(6, NAMED_FUNCTIONS["sigma"])
-        assert pair.lhs == pair.rhs == 6 * euler_phi(6) == 12
+        lhs, rhs = gcd_weighted_pair(6, NAMED_FUNCTIONS["id"])
+        assert lhs == rhs == euler_phi(6) ** 2 == 4
+        lhs, rhs = gcd_weighted_pair(6, NAMED_FUNCTIONS["tau"])
+        assert lhs == rhs == euler_phi(6) == 2
+        lhs, rhs = gcd_weighted_pair(6, NAMED_FUNCTIONS["sigma"])
+        assert lhs == rhs == 6 * euler_phi(6) == 12
 
     def test_named_functions_small_sweep(self):
         for k in range(1, 121):
             for f in NAMED_FUNCTIONS.values():
-                assert gcd_weighted_pair(k, f).ok
+                lhs, rhs = gcd_weighted_pair(k, f)
+                assert lhs == rhs
 
     def test_seeded_random_functions(self):
         for i in range(5):
             f = random_function(i)
             for k in range(1, 80):
-                assert gcd_weighted_pair(k, f).ok
+                lhs, rhs = gcd_weighted_pair(k, f)
+                assert lhs == rhs
 
     def test_random_function_is_deterministic(self):
         f1 = random_function(3, seed=42)
@@ -112,23 +130,24 @@ class TestGcdWeight:
     @settings(max_examples=40, deadline=None)
     def test_arbitrary_integer_functions(self, k, values):
         f = ArithmeticFunction("table", lambda n: values[(n - 1) % len(values)])
-        assert gcd_weighted_pair(k, f).ok
+        lhs, rhs = gcd_weighted_pair(k, f)
+        assert lhs == rhs
 
     def test_rational_valued_function(self):
         f = ArithmeticFunction("half", lambda n: Fraction(n, 2))
-        pair = gcd_weighted_pair(12, f)
-        assert pair.ok
-        assert pair.rhs == Fraction(euler_phi(12) * euler_phi(12), 2)
+        lhs, rhs = gcd_weighted_pair(12, f)
+        assert lhs == rhs == Fraction(euler_phi(12) * euler_phi(12), 2)
 
 
 class TestGammaWeight:
     def test_k2_is_minus_half_log_pi(self):
-        pair = gamma_weighted_pair(2)
-        assert abs(pair.lhs + math.log(math.pi) / 2) < 1e-12
-        assert abs(pair.rhs + math.log(math.pi) / 2) < 1e-12
+        lhs, rhs = gamma_weighted_pair(2)
+        assert abs(lhs + math.log(math.pi) / 2) < 1e-12
+        assert abs(rhs + math.log(math.pi) / 2) < 1e-12
 
     def test_k3(self):
-        assert gamma_weighted_pair(3).abs_error <= 1e-9
+        lhs, rhs = gamma_weighted_pair(3)
+        assert abs(lhs - rhs) <= 1e-9
 
     def test_rejects_k1(self):
         with pytest.raises(ValueError):
@@ -136,65 +155,66 @@ class TestGammaWeight:
 
     def test_sweep(self):
         for k in range(2, 301):
-            assert gamma_weighted_pair(k).ok
+            assert within_tolerance(*gamma_weighted_pair(k), DEFAULT_TOLERANCE)
 
 
 class TestGammaProduct:
     def test_n1(self):
-        pair = gamma_product_check(1)
-        assert pair.lhs == 0.0 and pair.rhs == 0.0
+        assert gamma_product_check(1) == (0.0, 0.0)
 
     def test_n2_is_half_log_pi(self):
         # Gamma(1/2) Gamma(1) = sqrt(pi); (1/2)log(2 pi) - (1/2)log 2 agrees.
-        pair = gamma_product_check(2)
+        lhs, rhs = gamma_product_check(2)
         expected = 0.5 * math.log(math.pi)
-        assert abs(pair.lhs - expected) < 1e-12
-        assert abs(pair.rhs - expected) < 1e-12
+        assert abs(lhs - expected) < 1e-12
+        assert abs(rhs - expected) < 1e-12
 
     def test_n24(self):
-        assert gamma_product_check(24).abs_error <= 1e-9
+        lhs, rhs = gamma_product_check(24)
+        assert abs(lhs - rhs) <= 1e-9
 
     def test_sweep(self):
         for n in range(1, 301):
-            assert gamma_product_check(n).ok
+            assert within_tolerance(*gamma_product_check(n), DEFAULT_TOLERANCE)
 
 
 class TestMobiusLog:
     def test_examples(self):
-        pair = mobius_log_check(1)
-        assert pair.lhs == 0.0 and pair.rhs == 0.0
-        pair = mobius_log_check(2)
-        assert abs(pair.lhs + math.log(2) / 2) < 1e-12
-        assert abs(pair.rhs + math.log(2) / 2) < 1e-12
-        assert mobius_log_check(360).abs_error <= 1e-9
+        assert mobius_log_check(1) == (0.0, 0.0)
+        lhs, rhs = mobius_log_check(2)
+        assert abs(lhs + math.log(2) / 2) < 1e-12
+        assert abs(rhs + math.log(2) / 2) < 1e-12
+        lhs, rhs = mobius_log_check(360)
+        assert abs(lhs - rhs) <= 1e-9
 
     def test_sweep(self):
         for k in range(1, 501):
-            assert mobius_log_check(k).ok
+            assert within_tolerance(*mobius_log_check(k), DEFAULT_TOLERANCE)
 
 
 class TestBinomialWeight:
     def test_exact_examples(self):
-        pair = binomial_weighted_exact(1)
-        assert pair.lhs == pair.rhs == 2
-        pair = binomial_weighted_exact(2)
-        assert pair.lhs == pair.rhs == 0
-        assert binomial_weighted_exact(12).ok
+        assert binomial_weighted_exact(1) == (2, 2)
+        assert binomial_weighted_exact(2) == (0, 0)
+        lhs, rhs = binomial_weighted_exact(12)
+        assert lhs == rhs
 
     def test_exact_sweep(self):
         for k in range(1, 101):
-            assert binomial_weighted_exact(k).ok
+            lhs, rhs = binomial_weighted_exact(k)
+            assert lhs == rhs
 
     def test_cosine_examples(self):
-        pair = binomial_weighted_cosine(1)
-        assert pair.lhs == 1.0 and abs(pair.rhs - 1.0) < 1e-12
-        pair = binomial_weighted_cosine(2)
-        assert pair.lhs == 0.0 and abs(pair.rhs) < 1e-12
-        assert binomial_weighted_cosine(9).abs_error <= 1e-9
+        lhs, rhs = binomial_weighted_cosine(1)
+        assert lhs == 1.0 and abs(rhs - 1.0) < 1e-12
+        lhs, rhs = binomial_weighted_cosine(2)
+        assert lhs == 0.0 and abs(rhs) < 1e-12
+        lhs, rhs = binomial_weighted_cosine(9)
+        assert abs(lhs - rhs) <= 1e-9
 
     def test_cosine_sweep(self):
         for k in range(1, 101):
-            assert binomial_weighted_cosine(k).ok
+            assert within_tolerance(*binomial_weighted_cosine(k), DEFAULT_TOLERANCE)
 
     def test_cosine_rejects_oversized_k(self):
         with pytest.raises(ValueError):
@@ -225,16 +245,18 @@ class TestCosPi:
 class TestBernoulliWeight:
     def test_examples(self):
         for m in range(1, 9):
-            pair = bernoulli_weighted_pair(1, m)
-            assert pair.lhs == pair.rhs == bernoulli_number(m)
-        pair = bernoulli_weighted_pair(2, 2)
-        assert pair.lhs == pair.rhs == Fraction(1, 4)
-        assert bernoulli_weighted_pair(12, 4).ok
+            lhs, rhs = bernoulli_weighted_pair(1, m)
+            assert lhs == rhs == bernoulli_number(m)
+        lhs, rhs = bernoulli_weighted_pair(2, 2)
+        assert lhs == rhs == Fraction(1, 4)
+        lhs, rhs = bernoulli_weighted_pair(12, 4)
+        assert lhs == rhs
 
     def test_small_sweep(self):
         for k in range(1, 61):
             for m in range(1, 7):
-                assert bernoulli_weighted_pair(k, m).ok
+                lhs, rhs = bernoulli_weighted_pair(k, m)
+                assert lhs == rhs
 
     def test_scaled_horner_matches_naive_polynomial_sum(self):
         # The pair evaluator sums the power sums T_e over j = 1..k, with
@@ -247,35 +269,35 @@ class TestBernoulliWeight:
                 naive = sum(
                     bernoulli_polynomial(m, Fraction(j, k)) * row[j] for j in range(k)
                 )
-                assert bernoulli_weighted_pair(k, m).lhs == naive
+                assert bernoulli_weighted_pair(k, m)[0] == naive
 
 
 class TestInverseDft:
     def test_examples(self):
-        pair = inverse_dft_check(1, 7)
-        assert pair.ok and pair.rhs == 1.0
-        pair = inverse_dft_check(4, 2)
-        assert pair.ok and pair.rhs == 0.0 and abs(pair.lhs) <= 1e-9
-        pair = inverse_dft_check(4, 1)
-        assert pair.ok and pair.rhs == 1.0 and abs(pair.lhs - 1.0) <= 1e-9
+        lhs, rhs = inverse_dft_check(1, 7)
+        assert within_tolerance(lhs, rhs, DEFAULT_TOLERANCE) and rhs == 1.0
+        lhs, rhs = inverse_dft_check(4, 2)
+        assert within_tolerance(lhs, rhs, DEFAULT_TOLERANCE) and rhs == 0.0 and abs(lhs) <= 1e-9
+        lhs, rhs = inverse_dft_check(4, 1)
+        assert within_tolerance(lhs, rhs, DEFAULT_TOLERANCE) and rhs == 1.0
+        assert abs(lhs - 1.0) <= 1e-9
 
     def test_small_grid(self):
         for k in range(1, 61):
             for n in range(1, 61):
-                pair = inverse_dft_check(k, n)
-                assert pair.ok
-                assert pair.rhs == (1.0 if math.gcd(k, n) == 1 else 0.0)
+                lhs, rhs = inverse_dft_check(k, n)
+                assert within_tolerance(lhs, rhs, DEFAULT_TOLERANCE)
+                assert rhs == (1.0 if math.gcd(k, n) == 1 else 0.0)
 
     def test_rejects_oversized_k(self):
         with pytest.raises(ValueError):
             inverse_dft_check(10**5 + 1, 1)
 
 
-class TestFloatPair:
-    def test_error_is_stored_and_the_rule_is_mixed(self):
-        pair = FloatPair(1.0, 1.5)
-        assert pair.abs_error == 0.5 and not pair.ok
+class TestWithinTolerance:
+    def test_the_rule_is_mixed(self):
+        assert not within_tolerance(1.0, 1.5, DEFAULT_TOLERANCE)
         # |lhs - rhs| <= tol * (1 + max|side|): loose for large sides, absolute near 0.
-        assert FloatPair(1e9, 1e9 + 5.0).ok
-        assert FloatPair(0.0, 5e-9).ok
-        assert not FloatPair(0.0, 2e-8).ok
+        assert within_tolerance(1e9, 1e9 + 5.0, DEFAULT_TOLERANCE)
+        assert within_tolerance(0.0, 5e-9, DEFAULT_TOLERANCE)
+        assert not within_tolerance(0.0, 2e-8, DEFAULT_TOLERANCE)

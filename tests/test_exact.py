@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 
 from ramavg.exact import (
+    DEGREE_CAP,
     bernoulli_number,
     bernoulli_polynomial,
+    bernoulli_polynomial_coefficients,
     binomial,
     coprime_power_sum,
     half_sum_check,
@@ -90,6 +92,18 @@ class TestBernoulliPolynomials:
             for m in range(1, 9):
                 total = sum(bernoulli_polynomial(m, Fraction(j, k)) for j in range(k))
                 assert total == bernoulli_number(m) / k ** (m - 1)
+
+    def test_the_coefficient_cache_holds_every_degree_up_to_the_cap(self):
+        # A sweep reads its degrees in order once per leading value, up to
+        # m = r + 1 = DEGREE_CAP + 1. Past 256 degrees, a cache smaller than
+        # that would evict each degree before its next read: the second
+        # pass would miss every one again.
+        bernoulli_polynomial_coefficients.cache_clear()
+        degrees = range(1, DEGREE_CAP + 2)
+        for _ in range(2):
+            for m in degrees:
+                bernoulli_polynomial_coefficients(m)
+        assert bernoulli_polynomial_coefficients.cache_info().misses == len(degrees)
 
 
 class TestPowerSum:

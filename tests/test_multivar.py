@@ -16,11 +16,13 @@ from ramavg.multivar import (
     _product_row,
     _weighted_power_sums,
     g_m,
-    multiplicativity_check,
+    multiplicativity_sides,
     orbicyclic_direct,
     orbicyclic_divisor,
     s_r_multi_closed,
+    s_r_multi_closed_batch,
     s_r_multi_direct,
+    s_r_multi_direct_batch,
 )
 from ramavg.ramanujan import ramanujan_sum
 
@@ -237,6 +239,11 @@ class TestGm:
 
 
 class TestMultivariableAverage:
+    @pytest.mark.parametrize("batch", [s_r_multi_direct_batch, s_r_multi_closed_batch])
+    def test_a_batch_names_itself_in_its_error(self, batch):
+        with pytest.raises(ValueError, match=rf"^{batch.__name__} requires r >= 1, got 0$"):
+            batch((2, 3), [1, 0])
+
     def test_examples(self):
         for r in range(1, 6):
             assert s_r_multi_direct((1,), r) == 1
@@ -289,15 +296,16 @@ class TestMultivariableAverage:
 
 class TestMultiplicativity:
     def test_examples(self):
-        assert multiplicativity_check((2, 2), (3, 3))
+        assert multiplicativity_sides((2, 2), (3, 3)) == (2, 2)
         assert orbicyclic_divisor((6, 6)) == 1 * 2
-        assert multiplicativity_check((1, 1), (5, 9))
-        assert multiplicativity_check((2, 3), (5, 7))
+        for a, b in (((1, 1), (5, 9)), ((2, 3), (5, 7))):
+            lhs, rhs = multiplicativity_sides(a, b)
+            assert lhs == rhs
 
     def test_rejects_arity_mismatch(self):
         with pytest.raises(ValueError):
-            multiplicativity_check((2, 3), (5,))
+            multiplicativity_sides((2, 3), (5,))
 
     def test_rejects_non_coprime(self):
         with pytest.raises(ValueError):
-            multiplicativity_check((2, 3), (4, 5))
+            multiplicativity_sides((2, 3), (4, 5))

@@ -70,25 +70,21 @@ class TestGcdClasses:
     @settings(max_examples=60, deadline=None)
     def test_named_functions(self, k, name):
         f = NAMED_FUNCTIONS[name]
-        pair = gcd_weighted_pair(k, f)
-        assert pair.lhs == literal_gcd_lhs(k, f)
-        assert pair.rhs == literal_gcd_rhs(k, f)
+        assert gcd_weighted_pair(k, f) == (literal_gcd_lhs(k, f), literal_gcd_rhs(k, f))
 
     @given(K, st.integers(0, 19), st.integers(0, 2**32))
     @settings(max_examples=60, deadline=None)
     def test_random_functions(self, k, index, seed):
         f = random_function(index, seed)
-        pair = gcd_weighted_pair(k, f)
-        assert pair.lhs == literal_gcd_lhs(k, f)
-        assert pair.rhs == literal_gcd_rhs(k, f)
+        assert gcd_weighted_pair(k, f) == (literal_gcd_lhs(k, f), literal_gcd_rhs(k, f))
 
     @given(K)
     @settings(max_examples=40, deadline=None)
     def test_rational_valued_function(self, k):
-        pair = gcd_weighted_pair(k, RATIONAL_F)
-        assert pair.lhs == literal_gcd_lhs(k, RATIONAL_F)
-        assert pair.rhs == literal_gcd_rhs(k, RATIONAL_F)
-        assert pair.ok
+        lhs, rhs = gcd_weighted_pair(k, RATIONAL_F)
+        assert lhs == literal_gcd_lhs(k, RATIONAL_F)
+        assert rhs == literal_gcd_rhs(k, RATIONAL_F)
+        assert lhs == rhs
 
     @given(st.integers(1, 60), st.lists(MIXED_F, max_size=8))
     @example(1, [NAMED_FUNCTIONS["sigma"], random_function(3, 7), RATIONAL_F])
@@ -98,12 +94,12 @@ class TestGcdClasses:
         # and each f keeps its own pair: no value leaks between them.
         batch = gcd_weighted_batch(k, fs)
         assert batch == [gcd_weighted_pair(k, f) for f in fs]
-        for pair, f in zip(batch, fs):
+        for (lhs, rhs), f in zip(batch, fs):
             # Integer-valued functions keep int sides; a rational one gives
             # Fractions.
-            assert type(pair.lhs) is type(pair.rhs) is (Fraction if f is RATIONAL_F else int)
-            assert pair.lhs == literal_gcd_lhs(k, f)
-            assert pair.rhs == literal_gcd_rhs(k, f)
+            assert type(lhs) is type(rhs) is (Fraction if f is RATIONAL_F else int)
+            assert lhs == literal_gcd_lhs(k, f)
+            assert rhs == literal_gcd_rhs(k, f)
 
     @given(K)
     @settings(max_examples=40, deadline=None)
@@ -155,9 +151,9 @@ class TestPowerMoments:
     @settings(max_examples=40, deadline=None)
     def test_bernoulli_weight(self, k, m):
         row = ramanujan_row(k).values
-        pair = bernoulli_weighted_pair(k, m)
-        assert pair.lhs == sum(bernoulli_polynomial(m, Fraction(j, k)) * row[j] for j in range(k))
-        assert pair.rhs == bernoulli_number(m) * Fraction(jordan_totient(m, k), k ** (m - 1))
+        lhs, rhs = bernoulli_weighted_pair(k, m)
+        assert lhs == sum(bernoulli_polynomial(m, Fraction(j, k)) * row[j] for j in range(k))
+        assert rhs == bernoulli_number(m) * Fraction(jordan_totient(m, k), k ** (m - 1))
 
 
 class TestBernoulliPolySum:
@@ -225,7 +221,7 @@ class TestFourierSums:
     @settings(max_examples=120, deadline=None)
     def test_inverse_dft(self, k, n):
         for m in (n, k * (n % 4 + 1)):  # any n, and n = 0 (mod k)
-            assert abs(inverse_dft_check(k, m).lhs - numpy_dft_mean(k, m)) <= 1e-9 * k
+            assert abs(inverse_dft_check(k, m)[0] - numpy_dft_mean(k, m)) <= 1e-9 * k
 
     @given(st.integers(1, 300), st.integers(-900, 900))
     @settings(max_examples=120, deadline=None)
@@ -237,7 +233,7 @@ class TestFourierSums:
         for i in (-2, 0, 1, 5):
             assert ramanujan_sum_float(1, i) == numpy_root_sum(1, i) == 1.0
         for n in (1, 2, 7):
-            assert inverse_dft_check(1, n).lhs == numpy_dft_mean(1, n) == 1.0
+            assert inverse_dft_check(1, n)[0] == numpy_dft_mean(1, n) == 1.0
 
     def test_at_the_evaluation_limits(self):
         k = FLOAT_EVAL_LIMIT
@@ -245,14 +241,14 @@ class TestFourierSums:
             assert abs(ramanujan_sum_float(k, j) - numpy_root_sum(k, j)) <= 1e-9 * k
         k = averages.DFT_LIMIT
         for n in (1, 2, 12345, k, 3 * k + 7):
-            assert abs(inverse_dft_check(k, n).lhs - numpy_dft_mean(k, n)) <= 1e-9 * k
+            assert abs(inverse_dft_check(k, n)[0] - numpy_dft_mean(k, n)) <= 1e-9 * k
 
     def test_imaginary_part_guards(self, monkeypatch):
         # The inverse DFT allows |Im| <= 1e-8 on the mean; the float oracle
         # |Im| < 1e-6 k on the sum. Values on both sides of each bound.
         k = 7
         monkeypatch.setattr(averages, "_dft_values", lambda k: np.full(k, 1 + 0.9e-8j))
-        assert inverse_dft_check(k, 3).lhs == 1.0
+        assert inverse_dft_check(k, 3)[0] == 1.0
         monkeypatch.setattr(averages, "_dft_values", lambda k: np.full(k, 1 + 1.1e-8j))
         with pytest.raises(RuntimeError, match="imaginary"):
             inverse_dft_check(k, 3)

@@ -24,11 +24,9 @@ def _key(v):
 
 
 def _shift_side(out, shift):
-    """Perturb a value, or the rhs of a pair of sides."""
-    if type(out) is tuple:  # multivar.multiplicativity_sides
+    """Perturb a value, or the rhs of an (lhs, rhs) tuple of sides."""
+    if type(out) is tuple:
         return out[0], shift(out[1])
-    if hasattr(out, "rhs"):
-        return type(out)(out.lhs, shift(out.rhs))
     return shift(out)
 
 

@@ -294,6 +294,55 @@ class TestGridBudget:
             else:
                 assert size == sum(map(moduli_held, grid)), bounds
 
+    # Literal grids and counts of these identities: each must equal the
+    # product of its schema's values and counts, element for element.
+    SPELLED_OUT = {
+        "prop3": (
+            lambda b: [
+                (k, name)
+                for k in range(1, b["k_max"] + 1)
+                for name in list(averages.NAMED_FUNCTIONS)
+                + [f"rand{i:02d}" for i in range(b["rand_count"])]
+            ],
+            lambda b: max(b["k_max"], 0)
+            * (len(averages.NAMED_FUNCTIONS) + max(b["rand_count"], 0)),
+        ),
+        "prop3-corollary": (
+            lambda b: [
+                (k, name) for k in range(1, b["k_max"] + 1) for name in ("id", "tau", "sigma")
+            ],
+            lambda b: max(b["k_max"], 0) * 3,
+        ),
+        "prop7": (
+            lambda b: [
+                (t, r)
+                for t in verify._tuple_grid(b["k_max"], b["n_max"])
+                for r in range(1, b["r_max"] + 1)
+            ],
+            lambda b: verify._multiset_moduli(b["k_max"], b["n_max"]) * max(b["r_max"], 0),
+        ),
+        "prop7-corollary": (
+            lambda b: [(t,) for t in verify._tuple_grid(b["k_max"], b["n_max"])],
+            lambda b: verify._multiset_moduli(b["k_max"], b["n_max"]),
+        ),
+        "e-integrality": (
+            lambda b: [(t,) for t in verify._tuple_grid(b["k_max"], b["n_max"])],
+            lambda b: verify._multiset_moduli(b["k_max"], b["n_max"]),
+        ),
+    }
+
+    @pytest.mark.parametrize("tag", sorted(SPELLED_OUT))
+    def test_a_derived_grid_is_the_one_it_replaces(self, tag):
+        grid, size = self.SPELLED_OUT[tag]
+        ident = verify._lookup(tag)
+        for bounds in small_bounds(tag):
+            assert verify._grid(ident, bounds, 7) == grid(bounds), bounds
+            assert verify._grid_size(ident, bounds) == size(bounds), bounds
+
+    def test_only_grids_of_another_shape_are_spelled_out(self):
+        spelled = {tag for tag, ident in verify._CATALOG.items() if ident.grid or ident.size}
+        assert spelled == {"cross-evaluator", "e-multiplicativity", "half-sum"}
+
     def test_the_multiset_count_is_the_sum_of_its_arities(self):
         # Exact up to the budget, and over it past it.
         for k in range(0, 30):
@@ -411,10 +460,9 @@ class TestVerdicts:
 
     def test_pairs_and_evaluators_take_no_tolerance(self):
         with pytest.raises(TypeError):
-            averages.FloatPair(0.0, 2e-8, 1.0)
-        with pytest.raises(TypeError):
             averages.log_weighted_pair(5, 1.0)
-        assert averages.FloatPair._fields == averages.ExactPair._fields == ("lhs", "rhs")
+        # Sides are plain (lhs, rhs) tuples, with nothing that compares them.
+        assert type(averages.log_weighted_pair(5)) is tuple
         # The criterion itself is the one function that reads a tolerance.
         for name in averages.__all__:
             fn = getattr(averages, name)
