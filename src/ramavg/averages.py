@@ -75,6 +75,7 @@ __all__ = [
     "DFT_LIMIT",
     "ArithmeticFunction",
     "within_tolerance",
+    "within_tolerance_columns",
     "NAMED_FUNCTIONS",
     "random_function",
     "log_factorial",
@@ -82,6 +83,7 @@ __all__ = [
     "s_r_direct",
     "s_r_direct_batch",
     "s_r_closed",
+    "s_r_closed_batch",
     "log_weighted_pair",
     "gcd_weighted_pair",
     "gcd_weighted_batch",
@@ -115,10 +117,18 @@ class ArithmeticFunction:
         return self.fn(n)
 
 
+def within_tolerance_columns(
+    lhs: Sequence[float], rhs: Sequence[float], errors: Sequence[float], tolerance: float
+) -> List[bool]:
+    """|lhs - rhs| <= tolerance * (1 + max|side|) for each case of columns
+    of sides, errors holding each case's |lhs - rhs|: stays meaningful
+    when a side is exactly zero. A NaN side never passes."""
+    return [e <= tolerance * (1 + max(abs(a), abs(b))) for a, b, e in zip(lhs, rhs, errors)]
+
+
 def within_tolerance(lhs: float, rhs: float, tolerance: float) -> bool:
-    """|lhs - rhs| <= tolerance * (1 + max|side|): stays meaningful when a
-    side is exactly zero."""
-    return abs(lhs - rhs) <= tolerance * (1 + max(abs(lhs), abs(rhs)))
+    """within_tolerance_columns for one case."""
+    return within_tolerance_columns((lhs,), (rhs,), (abs(lhs - rhs),), tolerance)[0]
 
 
 NAMED_FUNCTIONS: Dict[str, ArithmeticFunction] = {
@@ -176,19 +186,26 @@ def s_r_direct(k: int, r: int) -> Fraction:
     return s_r_direct_batch(k, (r,))[0]
 
 
-def s_r_closed(k: int, r: int) -> Fraction:
+def s_r_closed_batch(k: int, rs: Sequence[int]) -> List[Fraction]:
     """S_r(k) by the closed form
 
         phi(k)/(2k) + 1/(r+1) * sum_{m=0}^{floor(r/2)}
             C(r+1, 2m) B_{2m} J_{2m}(k) / k^(2m),
 
-    where J_{2m}(k)/k^(2m) is the product of (1 - p^(-2m)) over p | k:
-    exact.power_sum_closed with lead phi(k) and weights J_{2m}(k).
+    for every r in rs, where J_{2m}(k)/k^(2m) is the product of
+    (1 - p^(-2m)) over p | k: exact.power_sum_closed with lead phi(k) and
+    weights J_{2m}(k), read once for the batch up to the largest r.
     """
-    if k < 1 or r < 1:
-        raise ValueError("s_r_closed requires k >= 1 and r >= 1")
-    weights = [jordan_totient(2 * m, k) for m in range(r // 2 + 1)]
-    return power_sum_closed(k, r, euler_phi(k), weights)
+    if k < 1 or any(r < 1 for r in rs):
+        raise ValueError("s_r_closed_batch requires k >= 1 and r >= 1")
+    weights = [jordan_totient(2 * m, k) for m in range(max(rs, default=0) // 2 + 1)]
+    phi = euler_phi(k)
+    return [power_sum_closed(k, r, phi, weights[: r // 2 + 1]) for r in rs]
+
+
+def s_r_closed(k: int, r: int) -> Fraction:
+    """S_r(k) by the closed form; one r of s_r_closed_batch."""
+    return s_r_closed_batch(k, (r,))[0]
 
 
 # --- log weight -----------------------------------------------------------
@@ -326,9 +343,10 @@ def mobius_log_check(k: int) -> Tuple[float, float]:
 
 
 def _binomial_row_sum(k: int) -> int:
-    """sum_{j=0}^{k} C(k, j) c_k(j), the left side of both binomial weights."""
-    row = ramanujan_row(k).values
-    return sum(binomial(k, j) * row[j] for j in range(0, k + 1))
+    """sum_{j=0}^{k} C(k, j) c_k(j), the left side of both binomial weights;
+    a zero c_k(j) adds nothing, so its C(k, j) is not computed."""
+    comb = math.comb
+    return sum(comb(k, j) * c for j, c in enumerate(ramanujan_row(k).values) if c)
 
 
 def binomial_weighted_exact(k: int) -> Tuple[int, int]:

@@ -12,12 +12,19 @@ coprime to k, which gives the definitional sum at every j mod k at once;
 it reads no divisors, Mobius values or phi, so it stays independent of
 the other two.
 
+Each evaluator has a batch form over the js of one modulus,
+(k, js) -> values, and its scalar name is the batch of one case. The two
+exact forms depend on j only through g = gcd(k, j), so their batches
+evaluate the same formula once per gcd class; the float batch reads the
+FFT row of k once.
+
 A row c_k(0..k) is refused with BudgetError before it is allocated when
 k exceeds ROW_BUDGET.
 
-j is an arbitrary integer everywhere: it is reduced mod k up front, and
-j = 0 falls under gcd(k, 0) = k, giving c_k(0) = phi(k). That convention
-matters because two of the weighted averages sum from j = 0.
+j is an arbitrary integer everywhere: every batch reduces each j itself
+(to gcd(k, j), or to j mod k for the FFT row), and j = 0 falls under
+gcd(k, 0) = k, giving c_k(0) = phi(k). That convention matters because
+two of the weighted averages sum from j = 0.
 """
 
 from __future__ import annotations
@@ -25,7 +32,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
+from itertools import repeat
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -34,8 +42,11 @@ from .arith import divisors, euler_phi, mobius
 __all__ = [
     "RamanujanRow",
     "ramanujan_sum",
+    "ramanujan_sum_batch",
     "ramanujan_sum_holder",
+    "ramanujan_sum_holder_batch",
     "ramanujan_sum_float",
+    "ramanujan_sum_float_batch",
     "ramanujan_row",
     "FLOAT_EVAL_LIMIT",
     "ROW_BUDGET",
@@ -70,24 +81,47 @@ class RamanujanRow:
             raise ValueError(f"row checksum failed for k={self.k}: {checksum}")
 
 
-def ramanujan_sum(k: int, j: int) -> int:
-    """c_k(j) by the divisor formula."""
+def _gcd_classes(k: int, js: Sequence[int]) -> List[int]:
+    """g = gcd(k, j mod k) for each j: math.gcd reduces j itself, any
+    integer j, and gcd(k, 0) = k."""
+    return list(map(math.gcd, repeat(k), js))
+
+
+def ramanujan_sum_batch(k: int, js: Sequence[int]) -> List[int]:
+    """c_k(j) by the divisor formula for every j in js, evaluated once per
+    gcd class g = gcd(k, j)."""
     if k < 1:
-        raise ValueError(f"ramanujan_sum requires k >= 1, got {k}")
-    g = math.gcd(k, j % k)
-    return sum(d * mobius(k // d) for d in divisors(g))
+        raise ValueError(f"ramanujan_sum_batch requires k >= 1, got {k}")
+    gs = _gcd_classes(k, js)
+    value = {g: sum(d * mobius(k // d) for d in divisors(g)) for g in set(gs)}
+    return list(map(value.__getitem__, gs))
+
+
+def ramanujan_sum(k: int, j: int) -> int:
+    """c_k(j) by the divisor formula; one case of ramanujan_sum_batch."""
+    return ramanujan_sum_batch(k, (j,))[0]
+
+
+def ramanujan_sum_holder_batch(k: int, js: Sequence[int]) -> List[int]:
+    """c_k(j) by the Holder closed form for every j in js, evaluated once
+    per gcd class g = gcd(k, j); each division must be exact."""
+    if k < 1:
+        raise ValueError(f"ramanujan_sum_holder_batch requires k >= 1, got {k}")
+    gs = _gcd_classes(k, js)
+    phi = euler_phi(k)
+    value = {}
+    for g in dict.fromkeys(gs):  # in order of first j, so an error names the first j
+        num = phi * mobius(k // g)
+        den = euler_phi(k // g)
+        if num % den:
+            raise RuntimeError(f"Holder division not exact for k={k}, j={js[gs.index(g)]}")
+        value[g] = num // den
+    return list(map(value.__getitem__, gs))
 
 
 def ramanujan_sum_holder(k: int, j: int) -> int:
-    """c_k(j) by the Holder closed form; the division is exact."""
-    if k < 1:
-        raise ValueError(f"ramanujan_sum_holder requires k >= 1, got {k}")
-    g = math.gcd(k, j % k)
-    num = euler_phi(k) * mobius(k // g)
-    den = euler_phi(k // g)
-    if num % den:
-        raise RuntimeError(f"Holder division not exact for k={k}, j={j}")
-    return num // den
+    """c_k(j) by the Holder closed form; one case of ramanujan_sum_holder_batch."""
+    return ramanujan_sum_holder_batch(k, (j,))[0]
 
 
 @lru_cache(maxsize=256)
@@ -98,20 +132,30 @@ def _float_row(k: int) -> np.ndarray:
     return np.fft.ifft(coprime, norm="forward")
 
 
-def ramanujan_sum_float(k: int, j: int) -> float:
-    """c_k(j) from the definitional sum of roots of unity, as a float.
+def ramanujan_sum_float_batch(k: int, js: Sequence[int]) -> List[float]:
+    """c_k(j) from the definitional sum of roots of unity, as floats, for
+    every j in js.
 
-    The sum is entry j mod k of the per-modulus FFT _float_row(k). The
-    imaginary part must cancel to below 1e-6 * k.
+    Each sum is entry j mod k of the per-modulus FFT _float_row(k), read
+    once for the batch. The imaginary part of every entry read must cancel
+    to below 1e-6 * k; the error names the first j whose part does not.
     """
     if k < 1:
-        raise ValueError(f"ramanujan_sum_float requires k >= 1, got {k}")
+        raise ValueError(f"ramanujan_sum_float_batch requires k >= 1, got {k}")
     if k > FLOAT_EVAL_LIMIT:
         raise ValueError(f"k={k} exceeds the float evaluation bound {FLOAT_EVAL_LIMIT}")
-    z = _float_row(k)[j % k]
-    if abs(z.imag) >= 1e-6 * k:
-        raise RuntimeError(f"imaginary part {z.imag} too large for k={k}, j={j}")
-    return float(z.real)
+    z = _float_row(k)[[j % k for j in js]]
+    large = np.abs(z.imag) >= 1e-6 * k
+    if large.any():
+        i = int(large.argmax())
+        raise RuntimeError(f"imaginary part {z.imag[i]} too large for k={k}, j={js[i]}")
+    return z.real.tolist()
+
+
+def ramanujan_sum_float(k: int, j: int) -> float:
+    """c_k(j) from the definitional sum, as a float; one case of
+    ramanujan_sum_float_batch."""
+    return ramanujan_sum_float_batch(k, (j,))[0]
 
 
 @lru_cache(maxsize=4096)

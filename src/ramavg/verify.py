@@ -18,10 +18,12 @@ Evaluation goes by runs: the cases of a grid that share their leading
 parameter (k, or the tuple ks). An identity's evaluate takes the leading
 value, the trailing values of every case of the run and the seed, and
 returns the sides of each case, so a kernel can share work across the run
-(one read of the power-sum table of (k,) for prop1 and prop6, of each
-tuple table for prop7 and of the FFT row per k for inverse-dft, one read
-of k's divisors, gcd-class totals, mu(k/d) and phi(k) for every f of prop3
-and prop3-corollary, one validated run per k for cross-evaluator); the
+(one read of the power-sum table of (k,) for prop1 and prop6, and of phi(k)
+and the Jordan totients for prop1's closed sides, of each tuple table for
+prop7 and of the FFT row per k for inverse-dft, one read of k's divisors,
+gcd-class totals, mu(k/d) and phi(k) for every f of prop3 and
+prop3-corollary; for cross-evaluator, the divisor and Holder forms once
+per gcd class of the run and the float form from one FFT row per k); the
 other identities evaluate case by case. If a run raises, each of its cases
 is evaluated alone, so a failure stays with the cases that cause it.
 
@@ -34,7 +36,11 @@ of its first bad value.
 A run is then compared and rendered in two steps, each over columns.
 _compare evaluates the run, transposes its sides into lhs, rhs and reason
 columns and compares each case once, giving a passed column and, in
-tolerance mode, an abs_error column. _render builds IdentityCases, each
+tolerance mode, an abs_error column. A run of plain pairs is compared
+without a Python call per case: == mapped over the columns, or one
+abs(lhs - rhs) per case that gives the abs_error column and feeds
+averages.within_tolerance_columns; a run with a reason or a raised case
+is compared case by case. _render builds IdentityCases, each
 a NamedTuple (an immutable tuple of its eight fields) made by
 tuple.__new__, from those columns, or from the same rows of each: it takes
 every passed flag and abs_error from them and compares nothing, so a case
@@ -69,12 +75,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby, repeat, starmap, zip_longest
 from itertools import product as iter_product
-from operator import itemgetter
+from operator import eq, itemgetter, sub
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import averages, exact, multivar
 from .arith import euler_phi
-from .ramanujan import ramanujan_sum, ramanujan_sum_float, ramanujan_sum_holder
+from .ramanujan import ramanujan_sum_batch, ramanujan_sum_float_batch, ramanujan_sum_holder_batch
 
 __all__ = [
     "ConfigError",
@@ -185,9 +191,9 @@ def cases_to_csv(cases: Iterable[IdentityCase]) -> str:
 # --- outcome helpers --------------------------------------------------------
 
 
-def _fmt_rational(x: Union[int, Fraction]) -> str:
-    # ints and Fractions are both already in lowest terms.
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+# str renders an int as its digits and a Fraction, always in lowest terms,
+# as "n/d", or as "n" when d = 1; a C call per side.
+_fmt_rational: Callable[[Union[int, Fraction]], str] = str
 
 
 # f"{x:.17g}" as a bound C method, so rendering a float column calls no
@@ -450,12 +456,10 @@ def _per_case(fn: Callable[..., tuple]) -> _Evaluator:
 
 
 def _prop1(k, rests, seed):
-    """One power-sum table read for every r of the run; the closed side per case."""
+    """One power-sum table read for every r of the run, and one read of
+    phi(k) and the Jordan totients for its closed sides."""
     rs = [r for r, in rests]
-    return [
-        (lhs, averages.s_r_closed(k, r))
-        for lhs, r in zip(averages.s_r_direct_batch(k, rs), rs)
-    ]
+    return list(zip(averages.s_r_direct_batch(k, rs), averages.s_r_closed_batch(k, rs)))
 
 
 def _prop6(k, rests, seed):
@@ -515,18 +519,18 @@ def _e_integrality(ks):
 
 def _cross_evaluator(k, rests, seed):
     """Divisor formula vs Holder form, with the rounded float definition
-    as a third evaluator that fails a case by its reason."""
-    divisor, holder, oracle = ramanujan_sum, ramanujan_sum_holder, ramanujan_sum_float
-    out = []
-    for (j,) in rests:
-        a = divisor(k, j)
-        b = holder(k, j)
-        f = oracle(k, j)
-        if round(f) == a and abs(f - a) <= 1e-6 * k:
-            out.append((a, b))
-        else:
-            out.append((a, b, f"float oracle {_fmt_float(f)} disagrees with the exact value {a}"))
-    return out
+    as a third evaluator that fails a case by its reason; each evaluator
+    takes the whole run."""
+    js = [j for j, in rests]
+    bound = 1e-6 * k
+    return [
+        (a, b) if round(f) == a and abs(f - a) <= bound
+        else (a, b, f"float oracle {_fmt_float(f)} disagrees with the exact value {a}")
+        for a, b, f in zip(
+            ramanujan_sum_batch(k, js), ramanujan_sum_holder_batch(k, js),
+            ramanujan_sum_float_batch(k, js),
+        )
+    ]
 
 
 def _bernoulli_poly_sum_direct(k: int, m: int) -> Fraction:
@@ -732,13 +736,21 @@ def _compare(
     # Pairs and triples of sides as columns; a pair's reason is None.
     lhs, rhs, *reasons = zip_longest(*_evaluate(ident, lead, rests, seed))
     reasons = reasons[0] if reasons else None
-    each_reason = repeat(None) if reasons is None else reasons
-    if ident.mode == "exact":
-        passed = [r is None and a == b for a, b, r in zip(lhs, rhs, each_reason)]
-        return _Columns(lhs, rhs, reasons, passed, None)
-    within = averages.within_tolerance
-    passed = [r is None and within(a, b, tolerance) for a, b, r in zip(lhs, rhs, each_reason)]
-    errors = [None if a is None else abs(a - b) for a, b in zip(lhs, rhs)]
+    errors = None
+    if reasons is not None:
+        # Some case failed for a reason, or raised and has no sides.
+        if ident.mode == "exact":
+            passed = [r is None and a == b for a, b, r in zip(lhs, rhs, reasons)]
+        else:
+            within = averages.within_tolerance
+            passed = [r is None and within(a, b, tolerance) for a, b, r in zip(lhs, rhs, reasons)]
+            errors = [None if a is None else abs(a - b) for a, b in zip(lhs, rhs)]
+    elif ident.mode == "exact":
+        passed = list(map(eq, lhs, rhs))
+    else:
+        # One abs(a - b) per case gives both columns.
+        errors = list(map(abs, map(sub, lhs, rhs)))
+        passed = averages.within_tolerance_columns(lhs, rhs, errors, tolerance)
     return _Columns(lhs, rhs, reasons, passed, errors)
 
 

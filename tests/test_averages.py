@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import ramavg.averages as averages
 from ramavg.arith import euler_phi
 from ramavg.averages import (
     COSINE_LIMIT,
@@ -27,9 +29,11 @@ from ramavg.averages import (
     mobius_log_check,
     random_function,
     s_r_closed,
+    s_r_closed_batch,
     s_r_direct,
     s_r_direct_batch,
     within_tolerance,
+    within_tolerance_columns,
 )
 from ramavg.exact import bernoulli_number, bernoulli_polynomial, binomial
 from ramavg.ramanujan import ramanujan_row
@@ -40,6 +44,7 @@ from ramavg.ramanujan import ramanujan_row
     (gcd_weighted_batch, (0, [NAMED_FUNCTIONS["id"]]), "k >= 1, got 0"),
     (bernoulli_weighted_batch, (3, [1, 0]), "k >= 1 and m >= 1"),
     (inverse_dft_batch, (3, [1, 0]), "k >= 1 and n >= 1"),
+    (s_r_closed_batch, (3, [1, 0]), "k >= 1 and r >= 1"),
 ])
 def test_a_batch_names_itself_in_its_error(batch, args, message):
     with pytest.raises(ValueError, match=rf"^{batch.__name__} requires {message}$"):
@@ -65,6 +70,20 @@ class TestPowerWeight:
     @settings(max_examples=80, deadline=None)
     def test_direct_equals_closed_random(self, k, r):
         assert s_r_direct(k, r) == s_r_closed(k, r)
+
+    def test_a_closed_batch_reads_each_jordan_totient_once(self, monkeypatch):
+        # rs in any order, repeats included: each r is its own closed form,
+        # from J_0(k)..J_10(k) read once for the batch.
+        rs = [3, 10, 1, 4, 10, 7]
+        calls = []
+        real = averages.jordan_totient
+        monkeypatch.setattr(averages, "jordan_totient", lambda m, n: calls.append(m) or real(m, n))
+        for k in (1, 12, 97, 360):
+            calls.clear()
+            batch = s_r_closed_batch(k, rs)
+            assert calls == [0, 2, 4, 6, 8, 10]
+            assert batch == [s_r_closed(k, r) for r in rs] == [s_r_direct(k, r) for r in rs]
+        assert s_r_closed_batch(5, []) == []
 
     def test_r1_collapses_to_phi_over_2k(self):
         # For k > 1 the m = 0 term carries J_0(k) = 0, leaving phi(k)/(2k).
@@ -295,6 +314,29 @@ class TestInverseDft:
 
 
 class TestWithinTolerance:
+    def test_the_column_form_is_the_rule_case_by_case(self):
+        tiny = 5e-324  # the smallest subnormal
+        values = [
+            0.0, -0.0, 1.0, -1.0, 1.0 + 1e-9, 1e-8, tiny, -tiny, 2.2250738585072014e-308 / 3,
+            1e308, -1e308, math.inf, -math.inf, math.nan,
+        ]
+        lhs, rhs = zip(*itertools.product(values, repeat=2))
+        errors = [abs(a - b) for a, b in zip(lhs, rhs)]
+        for tolerance in (DEFAULT_TOLERANCE, 1e-16, tiny):
+            columns = within_tolerance_columns(lhs, rhs, errors, tolerance)
+            assert columns == [within_tolerance(a, b, tolerance) for a, b in zip(lhs, rhs)]
+            # The rule as written before it took columns.
+            assert columns == [
+                abs(a - b) <= tolerance * (1 + max(abs(a), abs(b))) for a, b in zip(lhs, rhs)
+            ]
+            assert all(type(ok) is bool for ok in columns)
+        ok = dict(zip(zip(lhs, rhs), within_tolerance_columns(lhs, rhs, errors, DEFAULT_TOLERANCE)))
+        assert ok[math.inf, math.inf] is False and ok[math.inf, 1.0] is True
+        assert ok[0.0, -0.0] is True and ok[tiny, -tiny] is True
+        # 1e308 - (-1e308) overflows to inf, past the finite bound.
+        assert ok[1e308, 1e308] is True and ok[1e308, -1e308] is False
+        assert not any(v for (a, b), v in ok.items() if math.isnan(a) or math.isnan(b))
+
     def test_the_rule_is_mixed(self):
         assert not within_tolerance(1.0, 1.5, DEFAULT_TOLERANCE)
         # |lhs - rhs| <= tol * (1 + max|side|): loose for large sides, absolute near 0.

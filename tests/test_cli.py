@@ -304,7 +304,7 @@ class TestVerify:
         assert code == 2 and "tolerance" in err
 
     def test_failures_exit_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(averages, "s_r_closed", lambda k, r: 999)
+        monkeypatch.setattr(averages, "s_r_closed_batch", lambda k, rs: [999] * len(rs))
         code, out, _ = run_cli(
             capsys, "verify", "--identity", "prop1", "--k-max", "3", "--r-max", "1"
         )

@@ -6,7 +6,9 @@ power-weighted closed side sits over one integer denominator
 (exact.power_sum_closed). The sums below are written out term by term,
 with chained Fractions, as the definitions read. The two float Fourier
 sums (the inverse DFT and the definitional c_k(j)) read one cached FFT per
-modulus; they are pinned to the per-case numpy sums they replace.
+modulus; they are pinned to the per-case numpy sums they replace. The
+batches of the three c_k evaluators, two of them once per gcd class, are
+pinned to each evaluator's formula written out at every j.
 """
 
 import math
@@ -42,7 +44,14 @@ from ramavg.exact import (
     power_sum,
 )
 from ramavg.multivar import g_m, s_r_multi_closed
-from ramavg.ramanujan import FLOAT_EVAL_LIMIT, ramanujan_row, ramanujan_sum_float
+from ramavg.ramanujan import (
+    FLOAT_EVAL_LIMIT,
+    ramanujan_row,
+    ramanujan_sum_batch,
+    ramanujan_sum_float,
+    ramanujan_sum_float_batch,
+    ramanujan_sum_holder_batch,
+)
 from ramavg.verify import run_identity
 
 K = st.integers(1, 200)
@@ -257,3 +266,47 @@ class TestFourierSums:
         monkeypatch.setattr(ramanujan, "_float_row", lambda k: np.full(k, 1 + 1.1e-6j * k))
         with pytest.raises(RuntimeError, match="imaginary"):
             ramanujan_sum_float(k, 3)
+
+
+class TestRamanujanBatches:
+    """Each batch of c_k against its evaluator's formula, one j at a time,
+    for every j in [-2k, 2k]: j = 0, j = k and negative j among them."""
+
+    @given(st.integers(1, 300))
+    @settings(max_examples=30, deadline=None)
+    @example(1)
+    @example(300)
+    def test_each_batch_is_its_formula_at_every_j(self, k):
+        js = list(range(-2 * k, 2 * k + 1))
+        divisor = ramanujan_sum_batch(k, js)
+        holder = ramanujan_sum_holder_batch(k, js)
+        floats = ramanujan_sum_float_batch(k, js)
+        assert len(divisor) == len(holder) == len(floats) == len(js)
+        for j, a, b, f in zip(js, divisor, holder, floats):
+            g = math.gcd(k, j % k)
+            assert a == sum(d * mobius(k // d) for d in divisors(g))
+            assert b == Fraction(euler_phi(k) * mobius(k // g), euler_phi(k // g))
+            assert type(a) is int and type(b) is int and type(f) is float
+            assert abs(f - numpy_root_sum(k, j)) <= 1e-9 * k
+
+    def test_a_batch_of_none_is_empty(self):
+        for batch in (ramanujan_sum_batch, ramanujan_sum_holder_batch, ramanujan_sum_float_batch):
+            assert batch(6, []) == []
+
+    def test_errors_name_the_batch_and_the_first_failing_j(self, monkeypatch):
+        for batch in (ramanujan_sum_batch, ramanujan_sum_holder_batch, ramanujan_sum_float_batch):
+            with pytest.raises(ValueError, match=f"{batch.__name__} requires k >= 1"):
+                batch(0, [1])
+        # Entries 3 and 5 of the row of 7 have a large imaginary part: 12 is
+        # the first j of the batch that reads one (12 = 5 mod 7).
+        row = np.ones(7, dtype=complex)
+        row[[3, 5]] += 1j
+        monkeypatch.setattr(ramanujan, "_float_row", lambda k: row)
+        with pytest.raises(RuntimeError, match="too large for k=7, j=12$"):
+            ramanujan_sum_float_batch(7, [1, 12, 10, 3])
+        # An inexact Holder division in the class g = 3 of k = 6 (phi(2)
+        # read as 7): 9 is the first j of that class.
+        real_phi = ramanujan.euler_phi
+        monkeypatch.setattr(ramanujan, "euler_phi", lambda n: 7 if n == 2 else real_phi(n))
+        with pytest.raises(RuntimeError, match="not exact for k=6, j=9$"):
+            ramanujan_sum_holder_batch(6, [1, 2, 9, 3, -3])

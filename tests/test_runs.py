@@ -12,7 +12,7 @@ import pytest
 import ramavg.averages as averages
 import ramavg.multivar as multivar
 import ramavg.verify as verify
-from ramavg.ramanujan import ramanujan_sum
+from ramavg.ramanujan import ramanujan_sum, ramanujan_sum_holder
 from ramavg.verify import IDENTITY_TAGS, ParamError, SuiteConfig, run_identity, run_suite
 
 MULTIVAR_TAGS = {"prop7", "prop7-corollary", "e-integrality", "e-multiplicativity"}
@@ -184,9 +184,10 @@ def test_each_random_value_is_hashed_once_per_sweep(monkeypatch):
 
 
 def test_wrong_float_oracle_fails_only_its_case(monkeypatch):
-    real = verify.ramanujan_sum_float
+    real = verify.ramanujan_sum_float_batch
     monkeypatch.setattr(
-        verify, "ramanujan_sum_float", lambda k, j: real(k, j) + (0.5 if (k, j) == (6, 4) else 0)
+        verify, "ramanujan_sum_float_batch",
+        lambda k, js: [f + (0.5 if (k, j) == (6, 4) else 0) for f, j in zip(real(k, js), js)],
     )
     assert_only_these_fail(small_config("cross-evaluator"), {(6, 4)})
     assert run_identity("cross-evaluator", (6, 4)).error == (
@@ -390,24 +391,26 @@ def test_mixed_runs_in_each_mode(monkeypatch):
     passing case, a failing case and a case with a reason, the tolerance
     run also a NaN lhs; one run of each raises, so its cases are evaluated
     alone and only the raising one is recorded as raised."""
-    real_holder, real_float, real_divisor = (
-        verify.ramanujan_sum_holder, verify.ramanujan_sum_float, verify.ramanujan_sum
+    real_divisor, real_holder = ramanujan_sum, ramanujan_sum_holder
+    real_divisors, real_holders, real_oracles = (
+        verify.ramanujan_sum_batch, verify.ramanujan_sum_holder_batch,
+        verify.ramanujan_sum_float_batch,
     )
 
-    def divisor(k, j):
-        if (k, j) == (7, 3):
+    def divisor(k, js):
+        if k == 7 and 3 in js:
             raise ValueError("divisor refused 7, 3")
-        return real_divisor(k, j)
+        return real_divisors(k, js)
 
-    def holder(k, j):
-        return real_holder(k, j) + ((k, j) == (6, 2))
+    def holder(k, js):
+        return [b + ((k, j) == (6, 2)) for b, j in zip(real_holders(k, js), js)]
 
-    def oracle(k, j):
-        return real_float(k, j) + 0.5 * ((k, j) == (6, 4))
+    def oracle(k, js):
+        return [f + 0.5 * ((k, j) == (6, 4)) for f, j in zip(real_oracles(k, js), js)]
 
-    monkeypatch.setattr(verify, "ramanujan_sum", divisor)
-    monkeypatch.setattr(verify, "ramanujan_sum_holder", holder)
-    monkeypatch.setattr(verify, "ramanujan_sum_float", oracle)
+    monkeypatch.setattr(verify, "ramanujan_sum_batch", divisor)
+    monkeypatch.setattr(verify, "ramanujan_sum_holder_batch", holder)
+    monkeypatch.setattr(verify, "ramanujan_sum_float_batch", oracle)
 
     real_dft, dft_calls = averages.inverse_dft_batch, []
 

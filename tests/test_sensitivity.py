@@ -65,7 +65,7 @@ def batch(case):
 # tag -> (owner, name, (case, wrap)): owner.name (or owner[name]) is
 # replaced by wrap(real, shift), which perturbs it at case only.
 SENSITIVITY = {
-    "prop1": (averages, "s_r_closed", one((6, 2))),
+    "prop1": (averages, "s_r_closed_batch", batch((6, 2))),
     "prop2": (averages, "log_weighted_pair", one((6,))),
     "prop3": (averages, "gcd_weighted_batch", batch((6, "sigma"))),
     "prop3-corollary": (verify._COROLLARY_RHS, "tau", one((6, "tau"))),
@@ -80,7 +80,7 @@ SENSITIVITY = {
     "prop7-corollary": (multivar, "orbicyclic_divisor", one(((2, 3),))),
     "e-integrality": (multivar, "orbicyclic_divisor", one(((2, 3),))),
     "e-multiplicativity": (multivar, "multiplicativity_sides", one(((3, 4), (1, 7)))),
-    "cross-evaluator": (verify, "ramanujan_sum_holder", one((6, 4))),
+    "cross-evaluator": (verify, "ramanujan_sum_holder_batch", batch((6, 4))),
     "half-sum": (exact, "half_sum_check", one((3,))),
     "faulhaber": (exact, "power_sum", one((6, 3))),
     "coprime-power-sum": (exact, "coprime_power_sum", one((6, 3))),

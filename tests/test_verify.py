@@ -118,7 +118,7 @@ class TestRunIdentity:
     def test_cross_evaluator_float_mismatch_has_a_reason(self, monkeypatch):
         import ramavg.verify as verify
 
-        monkeypatch.setattr(verify, "ramanujan_sum_float", lambda k, j: 0.25)
+        monkeypatch.setattr(verify, "ramanujan_sum_float_batch", lambda k, js: [0.25] * len(js))
         case = run_identity("cross-evaluator", (6, 1))
         assert not case.passed
         assert case.lhs == case.rhs == "1"
@@ -463,10 +463,12 @@ class TestVerdicts:
             averages.log_weighted_pair(5, 1.0)
         # Sides are plain (lhs, rhs) tuples, with nothing that compares them.
         assert type(averages.log_weighted_pair(5)) is tuple
-        # The criterion itself is the one function that reads a tolerance.
+        # The criterion itself, over columns and for one case, is the one
+        # function that reads a tolerance.
+        criterion = (averages.within_tolerance_columns, averages.within_tolerance)
         for name in averages.__all__:
             fn = getattr(averages, name)
-            if inspect.isfunction(fn) and fn is not averages.within_tolerance:
+            if inspect.isfunction(fn) and fn not in criterion:
                 assert "tolerance" not in inspect.signature(fn).parameters, name
         for ident in verify._CATALOG.values():
             assert len(inspect.signature(ident.evaluate).parameters) == 3, ident.tag
@@ -497,11 +499,11 @@ class TestRunSuite:
         assert report.failed == 0
 
     def test_corrupted_evaluator_produces_diagnostics(self, monkeypatch):
-        real = averages.s_r_closed
+        real = averages.s_r_closed_batch
         monkeypatch.setattr(
             averages,
-            "s_r_closed",
-            lambda k, r: real(k, r) + (Fraction(1, 7) if k == 5 else 0),
+            "s_r_closed_batch",
+            lambda k, rs: [v + (Fraction(1, 7) if k == 5 else 0) for v in real(k, rs)],
         )
         report = run_suite(SuiteConfig(identities=["prop1"], k_max=8, r_max=2))
         assert report.failed == 2
@@ -511,7 +513,7 @@ class TestRunSuite:
             assert "k=5" in case.params
 
     def test_failures_listed_in_parameter_order(self, monkeypatch):
-        monkeypatch.setattr(averages, "s_r_closed", lambda k, r: Fraction(999))
+        monkeypatch.setattr(averages, "s_r_closed_batch", lambda k, rs: [Fraction(999)] * len(rs))
         report = run_suite(SuiteConfig(identities=["prop1"], k_max=3, r_max=2))
         assert [c.params for c in report.failures] == [
             "k=1,r=1", "k=1,r=2", "k=2,r=1", "k=2,r=2", "k=3,r=1", "k=3,r=2",
@@ -586,6 +588,16 @@ class TestSerialization:
         assert rows[0] == ["identity", "params", "mode", "lhs", "rhs", "abs_error", "pass"]
         assert len(rows) == 1 + 8
         assert rows[1] == ["prop1", "k=1,r=1", "exact", "1", "1", "", "true"]
+
+    def test_exact_sides_render_as_str(self):
+        # str gives the text of the f-string rendering it replaced, for an
+        # int and for a reduced Fraction alike.
+        big = 10**299 + 7  # 300 digits
+        for x in (0, -1, 12, -big, big, Fraction(0), Fraction(-3, 4), Fraction(6, 1),
+                  Fraction(-5, 1), Fraction(big, 3), Fraction(-1, big)):
+            old = str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+            assert verify._fmt_rational(x) == str(x) == old
+        assert len(str(big)) == 300
 
     def test_csv_round_trip(self):
         report = run_suite(
