@@ -124,9 +124,7 @@ def _render_rational(value, fmt: str, approx: bool) -> str:
         return json.dumps({"num": value.numerator, "den": value.denominator})
     if approx:
         return f"{float(value):.17g}"
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(value)
 
 
 def _cmd_compute(args) -> int:
@@ -153,12 +151,16 @@ def _cmd_compute(args) -> int:
         return 2
     if any(_over_degree_cap(flag, supplied.get(flag)) for flag in ("r", "m")):
         return 2
+    # Rendering can fail too: past the interpreter's int-to-string digit
+    # limit (ValueError), or past a float's range with --approx
+    # (OverflowError).
     try:
-        value = evaluate(*(supplied[name] for name in wanted))
-    except (ValueError, RuntimeError) as exc:
+        text = _render_rational(evaluate(*(supplied[name] for name in wanted)),
+                                args.format, args.approx)
+    except (ValueError, RuntimeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(_render_rational(value, args.format, args.approx))
+    print(text)
     return 0
 
 

@@ -7,12 +7,12 @@ compares them: the mode is owned here, not by callers or evaluators, so an
 exact identity can never be checked sloppily from the command line.
 
 Each identity declares its parameters once, as a schema (kind, minimum,
-optional cap, grid bound). One validator checks every case against it.
-A default grid is the product of the parameters' values (Param.values)
-and its size the product of their counts (Param.count), except three that
-are spelled out: cross-evaluator's (j <= k), e-multiplicativity's (coprime
-pairs drawn from the seed) and half-sum's (from r = 1, while its schema
-admits r = 0 so that run_identity reports that mismatch).
+optional cap, grid bound). A default grid is the product of the
+parameters' values (Param.values) and its size the product of their
+counts (Param.count), except three that are spelled out: cross-evaluator's
+(j <= k), e-multiplicativity's (coprime pairs drawn from the seed) and
+half-sum's (from r = 1, while its schema admits r = 0 so that run_identity
+reports that mismatch).
 
 Evaluation goes by runs: the cases of a grid that share their leading
 parameter (k, or the tuple ks). An identity's evaluate takes the leading
@@ -27,13 +27,15 @@ per gcd class of the run and the float form from one FFT row per k); the
 other identities evaluate case by case. If a run raises, each of its cases
 is evaluated alone, so a failure stays with the cases that cause it.
 
-A run is validated once per column: the leading value once, and the
-values of each trailing parameter across the run as one column, so a
-valid run costs a few C-level scans rather than a check per value; a
-column that does not pass is checked value by value and raises the error
-of its first bad value.
+Each caller checks what it is given, and only that. run_identity takes
+its case from outside the program and checks it against the schema (one
+validator, each value in order), raising the ParamError of its first bad
+value. run_suite checks its own inputs: the selected tags, the tolerance
+and each grid bound against its parameter's cap. The grids it then builds
+hold only values of the schema, so their cases are not checked again;
+tests check every case of every grid against the validator instead.
 
-A run is then compared and rendered in two steps, each over columns.
+A run is compared and rendered in two steps, each over columns.
 _compare evaluates the run, transposes its sides into lhs, rhs and reason
 columns and compares each case once, giving a passed column and, in
 tolerance mode, an abs_error column. A run of plain pairs is compared
@@ -55,7 +57,8 @@ is written from the unpacked tuples.
 Before any grid is built, run_suite refuses a grid bound above a
 parameter's cap, and counts the cases of every selected grid from its
 bounds (no grid is built to count it), a case of moduli tuples once per
-modulus it holds: more than GRID_BUDGET in all raise ParamError.
+modulus it holds and a coprime pair also once per candidate its draw
+filters: more than GRID_BUDGET in all raise ParamError.
 
 A sweep never aborts on a failing or erroring case; errors are recorded
 on the case and the report's exit status carries the overall verdict.
@@ -333,46 +336,17 @@ def _check_param(p: Param, v, lead=None) -> None:
         raise ParamError(f"{p.name} must be one of {'/'.join(p.choices)}, got {v!r}")
 
 
-def _column_passes(p: Param, column: Sequence) -> bool:
-    """Whether every value of one trailing parameter across a run passes
-    the schema, tested on the column as a whole. False may also mean that
-    only _check_param can tell: a value of an int subclass, or a tuple of
-    moduli (no identity has a trailing one but e-multiplicativity's, which
-    is checked against its leading tuple)."""
-    if p.kind == "int":
-        return (
-            set(map(type, column)) == {int}
-            and min(column) >= p.minimum
-            and (p.cap is None or max(column) <= p.cap)
-        )
-    if p.kind == "function":
-        return all(map(_is_function_name, column))
-    if p.kind == "choice":
-        return all(v in p.choices for v in column)
-    return False
-
-
-def _validate(ident: IdentityDef, lead, rests: Sequence[tuple]) -> None:
-    """Check one run against the identity's schema; raises ParamError.
-
-    The leading value is checked once, and each trailing parameter as one
-    column of the run. A column that does not pass whole is checked value
-    by value, so the error raised is that of its first bad value. No
-    identity has more than one trailing parameter, so column order is
-    case order and the first bad value is that of the first bad case.
-    """
-    _check_param(ident.params[0], lead)
-    for i, p in enumerate(ident.params[1:]):
-        column = [rest[i] for rest in rests]
-        if not _column_passes(p, column):
-            for v in column:
-                _check_param(p, v, lead)
+def _validate(ident: IdentityDef, params: tuple) -> None:
+    """Check one case against the identity's schema, each value in order;
+    raises the ParamError of the first bad value."""
+    for p, v in zip(ident.params, params):
+        _check_param(p, v, params[0])
 
 
 # Cases of all the grids of one sweep, which run_suite counts before it
 # builds any, a case of moduli tuples counted once per modulus it holds:
 # 4x the largest default grid (inverse-dft, 250,000 cases), and above
-# verify --all (598,001). A grid case holds about 64 bytes and a case kept
+# verify --all (604,001). A grid case holds about 64 bytes and a case kept
 # for the CSV about 300 more, so the budget bounds the grids to about 64 MB
 # and a CSV sweep to about 400 MB; a modulus adds less than a case.
 GRID_BUDGET = 1_000_000
@@ -549,10 +523,11 @@ def _bernoulli_poly_sum_direct(k: int, m: int) -> Fraction:
 
 
 def _coprime_pair_size(b):
-    """At most n_max moduli on each side of each pair."""
-    if b["k_max"] < 1:
+    """At most n_max moduli on each side of each pair, and the k_max
+    candidates _coprime_pair_grid filters for each pair's b."""
+    if b["k_max"] < 1 or b["n_max"] < 1:
         return 0
-    return max(b["pairs"], 0) * 2 * max(b["n_max"], 0)
+    return max(b["pairs"], 0) * (2 * b["n_max"] + b["k_max"])
 
 
 _K = Param("k", bound="k_max")
@@ -728,11 +703,12 @@ class _Columns(NamedTuple):
 def _compare(
     ident: IdentityDef, lead, rests: Sequence[tuple], tolerance: float, seed: int
 ) -> _Columns:
-    """Validate one run, evaluate it and compare each of its cases once, as
-    columns: == on the sides of an exact identity, averages.within_tolerance
-    at `tolerance` on those of a tolerance one. A case with a reason fails;
-    one that raised, (None, None, reason), has no abs_error."""
-    _validate(ident, lead, rests)
+    """Evaluate one run and compare each of its cases once, as columns: ==
+    on the sides of an exact identity, averages.within_tolerance at
+    `tolerance` on those of a tolerance one. A case with a reason fails;
+    one that raised, (None, None, reason), has no abs_error. The run is not
+    checked against the schema: it comes from a grid, or from run_identity,
+    which has checked its case."""
     # Pairs and triples of sides as columns; a pair's reason is None.
     lhs, rhs, *reasons = zip_longest(*_evaluate(ident, lead, rests, seed))
     reasons = reasons[0] if reasons else None
@@ -764,7 +740,7 @@ def _render(
     of the trailing values; the sides of a case that raised render as ""."""
     tag, mode, trailing = ident.tag, ident.mode, ident.trailing
     prefix = f"{ident.param_names[0]}={_fmt_value(lead)}"
-    if tuple in map(type, rests[0]):  # validated: a column is all tuples or none
+    if tuple in map(type, rests[0]):  # a trailing parameter is all tuples or none
         rests = [tuple(map(_fmt_value, rest)) for rest in rests]
     fmt = _fmt_rational if mode == "exact" else _fmt_float
     if reasons is None:
@@ -787,6 +763,7 @@ def run_identity(
     """Evaluate one case, as a run of one. Schema violations raise
     ParamError and a loosened tolerance raises ConfigError; evaluator
     failures (budget, internal assertions) become failed cases instead.
+    The one caller of the schema check: its params come from outside.
     """
     _check_tolerance(tolerance)
     ident = _lookup(tag)
@@ -794,6 +771,7 @@ def run_identity(
         raise ParamError(
             f"{tag} expects parameters {ident.param_names}, got {len(params)} values"
         )
+    _validate(ident, params)
     lead, rests = params[0], (params[1:],)
     return _render(ident, lead, rests, *_compare(ident, lead, rests, tolerance, seed))[0]
 
@@ -835,10 +813,12 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     selected and ascending parameter order, and aggregate.
 
     Each grid is walked in runs of cases with equal params[0]. Each run is
-    validated, evaluated and compared at once; every case is rendered when
+    evaluated and compared at once; every case is rendered when
     config.keep_cases is set, and only the failing ones otherwise. An
-    empty or repeated selection raises ConfigError, and a grid bound above
-    a parameter's cap raises ParamError before any grid is built.
+    unknown, empty or repeated selection, or a loosened tolerance, raises
+    ConfigError; a grid bound above a parameter's cap, or grids past
+    GRID_BUDGET, raise ParamError, all before any grid is built. The grids
+    are built from the schema, so their cases are not checked again.
     """
     start = time.perf_counter()
     _check_tolerance(config.tolerance)

@@ -99,6 +99,20 @@ class TestCompute:
         code, out, _ = run_cli(capsys, "compute", fn, *argv, str(DEGREE_CAP))
         assert code == 0 and out == "1\n" and len(calls) == 1
 
+    @pytest.mark.parametrize("flags, error", [
+        ((), "Exceeds the limit (4300 digits) for integer string conversion"),
+        (("--format", "json"), "Exceeds the limit (4300 digits) for integer string conversion"),
+        (("--approx",), "integer division result too large for a float"),
+    ])
+    def test_a_value_too_large_to_render_exits_2(self, capsys, flags, error):
+        # J_400(2^40) has 4,817 digits: past the interpreter's int-to-string
+        # digit limit, and past a float's range.
+        code, out, err = run_cli(
+            capsys, "compute", "jordan", "--m", "400", "--n", str(2**40), *flags
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {error}") and err.count("\n") == 1
+
 
 class TestTable:
     def test_ramanujan_row_plain(self, capsys):

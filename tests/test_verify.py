@@ -244,7 +244,7 @@ class TestDegreeCap:
         ident = verify._lookup(tag)
         monkeypatch.setattr(verify, "_evaluate", None)
         params = with_degree(tag, exact.DEGREE_CAP)
-        verify._validate(ident, params[0], [params[1:]])
+        verify._validate(ident, params)
         with pytest.raises(ParamError, match=over_cap(tag)):
             run_identity(tag, with_degree(tag, exact.DEGREE_CAP + 1))
 
@@ -283,13 +283,14 @@ class TestGridBudget:
     @pytest.mark.parametrize("tag", sorted(EXPECTED_TAGS))
     def test_the_count_is_the_grid_length(self, tag):
         # The tuple grids count the moduli their cases hold; e-multiplicativity
-        # draws each arity from 1..n_max, so it counts n_max per side.
+        # draws each arity from 1..n_max, so it counts n_max per side, and
+        # each pair's b from the k_max candidates it filters.
         ident = verify._lookup(tag)
         for bounds in small_bounds(tag):
             size = verify._grid_size(ident, bounds)
             grid = verify._grid(ident, bounds, 7)
             if tag == "e-multiplicativity":
-                assert size == 2 * max(bounds["n_max"], 0) * len(grid), bounds
+                assert size == (2 * bounds["n_max"] + bounds["k_max"]) * len(grid), bounds
                 assert size >= sum(map(moduli_held, grid)), bounds
             else:
                 assert size == sum(map(moduli_held, grid)), bounds
@@ -382,14 +383,18 @@ class TestGridBudget:
         assert max(sizes.values()) == sizes["inverse-dft"] == 250_000
         # 40 * C(43, 2) moduli in the multiset grids, 5 r each for prop7.
         assert sizes["prop7"] == 5 * sizes["e-integrality"] == 5 * 36_120
-        assert sizes["e-multiplicativity"] == 200 * 2 * 3
-        assert sum(sizes.values()) == 598_001 <= verify.GRID_BUDGET
+        assert sizes["e-multiplicativity"] == 200 * (2 * 3 + 30)
+        assert sum(sizes.values()) == 604_001 <= verify.GRID_BUDGET
+        # The largest k_max e-multiplicativity accepts alone is 4,994.
+        ident, bounds = verify._lookup("e-multiplicativity"), default_bounds("e-multiplicativity")
+        assert verify._grid_size(ident, dict(bounds, k_max=4994)) == verify.GRID_BUDGET
+        assert verify._grid_size(ident, dict(bounds, k_max=4995)) > verify.GRID_BUDGET
 
     @pytest.mark.parametrize("tag, bounds, count", [
         ("prop1", dict(k_max=6, r_max=3), 18),
         ("prop7", dict(k_max=4, n_max=2, r_max=2), (4 + 2 * 10) * 2),
         ("cross-evaluator", dict(k_max=5), 2 + 3 + 4 + 5 + 6),
-        ("e-multiplicativity", {}, 200 * 2 * 3),
+        ("e-multiplicativity", {}, 200 * (2 * 3 + 30)),
         ("prop7-corollary", dict(k_max=1, n_max=40), 40 * 41 // 2),
     ])
     def test_both_sides_of_the_budget(self, monkeypatch, tag, bounds, count):
@@ -405,7 +410,7 @@ class TestGridBudget:
         report = run_suite(config)
         [grid] = built
         assert report.total == len(grid) and report.failed == 0
-        if tag != "e-multiplicativity":  # which counts n_max moduli per side
+        if tag != "e-multiplicativity":  # which also counts the k_max candidates
             assert sum(map(moduli_held, grid)) == count
 
     def test_the_budget_holds_the_sum_of_the_selected_grids(self, monkeypatch):
@@ -429,6 +434,7 @@ class TestGridBudget:
         ("inverse-dft", dict(k_max=averages.DFT_LIMIT, n_max=11)),
         ("prop7-corollary", dict(k_max=1, n_max=10**6)),
         ("e-multiplicativity", dict(n_max=10**4)),
+        ("e-multiplicativity", dict(k_max=10**5)),
     ])
     def test_a_large_grid_is_refused_before_it_is_built(self, monkeypatch, tag, bounds):
         built = []
@@ -436,6 +442,24 @@ class TestGridBudget:
         with pytest.raises(ParamError, match="^grids exceed the budget"):
             run_suite(SuiteConfig(identities=[tag], **bounds))
         assert built == []
+
+
+class TestGridsPassTheSchema:
+    """run_suite checks no case of the grids it builds: every one must pass
+    the check run_identity makes."""
+
+    @pytest.mark.parametrize("tag", sorted(EXPECTED_TAGS))
+    def test_every_grid_case_passes_the_schema(self, tag):
+        ident = verify._lookup(tag)
+        seeds = [averages.DEFAULT_SEED]
+        if tag == "e-multiplicativity":  # the one grid drawn from the seed
+            seeds += [0, 7]
+        for bounds in small_bounds(tag) + [default_bounds(tag)]:
+            for seed in seeds:
+                grid = verify._grid(ident, bounds, seed)
+                for params in grid:
+                    verify._validate(ident, params)
+        assert grid  # the default grid
 
 
 class TestVerdicts:
@@ -610,22 +634,6 @@ class TestSerialization:
         assert buf.getvalue() == text
 
 
-def validate_case_by_case(ident, lead, rests):
-    """The per-value check: each case in order, each value alone."""
-    verify._check_param(ident.params[0], lead)
-    for rest in rests:
-        for p, v in zip(ident.params[1:], rest):
-            verify._check_param(p, v, lead)
-
-
-def param_error(validate, *args):
-    try:
-        validate(*args)
-    except ParamError as exc:
-        return str(exc)
-    return None
-
-
 class _Subclass(int):
     pass
 
@@ -635,59 +643,86 @@ _SYNTHETIC = verify.IdentityDef("synthetic", "exact", (Param("k"), Param("n", ca
 _SYNTHETIC_MODULI = verify.IdentityDef(
     "synthetic-moduli", "exact", (Param("k"), Param("ks", "moduli")), None, {}
 )
-# (identity, leading value, trailing column) with the bad value, if any,
-# in the middle of the run.
+_NON_COPRIME = "tuples (2,) and (4,) are not coprime"
+_NOT_MODULI = "ks must be a non-empty tuple of positive integers, got "
+# (identity, leading value, [(trailing value, the ParamError text of the
+# case (leading value, trailing value), or None if it passes)]).
 COLUMNS = {
-    "bool": ("inverse-dft", 5, [1, True, 3]),
-    "float": ("cross-evaluator", 5, [0, 2.0, 1]),
-    "below minimum, positive": ("inverse-dft", 5, [1, 0, 3]),
-    "below minimum, non-negative": ("cross-evaluator", 5, [0, -1, 1]),
-    "above the cap": (_SYNTHETIC, 1, [4, 6, 5]),
-    "at the cap": (_SYNTHETIC, 1, [4, 5, 5]),
-    "int subclass": (_SYNTHETIC, 1, [1, _Subclass(2), 3]),
-    "unknown function": ("prop3", 6, ["id", "nosuch", "tau"]),
-    "unhashable function": ("prop3", 6, ["id", [1], "tau"]),
-    "non-ASCII digit": ("prop3", 6, ["rand01", "rand\u0663", "rand02"]),
-    "functions": ("prop3", 6, ["id", "rand07", "phi"]),
-    "choice": ("prop3-corollary", 6, ["id", "mu", "tau"]),
-    "choices": ("prop3-corollary", 6, ["id", "sigma", "tau"]),
-    "not coprime": ("e-multiplicativity", (2,), [(3,), (4,), (5,)]),
-    "unequal arity": ("e-multiplicativity", (2,), [(3,), (3, 5), (5,)]),
-    "bad modulus before a non-coprime one": ("e-multiplicativity", (2,), [(4,), (0,)]),
-    "coprime": ("e-multiplicativity", (2, 3), [(5, 7), (1, 1)]),
-    "empty tuple": (_SYNTHETIC_MODULI, 1, [(1, 2), (), (3,)]),
-    "zero modulus": (_SYNTHETIC_MODULI, 1, [(1, 2), (2, 0), (3,)]),
-    "bool modulus": (_SYNTHETIC_MODULI, 1, [(1, 2), (True, 2), (3,)]),
-    "list of moduli": (_SYNTHETIC_MODULI, 1, [(1, 2), [2], (3,)]),
-    "moduli": (_SYNTHETIC_MODULI, 1, [(1, 2), (2,), (3, 3, 3)]),
+    "bool": ("inverse-dft", 5, [
+        (1, None), (True, "n must be a positive integer, got True"), (3, None),
+    ]),
+    "float": ("cross-evaluator", 5, [
+        (0, None), (2.0, "j must be a non-negative integer, got 2.0"), (1, None),
+    ]),
+    "below minimum, positive": ("inverse-dft", 5, [
+        (1, None), (0, "n must be a positive integer, got 0"), (3, None),
+    ]),
+    "below minimum, non-negative": ("cross-evaluator", 5, [
+        (0, None), (-1, "j must be a non-negative integer, got -1"), (1, None),
+    ]),
+    "above the cap": (_SYNTHETIC, 1, [(4, None), (6, "n must be <= 5"), (5, None)]),
+    "at the cap": (_SYNTHETIC, 1, [(4, None), (5, None)]),
+    "int subclass": (_SYNTHETIC, 1, [(1, None), (_Subclass(2), None), (3, None)]),
+    "unknown function": ("prop3", 6, [
+        ("id", None), ("nosuch", "unknown arithmetic function 'nosuch'"), ("tau", None),
+    ]),
+    "unhashable function": ("prop3", 6, [
+        ("id", None), ([1], "unknown arithmetic function [1]"), ("tau", None),
+    ]),
+    "non-ASCII digit": ("prop3", 6, [
+        ("rand01", None), ("rand\u0663", "unknown arithmetic function 'rand\u0663'"),
+        ("rand02", None),
+    ]),
+    "functions": ("prop3", 6, [("id", None), ("rand07", None), ("phi", None)]),
+    "choice": ("prop3-corollary", 6, [
+        ("id", None), ("mu", "f must be one of id/tau/sigma, got 'mu'"), ("tau", None),
+    ]),
+    "choices": ("prop3-corollary", 6, [("id", None), ("sigma", None), ("tau", None)]),
+    "not coprime": ("e-multiplicativity", (2,), [
+        ((3,), None), ((4,), _NON_COPRIME), ((5,), None),
+    ]),
+    "unequal arity": ("e-multiplicativity", (2,), [
+        ((3,), None), ((3, 5), "tuples must have equal arity"), ((5,), None),
+    ]),
+    "bad modulus before a non-coprime one": ("e-multiplicativity", (2,), [
+        ((4,), _NON_COPRIME),
+        ((0,), "b must be a non-empty tuple of positive integers, got (0,)"),
+    ]),
+    "coprime": ("e-multiplicativity", (2, 3), [((5, 7), None), ((1, 1), None)]),
+    "empty tuple": (_SYNTHETIC_MODULI, 1, [
+        ((1, 2), None), ((), _NOT_MODULI + "()"), ((3,), None),
+    ]),
+    "zero modulus": (_SYNTHETIC_MODULI, 1, [
+        ((1, 2), None), ((2, 0), _NOT_MODULI + "(2, 0)"), ((3,), None),
+    ]),
+    "bool modulus": (_SYNTHETIC_MODULI, 1, [
+        ((1, 2), None), ((True, 2), _NOT_MODULI + "(True, 2)"), ((3,), None),
+    ]),
+    "list of moduli": (_SYNTHETIC_MODULI, 1, [
+        ((1, 2), None), ([2], _NOT_MODULI + "[2]"), ((3,), None),
+    ]),
+    "moduli": (_SYNTHETIC_MODULI, 1, [((1, 2), None), ((2,), None), ((3, 3, 3), None)]),
 }
 
 
 class TestColumnValidation:
-    def test_no_identity_has_two_trailing_parameters(self):
-        # Column order is case order only while this holds.
-        assert all(len(d.params) <= 2 for d in verify._CATALOG.values())
+    """Each value of a COLUMNS entry is checked alone, as one case: through
+    run_identity for a catalog tag, through _validate for a synthetic one."""
 
     @pytest.mark.parametrize("name", COLUMNS)
     def test_a_column_raises_what_its_first_bad_value_raises(self, name):
-        ident, lead, column = COLUMNS[name]
+        ident, lead, values = COLUMNS[name]
         if isinstance(ident, str):
-            ident = verify._lookup(ident)
-        rests = [(v,) for v in column]
-        expected = param_error(validate_case_by_case, ident, lead, rests)
-        assert param_error(verify._validate, ident, lead, rests) == expected
-        bad = [v for v in column if param_error(validate_case_by_case, ident, lead, [(v,)])]
-        if bad:
-            assert expected == param_error(validate_case_by_case, ident, lead, [(bad[0],)])
+            check = lambda params: run_identity(ident, params)
         else:
-            assert expected is None
-
-    def test_the_error_names_the_middle_value(self):
-        ident = verify._lookup("inverse-dft")
-        with pytest.raises(ParamError, match=r"^n must be a positive integer, got True$"):
-            verify._validate(ident, 5, [(1,), (True,), (3,)])
-        with pytest.raises(ParamError, match=r"^n must be <= 5$"):
-            verify._validate(_SYNTHETIC, 1, [(4,), (6,), (7,)])
+            check = lambda params: verify._validate(ident, params)
+        for value, error in values:
+            if error is None:
+                check((lead, value))
+            else:
+                with pytest.raises(ParamError) as raised:
+                    check((lead, value))
+                assert str(raised.value) == error, value
 
 
 def csv_by_attributes(cases):
