@@ -13,15 +13,23 @@ most PERIOD_BUDGET entries and divisor sums over at most DIVISOR_TUPLE_BUDGET
 tuples; both raise BudgetError (the one class of ramanujan, which bounds
 single rows by ROW_BUDGET) before allocating anything.
 
+Each side is built one way. The direct side is one period of the product
+row, one ndarray multiplied by one period of c_{k_i} at a time: int64 when
+its own first entry c(0) = prod_i c_{k_i}(0) bounds it below 2^62, object
+(Python ints) otherwise; it reads no phi. The divisor side folds the lattice
+one modulus at a time, aggregating by lcm and dropping zero coefficients
+after each step; it enumerates the lattice and never factors prime by prime.
+
 Each tuple's product row and divisor lattice are built once per sweep in
 catalog order, where each identity asks for its largest r first; a later
 request for a larger r rebuilds the row. Two per-tuple tables, keyed by ks and
 bounded by lru_cache at 1 << 14 tuples, hold only bigints:
 
     _power_sum_table   T_r = sum_{j=1}^{k} j^r prod_i c_{k_i}(j), r = 0..top,
-                       from one product row and one int64 ladder in r of
-                       carried 31-bit limbs, linear in r, and rebuilt to a
-                       larger top when a caller asks for one;
+                       from one product row and one ladder in r (carried
+                       31-bit int64 limbs, linear in r, or plain Python
+                       ints on an object row), and rebuilt to a larger top
+                       when a caller asks for one;
     _weight_table      k E, g_1, g_2, ... from one divisor lattice, extended
                        on demand.
 
@@ -34,8 +42,9 @@ top R holds R + 1 integers of at most log2(prod phi(k_i)) + (R + 1) log2(k)
 + 1 bits. verify --all fills 13,300 power-sum tables (the 12,340 tuples of
 the multivariable grid and the moduli 41..1000 of prop1) and 12,664 weight
 tables, about 6.8 MB together. No sweep re-reads a product row, so
-_product_row keeps one: at most PERIOD_BUDGET int64 entries, 80 MB, where
-its earlier 64 rows could take 5.1 GB.
+_product_row keeps one: at most PERIOD_BUDGET entries, 80 MB as int64,
+where its earlier 64 rows could take 5.1 GB; an object row holds one Python
+int per entry, several times as many bytes.
 
 Single-component tuples go through exactly the same code paths as n >= 2;
 their agreement with the single-variable module is asserted by tests, not
@@ -49,7 +58,6 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iter_product
 from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -122,25 +130,21 @@ def _as_tuple(t: Union[ModulusTuple, Sequence[int]]) -> ModulusTuple:
 def _product_row(t: ModulusTuple):
     """(values, element_bound) for c_{k_1}(j) ... c_{k_n}(j), j = 1..lcm.
 
-    Values are an int64 ndarray when the magnitudes provably fit (the
-    element bound is prod phi(k_i)); otherwise a plain Python list.
+    The element bound is the row's own c(0) = prod_i c_{k_i}(0), read from
+    the rows of c_{k_i}. Values are one ndarray, multiplied one period of
+    c_{k_i} at a time: int64 when the bound provably fits, otherwise object
+    (Python ints).
     """
     length = t.lcm_value
     if length > PERIOD_BUDGET:
         raise BudgetError(f"period lcm{t.ks} = {length} exceeds {PERIOD_BUDGET}")
-    bound = math.prod(euler_phi(k) for k in t.ks)
-    if bound < _INT64_SAFE:
-        row = np.ones(length, dtype=np.int64)
-        for k in t.ks:
-            periods = row.reshape(-1, k)  # a view: one period of c_k per line
-            periods *= ramanujan_row(k).values[1:]
-        return row, bound
-    values = [1] * length
-    for k in t.ks:
-        base = ramanujan_row(k).values  # base[0] == base[k] == phi(k)
-        for j in range(length):
-            values[j] *= base[(j + 1) % k]
-    return values, bound
+    bases = [ramanujan_row(k).values for k in t.ks]  # base[0] == base[k] == c_k(0)
+    bound = math.prod(base[0] for base in bases)
+    row = np.ones(length, dtype=np.int64 if bound < _INT64_SAFE else object)
+    for k, base in zip(t.ks, bases):
+        periods = row.reshape(-1, k)  # a view: one period of c_k per line
+        periods *= base[1:]
+    return row, bound
 
 
 def _exact_int64_sum(arr: np.ndarray, bound: int, length: int) -> int:
@@ -151,26 +155,27 @@ def _exact_int64_sum(arr: np.ndarray, bound: int, length: int) -> int:
     return (hi << 31) + int((arr & _MASK31).sum())
 
 
-def _weighted_power_sums(values, top: int, bound: int) -> List[int]:
-    """Exact sum_{j=1}^{L} j^r values[j-1] for r = 0..top, ndarray or list input.
+def _weighted_power_sums(values: np.ndarray, top: int, bound: int) -> List[int]:
+    """Exact sum_{j=1}^{L} j^r values[j-1] for r = 0..top.
 
     One ladder carries the staged products values[j-1] j^r from r to r + 1.
-    The ndarray path (L < 2^30) stays in int64: it holds them as 31-bit
-    limbs, sum_i limbs[i] << 31 i, all bounded by one bound, and carries
-    only when the next multiply by j could overflow (bound L >= 2^62).
-    A carry leaves every limb in [0, 2^31) but a new top limb of at most
+    An object row (Python ints) multiplies and sums them plainly. An int64
+    row (L < 2^30) stays in int64: it holds them as 31-bit limbs,
+    sum_i limbs[i] << 31 i, all bounded by one bound, and carries only
+    when the next multiply by j could overflow (bound L >= 2^62). A carry
+    leaves every limb in [0, 2^31) but a new top limb of at most
     2^31 + 2, so the limbs grow by one about every 31 / log2(L) steps,
     linearly in r. Their column sums are reassembled as Python integers.
     """
     sums = []
-    if isinstance(values, list):
-        for r in range(top + 1):
-            if r:
-                values = [v * j for j, v in enumerate(values, start=1)]
-            sums.append(sum(values))
-        return sums
     length = len(values)
     j = np.arange(1, length + 1, dtype=np.int64)
+    if values.dtype == object:
+        for r in range(top + 1):
+            if r:
+                values = values * j
+            sums.append(int(values.sum()))
+        return sums
     limbs = [values]
     for r in range(top + 1):
         if r:
@@ -225,30 +230,26 @@ def orbicyclic_direct(t) -> int:
 def _divisor_terms(t: ModulusTuple) -> Tuple[Tuple[int, int], ...]:
     """Divisor-lattice terms aggregated by lcm: pairs (lcm(d_i), coefficient)
     with coefficient = sum of prod_i d_i mu(k_i/d_i) over tuples sharing
-    that lcm. Zero-Mobius entries drop out before enumeration.
+    that lcm, and never 0. The lattice is folded one modulus at a time:
+    each (lcm, coefficient) so far is multiplied by every (d, d mu(k_i/d))
+    with mu(k_i/d) != 0, and the products are aggregated by lcm again.
     """
     budget = math.prod(len(divisors(k)) for k in t.ks)
     if budget > DIVISOR_TUPLE_BUDGET:
         raise BudgetError(
             f"divisor-tuple count {budget} for {t.ks} exceeds {DIVISOR_TUPLE_BUDGET}"
         )
-    per_component: List[List[Tuple[int, int]]] = []
+    terms = {1: 1}
     for k in t.ks:
-        entries = []
+        folded: Dict[int, int] = {}
         for d in divisors(k):
-            mu_kd = mobius(k // d)
-            if mu_kd:
-                entries.append((d, d * mu_kd))
-        per_component.append(entries)
-    agg: Dict[int, int] = {}
-    for combo in iter_product(*per_component):
-        coef = 1
-        lc = 1
-        for d, w in combo:
-            coef *= w
-            lc = lc * d // math.gcd(lc, d)
-        agg[lc] = agg.get(lc, 0) + coef
-    return tuple(sorted(agg.items()))
+            w = d * mobius(k // d)
+            if w:
+                for lc, coef in terms.items():
+                    key = math.lcm(lc, d)
+                    folded[key] = folded.get(key, 0) + coef * w
+        terms = {lc: coef for lc, coef in folded.items() if coef}
+    return tuple(sorted(terms.items()))
 
 
 @lru_cache(maxsize=1 << 14)

@@ -840,6 +840,7 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     if sum(_grid_size(ident, b) for ident, b in zip(idents, bounds)) > GRID_BUDGET:
         raise ParamError(
             f"grids exceed the budget of {GRID_BUDGET} cases, a tuple case counted per modulus"
+            " and a coprime pair per candidate it filters"
         )
     plans = [
         (ident, _grid(ident, b, config.seed), _describe_bounds(ident.tag, b))

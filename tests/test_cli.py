@@ -304,7 +304,7 @@ class TestVerify:
         assert code == 2 and out == "" and built == []
         assert err == (
             f"error: grids exceed the budget of {verify.GRID_BUDGET} cases,"
-            " a tuple case counted per modulus\n"
+            " a tuple case counted per modulus and a coprime pair per candidate it filters\n"
         )
 
     def test_unknown_identity_exits_2(self, capsys):

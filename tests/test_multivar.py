@@ -1,18 +1,22 @@
 import math
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations, product
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from ramavg.averages import s_r_closed
+import ramavg.multivar as multivar
+from ramavg.arith import divisors, mobius
+from ramavg.averages import s_r_closed, s_r_direct_batch
 from ramavg.multivar import (
     PERIOD_BUDGET,
     BudgetError,
     ModulusTuple,
+    _divisor_terms,
+    _power_sums,
     _product_row,
     _weighted_power_sums,
     g_m,
@@ -107,9 +111,10 @@ class TestWeightedPowerSum:
         assert _weighted_power_sum(arr, r, bound) == expected
 
     def test_list_fallback_path(self):
+        # An object row (Python ints) is summed plainly, with no limbs.
         values = [3, -7, 11, 0, 5]
         expected = sum((j + 1) ** 4 * v for j, v in enumerate(values))
-        assert _weighted_power_sum(values, 4, 11) == expected
+        assert _weighted_power_sum(np.array(values, dtype=object), 4, 11) == expected
 
     def test_matches_plain_ints_on_random_ladders(self):
         # Every rung up to r = 400, bounds up to 2^62 - 1, so the ladder
@@ -209,6 +214,91 @@ class TestOrbicyclic:
         with pytest.raises(BudgetError, match="period"):
             s_r_multi_direct(t, 1)
         assert orbicyclic_divisor(t) == 0  # the divisor side needs no row
+
+
+def divisor_terms_by_tuples(ks):
+    """The divisor lattice by the cartesian enumeration of its tuples, every
+    prod_i d_i mu(k_i/d_i) aggregated by lcm(d_i), zero sums kept."""
+    per_component = [[(d, d * mobius(k // d)) for d in divisors(k) if mobius(k // d)] for k in ks]
+    agg = {}
+    for combo in product(*per_component):
+        coef = 1
+        lc = 1
+        for d, w in combo:
+            coef *= w
+            lc = lc * d // math.gcd(lc, d)
+        agg[lc] = agg.get(lc, 0) + coef
+    return tuple(sorted(agg.items()))
+
+
+class TestDivisorFold:
+    """The lattice folded one modulus at a time is the enumeration of its
+    tuples, without the lcms whose terms cancel."""
+
+    TUPLES = [
+        *(ks for n in (1, 2, 3) for ks in combinations_with_replacement(range(1, 13), n)),
+        (2, 3, 4, 6),
+        (6, 10, 15, 30),
+        (2, 2, 2, 2, 2),
+        (4, 6, 8, 9, 10, 12),
+        (97,) * 10,
+    ]
+
+    def test_the_fold_is_the_tuple_enumeration_without_zeros(self):
+        dropped = 0
+        for ks in self.TUPLES:
+            reference = divisor_terms_by_tuples(ks)
+            terms = _divisor_terms(ModulusTuple(ks))
+            assert terms == tuple((lc, coef) for lc, coef in reference if coef), ks
+            assert all(coef for _, coef in terms), ks
+            dropped += len(reference) - len(terms)
+        assert dropped > 0  # the enumeration keeps cancelled lcms; the fold must not
+
+
+class TestBigintRow:
+    """Ten copies of 97: prod phi(k_i) = 96^10 >= 2^62, so the product row
+    holds Python ints and its power sums take the plain ladder."""
+
+    KS = (97,) * 10
+
+    def test_the_row_holds_python_ints(self):
+        values, bound = _product_row(ModulusTuple(self.KS))
+        assert values.dtype == object and bound == 96**10 >= 2**62
+
+    def test_e_from_both_sides(self):
+        expected = 685394470094330976
+        assert expected * 97 == 96**10 + 96
+        assert orbicyclic_direct(self.KS) == orbicyclic_divisor(self.KS) == expected
+
+    def test_power_sums_match_brute_force(self):
+        brute = [sum(j**r * ramanujan_sum(97, j) ** 10 for j in range(1, 98)) for r in range(4)]
+        assert _power_sums(ModulusTuple(self.KS), 3)[:4] == brute
+        rs = [1, 2, 3]
+        assert s_r_multi_direct_batch(self.KS, rs) == s_r_multi_closed_batch(self.KS, rs)
+
+
+def refuse_phi(n):
+    raise AssertionError(f"a direct side read phi({n})")
+
+
+class TestDirectSideReadsNoPhi:
+    """The product row's bound is its own c(0), so no direct side reads
+    phi, the closed side's primitive: with euler_phi patched to raise, each
+    direct side gives its unpatched value."""
+
+    @pytest.mark.parametrize("ks", [(4, 6, 10), (97,) * 10])
+    def test_multivariable_direct_sides(self, monkeypatch, clear_run_caches, ks):
+        rs = [1, 2, 3]
+        expected = orbicyclic_direct(ks), s_r_multi_direct_batch(ks, rs)
+        clear_run_caches()
+        monkeypatch.setattr(multivar, "euler_phi", refuse_phi)
+        assert (orbicyclic_direct(ks), s_r_multi_direct_batch(ks, rs)) == expected
+
+    def test_single_variable_direct_side(self, monkeypatch, clear_run_caches):
+        expected = s_r_direct_batch(12, [1, 2])
+        clear_run_caches()
+        monkeypatch.setattr(multivar, "euler_phi", refuse_phi)
+        assert s_r_direct_batch(12, [1, 2]) == expected
 
 
 class TestGm:

@@ -402,7 +402,10 @@ class TestGridBudget:
         monkeypatch.setattr(verify, "_grid", lambda *args: built.append(real(*args)) or built[-1])
         config = SuiteConfig(identities=[tag], **bounds)
         monkeypatch.setattr(verify, "GRID_BUDGET", count - 1)
-        message = rf"^grids exceed the budget of {count - 1} cases, a tuple case counted per modulus$"
+        message = (
+            rf"^grids exceed the budget of {count - 1} cases, a tuple case counted per modulus"
+            r" and a coprime pair per candidate it filters$"
+        )
         with pytest.raises(ParamError, match=message):
             run_suite(config)
         assert built == []
