@@ -305,13 +305,14 @@ def gamma_weighted_pair(k: int) -> Tuple[float, float]:
     """(1/phi(k)) sum_{j=1}^{k} log Gamma(j/k) c_k(j)
     vs  (1/2) sum_{p|k} log(p)/(p-1) - log(2 pi)/2, for k > 1.
 
-    math.lgamma is well within the 1e-12 relative error the comparison
+    The direct side divides by the row's own c_k(0) = phi(k) and reads no
+    phi. math.lgamma is well within the 1e-12 relative error the comparison
     budget assumes.
     """
     if k < 2:
         raise ValueError(f"gamma_weighted_pair requires k >= 2, got {k}")
     row = ramanujan_row(k).values
-    lhs = sum(math.lgamma(j / k) * row[j] for j in range(1, k + 1)) / euler_phi(k)
+    lhs = sum(math.lgamma(j / k) * row[j] for j in range(1, k + 1)) / row[0]
     rhs = 0.5 * sum(math.log(p) / (p - 1) for p in factorize(k).primes)
     rhs -= 0.5 * math.log(2 * math.pi)
     return lhs, rhs
@@ -443,7 +444,6 @@ def bernoulli_weighted_pair(k: int, m: int) -> Tuple[Fraction, Fraction]:
 # --- inverse DFT ----------------------------------------------------------
 
 
-@lru_cache(maxsize=256)
 def _dft_values(k: int) -> np.ndarray:
     """(1/k) sum_{j=1}^{k} exp(2 pi i j n / k) c_k(j) for n = 0..k-1: the
     inverse FFT of c_k(0..k-1), whose j = 0 entry stands for j = k."""

@@ -1,6 +1,11 @@
 """Command-line front end: compute single values, tabulate rows and
 averages, and run verification sweeps.
 
+Each compute function and table kind is a subparser of its own, with its
+own required flags, so argparse alone reports a usage error: its usage and
+error lines, exit 2, nothing on stdout. The global flags are accepted
+before the subcommand, after it, and after the function or kind.
+
 Exit codes: 0 success, 1 verification failures, 2 bad usage/configuration,
 141 (128 + SIGPIPE) when the reader of stdout closes early; stderr stays empty.
 Exact values are printed as reduced rationals ("p/q", or a bare integer);
@@ -10,6 +15,7 @@ decimals only appear with --approx (17 significant digits).
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -67,7 +73,24 @@ def _parse_ks(text: str):
     return ks
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expects a positive integer, got {text!r}")
+    return value
+
+
+# kind -> its flags, each a required positive int.
+_TABLES = {"ramanujan-row": ("k",), "s-r": ("k-max", "r"), "e-values": ("n", "k-max")}
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of a process: with one parser
+    per compute function and table kind, a build costs a few milliseconds."""
     common = argparse.ArgumentParser(add_help=False)
     # SUPPRESS keeps values parsed before the subcommand from being clobbered.
     common.add_argument("--format", choices=_FORMATS, default=argparse.SUPPRESS)
@@ -92,20 +115,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", parents=[common], help="compute a single value")
-    p_compute.add_argument("function", choices=tuple(_COMPUTE))
-    p_compute.add_argument("--k", type=int)
-    p_compute.add_argument("--j", type=int)
-    p_compute.add_argument("--n", type=int)
-    p_compute.add_argument("--m", type=int)
-    p_compute.add_argument("--r", type=int)
-    p_compute.add_argument("--ks", type=_parse_ks)
+    functions = p_compute.add_subparsers(dest="function", required=True)
+    for name, (params, _) in _COMPUTE.items():
+        leaf = functions.add_parser(name, parents=[common])
+        for param in params:
+            leaf.add_argument(f"--{param}", type=_parse_ks if param == "ks" else int,
+                              required=True)
 
     p_table = sub.add_parser("table", parents=[common], help="tabulate rows or averages")
-    p_table.add_argument("kind", choices=("ramanujan-row", "s-r", "e-values"))
-    p_table.add_argument("--k", type=int)
-    p_table.add_argument("--k-max", type=int, dest="k_max")
-    p_table.add_argument("--r", type=int)
-    p_table.add_argument("--n", type=int)
+    kinds = p_table.add_subparsers(dest="kind", required=True)
+    for kind, flags in _TABLES.items():
+        leaf = kinds.add_parser(kind, parents=[common])
+        for flag in flags:
+            leaf.add_argument(f"--{flag}", type=_positive_int, required=True)
 
     p_verify = sub.add_parser("verify", parents=[common], help="run identity sweeps")
     p_verify.add_argument("--all", action="store_true", dest="run_all")
@@ -128,35 +150,15 @@ def _render_rational(value, fmt: str, approx: bool) -> str:
 
 
 def _cmd_compute(args) -> int:
-    fn = args.function
-    wanted, evaluate = _COMPUTE[fn]
-    supplied = {
-        name: getattr(args, name)
-        for name in ("k", "j", "n", "m", "r", "ks")
-        if getattr(args, name) is not None
-    }
-    missing = [name for name in wanted if name not in supplied]
-    extra = [name for name in supplied if name not in wanted]
-    if missing or extra:
-        parts = []
-        if missing:
-            parts.append(f"missing {', '.join('--' + m for m in missing)}")
-        if extra:
-            parts.append(f"unexpected {', '.join('--' + e for e in extra)}")
-        print(
-            f"usage: ramavg compute {fn} {' '.join('--' + w + ' <value>' for w in wanted)}"
-            f" ({'; '.join(parts)})",
-            file=sys.stderr,
-        )
-        return 2
-    if any(_over_degree_cap(flag, supplied.get(flag)) for flag in ("r", "m")):
+    wanted, evaluate = _COMPUTE[args.function]
+    values = {name: getattr(args, name) for name in wanted}
+    if any(_over_degree_cap(flag, values.get(flag)) for flag in ("r", "m")):
         return 2
     # Rendering can fail too: past the interpreter's int-to-string digit
     # limit (ValueError), or past a float's range with --approx
     # (OverflowError).
     try:
-        text = _render_rational(evaluate(*(supplied[name] for name in wanted)),
-                                args.format, args.approx)
+        text = _render_rational(evaluate(*values.values()), args.format, args.approx)
     except (ValueError, RuntimeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -185,9 +187,6 @@ def _over_budget(moduli: int) -> bool:
 def _cmd_table(args) -> int:
     fmt = args.format
     if args.kind == "ramanujan-row":
-        if args.k is None or args.k < 1:
-            print("usage: ramavg table ramanujan-row --k <positive int>", file=sys.stderr)
-            return 2
         try:
             values = ramanujan_row(args.k).values
         except BudgetError as exc:
@@ -204,9 +203,6 @@ def _cmd_table(args) -> int:
         return 0
 
     if args.kind == "s-r":
-        if args.k_max is None or args.k_max < 1 or args.r is None or args.r < 1:
-            print("usage: ramavg table s-r --k-max <int> --r <int>", file=sys.stderr)
-            return 2
         if _over_degree_cap("r", args.r) or _over_budget(args.k_max * args.r):
             return 2
         rows = [(k, s_r_closed(k, args.r)) for k in range(1, args.k_max + 1)]
@@ -222,9 +218,6 @@ def _cmd_table(args) -> int:
         return 0
 
     # e-values: every ordered tuple of a given arity up to a component bound
-    if args.n is None or args.n < 1 or args.k_max is None or args.k_max < 1:
-        print("usage: ramavg table e-values --n <arity> --k-max <int>", file=sys.stderr)
-        return 2
     # k_max**n is not raised to a huge n: for k_max >= 2 the budget is
     # already exceeded at n = its bit length.
     if _over_budget(args.n * args.k_max ** min(args.n, TABLE_BUDGET.bit_length())):
@@ -304,7 +297,10 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error (2), or --help (0)
+        return exc.code
     command = {"compute": _cmd_compute, "table": _cmd_table}.get(args.command, _cmd_verify)
     try:
         status = command(args)

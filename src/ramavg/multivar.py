@@ -9,9 +9,11 @@ weighted average with its closed form over one denominator.
     S_r(k_1..k_n) = (1/k^(r+1)) sum_{j=1}^{k} j^r c_{k_1}(j) ... c_{k_n}(j)
 
 with k = lcm(k_1..k_n) throughout. Direct sums run over one period of at
-most PERIOD_BUDGET entries and divisor sums over at most DIVISOR_TUPLE_BUDGET
-tuples; both raise BudgetError (the one class of ramanujan, which bounds
-single rows by ROW_BUDGET) before allocating anything.
+most PERIOD_BUDGET entries, and an object row (below) is charged
+_OBJECT_ENTRY_BYTES per entry against the PERIOD_BUDGET * 8 bytes of the
+largest int64 row. Divisor sums run over at most DIVISOR_TUPLE_BUDGET
+tuples. All three raise BudgetError (the one class of ramanujan, which
+bounds single rows by ROW_BUDGET) before allocating anything.
 
 Each side is built one way. The direct side is one period of the product
 row, one ndarray multiplied by one period of c_{k_i} at a time: int64 when
@@ -43,8 +45,10 @@ top R holds R + 1 integers of at most log2(prod phi(k_i)) + (R + 1) log2(k)
 the multivariable grid and the moduli 41..1000 of prop1) and 12,664 weight
 tables, about 6.8 MB together. No sweep re-reads a product row, so
 _product_row keeps one: at most PERIOD_BUDGET entries, 80 MB as int64,
-where its earlier 64 rows could take 5.1 GB; an object row holds one Python
-int per entry, several times as many bytes.
+where its earlier 64 rows could take 5.1 GB. An object row holds one Python
+int per entry, and each rung of its ladder makes another: E with S_1 and
+S_2 peaked at 56-80 bytes per entry over one period of 10^6 entries, so it
+is admitted up to PERIOD_BUDGET / 10 entries.
 
 Single-component tuples go through exactly the same code paths as n >= 2;
 their agreement with the single-variable module is asserted by tests, not
@@ -83,6 +87,8 @@ __all__ = [
 
 DIVISOR_TUPLE_BUDGET = 10**7
 PERIOD_BUDGET = 10**7  # entries of one product row; the default grids peak at 57,720
+# Peak bytes per entry of an object row's E, S_1 and S_2, measured by RSS.
+_OBJECT_ENTRY_BYTES = 80
 
 _INT64_SAFE = 1 << 62
 _MASK31 = (1 << 31) - 1
@@ -133,13 +139,18 @@ def _product_row(t: ModulusTuple):
     The element bound is the row's own c(0) = prod_i c_{k_i}(0), read from
     the rows of c_{k_i}. Values are one ndarray, multiplied one period of
     c_{k_i} at a time: int64 when the bound provably fits, otherwise object
-    (Python ints).
+    (Python ints), whose bytes are budgeted before it is allocated.
     """
     length = t.lcm_value
     if length > PERIOD_BUDGET:
         raise BudgetError(f"period lcm{t.ks} = {length} exceeds {PERIOD_BUDGET}")
     bases = [ramanujan_row(k).values for k in t.ks]  # base[0] == base[k] == c_k(0)
     bound = math.prod(base[0] for base in bases)
+    if bound >= _INT64_SAFE and length * _OBJECT_ENTRY_BYTES > PERIOD_BUDGET * 8:
+        raise BudgetError(
+            f"object row lcm{t.ks} = {length} entries at {_OBJECT_ENTRY_BYTES} bytes each"
+            f" exceeds {PERIOD_BUDGET * 8} bytes"
+        )
     row = np.ones(length, dtype=np.int64 if bound < _INT64_SAFE else object)
     for k, base in zip(t.ks, bases):
         periods = row.reshape(-1, k)  # a view: one period of c_k per line

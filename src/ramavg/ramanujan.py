@@ -124,7 +124,6 @@ def ramanujan_sum_holder(k: int, j: int) -> int:
     return ramanujan_sum_holder_batch(k, (j,))[0]
 
 
-@lru_cache(maxsize=256)
 def _float_row(k: int) -> np.ndarray:
     """sum over m in 0..k-1 with gcd(m, k) = 1 of exp(2 pi i m j / k), for
     j = 0..k-1: the unnormalised inverse FFT of the coprime indicator."""

@@ -15,7 +15,6 @@ import ramavg.multivar as multivar  # noqa: E402
 # code that builds it.
 RUN_CACHES = (
     averages._gcd_class_totals,
-    averages._dft_values,
     averages.random_function,
     multivar._product_row,
     multivar._divisor_terms,

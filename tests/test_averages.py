@@ -176,6 +176,18 @@ class TestGammaWeight:
         for k in range(2, 301):
             assert within_tolerance(*gamma_weighted_pair(k), DEFAULT_TOLERANCE)
 
+    def test_direct_side_reads_no_phi(self, monkeypatch):
+        # The direct side divides by the row's c_k(0), an int equal to
+        # phi(k): every float is unchanged and phi, a closed-side
+        # primitive, is never read.
+        expected = [gamma_weighted_pair(k) for k in range(2, 61)]
+
+        def refuse_phi(n):
+            raise AssertionError(f"gamma_weighted_pair read phi({n})")
+
+        monkeypatch.setattr(averages, "euler_phi", refuse_phi)
+        assert [gamma_weighted_pair(k) for k in range(2, 61)] == expected
+
 
 class TestGammaProduct:
     def test_n1(self):

@@ -51,10 +51,12 @@ class TestCompute:
         assert json.loads(out) == {"num": 3, "den": 8}
 
     def test_format_flag_before_subcommand(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "--format", "json", "compute", "S", "--k", "2", "--r", "2"
-        )
-        assert code == 0 and json.loads(out) == {"num": 3, "den": 8}
+        for argv in (
+            ("--format", "json", "compute", "S", "--k", "2", "--r", "2"),
+            ("compute", "--format", "json", "S", "--k", "2", "--r", "2"),
+        ):
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0 and json.loads(out) == {"num": 3, "den": 8}
 
     def test_approx_rendering(self, capsys):
         code, out, _ = run_cli(
@@ -79,6 +81,23 @@ class TestCompute:
     def test_extraneous_parameter_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "compute", "phi", "--n", "5", "--k", "3")
         assert code == 2 and "--k" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("compute", "c", "--k", "4", "--j", "2", "--format", "xml"),
+        ("compute", "psi", "--n", "5"),
+        ("compute", "--k", "4", "--j", "2", "c"),  # value flags before the function
+        ("compute", "E", "--ks", "2,0"),
+        ("compute", "c", "--k", "4", "--j", "x"),
+        ("table", "s-r", "--k-max", "3", "--r", "1", "--n", "2"),
+    ])
+    def test_usage_errors_come_from_argparse(self, capsys, argv):
+        # main returns argparse's status: no SystemExit escapes it.
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "usage: ramavg" in err
+
+    def test_each_function_has_its_own_help(self, capsys):
+        code, out, _ = run_cli(capsys, "compute", "jordan", "--help")
+        assert code == 0 and "--m M" in out and "--n N" in out and "--k" not in out
 
     def test_domain_error_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "compute", "phi", "--n", "0")

@@ -276,6 +276,20 @@ class TestBigintRow:
         rs = [1, 2, 3]
         assert s_r_multi_direct_batch(self.KS, rs) == s_r_multi_closed_batch(self.KS, rs)
 
+    def test_the_row_is_budgeted_by_its_bytes(self, monkeypatch):
+        # 97 entries at _OBJECT_ENTRY_BYTES each fill the 8-byte entries
+        # of an int64 row of `edge` entries, far more than 97.
+        edge = -(-97 * multivar._OBJECT_ENTRY_BYTES // 8)
+        monkeypatch.setattr(multivar, "PERIOD_BUDGET", edge - 1)
+        with pytest.raises(BudgetError, match="97 entries at .* bytes each exceeds"):
+            orbicyclic_direct(self.KS)
+        monkeypatch.setattr(multivar, "PERIOD_BUDGET", edge)
+        assert orbicyclic_direct(self.KS) == 685394470094330976
+
+    def test_an_int64_row_is_budgeted_by_its_entries(self, monkeypatch):
+        monkeypatch.setattr(multivar, "PERIOD_BUDGET", 60)
+        assert orbicyclic_direct((4, 6, 10)) == orbicyclic_divisor((4, 6, 10))
+
 
 def refuse_phi(n):
     raise AssertionError(f"a direct side read phi({n})")

@@ -14,6 +14,7 @@ import ramavg.multivar as multivar
 import ramavg.verify as verify
 from ramavg.ramanujan import ramanujan_sum, ramanujan_sum_holder
 from ramavg.verify import IDENTITY_TAGS, ParamError, SuiteConfig, run_identity, run_suite
+from test_verify import SCHEMA_EDGES
 
 MULTIVAR_TAGS = {"prop7", "prop7-corollary", "e-integrality", "e-multiplicativity"}
 
@@ -197,21 +198,8 @@ def test_wrong_float_oracle_fails_only_its_case(monkeypatch):
 
 # --- bool is not an integer -------------------------------------------------
 
-# Per tag, the smallest accepted parameters (as in test_verify's schema table).
-MINIMAL = {
-    "prop1": (1, 1), "prop2": (1,), "prop3": (1, "id"), "prop3-corollary": (1, "tau"),
-    "prop4": (2,), "gamma-product": (1,), "mobius-log": (1,), "prop5-exact": (1,),
-    "prop5-cosine": (1,), "prop6": (1, 1), "inverse-dft": (1, 1), "prop7": ((1,), 1),
-    "prop7-corollary": ((1,),), "e-integrality": ((1,),), "e-multiplicativity": ((1,), (1,)),
-    "cross-evaluator": (1, 0), "half-sum": (0,), "faulhaber": (1, 1),
-    "coprime-power-sum": (2, 1), "bernoulli-poly-sum": (1, 1),
-}
-
-
-def test_minimal_table_covers_every_tag():
-    assert set(MINIMAL) == set(IDENTITY_TAGS)
-    for tag, params in MINIMAL.items():
-        assert run_identity(tag, params).identity == tag
+# Per tag, the smallest accepted parameters.
+MINIMAL = {tag: params for tag, (params, _) in SCHEMA_EDGES.items()}
 
 
 INT_TAGS = [t for t in IDENTITY_TAGS if any(type(v) is int for v in MINIMAL[t])]
