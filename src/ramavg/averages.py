@@ -40,7 +40,8 @@ adds c_k(j) over every j of the row c_k(0..k). None uses the closed side's
 arithmetic (phi, the Mobius convolution, Jordan totients, gcd(k, n)); the
 Bernoulli weight reads Bernoulli numbers only through
 exact's table of the coefficients of B_m(x). So a closed side that is
-wrong still disagrees with them: the check is not a tautology.
+wrong still disagrees with them: the check is not a tautology. The guard
+in tests/test_sensitivity.py enforces it for every identity of verify.
 """
 
 from __future__ import annotations

@@ -420,7 +420,7 @@ def _coprime_pair_grid(pairs: int, component_max: int, arity_max: int, seed: int
 # Evaluators read averages.*, multivar.*, exact.* and the ramanujan_sum*
 # names of this module when they are called, never when the catalog is
 # built, so a patched attribute (a test's fault injection, a tracer's
-# wrapper) is the one that runs.
+# wrapper, the tautology guard's perturbations) is the one that runs.
 
 
 def _per_case(fn: Callable[..., tuple]) -> _Evaluator:

@@ -1,15 +1,31 @@
-"""Every identity can fail: moving one side of one case fails exactly that
-case. Each tag perturbs a function its evaluator looks up when it runs
-(the closed side where that moves nothing else), so an identity whose
-check could not see a wrong side, or that compared the wrong values,
-shows up here as a case that still passes.
+"""Every identity can fail, and no identity is a tautology.
+
+Sensitivity: moving the closed side of one case fails exactly that case,
+so an identity whose check could not see a wrong side, or that compared
+the wrong values, shows up as a case that still passes.
+
+The guard: each direct side is a literal sum that never reads the closed
+form. Every closed-side primitive (phi, Mobius, Jordan totients, the
+Faulhaber closed form, ...) is perturbed in the namespace of the code that
+reads it; on each tag's small grid the direct column must then stay
+identical and the closed column must move. A direct side routed through
+the closed form moves with it, and a closed side read from the direct
+side's tables stays still. Both fail the guard. The guard works from the
+catalog, so a new tag needs no entry here unless it is one of the declared
+exceptions below.
 """
+
+import dataclasses
+from itertools import count, groupby
+from operator import itemgetter
 
 import pytest
 
+import ramavg.arith as arith
 import ramavg.averages as averages
 import ramavg.exact as exact
 import ramavg.multivar as multivar
+import ramavg.ramanujan as ramanujan
 import ramavg.verify as verify
 from ramavg.verify import IDENTITY_TAGS, identity_mode
 
@@ -17,94 +33,167 @@ from test_runs import assert_only_these_fail, grid_of, small_config
 
 TOLERANCE = 1e-8  # the default a sweep compares at
 
-
-def _key(v):
-    """A patched function's argument as it appears in the case's params."""
-    return getattr(v, "ks", getattr(v, "name", v))
-
-
-def _shift_side(out, shift):
-    """Perturb a value, or the rhs of an (lhs, rhs) tuple of sides."""
-    if type(out) is tuple:
-        return out[0], shift(out[1])
-    return shift(out)
-
-
-def one(case):
-    """real(*args) returns one side, or both, of the case its arguments
-    name; arguments past the case's values, and values past real's
-    arguments, are not compared."""
-
-    def wrap(real, shift):
-        def patched(*args):
-            out = real(*args)
-            keys = tuple(map(_key, args))[: len(case)]
-            return _shift_side(out, shift) if keys == case[: len(keys)] else out
-
-        return patched
-
-    return case, wrap
-
-
-def batch(case):
-    """real(lead, items, ...) returns one side, or both, per item."""
-
-    def wrap(real, shift):
-        def patched(lead, items, *rest):
-            out = real(lead, items, *rest)
-            return [
-                _shift_side(x, shift) if (_key(lead), _key(item)) == case else x
-                for x, item in zip(out, items)
-            ]
-
-        return patched
-
-    return case, wrap
-
-
-# tag -> (owner, name, (case, wrap)): owner.name (or owner[name]) is
-# replaced by wrap(real, shift), which perturbs it at case only.
-SENSITIVITY = {
-    "prop1": (averages, "s_r_closed_batch", batch((6, 2))),
-    "prop2": (averages, "log_weighted_pair", one((6,))),
-    "prop3": (averages, "gcd_weighted_batch", batch((6, "sigma"))),
-    "prop3-corollary": (verify._COROLLARY_RHS, "tau", one((6, "tau"))),
-    "prop4": (averages, "gamma_weighted_pair", one((6,))),
-    "gamma-product": (averages, "gamma_product_check", one((6,))),
-    "mobius-log": (averages, "mobius_log_check", one((6,))),
-    "prop5-exact": (averages, "binomial_weighted_exact", one((6,))),
-    "prop5-cosine": (averages, "binomial_weighted_cosine", one((6,))),
-    "prop6": (averages, "bernoulli_weighted_batch", batch((6, 3))),
-    "inverse-dft": (averages, "inverse_dft_batch", batch((6, 4))),
-    "prop7": (multivar, "s_r_multi_closed_batch", batch(((2, 3), 2))),
-    "prop7-corollary": (multivar, "orbicyclic_divisor", one(((2, 3),))),
-    "e-integrality": (multivar, "orbicyclic_divisor", one(((2, 3),))),
-    "e-multiplicativity": (multivar, "multiplicativity_sides", one(((3, 4), (1, 7)))),
-    "cross-evaluator": (verify, "ramanujan_sum_holder_batch", batch((6, 4))),
-    "half-sum": (exact, "half_sum_check", one((3,))),
-    "faulhaber": (exact, "power_sum", one((6, 3))),
-    "coprime-power-sum": (exact, "coprime_power_sum", one((6, 3))),
-    # exact.bernoulli_number would move the direct side too, through the
-    # coefficient table of B_m(x).
-    "bernoulli-poly-sum": (verify, "_bernoulli_poly_sum_direct", one((6, 3))),
+# The evaluator modules, by the short names the bindings below use.
+MODULES = {
+    m.__name__.rpartition(".")[2]: m for m in (exact, ramanujan, multivar, averages, verify)
 }
 
+# The closed-side primitives, wherever they are bound.
+PRIMITIVES = (
+    arith.euler_phi, arith.mobius, arith.jordan_totient, arith.von_mangoldt, arith.factorize,
+    exact.power_sum_closed, exact.bernoulli_number, exact.binomial,
+    averages.log_factorial, averages.cos_pi,
+)
 
-def test_the_table_covers_every_tag():
-    assert set(SENSITIVITY) == set(IDENTITY_TAGS)
+
+def _plus(step):
+    return lambda real: lambda *args: real(*args) + step
+
+
+def _one_more_prime(real):
+    """n's factorization with the next prime above n added: past every
+    prime of n, and too large to divide a cofactor, so that
+    coprime_power_sum stays integral."""
+
+    def patched(n):
+        p = next(q for q in count(n + 1) if arith.is_prime(q))
+        return arith.Factorization(n * p, (*real(n).factors, (p, 1)))
+
+    return patched
+
+
+# "module.name" -> a function of the real primitive that returns the
+# perturbed one: ints and Fractions move by 1, floats by 1e-3.
+PERTURBED = {
+    "averages.euler_phi": _plus(1),
+    "averages.mobius": _plus(1),
+    "averages.jordan_totient": _plus(1),
+    "averages.power_sum_closed": _plus(1),
+    "averages.bernoulli_number": _plus(1),
+    "averages.binomial": _plus(1),
+    "averages.cos_pi": _plus(1e-3),
+    "averages.log_factorial": _plus(1e-3),
+    "averages.von_mangoldt": lambda real: lambda n: arith.VonMangoldtValue(prime_base=2),
+    "averages.factorize": _one_more_prime,
+    "multivar.euler_phi": _plus(1),
+    "multivar.mobius": _plus(1),
+    "multivar.power_sum_closed": _plus(1),
+    "verify.euler_phi": _plus(1),
+    "exact.power_sum_closed": _plus(1),
+    "exact.factorize": _one_more_prime,
+    # phi(n) n keeps every Holder division exact; phi(n) + 1 would make it raise.
+    "ramanujan.euler_phi": lambda real: lambda n: real(n) * n,
+}
+
+# Bindings of a primitive that direct sides read, so the guard leaves them.
+LEFT_ALONE = {
+    "ramanujan.mobius": "ramanujan_row reads it: every direct side's row",
+    "exact.bernoulli_number": "the coefficient table of B_m(x) that direct sides read",
+    "exact.binomial": "no evaluator reads it but through averages.binomial",
+}
+
+# The declared exceptions; a tag on none of these lists has its direct side
+# on the lhs and must pass the whole guard.
+DIRECT_ON_RHS = {"faulhaber", "coprime-power-sum"}  # the brute-force sums
+NO_DIRECT_SIDE = {
+    "e-multiplicativity": "two divisor-lattice values",
+    "half-sum": "a lemma on Bernoulli numbers",
+}
+# Primitives a direct side reads by definition: the guard leaves them.
+DIRECT_READS = {"mobius-log": {"averages.mobius"}}
+# The closed side reads no perturbed primitive, so only the direct half holds.
+CLOSED_READS_NONE = {"gamma-product", "inverse-dft", "bernoulli-poly-sum"}
+
+
+def _sides(tag):
+    """The sides of every case of tag's small grid, run by run."""
+    ident = verify._lookup(tag)
+    config = small_config(tag)
+    return [
+        side
+        for lead, group in groupby(grid_of(config), key=itemgetter(0))
+        for side in verify._evaluate(ident, lead, [params[1:] for params in group], config.seed)
+    ]
+
+
+def moved_cases(monkeypatch, clear_run_caches, tag):
+    """(direct, closed): how many cases of tag's small grid change their
+    direct side, and their closed side, once every closed-side primitive
+    the tag's direct side does not read by definition is perturbed. The run
+    caches are emptied first, so no table built unperturbed is read."""
+    before = _sides(tag)
+    clear_run_caches()
+    for binding, perturb in PERTURBED.items():
+        if binding not in DIRECT_READS.get(tag, ()):
+            module, _, name = binding.partition(".")
+            monkeypatch.setattr(MODULES[module], name, perturb(getattr(MODULES[module], name)))
+    after = _sides(tag)
+    direct = 1 if tag in DIRECT_ON_RHS else 0
+    return (
+        sum(a[direct] != b[direct] for a, b in zip(before, after)),
+        sum(a[1 - direct] != b[1 - direct] for a, b in zip(before, after)),
+    )
+
+
+@pytest.mark.parametrize("tag", [tag for tag in IDENTITY_TAGS if tag not in NO_DIRECT_SIDE])
+def test_only_the_closed_side_reads_the_closed_primitives(monkeypatch, clear_run_caches, tag):
+    direct, closed = moved_cases(monkeypatch, clear_run_caches, tag)
+    assert direct == 0, f"{tag}: {direct} direct sides read a closed-side primitive"
+    if tag not in CLOSED_READS_NONE:
+        assert closed > 0, f"{tag}: no closed side reads a perturbed primitive"
+
+
+def test_the_guard_sees_a_direct_side_routed_through_the_closed_form(
+    monkeypatch, clear_run_caches
+):
+    def s_r_direct_batch(k, rs):
+        # Still reads the row, for phi(k) = c_k(0).
+        phi = ramanujan.ramanujan_row(k).values[0]
+        return [
+            averages.power_sum_closed(
+                k, r, phi, [averages.jordan_totient(2 * m, k) for m in range(r // 2 + 1)]
+            )
+            for r in rs
+        ]
+
+    monkeypatch.setattr(averages, "s_r_direct_batch", s_r_direct_batch)
+    assert moved_cases(monkeypatch, clear_run_caches, "prop1")[0] > 0
+
+
+def test_the_guard_sees_a_closed_side_read_from_the_direct_table(monkeypatch, clear_run_caches):
+    monkeypatch.setattr(multivar, "s_r_multi_closed_batch", multivar.s_r_multi_direct_batch)
+    assert moved_cases(monkeypatch, clear_run_caches, "prop7")[1] == 0
+
+
+def test_the_guard_sees_every_binding_of_a_primitive():
+    bound = {
+        f"{module}.{name}"
+        for module, m in MODULES.items()
+        for name, value in vars(m).items()
+        if any(value is p for p in PRIMITIVES)
+    }
+    assert bound == PERTURBED.keys() | LEFT_ALONE.keys()
+    assert not PERTURBED.keys() & LEFT_ALONE.keys()
 
 
 @pytest.mark.parametrize("tag", IDENTITY_TAGS)
 def test_one_perturbed_case_fails_alone(monkeypatch, tag):
-    owner, name, (case, wrap) = SENSITIVITY[tag]
+    ident = verify._lookup(tag)
     if identity_mode(tag) == "exact":
         shift = lambda x: x + 1  # noqa: E731
     else:
         shift = lambda x: x + 100 * TOLERANCE * (1 + abs(x))  # noqa: E731
+    closed = 0 if tag in DIRECT_ON_RHS else 1
     config = small_config(tag)
-    assert case in grid_of(config)
-    if isinstance(owner, dict):
-        monkeypatch.setitem(owner, name, wrap(owner[name], shift))
-    else:
-        monkeypatch.setattr(owner, name, wrap(getattr(owner, name), shift))
+    grid = grid_of(config)
+    case = grid[len(grid) // 2]
+
+    def evaluate(lead, rests, seed):
+        sides = ident.evaluate(lead, rests, seed)
+        return [
+            (*s[:closed], shift(s[closed]), *s[closed + 1 :]) if (lead, *rest) == case else s
+            for s, rest in zip(sides, rests)
+        ]
+
+    monkeypatch.setitem(verify._CATALOG, tag, dataclasses.replace(ident, evaluate=evaluate))
     assert_only_these_fail(config, {case}, raised=False)
