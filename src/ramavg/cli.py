@@ -280,7 +280,7 @@ def _cmd_verify(args) -> int:
     if args.format == "json":
         _write(report_to_json(report) + "\n")
     elif args.format == "csv":
-        _write(cases_to_csv(report.cases))
+        _write(cases_to_csv(report))
     else:
         print(f"suite: {report.suite}")
         print(f"grid: {report.grid}")

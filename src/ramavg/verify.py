@@ -15,13 +15,17 @@ half-sum's (from r = 1, while its schema admits r = 0 so that run_identity
 reports that mismatch).
 
 Evaluation goes by runs: the cases of a grid that share their leading
-parameter (k, or the tuple ks). An identity's evaluate takes the leading
-value, the trailing values of every case of the run and the seed, and
-returns the sides of each case, so a kernel can share work across the run
-(one read of the power-sum table of (k,) for prop1 and prop6, and of phi(k)
-and the Jordan totients for prop1's closed sides, of each tuple table for
-prop7 and of the FFT row per k for inverse-dft, one read of k's divisors,
-gcd-class totals, mu(k/d) and phi(k) for every f of prop3 and
+parameter (k, or the tuple ks). _grid builds each grid as its runs, pairs
+(leading value, trailing values of each case): a product grid builds the
+product of its trailing parameters once and every run shares that list
+(an empty trailing parameter gives no runs), and a spelled-out grid is
+grouped by consecutive leading value. An identity's evaluate takes the
+leading value, the trailing values of every case of the run and the seed,
+and returns the sides of each case, so a kernel can share work across the
+run (one read of the power-sum table of (k,) for prop1 and prop6, and of
+phi(k) and the Jordan totients for prop1's closed sides, of each tuple
+table for prop7 and of the FFT row per k for inverse-dft, one read of k's
+divisors, gcd-class totals, mu(k/d) and phi(k) for every f of prop3 and
 prop3-corollary; for cross-evaluator, the divisor and Holder forms once
 per gcd class of the run and the float form from one FFT row per k); the
 other identities evaluate case by case. If a run raises, each of its cases
@@ -35,24 +39,26 @@ and each grid bound against its parameter's cap. The grids it then builds
 hold only values of the schema, so their cases are not checked again;
 tests check every case of every grid against the validator instead.
 
-A run is compared and rendered in two steps, each over columns.
-_compare evaluates the run, transposes its sides into lhs, rhs and reason
-columns and compares each case once, giving a passed column and, in
-tolerance mode, an abs_error column. A run of plain pairs is compared
-without a Python call per case: == mapped over the columns, or one
-abs(lhs - rhs) per case that gives the abs_error column and feeds
-averages.within_tolerance_columns; a run with a reason or a raised case
-is compared case by case. _render builds IdentityCases, each
-a NamedTuple (an immutable tuple of its eight fields) made by
-tuple.__new__, from those columns, or from the same rows of each: it takes
-every passed flag and abs_error from them and compares nothing, so a case
-reads the same whichever report keeps it. Its params are the leading
-value's text, rendered once per run, and a str.format template of the
-trailing values. run_suite tallies the counts and the worst errors from
-the columns, then renders every case when SuiteConfig.keep_cases is set
-(the CSV) and only the failing cases otherwise: a run whose cases all pass
-renders nothing. run_identity compares and renders its one case. The CSV
-is written from the unpacked tuples.
+A run is compared once, over columns, and its text is rendered only when
+a report is written. _compare evaluates the run, transposes its sides into
+lhs, rhs and reason columns and compares each case once, giving a passed
+column and, in tolerance mode, an abs_error column. A run of plain pairs
+is compared without a Python call per case: == mapped over the columns, or
+one abs(lhs - rhs) per case that gives the abs_error column and feeds
+averages.within_tolerance_columns; a run with a reason or a raised case is
+compared case by case. run_suite tallies the counts and the worst errors
+from the columns and renders only the failing cases, from their rows of
+each column. With SuiteConfig.keep_cases (the CSV) it also keeps every run
+with its columns, unrendered. _texts gives the params, lhs and rhs text of
+a run's columns or of their rows (the params are the leading value's text,
+rendered once per run, and a str.format template of the trailing values);
+cases_to_csv writes each kept run from those text columns, its abs_error
+and passed columns mapped to text, into one csv.writer, and _render, the
+one builder of an IdentityCase (a NamedTuple made by tuple.__new__), pairs
+them with the passed, abs_error and reason columns. Neither compares, so a
+case reads the same whichever report shows it. VerificationReport.cases
+renders every kept case on demand; run_identity compares and renders its
+one case.
 
 Before any grid is built, run_suite refuses a grid bound above a
 parameter's cap, and counts the cases of every selected grid from its
@@ -79,7 +85,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, groupby, repeat, starmap, zip_longest
 from itertools import product as iter_product
 from operator import eq, itemgetter, sub
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import averages, exact, multivar
 from .arith import euler_phi
@@ -145,10 +151,21 @@ class VerificationReport:
     worst_errors: Dict[str, float]
     failures: List[IdentityCase]
     wall_time_seconds: float
-    cases: Optional[List[IdentityCase]] = None  # populated when keep_cases
+    # (identity, leading value, trailing values, _Columns) of every run, in
+    # sweep order; kept when keep_cases, None otherwise.
+    runs: Optional[List[tuple]] = None
     # tag -> (cases, seconds) per identity, in sweep order; like the wall
     # time, it is not part of the body.
     timings: Dict[str, Tuple[int, float]] = field(default_factory=dict)
+
+    @property
+    def cases(self) -> Optional[List[IdentityCase]]:
+        """Every case in sweep order, rendered from the kept runs on each
+        read; None without keep_cases."""
+        if self.runs is None:
+            return None
+        return [case for ident, lead, rests, columns in self.runs
+                for case in _render(ident, lead, rests, *columns)]
 
     def body_dict(self) -> dict:
         """Everything except wall time; the determinism contract applies here."""
@@ -173,21 +190,27 @@ def report_to_json(report: VerificationReport) -> str:
     return json.dumps(body, indent=2)
 
 
-def cases_to_csv(cases: Iterable[IdentityCase]) -> str:
+def cases_to_csv(report: VerificationReport) -> str:
+    """The CSV of every case of a report swept with keep_cases, written
+    run by run from its columns: the params and sides as _render renders
+    them, abs_error to 17 significant digits ("" where there is none) and
+    passed as true or false."""
     import csv
     import io
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["identity", "params", "mode", "lhs", "rhs", "abs_error", "pass"])
-    writer.writerows(
-        (
-            identity, params, mode, lhs, rhs,
-            "" if abs_error is None else f"{abs_error:.17g}",
-            "true" if passed else "false",
-        )
-        for identity, params, mode, lhs, rhs, passed, abs_error, _ in cases
-    )
+    for ident, lead, rests, (lhs, rhs, reasons, passed, errors) in report.runs:
+        params, lhs, rhs = _texts(ident, lead, rests, lhs, rhs, reasons)
+        if errors is None:
+            errors = repeat("")
+        else:
+            errors = ["" if e is None else _fmt_float(e) for e in errors]
+        writer.writerows(zip(
+            repeat(ident.tag), params, repeat(ident.mode), lhs, rhs, errors,
+            ["true" if ok else "false" for ok in passed],
+        ))
     return buf.getvalue()
 
 
@@ -346,16 +369,30 @@ def _validate(ident: IdentityDef, params: tuple) -> None:
 # Cases of all the grids of one sweep, which run_suite counts before it
 # builds any, a case of moduli tuples counted once per modulus it holds:
 # 4x the largest default grid (inverse-dft, 250,000 cases), and above
-# verify --all (604,001). A grid case holds about 64 bytes and a case kept
-# for the CSV about 300 more, so the budget bounds the grids to about 64 MB
-# and a CSV sweep to about 400 MB; a modulus adds less than a case.
+# verify --all (604,001). A counted case holds at most about 140 bytes of
+# its grid while it is built (a spelled-out grid is built flat, then
+# grouped into runs; the runs of a product grid share one trailing list,
+# so a case of a run of many takes a few bytes). A case kept for the CSV
+# holds its share of its run's columns: 70-290 bytes in a run of many
+# cases, about 530 in a run of one (a one-parameter identity). So the
+# budget bounds the grids to about 140 MB and the kept runs of a CSV sweep
+# to about 530 MB. verify --all keeps 59 MB of runs for its 430,541 cases,
+# where its rendered cases took 112 MB.
 GRID_BUDGET = 1_000_000
 
 
 def _grid(ident: IdentityDef, bounds: Dict[str, int], seed: int) -> List[tuple]:
+    """The grid as runs (leading value, trailing values of each case), in
+    ascending order. A product grid builds its trailing product once and
+    every run shares that list, so an empty trailing parameter gives no
+    runs; a spelled-out grid is grouped by consecutive leading value."""
     if ident.grid is not None:
-        return ident.grid(bounds, seed)
-    return list(iter_product(*(p.values(bounds) for p in ident.params)))
+        return [
+            (lead, [params[1:] for params in group])
+            for lead, group in groupby(ident.grid(bounds, seed), key=itemgetter(0))
+        ]
+    rests = list(iter_product(*(p.values(bounds) for p in ident.params[1:])))
+    return [(lead, rests) for lead in ident.params[0].values(bounds)] if rests else []
 
 
 def _grid_size(ident: IdentityDef, bounds: Dict[str, int]) -> int:
@@ -730,27 +767,34 @@ def _compare(
     return _Columns(lhs, rhs, reasons, passed, errors)
 
 
+def _texts(ident: IdentityDef, lead, rests: Sequence[tuple], lhs, rhs, reasons):
+    """The params, lhs and rhs text of each case of one run's columns, or
+    of the same rows of each. The params are the leading value's text,
+    rendered once, and a str.format template of the trailing values; the
+    sides of a case that raised render as ""."""
+    prefix = f"{ident.param_names[0]}={_fmt_value(lead)}"
+    if tuple in map(type, rests[0]):  # a trailing parameter is all tuples or none
+        rests = [tuple(map(_fmt_value, rest)) for rest in rests]
+    params = map(prefix.__add__, starmap(ident.trailing.format, rests))
+    fmt = _fmt_rational if ident.mode == "exact" else _fmt_float
+    if reasons is None:
+        return params, map(fmt, lhs), map(fmt, rhs)
+    lhs = ["" if v is None else fmt(v) for v in lhs]
+    rhs = ["" if v is None else fmt(v) for v in rhs]
+    return params, lhs, rhs
+
+
 def _render(
     ident: IdentityDef, lead, rests: Sequence[tuple], lhs, rhs, reasons, passed, errors
 ) -> List[IdentityCase]:
     """The IdentityCases of one run's columns as _compare gave them, or of
-    the same rows of each column. Each case takes its passed flag and
-    abs_error from the columns, so rendering never compares. The params
-    are the leading value's text, rendered once, and a str.format template
-    of the trailing values; the sides of a case that raised render as ""."""
-    tag, mode, trailing = ident.tag, ident.mode, ident.trailing
-    prefix = f"{ident.param_names[0]}={_fmt_value(lead)}"
-    if tuple in map(type, rests[0]):  # a trailing parameter is all tuples or none
-        rests = [tuple(map(_fmt_value, rest)) for rest in rests]
-    fmt = _fmt_rational if mode == "exact" else _fmt_float
-    if reasons is None:
-        lhs, rhs, reasons = map(fmt, lhs), map(fmt, rhs), repeat(None)
-    else:
-        lhs = ["" if v is None else fmt(v) for v in lhs]
-        rhs = ["" if v is None else fmt(v) for v in rhs]
+    the same rows of each, with the text of _texts. Each case takes its
+    passed flag and abs_error from the columns, so rendering never
+    compares."""
+    params, lhs, rhs = _texts(ident, lead, rests, lhs, rhs, reasons)
     return list(map(_new_case, repeat(IdentityCase), zip(
-        repeat(tag), map(prefix.__add__, starmap(trailing.format, rests)), repeat(mode),
-        lhs, rhs, passed, repeat(None) if errors is None else errors, reasons,
+        repeat(ident.tag), params, repeat(ident.mode), lhs, rhs, passed,
+        repeat(None) if errors is None else errors, repeat(None) if reasons is None else reasons,
     )))
 
 
@@ -812,13 +856,14 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     """Sweep the configured identities over their grids, in the order
     selected and ascending parameter order, and aggregate.
 
-    Each grid is walked in runs of cases with equal params[0]. Each run is
-    evaluated and compared at once; every case is rendered when
-    config.keep_cases is set, and only the failing ones otherwise. An
-    unknown, empty or repeated selection, or a loosened tolerance, raises
-    ConfigError; a grid bound above a parameter's cap, or grids past
-    GRID_BUDGET, raise ParamError, all before any grid is built. The grids
-    are built from the schema, so their cases are not checked again.
+    Each grid is walked in the runs _grid builds. Each run is evaluated and
+    compared at once and only its failing cases are rendered; with
+    config.keep_cases every run is also kept, with its columns, for
+    cases_to_csv and VerificationReport.cases. An unknown, empty or
+    repeated selection, or a loosened tolerance, raises ConfigError; a grid
+    bound above a parameter's cap, or grids past GRID_BUDGET, raise
+    ParamError, all before any grid is built. The grids are built from the
+    schema, so their cases are not checked again.
     """
     start = time.perf_counter()
     _check_tolerance(config.tolerance)
@@ -846,40 +891,37 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         (ident, _grid(ident, b, config.seed), _describe_bounds(ident.tag, b))
         for ident, b in zip(idents, bounds)
     ]
-    if not any(grid for _, grid, _ in plans):
+    if not any(runs for _, runs, _ in plans):
         raise ConfigError(f"empty grid for identities {tags}")
 
     total = 0
     failures: List[IdentityCase] = []
     worst: Dict[str, float] = {}
-    all_cases: Optional[List[IdentityCase]] = [] if config.keep_cases else None
+    kept: Optional[List[tuple]] = [] if config.keep_cases else None
     timings: Dict[str, Tuple[int, float]] = {}
-    for ident, grid, _ in plans:
+    for ident, runs, _ in plans:
         tag = ident.tag
         identity_start = time.perf_counter()
-        for lead, group in groupby(grid, key=itemgetter(0)):
-            rests = [params[1:] for params in group]
+        for lead, rests in runs:
             columns = _compare(ident, lead, rests, config.tolerance, config.seed)
-            total += len(columns.passed)
             if columns.errors is not None:
                 # A left fold from 0.0, as max() takes its arguments: a NaN
                 # error never replaces the value.
                 errors = [e for e in columns.errors if e is not None]
                 if errors:
                     worst[tag] = max(worst.get(tag, 0.0), *errors)
-            if all_cases is not None:
-                cases = _render(ident, lead, rests, *columns)
-                all_cases += cases
-                if not all(columns.passed):
-                    failures += [case for case in cases if not case[5]]  # passed
-            elif not all(columns.passed):
+            if kept is not None:
+                kept.append((ident, lead, rests, columns))
+            if not all(columns.passed):
                 # Only the failing cases are rendered, from their rows of
                 # each column.
                 bad = [i for i, ok in enumerate(columns.passed) if not ok]
                 failures += _render(ident, lead, [rests[i] for i in bad], *(
                     None if column is None else [column[i] for i in bad] for column in columns
                 ))
-        timings[tag] = (len(grid), time.perf_counter() - identity_start)
+        cases = sum(len(rests) for _, rests in runs)
+        total += cases
+        timings[tag] = (cases, time.perf_counter() - identity_start)
 
     # Keys in sweep order for byte-stable serialization.
     worst_ordered = {tag: worst[tag] for tag in tags if tag in worst}
@@ -894,6 +936,6 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         worst_errors=worst_ordered,
         failures=failures,
         wall_time_seconds=time.perf_counter() - start,
-        cases=all_cases,
+        runs=kept,
         timings=timings,
     )

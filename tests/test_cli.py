@@ -261,6 +261,19 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--identity", "prop4", "--k-max", "1")
         assert code == 2 and "error" in err
 
+    def test_an_empty_trailing_parameter_sweeps_no_case_of_its_identity(self, capsys):
+        # r <= 0 leaves prop1 no runs: alone its grid is empty, beside
+        # inverse-dft it adds no row.
+        code, out, err = run_cli(capsys, "verify", "--identity", "prop1", "--r-max", "0")
+        assert code == 2 and out == "" and "empty grid" in err
+        code, out, _ = run_cli(
+            capsys, "verify", "--identity", "prop1,inverse-dft", "--r-max", "0",
+            "--k-max", "3", "--n-max", "2", "--format", "csv",
+        )
+        rows = list(csv.reader(io.StringIO(out)))
+        assert code == 0 and len(rows) == 1 + 3 * 2
+        assert {row[0] for row in rows[1:]} == {"inverse-dft"}
+
     @pytest.mark.parametrize("argv", [
         ("--identity", "e-multiplicativity", "--k-max", "0"),
         ("--identity", "e-multiplicativity", "--n-max", "0"),

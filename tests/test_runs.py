@@ -14,7 +14,7 @@ import ramavg.multivar as multivar
 import ramavg.verify as verify
 from ramavg.ramanujan import ramanujan_sum, ramanujan_sum_holder
 from ramavg.verify import IDENTITY_TAGS, ParamError, SuiteConfig, run_identity, run_suite
-from test_verify import SCHEMA_EDGES
+from test_verify import SCHEMA_EDGES, csv_by_attributes, flat
 
 MULTIVAR_TAGS = {"prop7", "prop7-corollary", "e-integrality", "e-multiplicativity"}
 
@@ -27,9 +27,13 @@ def small_config(tag, *more, **override):
     return SuiteConfig(identities=[tag, *more], keep_cases=True, **{**bounds, **override})
 
 
-def grid_of(config, tag=None):
+def runs_of(config, tag=None):
     ident = verify._lookup(tag or config.identities[0])
     return verify._grid(ident, verify._effective_bounds(ident, config), config.seed)
+
+
+def grid_of(config, tag=None):
+    return flat(runs_of(config, tag))
 
 
 @pytest.mark.parametrize(
@@ -81,7 +85,7 @@ def test_timings_hold_each_identity_once_in_catalog_order():
     for tag, (cases, seconds) in report.timings.items():
         ident = verify._lookup(tag)
         bounds = verify._effective_bounds(ident, config)
-        assert cases == len(verify._grid(ident, bounds, config.seed)) and seconds >= 0
+        assert cases == len(flat(verify._grid(ident, bounds, config.seed))) and seconds >= 0
     assert sum(cases for cases, _ in report.timings.values()) == report.total
     assert sum(seconds for _, seconds in report.timings.values()) <= report.wall_time_seconds
     assert "timings" not in report.body_dict()
@@ -190,10 +194,46 @@ def test_wrong_float_oracle_fails_only_its_case(monkeypatch):
         verify, "ramanujan_sum_float_batch",
         lambda k, js: [f + (0.5 if (k, j) == (6, 4) else 0) for f, j in zip(real(k, js), js)],
     )
-    assert_only_these_fail(small_config("cross-evaluator"), {(6, 4)})
+    config = small_config("cross-evaluator")
+    assert_only_these_fail(config, {(6, 4)})
     assert run_identity("cross-evaluator", (6, 4)).error == (
         "float oracle -0.5 disagrees with the exact value -1"
     )
+    assert_csv_is_the_attribute_rendering(run_suite(config))
+
+
+# --- the CSV is written from each run's columns -----------------------------
+
+
+def assert_csv_is_the_attribute_rendering(report):
+    """cases_to_csv, which writes each kept run from its columns, gives the
+    bytes of the CSV written field by field from the rendered cases."""
+    cases = report.cases
+    assert len(cases) == report.total > 0
+    assert verify.cases_to_csv(report) == csv_by_attributes(cases)
+
+
+@pytest.mark.parametrize("tolerance", [averages.DEFAULT_TOLERANCE, 1e-16])
+@pytest.mark.parametrize("tag", IDENTITY_TAGS)
+def test_the_csv_of_each_small_grid_is_the_attribute_rendering(tag, tolerance):
+    assert_csv_is_the_attribute_rendering(run_suite(small_config(tag, tolerance=tolerance)))
+
+
+def test_the_csv_of_a_refused_case_has_empty_sides(monkeypatch):
+    real = averages.inverse_dft_batch
+
+    def refusing(k, ns):
+        if k == 6 and 3 in ns:
+            raise multivar.BudgetError("dft refused 6, 3")
+        return real(k, ns)
+
+    monkeypatch.setattr(averages, "inverse_dft_batch", refusing)
+    config = small_config("inverse-dft")
+    assert_only_these_fail(config, {(6, 3)})
+    report = run_suite(config)
+    [refused] = report.failures
+    assert (refused.lhs, refused.rhs, refused.abs_error) == ("", "", None)
+    assert_csv_is_the_attribute_rendering(report)
 
 
 # --- bool is not an integer -------------------------------------------------
@@ -298,9 +338,7 @@ def test_a_growing_power_table_gives_the_cases_of_fresh_singles(clear_run_caches
     singles = []
     for tag in config.identities:
         clear_run_caches()
-        ident = verify._lookup(tag)
-        grid = verify._grid(ident, verify._effective_bounds(ident, config), config.seed)
-        singles += [run_identity(tag, params).as_dict() for params in grid]
+        singles += [run_identity(tag, params).as_dict() for params in grid_of(config, tag)]
     assert swept == singles
     assert all(case["pass"] for case in swept)
 
@@ -509,6 +547,7 @@ def test_mixed_runs_in_each_mode(monkeypatch):
     assert bare.cases is None
     assert list(map(repr, bare.failures)) == list(map(repr, report.failures))
     assert verify.report_body_json(bare) == verify.report_body_json(report)
+    assert verify.cases_to_csv(report) == csv_by_attributes(report.cases)
 
 
 # --- a report renders only the cases it keeps -------------------------------
@@ -534,8 +573,10 @@ def test_a_passing_sweep_that_keeps_no_case_renders_nothing(monkeypatch):
     assert "inverse-dft" in report.worst_errors
     assert calls == {"rational": 0, "float": 0}
 
-    # The same sweep keeping every case renders both sides of each.
+    # The same sweep keeping every case renders nothing either, until its
+    # cases are read; then both sides of each.
     kept = run_suite(dataclasses.replace(config, keep_cases=True))
+    assert calls == {"rational": 0, "float": 0}
     exact = sum(c.mode == "exact" for c in kept.cases)
     assert calls == {"rational": 2 * exact, "float": 2 * (kept.total - exact)}
     assert kept.body_dict() == report.body_dict()

@@ -16,8 +16,7 @@ exceptions below.
 """
 
 import dataclasses
-from itertools import count, groupby
-from operator import itemgetter
+from itertools import count
 
 import pytest
 
@@ -29,7 +28,7 @@ import ramavg.ramanujan as ramanujan
 import ramavg.verify as verify
 from ramavg.verify import IDENTITY_TAGS, identity_mode
 
-from test_runs import assert_only_these_fail, grid_of, small_config
+from test_runs import assert_only_these_fail, grid_of, runs_of, small_config
 
 TOLERANCE = 1e-8  # the default a sweep compares at
 
@@ -111,8 +110,8 @@ def _sides(tag):
     config = small_config(tag)
     return [
         side
-        for lead, group in groupby(grid_of(config), key=itemgetter(0))
-        for side in verify._evaluate(ident, lead, [params[1:] for params in group], config.seed)
+        for lead, rests in runs_of(config)
+        for side in verify._evaluate(ident, lead, rests, config.seed)
     ]
 
 

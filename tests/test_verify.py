@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 import inspect
 import io
 import json
 import math
 from fractions import Fraction
+from itertools import product as iter_product
 
 import pytest
 
@@ -17,6 +19,7 @@ from ramavg.verify import (
     Param,
     ParamError,
     SuiteConfig,
+    VerificationReport,
     cases_to_csv,
     default_bounds,
     identity_mode,
@@ -252,7 +255,9 @@ class TestDegreeCap:
     def test_a_bound_above_the_cap_is_refused_before_the_grid(self, monkeypatch, tag):
         built = []
         params, _ = SCHEMA_EDGES[tag]
-        monkeypatch.setattr(verify, "_grid", lambda ident, b, seed: built.append(b) or [params])
+        monkeypatch.setattr(
+            verify, "_grid", lambda ident, b, seed: built.append(b) or [(params[0], [params[1:]])]
+        )
         bound = f"{DEGREE_PARAMS[tag]}_max"
         with pytest.raises(ParamError, match=over_cap(tag)):
             run_suite(SuiteConfig(identities=[tag], **{bound: exact.DEGREE_CAP + 1}))
@@ -272,6 +277,12 @@ def small_bounds(tag):
     return sets
 
 
+def flat(runs):
+    """The cases of a grid given as runs (leading value, trailing values),
+    in order."""
+    return [(lead, *rest) for lead, rests in runs for rest in rests]
+
+
 def moduli_held(case):
     """A case counts once, or once per modulus of its moduli tuples."""
     return sum(len(v) for v in case if isinstance(v, tuple)) or 1
@@ -288,7 +299,7 @@ class TestGridBudget:
         ident = verify._lookup(tag)
         for bounds in small_bounds(tag):
             size = verify._grid_size(ident, bounds)
-            grid = verify._grid(ident, bounds, 7)
+            grid = flat(verify._grid(ident, bounds, 7))
             if tag == "e-multiplicativity":
                 assert size == (2 * bounds["n_max"] + bounds["k_max"]) * len(grid), bounds
                 assert size >= sum(map(moduli_held, grid)), bounds
@@ -337,8 +348,37 @@ class TestGridBudget:
         grid, size = self.SPELLED_OUT[tag]
         ident = verify._lookup(tag)
         for bounds in small_bounds(tag):
-            assert verify._grid(ident, bounds, 7) == grid(bounds), bounds
+            assert flat(verify._grid(ident, bounds, 7)) == grid(bounds), bounds
             assert verify._grid_size(ident, bounds) == size(bounds), bounds
+
+    @pytest.mark.parametrize("tag", sorted(EXPECTED_TAGS))
+    def test_a_product_grid_is_runs_that_share_one_trailing_list(self, tag):
+        # No run is empty and no leading value repeats (a spelled-out grid
+        # is grouped by consecutive leading value); the runs of a product
+        # grid share the one list of its trailing product.
+        ident = verify._lookup(tag)
+        for bounds in small_bounds(tag):
+            runs = verify._grid(ident, bounds, 7)
+            leads = [lead for lead, _ in runs]
+            assert all(rests for _, rests in runs) and len(set(leads)) == len(leads), bounds
+            if ident.grid is None and runs:
+                trailing = list(iter_product(*(p.values(bounds) for p in ident.params[1:])))
+                assert runs[0][1] == trailing, bounds
+                assert all(rests is runs[0][1] for _, rests in runs), bounds
+
+    @pytest.mark.parametrize("tag", sorted(
+        tag for tag in EXPECTED_TAGS
+        if verify._lookup(tag).grid is None
+        and any(p.kind == "int" for p in verify._lookup(tag).params[1:])
+    ))
+    def test_an_empty_trailing_parameter_gives_no_runs(self, tag):
+        ident = verify._lookup(tag)
+        bounds = {name: 3 for name in ident.bounds}
+        assert verify._grid(ident, bounds, 7)
+        for p in ident.params[1:]:
+            if p.kind == "int":
+                empty = dict(bounds, **{p.bound: p.minimum - 1})
+                assert verify._grid(ident, empty, 7) == [], p.name
 
     def test_only_grids_of_another_shape_are_spelled_out(self):
         spelled = {tag for tag, ident in verify._CATALOG.items() if ident.grid or ident.size}
@@ -411,7 +451,8 @@ class TestGridBudget:
         assert built == []
         monkeypatch.setattr(verify, "GRID_BUDGET", count)
         report = run_suite(config)
-        [grid] = built
+        [runs] = built
+        grid = flat(runs)
         assert report.total == len(grid) and report.failed == 0
         if tag != "e-multiplicativity":  # which also counts the k_max candidates
             assert sum(map(moduli_held, grid)) == count
@@ -459,7 +500,7 @@ class TestGridsPassTheSchema:
             seeds += [0, 7]
         for bounds in small_bounds(tag) + [default_bounds(tag)]:
             for seed in seeds:
-                grid = verify._grid(ident, bounds, seed)
+                grid = flat(verify._grid(ident, bounds, seed))
                 for params in grid:
                     verify._validate(ident, params)
         assert grid  # the default grid
@@ -574,7 +615,7 @@ class TestRunSuite:
 
     def test_bound_at_cap_is_swept(self, monkeypatch):
         built = []
-        monkeypatch.setattr(verify, "_grid", lambda ident, b, seed: built.append(b) or [(1,)])
+        monkeypatch.setattr(verify, "_grid", lambda ident, b, seed: built.append(b) or [(1, [()])])
         report = run_suite(SuiteConfig(identities=["prop5-cosine"], k_max=averages.COSINE_LIMIT))
         assert built == [{"k_max": averages.COSINE_LIMIT}] and report.total == 1
 
@@ -610,7 +651,7 @@ class TestSerialization:
         report = run_suite(
             SuiteConfig(identities=["prop1"], k_max=4, r_max=2, keep_cases=True)
         )
-        text = cases_to_csv(report.cases)
+        text = cases_to_csv(report)
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0] == ["identity", "params", "mode", "lhs", "rhs", "abs_error", "pass"]
         assert len(rows) == 1 + 8
@@ -630,7 +671,7 @@ class TestSerialization:
         report = run_suite(
             SuiteConfig(identities=["prop2"], k_max=6, keep_cases=True)
         )
-        text = cases_to_csv(report.cases)
+        text = cases_to_csv(report)
         rows = list(csv.reader(io.StringIO(text)))
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(rows)
@@ -774,18 +815,31 @@ class TestIdentityCase:
         ]
 
     def test_csv_equals_the_attribute_rendering(self):
-        cases = [
-            IdentityCase("prop1", "k=2,r=1", "exact", "1/4", "1/4", True),
-            IdentityCase("prop2", "k=5", "tolerance", "0.1", "0.10000000000000001", True,
-                         1.3877787807814457e-17),
-            IdentityCase("prop4", "k=7", "tolerance", "2.5", "3", False, 0.5),
-            IdentityCase("e-integrality", "ks=720720|720720", "exact", "", "", False,
-                         None, "budget: the lattice exceeds 10 terms"),
-            IdentityCase("prop7", "ks=1|2,r=1", "exact", '"q"', "1,2", False),
-            IdentityCase("gamma-product", "n=3", "tolerance", "1", "1", True, None),
+        # Runs of each shape a sweep keeps: exact ints and Fractions, float
+        # sides with their abs_error, a raised case in each mode (empty
+        # sides, no abs_error), failed cases, and params holding tuples and
+        # commas, which the CSV quotes.
+        columns, lookup = verify._Columns, verify._lookup
+        runs = [
+            (lookup("prop1"), 2, [(1,), (2,)],
+             columns([Fraction(1, 4), 5], [Fraction(1, 4), Fraction(-6, 7)], None,
+                     [True, False], None)),
+            (lookup("prop2"), 5, [()],
+             columns([0.1], [0.10000000000000001], None, [True], [1.3877787807814457e-17])),
+            (lookup("inverse-dft"), 7, [(1,), (2,)],
+             columns([2.5, None], [3.0, None], [None, "budget: refused"], [False, False],
+                     [0.5, None])),
+            (lookup("e-integrality"), (720720, 720720), [()],
+             columns([None], [None], ["budget: the lattice exceeds 10 terms"], [False], None)),
+            (lookup("e-multiplicativity"), (2, 3), [((5, 7),)],
+             columns([1], [1], None, [True], None)),
+            (lookup("gamma-product"), 3, [()], columns([1.0], [1.0], None, [True], [0.0])),
         ]
-        assert cases_to_csv(cases) == csv_by_attributes(cases)
-        assert cases_to_csv([]) == csv_by_attributes([])
+        report = VerificationReport("suite", "grid", 0, 0, 0, {}, [], 0.0, runs=runs)
+        assert len(report.cases) == 8
+        assert cases_to_csv(report) == csv_by_attributes(report.cases)
+        empty = dataclasses.replace(report, runs=[])
+        assert cases_to_csv(empty) == csv_by_attributes(empty.cases) == csv_by_attributes([])
 
 
 class TestDefaultBounds:
