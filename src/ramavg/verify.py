@@ -57,8 +57,8 @@ and passed columns mapped to text, into one csv.writer, and _render, the
 one builder of an IdentityCase (a NamedTuple made by tuple.__new__), pairs
 them with the passed, abs_error and reason columns. Neither compares, so a
 case reads the same whichever report shows it. VerificationReport.cases
-renders every kept case on demand; run_identity compares and renders its
-one case.
+renders every kept case on its first read and caches them; run_identity
+compares and renders its one case.
 
 Before any grid is built, run_suite refuses a grid bound above a
 parameter's cap, and counts the cases of every selected grid from its
@@ -82,6 +82,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations_with_replacement, groupby, repeat, starmap, zip_longest
 from itertools import product as iter_product
 from operator import eq, itemgetter, sub
@@ -158,10 +159,10 @@ class VerificationReport:
     # time, it is not part of the body.
     timings: Dict[str, Tuple[int, float]] = field(default_factory=dict)
 
-    @property
+    @cached_property
     def cases(self) -> Optional[List[IdentityCase]]:
-        """Every case in sweep order, rendered from the kept runs on each
-        read; None without keep_cases."""
+        """Every case in sweep order, rendered from the kept runs on the
+        first read and cached; None without keep_cases."""
         if self.runs is None:
             return None
         return [case for ident, lead, rests, columns in self.runs

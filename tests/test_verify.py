@@ -817,8 +817,10 @@ class TestIdentityCase:
     def test_csv_equals_the_attribute_rendering(self):
         # Runs of each shape a sweep keeps: exact ints and Fractions, float
         # sides with their abs_error, a raised case in each mode (empty
-        # sides, no abs_error), failed cases, and params holding tuples and
-        # commas, which the CSV quotes.
+        # sides, no abs_error), failed cases, params holding tuples and
+        # commas, and sides holding a quote and a comma, which the CSV
+        # escapes and quotes as csv.writer does (_fmt_rational is str, so a
+        # str side renders unchanged).
         columns, lookup = verify._Columns, verify._lookup
         runs = [
             (lookup("prop1"), 2, [(1,), (2,)],
@@ -834,9 +836,12 @@ class TestIdentityCase:
             (lookup("e-multiplicativity"), (2, 3), [((5, 7),)],
              columns([1], [1], None, [True], None)),
             (lookup("gamma-product"), 3, [()], columns([1.0], [1.0], None, [True], [0.0])),
+            (lookup("prop7"), (1, 2), [(1,)], columns(['"q"'], ["1,2"], None, [False], None)),
         ]
         report = VerificationReport("suite", "grid", 0, 0, 0, {}, [], 0.0, runs=runs)
-        assert len(report.cases) == 8
+        assert len(report.cases) == 9
+        assert report.cases[-1][3:5] == ('"q"', "1,2")
+        assert '"ks=1|2,r=1",exact,"""q""","1,2",,false\n' in cases_to_csv(report)
         assert cases_to_csv(report) == csv_by_attributes(report.cases)
         empty = dataclasses.replace(report, runs=[])
         assert cases_to_csv(empty) == csv_by_attributes(empty.cases) == csv_by_attributes([])
