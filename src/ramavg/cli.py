@@ -30,6 +30,7 @@ from .exact import DEGREE_CAP, bernoulli_number
 from .multivar import g_m, orbicyclic_divisor
 from .ramanujan import BudgetError, ramanujan_row, ramanujan_sum
 from .verify import (
+    CSV_HEADER,
     ConfigError,
     IDENTITY_TAGS,
     ParamError,
@@ -253,6 +254,21 @@ def _write(text: str) -> None:
         data = data[raw.write(data):]
 
 
+def _csv_sink():
+    """A run_suite sink that writes the CSV rows of each run to stdout as it
+    is compared, one write per run, the header with the first: a refused
+    or empty sweep writes nothing, and a closed pipe ends the sweep at the
+    next run."""
+    header = CSV_HEADER
+
+    def write_run(ident, lead, rests, columns):
+        nonlocal header
+        _write(header + cases_to_csv(ident, lead, rests, columns))
+        header = ""
+
+    return write_run
+
+
 def _cmd_verify(args) -> int:
     identities: Optional[List[str]] = None
     if args.run_all and args.identities:
@@ -270,18 +286,15 @@ def _cmd_verify(args) -> int:
         n_max=args.n_max,
         tolerance=args.tolerance,
         seed=args.seed,
-        keep_cases=(args.format == "csv"),
     )
     try:
-        report = run_suite(config)
+        report = run_suite(config, _csv_sink() if args.format == "csv" else None)
     except (ConfigError, ParamError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
         _write(report_to_json(report) + "\n")
-    elif args.format == "csv":
-        _write(cases_to_csv(report))
-    else:
+    elif args.format == "plain":
         print(f"suite: {report.suite}")
         print(f"grid: {report.grid}")
         print(f"total {report.total}, passed {report.passed}, failed {report.failed}")

@@ -48,17 +48,17 @@ one abs(lhs - rhs) per case that gives the abs_error column and feeds
 averages.within_tolerance_columns; a run with a reason or a raised case is
 compared case by case. run_suite tallies the counts and the worst errors
 from the columns and renders only the failing cases, from their rows of
-each column. With SuiteConfig.keep_cases (the CSV) it also keeps every run
-with its columns, unrendered. _texts gives the params, lhs and rhs text of
-a run's columns or of their rows (the params are the leading value's text,
-rendered once per run, and a str.format template of the trailing values);
-cases_to_csv writes each kept run from those text columns, its abs_error
-and passed columns mapped to text, into one csv.writer, and _render, the
-one builder of an IdentityCase (a NamedTuple made by tuple.__new__), pairs
-them with the passed, abs_error and reason columns. Neither compares, so a
-case reads the same whichever report shows it. VerificationReport.cases
-renders every kept case on its first read and caches them; run_identity
-compares and renders its one case.
+each column. It keeps no run: a caller that wants every case (the CLI's
+CSV, the tests) passes a sink, which run_suite calls with each run and its
+columns as soon as the run is compared. _texts gives the params, lhs and
+rhs text of a run's columns or of their rows (the params are the leading
+value's text, rendered once per run, and a str.format template of the
+trailing values); cases_to_csv writes one run's rows from those text
+columns, its abs_error and passed columns mapped to text, through
+csv.writer, and _render, the one builder of an IdentityCase (a NamedTuple
+made by tuple.__new__), pairs them with the passed, abs_error and reason
+columns. Neither compares, so a case reads the same whichever report shows
+it. run_identity compares and renders its one case.
 
 Before any grid is built, run_suite refuses a grid bound above a
 parameter's cap, and counts the cases of every selected grid from its
@@ -82,7 +82,6 @@ import re
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations_with_replacement, groupby, repeat, starmap, zip_longest
 from itertools import product as iter_product
 from operator import eq, itemgetter, sub
@@ -106,6 +105,7 @@ __all__ = [
     "run_suite",
     "report_to_json",
     "report_body_json",
+    "CSV_HEADER",
     "cases_to_csv",
 ]
 
@@ -152,21 +152,9 @@ class VerificationReport:
     worst_errors: Dict[str, float]
     failures: List[IdentityCase]
     wall_time_seconds: float
-    # (identity, leading value, trailing values, _Columns) of every run, in
-    # sweep order; kept when keep_cases, None otherwise.
-    runs: Optional[List[tuple]] = None
-    # tag -> (cases, seconds) per identity, in sweep order; like the wall
-    # time, it is not part of the body.
+    # tag -> (cases, seconds) per identity, in sweep order, the seconds
+    # counting the sink's; like the wall time, it is not part of the body.
     timings: Dict[str, Tuple[int, float]] = field(default_factory=dict)
-
-    @cached_property
-    def cases(self) -> Optional[List[IdentityCase]]:
-        """Every case in sweep order, rendered from the kept runs on the
-        first read and cached; None without keep_cases."""
-        if self.runs is None:
-            return None
-        return [case for ident, lead, rests, columns in self.runs
-                for case in _render(ident, lead, rests, *columns)]
 
     def body_dict(self) -> dict:
         """Everything except wall time; the determinism contract applies here."""
@@ -191,27 +179,29 @@ def report_to_json(report: VerificationReport) -> str:
     return json.dumps(body, indent=2)
 
 
-def cases_to_csv(report: VerificationReport) -> str:
-    """The CSV of every case of a report swept with keep_cases, written
-    run by run from its columns: the params and sides as _render renders
-    them, abs_error to 17 significant digits ("" where there is none) and
-    passed as true or false."""
+# The CSV's first line, written before the rows of the first run.
+CSV_HEADER = "identity,params,mode,lhs,rhs,abs_error,pass\n"
+
+
+def cases_to_csv(ident: IdentityDef, lead, rests: Sequence[tuple], columns: _Columns) -> str:
+    """The CSV rows of one run as run_suite gives it to its sink, written
+    from its columns through csv.writer: the params and sides as _render
+    renders them, abs_error to 17 significant digits ("" where there is
+    none) and passed as true or false."""
     import csv
     import io
 
+    lhs, rhs, reasons, passed, errors = columns
+    params, lhs, rhs = _texts(ident, lead, rests, lhs, rhs, reasons)
+    if errors is None:
+        errors = repeat("")
+    else:
+        errors = ["" if e is None else _fmt_float(e) for e in errors]
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["identity", "params", "mode", "lhs", "rhs", "abs_error", "pass"])
-    for ident, lead, rests, (lhs, rhs, reasons, passed, errors) in report.runs:
-        params, lhs, rhs = _texts(ident, lead, rests, lhs, rhs, reasons)
-        if errors is None:
-            errors = repeat("")
-        else:
-            errors = ["" if e is None else _fmt_float(e) for e in errors]
-        writer.writerows(zip(
-            repeat(ident.tag), params, repeat(ident.mode), lhs, rhs, errors,
-            ["true" if ok else "false" for ok in passed],
-        ))
+    csv.writer(buf, lineterminator="\n").writerows(zip(
+        repeat(ident.tag), params, repeat(ident.mode), lhs, rhs, errors,
+        ["true" if ok else "false" for ok in passed],
+    ))
     return buf.getvalue()
 
 
@@ -370,15 +360,14 @@ def _validate(ident: IdentityDef, params: tuple) -> None:
 # Cases of all the grids of one sweep, which run_suite counts before it
 # builds any, a case of moduli tuples counted once per modulus it holds:
 # 4x the largest default grid (inverse-dft, 250,000 cases), and above
-# verify --all (604,001). A counted case holds at most about 140 bytes of
-# its grid while it is built (a spelled-out grid is built flat, then
-# grouped into runs; the runs of a product grid share one trailing list,
-# so a case of a run of many takes a few bytes). A case kept for the CSV
-# holds its share of its run's columns: 70-290 bytes in a run of many
-# cases, about 530 in a run of one (a one-parameter identity). So the
-# budget bounds the grids to about 140 MB and the kept runs of a CSV sweep
-# to about 530 MB. verify --all keeps 59 MB of runs for its 430,541 cases,
-# where its rendered cases took 112 MB.
+# verify --all (604,001). A counted case holds at most about 125 bytes of
+# its grid while it is built (cross-evaluator's, built flat, then grouped
+# into runs) and at most about 95 once built (a one-parameter identity,
+# one run per case); the runs of a product grid share one trailing list,
+# so a case of a run of many takes a few bytes. So the budget bounds the
+# grids to about 125 MB. A sweep keeps no run (a CSV is written run by
+# run): only its failing cases, rendered, about 310 bytes each, so up to
+# about 310 MB if every case fails.
 GRID_BUDGET = 1_000_000
 
 
@@ -836,7 +825,6 @@ class SuiteConfig:
     n_max: Optional[int] = None
     tolerance: float = averages.DEFAULT_TOLERANCE
     seed: int = averages.DEFAULT_SEED
-    keep_cases: bool = False
 
 
 def _effective_bounds(ident: IdentityDef, config: SuiteConfig) -> Dict[str, int]:
@@ -853,18 +841,24 @@ def _describe_bounds(tag: str, bounds: Dict[str, int]) -> str:
     return f"{tag}[{inner}]"
 
 
-def run_suite(config: SuiteConfig) -> VerificationReport:
+# Called by run_suite with (identity, leading value, trailing values,
+# _Columns) of each run, as soon as the run is compared.
+_Sink = Callable[[IdentityDef, object, Sequence[tuple], _Columns], object]
+
+
+def run_suite(config: SuiteConfig, sink: Optional[_Sink] = None) -> VerificationReport:
     """Sweep the configured identities over their grids, in the order
     selected and ascending parameter order, and aggregate.
 
     Each grid is walked in the runs _grid builds. Each run is evaluated and
-    compared at once and only its failing cases are rendered; with
-    config.keep_cases every run is also kept, with its columns, for
-    cases_to_csv and VerificationReport.cases. An unknown, empty or
-    repeated selection, or a loosened tolerance, raises ConfigError; a grid
-    bound above a parameter's cap, or grids past GRID_BUDGET, raise
-    ParamError, all before any grid is built. The grids are built from the
-    schema, so their cases are not checked again.
+    compared at once, handed to sink when one is given (the CLI writes its
+    CSV rows there, with cases_to_csv), and only its failing cases are
+    rendered; no run is kept. Whatever sink raises ends the sweep. An
+    unknown, empty or repeated selection, or a loosened tolerance, raises
+    ConfigError; a grid bound above a parameter's cap, or grids past
+    GRID_BUDGET, raise ParamError, all before any grid is built, so sink is
+    never called on a refused sweep. The grids are built from the schema,
+    so their cases are not checked again.
     """
     start = time.perf_counter()
     _check_tolerance(config.tolerance)
@@ -898,21 +892,20 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     total = 0
     failures: List[IdentityCase] = []
     worst: Dict[str, float] = {}
-    kept: Optional[List[tuple]] = [] if config.keep_cases else None
     timings: Dict[str, Tuple[int, float]] = {}
     for ident, runs, _ in plans:
         tag = ident.tag
         identity_start = time.perf_counter()
         for lead, rests in runs:
             columns = _compare(ident, lead, rests, config.tolerance, config.seed)
+            if sink is not None:
+                sink(ident, lead, rests, columns)
             if columns.errors is not None:
                 # A left fold from 0.0, as max() takes its arguments: a NaN
                 # error never replaces the value.
                 errors = [e for e in columns.errors if e is not None]
                 if errors:
                     worst[tag] = max(worst.get(tag, 0.0), *errors)
-            if kept is not None:
-                kept.append((ident, lead, rests, columns))
             if not all(columns.passed):
                 # Only the failing cases are rendered, from their rows of
                 # each column.
@@ -937,6 +930,5 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         worst_errors=worst_ordered,
         failures=failures,
         wall_time_seconds=time.perf_counter() - start,
-        runs=kept,
         timings=timings,
     )

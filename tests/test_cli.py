@@ -367,6 +367,18 @@ class TestVerify:
         assert data["suite"] == "half-sum,faulhaber"
         assert data["total"] == 5 + 50
 
+    @pytest.mark.parametrize("argv", [
+        ("--identity", "prop1", "--r-max", "0"),
+        ("--identity", "prop1", "--k-max", "100000000"),
+        ("--identity", "prop5-cosine", "--k-max", str(averages.COSINE_LIMIT + 1)),
+        ("--identity", "prop2", "--tolerance", "1e-6"),
+    ], ids=["empty-grid", "grid-budget", "cap", "tolerance"])
+    def test_a_refused_csv_sweep_prints_nothing(self, capsys, argv):
+        # The CSV header goes out with the first compared run, so a sweep
+        # refused before it has compared one leaves stdout empty.
+        code, out, err = run_cli(capsys, "verify", *argv, "--format", "csv")
+        assert code == 2 and out == "" and err.startswith("error: ")
+
     def test_threads_flag_matches_serial(self, capsys):
         _, out1, _ = run_cli(
             capsys, "verify", "--identity", "prop2", "--k-max", "40", "--format", "json"
@@ -395,6 +407,20 @@ class _ClosedPipe(io.TextIOBase):
         return self._fd
 
 
+class _ClosingPipe(_ClosedPipe):
+    """A stdout whose reader takes the first write, then goes away."""
+
+    def __init__(self, fd):
+        super().__init__(fd)
+        self.taken = []
+
+    def write(self, text):
+        if self.taken:
+            return super().write(text)
+        self.taken.append(text)
+        return len(text)
+
+
 class TestBrokenPipe:
     def test_exits_141_and_silences_stdout(self, monkeypatch, tmp_path, capsys):
         target = tmp_path / "stdout"
@@ -408,6 +434,30 @@ class TestBrokenPipe:
         assert code == 141
         assert target.read_bytes() == b""
         assert capsys.readouterr().err == ""
+
+    def test_a_closed_pipe_ends_the_sweep(self, monkeypatch, tmp_path, capsys):
+        # Each run's rows are one write: the reader takes the k = 1 run with
+        # the header, the write of the k = 2 run fails, and no later run is
+        # evaluated.
+        evaluated, real = [], verify.ramanujan_sum_batch
+        monkeypatch.setattr(
+            verify, "ramanujan_sum_batch", lambda k, js: evaluated.append(k) or real(k, js)
+        )
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            stdout = _ClosingPipe(fd)
+            monkeypatch.setattr(sys, "stdout", stdout)
+            code = main(["verify", "--identity", "cross-evaluator", "--k-max", "50",
+                         "--format", "csv"])
+        finally:
+            os.close(fd)
+        assert code == 141 and capsys.readouterr().err == ""
+        assert stdout.taken == [
+            "identity,params,mode,lhs,rhs,abs_error,pass\n"
+            'cross-evaluator,"k=1,j=0",exact,1,1,,true\n'
+            'cross-evaluator,"k=1,j=1",exact,1,1,,true\n'
+        ]
+        assert evaluated == [1, 2]
 
     @staticmethod
     def _spawn(unbuffered, *argv):
@@ -434,8 +484,8 @@ class TestBrokenPipe:
     @pytest.mark.parametrize("unbuffered", ["", "1"])
     def test_reader_closing_mid_report(self, unbuffered):
         # The CSV (about 330 kB) outgrows the pipe, so the writer is still
-        # inside its one write when the reader leaves after the header.
-        # Unbuffered, that write returns short with no error; the rest of
+        # inside a write when the reader leaves after the header.
+        # Unbuffered, that write may return short with no error; the rest of
         # the report must still be attempted, so the exit status is 141.
         proc = self._spawn(unbuffered, "--identity", "cross-evaluator", "--k-max", "120",
                            "--format", "csv")

@@ -4,7 +4,6 @@ cases report one at a time through run_identity, and a failure inside a
 run must stay with the cases that cause it.
 """
 
-import dataclasses
 import math
 
 import pytest
@@ -14,7 +13,7 @@ import ramavg.multivar as multivar
 import ramavg.verify as verify
 from ramavg.ramanujan import ramanujan_sum, ramanujan_sum_holder
 from ramavg.verify import IDENTITY_TAGS, ParamError, SuiteConfig, run_identity, run_suite
-from test_verify import SCHEMA_EDGES, csv_by_attributes, flat
+from test_verify import SCHEMA_EDGES, Swept, csv_by_attributes, flat, sweep
 
 MULTIVAR_TAGS = {"prop7", "prop7-corollary", "e-integrality", "e-multiplicativity"}
 
@@ -24,7 +23,7 @@ def small_config(tag, *more, **override):
         bounds = dict(k_max=8, n_max=3, r_max=4)
     else:
         bounds = dict(k_max=12, n_max=12, r_max=4, m_max=4)
-    return SuiteConfig(identities=[tag, *more], keep_cases=True, **{**bounds, **override})
+    return SuiteConfig(identities=[tag, *more], **{**bounds, **override})
 
 
 def runs_of(config, tag=None):
@@ -47,7 +46,7 @@ def test_a_run_equals_its_batches_of_one(tags, clear_run_caches):
     config = small_config(*tags, r_max=5) if len(tags) > 1 else small_config(*tags)
     grid = [(tag, params) for tag in tags for params in grid_of(config, tag)]
     clear_run_caches()
-    batched = run_suite(config).cases
+    batched = sweep(config).cases
     clear_run_caches()
     singles = [run_identity(tag, params) for tag, params in grid]
     assert len(batched) == len(singles) == len(grid)
@@ -58,8 +57,8 @@ def test_a_run_equals_its_batches_of_one(tags, clear_run_caches):
 
 def test_runs_of_one_leading_value_each():
     # prop1 over k <= 3, r <= 2: three runs of two cases, one per k.
-    report = run_suite(SuiteConfig(identities=["prop1"], k_max=3, r_max=2, keep_cases=True))
-    assert [c.params for c in report.cases] == [
+    cases = sweep(SuiteConfig(identities=["prop1"], k_max=3, r_max=2)).cases
+    assert [c.params for c in cases] == [
         "k=1,r=1", "k=1,r=2", "k=2,r=1", "k=2,r=2", "k=3,r=1", "k=3,r=2",
     ]
 
@@ -92,24 +91,22 @@ def test_timings_hold_each_identity_once_in_catalog_order():
 
 
 def assert_reports_agree(config):
-    """The report of `config`, which keeps every case, and that of the same
-    sweep without keep_cases, which renders only the failing cases, have the
-    same body, and their failures are the kept report's failing cases in
-    order. Returns the kept report."""
-    kept = run_suite(config)
-    assert config.keep_cases and kept.cases is not None
-    bare = run_suite(dataclasses.replace(config, keep_cases=False))
-    assert bare.cases is None
-    assert bare.body_dict() == kept.body_dict()
-    assert bare.failures == kept.failures == [c for c in kept.cases if not c.passed]
-    return kept
+    """The sweep of `config` with a sink that collects every run, and the
+    same sweep without a sink, which renders only the failing cases, have
+    the same body, and their failures are the collected failing cases in
+    order. Returns the sweep with the sink."""
+    swept = sweep(config)
+    bare = run_suite(config)
+    assert bare.body_dict() == swept.report.body_dict()
+    assert bare.failures == swept.report.failures == [c for c in swept.cases if not c.passed]
+    return swept
 
 
 def assert_only_these_fail(config, failing, raised=True):
     """Exactly the cases in `failing` fail, each as its batch of one does,
     with an error when `raised` and without one otherwise; every other case
     of the grid, its run neighbours included, passes. The sweep reports
-    alike whether it keeps every case or renders only the failing ones."""
+    alike whether a sink collects every case or not."""
     cases = assert_reports_agree(config).cases
     grid = grid_of(config)
     assert len(cases) == len(grid)
@@ -151,7 +148,7 @@ def test_budget_refusal_fails_only_its_tuple(monkeypatch):
         return real(t)
 
     monkeypatch.setattr(multivar, "_product_row", refusing)
-    config = SuiteConfig(identities=["prop7"], k_max=4, n_max=2, r_max=4, keep_cases=True)
+    config = SuiteConfig(identities=["prop7"], k_max=4, n_max=2, r_max=4)
     assert_only_these_fail(config, {((2, 3), r) for r in range(1, 5)})
 
 
@@ -199,24 +196,23 @@ def test_wrong_float_oracle_fails_only_its_case(monkeypatch):
     assert run_identity("cross-evaluator", (6, 4)).error == (
         "float oracle -0.5 disagrees with the exact value -1"
     )
-    assert_csv_is_the_attribute_rendering(run_suite(config))
+    assert_csv_is_the_attribute_rendering(sweep(config))
 
 
 # --- the CSV is written from each run's columns -----------------------------
 
 
-def assert_csv_is_the_attribute_rendering(report):
-    """cases_to_csv, which writes each kept run from its columns, gives the
+def assert_csv_is_the_attribute_rendering(swept):
+    """cases_to_csv, which writes each run from its columns, gives the
     bytes of the CSV written field by field from the rendered cases."""
-    cases = report.cases
-    assert len(cases) == report.total > 0
-    assert verify.cases_to_csv(report) == csv_by_attributes(cases)
+    assert len(swept.cases) == swept.report.total > 0
+    assert swept.csv == csv_by_attributes(swept.cases)
 
 
 @pytest.mark.parametrize("tolerance", [averages.DEFAULT_TOLERANCE, 1e-16])
 @pytest.mark.parametrize("tag", IDENTITY_TAGS)
 def test_the_csv_of_each_small_grid_is_the_attribute_rendering(tag, tolerance):
-    assert_csv_is_the_attribute_rendering(run_suite(small_config(tag, tolerance=tolerance)))
+    assert_csv_is_the_attribute_rendering(sweep(small_config(tag, tolerance=tolerance)))
 
 
 def test_the_csv_of_a_refused_case_has_empty_sides(monkeypatch):
@@ -230,10 +226,10 @@ def test_the_csv_of_a_refused_case_has_empty_sides(monkeypatch):
     monkeypatch.setattr(averages, "inverse_dft_batch", refusing)
     config = small_config("inverse-dft")
     assert_only_these_fail(config, {(6, 3)})
-    report = run_suite(config)
-    [refused] = report.failures
+    swept = sweep(config)
+    [refused] = swept.report.failures
     assert (refused.lhs, refused.rhs, refused.abs_error) == ("", "", None)
-    assert_csv_is_the_attribute_rendering(report)
+    assert_csv_is_the_attribute_rendering(swept)
 
 
 # --- bool is not an integer -------------------------------------------------
@@ -276,12 +272,12 @@ def test_bool_rendering_example_is_refused():
 
 def test_tuple_values_render_joined_in_any_position():
     assert run_identity("e-multiplicativity", ((2, 3), (5, 7))).params == "a=2|3,b=5|7"
-    config = SuiteConfig(identities=["e-multiplicativity"], k_max=8, n_max=3, keep_cases=True)
+    config = SuiteConfig(identities=["e-multiplicativity"], k_max=8, n_max=3)
 
     def joined(t):
         return "|".join(map(str, t))
 
-    assert [c.params for c in run_suite(config).cases] == [
+    assert [c.params for c in sweep(config).cases] == [
         f"a={joined(a)},b={joined(b)}" for a, b in grid_of(config)
     ]
 
@@ -292,7 +288,7 @@ TUPLE_TAGS = ["prop7", "prop7-corollary", "e-integrality"]
 
 
 def tuple_config(tags, **bounds):
-    return SuiteConfig(identities=tags, keep_cases=True, **{"k_max": 8, "n_max": 3, **bounds})
+    return SuiteConfig(identities=tags, **{"k_max": 8, "n_max": 3, **bounds})
 
 
 def test_one_product_row_and_one_lattice_per_tuple(monkeypatch):
@@ -333,7 +329,7 @@ def test_one_modulus_tuple_per_e_integrality_case(monkeypatch):
 def test_a_growing_power_table_gives_the_cases_of_fresh_singles(clear_run_caches):
     # e-integrality fills each table to r = 0; prop7 rebuilds it to r = 5.
     config = tuple_config(["e-integrality", "prop7"], r_max=5)
-    swept = [c.as_dict() for c in run_suite(config).cases]
+    swept = [c.as_dict() for c in sweep(config).cases]
     assert len(multivar._power_sum_table((2, 3))) == 6
     singles = []
     for tag in config.identities:
@@ -353,7 +349,7 @@ def test_a_refused_row_fails_its_tuple_everywhere_and_stores_nothing(monkeypatch
 
     monkeypatch.setattr(multivar, "_product_row", refusing)
     config = tuple_config(TUPLE_TAGS, k_max=4, n_max=2, r_max=4)
-    cases = run_suite(config).cases
+    cases = sweep(config).cases
     failed = {(c.identity, c.params) for c in cases if not c.passed}
     assert failed == {
         *(("prop7", f"ks=2|3,r={r}") for r in range(1, 5)),
@@ -398,7 +394,7 @@ def test_a_refused_one_modulus_row_fails_only_its_k(monkeypatch):
 
     monkeypatch.setattr(multivar, "_product_row", refusing)
     config = small_config("prop1", "prop6")
-    cases = run_suite(config).cases
+    cases = sweep(config).cases
     failed = {(c.identity, c.params) for c in cases if not c.passed}
     assert failed == {
         *(("prop1", f"k=6,r={r}") for r in range(1, 5)),
@@ -456,10 +452,8 @@ def test_mixed_runs_in_each_mode(monkeypatch):
         return out
 
     monkeypatch.setattr(averages, "inverse_dft_batch", dft)
-    config = SuiteConfig(
-        identities=["cross-evaluator", "inverse-dft"], k_max=7, n_max=5, keep_cases=True
-    )
-    report = run_suite(config)
+    config = SuiteConfig(identities=["cross-evaluator", "inverse-dft"], k_max=7, n_max=5)
+    report, cases, text = sweep(config)
 
     def exact(k, j, **fields):
         a = real_divisor(k, j)
@@ -504,8 +498,8 @@ def test_mixed_runs_in_each_mode(monkeypatch):
     }
     grid = [("cross-evaluator", f"k={k},j={j}") for k in range(1, 8) for j in range(k + 1)]
     grid += [("inverse-dft", f"k={k},n={n}") for k in range(1, 8) for n in range(1, 6)]
-    assert [(c.identity, c.params) for c in report.cases] == grid
-    for case in report.cases:
+    assert [(c.identity, c.params) for c in cases] == grid
+    for case in cases:
         assert type(case) is verify.IdentityCase
         got = case._asdict()
         want = expected.get((case.identity, case.params))
@@ -519,13 +513,13 @@ def test_mixed_runs_in_each_mode(monkeypatch):
 
     failing = [key for key in grid if key in expected]
     assert [(c.identity, c.params) for c in report.failures] == failing
-    assert report.failures == [c for c in report.cases if not c.passed]
+    assert report.failures == [c for c in cases if not c.passed]
     assert (report.total, report.passed, report.failed) == (len(grid), len(grid) - 8, 8)
 
     # worst_errors is the left fold of max from 0.0 over each case in order,
     # so the NaN of k=6, n=1 never enters it; exact tags have no entry.
     fold = 0.0
-    for case in report.cases:
+    for case in cases:
         if case.abs_error is not None:
             fold = max(fold, case.abs_error)
     assert report.worst_errors == {"inverse-dft": fold}
@@ -537,17 +531,16 @@ def test_mixed_runs_in_each_mode(monkeypatch):
     for identity, params in expected:
         k, v = (int(part.split("=")[1]) for part in params.split(","))
         alone = run_identity(identity, (k, v))
-        swept = next(c for c in report.cases if (c.identity, c.params) == (identity, params))
+        swept = next(c for c in cases if (c.identity, c.params) == (identity, params))
         assert alone.lhs == swept.lhs and alone.error == swept.error and not alone.passed
 
-    # Without keep_cases the same sweep renders only its failing cases, the
+    # Without a sink the same sweep renders only its failing cases, the
     # raised ones and the NaN lhs among them, and reports alike. Two NaNs
     # are never ==, so the cases are compared by repr and the body as JSON.
-    bare = run_suite(dataclasses.replace(config, keep_cases=False))
-    assert bare.cases is None
+    bare = run_suite(config)
     assert list(map(repr, bare.failures)) == list(map(repr, report.failures))
     assert verify.report_body_json(bare) == verify.report_body_json(report)
-    assert verify.cases_to_csv(report) == csv_by_attributes(report.cases)
+    assert text == csv_by_attributes(cases)
 
 
 # --- a report renders only the cases it keeps -------------------------------
@@ -573,10 +566,12 @@ def test_a_passing_sweep_that_keeps_no_case_renders_nothing(monkeypatch):
     assert "inverse-dft" in report.worst_errors
     assert calls == {"rational": 0, "float": 0}
 
-    # The same sweep keeping every case renders nothing either, until its
-    # cases are read; then both sides of each.
-    kept = run_suite(dataclasses.replace(config, keep_cases=True))
+    # The same sweep with a sink that collects every run renders nothing
+    # either, until its runs are rendered: then both sides of each case for
+    # the cases, and both sides and each abs_error for the CSV.
+    runs = []
+    kept = run_suite(config, lambda *run: runs.append(run))
     assert calls == {"rational": 0, "float": 0}
-    exact = sum(c.mode == "exact" for c in kept.cases)
-    assert calls == {"rational": 2 * exact, "float": 2 * (kept.total - exact)}
+    exact = sum(c.mode == "exact" for c in Swept.of(kept, runs).cases)
+    assert calls == {"rational": 4 * exact, "float": 5 * (kept.total - exact)}
     assert kept.body_dict() == report.body_dict()

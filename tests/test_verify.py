@@ -1,11 +1,11 @@
 import csv
-import dataclasses
 import inspect
 import io
 import json
 import math
 from fractions import Fraction
 from itertools import product as iter_product
+from typing import List, NamedTuple
 
 import pytest
 
@@ -509,12 +509,10 @@ class TestGridsPassTheSchema:
 class TestVerdicts:
     @pytest.mark.parametrize("tolerance", [1e-8, 1e-16])
     def test_each_verdict_is_the_mode_criterion_on_the_rendered_sides(self, tolerance):
-        config = SuiteConfig(
-            k_max=12, n_max=3, r_max=3, m_max=3, tolerance=tolerance, keep_cases=True
-        )
-        report = run_suite(config)
-        assert {c.identity for c in report.cases} == set(IDENTITY_TAGS)
-        for case in report.cases:
+        config = SuiteConfig(k_max=12, n_max=3, r_max=3, m_max=3, tolerance=tolerance)
+        report, cases, _ = sweep(config)
+        assert {c.identity for c in cases} == set(IDENTITY_TAGS)
+        for case in cases:
             if case.error is not None:
                 expected = False
             elif case.mode == "exact":
@@ -648,10 +646,7 @@ class TestSerialization:
         assert json.dumps(json.loads(text), indent=2) == text
 
     def test_csv_cases(self):
-        report = run_suite(
-            SuiteConfig(identities=["prop1"], k_max=4, r_max=2, keep_cases=True)
-        )
-        text = cases_to_csv(report)
+        text = sweep(SuiteConfig(identities=["prop1"], k_max=4, r_max=2)).csv
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0] == ["identity", "params", "mode", "lhs", "rhs", "abs_error", "pass"]
         assert len(rows) == 1 + 8
@@ -668,10 +663,7 @@ class TestSerialization:
         assert len(str(big)) == 300
 
     def test_csv_round_trip(self):
-        report = run_suite(
-            SuiteConfig(identities=["prop2"], k_max=6, keep_cases=True)
-        )
-        text = cases_to_csv(report)
+        text = sweep(SuiteConfig(identities=["prop2"], k_max=6)).csv
         rows = list(csv.reader(io.StringIO(text)))
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(rows)
@@ -769,6 +761,28 @@ class TestColumnValidation:
                 assert str(raised.value) == error, value
 
 
+class Swept(NamedTuple):
+    """A sweep's report and every case it compared, in sweep order."""
+
+    report: VerificationReport
+    cases: List[IdentityCase]  # each run rendered by _render
+    csv: str  # the CLI's CSV: the header, then cases_to_csv of each run
+
+    @classmethod
+    def of(cls, report, runs):
+        cases = [case for ident, lead, rests, columns in runs
+                 for case in verify._render(ident, lead, rests, *columns)]
+        return cls(report, cases, verify.CSV_HEADER + "".join(cases_to_csv(*r) for r in runs))
+
+
+def sweep(config):
+    """run_suite(config), with a sink that collects each run as it is
+    compared."""
+    runs = []
+    report = run_suite(config, lambda *run: runs.append(run))
+    return Swept.of(report, runs)
+
+
 def csv_by_attributes(cases):
     """cases_to_csv as it was written for the dataclass record."""
     buf = io.StringIO()
@@ -815,12 +829,12 @@ class TestIdentityCase:
         ]
 
     def test_csv_equals_the_attribute_rendering(self):
-        # Runs of each shape a sweep keeps: exact ints and Fractions, float
-        # sides with their abs_error, a raised case in each mode (empty
-        # sides, no abs_error), failed cases, params holding tuples and
-        # commas, and sides holding a quote and a comma, which the CSV
-        # escapes and quotes as csv.writer does (_fmt_rational is str, so a
-        # str side renders unchanged).
+        # Runs of each shape a sweep gives its sink: exact ints and
+        # Fractions, float sides with their abs_error, a raised case in each
+        # mode (empty sides, no abs_error), failed cases, params holding
+        # tuples and commas, and sides holding a quote and a comma, which the
+        # CSV escapes and quotes as csv.writer does (_fmt_rational is str, so
+        # a str side renders unchanged).
         columns, lookup = verify._Columns, verify._lookup
         runs = [
             (lookup("prop1"), 2, [(1,), (2,)],
@@ -838,13 +852,12 @@ class TestIdentityCase:
             (lookup("gamma-product"), 3, [()], columns([1.0], [1.0], None, [True], [0.0])),
             (lookup("prop7"), (1, 2), [(1,)], columns(['"q"'], ["1,2"], None, [False], None)),
         ]
-        report = VerificationReport("suite", "grid", 0, 0, 0, {}, [], 0.0, runs=runs)
-        assert len(report.cases) == 9
-        assert report.cases[-1][3:5] == ('"q"', "1,2")
-        assert '"ks=1|2,r=1",exact,"""q""","1,2",,false\n' in cases_to_csv(report)
-        assert cases_to_csv(report) == csv_by_attributes(report.cases)
-        empty = dataclasses.replace(report, runs=[])
-        assert cases_to_csv(empty) == csv_by_attributes(empty.cases) == csv_by_attributes([])
+        _, cases, text = Swept.of(None, runs)
+        assert len(cases) == 9
+        assert cases[-1][3:5] == ('"q"', "1,2")
+        assert cases_to_csv(*runs[-1]) == 'prop7,"ks=1|2,r=1",exact,"""q""","1,2",,false\n'
+        assert text == csv_by_attributes(cases)
+        assert Swept.of(None, []).csv == verify.CSV_HEADER == csv_by_attributes([])
 
 
 class TestDefaultBounds:
