@@ -50,15 +50,19 @@ compared case by case. run_suite tallies the counts and the worst errors
 from the columns and renders only the failing cases, from their rows of
 each column. It keeps no run: a caller that wants every case (the CLI's
 CSV, the tests) passes a sink, which run_suite calls with each run and its
-columns as soon as the run is compared. _texts gives the params, lhs and
-rhs text of a run's columns or of their rows (the params are the leading
-value's text, rendered once per run, and a str.format template of the
-trailing values); cases_to_csv writes one run's rows from those text
-columns, its abs_error and passed columns mapped to text, through
-csv.writer, and _render, the one builder of an IdentityCase (a NamedTuple
-made by tuple.__new__), pairs them with the passed, abs_error and reason
-columns. Neither compares, so a case reads the same whichever report shows
-it. run_identity compares and renders its one case.
+columns as soon as the run is compared. The params text of a case is its
+run's prefix, the leading value's text rendered once per run, and its
+trailing text, a str.format template of its trailing values, rendered once
+per product grid on the trailing list its runs share (_Trailing) and once
+per run otherwise; _side_texts gives the lhs and rhs text of a run's
+columns or of their rows. cases_to_csv writes one run's rows from those
+text columns, its abs_error and passed columns mapped to text, each row
+the ",".join of its fields, quoting a field as csv.writer would: a column
+is scanned once, joined, and only a column that holds a special character
+has its fields quoted. _render, the one builder of an IdentityCase (a
+NamedTuple made by tuple.__new__), pairs the same texts with the passed,
+abs_error and reason columns. Neither compares, so a case reads the same
+whichever report shows it. run_identity compares and renders its one case.
 
 Before any grid is built, run_suite refuses a grid bound above a
 parameter's cap, and counts the cases of every selected grid from its
@@ -82,9 +86,9 @@ import re
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement, groupby, repeat, starmap, zip_longest
+from itertools import chain, combinations_with_replacement, groupby, repeat, starmap, zip_longest
 from itertools import product as iter_product
-from operator import eq, itemgetter, sub
+from operator import add, eq, itemgetter, sub
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import averages, exact, multivar
@@ -184,25 +188,59 @@ CSV_HEADER = "identity,params,mode,lhs,rhs,abs_error,pass\n"
 
 
 def cases_to_csv(ident: IdentityDef, lead, rests: Sequence[tuple], columns: _Columns) -> str:
-    """The CSV rows of one run as run_suite gives it to its sink, written
-    from its columns through csv.writer: the params and sides as _render
-    renders them, abs_error to 17 significant digits ("" where there is
-    none) and passed as true or false."""
-    import csv
-    import io
-
+    """The CSV rows of one run as run_suite gives it to its sink, one
+    ",".join of its fields row after row, from text columns: the params
+    and sides as _render renders them, abs_error to 17 significant digits
+    ("" where there is none) and passed as true or false. A field is
+    quoted as csv.writer quotes it (see _csv_field): a params field with
+    trailing values always, since the trailing template starts with a
+    comma, a one-parameter field by its own text, and a lhs, rhs or
+    abs_error field only in a column whose joined text holds a special
+    character, which one scan of that text finds."""
     lhs, rhs, reasons, passed, errors = columns
-    params, lhs, rhs = _texts(ident, lead, rests, lhs, rhs, reasons)
+    prefix = _prefix(ident, lead)
+    if ident.trailing:
+        params = map(('"' + prefix.replace('"', '""')).__add__, _trailing_text(ident, rests)[1])
+    else:
+        params = repeat(_csv_field(prefix), len(rests))
+    lhs, rhs = map(_csv_column, _side_texts(ident, lhs, rhs, reasons))
     if errors is None:
         errors = repeat("")
+    elif reasons is None:  # every case has an abs_error
+        errors = _csv_column(map(_fmt_float, errors))
     else:
-        errors = ["" if e is None else _fmt_float(e) for e in errors]
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(zip(
-        repeat(ident.tag), params, repeat(ident.mode), lhs, rhs, errors,
-        ["true" if ok else "false" for ok in passed],
-    ))
-    return buf.getvalue()
+        errors = _csv_column(["" if e is None else _fmt_float(e) for e in errors])
+    # One ",".join over the run's fields, row after row, builds no string
+    # per row: a pass field carries its row's newline and the identity
+    # field of the next row, so every separator of the join is a comma.
+    tag = _csv_field(ident.tag)
+    true, false = "true\n" + tag, "false\n" + tag
+    flags = [true if ok else false for ok in passed]
+    flags[-1] = "true\n" if passed[-1] else "false\n"
+    return ",".join(chain((tag,), chain.from_iterable(zip(
+        params, repeat(_csv_field(ident.mode)), lhs, rhs, errors, flags,
+    ))))
+
+
+def _needs_quotes(text: str) -> bool:
+    """Whether csv.writer, QUOTE_MINIMAL with lineterminator="\\n", quotes
+    a field holding text: on Python 3.11 a field holding the delimiter, the
+    quote character or a character of the line terminator (not "\\r")."""
+    return "," in text or '"' in text or "\n" in text
+
+
+def _csv_field(text: str) -> str:
+    """The field as csv.writer writes it: quoted, each '"' doubled, when it
+    needs quotes, and as it is otherwise."""
+    return '"' + text.replace('"', '""') + '"' if _needs_quotes(text) else text
+
+
+def _csv_column(texts) -> List[str]:
+    """A column of fields as csv.writer writes them. One scan of the
+    column's joined text decides: only a column that holds a special
+    character has each of its fields checked and quoted."""
+    texts = list(texts)
+    return list(map(_csv_field, texts)) if _needs_quotes("".join(texts)) else texts
 
 
 # --- outcome helpers --------------------------------------------------------
@@ -371,6 +409,15 @@ def _validate(ident: IdentityDef, params: tuple) -> None:
 GRID_BUDGET = 1_000_000
 
 
+class _Trailing(list):
+    """The trailing values of a product grid's cases: the one list that all
+    runs of the grid share, never changed once built. It keeps the
+    trailing text _trailing_text renders from it, so that text is
+    rendered once per grid, not once per run."""
+
+    __slots__ = ("text",)
+
+
 def _grid(ident: IdentityDef, bounds: Dict[str, int], seed: int) -> List[tuple]:
     """The grid as runs (leading value, trailing values of each case), in
     ascending order. A product grid builds its trailing product once and
@@ -381,7 +428,7 @@ def _grid(ident: IdentityDef, bounds: Dict[str, int], seed: int) -> List[tuple]:
             (lead, [params[1:] for params in group])
             for lead, group in groupby(ident.grid(bounds, seed), key=itemgetter(0))
         ]
-    rests = list(iter_product(*(p.values(bounds) for p in ident.params[1:])))
+    rests = _Trailing(iter_product(*(p.values(bounds) for p in ident.params[1:])))
     return [(lead, rests) for lead in ident.params[0].values(bounds)] if rests else []
 
 
@@ -757,31 +804,50 @@ def _compare(
     return _Columns(lhs, rhs, reasons, passed, errors)
 
 
-def _texts(ident: IdentityDef, lead, rests: Sequence[tuple], lhs, rhs, reasons):
-    """The params, lhs and rhs text of each case of one run's columns, or
-    of the same rows of each. The params are the leading value's text,
-    rendered once, and a str.format template of the trailing values; the
-    sides of a case that raised render as ""."""
-    prefix = f"{ident.param_names[0]}={_fmt_value(lead)}"
+def _prefix(ident: IdentityDef, lead) -> str:
+    """The params text of a run's leading value, rendered once per run."""
+    return f"{ident.param_names[0]}={_fmt_value(lead)}"
+
+
+def _trailing_text(ident: IdentityDef, rests: Sequence[tuple]):
+    """(text, closes) of each case of a run: ident.trailing.format of its
+    trailing values, and the same text as it closes a quoted CSV field,
+    each '"' doubled and a '"' appended. Both are rendered once per
+    _Trailing list and template, and kept on the list; for any other list
+    they are rendered on each call, and closes is an iterator."""
+    kept = getattr(rests, "text", None)
+    if kept is not None and kept[0] == ident.trailing:
+        return kept[1:]
+    values = rests
     if tuple in map(type, rests[0]):  # a trailing parameter is all tuples or none
-        rests = [tuple(map(_fmt_value, rest)) for rest in rests]
-    params = map(prefix.__add__, starmap(ident.trailing.format, rests))
+        values = [tuple(map(_fmt_value, rest)) for rest in rests]
+    text = list(starmap(ident.trailing.format, values))
+    closes = map(add, map(str.replace, text, repeat('"'), repeat('""')), repeat('"'))
+    if isinstance(rests, _Trailing):
+        closes = list(closes)
+        rests.text = (ident.trailing, text, closes)
+    return text, closes
+
+
+def _side_texts(ident: IdentityDef, lhs, rhs, reasons):
+    """The lhs and rhs text of each case of one run's columns, or of the
+    same rows of each; the sides of a case that raised render as ""."""
     fmt = _fmt_rational if ident.mode == "exact" else _fmt_float
     if reasons is None:
-        return params, map(fmt, lhs), map(fmt, rhs)
-    lhs = ["" if v is None else fmt(v) for v in lhs]
-    rhs = ["" if v is None else fmt(v) for v in rhs]
-    return params, lhs, rhs
+        return map(fmt, lhs), map(fmt, rhs)
+    return ["" if v is None else fmt(v) for v in lhs], ["" if v is None else fmt(v) for v in rhs]
 
 
 def _render(
     ident: IdentityDef, lead, rests: Sequence[tuple], lhs, rhs, reasons, passed, errors
 ) -> List[IdentityCase]:
     """The IdentityCases of one run's columns as _compare gave them, or of
-    the same rows of each, with the text of _texts. Each case takes its
+    the same rows of each: the params from the run's _prefix and
+    _trailing_text, the sides from _side_texts. Each case takes its
     passed flag and abs_error from the columns, so rendering never
     compares."""
-    params, lhs, rhs = _texts(ident, lead, rests, lhs, rhs, reasons)
+    params = map(_prefix(ident, lead).__add__, _trailing_text(ident, rests)[0])
+    lhs, rhs = _side_texts(ident, lhs, rhs, reasons)
     return list(map(_new_case, repeat(IdentityCase), zip(
         repeat(ident.tag), params, repeat(ident.mode), lhs, rhs, passed,
         repeat(None) if errors is None else errors, repeat(None) if reasons is None else reasons,

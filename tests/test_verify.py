@@ -860,6 +860,115 @@ class TestIdentityCase:
         assert Swept.of(None, []).csv == verify.CSV_HEADER == csv_by_attributes([])
 
 
+def writer_row(fields):
+    """One row as csv.writer writes it: the oracle of cases_to_csv's quoting."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()
+
+
+def rows_by_attributes(cases):
+    """csv_by_attributes without its header: the rows of cases_to_csv."""
+    return csv_by_attributes(cases)[len(verify.CSV_HEADER):]
+
+
+# No catalog identity has a value that needs quoting: a trailing choice and
+# a one-parameter choice holding a comma and a quote.
+_QUOTED_CHOICE = verify.IdentityDef(
+    "quoted-choice", "exact", (Param("k"), Param("f", "choice", choices=('a,b', 'say "q"'))),
+    None, {},
+)
+_QUOTED_LEAD = verify.IdentityDef(
+    "quoted-lead", "exact", (Param("f", "choice", choices=('a,"b"', "c\rd")),), None, {},
+)
+
+
+class TestCsvQuoting:
+    """cases_to_csv quotes each field as csv.writer does on the running
+    Python, so a csv module that quotes differently fails here rather than
+    changing the report's bytes."""
+
+    # Every ASCII character alone, and texts holding several special
+    # characters, "\r" and the empty field.
+    TEXTS = [*map(chr, range(128)), "", "1,2", '"q"', 'a"b"c', "x\ny", "x\ry", "\r\n",
+             'k=1,"r"=2', "ks=1|2,r=1", "-1/3", " a ", "nan"]
+
+    def test_each_field_is_quoted_as_csv_writer_quotes_it(self):
+        for text in self.TEXTS:
+            field = verify._csv_field(text)
+            assert field + ",x\n" == writer_row([text, "x"]), repr(text)
+            assert "x," + field + "\n" == writer_row(["x", text]), repr(text)
+            column = ["1/2", text, "", "plain"]
+            assert ",".join(verify._csv_column(column)) + "\n" == writer_row(column), repr(text)
+
+    def test_runs_with_special_fields_are_written_as_csv_writer_writes_them(self):
+        columns, lookup = verify._Columns, verify._lookup
+        specials = ["a,b", 'say "q"', "two\nlines", "cr\rhere", "", "plain"]
+        n = len(specials)
+        runs = [
+            # Exact str sides (_fmt_rational is str), each special text in
+            # each side column, the empty field among them.
+            (lookup("prop1"), 3, [(r,) for r in range(1, n + 1)],
+             columns(specials, specials[::-1], None, [True] * n, None)),
+            # A column that holds no special character next to one that does.
+            (lookup("prop1"), 4, [(1,), (2,)],
+             columns(["1", "2"], ["x\ry", "3"], None, [True, False], None)),
+            # Tuple params: a leading tuple, and a trailing one.
+            (lookup("prop7"), (1, 2), [(1,), (2,)],
+             columns(['"q"', "5"], ["1,2", "5"], None, [False, True], None)),
+            (lookup("e-multiplicativity"), (2, 3), [((5, 7),)],
+             columns(["a\nb"], ["1"], None, [False], None)),
+            # A one-parameter identity, whose params are not quoted, and raised
+            # cases (empty sides) in each mode.
+            (lookup("prop2"), 5, [()], columns([0.1], [0.2], None, [False], [0.1])),
+            (lookup("e-integrality"), (720720, 720720), [()],
+             columns([None], [None], ["budget: refused"], [False], None)),
+            (lookup("inverse-dft"), 7, [(1,), (2,)],
+             columns([2.5, None], [3.0, None], [None, "raised"], [False, False], [0.5, None])),
+            # Params that need quoting: a trailing choice, and a leading one.
+            (_QUOTED_CHOICE, 2, [("a,b",), ('say "q"',)],
+             columns(["1", "2"], ["1", "2"], None, [True, True], None)),
+            (_QUOTED_LEAD, 'a,"b"', [()], columns(["1"], ["1"], None, [True], None)),
+            (_QUOTED_LEAD, "c\rd", [()], columns(["1"], ["1"], None, [True], None)),
+        ]
+        for ident, lead, rests, cols in runs:
+            cases = verify._render(ident, lead, rests, *cols)
+            assert cases_to_csv(ident, lead, rests, cols) == rows_by_attributes(cases), ident.tag
+        assert cases_to_csv(*runs[4]) == (
+            "prop2,k=5,tolerance,0.10000000000000001,0.20000000000000001,0.10000000000000001,false\n"
+        )
+        assert cases_to_csv(*runs[7]) == (
+            'quoted-choice,"k=2,f=a,b",exact,1,1,,true\n'
+            'quoted-choice,"k=2,f=say ""q""",exact,2,2,,true\n'
+        )
+
+    def test_the_trailing_text_of_a_shared_list_never_goes_stale(self):
+        # A product grid's runs share one trailing list, which keeps its
+        # trailing text. prop1 runs over two such lists interleaved (A, B,
+        # A), and prop7, whose template is prop1's, over a list of B's
+        # length holding other values and over A. Each run is written as
+        # from a plain copy of its list, which keeps no text.
+        prop1, prop7 = verify._lookup("prop1"), verify._lookup("prop7")
+        assert prop1.trailing == prop7.trailing == ",r={}"
+        ((_, a),) = verify._grid(prop1, {"k_max": 1, "r_max": 2}, 0)
+        ((_, b),) = verify._grid(prop1, {"k_max": 1, "r_max": 3}, 0)
+        c = verify._Trailing([(4,), (5,), (6,)])
+        assert type(a) is type(b) is verify._Trailing and len(b) == len(c)
+        calls = [(prop1, 2, a), (prop1, 3, b), (prop1, 2, a), (prop7, (1, 2), c),
+                 (prop1, 3, b), (prop7, (1, 2), a), (prop1, 2, c)]
+        kept = {}
+        for ident, lead, rests in calls:
+            cols = verify._compare(ident, lead, rests, averages.DEFAULT_TOLERANCE, 0)
+            fresh = verify._render(ident, lead, list(rests), *cols)
+            prefix = f"{ident.param_names[0]}={verify._fmt_value(lead)}"
+            assert [case.params for case in fresh] == [f"{prefix},r={r}" for (r,) in rests]
+            assert cases_to_csv(ident, lead, rests, cols) == rows_by_attributes(fresh)
+            assert verify._render(ident, lead, rests, *cols) == fresh
+            kept.setdefault(id(rests), rests.text)
+        # Each list rendered its text once, on its first run.
+        assert [kept[id(rests)] is rests.text for rests in (a, b, c)] == [True] * 3
+
+
 class TestDefaultBounds:
     def test_acceptance_grids_pinned(self):
         assert default_bounds("prop1") == {"k_max": 1000, "r_max": 10}
