@@ -47,7 +47,6 @@ in tests/test_sensitivity.py enforces it for every identity of verify.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from hashlib import blake2b
@@ -74,7 +73,6 @@ __all__ = [
     "DEFAULT_SEED",
     "COSINE_LIMIT",
     "DFT_LIMIT",
-    "ArithmeticFunction",
     "within_tolerance",
     "within_tolerance_columns",
     "NAMED_FUNCTIONS",
@@ -105,17 +103,8 @@ COSINE_LIMIT = 1000  # cos^k underflows past this; reject rather than mislead
 DFT_LIMIT = 10**5
 
 Rational = Union[int, Fraction]
-
-
-@dataclass(frozen=True)
-class ArithmeticFunction:
-    """A named map from positive integers to exact rationals."""
-
-    name: str
-    fn: Callable[[int], Rational]
-
-    def __call__(self, n: int) -> Rational:
-        return self.fn(n)
+# A map from positive integers to exact rationals.
+ArithFn = Callable[[int], Rational]
 
 
 def within_tolerance_columns(
@@ -132,17 +121,17 @@ def within_tolerance(lhs: float, rhs: float, tolerance: float) -> bool:
     return within_tolerance_columns((lhs,), (rhs,), (abs(lhs - rhs),), tolerance)[0]
 
 
-NAMED_FUNCTIONS: Dict[str, ArithmeticFunction] = {
-    "id": ArithmeticFunction("id", lambda n: n),
-    "tau": ArithmeticFunction("tau", lambda n: divisor_count_and_sum(n)[0]),
-    "sigma": ArithmeticFunction("sigma", lambda n: divisor_count_and_sum(n)[1]),
-    "mu": ArithmeticFunction("mu", mobius),
-    "phi": ArithmeticFunction("phi", euler_phi),
+NAMED_FUNCTIONS: Dict[str, ArithFn] = {
+    "id": lambda n: n,
+    "tau": lambda n: divisor_count_and_sum(n)[0],
+    "sigma": lambda n: divisor_count_and_sum(n)[1],
+    "mu": mobius,
+    "phi": euler_phi,
 }
 
 
 @lru_cache(maxsize=1 << 8)
-def random_function(index: int, seed: int = DEFAULT_SEED) -> ArithmeticFunction:
+def random_function(index: int, seed: int = DEFAULT_SEED) -> ArithFn:
     """Seeded integer-valued test function, values in [-32768, 32767].
 
     Hash-derived rather than drawn from a stateful RNG so that the value
@@ -158,7 +147,7 @@ def random_function(index: int, seed: int = DEFAULT_SEED) -> ArithmeticFunction:
         digest = blake2b(f"{prefix}{n}".encode(), digest_size=2).digest()
         return int.from_bytes(digest, "big") - (1 << 15)
 
-    return ArithmeticFunction(f"rand{index:02d}", fn)
+    return fn
 
 
 # --- power weight ---------------------------------------------------------
@@ -267,7 +256,7 @@ def _gcd_class_totals(k: int) -> Tuple[int, ...]:
 
 
 def gcd_weighted_batch(
-    k: int, fs: Sequence[ArithmeticFunction]
+    k: int, fs: Sequence[ArithFn]
 ) -> List[Tuple[Rational, Rational]]:
     """sum_{j=1}^{k} f(gcd(j, k)) c_k(j)  vs  phi(k) (mu * f)(k), exactly,
     for every f in fs.
@@ -287,14 +276,14 @@ def gcd_weighted_batch(
     phi = euler_phi(k)
     out = []
     for f in fs:
-        fval = list(map(f.fn, ds))
+        fval = list(map(f, ds))
         lhs = sum(map(mul, fval, totals))
         rhs = phi * sum(map(mul, fval, mus))
         out.append((lhs, rhs))
     return out
 
 
-def gcd_weighted_pair(k: int, f: ArithmeticFunction) -> Tuple[Rational, Rational]:
+def gcd_weighted_pair(k: int, f: ArithFn) -> Tuple[Rational, Rational]:
     """One f of gcd_weighted_batch."""
     return gcd_weighted_batch(k, (f,))[0]
 

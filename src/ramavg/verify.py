@@ -14,12 +14,13 @@ counts (Param.count), except three that are spelled out: cross-evaluator's
 half-sum's (from r = 1, while its schema admits r = 0 so that run_identity
 reports that mismatch).
 
-Evaluation goes by runs: the cases of a grid that share their leading
+Evaluation goes by runs: cases of a grid that share their leading
 parameter (k, or the tuple ks). _grid builds each grid as its runs, pairs
 (leading value, trailing values of each case): a product grid builds the
 product of its trailing parameters once and every run shares that list
-(an empty trailing parameter gives no runs), and a spelled-out grid is
-grouped by consecutive leading value. An identity's evaluate takes the
+(an empty parameter gives no runs), and a spelled-out grid gives its runs
+itself, one per k for cross-evaluator, one per r for half-sum and one per
+drawn pair for e-multiplicativity. An identity's evaluate takes the
 leading value, the trailing values of every case of the run and the seed,
 and returns the sides of each case, so a kernel can share work across the
 run (one read of the power-sum table of (k,) for prop1 and prop6, and of
@@ -53,22 +54,25 @@ CSV, the tests) passes a sink, which run_suite calls with each run and its
 columns as soon as the run is compared. The params text of a case is its
 run's prefix, the leading value's text rendered once per run, and its
 trailing text, a str.format template of its trailing values, rendered once
-per product grid on the trailing list its runs share (_Trailing) and once
-per run otherwise; _side_texts gives the lhs and rhs text of a run's
-columns or of their rows. cases_to_csv writes one run's rows from those
-text columns, its abs_error and passed columns mapped to text, each row
-the ",".join of its fields, quoting a field as csv.writer would: a column
-is scanned once, joined, and only a column that holds a special character
-has its fields quoted. _render, the one builder of an IdentityCase (a
-NamedTuple made by tuple.__new__), pairs the same texts with the passed,
-abs_error and reason columns. Neither compares, so a case reads the same
-whichever report shows it. run_identity compares and renders its one case.
+per product grid, by _grid onto the trailing list its runs share
+(_Trailing), and once per run otherwise; _side_texts gives the lhs and rhs
+text of a run's columns or of their rows. cases_to_csv writes one run's
+rows from those text columns, its abs_error and passed columns mapped to
+text, each row the ",".join of its fields, quoting a field as csv.writer
+would: a column is scanned once, joined, and only a column that holds a
+special character has its fields quoted. _render, the only code that
+builds an IdentityCase, pairs the same texts with the passed, abs_error
+and reason columns. Neither compares, so a case reads the same whichever
+report shows it. run_identity compares and renders its one case.
 
 Before any grid is built, run_suite refuses a grid bound above a
 parameter's cap, and counts the cases of every selected grid from its
 bounds (no grid is built to count it), a case of moduli tuples once per
 modulus it holds and a coprime pair also once per candidate its draw
-filters: more than GRID_BUDGET in all raise ParamError.
+filters: more than GRID_BUDGET in all raise ParamError, and none at all
+ConfigError, as a count is 0 exactly when its grid is empty. It then
+builds each grid when the sweep reaches its identity, and drops it before
+it builds the next, so a sweep holds one grid at a time.
 
 A sweep never aborts on a failing or erroring case; errors are recorded
 on the case and the report's exit status carries the overall verdict.
@@ -86,9 +90,9 @@ import re
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement, groupby, repeat, starmap, zip_longest
+from itertools import chain, combinations_with_replacement, repeat, starmap, zip_longest
 from itertools import product as iter_product
-from operator import add, eq, itemgetter, sub
+from operator import add, eq, sub
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import averages, exact, multivar
@@ -157,7 +161,8 @@ class VerificationReport:
     failures: List[IdentityCase]
     wall_time_seconds: float
     # tag -> (cases, seconds) per identity, in sweep order, the seconds
-    # counting the sink's; like the wall time, it is not part of the body.
+    # counting the grid's build and the sink's; like the wall time, it is
+    # not part of the body.
     timings: Dict[str, Tuple[int, float]] = field(default_factory=dict)
 
     def body_dict(self) -> dict:
@@ -323,9 +328,10 @@ class IdentityDef:
     params: Tuple[Param, ...]
     evaluate: _Evaluator
     bounds: Dict[str, int]  # default grid bounds
-    # (bounds, seed) -> ascending params; None means the product of the
-    # parameters' values.
-    grid: Optional[Callable[[dict, int], List[tuple]]] = None
+    # (bounds, seed) -> the grid as _grid gives it, runs (leading value,
+    # trailing values of each case) in ascending order; None means the
+    # product of the parameters' values.
+    grid: Optional[Callable[[dict, int], List[Tuple[object, List[tuple]]]]] = None
     # bounds -> the cases of grid(bounds, seed), a case of moduli tuples
     # counted once per modulus it holds (or can hold, for drawn arities),
     # counted without building the grid; given with every grid.
@@ -350,7 +356,7 @@ def _is_function_name(v) -> bool:
     )
 
 
-def _resolve_function(name: str, seed: int) -> averages.ArithmeticFunction:
+def _resolve_function(name: str, seed: int) -> averages.ArithFn:
     """The function of a name that passed validation."""
     if name in averages.NAMED_FUNCTIONS:
         return averages.NAMED_FUNCTIONS[name]
@@ -398,38 +404,37 @@ def _validate(ident: IdentityDef, params: tuple) -> None:
 # Cases of all the grids of one sweep, which run_suite counts before it
 # builds any, a case of moduli tuples counted once per modulus it holds:
 # 4x the largest default grid (inverse-dft, 250,000 cases), and above
-# verify --all (604,001). A counted case holds at most about 125 bytes of
-# its grid while it is built (cross-evaluator's, built flat, then grouped
-# into runs) and at most about 95 once built (a one-parameter identity,
-# one run per case); the runs of a product grid share one trailing list,
-# so a case of a run of many takes a few bytes. So the budget bounds the
-# grids to about 125 MB. A sweep keeps no run (a CSV is written run by
-# run): only its failing cases, rendered, about 310 bytes each, so up to
-# about 310 MB if every case fails.
+# verify --all (604,001). A sweep holds one grid at a time. A counted case
+# takes at most about 97 bytes of its grid, at the peak of the build and
+# once built alike (a one-parameter identity, one run per case;
+# cross-evaluator's about 70); the runs of a product grid share one
+# trailing list, so a case of a run of many takes a few bytes. So the
+# budget bounds the grid a sweep holds to about 97 MB. A sweep keeps no
+# run (a CSV is written run by run): only its failing cases, rendered,
+# about 310 bytes each, so up to about 310 MB if every case fails.
 GRID_BUDGET = 1_000_000
 
 
 class _Trailing(list):
     """The trailing values of a product grid's cases: the one list that all
-    runs of the grid share, never changed once built. It keeps the
-    trailing text _trailing_text renders from it, so that text is
-    rendered once per grid, not once per run."""
+    runs of the grid share, never changed once built, with its text, the
+    (text, closes) of _trailing_text, which _grid binds as it builds it."""
 
     __slots__ = ("text",)
 
 
 def _grid(ident: IdentityDef, bounds: Dict[str, int], seed: int) -> List[tuple]:
     """The grid as runs (leading value, trailing values of each case), in
-    ascending order. A product grid builds its trailing product once and
-    every run shares that list, so an empty trailing parameter gives no
-    runs; a spelled-out grid is grouped by consecutive leading value."""
+    ascending order: ident.grid's, or the product grid's, whose runs share
+    one _Trailing list of its trailing product, with the list's text
+    rendered here; an empty parameter gives no runs."""
     if ident.grid is not None:
-        return [
-            (lead, [params[1:] for params in group])
-            for lead, group in groupby(ident.grid(bounds, seed), key=itemgetter(0))
-        ]
+        return ident.grid(bounds, seed)
     rests = _Trailing(iter_product(*(p.values(bounds) for p in ident.params[1:])))
-    return [(lead, rests) for lead in ident.params[0].values(bounds)] if rests else []
+    if not rests:
+        return []
+    rests.text = _trailing_text(ident, rests)
+    return [(lead, rests) for lead in ident.params[0].values(bounds)]
 
 
 def _grid_size(ident: IdentityDef, bounds: Dict[str, int]) -> int:
@@ -475,8 +480,9 @@ def _tuple_grid(component_max: int, arity_max: int) -> List[tuple]:
 
 
 def _coprime_pair_grid(pairs: int, component_max: int, arity_max: int, seed: int) -> List[tuple]:
-    """Seeded coprime tuple pairs ((a_1..a_n), (b_1..b_n)); none without
-    components or arities to draw from."""
+    """Seeded coprime tuple pairs (a_1..a_n), (b_1..b_n), a run
+    ((a_1..a_n), [((b_1..b_n),)]) per pair drawn; none without components
+    or arities to draw from."""
     if component_max < 1 or arity_max < 1:
         return []
     rng = random.Random(f"e-mult:{seed}")
@@ -487,7 +493,7 @@ def _coprime_pair_grid(pairs: int, component_max: int, arity_max: int, seed: int
         prod_a = math.prod(a)
         candidates = [v for v in range(1, component_max + 1) if math.gcd(v, prod_a) == 1]
         b = tuple(rng.choice(candidates) for _ in range(n))
-        out.append((a, b))
+        out.append((a, [(b,)]))
     return out
 
 
@@ -679,7 +685,7 @@ _CATALOG: Dict[str, IdentityDef] = {
         IdentityDef(
             "cross-evaluator", "exact", (Param("k"), Param("j", minimum=0)), _cross_evaluator,
             {"k_max": 300},
-            lambda b, seed: [(k, j) for k in range(1, b["k_max"] + 1) for j in range(0, k + 1)],
+            lambda b, seed: [(k, [(j,) for j in range(k + 1)]) for k in range(1, b["k_max"] + 1)],
             # sum of k + 1 over k = 1..k_max
             lambda b: max(b["k_max"], 0) * (max(b["k_max"], 0) + 3) // 2,
         ),
@@ -691,7 +697,7 @@ _CATALOG: Dict[str, IdentityDef] = {
             "half-sum", "exact", (Param("r", minimum=0, cap=exact.DEGREE_CAP, bound="r_max"),),
             _per_case(lambda r: (exact.half_sum_check(r), Fraction(r + 1, 2))),
             {"r_max": 40},
-            lambda b, seed: [(r,) for r in range(1, b["r_max"] + 1)],
+            lambda b, seed: [(r, [()]) for r in range(1, b["r_max"] + 1)],
             lambda b: max(b["r_max"], 0),
         ),
         # Closed-form power sum vs the brute-force loop.
@@ -748,8 +754,6 @@ def _check_tolerance(tolerance: float) -> None:
 
 
 _CAUGHT = (multivar.BudgetError, RuntimeError, OverflowError, ValueError)
-
-_new_case = tuple.__new__  # (IdentityCase, fields), without NamedTuple.__new__'s frame
 
 
 def _evaluate(ident: IdentityDef, lead, rests: Sequence[tuple], seed: int) -> List[tuple]:
@@ -812,21 +816,16 @@ def _prefix(ident: IdentityDef, lead) -> str:
 def _trailing_text(ident: IdentityDef, rests: Sequence[tuple]):
     """(text, closes) of each case of a run: ident.trailing.format of its
     trailing values, and the same text as it closes a quoted CSV field,
-    each '"' doubled and a '"' appended. Both are rendered once per
-    _Trailing list and template, and kept on the list; for any other list
-    they are rendered on each call, and closes is an iterator."""
+    each '"' doubled and a '"' appended. A product grid's list holds the
+    text _grid rendered from it; any other list is rendered on each call."""
     kept = getattr(rests, "text", None)
-    if kept is not None and kept[0] == ident.trailing:
-        return kept[1:]
+    if kept is not None:
+        return kept
     values = rests
     if tuple in map(type, rests[0]):  # a trailing parameter is all tuples or none
         values = [tuple(map(_fmt_value, rest)) for rest in rests]
     text = list(starmap(ident.trailing.format, values))
-    closes = map(add, map(str.replace, text, repeat('"'), repeat('""')), repeat('"'))
-    if isinstance(rests, _Trailing):
-        closes = list(closes)
-        rests.text = (ident.trailing, text, closes)
-    return text, closes
+    return text, list(map(add, map(str.replace, text, repeat('"'), repeat('""')), repeat('"')))
 
 
 def _side_texts(ident: IdentityDef, lhs, rhs, reasons):
@@ -848,10 +847,10 @@ def _render(
     compares."""
     params = map(_prefix(ident, lead).__add__, _trailing_text(ident, rests)[0])
     lhs, rhs = _side_texts(ident, lhs, rhs, reasons)
-    return list(map(_new_case, repeat(IdentityCase), zip(
-        repeat(ident.tag), params, repeat(ident.mode), lhs, rhs, passed,
+    return list(map(
+        IdentityCase, repeat(ident.tag), params, repeat(ident.mode), lhs, rhs, passed,
         repeat(None) if errors is None else errors, repeat(None) if reasons is None else reasons,
-    )))
+    ))
 
 
 def run_identity(
@@ -916,15 +915,17 @@ def run_suite(config: SuiteConfig, sink: Optional[_Sink] = None) -> Verification
     """Sweep the configured identities over their grids, in the order
     selected and ascending parameter order, and aggregate.
 
-    Each grid is walked in the runs _grid builds. Each run is evaluated and
-    compared at once, handed to sink when one is given (the CLI writes its
-    CSV rows there, with cases_to_csv), and only its failing cases are
-    rendered; no run is kept. Whatever sink raises ends the sweep. An
-    unknown, empty or repeated selection, or a loosened tolerance, raises
-    ConfigError; a grid bound above a parameter's cap, or grids past
-    GRID_BUDGET, raise ParamError, all before any grid is built, so sink is
-    never called on a refused sweep. The grids are built from the schema,
-    so their cases are not checked again.
+    Each identity's grid is built by _grid when the sweep reaches it,
+    walked in its runs and dropped before the next grid is built. Each run
+    is evaluated and compared at once, handed to sink when one is given
+    (the CLI writes its CSV rows there, with cases_to_csv), and only its
+    failing cases are rendered; no run is kept. Whatever sink raises ends
+    the sweep. An unknown, empty or repeated selection, grids that are all
+    empty, or a loosened tolerance, raises ConfigError; a grid bound above
+    a parameter's cap, or grids past GRID_BUDGET, raise ParamError, all
+    before any grid is built, so sink is never called on a refused sweep.
+    The grids are built from the schema, so their cases are not checked
+    again. Each identity's timing counts its grid's build.
     """
     start = time.perf_counter()
     _check_tolerance(config.tolerance)
@@ -943,26 +944,27 @@ def run_suite(config: SuiteConfig, sink: Optional[_Sink] = None) -> Verification
         for p in ident.params:
             if p.cap is not None and p.bound is not None and b[p.bound] > p.cap:
                 raise ParamError(f"{p.name} must be <= {p.cap}")
-    if sum(_grid_size(ident, b) for ident, b in zip(idents, bounds)) > GRID_BUDGET:
+    # A grid's count is 0 exactly when the grid is empty.
+    size = sum(_grid_size(ident, b) for ident, b in zip(idents, bounds))
+    if size > GRID_BUDGET:
         raise ParamError(
             f"grids exceed the budget of {GRID_BUDGET} cases, a tuple case counted per modulus"
             " and a coprime pair per candidate it filters"
         )
-    plans = [
-        (ident, _grid(ident, b, config.seed), _describe_bounds(ident.tag, b))
-        for ident, b in zip(idents, bounds)
-    ]
-    if not any(runs for _, runs, _ in plans):
+    if size == 0:
         raise ConfigError(f"empty grid for identities {tags}")
 
     total = 0
     failures: List[IdentityCase] = []
     worst: Dict[str, float] = {}
     timings: Dict[str, Tuple[int, float]] = {}
-    for ident, runs, _ in plans:
+    for ident, b in zip(idents, bounds):
         tag = ident.tag
         identity_start = time.perf_counter()
-        for lead, rests in runs:
+        cases = 0
+        # The grid lives as long as this loop: one grid at a time.
+        for lead, rests in _grid(ident, b, config.seed):
+            cases += len(rests)
             columns = _compare(ident, lead, rests, config.tolerance, config.seed)
             if sink is not None:
                 sink(ident, lead, rests, columns)
@@ -979,14 +981,13 @@ def run_suite(config: SuiteConfig, sink: Optional[_Sink] = None) -> Verification
                 failures += _render(ident, lead, [rests[i] for i in bad], *(
                     None if column is None else [column[i] for i in bad] for column in columns
                 ))
-        cases = sum(len(rests) for _, rests in runs)
         total += cases
         timings[tag] = (cases, time.perf_counter() - identity_start)
 
     # Keys in sweep order for byte-stable serialization.
     worst_ordered = {tag: worst[tag] for tag in tags if tag in worst}
     suite_name = "all" if config.identities is None else ",".join(tags)
-    grid_text = "; ".join(describe for _, _, describe in plans)
+    grid_text = "; ".join(_describe_bounds(ident.tag, b) for ident, b in zip(idents, bounds))
     return VerificationReport(
         suite=suite_name,
         grid=grid_text + f"; seed={config.seed}; tolerance={config.tolerance:g}",

@@ -12,7 +12,6 @@ from ramavg.averages import (
     COSINE_LIMIT,
     DEFAULT_TOLERANCE,
     NAMED_FUNCTIONS,
-    ArithmeticFunction,
     bernoulli_weighted_batch,
     bernoulli_weighted_pair,
     binomial_weighted_cosine,
@@ -148,13 +147,11 @@ class TestGcdWeight:
     @given(st.integers(1, 200), st.lists(st.integers(-500, 500), min_size=200, max_size=200))
     @settings(max_examples=40, deadline=None)
     def test_arbitrary_integer_functions(self, k, values):
-        f = ArithmeticFunction("table", lambda n: values[(n - 1) % len(values)])
-        lhs, rhs = gcd_weighted_pair(k, f)
+        lhs, rhs = gcd_weighted_pair(k, lambda n: values[(n - 1) % len(values)])
         assert lhs == rhs
 
     def test_rational_valued_function(self):
-        f = ArithmeticFunction("half", lambda n: Fraction(n, 2))
-        lhs, rhs = gcd_weighted_pair(12, f)
+        lhs, rhs = gcd_weighted_pair(12, lambda n: Fraction(n, 2))
         assert lhs == rhs == Fraction(euler_phi(12) * euler_phi(12), 2)
 
 

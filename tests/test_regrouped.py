@@ -25,7 +25,6 @@ import ramavg.ramanujan as ramanujan
 from ramavg.arith import dirichlet_convolve, divisors, euler_phi, jordan_totient, mobius
 from ramavg.averages import (
     NAMED_FUNCTIONS,
-    ArithmeticFunction,
     bernoulli_weighted_pair,
     gcd_weighted_batch,
     gcd_weighted_pair,
@@ -66,11 +65,14 @@ def literal_gcd_rhs(k, f):
     return euler_phi(k) * sum(Fraction(mobius(d)) * f(k // d) for d in divisors(k))
 
 
-RATIONAL_F = ArithmeticFunction("rational", lambda n: Fraction(n * n + 1, n + 2))
+def rational_f(n):
+    return Fraction(n * n + 1, n + 2)
+
+
 MIXED_F = st.one_of(
     st.sampled_from(sorted(NAMED_FUNCTIONS)).map(NAMED_FUNCTIONS.__getitem__),
     st.builds(random_function, st.integers(0, 19), st.integers(0, 2**32)),
-    st.just(RATIONAL_F),
+    st.just(rational_f),
 )
 
 
@@ -90,13 +92,13 @@ class TestGcdClasses:
     @given(K)
     @settings(max_examples=40, deadline=None)
     def test_rational_valued_function(self, k):
-        lhs, rhs = gcd_weighted_pair(k, RATIONAL_F)
-        assert lhs == literal_gcd_lhs(k, RATIONAL_F)
-        assert rhs == literal_gcd_rhs(k, RATIONAL_F)
+        lhs, rhs = gcd_weighted_pair(k, rational_f)
+        assert lhs == literal_gcd_lhs(k, rational_f)
+        assert rhs == literal_gcd_rhs(k, rational_f)
         assert lhs == rhs
 
     @given(st.integers(1, 60), st.lists(MIXED_F, max_size=8))
-    @example(1, [NAMED_FUNCTIONS["sigma"], random_function(3, 7), RATIONAL_F])
+    @example(1, [NAMED_FUNCTIONS["sigma"], random_function(3, 7), rational_f])
     @settings(max_examples=60, deadline=None)
     def test_batch_equals_its_pairs(self, k, fs):
         # One read of the per-modulus data serves every f of the batch,
@@ -106,7 +108,7 @@ class TestGcdClasses:
         for (lhs, rhs), f in zip(batch, fs):
             # Integer-valued functions keep int sides; a rational one gives
             # Fractions.
-            assert type(lhs) is type(rhs) is (Fraction if f is RATIONAL_F else int)
+            assert type(lhs) is type(rhs) is (Fraction if f is rational_f else int)
             assert lhs == literal_gcd_lhs(k, f)
             assert rhs == literal_gcd_rhs(k, f)
 
@@ -114,8 +116,8 @@ class TestGcdClasses:
     @settings(max_examples=40, deadline=None)
     def test_dirichlet_convolve_with_fractions(self, n):
         g = lambda m: Fraction(1, m + 1)  # noqa: E731
-        expected = sum(Fraction(RATIONAL_F(d)) * Fraction(g(n // d)) for d in divisors(n))
-        result = dirichlet_convolve(RATIONAL_F, g, n)
+        expected = sum(Fraction(rational_f(d)) * Fraction(g(n // d)) for d in divisors(n))
+        result = dirichlet_convolve(rational_f, g, n)
         assert isinstance(result, Fraction) and result == expected
         assert dirichlet_convolve(mobius, euler_phi, n) == sum(
             Fraction(mobius(d) * euler_phi(n // d)) for d in divisors(n)

@@ -161,8 +161,7 @@ def test_a_raising_function_fails_only_its_own_cases(monkeypatch, tag):
             raise ValueError("sigma refused 6")
         return real(n)
 
-    refusing = averages.ArithmeticFunction("sigma", sigma)
-    monkeypatch.setitem(averages.NAMED_FUNCTIONS, "sigma", refusing)
+    monkeypatch.setitem(averages.NAMED_FUNCTIONS, "sigma", sigma)
     # sigma is read at 6 by the divisors of k = 6 and k = 12 only; the other
     # functions of those runs must pass.
     assert_only_these_fail(small_config(tag), {(6, "sigma"), (12, "sigma")})

@@ -3,6 +3,7 @@ import inspect
 import io
 import json
 import math
+import weakref
 from fractions import Fraction
 from itertools import product as iter_product
 from typing import List, NamedTuple
@@ -270,10 +271,12 @@ class TestDegreeCap:
 
 def small_bounds(tag):
     """Bounds of every shape a count must follow: empty, negative, one
-    value, and products where the bounds differ."""
+    value, products where the bounds differ, and one bound empty while the
+    others are not."""
     names = verify._lookup(tag).bounds
     sets = [{name: v for name in names} for v in (-1, 0, 1, 2, 5)]
     sets += [{name: 3 + 2 * i for i, name in enumerate(sorted(names))}]
+    sets += [{**dict.fromkeys(names, 3), name: 0} for name in sorted(names)]
     return sets
 
 
@@ -295,11 +298,14 @@ class TestGridBudget:
     def test_the_count_is_the_grid_length(self, tag):
         # The tuple grids count the moduli their cases hold; e-multiplicativity
         # draws each arity from 1..n_max, so it counts n_max per side, and
-        # each pair's b from the k_max candidates it filters.
+        # each pair's b from the k_max candidates it filters. A count is 0
+        # exactly when its grid is empty, which run_suite's refusal of an
+        # empty selection reads.
         ident = verify._lookup(tag)
         for bounds in small_bounds(tag):
             size = verify._grid_size(ident, bounds)
             grid = flat(verify._grid(ident, bounds, 7))
+            assert (size == 0) == (grid == []), bounds
             if tag == "e-multiplicativity":
                 assert size == (2 * bounds["n_max"] + bounds["k_max"]) * len(grid), bounds
                 assert size >= sum(map(moduli_held, grid)), bounds
@@ -353,14 +359,19 @@ class TestGridBudget:
 
     @pytest.mark.parametrize("tag", sorted(EXPECTED_TAGS))
     def test_a_product_grid_is_runs_that_share_one_trailing_list(self, tag):
-        # No run is empty and no leading value repeats (a spelled-out grid
-        # is grouped by consecutive leading value); the runs of a product
-        # grid share the one list of its trailing product.
+        # No run is empty. Leading values do not repeat, except in
+        # e-multiplicativity's grid, a run per drawn pair, whose a may
+        # repeat. The runs of a product grid share the one list of its
+        # trailing product.
         ident = verify._lookup(tag)
         for bounds in small_bounds(tag):
             runs = verify._grid(ident, bounds, 7)
             leads = [lead for lead, _ in runs]
-            assert all(rests for _, rests in runs) and len(set(leads)) == len(leads), bounds
+            assert all(rests for _, rests in runs), bounds
+            if tag == "e-multiplicativity":
+                assert all(len(rests) == 1 for _, rests in runs), bounds
+            else:
+                assert len(set(leads)) == len(leads), bounds
             if ident.grid is None and runs:
                 trailing = list(iter_product(*(p.values(bounds) for p in ident.params[1:])))
                 assert runs[0][1] == trailing, bounds
@@ -458,17 +469,57 @@ class TestGridBudget:
             assert sum(map(moduli_held, grid)) == count
 
     def test_the_budget_holds_the_sum_of_the_selected_grids(self, monkeypatch):
-        built = []
-        monkeypatch.setattr(verify, "_grid", lambda *args: built.append(args) or [])
+        built, real = [], verify._grid
+        monkeypatch.setattr(verify, "_grid", lambda *args: built.append(args[0].tag) or real(*args))
         config = SuiteConfig(identities=["prop1", "cross-evaluator"], k_max=5, r_max=3)
         monkeypatch.setattr(verify, "GRID_BUDGET", 15 + 20 - 1)
         with pytest.raises(ParamError, match="budget"):
             run_suite(config)
         assert built == []
         monkeypatch.setattr(verify, "GRID_BUDGET", 15 + 20)
-        with pytest.raises(ConfigError, match="empty grid"):  # the counter builds nothing
-            run_suite(config)
-        assert [args[0].tag for args in built] == ["prop1", "cross-evaluator"]
+        assert run_suite(config).total == 15 + 20
+        assert built == ["prop1", "cross-evaluator"]
+        # One empty grid is swept as empty; bounds that empty both count
+        # no case, and the selection is refused before either is built.
+        built.clear()
+        tags = ["prop1", "cross-evaluator"]
+        assert run_suite(SuiteConfig(identities=tags, k_max=5, r_max=0)).total == 20
+        assert built == tags
+        built.clear()
+        with pytest.raises(ConfigError, match="empty grid"):
+            run_suite(SuiteConfig(identities=tags, k_max=0, r_max=3))
+        assert built == []
+
+    def test_each_grid_is_built_when_the_sweep_reaches_it(self, monkeypatch):
+        # A sink that raises on the first run ends the sweep with one grid
+        # built. A whole sweep builds each grid once, in order, and no
+        # longer holds a grid when it builds the next.
+        refs, alive, real = [], [], verify._grid
+
+        class Grid(list):
+            """A built grid that a weak reference can watch."""
+
+        def build(*args):
+            alive.append([ref() is not None for ref in refs])
+            grid = Grid(real(*args))
+            refs.append(weakref.ref(grid))
+            return grid
+
+        class Stop(Exception):
+            pass
+
+        def stop(*run):
+            raise Stop
+
+        monkeypatch.setattr(verify, "_grid", build)
+        config = SuiteConfig(identities=["prop1", "cross-evaluator", "half-sum"], k_max=5, r_max=3)
+        with pytest.raises(Stop):
+            run_suite(config, stop)
+        assert len(refs) == 1
+        refs.clear()
+        alive.clear()
+        assert run_suite(config).total == 15 + 20 + 3
+        assert alive == [[], [False], [False, False]]
 
     @pytest.mark.parametrize("tag, bounds", [
         ("prop1", dict(k_max=10**8)),
@@ -942,21 +993,37 @@ class TestCsvQuoting:
             'quoted-choice,"k=2,f=say ""q""",exact,2,2,,true\n'
         )
 
-    def test_the_trailing_text_of_a_shared_list_never_goes_stale(self):
-        # A product grid's runs share one trailing list, which keeps its
-        # trailing text. prop1 runs over two such lists interleaved (A, B,
-        # A), and prop7, whose template is prop1's, over a list of B's
-        # length holding other values and over A. Each run is written as
-        # from a plain copy of its list, which keeps no text.
+    def test_the_trailing_text_of_a_shared_list_never_goes_stale(self, monkeypatch):
+        # _grid renders a product grid's trailing text once, onto the one
+        # list its runs share, and a sweep renders it no more. prop1 runs
+        # over two such lists interleaved (A, B, A), and prop7, whose
+        # template is prop1's, over A; a hand-built list of B's length
+        # without text (C) is rendered on each call. Each run is written
+        # as from a plain copy of its list.
+        rendered, real = [], verify._trailing_text
+
+        def counting(ident, rests):
+            if getattr(rests, "text", None) is None:
+                rendered.append((ident.tag, rests))
+            return real(ident, rests)
+
+        monkeypatch.setattr(verify, "_trailing_text", counting)
+        sweep(SuiteConfig(identities=["prop1", "prop7", "inverse-dft"], k_max=4, n_max=3, r_max=2))
+        assert [(tag, type(rests)) for tag, rests in rendered] == [
+            (tag, verify._Trailing) for tag in ("prop1", "prop7", "inverse-dft")
+        ]
+
         prop1, prop7 = verify._lookup("prop1"), verify._lookup("prop7")
         assert prop1.trailing == prop7.trailing == ",r={}"
         ((_, a),) = verify._grid(prop1, {"k_max": 1, "r_max": 2}, 0)
         ((_, b),) = verify._grid(prop1, {"k_max": 1, "r_max": 3}, 0)
         c = verify._Trailing([(4,), (5,), (6,)])
         assert type(a) is type(b) is verify._Trailing and len(b) == len(c)
+        texts = [a.text, b.text]
+        assert texts == [real(prop1, list(a)), real(prop1, list(b))]
         calls = [(prop1, 2, a), (prop1, 3, b), (prop1, 2, a), (prop7, (1, 2), c),
                  (prop1, 3, b), (prop7, (1, 2), a), (prop1, 2, c)]
-        kept = {}
+        rendered.clear()
         for ident, lead, rests in calls:
             cols = verify._compare(ident, lead, rests, averages.DEFAULT_TOLERANCE, 0)
             fresh = verify._render(ident, lead, list(rests), *cols)
@@ -964,9 +1031,11 @@ class TestCsvQuoting:
             assert [case.params for case in fresh] == [f"{prefix},r={r}" for (r,) in rests]
             assert cases_to_csv(ident, lead, rests, cols) == rows_by_attributes(fresh)
             assert verify._render(ident, lead, rests, *cols) == fresh
-            kept.setdefault(id(rests), rests.text)
-        # Each list rendered its text once, on its first run.
-        assert [kept[id(rests)] is rests.text for rests in (a, b, c)] == [True] * 3
+        # A and B keep the text _grid gave them and are not rendered again;
+        # C, never given one, is rendered by each cases_to_csv and _render.
+        assert a.text is texts[0] and b.text is texts[1] and not hasattr(c, "text")
+        shared = [rests for _, rests in rendered if type(rests) is verify._Trailing]
+        assert len(shared) == 4 and all(rests is c for rests in shared)
 
 
 class TestDefaultBounds:
