@@ -58,12 +58,17 @@ per product grid, by _grid onto the trailing list its runs share
 (_Trailing), and once per run otherwise; _side_texts gives the lhs and rhs
 text of a run's columns or of their rows. cases_to_csv writes one run's
 rows from those text columns, its abs_error and passed columns mapped to
-text, each row the ",".join of its fields, quoting a field as csv.writer
-would: a column is scanned once, joined, and only a column that holds a
-special character has its fields quoted. _render, the only code that
-builds an IdentityCase, pairs the same texts with the passed, abs_error
-and reason columns. Neither compares, so a case reads the same whichever
-report shows it. run_identity compares and renders its one case.
+text, each row the ",".join of its fields. The schema leaves one field
+that needs CSV quoting: a params field with trailing values, which holds
+the template's comma and is always quoted. No other field can hold a ",",
+'"', "\\r" or "\\n": tags and modes are fixed words, a parameter value
+renders as digits, "|", a named function, rand and ASCII digits or a
+fixed choice, and a side or abs_error as str of an int or a Fraction or
+as "{:.17g}" of a float (TestCsvQuoting holds the catalog to this).
+_render, the only code that builds an IdentityCase, pairs the same texts
+with the passed, abs_error and reason columns. Neither compares, so a case
+reads the same whichever report shows it. run_identity compares and
+renders its one case.
 
 Before any grid is built, run_suite refuses a grid bound above a
 parameter's cap, and counts the cases of every selected grid from its
@@ -76,8 +81,9 @@ it builds the next, so a sweep holds one grid at a time.
 
 A sweep never aborts on a failing or erroring case; errors are recorded
 on the case and the report's exit status carries the overall verdict.
-Sweeps run serially. Reports are deterministic: cases are generated in
-ascending parameter order and the JSON body (everything except
+Sweeps run serially. Reports are deterministic: a grid's cases come in
+ascending parameter order, except e-multiplicativity's, which come in the
+order the seeded draw gives them, and the JSON body (everything except
 wall_time_seconds) is byte-stable across reruns.
 """
 
@@ -107,12 +113,9 @@ __all__ = [
     "VerificationReport",
     "SuiteConfig",
     "IDENTITY_TAGS",
-    "identity_mode",
-    "default_bounds",
     "run_identity",
     "run_suite",
     "report_to_json",
-    "report_body_json",
     "CSV_HEADER",
     "cases_to_csv",
 ]
@@ -178,10 +181,6 @@ class VerificationReport:
         }
 
 
-def report_body_json(report: VerificationReport) -> str:
-    return json.dumps(report.body_dict(), indent=2)
-
-
 def report_to_json(report: VerificationReport) -> str:
     body = report.body_dict()
     body["wall_time_seconds"] = report.wall_time_seconds
@@ -196,56 +195,34 @@ def cases_to_csv(ident: IdentityDef, lead, rests: Sequence[tuple], columns: _Col
     """The CSV rows of one run as run_suite gives it to its sink, one
     ",".join of its fields row after row, from text columns: the params
     and sides as _render renders them, abs_error to 17 significant digits
-    ("" where there is none) and passed as true or false. A field is
-    quoted as csv.writer quotes it (see _csv_field): a params field with
-    trailing values always, since the trailing template starts with a
-    comma, a one-parameter field by its own text, and a lhs, rhs or
-    abs_error field only in a column whose joined text holds a special
-    character, which one scan of that text finds."""
+    ("" where there is none) and passed as true or false. A params field
+    with trailing values is quoted, as it holds the trailing template's
+    comma; every other field is written as it is, since the schema lets no
+    other field hold a ",", '"', "\\r" or "\\n" (see the module docstring;
+    TestCsvQuoting holds the catalog to it)."""
     lhs, rhs, reasons, passed, errors = columns
     prefix = _prefix(ident, lead)
     if ident.trailing:
-        params = map(('"' + prefix.replace('"', '""')).__add__, _trailing_text(ident, rests)[1])
+        params = map(('"' + prefix).__add__, _trailing_text(ident, rests)[1])
     else:
-        params = repeat(_csv_field(prefix), len(rests))
-    lhs, rhs = map(_csv_column, _side_texts(ident, lhs, rhs, reasons))
+        params = repeat(prefix, len(rests))
+    lhs, rhs = _side_texts(ident, lhs, rhs, reasons)
     if errors is None:
         errors = repeat("")
     elif reasons is None:  # every case has an abs_error
-        errors = _csv_column(map(_fmt_float, errors))
+        errors = map(_fmt_float, errors)
     else:
-        errors = _csv_column(["" if e is None else _fmt_float(e) for e in errors])
+        errors = ["" if e is None else _fmt_float(e) for e in errors]
     # One ",".join over the run's fields, row after row, builds no string
     # per row: a pass field carries its row's newline and the identity
     # field of the next row, so every separator of the join is a comma.
-    tag = _csv_field(ident.tag)
+    tag = ident.tag
     true, false = "true\n" + tag, "false\n" + tag
     flags = [true if ok else false for ok in passed]
     flags[-1] = "true\n" if passed[-1] else "false\n"
     return ",".join(chain((tag,), chain.from_iterable(zip(
-        params, repeat(_csv_field(ident.mode)), lhs, rhs, errors, flags,
+        params, repeat(ident.mode), lhs, rhs, errors, flags,
     ))))
-
-
-def _needs_quotes(text: str) -> bool:
-    """Whether csv.writer, QUOTE_MINIMAL with lineterminator="\\n", quotes
-    a field holding text: on Python 3.11 a field holding the delimiter, the
-    quote character or a character of the line terminator (not "\\r")."""
-    return "," in text or '"' in text or "\n" in text
-
-
-def _csv_field(text: str) -> str:
-    """The field as csv.writer writes it: quoted, each '"' doubled, when it
-    needs quotes, and as it is otherwise."""
-    return '"' + text.replace('"', '""') + '"' if _needs_quotes(text) else text
-
-
-def _csv_column(texts) -> List[str]:
-    """A column of fields as csv.writer writes them. One scan of the
-    column's joined text decides: only a column that holds a special
-    character has each of its fields checked and quoted."""
-    texts = list(texts)
-    return list(map(_csv_field, texts)) if _needs_quotes("".join(texts)) else texts
 
 
 # --- outcome helpers --------------------------------------------------------
@@ -329,8 +306,9 @@ class IdentityDef:
     evaluate: _Evaluator
     bounds: Dict[str, int]  # default grid bounds
     # (bounds, seed) -> the grid as _grid gives it, runs (leading value,
-    # trailing values of each case) in ascending order; None means the
-    # product of the parameters' values.
+    # trailing values of each case), in ascending order except for drawn
+    # grids (e-multiplicativity's, in the order of its seeded draw); None
+    # means the product of the parameters' values.
     grid: Optional[Callable[[dict, int], List[Tuple[object, List[tuple]]]]] = None
     # bounds -> the cases of grid(bounds, seed), a case of moduli tuples
     # counted once per modulus it holds (or can hold, for drawn arities),
@@ -424,10 +402,10 @@ class _Trailing(list):
 
 
 def _grid(ident: IdentityDef, bounds: Dict[str, int], seed: int) -> List[tuple]:
-    """The grid as runs (leading value, trailing values of each case), in
-    ascending order: ident.grid's, or the product grid's, whose runs share
-    one _Trailing list of its trailing product, with the list's text
-    rendered here; an empty parameter gives no runs."""
+    """The grid as runs (leading value, trailing values of each case):
+    ident.grid's, in its order, or the product grid's, ascending, whose
+    runs share one _Trailing list of its trailing product, with the list's
+    text rendered here; an empty parameter gives no runs."""
     if ident.grid is not None:
         return ident.grid(bounds, seed)
     rests = _Trailing(iter_product(*(p.values(bounds) for p in ident.params[1:])))
@@ -734,14 +712,6 @@ def _lookup(tag: str) -> IdentityDef:
     return _CATALOG[tag]
 
 
-def identity_mode(tag: str) -> str:
-    return _lookup(tag).mode
-
-
-def default_bounds(tag: str) -> Dict[str, int]:
-    return dict(_lookup(tag).bounds)
-
-
 # --- running cases ----------------------------------------------------------
 
 
@@ -815,9 +785,10 @@ def _prefix(ident: IdentityDef, lead) -> str:
 
 def _trailing_text(ident: IdentityDef, rests: Sequence[tuple]):
     """(text, closes) of each case of a run: ident.trailing.format of its
-    trailing values, and the same text as it closes a quoted CSV field,
-    each '"' doubled and a '"' appended. A product grid's list holds the
-    text _grid rendered from it; any other list is rendered on each call."""
+    trailing values, and the same text with the '"' that closes the quoted
+    CSV params field appended; no trailing value holds a '"' to escape
+    (see cases_to_csv). A product grid's list holds the text _grid
+    rendered from it; any other list is rendered on each call."""
     kept = getattr(rests, "text", None)
     if kept is not None:
         return kept
@@ -825,7 +796,7 @@ def _trailing_text(ident: IdentityDef, rests: Sequence[tuple]):
     if tuple in map(type, rests[0]):  # a trailing parameter is all tuples or none
         values = [tuple(map(_fmt_value, rest)) for rest in rests]
     text = list(starmap(ident.trailing.format, values))
-    return text, list(map(add, map(str.replace, text, repeat('"'), repeat('""')), repeat('"')))
+    return text, list(map(add, text, repeat('"')))
 
 
 def _side_texts(ident: IdentityDef, lhs, rhs, reasons):
@@ -913,7 +884,7 @@ _Sink = Callable[[IdentityDef, object, Sequence[tuple], _Columns], object]
 
 def run_suite(config: SuiteConfig, sink: Optional[_Sink] = None) -> VerificationReport:
     """Sweep the configured identities over their grids, in the order
-    selected and ascending parameter order, and aggregate.
+    selected and each grid's order (see IdentityDef.grid), and aggregate.
 
     Each identity's grid is built by _grid when the sweep reaches it,
     walked in its runs and dropped before the next grid is built. Each run

@@ -26,7 +26,7 @@ import ramavg.exact as exact
 import ramavg.multivar as multivar
 import ramavg.ramanujan as ramanujan
 import ramavg.verify as verify
-from ramavg.verify import IDENTITY_TAGS, identity_mode
+from ramavg.verify import IDENTITY_TAGS
 
 from test_runs import assert_only_these_fail, grid_of, runs_of, small_config
 
@@ -178,7 +178,7 @@ def test_the_guard_sees_every_binding_of_a_primitive():
 @pytest.mark.parametrize("tag", IDENTITY_TAGS)
 def test_one_perturbed_case_fails_alone(monkeypatch, tag):
     ident = verify._lookup(tag)
-    if identity_mode(tag) == "exact":
+    if ident.mode == "exact":
         shift = lambda x: x + 1  # noqa: E731
     else:
         shift = lambda x: x + 100 * TOLERANCE * (1 + abs(x))  # noqa: E731

@@ -8,7 +8,9 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import List, NamedTuple
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 import ramavg.averages as averages
 import ramavg.exact as exact
@@ -22,9 +24,6 @@ from ramavg.verify import (
     SuiteConfig,
     VerificationReport,
     cases_to_csv,
-    default_bounds,
-    identity_mode,
-    report_body_json,
     report_to_json,
     run_identity,
     run_suite,
@@ -53,7 +52,7 @@ class TestCatalog:
     def test_mode_assignment(self):
         for tag in IDENTITY_TAGS:
             expected = "exact" if tag in EXACT_TAGS else "tolerance"
-            assert identity_mode(tag) == expected
+            assert verify._lookup(tag).mode == expected
 
     def test_every_identity_has_default_grid_cases(self):
         # Catalog completeness: tiny bounds still yield at least one case.
@@ -65,7 +64,7 @@ class TestCatalog:
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ConfigError):
-            identity_mode("prop99")
+            verify._lookup("prop99")
         with pytest.raises(ConfigError):
             run_identity("prop99", (1,))
 
@@ -428,8 +427,8 @@ class TestGridBudget:
 
     def test_the_default_grids_are_within_the_budget(self):
         sizes = {
-            tag: verify._grid_size(verify._lookup(tag), default_bounds(tag))
-            for tag in IDENTITY_TAGS
+            ident.tag: verify._grid_size(ident, ident.bounds)
+            for ident in map(verify._lookup, IDENTITY_TAGS)
         }
         assert max(sizes.values()) == sizes["inverse-dft"] == 250_000
         # 40 * C(43, 2) moduli in the multiset grids, 5 r each for prop7.
@@ -437,9 +436,9 @@ class TestGridBudget:
         assert sizes["e-multiplicativity"] == 200 * (2 * 3 + 30)
         assert sum(sizes.values()) == 604_001 <= verify.GRID_BUDGET
         # The largest k_max e-multiplicativity accepts alone is 4,994.
-        ident, bounds = verify._lookup("e-multiplicativity"), default_bounds("e-multiplicativity")
-        assert verify._grid_size(ident, dict(bounds, k_max=4994)) == verify.GRID_BUDGET
-        assert verify._grid_size(ident, dict(bounds, k_max=4995)) > verify.GRID_BUDGET
+        ident = verify._lookup("e-multiplicativity")
+        assert verify._grid_size(ident, dict(ident.bounds, k_max=4994)) == verify.GRID_BUDGET
+        assert verify._grid_size(ident, dict(ident.bounds, k_max=4995)) > verify.GRID_BUDGET
 
     @pytest.mark.parametrize("tag, bounds, count", [
         ("prop1", dict(k_max=6, r_max=3), 18),
@@ -549,7 +548,7 @@ class TestGridsPassTheSchema:
         seeds = [averages.DEFAULT_SEED]
         if tag == "e-multiplicativity":  # the one grid drawn from the seed
             seeds += [0, 7]
-        for bounds in small_bounds(tag) + [default_bounds(tag)]:
+        for bounds in small_bounds(tag) + [dict(ident.bounds)]:
             for seed in seeds:
                 grid = flat(verify._grid(ident, bounds, seed))
                 for params in grid:
@@ -640,7 +639,9 @@ class TestRunSuite:
         config = dict(identities=["prop1", "prop2", "inverse-dft"], k_max=25, r_max=3, n_max=10)
         serial_1 = run_suite(SuiteConfig(**config))
         serial_2 = run_suite(SuiteConfig(**config))
-        assert report_body_json(serial_1) == report_body_json(serial_2)
+        assert json.dumps(serial_1.body_dict(), indent=2) == json.dumps(
+            serial_2.body_dict(), indent=2
+        )
 
     def test_seed_changes_random_function_grid(self):
         a = run_suite(SuiteConfig(identities=["prop3"], k_max=12, seed=1))
@@ -687,7 +688,7 @@ class TestSerialization:
 
     def test_body_excludes_wall_time(self):
         report = run_suite(SuiteConfig(identities=["half-sum"]))
-        body = json.loads(report_body_json(report))
+        body = report.body_dict()
         assert "wall_time_seconds" not in body
         assert body["total"] == body["passed"] == report.total
 
@@ -714,11 +715,29 @@ class TestSerialization:
         assert len(str(big)) == 300
 
     def test_csv_round_trip(self):
-        text = sweep(SuiteConfig(identities=["prop2"], k_max=6)).csv
-        rows = list(csv.reader(io.StringIO(text)))
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(rows)
-        assert buf.getvalue() == text
+        # The CSV of every small grid of every tag, where cases pass and
+        # where they fail: csv.reader reads each row back as 7 fields, a
+        # row per case after the header, and csv.writer writes the same
+        # bytes again, so cases_to_csv quotes what csv.writer would quote.
+        failing = 0
+        for tag, tolerance in iter_product(IDENTITY_TAGS, (averages.DEFAULT_TOLERANCE, 1e-16)):
+            ident = verify._lookup(tag)
+            for bounds in small_bounds(tag):
+                runs = verify._grid(ident, bounds, averages.DEFAULT_SEED)
+                text = verify.CSV_HEADER + "".join(
+                    cases_to_csv(ident, lead, rests, verify._compare(
+                        ident, lead, rests, tolerance, averages.DEFAULT_SEED
+                    ))
+                    for lead, rests in runs
+                )
+                rows = list(csv.reader(io.StringIO(text, newline="")))
+                assert all(len(row) == 7 for row in rows), (tag, bounds)
+                assert len(rows) == 1 + sum(len(rests) for _, rests in runs), (tag, bounds)
+                buf = io.StringIO()
+                csv.writer(buf, lineterminator="\n").writerows(rows)
+                assert buf.getvalue() == text, (tag, bounds)
+                failing += sum(row[6] == "false" for row in rows)
+        assert failing > 0  # float cases fail at 1e-16
 
 
 class _Subclass(int):
@@ -882,10 +901,8 @@ class TestIdentityCase:
     def test_csv_equals_the_attribute_rendering(self):
         # Runs of each shape a sweep gives its sink: exact ints and
         # Fractions, float sides with their abs_error, a raised case in each
-        # mode (empty sides, no abs_error), failed cases, params holding
-        # tuples and commas, and sides holding a quote and a comma, which the
-        # CSV escapes and quotes as csv.writer does (_fmt_rational is str, so
-        # a str side renders unchanged).
+        # mode (empty sides, no abs_error), failed cases, and params holding
+        # tuples and commas, which the CSV quotes as csv.writer does.
         columns, lookup = verify._Columns, verify._lookup
         runs = [
             (lookup("prop1"), 2, [(1,), (2,)],
@@ -901,21 +918,15 @@ class TestIdentityCase:
             (lookup("e-multiplicativity"), (2, 3), [((5, 7),)],
              columns([1], [1], None, [True], None)),
             (lookup("gamma-product"), 3, [()], columns([1.0], [1.0], None, [True], [0.0])),
-            (lookup("prop7"), (1, 2), [(1,)], columns(['"q"'], ["1,2"], None, [False], None)),
+            (lookup("prop7"), (1, 2), [(1,)],
+             columns([Fraction(1, 3)], [Fraction(-2, 3)], None, [False], None)),
         ]
         _, cases, text = Swept.of(None, runs)
         assert len(cases) == 9
-        assert cases[-1][3:5] == ('"q"', "1,2")
-        assert cases_to_csv(*runs[-1]) == 'prop7,"ks=1|2,r=1",exact,"""q""","1,2",,false\n'
+        assert cases[-1][3:5] == ("1/3", "-2/3")
+        assert cases_to_csv(*runs[-1]) == 'prop7,"ks=1|2,r=1",exact,1/3,-2/3,,false\n'
         assert text == csv_by_attributes(cases)
         assert Swept.of(None, []).csv == verify.CSV_HEADER == csv_by_attributes([])
-
-
-def writer_row(fields):
-    """One row as csv.writer writes it: the oracle of cases_to_csv's quoting."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(fields)
-    return buf.getvalue()
 
 
 def rows_by_attributes(cases):
@@ -923,75 +934,32 @@ def rows_by_attributes(cases):
     return csv_by_attributes(cases)[len(verify.CSV_HEADER):]
 
 
-# No catalog identity has a value that needs quoting: a trailing choice and
-# a one-parameter choice holding a comma and a quote.
-_QUOTED_CHOICE = verify.IdentityDef(
-    "quoted-choice", "exact", (Param("k"), Param("f", "choice", choices=('a,b', 'say "q"'))),
-    None, {},
-)
-_QUOTED_LEAD = verify.IdentityDef(
-    "quoted-lead", "exact", (Param("f", "choice", choices=('a,"b"', "c\rd")),), None, {},
-)
-
-
 class TestCsvQuoting:
-    """cases_to_csv quotes each field as csv.writer does on the running
-    Python, so a csv module that quotes differently fails here rather than
-    changing the report's bytes."""
+    """cases_to_csv quotes one field, a params field with trailing values,
+    which holds the template's comma; it writes every other field as it
+    is, so no other text the catalog renders may hold a special
+    character."""
 
-    # Every ASCII character alone, and texts holding several special
-    # characters, "\r" and the empty field.
-    TEXTS = [*map(chr, range(128)), "", "1,2", '"q"', 'a"b"c', "x\ny", "x\ry", "\r\n",
-             'k=1,"r"=2', "ks=1|2,r=1", "-1/3", " a ", "nan"]
+    SPECIAL = (",", '"', "\r", "\n")
 
-    def test_each_field_is_quoted_as_csv_writer_quotes_it(self):
-        for text in self.TEXTS:
-            field = verify._csv_field(text)
-            assert field + ",x\n" == writer_row([text, "x"]), repr(text)
-            assert "x," + field + "\n" == writer_row(["x", text]), repr(text)
-            column = ["1/2", text, "", "plain"]
-            assert ",".join(verify._csv_column(column)) + "\n" == writer_row(column), repr(text)
+    def test_no_catalog_text_needs_quotes(self):
+        # Tags, modes and parameter names, the fixed choices and the named
+        # functions. The rest of a row is str of ints and Fractions, "|"
+        # between moduli and "{:.17g}" of floats, none of them special;
+        # test_csv_round_trip reads back what every grid gives.
+        texts = list(averages.NAMED_FUNCTIONS)
+        for ident in map(verify._lookup, IDENTITY_TAGS):
+            texts += [ident.tag, ident.mode, *ident.param_names]
+            for p in ident.params:
+                texts += p.choices
+        for text in texts:
+            assert not any(c in text for c in self.SPECIAL), repr(text)
 
-    def test_runs_with_special_fields_are_written_as_csv_writer_writes_them(self):
-        columns, lookup = verify._Columns, verify._lookup
-        specials = ["a,b", 'say "q"', "two\nlines", "cr\rhere", "", "plain"]
-        n = len(specials)
-        runs = [
-            # Exact str sides (_fmt_rational is str), each special text in
-            # each side column, the empty field among them.
-            (lookup("prop1"), 3, [(r,) for r in range(1, n + 1)],
-             columns(specials, specials[::-1], None, [True] * n, None)),
-            # A column that holds no special character next to one that does.
-            (lookup("prop1"), 4, [(1,), (2,)],
-             columns(["1", "2"], ["x\ry", "3"], None, [True, False], None)),
-            # Tuple params: a leading tuple, and a trailing one.
-            (lookup("prop7"), (1, 2), [(1,), (2,)],
-             columns(['"q"', "5"], ["1,2", "5"], None, [False, True], None)),
-            (lookup("e-multiplicativity"), (2, 3), [((5, 7),)],
-             columns(["a\nb"], ["1"], None, [False], None)),
-            # A one-parameter identity, whose params are not quoted, and raised
-            # cases (empty sides) in each mode.
-            (lookup("prop2"), 5, [()], columns([0.1], [0.2], None, [False], [0.1])),
-            (lookup("e-integrality"), (720720, 720720), [()],
-             columns([None], [None], ["budget: refused"], [False], None)),
-            (lookup("inverse-dft"), 7, [(1,), (2,)],
-             columns([2.5, None], [3.0, None], [None, "raised"], [False, False], [0.5, None])),
-            # Params that need quoting: a trailing choice, and a leading one.
-            (_QUOTED_CHOICE, 2, [("a,b",), ('say "q"',)],
-             columns(["1", "2"], ["1", "2"], None, [True, True], None)),
-            (_QUOTED_LEAD, 'a,"b"', [()], columns(["1"], ["1"], None, [True], None)),
-            (_QUOTED_LEAD, "c\rd", [()], columns(["1"], ["1"], None, [True], None)),
-        ]
-        for ident, lead, rests, cols in runs:
-            cases = verify._render(ident, lead, rests, *cols)
-            assert cases_to_csv(ident, lead, rests, cols) == rows_by_attributes(cases), ident.tag
-        assert cases_to_csv(*runs[4]) == (
-            "prop2,k=5,tolerance,0.10000000000000001,0.20000000000000001,0.10000000000000001,false\n"
-        )
-        assert cases_to_csv(*runs[7]) == (
-            'quoted-choice,"k=2,f=a,b",exact,1,1,,true\n'
-            'quoted-choice,"k=2,f=say ""q""",exact,2,2,,true\n'
-        )
+    @given(st.from_regex(verify._RANDOM_NAME, fullmatch=True))
+    def test_no_random_function_name_needs_quotes(self, name):
+        assert not any(c in name for c in self.SPECIAL), repr(name)
+        for c in self.SPECIAL:
+            assert not verify._is_function_name(name + c), repr(name + c)
 
     def test_the_trailing_text_of_a_shared_list_never_goes_stale(self, monkeypatch):
         # _grid renders a product grid's trailing text once, onto the one
@@ -1040,15 +1008,16 @@ class TestCsvQuoting:
 
 class TestDefaultBounds:
     def test_acceptance_grids_pinned(self):
-        assert default_bounds("prop1") == {"k_max": 1000, "r_max": 10}
-        assert default_bounds("cross-evaluator") == {"k_max": 300}
-        assert default_bounds("prop3") == {"k_max": 1000, "rand_count": 20}
-        assert default_bounds("prop6") == {"k_max": 500, "m_max": 8}
-        assert default_bounds("prop5-exact") == {"k_max": 200}
-        assert default_bounds("inverse-dft") == {"k_max": 500, "n_max": 500}
-        assert default_bounds("prop7") == {"k_max": 40, "n_max": 3, "r_max": 5}
-        assert default_bounds("e-multiplicativity") == {"k_max": 30, "n_max": 3, "pairs": 200}
-        assert default_bounds("half-sum") == {"r_max": 40}
-        assert default_bounds("faulhaber") == {"n_max": 200, "r_max": 10}
-        assert default_bounds("coprime-power-sum") == {"n_max": 200, "r_max": 8}
-        assert default_bounds("bernoulli-poly-sum") == {"k_max": 60, "m_max": 8}
+        bounds = {tag: dict(verify._lookup(tag).bounds) for tag in IDENTITY_TAGS}
+        assert bounds["prop1"] == {"k_max": 1000, "r_max": 10}
+        assert bounds["cross-evaluator"] == {"k_max": 300}
+        assert bounds["prop3"] == {"k_max": 1000, "rand_count": 20}
+        assert bounds["prop6"] == {"k_max": 500, "m_max": 8}
+        assert bounds["prop5-exact"] == {"k_max": 200}
+        assert bounds["inverse-dft"] == {"k_max": 500, "n_max": 500}
+        assert bounds["prop7"] == {"k_max": 40, "n_max": 3, "r_max": 5}
+        assert bounds["e-multiplicativity"] == {"k_max": 30, "n_max": 3, "pairs": 200}
+        assert bounds["half-sum"] == {"r_max": 40}
+        assert bounds["faulhaber"] == {"n_max": 200, "r_max": 10}
+        assert bounds["coprime-power-sum"] == {"n_max": 200, "r_max": 8}
+        assert bounds["bernoulli-poly-sum"] == {"k_max": 60, "m_max": 8}
