@@ -14,11 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import compress
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Tuple, Union
 
 __all__ = [
     "Factorization",
-    "VonMangoldtValue",
     "FACTOR_LIMIT",
     "factorize",
     "is_prime",
@@ -112,20 +111,6 @@ class Factorization:
         return tuple(p for p, _ in self.factors)
 
 
-@dataclass(frozen=True)
-class VonMangoldtValue:
-    """Symbolic von Mangoldt value: the base p when n = p**a, else nothing.
-
-    The numeric value log(p) is only materialized on demand, so callers
-    decide where floating point enters.
-    """
-
-    prime_base: Optional[int] = None
-
-    def value(self) -> float:
-        return math.log(self.prime_base) if self.prime_base is not None else 0.0
-
-
 @lru_cache(maxsize=1 << 15)
 def factorize(n: int) -> Factorization:
     """Factor n by trial division. Accepts 1 <= n <= 2**40."""
@@ -211,14 +196,12 @@ def divisor_count_and_sum(n: int) -> Tuple[int, int]:
     return tau, sigma
 
 
-def von_mangoldt(n: int) -> VonMangoldtValue:
-    """Lambda(n), symbolically: base p iff n = p**a with a >= 1."""
+def von_mangoldt(n: int) -> float:
+    """Lambda(n): log(p) when n = p**a with a >= 1, else 0.0."""
     if n < 1:
         raise ValueError(f"von_mangoldt requires n >= 1, got {n}")
-    fac = factorize(n)
-    if len(fac.factors) == 1:
-        return VonMangoldtValue(prime_base=fac.factors[0][0])
-    return VonMangoldtValue()
+    factors = factorize(n).factors
+    return math.log(factors[0][0]) if len(factors) == 1 else 0.0
 
 
 Rational = Union[int, Fraction]

@@ -29,7 +29,9 @@ work shared by many cases of one modulus is done once per k:
                                   every f of a run
     power and Bernoulli weights   power sums T_e = sum_{j=1}^{k} j^e c_k(j)
                                   for every e, read from multivar's table
-                                  of the tuple (k,), one ladder in e per k
+                                  of the tuple (k,), one ladder in e per k:
+                                  the power weight is multivar's S_r of
+                                  (k,) (s_r_direct, and verify's prop1)
     inverse DFT                   one inverse FFT of c_k(0..k-1) gives the
                                   sum at every n mod k, once per k
 
@@ -50,13 +52,15 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from hashlib import blake2b
+from math import comb
 from operator import mul
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from . import multivar
 from .arith import (
+    Rational,
     divisor_count_and_sum,
     divisors,
     euler_phi,
@@ -65,7 +69,7 @@ from .arith import (
     mobius,
     von_mangoldt,
 )
-from .exact import bernoulli_number, bernoulli_polynomial_coefficients, binomial, power_sum_closed
+from .exact import bernoulli_number, bernoulli_polynomial_coefficients, power_sum_closed
 from .ramanujan import ramanujan_row
 
 __all__ = [
@@ -80,7 +84,6 @@ __all__ = [
     "log_factorial",
     "cos_pi",
     "s_r_direct",
-    "s_r_direct_batch",
     "s_r_closed",
     "s_r_closed_batch",
     "log_weighted_pair",
@@ -102,7 +105,6 @@ DEFAULT_SEED = 123456789
 COSINE_LIMIT = 1000  # cos^k underflows past this; reject rather than mislead
 DFT_LIMIT = 10**5
 
-Rational = Union[int, Fraction]
 # A map from positive integers to exact rationals.
 ArithFn = Callable[[int], Rational]
 
@@ -153,27 +155,10 @@ def random_function(index: int, seed: int = DEFAULT_SEED) -> ArithFn:
 # --- power weight ---------------------------------------------------------
 
 
-def _modulus_power_sums(k: int, top: int) -> Tuple[int, List[int]]:
-    """c_k(0) and T_r = sum_{j=1}^{k} j^r c_k(j) for r = 0..top at least,
-    from multivar's power-sum table of (k,). The row is read first, so a k
-    past ROW_BUDGET is refused by the row's own budget."""
-    first = ramanujan_row(k).values[0]
-    return first, multivar._power_sums(multivar.ModulusTuple((k,)), top)
-
-
-def s_r_direct_batch(k: int, rs: Sequence[int]) -> List[Fraction]:
-    """S_r(k) = (1/k^(r+1)) sum_{j=1}^{k} j^r c_k(j) for every r in rs,
-    from the definition: T_r of the tuple (k,), read once for the batch.
-    """
-    if k < 1 or any(r < 1 for r in rs):
-        raise ValueError("s_r_direct_batch requires k >= 1 and r >= 1")
-    _, totals = _modulus_power_sums(k, max(rs, default=0))
-    return [Fraction(totals[r], k ** (r + 1)) for r in rs]
-
-
 def s_r_direct(k: int, r: int) -> Fraction:
-    """S_r(k) from the definition; see s_r_direct_batch."""
-    return s_r_direct_batch(k, (r,))[0]
+    """S_r(k) = (1/k^(r+1)) sum_{j=1}^{k} j^r c_k(j) from the definition:
+    multivar's S_r of the tuple (k,)."""
+    return multivar.s_r_multi_direct((k,), r)
 
 
 def s_r_closed_batch(k: int, rs: Sequence[int]) -> List[Fraction]:
@@ -231,7 +216,7 @@ def log_weighted_pair(k: int) -> Tuple[float, float]:
         raise ValueError(f"log_weighted_pair requires k >= 1, got {k}")
     row = ramanujan_row(k).values
     lhs = sum(math.log(j) * row[j] for j in range(2, k + 1)) / k
-    rhs = von_mangoldt(k).value()
+    rhs = von_mangoldt(k)
     for d in divisors(k):
         mu_d = mobius(d)
         if mu_d:
@@ -335,9 +320,10 @@ def mobius_log_check(k: int) -> Tuple[float, float]:
 
 def _binomial_row_sum(k: int) -> int:
     """sum_{j=0}^{k} C(k, j) c_k(j), the left side of both binomial weights;
-    a zero c_k(j) adds nothing, so its C(k, j) is not computed."""
-    comb = math.comb
-    return sum(comb(k, j) * c for j, c in enumerate(ramanujan_row(k).values) if c)
+    a zero c_k(j) adds nothing, so its C(k, j) is not computed. It calls
+    math.comb itself: this module's comb is the closed side's binding."""
+    choose = math.comb
+    return sum(choose(k, j) * c for j, c in enumerate(ramanujan_row(k).values) if c)
 
 
 def binomial_weighted_exact(k: int) -> Tuple[int, int]:
@@ -352,7 +338,7 @@ def binomial_weighted_exact(k: int) -> Tuple[int, int]:
     for d in divisors(k):
         mu_kd = mobius(k // d)
         if mu_kd:
-            rhs += d * mu_kd * sum(binomial(k, d * m) for m in range(k // d + 1))
+            rhs += d * mu_kd * sum(comb(k, d * m) for m in range(k // d + 1))
     return lhs, rhs
 
 
@@ -413,7 +399,8 @@ def bernoulli_weighted_batch(k: int, ms: Sequence[int]) -> List[Tuple[Fraction, 
     """
     if k < 1 or any(m < 1 for m in ms):
         raise ValueError("bernoulli_weighted_batch requires k >= 1 and m >= 1")
-    first, totals = _modulus_power_sums(k, max(ms, default=0))
+    first = ramanujan_row(k).values[0]  # read first: a k past ROW_BUDGET is refused here
+    totals = multivar._power_sums(multivar.ModulusTuple((k,)), max(ms, default=0))
     out = []
     for m in ms:
         base, d = bernoulli_polynomial_coefficients(m)

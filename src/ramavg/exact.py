@@ -1,7 +1,7 @@
 """Exact rational arithmetic: Bernoulli numbers and polynomials (with one
-cached table of the coefficients of D B_m(x)), binomial coefficients, and
-power_sum_closed, the one closed form of S_r(k), S_r(k_1..k_n), power_sum,
-coprime_power_sum and half_sum_check; each supplies its own weights.
+cached table of the coefficients of D B_m(x)), and power_sum_closed, the
+one closed form of S_r(k), S_r(k_1..k_n), power_sum, coprime_power_sum
+and half_sum_check; each supplies its own weights.
 
 Convention note (important): B_1 = -1/2 throughout. The power-sum closed
 form used here,
@@ -24,13 +24,12 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
-from .arith import factorize
+from .arith import Rational, factorize
 
 __all__ = [
     "DEGREE_CAP",
-    "binomial",
     "bernoulli_number",
     "bernoulli_polynomial",
     "bernoulli_polynomial_coefficients",
@@ -40,18 +39,9 @@ __all__ = [
     "half_sum_check",
 ]
 
-Rational = Union[int, Fraction]
-
 # The largest degree (r, m) verify and the CLI accept: the coefficients of
 # D B_m(x) took 0.2 s at m = 400 and 1.6 s at m = 800 (Python 3.11, Xeon).
 DEGREE_CAP = 400
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) exactly; 0 when k > n."""
-    if n < 0 or k < 0:
-        raise ValueError("binomial requires non-negative arguments")
-    return comb(n, k)
 
 
 # Memoized Bernoulli numbers B_0, B_1, ..., extended on demand.

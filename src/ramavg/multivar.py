@@ -35,8 +35,9 @@ bounded by lru_cache at 1 << 14 tuples, hold only bigints:
     _weight_table      k E, g_1, g_2, ... from one divisor lattice, extended
                        on demand.
 
-E (from T_0 and from k E), S_r and g_m read them, and so do averages'
-power and Bernoulli weights (prop1, prop6) through (k,). The tables hold
+E (from T_0 and from k E), S_r and g_m read them. The S_r of a tuple (k,)
+is the direct side of averages' power weight (s_r_direct, prop1), and
+averages' Bernoulli weight (prop6) reads the table of (k,). The tables hold
 k E, not E, so both integrality checks run at every read and their
 RuntimeError is never cached. A BudgetError is raised before anything is
 stored, so a table is either empty or complete up to its top. A table of
@@ -51,8 +52,8 @@ S_2 peaked at 56-80 bytes per entry over one period of 10^6 entries, so it
 is admitted up to PERIOD_BUDGET / 10 entries.
 
 Single-component tuples go through exactly the same code paths as n >= 2;
-their agreement with the single-variable module is asserted by tests, not
-assumed here.
+their agreement with the single-variable closed forms is asserted by
+tests, not assumed here.
 """
 
 from __future__ import annotations

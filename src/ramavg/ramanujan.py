@@ -57,7 +57,9 @@ __all__ = [
 # be a trustworthy oracle.
 FLOAT_EVAL_LIMIT = 10**5
 # Largest k of a row c_k(0..k). Not below multivar.PERIOD_BUDGET, so every
-# modulus of a product row within that budget has its row.
+# modulus of a product row within that budget has its row. A k past it is
+# refused here, or, for the S_r direct side of (k,) (averages.s_r_direct,
+# verify's prop1), by the period budget of multivar._product_row first.
 ROW_BUDGET = 10**7
 
 

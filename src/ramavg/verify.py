@@ -293,8 +293,6 @@ class Param:
         building them (see _multiset_moduli)."""
         if self.kind == "moduli":
             return _multiset_moduli(bounds["k_max"], bounds["n_max"])
-        if self.kind == "function":
-            return len(averages.NAMED_FUNCTIONS) + max(bounds[self.bound], 0)
         return len(self.values(bounds))
 
 
@@ -488,10 +486,10 @@ def _per_case(fn: Callable[..., tuple]) -> _Evaluator:
 
 
 def _prop1(k, rests, seed):
-    """One power-sum table read for every r of the run, and one read of
-    phi(k) and the Jordan totients for its closed sides."""
+    """multivar's S_r of (k,): one power-sum table read for every r of the
+    run, and one read of phi(k) and the Jordan totients for its closed sides."""
     rs = [r for r, in rests]
-    return list(zip(averages.s_r_direct_batch(k, rs), averages.s_r_closed_batch(k, rs)))
+    return list(zip(multivar.s_r_multi_direct_batch((k,), rs), averages.s_r_closed_batch(k, rs)))
 
 
 def _prop6(k, rests, seed):

@@ -180,11 +180,12 @@ class TestClassicalFunctions:
         assert divisor_count_and_sum(28) == (len(ds), sum(ds)) == (6, 56)
 
     def test_von_mangoldt(self):
-        assert von_mangoldt(1).prime_base is None
-        assert von_mangoldt(8).prime_base == 2
-        assert von_mangoldt(12).prime_base is None
-        assert von_mangoldt(7).value() == math.log(7)
-        assert von_mangoldt(1).value() == 0.0
+        assert von_mangoldt(1) == 0.0
+        assert von_mangoldt(8) == math.log(2)
+        assert von_mangoldt(12) == 0.0
+        assert von_mangoldt(7) == math.log(7)
+        assert von_mangoldt(2**40) == math.log(2)
+        assert all(type(von_mangoldt(n)) is float for n in range(1, 50))
 
     @pytest.mark.parametrize("fn", [mobius, euler_phi, divisors, von_mangoldt])
     def test_rejects_zero(self, fn):

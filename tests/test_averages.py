@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 import ramavg.averages as averages
+import ramavg.multivar as multivar
 from ramavg.arith import euler_phi
 from ramavg.averages import (
     COSINE_LIMIT,
@@ -30,16 +31,16 @@ from ramavg.averages import (
     s_r_closed,
     s_r_closed_batch,
     s_r_direct,
-    s_r_direct_batch,
     within_tolerance,
     within_tolerance_columns,
 )
-from ramavg.exact import bernoulli_number, bernoulli_polynomial, binomial
+from ramavg.exact import bernoulli_number, bernoulli_polynomial
 from ramavg.ramanujan import ramanujan_row
 
 
 @pytest.mark.parametrize("batch, args, message", [
-    (s_r_direct_batch, (3, [1, 0]), "k >= 1 and r >= 1"),
+    # prop1's direct side: multivar's S_r of the one-modulus tuple (k,).
+    (multivar.s_r_multi_direct_batch, ((3,), [1, 0]), "r >= 1, got 0"),
     (gcd_weighted_batch, (0, [NAMED_FUNCTIONS["id"]]), "k >= 1, got 0"),
     (bernoulli_weighted_batch, (3, [1, 0]), "k >= 1 and m >= 1"),
     (inverse_dft_batch, (3, [1, 0]), "k >= 1 and n >= 1"),
@@ -112,6 +113,34 @@ class TestLogWeight:
     def test_log_factorial_agrees_with_lgamma(self):
         for d in (0, 1, 2, 50, 1000, 10**5, 10**5 + 1, 10**6):
             assert abs(log_factorial(d) - math.lgamma(d + 1)) <= 1e-9 * (1 + abs(log_factorial(d)))
+
+    def test_log_factorial_is_within_5e_16_of_the_fsum_of_the_logs(self):
+        # Compensated summation stays within 1.8e-16 of math.fsum's correctly
+        # rounded sum of the same logs for d <= 3,000; plain summation
+        # drifts to 1.8e-15.
+        logs = [math.log(m) for m in range(1, 3001)]
+        assert log_factorial(0) == log_factorial(1) == 0.0
+        for d in range(2, 3001):
+            exact = math.fsum(logs[:d])
+            assert abs(log_factorial(d) - exact) <= 5e-16 * exact, d
+
+    def test_log_factorial_past_the_table_is_lgamma(self):
+        for d in (averages._LOG_FACT_TABLE_LIMIT + 1, 10**6, 10**9):
+            assert log_factorial(d) == math.lgamma(d + 1)
+
+    def test_a_table_extended_in_steps_equals_one_built_at_once(self, monkeypatch):
+        # The compensation is carried across extensions, so the steps at
+        # which the table grows do not change a single float.
+        def table(steps):
+            monkeypatch.setattr(averages, "_log_fact_table", [0.0, 0.0])
+            monkeypatch.setattr(averages, "_log_fact_comp", 0.0)
+            for d in steps:
+                log_factorial(d)
+            return averages._log_fact_table
+
+        at_once = table([3000])
+        assert len(at_once) == 3001
+        assert table([2, 3, 17, 500, 501, 1234, 2999, 3000]) == at_once
 
 
 class TestGcdWeight:
@@ -253,7 +282,7 @@ class TestBinomialWeight:
         for k in range(1, 201):
             row = ramanujan_row(k).values
             for j in range(0, k + 1):
-                assert binomial(k, j) * row[j] == binomial(k, k - j) * row[k - j]
+                assert math.comb(k, j) * row[j] == math.comb(k, k - j) * row[k - j]
 
 
 class TestCosPi:

@@ -10,37 +10,10 @@ from ramavg.exact import (
     bernoulli_number,
     bernoulli_polynomial,
     bernoulli_polynomial_coefficients,
-    binomial,
     coprime_power_sum,
     half_sum_check,
     power_sum,
 )
-
-
-def pascal_row(n):
-    """Pascal-triangle oracle for binomial coefficients."""
-    row = [1]
-    for _ in range(n):
-        row = [a + b for a, b in zip([0] + row, row + [0])]
-    return row
-
-
-class TestBinomial:
-    def test_examples(self):
-        assert binomial(5, 2) == 10
-        assert binomial(0, 0) == 1
-        assert binomial(3, 5) == 0
-
-    def test_60_choose_30_vs_pascal(self):
-        expected = pascal_row(60)[30]
-        assert binomial(60, 30) == expected
-        assert len(str(expected)) == 18
-
-    @given(st.integers(0, 80), st.integers(0, 80))
-    def test_matches_pascal(self, n, k):
-        row = pascal_row(n)
-        expected = row[k] if k <= n else 0
-        assert binomial(n, k) == expected
 
 
 class TestBernoulliNumbers:
@@ -58,7 +31,7 @@ class TestBernoulliNumbers:
     def test_defining_recurrence(self):
         # sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1 is the oracle.
         for m in range(1, 41):
-            acc = sum(binomial(m + 1, j) * bernoulli_number(j) for j in range(m + 1))
+            acc = sum(math.comb(m + 1, j) * bernoulli_number(j) for j in range(m + 1))
             assert acc == 0
 
     def test_rejects_negative(self):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 
 import ramavg.multivar as multivar
 from ramavg.arith import divisors, mobius
-from ramavg.averages import s_r_closed, s_r_direct_batch
+from ramavg.averages import s_r_closed, s_r_direct
 from ramavg.multivar import (
     PERIOD_BUDGET,
     BudgetError,
@@ -309,10 +309,10 @@ class TestDirectSideReadsNoPhi:
         assert (orbicyclic_direct(ks), s_r_multi_direct_batch(ks, rs)) == expected
 
     def test_single_variable_direct_side(self, monkeypatch, clear_run_caches):
-        expected = s_r_direct_batch(12, [1, 2])
+        expected = [s_r_direct(12, r) for r in (1, 2)]
         clear_run_caches()
         monkeypatch.setattr(multivar, "euler_phi", refuse_phi)
-        assert s_r_direct_batch(12, [1, 2]) == expected
+        assert [s_r_direct(12, r) for r in (1, 2)] == expected
 
 
 class TestGm:

@@ -131,12 +131,13 @@ class TestRows:
 
     def test_row_budget_rejection(self, monkeypatch):
         # The row is allocated after divisors(k); with divisors gone, a
-        # missing check fails before it allocates ROW_BUDGET entries.
+        # missing check fails before it allocates ROW_BUDGET entries. The
+        # S_r direct side of (k,) is refused by the period budget first.
         k = ROW_BUDGET + 1
         monkeypatch.setattr(ramanujan, "divisors", None)
         with pytest.raises(BudgetError, match="row budget"):
             ramanujan_row(k)
-        with pytest.raises(BudgetError, match="row budget"):
+        with pytest.raises(BudgetError, match=rf"^period lcm\({k},\) = {k} exceeds"):
             s_r_direct(k, 1)
         with pytest.raises(BudgetError, match="row budget"):
             bernoulli_weighted_pair(k, 2)

@@ -37,7 +37,6 @@ from ramavg.arith import factorize
 from ramavg.exact import (
     bernoulli_number,
     bernoulli_polynomial,
-    binomial,
     coprime_power_sum,
     half_sum_check,
     power_sum,
@@ -138,7 +137,7 @@ class TestPowerMoments:
         chained = Fraction(euler_phi(k), 2 * k)
         for m in range(r // 2 + 1):
             chained += (
-                Fraction(binomial(r + 1, 2 * m), r + 1)
+                Fraction(math.comb(r + 1, 2 * m), r + 1)
                 * bernoulli_number(2 * m)
                 * Fraction(jordan_totient(2 * m, k), k ** (2 * m))
             )
@@ -151,7 +150,7 @@ class TestPowerMoments:
         chained = Fraction(math.prod(euler_phi(ki) for ki in ks), 2 * k)
         for m in range(r // 2 + 1):
             chained += (
-                Fraction(binomial(r + 1, 2 * m), r + 1)
+                Fraction(math.comb(r + 1, 2 * m), r + 1)
                 * bernoulli_number(2 * m)
                 * g_m(ks, m)
                 / k ** (2 * m)
@@ -185,7 +184,7 @@ class TestFaulhaberClosedForms:
     def test_power_sum(self, n, r):
         acc = Fraction(n**r, 2)
         for m in range(r // 2 + 1):
-            term = Fraction(binomial(r + 1, 2 * m) * n ** (r + 1 - 2 * m), r + 1)
+            term = Fraction(math.comb(r + 1, 2 * m) * n ** (r + 1 - 2 * m), r + 1)
             acc += term * bernoulli_number(2 * m)
         assert power_sum(n, r) == acc
 
@@ -194,7 +193,7 @@ class TestFaulhaberClosedForms:
     def test_coprime_power_sum(self, n, r):
         acc = Fraction(0)
         for m in range(r // 2 + 1):
-            term = Fraction(binomial(r + 1, 2 * m)) * bernoulli_number(2 * m) / n ** (2 * m)
+            term = Fraction(math.comb(r + 1, 2 * m)) * bernoulli_number(2 * m) / n ** (2 * m)
             for p in factorize(n).primes:
                 term *= 1 - Fraction(p) ** (2 * m - 1)
             acc += term
@@ -205,7 +204,7 @@ class TestFaulhaberClosedForms:
     @settings(max_examples=40, deadline=None)
     def test_half_sum(self, r):
         chained = Fraction(
-            sum(binomial(r + 1, 2 * m) * bernoulli_number(2 * m) for m in range(r // 2 + 1))
+            sum(math.comb(r + 1, 2 * m) * bernoulli_number(2 * m) for m in range(r // 2 + 1))
         )
         assert half_sum_check(r) == chained
 

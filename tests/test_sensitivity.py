@@ -16,6 +16,7 @@ exceptions below.
 """
 
 import dataclasses
+import math
 from itertools import count
 
 import pytest
@@ -40,7 +41,7 @@ MODULES = {
 # The closed-side primitives, wherever they are bound.
 PRIMITIVES = (
     arith.euler_phi, arith.mobius, arith.jordan_totient, arith.von_mangoldt, arith.factorize,
-    exact.power_sum_closed, exact.bernoulli_number, exact.binomial,
+    exact.power_sum_closed, exact.bernoulli_number, math.comb,
     averages.log_factorial, averages.cos_pi,
 )
 
@@ -69,10 +70,10 @@ PERTURBED = {
     "averages.jordan_totient": _plus(1),
     "averages.power_sum_closed": _plus(1),
     "averages.bernoulli_number": _plus(1),
-    "averages.binomial": _plus(1),
+    "averages.comb": _plus(1),
     "averages.cos_pi": _plus(1e-3),
     "averages.log_factorial": _plus(1e-3),
-    "averages.von_mangoldt": lambda real: lambda n: arith.VonMangoldtValue(prime_base=2),
+    "averages.von_mangoldt": _plus(1e-3),
     "averages.factorize": _one_more_prime,
     "multivar.euler_phi": _plus(1),
     "multivar.mobius": _plus(1),
@@ -88,7 +89,7 @@ PERTURBED = {
 LEFT_ALONE = {
     "ramanujan.mobius": "ramanujan_row reads it: every direct side's row",
     "exact.bernoulli_number": "the coefficient table of B_m(x) that direct sides read",
-    "exact.binomial": "no evaluator reads it but through averages.binomial",
+    "exact.comb": "it builds the coefficient table of B_m(x) that direct sides read",
 }
 
 # The declared exceptions; a tag on none of these lists has its direct side
@@ -145,8 +146,9 @@ def test_only_the_closed_side_reads_the_closed_primitives(monkeypatch, clear_run
 def test_the_guard_sees_a_direct_side_routed_through_the_closed_form(
     monkeypatch, clear_run_caches
 ):
-    def s_r_direct_batch(k, rs):
+    def s_r_multi_direct_batch(t, rs):
         # Still reads the row, for phi(k) = c_k(0).
+        (k,) = t
         phi = ramanujan.ramanujan_row(k).values[0]
         return [
             averages.power_sum_closed(
@@ -155,7 +157,7 @@ def test_the_guard_sees_a_direct_side_routed_through_the_closed_form(
             for r in rs
         ]
 
-    monkeypatch.setattr(averages, "s_r_direct_batch", s_r_direct_batch)
+    monkeypatch.setattr(multivar, "s_r_multi_direct_batch", s_r_multi_direct_batch)
     assert moved_cases(monkeypatch, clear_run_caches, "prop1")[0] > 0
 
 
