@@ -1,9 +1,11 @@
 """Weighted averages of Ramanujan sums: direct and closed-form evaluators.
 
 Every identity comes as a pair evaluator returning its two sides only, as
-a plain (lhs, rhs) tuple, with no tolerance. The verify engine compares
-them: rational sides must be equal, float sides must meet within_tolerance,
-the one mixed criterion, at the engine's configured tolerance.
+a plain (lhs, rhs) tuple, with no tolerance; a batch form over the cases of
+one k returns the side columns (lhs, rhs), a row per case, which the verify
+engine compares as they come. The engine compares them: rational sides
+must be equal, float sides must meet within_tolerance_columns, the one
+mixed criterion, at the engine's configured tolerance.
 
 Summation bounds are part of the contract and differ per identity:
 
@@ -50,10 +52,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from hashlib import blake2b
+from itertools import cycle, repeat
 from math import comb
-from operator import mul
+from operator import add, mul, truediv
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -114,13 +117,19 @@ def within_tolerance_columns(
 ) -> List[bool]:
     """|lhs - rhs| <= tolerance * (1 + max|side|) for each case of columns
     of sides, errors holding each case's |lhs - rhs|: stays meaningful
-    when a side is exactly zero. A NaN side never passes."""
-    return [e <= tolerance * (1 + max(abs(a), abs(b))) for a, b, e in zip(lhs, rhs, errors)]
+    when a side is exactly zero. A NaN side never passes.
+
+    The rule is evaluated over float64 arrays, with the operations of
+    within_tolerance in its order, and the column comes back as Python
+    bools. A column may be a list or an array; a float, or an int below
+    2^53, converts to float64 exactly."""
+    bound = np.maximum(np.abs(np.asarray(lhs, np.float64)), np.abs(np.asarray(rhs, np.float64)))
+    return (np.asarray(errors, np.float64) <= tolerance * (1 + bound)).tolist()
 
 
 def within_tolerance(lhs: float, rhs: float, tolerance: float) -> bool:
-    """within_tolerance_columns for one case."""
-    return within_tolerance_columns((lhs,), (rhs,), (abs(lhs - rhs),), tolerance)[0]
+    """within_tolerance_columns for one case, in Python floats."""
+    return abs(lhs - rhs) <= tolerance * (1 + max(abs(lhs), abs(rhs)))
 
 
 NAMED_FUNCTIONS: Dict[str, ArithFn] = {
@@ -211,11 +220,14 @@ def log_factorial(d: int) -> float:
 
 
 def log_weighted_pair(k: int) -> Tuple[float, float]:
-    """(1/k) sum_{j=1}^{k} log(j) c_k(j)  vs  Lambda(k) + sum_{d|k} (mu(d)/d) log(d!)."""
+    """(1/k) sum_{j=1}^{k} log(j) c_k(j)  vs  Lambda(k) + sum_{d|k} (mu(d)/d) log(d!).
+
+    The direct side's terms log(j) c_k(j), j >= 2 (log 1 = 0), are summed
+    through map, in order, with no Python frame per term."""
     if k < 1:
         raise ValueError(f"log_weighted_pair requires k >= 1, got {k}")
     row = ramanujan_row(k).values
-    lhs = sum(math.log(j) * row[j] for j in range(2, k + 1)) / k
+    lhs = sum(map(mul, map(math.log, range(2, k + 1)), row[2:])) / k
     rhs = von_mangoldt(k)
     for d in divisors(k):
         mu_d = mobius(d)
@@ -242,9 +254,9 @@ def _gcd_class_totals(k: int) -> Tuple[int, ...]:
 
 def gcd_weighted_batch(
     k: int, fs: Sequence[ArithFn]
-) -> List[Tuple[Rational, Rational]]:
+) -> Tuple[List[Rational], List[Rational]]:
     """sum_{j=1}^{k} f(gcd(j, k)) c_k(j)  vs  phi(k) (mu * f)(k), exactly,
-    for every f in fs.
+    for every f in fs, as the columns (lhs, rhs) with a row per f.
 
     The left side groups the j by d = gcd(j, k): sum_{d|k} f(d) W_d, over
     the class totals W_d of the row. The right side is
@@ -259,18 +271,18 @@ def gcd_weighted_batch(
     totals = _gcd_class_totals(k)
     mus = [mobius(k // d) for d in ds]
     phi = euler_phi(k)
-    out = []
+    lhs, rhs = [], []
     for f in fs:
         fval = list(map(f, ds))
-        lhs = sum(map(mul, fval, totals))
-        rhs = phi * sum(map(mul, fval, mus))
-        out.append((lhs, rhs))
-    return out
+        lhs.append(sum(map(mul, fval, totals)))
+        rhs.append(phi * sum(map(mul, fval, mus)))
+    return lhs, rhs
 
 
 def gcd_weighted_pair(k: int, f: ArithFn) -> Tuple[Rational, Rational]:
-    """One f of gcd_weighted_batch."""
-    return gcd_weighted_batch(k, (f,))[0]
+    """One f of gcd_weighted_batch, as a pair."""
+    (lhs,), (rhs,) = gcd_weighted_batch(k, (f,))
+    return lhs, rhs
 
 
 # --- log-Gamma weight -----------------------------------------------------
@@ -282,22 +294,25 @@ def gamma_weighted_pair(k: int) -> Tuple[float, float]:
 
     The direct side divides by the row's own c_k(0) = phi(k) and reads no
     phi. math.lgamma is well within the 1e-12 relative error the comparison
-    budget assumes.
+    budget assumes. Its terms lgamma(j/k) c_k(j) are summed through map, in
+    order, with no Python frame per term.
     """
     if k < 2:
         raise ValueError(f"gamma_weighted_pair requires k >= 2, got {k}")
     row = ramanujan_row(k).values
-    lhs = sum(math.lgamma(j / k) * row[j] for j in range(1, k + 1)) / row[0]
+    terms = map(mul, map(math.lgamma, map(truediv, range(1, k + 1), repeat(k))), row[1:])
+    lhs = sum(terms) / row[0]
     rhs = 0.5 * sum(math.log(p) / (p - 1) for p in factorize(k).primes)
     rhs -= 0.5 * math.log(2 * math.pi)
     return lhs, rhs
 
 
 def gamma_product_check(n: int) -> Tuple[float, float]:
-    """log of prod_{k=1}^{n} Gamma(k/n)  vs  ((n-1)/2) log(2 pi) - (1/2) log n."""
+    """log of prod_{k=1}^{n} Gamma(k/n)  vs  ((n-1)/2) log(2 pi) - (1/2) log n,
+    the terms lgamma(k/n) summed through map, in order."""
     if n < 1:
         raise ValueError(f"gamma_product_check requires n >= 1, got {n}")
-    lhs = sum(math.lgamma(k / n) for k in range(1, n + 1))
+    lhs = sum(map(math.lgamma, map(truediv, range(1, n + 1), repeat(n))))
     rhs = (n - 1) / 2 * math.log(2 * math.pi) - 0.5 * math.log(n)
     return lhs, rhs
 
@@ -319,11 +334,17 @@ def mobius_log_check(k: int) -> Tuple[float, float]:
 
 
 def _binomial_row_sum(k: int) -> int:
-    """sum_{j=0}^{k} C(k, j) c_k(j), the left side of both binomial weights;
-    a zero c_k(j) adds nothing, so its C(k, j) is not computed. It calls
-    math.comb itself: this module's comb is the closed side's binding."""
-    choose = math.comb
-    return sum(choose(k, j) * c for j, c in enumerate(ramanujan_row(k).values) if c)
+    """sum_{j=0}^{k} C(k, j) c_k(j), the left side of both binomial weights,
+    with C(k, j) walked along Pascal's row, C(k, j + 1) = C(k, j) (k - j) /
+    (j + 1), one exact step per j; a zero c_k(j) adds nothing. It reads no
+    comb: this module's comb is the closed side's binding."""
+    total = 0
+    choose = 1  # C(k, 0)
+    for j, c in enumerate(ramanujan_row(k).values):
+        if c:
+            total += choose * c
+        choose = choose * (k - j) // (j + 1)
+    return total
 
 
 def binomial_weighted_exact(k: int) -> Tuple[int, int]:
@@ -364,6 +385,10 @@ def binomial_weighted_cosine(k: int) -> Tuple[float, float]:
     """(1/2^k) sum_{j=0}^{k} C(k, j) c_k(j)  vs  the cosine double sum
 
         sum_{d|k} mu(k/d) sum_{l=1}^{d} (-1)^(l k/d) cos^k(l pi / d).
+
+    The inner sum over l is formed once per divisor, through map and a
+    left fold from 0.0: each term cos_pi(l, d)^k, times -1.0 for odd l when
+    k/d is odd (times 1.0, which changes no float, otherwise).
     """
     if k < 1:
         raise ValueError(f"binomial_weighted_cosine requires k >= 1, got {k}")
@@ -373,22 +398,22 @@ def binomial_weighted_cosine(k: int) -> Tuple[float, float]:
     rhs = 0.0
     for d in divisors(k):
         mu_kd = mobius(k // d)
-        if not mu_kd:
-            continue
-        inner = 0.0
-        for ell in range(1, d + 1):
-            sign = -1.0 if (ell * (k // d)) % 2 else 1.0
-            inner += sign * cos_pi(ell, d) ** k
-        rhs += mu_kd * inner
+        if mu_kd:
+            terms = map(pow, map(cos_pi, range(1, d + 1), repeat(d)), repeat(k))
+            if (k // d) % 2:
+                terms = map(mul, cycle((-1.0, 1.0)), terms)
+            rhs += mu_kd * reduce(add, terms, 0.0)
     return lhs, rhs
 
 
 # --- Bernoulli polynomial weight ------------------------------------------
 
 
-def bernoulli_weighted_batch(k: int, ms: Sequence[int]) -> List[Tuple[Fraction, Fraction]]:
+def bernoulli_weighted_batch(
+    k: int, ms: Sequence[int]
+) -> Tuple[List[Fraction], List[Fraction]]:
     """sum_{j=0}^{k-1} B_m(j/k) c_k(j)  vs  (B_m / k^(m-1)) J_m(k), exactly,
-    for every m in ms.
+    for every m in ms, as the columns (lhs, rhs) with a row per m.
 
     k^m * D * B_m(j/k) = sum_t (c_t k^t) j^(m-t) is an integer polynomial
     in j (D clears the Bernoulli denominators), so sum_t c_t k^t T_{m-t},
@@ -401,21 +426,22 @@ def bernoulli_weighted_batch(k: int, ms: Sequence[int]) -> List[Tuple[Fraction, 
         raise ValueError("bernoulli_weighted_batch requires k >= 1 and m >= 1")
     first = ramanujan_row(k).values[0]  # read first: a k past ROW_BUDGET is refused here
     totals = multivar._power_sums(multivar.ModulusTuple((k,)), max(ms, default=0))
-    out = []
+    lhs, rhs = [], []
     for m in ms:
         base, d = bernoulli_polynomial_coefficients(m)
         total = sum(c * k**t * totals[m - t] for t, c in enumerate(base) if c)
         if m == 1:
             total -= first * d * k
+        lhs.append(Fraction(total, d * k**m))
         b = bernoulli_number(m)
-        rhs = Fraction(b.numerator * jordan_totient(m, k), b.denominator * k ** (m - 1))
-        out.append((Fraction(total, d * k**m), rhs))
-    return out
+        rhs.append(Fraction(b.numerator * jordan_totient(m, k), b.denominator * k ** (m - 1)))
+    return lhs, rhs
 
 
 def bernoulli_weighted_pair(k: int, m: int) -> Tuple[Fraction, Fraction]:
-    """One m of bernoulli_weighted_batch."""
-    return bernoulli_weighted_batch(k, (m,))[0]
+    """One m of bernoulli_weighted_batch, as a pair."""
+    (lhs,), (rhs,) = bernoulli_weighted_batch(k, (m,))
+    return lhs, rhs
 
 
 # --- inverse DFT ----------------------------------------------------------
@@ -427,30 +453,33 @@ def _dft_values(k: int) -> np.ndarray:
     return np.fft.ifft(np.array(ramanujan_row(k).values[:k], dtype=np.float64))
 
 
-def inverse_dft_batch(k: int, ns: Sequence[int]) -> List[Tuple[float, float]]:
+def inverse_dft_batch(k: int, ns: Sequence[int]) -> Tuple[List[float], List[float]]:
     """(1/k) sum_{j=1}^{k} exp(2 pi i j n / k) c_k(j)  vs  [gcd(k, n) = 1],
-    for every n in ns.
+    for every n in ns, as the columns (lhs, rhs) with a row per n.
 
-    The left side is entry n mod k of the per-modulus FFT _dft_values(k),
-    read once for the batch. Its imaginary part must cancel to below 1e-8
-    (1e-8 * k on the sum).
+    The left column gathers entry n mod k of the per-modulus FFT
+    _dft_values(k), computed once for the batch, and the right one tests
+    gcd(k, n mod k) = gcd(k, n), both with numpy. n mod k is taken in
+    Python, so n may be any size. The imaginary part of each entry read
+    must cancel to below 1e-8 (1e-8 * k on the sum); the error names the
+    first n whose part does not.
     """
-    if k < 1 or any(n < 1 for n in ns):
+    if k < 1 or min(ns, default=1) < 1:
         raise ValueError("inverse_dft_batch requires k >= 1 and n >= 1")
     if k > DFT_LIMIT:
         raise ValueError(f"k={k} exceeds the DFT evaluation bound {DFT_LIMIT}")
-    values = _dft_values(k)
-    real = values.real.tolist()
-    imag = values.imag.tolist()
-    out = []
-    for n in ns:
-        i = n % k
-        if abs(imag[i]) > 1e-8:
-            raise RuntimeError(f"imaginary part {imag[i]} of the mean too large for k={k}, n={n}")
-        out.append((real[i], 1.0 if math.gcd(k, n) == 1 else 0.0))
-    return out
+    residues = np.fromiter(map(k.__rmod__, ns), np.int64, len(ns))
+    values = _dft_values(k)[residues]
+    large = np.abs(values.imag) > 1e-8
+    if large.any():
+        i = int(large.argmax())
+        raise RuntimeError(
+            f"imaginary part {float(values.imag[i])} of the mean too large for k={k}, n={ns[i]}"
+        )
+    return values.real.tolist(), (np.gcd(residues, k) == 1).astype(np.float64).tolist()
 
 
 def inverse_dft_check(k: int, n: int) -> Tuple[float, float]:
-    """One case of inverse_dft_batch."""
-    return inverse_dft_batch(k, (n,))[0]
+    """One case of inverse_dft_batch, as a pair."""
+    (lhs,), (rhs,) = inverse_dft_batch(k, (n,))
+    return lhs, rhs

@@ -40,16 +40,18 @@ is the direct side of averages' power weight (s_r_direct, prop1), and
 averages' Bernoulli weight (prop6) reads the table of (k,). The tables hold
 k E, not E, so both integrality checks run at every read and their
 RuntimeError is never cached. A BudgetError is raised before anything is
-stored, so a table is either empty or complete up to its top. A table of
-top R holds R + 1 integers of at most log2(prod phi(k_i)) + (R + 1) log2(k)
-+ 1 bits. verify --all fills 13,300 power-sum tables (the 12,340 tuples of
-the multivariable grid and the moduli 41..1000 of prop1) and 12,664 weight
-tables, about 6.8 MB together. No sweep re-reads a product row, so
-_product_row keeps one: at most PERIOD_BUDGET entries, 80 MB as int64,
-where its earlier 64 rows could take 5.1 GB. An object row holds one Python
-int per entry, and each rung of its ladder makes another: E with S_1 and
-S_2 peaked at 56-80 bytes per entry over one period of 10^6 entries, so it
-is admitted up to PERIOD_BUDGET / 10 entries.
+stored, so a table is either empty or complete up to its top; a tuple that
+a budget refuses gets no table at all (the table's lookup applies the
+budget), so it evicts none. A table of top R holds R + 1 integers of at
+most log2(prod phi(k_i)) + (R + 1) log2(k) + 1 bits. verify --all fills
+13,300 power-sum tables (the 12,340 tuples of the multivariable grid and
+the moduli 41..1000 of prop1) and 12,664 weight tables, about 6.8 MB
+together. No sweep re-reads a product row, so _product_row keeps one: at
+most PERIOD_BUDGET entries, 80 MB as int64, where its earlier 64 rows could
+take 5.1 GB. An object row holds one Python int per entry, and each rung of
+its ladder makes another: E with S_1 and S_2 peaked at 56-80 bytes per
+entry over one period of 10^6 entries, so it is admitted up to
+PERIOD_BUDGET / 10 entries.
 
 Single-component tuples go through exactly the same code paths as n >= 2;
 their agreement with the single-variable closed forms is asserted by
@@ -133,26 +135,35 @@ def _as_tuple(t: Union[ModulusTuple, Sequence[int]]) -> ModulusTuple:
 # --- direct side: one period of the product row ----------------------------
 
 
+def _row_bound(ks: Tuple[int, ...], length: int) -> int:
+    """The element bound of the product row of the moduli ks, of period
+    length = lcm(ks): its own c(0) = prod_i c_{k_i}(0), read from the rows
+    of c_{k_i}, once the period budget admits the row. A period past
+    PERIOD_BUDGET entries, or an object row (a bound past int64) past
+    PERIOD_BUDGET * 8 bytes, raises BudgetError first."""
+    if length > PERIOD_BUDGET:
+        raise BudgetError(f"period lcm{ks} = {length} exceeds {PERIOD_BUDGET}")
+    bound = math.prod(ramanujan_row(k).values[0] for k in ks)
+    if bound >= _INT64_SAFE and length * _OBJECT_ENTRY_BYTES > PERIOD_BUDGET * 8:
+        raise BudgetError(
+            f"object row lcm{ks} = {length} entries at {_OBJECT_ENTRY_BYTES} bytes each"
+            f" exceeds {PERIOD_BUDGET * 8} bytes"
+        )
+    return bound
+
+
 @lru_cache(maxsize=1)
 def _product_row(t: ModulusTuple):
     """(values, element_bound) for c_{k_1}(j) ... c_{k_n}(j), j = 1..lcm.
 
-    The element bound is the row's own c(0) = prod_i c_{k_i}(0), read from
-    the rows of c_{k_i}. Values are one ndarray, multiplied one period of
-    c_{k_i} at a time: int64 when the bound provably fits, otherwise object
-    (Python ints), whose bytes are budgeted before it is allocated.
+    The element bound is _row_bound's, which budgets the row before it is
+    allocated. Values are one ndarray, multiplied one period of c_{k_i} at
+    a time: int64 when the bound provably fits, otherwise object (Python
+    ints).
     """
-    length = t.lcm_value
-    if length > PERIOD_BUDGET:
-        raise BudgetError(f"period lcm{t.ks} = {length} exceeds {PERIOD_BUDGET}")
+    bound = _row_bound(t.ks, t.lcm_value)
     bases = [ramanujan_row(k).values for k in t.ks]  # base[0] == base[k] == c_k(0)
-    bound = math.prod(base[0] for base in bases)
-    if bound >= _INT64_SAFE and length * _OBJECT_ENTRY_BYTES > PERIOD_BUDGET * 8:
-        raise BudgetError(
-            f"object row lcm{t.ks} = {length} entries at {_OBJECT_ENTRY_BYTES} bytes each"
-            f" exceeds {PERIOD_BUDGET * 8} bytes"
-        )
-    row = np.ones(length, dtype=np.int64 if bound < _INT64_SAFE else object)
+    row = np.ones(t.lcm_value, dtype=np.int64 if bound < _INT64_SAFE else object)
     for k, base in zip(t.ks, bases):
         periods = row.reshape(-1, k)  # a view: one period of c_k per line
         periods *= base[1:]
@@ -207,7 +218,11 @@ def _weighted_power_sums(values: np.ndarray, top: int, bound: int) -> List[int]:
 
 @lru_cache(maxsize=1 << 14)
 def _power_sum_table(ks: Tuple[int, ...]) -> List[int]:
-    """T_0, T_1, ... of the tuple ks as far as _power_sums has built them."""
+    """T_0, T_1, ... of the tuple ks as far as _power_sums has built them.
+    A new entry is made only for a tuple the period budget admits: a
+    refused one raises here, and lru_cache stores nothing for a call that
+    raises, so it cannot evict a built table."""
+    _row_bound(ks, math.lcm(*ks))
     return []
 
 
@@ -245,12 +260,9 @@ def _divisor_terms(t: ModulusTuple) -> Tuple[Tuple[int, int], ...]:
     that lcm, and never 0. The lattice is folded one modulus at a time:
     each (lcm, coefficient) so far is multiplied by every (d, d mu(k_i/d))
     with mu(k_i/d) != 0, and the products are aggregated by lcm again.
+    _weights reads it only for a tuple whose _weight_table entry, and so
+    the lattice budget, admitted it.
     """
-    budget = math.prod(len(divisors(k)) for k in t.ks)
-    if budget > DIVISOR_TUPLE_BUDGET:
-        raise BudgetError(
-            f"divisor-tuple count {budget} for {t.ks} exceeds {DIVISOR_TUPLE_BUDGET}"
-        )
     terms = {1: 1}
     for k in t.ks:
         folded: Dict[int, int] = {}
@@ -267,7 +279,13 @@ def _divisor_terms(t: ModulusTuple) -> Tuple[Tuple[int, int], ...]:
 @lru_cache(maxsize=1 << 14)
 def _weight_table(ks: Tuple[int, ...]) -> List[int]:
     """k g_0 = k E, g_1, g_2, ... of the tuple ks as far as _weights has
-    extended them."""
+    extended them. A new entry is made only for a tuple whose divisor
+    lattice holds at most DIVISOR_TUPLE_BUDGET tuples: a refused one raises
+    here, and lru_cache stores nothing for a call that raises, so it cannot
+    evict a built table."""
+    budget = math.prod(len(divisors(k)) for k in ks)
+    if budget > DIVISOR_TUPLE_BUDGET:
+        raise BudgetError(f"divisor-tuple count {budget} for {ks} exceeds {DIVISOR_TUPLE_BUDGET}")
     return []
 
 

@@ -2,9 +2,10 @@
 
 The catalog below is closed: each tag names exactly one evaluator and
 one comparison mode (exact rational equality, or the mixed float criterion
-averages.within_tolerance). Evaluators return sides only and _compare
-compares them: the mode is owned here, not by callers or evaluators, so an
-exact identity can never be checked sloppily from the command line.
+averages.within_tolerance_columns). Evaluators return side columns only and
+_compare compares them: the mode is owned here, not by callers or
+evaluators, so an exact identity can never be checked sloppily from the
+command line.
 
 Each identity declares its parameters once, as a schema (kind, minimum,
 optional cap, grid bound). A default grid is the product of the
@@ -22,15 +23,19 @@ product of its trailing parameters once and every run shares that list
 itself, one per k for cross-evaluator, one per r for half-sum and one per
 drawn pair for e-multiplicativity. An identity's evaluate takes the
 leading value, the trailing values of every case of the run and the seed,
-and returns the sides of each case, so a kernel can share work across the
-run (one read of the power-sum table of (k,) for prop1 and prop6, and of
-phi(k) and the Jordan totients for prop1's closed sides, of each tuple
-table for prop7 and of the FFT row per k for inverse-dft, one read of k's
-divisors, gcd-class totals, mu(k/d) and phi(k) for every f of prop3 and
-prop3-corollary; for cross-evaluator, the divisor and Holder forms once
-per gcd class of the run and the float form from one FFT row per k); the
-other identities evaluate case by case. If a run raises, each of its cases
-is evaluated alone, so a failure stays with the cases that cause it.
+and returns the run's side columns, (lhs, rhs) or (lhs, rhs, reasons),
+each with a row per case (see _Evaluator). So a kernel shares work across
+the run and returns the columns it computes (one read of the power-sum
+table of (k,) for prop1 and prop6, and of phi(k) and the Jordan totients
+for prop1's closed sides, of each tuple table for prop7 and of the FFT
+row per k for inverse-dft, one read of k's divisors, gcd-class totals,
+mu(k/d) and phi(k) for every f of prop3 and prop3-corollary; for
+cross-evaluator, the divisor and Holder forms once per gcd class of the
+run, the float form from one FFT row per k and its check over the run);
+the other identities evaluate case by case, their pairs gathered into the
+two columns. If a run raises, each of its cases is evaluated alone, so a
+failure stays with the cases that cause it, and the run's columns are
+assembled from those runs of one.
 
 Each caller checks what it is given, and only that. run_identity takes
 its case from outside the program and checks it against the schema (one
@@ -40,35 +45,37 @@ and each grid bound against its parameter's cap. The grids it then builds
 hold only values of the schema, so their cases are not checked again;
 tests check every case of every grid against the validator instead.
 
-A run is compared once, over columns, and its text is rendered only when
-a report is written. _compare evaluates the run, transposes its sides into
-lhs, rhs and reason columns and compares each case once, giving a passed
-column and, in tolerance mode, an abs_error column. A run of plain pairs
-is compared without a Python call per case: == mapped over the columns, or
-one abs(lhs - rhs) per case that gives the abs_error column and feeds
-averages.within_tolerance_columns; a run with a reason or a raised case is
-compared case by case. run_suite tallies the counts and the worst errors
-from the columns and renders only the failing cases, from their rows of
-each column. It keeps no run: a caller that wants every case (the CLI's
-CSV, the tests) passes a sink, which run_suite calls with each run and its
-columns as soon as the run is compared. The params text of a case is its
-run's prefix, the leading value's text rendered once per run, and its
-trailing text, a str.format template of its trailing values, rendered once
-per product grid, by _grid onto the trailing list its runs share
-(_Trailing), and once per run otherwise; _side_texts gives the lhs and rhs
-text of a run's columns or of their rows. cases_to_csv writes one run's
-rows from those text columns, its abs_error and passed columns mapped to
-text, each row the ",".join of its fields. The schema leaves one field
-that needs CSV quoting: a params field with trailing values, which holds
-the template's comma and is always quoted. No other field can hold a ",",
-'"', "\\r" or "\\n": tags and modes are fixed words, a parameter value
-renders as digits, "|", a named function, rand and ASCII digits or a
-fixed choice, and a side or abs_error as str of an int or a Fraction or
-as "{:.17g}" of a float (TestCsvQuoting holds the catalog to this).
-_render, the only code that builds an IdentityCase, pairs the same texts
-with the passed, abs_error and reason columns. Neither compares, so a case
-reads the same whichever report shows it. run_identity compares and
-renders its one case.
+A run is compared once, over columns, and its text is rendered only when a
+report is written. _compare evaluates the run and compares each case once
+over the side columns the evaluator returns, so nothing transposes rows
+into columns, giving a passed column and, in tolerance mode, an abs_error
+column. A run is compared without a Python call per case: == mapped over
+the lhs and rhs columns of an exact run; for a tolerance run, |lhs - rhs|
+over float64 arrays gives the abs_error column and, with the same arrays,
+feeds averages.within_tolerance_columns, which evaluates its rule over
+them. In a run with a reason or a raised case those cases fail, and an
+exact one is compared case by case. run_suite tallies the counts and the
+worst errors from the columns and renders only the failing cases, from
+their rows of each column. It keeps no run: a caller that wants every case
+(the CLI's CSV, the tests) passes a sink, which run_suite calls with each
+run and its columns as soon as the run is compared. The params text of a
+case is its run's prefix, the leading value's text rendered once per run,
+and its trailing text, a str.format template of its trailing values,
+rendered once per product grid, by _grid onto the trailing list its runs
+share (_Trailing), and once per run otherwise; _side_texts gives the lhs
+and rhs text of a run's columns or of their rows. cases_to_csv writes one
+run's rows from those text columns, its abs_error and passed columns
+mapped to text, each row the ",".join of its fields. The schema leaves one
+field that needs CSV quoting: a params field with trailing values, which
+holds the template's comma and is always quoted. No other field can hold a
+",", '"', "\\r" or "\\n": tags and modes are fixed words, a parameter
+value renders as digits, "|", a named function, rand and ASCII digits or a
+fixed choice, and a side or abs_error as str of an int or a Fraction or as
+"{:.17g}" of a float (TestCsvQuoting holds the catalog to this). _render,
+the only code that builds an IdentityCase, pairs the same texts with the
+passed, abs_error and reason columns. Neither compares, so a case reads
+the same whichever report shows it. run_identity compares and renders its
+one case.
 
 Before any grid is built, run_suite refuses a grid bound above a
 parameter's cap, and counts the cases of every selected grid from its
@@ -96,10 +103,12 @@ import re
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement, repeat, starmap, zip_longest
+from itertools import chain, combinations_with_replacement, repeat, starmap
 from itertools import product as iter_product
-from operator import add, eq, sub
+from operator import add, eq
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from . import averages, exact, multivar
 from .arith import euler_phi
@@ -245,10 +254,14 @@ def _fmt_value(v) -> str:
 
 
 # (leading value, trailing values of each case of the run, seed) -> the
-# sides of each case: (lhs, rhs), or (lhs, rhs, reason) for a case that
-# fails for a reason its sides do not show (cross-evaluator's float oracle;
-# (None, None, the exception) for a case that raised).
-_Evaluator = Callable[[object, Sequence[tuple], int], List[tuple]]
+# side columns of the run, each with a row per case: (lhs, rhs), or
+# (lhs, rhs, reasons) for a run where some case fails for a reason its
+# sides do not show (cross-evaluator's float oracle), reasons holding None
+# for each case that has none. _evaluate gives a case that raised the
+# sides None and the exception as its reason. _compare reads the columns
+# as they come: nothing transposes rows into columns.
+_SideColumns = Tuple[Sequence, ...]
+_Evaluator = Callable[[object, Sequence[tuple], int], _SideColumns]
 
 
 # --- the identity catalog ---------------------------------------------------
@@ -480,16 +493,17 @@ def _coprime_pair_grid(pairs: int, component_max: int, arity_max: int, seed: int
 
 
 def _per_case(fn: Callable[..., tuple]) -> _Evaluator:
-    """The batch evaluator of an identity without a kernel: fn(*params) on
-    each case of the run."""
-    return lambda lead, rests, seed: [fn(lead, *rest) for rest in rests]
+    """The batch evaluator of an identity without a kernel: fn(*params), a
+    pair, on each case of the run, the pairs gathered into the lhs and rhs
+    columns."""
+    return lambda lead, rests, seed: tuple(zip(*[fn(lead, *rest) for rest in rests]))
 
 
 def _prop1(k, rests, seed):
     """multivar's S_r of (k,): one power-sum table read for every r of the
     run, and one read of phi(k) and the Jordan totients for its closed sides."""
     rs = [r for r, in rests]
-    return list(zip(multivar.s_r_multi_direct_batch((k,), rs), averages.s_r_closed_batch(k, rs)))
+    return multivar.s_r_multi_direct_batch((k,), rs), averages.s_r_closed_batch(k, rs)
 
 
 def _prop6(k, rests, seed):
@@ -505,8 +519,7 @@ def _prop7(ks, rests, seed):
     """One ModulusTuple and one read of each tuple table for the whole run."""
     t = multivar.ModulusTuple(ks)
     rs = [r for r, in rests]
-    lhs = multivar.s_r_multi_direct_batch(t, rs)
-    return list(zip(lhs, multivar.s_r_multi_closed_batch(t, rs)))
+    return multivar.s_r_multi_direct_batch(t, rs), multivar.s_r_multi_closed_batch(t, rs)
 
 
 def _prop3(k, rests, seed):
@@ -526,8 +539,8 @@ _COROLLARY_RHS = {
 def _prop3_corollary(k, rests, seed):
     """prop3's kernel for the left sides; each stated closed form per case."""
     names = [name for name, in rests]
-    pairs = averages.gcd_weighted_batch(k, [averages.NAMED_FUNCTIONS[n] for n in names])
-    return [(lhs, _COROLLARY_RHS[n](k)) for (lhs, _), n in zip(pairs, names)]
+    lhs, _ = averages.gcd_weighted_batch(k, [averages.NAMED_FUNCTIONS[n] for n in names])
+    return lhs, [_COROLLARY_RHS[n](k) for n in names]
 
 
 def _prop7_corollary(ks):
@@ -550,16 +563,23 @@ def _e_integrality(ks):
 def _cross_evaluator(k, rests, seed):
     """Divisor formula vs Holder form, with the rounded float definition
     as a third evaluator that fails a case by its reason; each evaluator
-    takes the whole run."""
+    takes the whole run. The oracle is checked over the run with numpy,
+    where rint rounds as round does (half to even) and each exact value
+    converts to float64 exactly. Only a run where some case fails that
+    check is checked again case by case, which gives each failing case its
+    reason and raises on a non-finite oracle, as round does."""
     js = [j for j, in rests]
+    lhs = ramanujan_sum_batch(k, js)
+    rhs = ramanujan_sum_holder_batch(k, js)
+    floats = ramanujan_sum_float_batch(k, js)
     bound = 1e-6 * k
-    return [
-        (a, b) if round(f) == a and abs(f - a) <= bound
-        else (a, b, f"float oracle {_fmt_float(f)} disagrees with the exact value {a}")
-        for a, b, f in zip(
-            ramanujan_sum_batch(k, js), ramanujan_sum_holder_batch(k, js),
-            ramanujan_sum_float_batch(k, js),
-        )
+    oracle, exact_values = np.array(floats, np.float64), np.array(lhs, np.float64)
+    if ((np.rint(oracle) == exact_values) & (np.abs(oracle - exact_values) <= bound)).all():
+        return lhs, rhs
+    return lhs, rhs, [
+        None if round(f) == a and abs(f - a) <= bound
+        else f"float oracle {_fmt_float(f)} disagrees with the exact value {a}"
+        for a, f in zip(lhs, floats)
     ]
 
 
@@ -724,16 +744,23 @@ def _check_tolerance(tolerance: float) -> None:
 _CAUGHT = (multivar.BudgetError, RuntimeError, OverflowError, ValueError)
 
 
-def _evaluate(ident: IdentityDef, lead, rests: Sequence[tuple], seed: int) -> List[tuple]:
-    """The sides of each case of one run. When the run raises, each of its
-    cases is evaluated as a batch of one, so a failure stays with the cases
-    that cause it and its reason is the one the case gives alone."""
+def _evaluate(ident: IdentityDef, lead, rests: Sequence[tuple], seed: int) -> _SideColumns:
+    """The side columns of one run, as ident.evaluate gives them. When the
+    run raises, each of its cases is evaluated as a run of one, so a
+    failure stays with the cases that cause it and its reason is the one
+    the case gives alone; the columns are then assembled from those runs
+    of one, with a reasons column."""
     try:
         return ident.evaluate(lead, rests, seed)
     except _CAUGHT as exc:
         if len(rests) == 1:
-            return [(None, None, str(exc))]
-        return [_evaluate(ident, lead, (rest,), seed)[0] for rest in rests]
+            return [None], [None], [str(exc)]
+        singles = [_evaluate(ident, lead, (rest,), seed) for rest in rests]
+        return (
+            [single[0][0] for single in singles],
+            [single[1][0] for single in singles],
+            [single[2][0] if len(single) == 3 else None for single in singles],
+        )
 
 
 class _Columns(NamedTuple):
@@ -749,30 +776,33 @@ class _Columns(NamedTuple):
 def _compare(
     ident: IdentityDef, lead, rests: Sequence[tuple], tolerance: float, seed: int
 ) -> _Columns:
-    """Evaluate one run and compare each of its cases once, as columns: ==
-    on the sides of an exact identity, averages.within_tolerance at
-    `tolerance` on those of a tolerance one. A case with a reason fails;
-    one that raised, (None, None, reason), has no abs_error. The run is not
-    checked against the schema: it comes from a grid, or from run_identity,
-    which has checked its case."""
-    # Pairs and triples of sides as columns; a pair's reason is None.
-    lhs, rhs, *reasons = zip_longest(*_evaluate(ident, lead, rests, seed))
+    """Evaluate one run and compare each of its cases once, over the side
+    columns the evaluator gives: == on the sides of an exact identity,
+    averages.within_tolerance_columns at `tolerance` on those of a
+    tolerance one, whose abs_error column is |lhs - rhs| in float64. A case
+    with a reason fails; one that raised, with None sides, has no
+    abs_error. The run is not checked against the schema: it comes from a
+    grid, or from run_identity, which has checked its case."""
+    lhs, rhs, *reasons = _evaluate(ident, lead, rests, seed)
     reasons = reasons[0] if reasons else None
     errors = None
-    if reasons is not None:
-        # Some case failed for a reason, or raised and has no sides.
-        if ident.mode == "exact":
-            passed = [r is None and a == b for a, b, r in zip(lhs, rhs, reasons)]
+    if ident.mode == "exact":
+        if reasons is None:
+            passed = list(map(eq, lhs, rhs))
         else:
-            within = averages.within_tolerance
-            passed = [r is None and within(a, b, tolerance) for a, b, r in zip(lhs, rhs, reasons)]
-            errors = [None if a is None else abs(a - b) for a, b in zip(lhs, rhs)]
-    elif ident.mode == "exact":
-        passed = list(map(eq, lhs, rhs))
+            passed = [r is None and a == b for a, b, r in zip(lhs, rhs, reasons)]
     else:
-        # One abs(a - b) per case gives both columns.
-        errors = list(map(abs, map(sub, lhs, rhs)))
-        passed = averages.within_tolerance_columns(lhs, rhs, errors, tolerance)
+        # float64 holds the None side of a case that raised as NaN. Like
+        # Python's float -, the subtraction overflows to inf and gives NaN
+        # for inf - inf without a warning.
+        a, b = np.array(lhs, np.float64), np.array(rhs, np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = np.abs(a - b)
+        passed = averages.within_tolerance_columns(a, b, diff, tolerance)
+        errors = diff.tolist()
+        if reasons is not None:
+            passed = [r is None and ok for r, ok in zip(reasons, passed)]
+            errors = [None if v is None else e for v, e in zip(lhs, errors)]
     return _Columns(lhs, rhs, reasons, passed, errors)
 
 
@@ -937,10 +967,13 @@ def run_suite(config: SuiteConfig, sink: Optional[_Sink] = None) -> Verification
             columns = _compare(ident, lead, rests, config.tolerance, config.seed)
             if sink is not None:
                 sink(ident, lead, rests, columns)
-            if columns.errors is not None:
+            errors = columns.errors
+            if errors is not None:
                 # A left fold from 0.0, as max() takes its arguments: a NaN
-                # error never replaces the value.
-                errors = [e for e in columns.errors if e is not None]
+                # error never replaces the value. Only a case that raised,
+                # in a run with reasons, has no error.
+                if columns.reasons is not None:
+                    errors = [e for e in errors if e is not None]
                 if errors:
                     worst[tag] = max(worst.get(tag, 0.0), *errors)
             if not all(columns.passed):

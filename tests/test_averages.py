@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 import ramavg.averages as averages
 import ramavg.multivar as multivar
-from ramavg.arith import euler_phi
+from ramavg.arith import divisors, euler_phi, mobius
 from ramavg.averages import (
     COSINE_LIMIT,
     DEFAULT_TOLERANCE,
@@ -349,6 +349,62 @@ class TestInverseDft:
     def test_rejects_oversized_k(self):
         with pytest.raises(ValueError):
             inverse_dft_check(10**5 + 1, 1)
+
+
+class TestLiteralSidesAsTheOldTerms:
+    """The literal sides summed through map, the binomial row walked along
+    Pascal's row, the cosine sum folded once per divisor and the inverse
+    DFT gathered with numpy equal, bit for bit, the expressions they
+    replaced, which are kept here as oracles."""
+
+    def test_the_binomial_row_sum_is_the_comb_sum(self):
+        for k in range(1, 301):
+            row = ramanujan_row(k).values
+            oracle = sum(math.comb(k, j) * c for j, c in enumerate(row) if c)
+            assert averages._binomial_row_sum(k) == oracle, k
+
+    def test_the_float_sides_are_their_per_term_forms(self):
+        for k in range(1, 301):
+            row = ramanujan_row(k).values
+            lhs = sum(math.log(j) * row[j] for j in range(2, k + 1)) / k
+            assert log_weighted_pair(k)[0].hex() == lhs.hex(), k
+            if k >= 2:
+                lhs = sum(math.lgamma(j / k) * row[j] for j in range(1, k + 1)) / row[0]
+                assert gamma_weighted_pair(k)[0].hex() == lhs.hex(), k
+            # gamma-product's parameter n, over the same range.
+            lhs = sum(math.lgamma(m / k) for m in range(1, k + 1))
+            assert gamma_product_check(k)[0].hex() == lhs.hex(), k
+
+    def test_the_cosine_pair_is_its_per_term_form(self):
+        for k in range(1, 301):
+            row = ramanujan_row(k).values
+            lhs = float(Fraction(sum(math.comb(k, j) * c for j, c in enumerate(row) if c), 2**k))
+            rhs = 0.0
+            for d in divisors(k):
+                mu_kd = mobius(k // d)
+                if not mu_kd:
+                    continue
+                inner = 0.0
+                for ell in range(1, d + 1):
+                    sign = -1.0 if (ell * (k // d)) % 2 else 1.0
+                    inner += sign * cos_pi(ell, d) ** k
+                rhs += mu_kd * inner
+            got = binomial_weighted_cosine(k)
+            assert (got[0].hex(), got[1].hex()) == (lhs.hex(), rhs.hex()), k
+
+    def test_the_inverse_dft_columns_are_the_per_n_loop(self):
+        # 10^30 + 7 is past int64: n mod k is taken before numpy sees it.
+        ns = [*range(1, 61), 10**30 + 7, 3, 1]
+        for k in range(1, 61):
+            values = averages._dft_values(k)
+            real, imag = values.real.tolist(), values.imag.tolist()
+            lhs, rhs = inverse_dft_batch(k, ns)
+            assert all(abs(imag[n % k]) <= 1e-8 for n in ns)
+            assert [x.hex() for x in lhs] == [real[n % k].hex() for n in ns], k
+            assert [x.hex() for x in rhs] == [
+                (1.0 if math.gcd(k, n) == 1 else 0.0).hex() for n in ns
+            ], k
+            assert [inverse_dft_check(k, n) for n in ns] == list(zip(lhs, rhs))
 
 
 class TestWithinTolerance:

@@ -216,6 +216,60 @@ class TestOrbicyclic:
         assert orbicyclic_divisor(t) == 0  # the divisor side needs no row
 
 
+class TestARefusedTupleGetsNoTable:
+    """Each budget refuses a tuple before the tuple's table is stored: a
+    refused call leaves the table cache as it was, so it evicts no built
+    table, and a later call the budget admits still fills its table. The
+    budgets are patched down, so no call comes near the real ones."""
+
+    def test_the_period_budget(self, monkeypatch):
+        monkeypatch.setattr(multivar, "PERIOD_BUDGET", 20)
+        assert s_r_multi_direct((4, 6), 1) == s_r_multi_closed((4, 6), 1)  # lcm 12
+        cache = multivar._power_sum_table.cache_info
+        size = cache().currsize
+        for ks in ((21,), (22,), (4, 7)):  # lcm 21, 22 and 28
+            with pytest.raises(BudgetError, match="period"):
+                s_r_multi_direct(ks, 1)
+            with pytest.raises(BudgetError, match="period"):
+                orbicyclic_direct(ks)
+            with pytest.raises(BudgetError, match="period"):
+                s_r_direct(math.lcm(*ks), 2)
+        assert cache().currsize == size
+        assert s_r_multi_direct((5,), 2) == s_r_multi_closed((5,), 2)
+        assert cache().currsize == size + 1
+        assert multivar._power_sum_table((5,)) == [s_r_brute((5,), r) * 5 ** (r + 1) for r in range(3)]
+
+    def test_the_object_row_budget(self, monkeypatch):
+        # Ten copies of 97 make an object row of 97 entries at
+        # _OBJECT_ENTRY_BYTES each: past the bytes of `edge - 1` int64 entries.
+        ks = (97,) * 10
+        edge = -(-97 * multivar._OBJECT_ENTRY_BYTES // 8)
+        monkeypatch.setattr(multivar, "PERIOD_BUDGET", edge - 1)
+        size = multivar._power_sum_table.cache_info().currsize
+        with pytest.raises(BudgetError, match="97 entries at .* bytes each exceeds"):
+            orbicyclic_direct(ks)
+        assert multivar._power_sum_table.cache_info().currsize == size
+        monkeypatch.setattr(multivar, "PERIOD_BUDGET", edge)
+        assert orbicyclic_direct(ks) == 685394470094330976
+        assert len(multivar._power_sum_table(ks)) == 1
+        assert multivar._power_sum_table.cache_info().currsize == size + 1
+
+    def test_the_divisor_tuple_budget(self, monkeypatch):
+        # tau(4) tau(6) = 12 tuples, tau(2) tau(3) = 4.
+        monkeypatch.setattr(multivar, "DIVISOR_TUPLE_BUDGET", 10)
+        cache = multivar._weight_table.cache_info
+        size = cache().currsize
+        refused = (orbicyclic_divisor, lambda t: g_m(t, 1), lambda t: s_r_multi_closed(t, 1))
+        for call in refused:
+            with pytest.raises(BudgetError, match=r"divisor-tuple count 12 for \(4, 6\)"):
+                call((4, 6))
+        assert cache().currsize == size
+        assert orbicyclic_divisor((2, 3)) == e_brute((2, 3)) == 0
+        assert g_m((2, 3), 1) == g_m((3, 2), 1)
+        assert cache().currsize == size + 2
+        assert len(multivar._weight_table((2, 3))) == 2
+
+
 def divisor_terms_by_tuples(ks):
     """The divisor lattice by the cartesian enumeration of its tuples, every
     prod_i d_i mu(k_i/d_i) aggregated by lcm(d_i), zero sums kept."""

@@ -102,9 +102,10 @@ class TestGcdClasses:
     def test_batch_equals_its_pairs(self, k, fs):
         # One read of the per-modulus data serves every f of the batch,
         # and each f keeps its own pair: no value leaks between them.
-        batch = gcd_weighted_batch(k, fs)
-        assert batch == [gcd_weighted_pair(k, f) for f in fs]
-        for (lhs, rhs), f in zip(batch, fs):
+        lhs_column, rhs_column = gcd_weighted_batch(k, fs)
+        assert list(zip(lhs_column, rhs_column)) == [gcd_weighted_pair(k, f) for f in fs]
+        assert len(lhs_column) == len(rhs_column) == len(fs)
+        for lhs, rhs, f in zip(lhs_column, rhs_column, fs):
             # Integer-valued functions keep int sides; a rational one gives
             # Fractions.
             assert type(lhs) is type(rhs) is (Fraction if f is rational_f else int)

@@ -440,16 +440,18 @@ def test_mixed_runs_in_each_mode(monkeypatch):
         dft_calls.append((k, list(ns)))
         if k == 7 and 3 in ns:
             raise RuntimeError("dft refused 7, 3")
-        out = [tuple(pair) for pair in real_dft(k, ns)]
-        if k == 6:
-            faults = {
-                1: lambda lhs, rhs: (float("nan"), rhs),
-                3: lambda lhs, rhs: (lhs, rhs + 0.25),
-                4: lambda lhs, rhs: (lhs, rhs, "reason at 6, 4"),
-                5: lambda lhs, rhs: (lhs, rhs + 0.125),
-            }
-            out = [faults[n](*pair) if n in faults else pair for n, pair in zip(ns, out)]
-        return out
+        lhs, rhs = real_dft(k, ns)
+        if k != 6:
+            return lhs, rhs
+        # The side columns as rows (lhs, rhs, reason), faulted, and back.
+        faults = {
+            1: lambda lhs, rhs: (float("nan"), rhs, None),
+            3: lambda lhs, rhs: (lhs, rhs + 0.25, None),
+            4: lambda lhs, rhs: (lhs, rhs, "reason at 6, 4"),
+            5: lambda lhs, rhs: (lhs, rhs + 0.125, None),
+        }
+        rows = [faults[n](a, b) if n in faults else (a, b, None) for n, a, b in zip(ns, lhs, rhs)]
+        return tuple(map(list, zip(*rows)))
 
     monkeypatch.setattr(averages, "inverse_dft_batch", dft)
     config = SuiteConfig(identities=["cross-evaluator", "inverse-dft"], k_max=7, n_max=5)
@@ -464,7 +466,7 @@ def test_mixed_runs_in_each_mode(monkeypatch):
         return {**case, **fields}
 
     def tolerance(k, n, **fields):
-        lhs, rhs = real_dft(k, [n])[0]
+        (lhs,), (rhs,) = real_dft(k, [n])
         case = dict(
             identity="inverse-dft", params=f"k={k},n={n}", mode="tolerance",
             lhs=f"{lhs:.17g}", rhs=f"{rhs:.17g}", passed=True, abs_error=abs(lhs - rhs),
@@ -472,8 +474,8 @@ def test_mixed_runs_in_each_mode(monkeypatch):
         )
         return {**case, **fields}
 
-    lhs63, rhs63 = real_dft(6, [3])[0]
-    lhs65, rhs65 = real_dft(6, [5])[0]
+    (lhs63,), (rhs63,) = real_dft(6, [3])
+    (lhs65,), (rhs65,) = real_dft(6, [5])
     expected = {
         ("cross-evaluator", "k=6,j=2"): exact(6, 2, rhs=str(real_holder(6, 2) + 1), passed=False),
         ("cross-evaluator", "k=6,j=4"): exact(

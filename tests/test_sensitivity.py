@@ -18,6 +18,7 @@ exceptions below.
 import dataclasses
 import math
 from itertools import count
+from operator import ne
 
 import pytest
 
@@ -106,14 +107,16 @@ CLOSED_READS_NONE = {"gamma-product", "inverse-dft", "bernoulli-poly-sum"}
 
 
 def _sides(tag):
-    """The sides of every case of tag's small grid, run by run."""
+    """The lhs and rhs columns of tag's small grid, each run's side columns
+    joined in grid order."""
     ident = verify._lookup(tag)
     config = small_config(tag)
-    return [
-        side
-        for lead, rests in runs_of(config)
-        for side in verify._evaluate(ident, lead, rests, config.seed)
-    ]
+    lhs, rhs = [], []
+    for lead, rests in runs_of(config):
+        columns = verify._evaluate(ident, lead, rests, config.seed)
+        lhs += columns[0]
+        rhs += columns[1]
+    return lhs, rhs
 
 
 def moved_cases(monkeypatch, clear_run_caches, tag):
@@ -129,9 +132,10 @@ def moved_cases(monkeypatch, clear_run_caches, tag):
             monkeypatch.setattr(MODULES[module], name, perturb(getattr(MODULES[module], name)))
     after = _sides(tag)
     direct = 1 if tag in DIRECT_ON_RHS else 0
+    assert len(before[0]) == len(after[0]) == len(before[1]) == len(after[1])
     return (
-        sum(a[direct] != b[direct] for a, b in zip(before, after)),
-        sum(a[1 - direct] != b[1 - direct] for a, b in zip(before, after)),
+        sum(map(ne, before[direct], after[direct])),
+        sum(map(ne, before[1 - direct], after[1 - direct])),
     )
 
 
@@ -190,11 +194,12 @@ def test_one_perturbed_case_fails_alone(monkeypatch, tag):
     case = grid[len(grid) // 2]
 
     def evaluate(lead, rests, seed):
-        sides = ident.evaluate(lead, rests, seed)
-        return [
-            (*s[:closed], shift(s[closed]), *s[closed + 1 :]) if (lead, *rest) == case else s
-            for s, rest in zip(sides, rests)
+        columns = list(ident.evaluate(lead, rests, seed))
+        columns[closed] = [
+            shift(side) if (lead, *rest) == case else side
+            for side, rest in zip(columns[closed], rests, strict=True)
         ]
+        return tuple(columns)
 
     monkeypatch.setitem(verify._CATALOG, tag, dataclasses.replace(ident, evaluate=evaluate))
     assert_only_these_fail(config, {case}, raised=False)

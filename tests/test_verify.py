@@ -10,7 +10,7 @@ from typing import List, NamedTuple
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 
 import ramavg.averages as averages
 import ramavg.exact as exact
@@ -1021,3 +1021,41 @@ class TestDefaultBounds:
         assert bounds["faulhaber"] == {"n_max": 200, "r_max": 10}
         assert bounds["coprime-power-sum"] == {"n_max": 200, "r_max": 8}
         assert bounds["bernoulli-poly-sum"] == {"k_max": 60, "m_max": 8}
+
+
+# A tolerance side: any float, NaN, +-inf, +-0.0 and subnormals among
+# them, or an int below 2^53, which float64 holds exactly.
+TOLERANCE_SIDE = st.floats() | st.integers(-(2**53) + 1, 2**53 - 1)
+
+
+class TestColumnCriterion:
+    """The tolerance columns that _compare gives a run, through
+    averages.within_tolerance_columns over float64 arrays, are the scalar
+    rule averages.within_tolerance case by case, and abs_error is the
+    Python float abs(a - b)."""
+
+    @given(
+        st.lists(st.tuples(TOLERANCE_SIDE, TOLERANCE_SIDE), min_size=1, max_size=300),
+        st.sampled_from([averages.DEFAULT_TOLERANCE, 1e-16, 5e-324])
+        | st.floats(5e-324, averages.DEFAULT_TOLERANCE),
+    )
+    @example([(math.inf, math.inf), (1e308, -1e308), (math.nan, 1.0), (5e-324, -0.0)], 1e-8)
+    @example([(2**53 - 1, -2), (3, 3.0)], 1e-16)
+    @settings(max_examples=200, deadline=None)
+    @pytest.mark.filterwarnings("error")  # inf - inf and overflow stay silent
+    def test_the_columns_are_the_rule_case_by_case(self, pairs, tolerance):
+        lhs, rhs = (list(column) for column in zip(*pairs))
+        ident = verify.IdentityDef(
+            "drawn", "tolerance", (Param("k"), Param("n")), lambda lead, rests, seed: (lhs, rhs), {}
+        )
+        columns = verify._compare(ident, 1, [(n,) for n in range(len(pairs))], tolerance, 0)
+        expected = [averages.within_tolerance(a, b, tolerance) for a, b in pairs]
+        assert type(columns.passed) is list and all(type(ok) is bool for ok in columns.passed)
+        assert columns.passed == expected
+        assert [e.hex() for e in columns.errors] == [float(abs(a - b)).hex() for a, b in pairs]
+        assert columns.reasons is None
+        # The criterion alone, given the columns as lists.
+        errors = [abs(a - b) for a, b in pairs]
+        passed = averages.within_tolerance_columns(lhs, rhs, errors, tolerance)
+        assert type(passed) is list and all(type(ok) is bool for ok in passed)
+        assert passed == expected
