@@ -1,6 +1,7 @@
 """Integer factorization and the classical arithmetic functions.
 
-Everything here is exact integer arithmetic. Factorization is trial
+Everything here is exact integer arithmetic. factorize(n) returns the
+plain tuple of pairs (p, e), the primes ascending, and finds them by trial
 division against a cached prime table, which grows on demand: it holds the
 primes below a power of two from 2**10 up to 2**20, sieved again only when
 an input needs primes past its bound. The full table covers inputs up to
@@ -10,14 +11,12 @@ an input needs primes past its bound. The full table covers inputs up to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import compress
 from typing import Callable, Tuple, Union
 
 __all__ = [
-    "Factorization",
     "FACTOR_LIMIT",
     "factorize",
     "is_prime",
@@ -71,7 +70,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; the witness set is exact below 3.3e24."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -92,28 +91,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization n = prod p**e with primes strictly increasing."""
-
-    n: int
-    factors: Tuple[Tuple[int, int], ...]
-
-    def __post_init__(self):
-        if reduce(lambda acc, pe: acc * pe[0] ** pe[1], self.factors, 1) != self.n:
-            raise ValueError(f"factors do not multiply back to {self.n}")
-        primes = [p for p, _ in self.factors]
-        if primes != sorted(set(primes)):
-            raise ValueError("primes must be strictly increasing")
-
-    @property
-    def primes(self) -> Tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-
 @lru_cache(maxsize=1 << 15)
-def factorize(n: int) -> Factorization:
-    """Factor n by trial division. Accepts 1 <= n <= 2**40."""
+def factorize(n: int) -> Tuple[Tuple[int, int], ...]:
+    """Factor n by trial division: the pairs (p, e) of n = prod p**e, the
+    primes strictly increasing. Accepts 1 <= n <= 2**40."""
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     if n > FACTOR_LIMIT:
@@ -135,23 +116,27 @@ def factorize(n: int) -> Factorization:
         # loop stopped at p * p > m), that bound is greater than isqrt(n)
         # (or is 2**20 = isqrt(2**40), not a prime), and m <= n.
         out.append((m, 1))
-    return Factorization(n, tuple(out))
+    if math.prod(p**e for p, e in out) != n:
+        raise ValueError(f"factors do not multiply back to {n}")
+    if any(p >= q for (p, _), (q, _) in zip(out, out[1:])):
+        raise ValueError("primes must be strictly increasing")
+    return tuple(out)
 
 
 @lru_cache(maxsize=1 << 15)
 def mobius(n: int) -> int:
     """Mobius mu: 0 on non-squarefree n, else (-1)**(number of prime factors)."""
     fac = factorize(n)
-    if any(e >= 2 for _, e in fac.factors):
+    if any(e >= 2 for _, e in fac):
         return 0
-    return -1 if len(fac.factors) % 2 else 1
+    return -1 if len(fac) % 2 else 1
 
 
 @lru_cache(maxsize=1 << 15)
 def euler_phi(n: int) -> int:
     """Euler totient: count of 1 <= m <= n with gcd(m, n) = 1."""
     result = 1
-    for p, e in factorize(n).factors:
+    for p, e in factorize(n):
         result *= p ** (e - 1) * (p - 1)
     return result
 
@@ -170,7 +155,7 @@ def jordan_totient(m: int, n: int) -> int:
     if m == 0:
         return 1 if n == 1 else 0
     result = 1
-    for p, e in fac.factors:
+    for p, e in fac:
         result *= p ** (m * e) - p ** (m * (e - 1))
     return result
 
@@ -181,7 +166,7 @@ def divisors(n: int) -> Tuple[int, ...]:
     if n < 1:
         raise ValueError(f"divisors requires n >= 1, got {n}")
     ds = [1]
-    for p, e in factorize(n).factors:
+    for p, e in factorize(n):
         ds = [d * p**i for d in ds for i in range(e + 1)]
     return tuple(sorted(ds))
 
@@ -190,7 +175,7 @@ def divisor_count_and_sum(n: int) -> Tuple[int, int]:
     """(tau(n), sigma(n)): the number and the sum of the divisors."""
     tau = 1
     sigma = 1
-    for p, e in factorize(n).factors:
+    for p, e in factorize(n):
         tau *= e + 1
         sigma *= (p ** (e + 1) - 1) // (p - 1)
     return tau, sigma
@@ -200,7 +185,7 @@ def von_mangoldt(n: int) -> float:
     """Lambda(n): log(p) when n = p**a with a >= 1, else 0.0."""
     if n < 1:
         raise ValueError(f"von_mangoldt requires n >= 1, got {n}")
-    factors = factorize(n).factors
+    factors = factorize(n)
     return math.log(factors[0][0]) if len(factors) == 1 else 0.0
 
 

@@ -226,7 +226,7 @@ def log_weighted_pair(k: int) -> Tuple[float, float]:
     through map, in order, with no Python frame per term."""
     if k < 1:
         raise ValueError(f"log_weighted_pair requires k >= 1, got {k}")
-    row = ramanujan_row(k).values
+    row = ramanujan_row(k)
     lhs = sum(map(mul, map(math.log, range(2, k + 1)), row[2:])) / k
     rhs = von_mangoldt(k)
     for d in divisors(k):
@@ -244,7 +244,7 @@ def _gcd_class_totals(k: int) -> Tuple[int, ...]:
     """W_d for the divisors d of k, in the order of divisors(k), where W_d
     is the sum of c_k(j) over 1 <= j <= k with gcd(j, k) = d: one pass over
     the row per modulus."""
-    row = ramanujan_row(k).values
+    row = ramanujan_row(k)
     totals = dict.fromkeys(divisors(k), 0)  # gcd(j, k) is always a divisor
     gcd = math.gcd
     for j in range(1, k + 1):
@@ -299,10 +299,10 @@ def gamma_weighted_pair(k: int) -> Tuple[float, float]:
     """
     if k < 2:
         raise ValueError(f"gamma_weighted_pair requires k >= 2, got {k}")
-    row = ramanujan_row(k).values
+    row = ramanujan_row(k)
     terms = map(mul, map(math.lgamma, map(truediv, range(1, k + 1), repeat(k))), row[1:])
     lhs = sum(terms) / row[0]
-    rhs = 0.5 * sum(math.log(p) / (p - 1) for p in factorize(k).primes)
+    rhs = 0.5 * sum(math.log(p) / (p - 1) for p, _ in factorize(k))
     rhs -= 0.5 * math.log(2 * math.pi)
     return lhs, rhs
 
@@ -326,7 +326,7 @@ def mobius_log_check(k: int) -> Tuple[float, float]:
         mu_d = mobius(d)
         if mu_d and d > 1:
             lhs += mu_d * math.log(d) / d
-    rhs = -euler_phi(k) / k * sum(math.log(p) / (p - 1) for p in factorize(k).primes)
+    rhs = -euler_phi(k) / k * sum(math.log(p) / (p - 1) for p, _ in factorize(k))
     return lhs, rhs
 
 
@@ -340,7 +340,7 @@ def _binomial_row_sum(k: int) -> int:
     comb: this module's comb is the closed side's binding."""
     total = 0
     choose = 1  # C(k, 0)
-    for j, c in enumerate(ramanujan_row(k).values):
+    for j, c in enumerate(ramanujan_row(k)):
         if c:
             total += choose * c
         choose = choose * (k - j) // (j + 1)
@@ -424,8 +424,8 @@ def bernoulli_weighted_batch(
     """
     if k < 1 or any(m < 1 for m in ms):
         raise ValueError("bernoulli_weighted_batch requires k >= 1 and m >= 1")
-    first = ramanujan_row(k).values[0]  # read first: a k past ROW_BUDGET is refused here
-    totals = multivar._power_sums(multivar.ModulusTuple((k,)), max(ms, default=0))
+    first = ramanujan_row(k)[0]  # read first: a k past ROW_BUDGET is refused here
+    totals = multivar._power_sums((k,), max(ms, default=0))
     lhs, rhs = [], []
     for m in ms:
         base, d = bernoulli_polynomial_coefficients(m)
@@ -450,7 +450,7 @@ def bernoulli_weighted_pair(k: int, m: int) -> Tuple[Fraction, Fraction]:
 def _dft_values(k: int) -> np.ndarray:
     """(1/k) sum_{j=1}^{k} exp(2 pi i j n / k) c_k(j) for n = 0..k-1: the
     inverse FFT of c_k(0..k-1), whose j = 0 entry stands for j = k."""
-    return np.fft.ifft(np.array(ramanujan_row(k).values[:k], dtype=np.float64))
+    return np.fft.ifft(np.array(ramanujan_row(k)[:k], dtype=np.float64))
 
 
 def inverse_dft_batch(k: int, ns: Sequence[int]) -> Tuple[List[float], List[float]]:

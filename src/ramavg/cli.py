@@ -189,7 +189,7 @@ def _cmd_table(args) -> int:
     fmt = args.format
     if args.kind == "ramanujan-row":
         try:
-            values = ramanujan_row(args.k).values
+            values = ramanujan_row(args.k)
         except BudgetError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

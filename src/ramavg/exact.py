@@ -128,7 +128,7 @@ def coprime_power_sum(n: int, r: int) -> int:
         raise ValueError("coprime_power_sum requires n >= 2")
     if r < 1:
         raise ValueError("coprime_power_sum requires r >= 1")
-    primes = factorize(n).primes
+    primes = [p for p, _ in factorize(n)]
     cofactor = n // math.prod(primes)
     weights = [cofactor * math.prod(p - p ** (2 * m) for p in primes) for m in range(r // 2 + 1)]
     acc = n**r * power_sum_closed(n, r, 0, weights)

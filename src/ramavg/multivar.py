@@ -8,12 +8,17 @@ weighted average with its closed form over one denominator.
     g_m(k_1..k_n) = same divisor sum with lcm(d_1..d_n)^(2m-1) instead
     S_r(k_1..k_n) = (1/k^(r+1)) sum_{j=1}^{k} j^r c_{k_1}(j) ... c_{k_n}(j)
 
-with k = lcm(k_1..k_n) throughout. Direct sums run over one period of at
-most PERIOD_BUDGET entries, and an object row (below) is charged
-_OBJECT_ENTRY_BYTES per entry against the PERIOD_BUDGET * 8 bytes of the
-largest int64 row. Divisor sums run over at most DIVISOR_TUPLE_BUDGET
-tuples. All three raise BudgetError (the one class of ramanujan, which
-bounds single rows by ROW_BUDGET) before allocating anything.
+with k = lcm(k_1..k_n) throughout. The moduli are a plain sequence: each
+public function checks them once with _moduli, which gives the tuple of
+int moduli that the private functions, caches and tables take, and each
+function that needs k computes it from that tuple.
+
+Direct sums run over one period of at most PERIOD_BUDGET entries, and an
+object row (below) is charged _OBJECT_ENTRY_BYTES per entry against the
+PERIOD_BUDGET * 8 bytes of the largest int64 row. Divisor sums run over at
+most DIVISOR_TUPLE_BUDGET tuples. All three raise BudgetError (the one
+class of ramanujan, which bounds single rows by ROW_BUDGET) before
+allocating anything.
 
 Each side is built one way. The direct side is one period of the product
 row, one ndarray multiplied by one period of c_{k_i} at a time: int64 when
@@ -62,10 +67,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -77,7 +81,6 @@ __all__ = [
     "BudgetError",
     "DIVISOR_TUPLE_BUDGET",
     "PERIOD_BUDGET",
-    "ModulusTuple",
     "orbicyclic_direct",
     "orbicyclic_divisor",
     "g_m",
@@ -97,27 +100,6 @@ _INT64_SAFE = 1 << 62
 _MASK31 = (1 << 31) - 1
 
 
-@dataclass(frozen=True)
-class ModulusTuple:
-    """A non-empty tuple of moduli together with their lcm."""
-
-    ks: Tuple[int, ...]
-    lcm_value: int = field(init=False)
-
-    def __post_init__(self):
-        ks = tuple(map(_modulus, self.ks))
-        if not ks:
-            raise ValueError("ModulusTuple requires at least one modulus")
-        if any(k < 1 for k in ks):
-            raise ValueError(f"moduli must be positive, got {ks}")
-        object.__setattr__(self, "ks", ks)
-        object.__setattr__(self, "lcm_value", math.lcm(*ks))
-
-    @property
-    def n(self) -> int:
-        return len(self.ks)
-
-
 def _modulus(k) -> int:
     """k as an int: bool and non-integral values are refused, numpy integers pass."""
     if isinstance(k, bool):
@@ -128,8 +110,16 @@ def _modulus(k) -> int:
         raise ValueError(f"moduli must be integers, got {k!r}") from None
 
 
-def _as_tuple(t: Union[ModulusTuple, Sequence[int]]) -> ModulusTuple:
-    return t if isinstance(t, ModulusTuple) else ModulusTuple(tuple(t))
+def _moduli(ks: Sequence[int]) -> Tuple[int, ...]:
+    """ks as a non-empty tuple of positive int moduli, each checked by
+    _modulus. Every public function checks its moduli here once; the
+    private ones take the tuple it returns."""
+    ks = tuple(map(_modulus, ks))
+    if not ks:
+        raise ValueError("moduli must hold at least one modulus")
+    if any(k < 1 for k in ks):
+        raise ValueError(f"moduli must be positive, got {ks}")
+    return ks
 
 
 # --- direct side: one period of the product row ----------------------------
@@ -143,7 +133,7 @@ def _row_bound(ks: Tuple[int, ...], length: int) -> int:
     PERIOD_BUDGET * 8 bytes, raises BudgetError first."""
     if length > PERIOD_BUDGET:
         raise BudgetError(f"period lcm{ks} = {length} exceeds {PERIOD_BUDGET}")
-    bound = math.prod(ramanujan_row(k).values[0] for k in ks)
+    bound = math.prod(ramanujan_row(k)[0] for k in ks)
     if bound >= _INT64_SAFE and length * _OBJECT_ENTRY_BYTES > PERIOD_BUDGET * 8:
         raise BudgetError(
             f"object row lcm{ks} = {length} entries at {_OBJECT_ENTRY_BYTES} bytes each"
@@ -153,18 +143,19 @@ def _row_bound(ks: Tuple[int, ...], length: int) -> int:
 
 
 @lru_cache(maxsize=1)
-def _product_row(t: ModulusTuple):
-    """(values, element_bound) for c_{k_1}(j) ... c_{k_n}(j), j = 1..lcm.
+def _product_row(ks: Tuple[int, ...]):
+    """(values, element_bound) for c_{k_1}(j) ... c_{k_n}(j), j = 1..lcm(ks).
 
     The element bound is _row_bound's, which budgets the row before it is
     allocated. Values are one ndarray, multiplied one period of c_{k_i} at
     a time: int64 when the bound provably fits, otherwise object (Python
     ints).
     """
-    bound = _row_bound(t.ks, t.lcm_value)
-    bases = [ramanujan_row(k).values for k in t.ks]  # base[0] == base[k] == c_k(0)
-    row = np.ones(t.lcm_value, dtype=np.int64 if bound < _INT64_SAFE else object)
-    for k, base in zip(t.ks, bases):
+    length = math.lcm(*ks)
+    bound = _row_bound(ks, length)
+    bases = [ramanujan_row(k) for k in ks]  # base[0] == base[k] == c_k(0)
+    row = np.ones(length, dtype=np.int64 if bound < _INT64_SAFE else object)
+    for k, base in zip(ks, bases):
         periods = row.reshape(-1, k)  # a view: one period of c_k per line
         periods *= base[1:]
     return row, bound
@@ -226,27 +217,28 @@ def _power_sum_table(ks: Tuple[int, ...]) -> List[int]:
     return []
 
 
-def _power_sums(t: ModulusTuple, top: int) -> List[int]:
+def _power_sums(ks: Tuple[int, ...], top: int) -> List[int]:
     """T_r = sum_{j=1}^{k} j^r c_{k_1}(j) ... c_{k_n}(j) for r = 0..top at
     least: a literal sum over one period. A table short of top is rebuilt
     from one product row and one ladder in r; it is replaced only once the
     new one is complete."""
-    table = _power_sum_table(t.ks)
+    table = _power_sum_table(ks)
     if len(table) <= top:
-        values, bound = _product_row(t)
+        values, bound = _product_row(ks)
         table[:] = _weighted_power_sums(values, top, bound)
     return table
 
 
-def orbicyclic_direct(t) -> int:
+def orbicyclic_direct(ks: Sequence[int]) -> int:
     """E by the defining average; must come out a non-negative integer."""
-    t = _as_tuple(t)
-    total = _power_sums(t, 0)[0]
-    if total % t.lcm_value:
-        raise RuntimeError(f"E{t.ks} is non-integral: {total}/{t.lcm_value}")
-    result = total // t.lcm_value
+    ks = _moduli(ks)
+    k = math.lcm(*ks)
+    total = _power_sums(ks, 0)[0]
+    if total % k:
+        raise RuntimeError(f"E{ks} is non-integral: {total}/{k}")
+    result = total // k
     if result < 0:
-        raise RuntimeError(f"E{t.ks} is negative: {result}")
+        raise RuntimeError(f"E{ks} is negative: {result}")
     return result
 
 
@@ -254,7 +246,7 @@ def orbicyclic_direct(t) -> int:
 
 
 @lru_cache(maxsize=256)
-def _divisor_terms(t: ModulusTuple) -> Tuple[Tuple[int, int], ...]:
+def _divisor_terms(ks: Tuple[int, ...]) -> Tuple[Tuple[int, int], ...]:
     """Divisor-lattice terms aggregated by lcm: pairs (lcm(d_i), coefficient)
     with coefficient = sum of prod_i d_i mu(k_i/d_i) over tuples sharing
     that lcm, and never 0. The lattice is folded one modulus at a time:
@@ -264,7 +256,7 @@ def _divisor_terms(t: ModulusTuple) -> Tuple[Tuple[int, int], ...]:
     the lattice budget, admitted it.
     """
     terms = {1: 1}
-    for k in t.ks:
+    for k in ks:
         folded: Dict[int, int] = {}
         for d in divisors(k):
             w = d * mobius(k // d)
@@ -289,98 +281,102 @@ def _weight_table(ks: Tuple[int, ...]) -> List[int]:
     return []
 
 
-def _weights(t: ModulusTuple, top: int) -> List[int]:
+def _weights(ks: Tuple[int, ...], top: int) -> List[int]:
     """k g_0 and g_1..g_top at least, from one divisor lattice: each missing
     weight is a sum over the lattice terms, never over the product row. The
     table is extended only once every missing weight is computed."""
-    table = _weight_table(t.ks)
+    table = _weight_table(ks)
     if len(table) <= top:
-        terms = _divisor_terms(t)
+        terms = _divisor_terms(ks)
+        k = math.lcm(*ks)
         table += [
-            sum(coef * (t.lcm_value // lc if m == 0 else lc ** (2 * m - 1)) for lc, coef in terms)
+            sum(coef * (k // lc if m == 0 else lc ** (2 * m - 1)) for lc, coef in terms)
             for m in range(len(table), top + 1)
         ]
     return table
 
 
-def _divisor_e(t: ModulusTuple, weights: Sequence[int]) -> int:
+def _divisor_e(ks: Tuple[int, ...], weights: Sequence[int]) -> int:
     """E = (k g_0) / k from a weight table; integrality is asserted."""
-    if weights[0] % t.lcm_value:
-        raise RuntimeError(f"divisor form of E{t.ks} is non-integral")
-    return weights[0] // t.lcm_value
+    k = math.lcm(*ks)
+    if weights[0] % k:
+        raise RuntimeError(f"divisor form of E{ks} is non-integral")
+    return weights[0] // k
 
 
-def orbicyclic_divisor(t) -> int:
+def orbicyclic_divisor(ks: Sequence[int]) -> int:
     """E by the divisor-lattice representation; integrality is asserted."""
-    t = _as_tuple(t)
-    return _divisor_e(t, _weights(t, 0))
+    ks = _moduli(ks)
+    return _divisor_e(ks, _weights(ks, 0))
 
 
-def g_m(t, m: int) -> Fraction:
+def g_m(ks: Sequence[int], m: int) -> Fraction:
     """Divisor sum with weight lcm(d_1..d_n)^(2m-1); g_0 recovers E.
 
     No integrality is asserted: the value is reported as an exact
     rational and callers decide what to expect of it.
     """
-    t = _as_tuple(t)
+    ks = _moduli(ks)
     if m < 0:
         raise ValueError(f"g_m requires m >= 0, got {m}")
-    weight = _weights(t, m)[m]
-    return Fraction(weight, t.lcm_value) if m == 0 else Fraction(weight)
+    weight = _weights(ks, m)[m]
+    return Fraction(weight, math.lcm(*ks)) if m == 0 else Fraction(weight)
 
 
 # --- the multivariable weighted average -------------------------------------
 
 
-def s_r_multi_direct_batch(t, rs: Sequence[int]) -> List[Fraction]:
+def s_r_multi_direct_batch(ks: Sequence[int], rs: Sequence[int]) -> List[Fraction]:
     """S_r(k_1..k_n) for every r in rs, from the defining sum over one
     period: T_r read from the tuple's power-sum table."""
-    t = _as_tuple(t)
+    ks = _moduli(ks)
     for r in rs:
         if r < 1:
             raise ValueError(f"s_r_multi_direct_batch requires r >= 1, got {r}")
-    totals = _power_sums(t, max(rs, default=0))
-    return [Fraction(totals[r], t.lcm_value ** (r + 1)) for r in rs]
+    totals = _power_sums(ks, max(rs, default=0))
+    k = math.lcm(*ks)
+    return [Fraction(totals[r], k ** (r + 1)) for r in rs]
 
 
-def s_r_multi_direct(t, r: int) -> Fraction:
+def s_r_multi_direct(ks: Sequence[int], r: int) -> Fraction:
     """S_r(k_1..k_n) from the defining sum over one period."""
-    return s_r_multi_direct_batch(t, (r,))[0]
+    return s_r_multi_direct_batch(ks, (r,))[0]
 
 
-def s_r_multi_closed_batch(t, rs: Sequence[int]) -> List[Fraction]:
+def s_r_multi_closed_batch(ks: Sequence[int], rs: Sequence[int]) -> List[Fraction]:
     """S_r(k_1..k_n) for every r in rs by exact.power_sum_closed, with
     integer weights E = g_0 and g_m read from the tuple's weight table:
 
         prod_i phi(k_i) / (2k) + 1/(r+1) * sum_{m=0}^{floor(r/2)}
             C(r+1, 2m) (B_{2m} / k^(2m)) g_m(k_1..k_n).
     """
-    t = _as_tuple(t)
+    ks = _moduli(ks)
     for r in rs:
         if r < 1:
             raise ValueError(f"s_r_multi_closed_batch requires r >= 1, got {r}")
-    table = _weights(t, max(rs, default=0) // 2)
-    weights = [_divisor_e(t, table), *table[1:]]
-    lead = math.prod(euler_phi(ki) for ki in t.ks)
-    return [power_sum_closed(t.lcm_value, r, lead, weights[: r // 2 + 1]) for r in rs]
+    table = _weights(ks, max(rs, default=0) // 2)
+    weights = [_divisor_e(ks, table), *table[1:]]
+    lead = math.prod(euler_phi(ki) for ki in ks)
+    k = math.lcm(*ks)
+    return [power_sum_closed(k, r, lead, weights[: r // 2 + 1]) for r in rs]
 
 
-def s_r_multi_closed(t, r: int) -> Fraction:
+def s_r_multi_closed(ks: Sequence[int], r: int) -> Fraction:
     """S_r(k_1..k_n) by its closed form; see s_r_multi_closed_batch."""
-    return s_r_multi_closed_batch(t, (r,))[0]
+    return s_r_multi_closed_batch(ks, (r,))[0]
 
 
-def multiplicativity_sides(a, b) -> Tuple[int, int]:
+def multiplicativity_sides(a: Sequence[int], b: Sequence[int]) -> Tuple[int, int]:
     """(E(a_1 b_1, ..., a_n b_n), E(a) E(b)) for coprime tuples.
 
     Requires equal arity and gcd(prod a_i, prod b_i) = 1; evaluation uses
     the divisor representation so componentwise products stay affordable.
     """
-    a = _as_tuple(a)
-    b = _as_tuple(b)
-    if a.n != b.n:
-        raise ValueError(f"arity mismatch: {a.ks} vs {b.ks}")
-    if math.gcd(math.prod(a.ks), math.prod(b.ks)) != 1:
-        raise ValueError(f"tuples {a.ks} and {b.ks} are not coprime")
-    combined = ModulusTuple(tuple(x * y for x, y in zip(a.ks, b.ks)))
+    a = _moduli(a)
+    b = _moduli(b)
+    if len(a) != len(b):
+        raise ValueError(f"arity mismatch: {a} vs {b}")
+    if math.gcd(math.prod(a), math.prod(b)) != 1:
+        raise ValueError(f"tuples {a} and {b} are not coprime")
+    combined = tuple(x * y for x, y in zip(a, b))
     return orbicyclic_divisor(combined), orbicyclic_divisor(a) * orbicyclic_divisor(b)

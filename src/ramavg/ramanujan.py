@@ -30,7 +30,6 @@ two of the weighted averages sum from j = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from typing import List, Sequence, Tuple
@@ -40,7 +39,6 @@ import numpy as np
 from .arith import divisors, euler_phi, mobius
 
 __all__ = [
-    "RamanujanRow",
     "ramanujan_sum",
     "ramanujan_sum_batch",
     "ramanujan_sum_holder",
@@ -59,28 +57,13 @@ FLOAT_EVAL_LIMIT = 10**5
 # Largest k of a row c_k(0..k). Not below multivar.PERIOD_BUDGET, so every
 # modulus of a product row within that budget has its row. A k past it is
 # refused here, or, for the S_r direct side of (k,) (averages.s_r_direct,
-# verify's prop1), by the period budget of multivar._product_row first.
+# verify's prop1), by the period budget of multivar._row_bound first, which
+# multivar._power_sum_table applies before any row is read.
 ROW_BUDGET = 10**7
 
 
 class BudgetError(RuntimeError):
     """A row, a period row or a divisor-tuple enumeration would exceed its budget."""
-
-
-@dataclass(frozen=True)
-class RamanujanRow:
-    """One full row c_k(0), ..., c_k(k); values[0] = values[k] = phi(k)."""
-
-    k: int
-    values: Tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.values) != self.k + 1:
-            raise ValueError("row must hold indices 0..k")
-        checksum = sum(self.values[1:])
-        expected = 1 if self.k == 1 else 0
-        if checksum != expected:
-            raise ValueError(f"row checksum failed for k={self.k}: {checksum}")
 
 
 def _gcd_classes(k: int, js: Sequence[int]) -> List[int]:
@@ -160,11 +143,14 @@ def ramanujan_sum_float(k: int, j: int) -> float:
 
 
 @lru_cache(maxsize=4096)
-def ramanujan_row(k: int) -> RamanujanRow:
-    """All of c_k(0..k) in one pass over the divisors of k.
+def ramanujan_row(k: int) -> Tuple[int, ...]:
+    """The row (c_k(0), ..., c_k(k)), in one pass over the divisors of k;
+    its ends are c_k(0) = c_k(k) = phi(k).
 
     Each divisor d of k contributes d*mu(k/d) to every index j it divides,
-    so the row costs O(k tau(k)) with no per-index gcd.
+    so the row costs O(k tau(k)) with no per-index gcd. The row is checked
+    over its full period (c_k(1) + ... + c_k(k) is 1 for k = 1, else 0)
+    before it is returned, so the cache keeps no row that failed.
     """
     if k < 1:
         raise ValueError(f"ramanujan_row requires k >= 1, got {k}")
@@ -177,4 +163,9 @@ def ramanujan_row(k: int) -> RamanujanRow:
         if v:
             for j in range(0, k + 1, d):
                 row[j] += v
-    return RamanujanRow(k, tuple(row))
+    if len(row) != k + 1:
+        raise ValueError("row must hold indices 0..k")
+    checksum = sum(row[1:])
+    if checksum != (1 if k == 1 else 0):
+        raise ValueError(f"row checksum failed for k={k}: {checksum}")
+    return tuple(row)

@@ -516,10 +516,9 @@ def _inverse_dft(k, rests, seed):
 
 
 def _prop7(ks, rests, seed):
-    """One ModulusTuple and one read of each tuple table for the whole run."""
-    t = multivar.ModulusTuple(ks)
+    """One read of each tuple table for the whole run."""
     rs = [r for r, in rests]
-    return multivar.s_r_multi_direct_batch(t, rs), multivar.s_r_multi_closed_batch(t, rs)
+    return multivar.s_r_multi_direct_batch(ks, rs), multivar.s_r_multi_closed_batch(ks, rs)
 
 
 def _prop3(k, rests, seed):
@@ -545,19 +544,16 @@ def _prop3_corollary(k, rests, seed):
 
 def _prop7_corollary(ks):
     """S_1 = prod phi / (2k) + E/2."""
-    t = multivar.ModulusTuple(ks)
-    lhs = multivar.s_r_multi_direct(t, 1)
-    rhs = Fraction(math.prod(euler_phi(k) for k in t.ks), 2 * t.lcm_value) + Fraction(
-        multivar.orbicyclic_divisor(t), 2
+    lhs = multivar.s_r_multi_direct(ks, 1)
+    rhs = Fraction(math.prod(euler_phi(k) for k in ks), 2 * math.lcm(*ks)) + Fraction(
+        multivar.orbicyclic_divisor(ks), 2
     )
     return lhs, rhs
 
 
 def _e_integrality(ks):
-    """Direct E is a non-negative integer equal to the divisor form; both
-    sides read one ModulusTuple."""
-    t = multivar.ModulusTuple(ks)
-    return multivar.orbicyclic_direct(t), multivar.orbicyclic_divisor(t)
+    """Direct E is a non-negative integer equal to the divisor form."""
+    return multivar.orbicyclic_direct(ks), multivar.orbicyclic_divisor(ks)
 
 
 def _cross_evaluator(k, rests, seed):

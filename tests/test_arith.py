@@ -42,13 +42,13 @@ def phi_brute(n):
 
 class TestFactorize:
     def test_one_is_empty(self):
-        assert factorize(1).factors == ()
+        assert factorize(1) == ()
 
     def test_twelve(self):
-        assert factorize(12).factors == ((2, 2), (3, 1))
+        assert factorize(12) == ((2, 2), (3, 1))
 
     def test_prime_9973(self):
-        assert factorize(9973).factors == trial_division(9973) == ((9973, 1),)
+        assert factorize(9973) == trial_division(9973) == ((9973, 1),)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -59,17 +59,27 @@ class TestFactorize:
             factorize(FACTOR_LIMIT + 1)
 
     def test_limit_itself_is_accepted(self):
-        assert factorize(FACTOR_LIMIT).factors == ((2, 40),)
+        assert factorize(FACTOR_LIMIT) == ((2, 40),)
+
+    def test_primes_out_of_order_are_refused(self, monkeypatch):
+        # A prime table out of order makes trial division find 3 before 2.
+        monkeypatch.setattr(arith, "_prime_table", lambda limit: (3, 2, 5, 7))
+        factorize.cache_clear()
+        try:
+            with pytest.raises(ValueError, match="primes must be strictly increasing"):
+                factorize(12)
+        finally:
+            factorize.cache_clear()
 
     def test_listed_primes_are_prime(self):
         for n in (2, 97, 360360, 2**20 + 7, 10**12 + 39):
-            for p, _ in factorize(n).factors:
+            for p, _ in factorize(n):
                 assert is_prime(p)
 
     def test_round_trip_to_one_million(self):
         for n in range(1, 10**6 + 1):
             prod = 1
-            for p, e in factorize(n).factors:
+            for p, e in factorize(n):
                 prod *= p**e
             assert prod == n
 
@@ -79,7 +89,7 @@ class TestFactorize:
         fac = factorize(n)
         prod = 1
         last = 0
-        for p, e in fac.factors:
+        for p, e in fac:
             assert p > last and e >= 1
             last = p
             prod *= p**e
@@ -101,17 +111,17 @@ class TestPrimeTable:
 
     def test_small_inputs_keep_the_first_bound(self, sieved):
         for n in range(1, 10**4 + 1):
-            assert factorize(n).factors == trial_division(n)
+            assert factorize(n) == trial_division(n)
         assert sieved == [2**10] and arith._table[0] == 2**10
         assert arith._table[1] == tuple(p for p in range(2**10) if is_prime(p))
 
     def test_a_prime_square_just_under_the_first_bound(self, sieved):
-        assert factorize(1021**2).factors == ((1021, 2),)
+        assert factorize(1021**2) == ((1021, 2),)
         assert sieved == [2**10]
 
     def test_two_primes_just_above_the_first_bound(self, sieved):
-        assert factorize(12).factors == ((2, 2), (3, 1))
-        assert factorize(1031 * 1033).factors == ((1031, 1), (1033, 1))
+        assert factorize(12) == ((2, 2), (3, 1))
+        assert factorize(1031 * 1033) == ((1031, 1), (1033, 1))
         assert sieved == [2**10, 2**11]
 
     def test_the_largest_table_is_sieved_once(self, sieved):
@@ -119,10 +129,10 @@ class TestPrimeTable:
         # within FACTOR_LIMIT.
         assert 1048573**2 <= FACTOR_LIMIT
         factorize(2)
-        assert factorize(1048573**2).factors == ((1048573, 2),)
+        assert factorize(1048573**2) == ((1048573, 2),)
         assert sieved == [2**10, 2**20] and len(arith._table[1]) == 82_025
-        assert factorize(FACTOR_LIMIT).factors == ((2, 40),)
-        assert factorize(FACTOR_LIMIT - 1).factors == (
+        assert factorize(FACTOR_LIMIT) == ((2, 40),)
+        assert factorize(FACTOR_LIMIT - 1) == (
             (3, 1), (5, 2), (11, 1), (17, 1), (31, 1), (41, 1), (61681, 1)
         )
         for n in range(1, 1000):
@@ -162,7 +172,7 @@ class TestClassicalFunctions:
         for n in range(1, 200):
             for m in range(1, 4):
                 expected = Fraction(n**m)
-                for p, _ in factorize(n).factors:
+                for p, _ in factorize(n):
                     expected *= 1 - Fraction(1, p**m)
                 assert jordan_totient(m, n) == expected
 

@@ -280,7 +280,7 @@ class TestBinomialWeight:
     def test_term_symmetry(self):
         # C(k, j) c_k(j) = C(k, k-j) c_k(k-j) for 0 <= j <= k.
         for k in range(1, 201):
-            row = ramanujan_row(k).values
+            row = ramanujan_row(k)
             for j in range(0, k + 1):
                 assert math.comb(k, j) * row[j] == math.comb(k, k - j) * row[k - j]
 
@@ -321,7 +321,7 @@ class TestBernoulliWeight:
         # check it against per-term bernoulli_polynomial evaluation over
         # j = 0..k-1.
         for k in range(1, 26):
-            row = ramanujan_row(k).values
+            row = ramanujan_row(k)
             for m in range(1, 6):
                 naive = sum(
                     bernoulli_polynomial(m, Fraction(j, k)) * row[j] for j in range(k)
@@ -359,13 +359,13 @@ class TestLiteralSidesAsTheOldTerms:
 
     def test_the_binomial_row_sum_is_the_comb_sum(self):
         for k in range(1, 301):
-            row = ramanujan_row(k).values
+            row = ramanujan_row(k)
             oracle = sum(math.comb(k, j) * c for j, c in enumerate(row) if c)
             assert averages._binomial_row_sum(k) == oracle, k
 
     def test_the_float_sides_are_their_per_term_forms(self):
         for k in range(1, 301):
-            row = ramanujan_row(k).values
+            row = ramanujan_row(k)
             lhs = sum(math.log(j) * row[j] for j in range(2, k + 1)) / k
             assert log_weighted_pair(k)[0].hex() == lhs.hex(), k
             if k >= 2:
@@ -377,7 +377,7 @@ class TestLiteralSidesAsTheOldTerms:
 
     def test_the_cosine_pair_is_its_per_term_form(self):
         for k in range(1, 301):
-            row = ramanujan_row(k).values
+            row = ramanujan_row(k)
             lhs = float(Fraction(sum(math.comb(k, j) * c for j, c in enumerate(row) if c), 2**k))
             rhs = 0.0
             for d in divisors(k):

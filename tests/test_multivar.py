@@ -14,7 +14,6 @@ from ramavg.averages import s_r_closed, s_r_direct
 from ramavg.multivar import (
     PERIOD_BUDGET,
     BudgetError,
-    ModulusTuple,
     _divisor_terms,
     _power_sums,
     _product_row,
@@ -52,23 +51,45 @@ def s_r_brute(ks, r):
     return Fraction(total, length ** (r + 1))
 
 
+# Every public function of multivar on the moduli ks, multiplicativity_sides
+# once per argument; the other argument is coprime to the moduli used below.
+PUBLIC = {
+    "orbicyclic_direct": orbicyclic_direct,
+    "orbicyclic_divisor": orbicyclic_divisor,
+    "g_m": lambda ks: g_m(ks, 1),
+    "s_r_multi_direct": lambda ks: s_r_multi_direct(ks, 2),
+    "s_r_multi_direct_batch": lambda ks: s_r_multi_direct_batch(ks, [1, 2]),
+    "s_r_multi_closed": lambda ks: s_r_multi_closed(ks, 2),
+    "s_r_multi_closed_batch": lambda ks: s_r_multi_closed_batch(ks, [1, 2]),
+    "multiplicativity_sides(ks, b)": lambda ks: multiplicativity_sides(ks, (5, 7)),
+    "multiplicativity_sides(a, ks)": lambda ks: multiplicativity_sides((5, 7), ks),
+}
+
+
 class TestModulusTuple:
+    """Each public function checks its moduli, a plain sequence, once."""
+
     def test_lcm_and_arity(self):
-        t = ModulusTuple((4, 6, 10))
-        assert t.lcm_value == 60 and t.n == 3
+        # One period of lcm(4, 6, 10) = 60 entries; another arity is refused.
+        assert s_r_multi_direct((4, 6, 10), 1) == s_r_brute((4, 6, 10), 1)
+        assert g_m((4, 6, 10), 0) == orbicyclic_divisor((4, 6, 10)) == e_brute((4, 6, 10))
+        with pytest.raises(ValueError, match=r"^arity mismatch: \(4, 6, 10\) vs \(7, 11\)$"):
+            multiplicativity_sides((4, 6, 10), (7, 11))
 
     def test_rejects_empty_and_nonpositive(self):
-        with pytest.raises(ValueError):
-            ModulusTuple(())
-        with pytest.raises(ValueError):
-            ModulusTuple((3, 0))
+        for fn in PUBLIC.values():
+            with pytest.raises(ValueError, match="at least one modulus"):
+                fn(())
+            with pytest.raises(ValueError, match=r"^moduli must be positive, got \(3, 0\)$"):
+                fn((3, 0))
 
     @pytest.mark.parametrize(
         "bad", [True, False, np.True_, 2.5, 2.9, 2.0, Fraction(4, 2), "3", None]
     )
     def test_rejects_bool_and_non_integral_moduli(self, bad):
-        with pytest.raises(ValueError, match="integers"):
-            ModulusTuple((bad, 3))
+        for fn in PUBLIC.values():
+            with pytest.raises(ValueError, match="integers"):
+                fn((bad, 3))
 
     def test_non_integral_moduli_are_not_truncated(self):
         with pytest.raises(ValueError):
@@ -81,10 +102,13 @@ class TestModulusTuple:
             s_r_multi_direct((3, 2.5), 1)
 
     def test_accepts_numpy_integers(self):
-        t = ModulusTuple((np.int64(4), np.uint8(6), np.int32(10)))
-        assert t.ks == (4, 6, 10) and all(type(k) is int for k in t.ks)
-        assert t.lcm_value == 60
+        ks = multivar._moduli((np.int64(4), np.uint8(6), np.int32(10)))
+        assert ks == (4, 6, 10) and all(type(k) is int for k in ks)
         assert orbicyclic_direct((np.int64(2), np.int16(2))) == 1
+        for name, fn in PUBLIC.items():
+            value = fn((4, 6))
+            assert fn([4, 6]) == value, name
+            assert fn((np.int64(4), np.uint8(6))) == value, name
 
 
 class TestWeightedPowerSum:
@@ -157,8 +181,7 @@ class TestLadderGrowth:
         return Counting
 
     def test_multiplications_stay_linear_per_rung(self):
-        t = ModulusTuple((40,))
-        values, bound = _product_row(t)
+        values, bound = _product_row((40,))
         top = 120
         # At most 2 + r log2(L) / 20 limbs at rung r, one multiplication
         # each: a limb holds 31 bits and a rung adds log2(L) = 5.3 bits.
@@ -302,7 +325,7 @@ class TestDivisorFold:
         dropped = 0
         for ks in self.TUPLES:
             reference = divisor_terms_by_tuples(ks)
-            terms = _divisor_terms(ModulusTuple(ks))
+            terms = _divisor_terms(ks)
             assert terms == tuple((lc, coef) for lc, coef in reference if coef), ks
             assert all(coef for _, coef in terms), ks
             dropped += len(reference) - len(terms)
@@ -316,7 +339,7 @@ class TestBigintRow:
     KS = (97,) * 10
 
     def test_the_row_holds_python_ints(self):
-        values, bound = _product_row(ModulusTuple(self.KS))
+        values, bound = _product_row(self.KS)
         assert values.dtype == object and bound == 96**10 >= 2**62
 
     def test_e_from_both_sides(self):
@@ -326,7 +349,7 @@ class TestBigintRow:
 
     def test_power_sums_match_brute_force(self):
         brute = [sum(j**r * ramanujan_sum(97, j) ** 10 for j in range(1, 98)) for r in range(4)]
-        assert _power_sums(ModulusTuple(self.KS), 3)[:4] == brute
+        assert _power_sums(self.KS, 3)[:4] == brute
         rs = [1, 2, 3]
         assert s_r_multi_direct_batch(self.KS, rs) == s_r_multi_closed_batch(self.KS, rs)
 
@@ -384,7 +407,7 @@ class TestGm:
 
     def test_g1_cross_checked_through_closed_form_at_r2(self):
         # S_2 = phi*phi/(2k) + (1/3)(g_0 + 3 B_2 g_1 / k^2); solve for g_1.
-        t = ModulusTuple((2, 2))
+        t = (2, 2)
         s2 = s_r_brute((2, 2), 2)
         g0 = g_m(t, 0)
         phi_term = Fraction(1, 4)
@@ -430,11 +453,8 @@ class TestMultivariableAverage:
         import ramavg.arith as arith
 
         for t in [(2, 2), (2, 3), (4, 6), (3, 5, 15), (2, 3, 4)]:
-            mt = ModulusTuple(t)
-            phi_term = Fraction(
-                math.prod(arith.euler_phi(k) for k in t), 2 * mt.lcm_value
-            )
-            assert s_r_multi_direct(mt, 1) == phi_term + Fraction(orbicyclic_divisor(mt), 2)
+            phi_term = Fraction(math.prod(arith.euler_phi(k) for k in t), 2 * math.lcm(*t))
+            assert s_r_multi_direct(t, 1) == phi_term + Fraction(orbicyclic_divisor(t), 2)
 
     def test_rejects_r_zero(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,6 @@ from ramavg.ramanujan import (
     FLOAT_EVAL_LIMIT,
     ROW_BUDGET,
     BudgetError,
-    RamanujanRow,
     ramanujan_row,
     ramanujan_sum,
     ramanujan_sum_float,
@@ -99,31 +98,37 @@ class TestFloatDefinition:
 
 class TestRows:
     def test_small_rows(self):
-        assert ramanujan_row(1).values == (1, 1)
-        assert ramanujan_row(2).values == (1, -1, 1)
-        assert ramanujan_row(6).values == (2, 1, -1, -2, -1, 1, 2)
+        assert ramanujan_row(1) == (1, 1)
+        assert ramanujan_row(2) == (1, -1, 1)
+        assert ramanujan_row(6) == (2, 1, -1, -2, -1, 1, 2)
 
     def test_row_matches_per_value_evaluator(self):
         for k in list(range(1, 80)) + [96, 120, 210]:
             row = ramanujan_row(k)
             for j in range(0, k + 1):
-                assert row.values[j] == ramanujan_sum(k, j)
+                assert row[j] == ramanujan_sum(k, j)
 
     def test_endpoints_are_phi(self):
         for k in range(1, 500):
-            row = ramanujan_row(k).values
+            row = ramanujan_row(k)
             assert row[0] == row[k] == euler_phi(k)
 
     def test_checksum_over_full_period(self):
         for k in range(1, 2001):
-            row = ramanujan_row(k).values
+            row = ramanujan_row(k)
             assert sum(row[1:]) == (1 if k == 1 else 0)
 
-    def test_row_constructor_rejects_corruption(self):
-        with pytest.raises(ValueError):
-            RamanujanRow(2, (1, 1, 1))
-        with pytest.raises(ValueError):
-            RamanujanRow(2, (1, -1))
+    def test_a_corrupted_row_is_refused_and_not_cached(self, monkeypatch):
+        # With mu = 1 every divisor d of 6 adds d to each of its 6/d
+        # multiples in 1..6: the checksum is 4 * 6 = 24, not 0.
+        ramanujan_row.cache_clear()
+        monkeypatch.setattr(ramanujan, "mobius", lambda n: 1)
+        with pytest.raises(ValueError, match=r"^row checksum failed for k=6: 24$"):
+            ramanujan_row(6)
+        assert ramanujan_row.cache_info().currsize == 0
+        monkeypatch.undo()
+        assert ramanujan_row(6) == (2, 1, -1, -2, -1, 1, 2)
+        assert ramanujan_row.cache_info().misses == 2
 
     def test_rejects_k_zero(self):
         with pytest.raises(ValueError):

@@ -56,7 +56,7 @@ K = st.integers(1, 200)
 
 
 def literal_gcd_lhs(k, f):
-    row = ramanujan_row(k).values
+    row = ramanujan_row(k)
     return sum(f(math.gcd(j, k)) * row[j] for j in range(1, k + 1))
 
 
@@ -128,7 +128,7 @@ class TestPowerMoments:
     @given(K, st.integers(1, 10))
     @settings(max_examples=80, deadline=None)
     def test_s_r_direct(self, k, r):
-        row = ramanujan_row(k).values
+        row = ramanujan_row(k)
         literal = Fraction(sum(j**r * row[j] for j in range(1, k + 1)), k ** (r + 1))
         assert s_r_direct(k, r) == literal
 
@@ -161,7 +161,7 @@ class TestPowerMoments:
     @given(K, st.integers(1, 8))
     @settings(max_examples=40, deadline=None)
     def test_bernoulli_weight(self, k, m):
-        row = ramanujan_row(k).values
+        row = ramanujan_row(k)
         lhs, rhs = bernoulli_weighted_pair(k, m)
         assert lhs == sum(bernoulli_polynomial(m, Fraction(j, k)) * row[j] for j in range(k))
         assert rhs == bernoulli_number(m) * Fraction(jordan_totient(m, k), k ** (m - 1))
@@ -195,7 +195,7 @@ class TestFaulhaberClosedForms:
         acc = Fraction(0)
         for m in range(r // 2 + 1):
             term = Fraction(math.comb(r + 1, 2 * m)) * bernoulli_number(2 * m) / n ** (2 * m)
-            for p in factorize(n).primes:
+            for p, _ in factorize(n):
                 term *= 1 - Fraction(p) ** (2 * m - 1)
             acc += term
         acc *= Fraction(n ** (r + 1), r + 1)
@@ -213,7 +213,7 @@ class TestFaulhaberClosedForms:
 def numpy_dft_mean(k, n):
     """(1/k) sum_{j=1}^{k} exp(2 pi i j n / k) c_k(j), one case at a time."""
     roots = np.exp(2j * np.pi * np.arange(k) / k)
-    row = np.array(ramanujan_row(k).values[1:], dtype=np.float64)
+    row = np.array(ramanujan_row(k)[1:], dtype=np.float64)
     jarr = np.arange(1, k + 1, dtype=np.int64)
     return float((row * roots[(jarr * n) % k]).sum().real) / k
 

@@ -67,9 +67,9 @@ def test_runs_of_one_leading_value_each():
 def test_the_evaluator_runs_once_per_run(monkeypatch):
     real, calls = multivar.s_r_multi_direct_batch, []
 
-    def batch(t, rs):
-        calls.append((t.ks, tuple(rs)))
-        return real(t, rs)
+    def batch(ks, rs):
+        calls.append((ks, tuple(rs)))
+        return real(ks, rs)
 
     monkeypatch.setattr(multivar, "s_r_multi_direct_batch", batch)
     report = run_suite(SuiteConfig(identities=["prop7"], k_max=3, n_max=2, r_max=3))
@@ -143,10 +143,10 @@ def test_imaginary_part_fails_only_its_own_cases(monkeypatch):
 def test_budget_refusal_fails_only_its_tuple(monkeypatch):
     real = multivar._product_row
 
-    def refusing(t):
-        if t.ks == (2, 3):
-            raise multivar.BudgetError(f"period lcm{t.ks} refused")
-        return real(t)
+    def refusing(ks):
+        if ks == (2, 3):
+            raise multivar.BudgetError(f"period lcm{ks} refused")
+        return real(ks)
 
     monkeypatch.setattr(multivar, "_product_row", refusing)
     config = SuiteConfig(identities=["prop7"], k_max=4, n_max=2, r_max=4)
@@ -295,13 +295,13 @@ def test_one_product_row_and_one_lattice_per_tuple(monkeypatch):
     rows, lattices = [], []
     real_row, real_terms = multivar._product_row, multivar._divisor_terms
 
-    def row(t):
-        rows.append(t.ks)
-        return real_row(t)
+    def row(ks):
+        rows.append(ks)
+        return real_row(ks)
 
-    def terms(t):
-        lattices.append(t.ks)
-        return real_terms(t)
+    def terms(ks):
+        lattices.append(ks)
+        return real_terms(ks)
 
     monkeypatch.setattr(multivar, "_product_row", row)
     monkeypatch.setattr(multivar, "_divisor_terms", terms)
@@ -309,21 +309,6 @@ def test_one_product_row_and_one_lattice_per_tuple(monkeypatch):
     tuples = verify._tuple_grid(8, 3)
     assert report.total == 7 * len(tuples) and report.failed == 0
     assert rows == lattices == tuples
-
-
-def test_one_modulus_tuple_per_e_integrality_case(monkeypatch):
-    built = []
-
-    class Counting(multivar.ModulusTuple):
-        def __post_init__(self):
-            built.append(self.ks)
-            super().__post_init__()
-
-    monkeypatch.setattr(multivar, "ModulusTuple", Counting)
-    report = run_suite(tuple_config(["e-integrality"]))
-    tuples = verify._tuple_grid(8, 3)
-    assert report.total == len(tuples) and report.failed == 0
-    assert built == tuples
 
 
 def test_a_growing_power_table_gives_the_cases_of_fresh_singles(clear_run_caches):
@@ -342,10 +327,10 @@ def test_a_growing_power_table_gives_the_cases_of_fresh_singles(clear_run_caches
 def test_a_refused_row_fails_its_tuple_everywhere_and_stores_nothing(monkeypatch):
     real = multivar._product_row
 
-    def refusing(t):
-        if t.ks == (2, 3):
-            raise multivar.BudgetError(f"period lcm{t.ks} refused")
-        return real(t)
+    def refusing(ks):
+        if ks == (2, 3):
+            raise multivar.BudgetError(f"period lcm{ks} refused")
+        return real(ks)
 
     monkeypatch.setattr(multivar, "_product_row", refusing)
     config = tuple_config(TUPLE_TAGS, k_max=4, n_max=2, r_max=4)
@@ -374,9 +359,9 @@ def test_a_refused_row_fails_its_tuple_everywhere_and_stores_nothing(monkeypatch
 def test_one_product_row_per_modulus_for_prop1_and_prop6(monkeypatch):
     rows, real = [], multivar._product_row
 
-    def row(t):
-        rows.append(t.ks)
-        return real(t)
+    def row(ks):
+        rows.append(ks)
+        return real(ks)
 
     monkeypatch.setattr(multivar, "_product_row", row)
     report = run_suite(SuiteConfig(identities=["prop1", "prop6"], k_max=12, r_max=6, m_max=6))
@@ -387,10 +372,10 @@ def test_one_product_row_per_modulus_for_prop1_and_prop6(monkeypatch):
 def test_a_refused_one_modulus_row_fails_only_its_k(monkeypatch):
     real = multivar._product_row
 
-    def refusing(t):
-        if t.ks == (6,):
-            raise multivar.BudgetError(f"period lcm{t.ks} refused")
-        return real(t)
+    def refusing(ks):
+        if ks == (6,):
+            raise multivar.BudgetError(f"period lcm{ks} refused")
+        return real(ks)
 
     monkeypatch.setattr(multivar, "_product_row", refusing)
     config = small_config("prop1", "prop6")

@@ -58,7 +58,7 @@ def _one_more_prime(real):
 
     def patched(n):
         p = next(q for q in count(n + 1) if arith.is_prime(q))
-        return arith.Factorization(n * p, (*real(n).factors, (p, 1)))
+        return (*real(n), (p, 1))
 
     return patched
 
@@ -153,7 +153,7 @@ def test_the_guard_sees_a_direct_side_routed_through_the_closed_form(
     def s_r_multi_direct_batch(t, rs):
         # Still reads the row, for phi(k) = c_k(0).
         (k,) = t
-        phi = ramanujan.ramanujan_row(k).values[0]
+        phi = ramanujan.ramanujan_row(k)[0]
         return [
             averages.power_sum_closed(
                 k, r, phi, [averages.jordan_totient(2 * m, k) for m in range(r // 2 + 1)]

@@ -67,4 +67,4 @@ class TestArithmetic:
     @settings(max_examples=100, deadline=None)
     def test_factorint(self, n):
         expected = sorted((int(p), int(e)) for p, e in sympy.factorint(n).items())
-        assert list(factorize(n).factors) == expected
+        assert list(factorize(n)) == expected
