@@ -116,8 +116,6 @@ def factorize(n: int) -> Tuple[Tuple[int, int], ...]:
         # loop stopped at p * p > m), that bound is greater than isqrt(n)
         # (or is 2**20 = isqrt(2**40), not a prime), and m <= n.
         out.append((m, 1))
-    if math.prod(p**e for p, e in out) != n:
-        raise ValueError(f"factors do not multiply back to {n}")
     if any(p >= q for (p, _), (q, _) in zip(out, out[1:])):
         raise ValueError("primes must be strictly increasing")
     return tuple(out)

@@ -1,11 +1,9 @@
 """Weighted averages of Ramanujan sums: direct and closed-form evaluators.
 
 Every identity comes as a pair evaluator returning its two sides only, as
-a plain (lhs, rhs) tuple, with no tolerance; a batch form over the cases of
-one k returns the side columns (lhs, rhs), a row per case, which the verify
-engine compares as they come. The engine compares them: rational sides
-must be equal, float sides must meet within_tolerance_columns, the one
-mixed criterion, at the engine's configured tolerance.
+a plain (lhs, rhs) tuple; a batch form over the cases of one k returns the
+side columns (lhs, rhs), a row per case. Nothing here compares them: the
+verify engine does, as they come, by the identity's mode and tolerance.
 
 Summation bounds are part of the contract and differ per identity:
 
@@ -76,12 +74,9 @@ from .exact import bernoulli_number, bernoulli_polynomial_coefficients, power_su
 from .ramanujan import ramanujan_row
 
 __all__ = [
-    "DEFAULT_TOLERANCE",
     "DEFAULT_SEED",
     "COSINE_LIMIT",
     "DFT_LIMIT",
-    "within_tolerance",
-    "within_tolerance_columns",
     "NAMED_FUNCTIONS",
     "random_function",
     "log_factorial",
@@ -103,33 +98,12 @@ __all__ = [
     "inverse_dft_batch",
 ]
 
-DEFAULT_TOLERANCE = 1e-8
 DEFAULT_SEED = 123456789
 COSINE_LIMIT = 1000  # cos^k underflows past this; reject rather than mislead
 DFT_LIMIT = 10**5
 
 # A map from positive integers to exact rationals.
 ArithFn = Callable[[int], Rational]
-
-
-def within_tolerance_columns(
-    lhs: Sequence[float], rhs: Sequence[float], errors: Sequence[float], tolerance: float
-) -> List[bool]:
-    """|lhs - rhs| <= tolerance * (1 + max|side|) for each case of columns
-    of sides, errors holding each case's |lhs - rhs|: stays meaningful
-    when a side is exactly zero. A NaN side never passes.
-
-    The rule is evaluated over float64 arrays, with the operations of
-    within_tolerance in its order, and the column comes back as Python
-    bools. A column may be a list or an array; a float, or an int below
-    2^53, converts to float64 exactly."""
-    bound = np.maximum(np.abs(np.asarray(lhs, np.float64)), np.abs(np.asarray(rhs, np.float64)))
-    return (np.asarray(errors, np.float64) <= tolerance * (1 + bound)).tolist()
-
-
-def within_tolerance(lhs: float, rhs: float, tolerance: float) -> bool:
-    """within_tolerance_columns for one case, in Python floats."""
-    return abs(lhs - rhs) <= tolerance * (1 + max(abs(lhs), abs(rhs)))
 
 
 NAMED_FUNCTIONS: Dict[str, ArithFn] = {

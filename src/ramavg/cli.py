@@ -25,12 +25,13 @@ from itertools import product as iter_product
 from typing import List, Optional
 
 from .arith import divisor_count_and_sum, euler_phi, jordan_totient, mobius
-from .averages import DEFAULT_SEED, DEFAULT_TOLERANCE, s_r_closed
+from .averages import DEFAULT_SEED, s_r_closed
 from .exact import DEGREE_CAP, bernoulli_number
 from .multivar import g_m, orbicyclic_divisor
 from .ramanujan import BudgetError, ramanujan_row, ramanujan_sum
 from .verify import (
     CSV_HEADER,
+    DEFAULT_TOLERANCE,
     ConfigError,
     IDENTITY_TAGS,
     ParamError,

@@ -163,8 +163,6 @@ def ramanujan_row(k: int) -> Tuple[int, ...]:
         if v:
             for j in range(0, k + 1, d):
                 row[j] += v
-    if len(row) != k + 1:
-        raise ValueError("row must hold indices 0..k")
     checksum = sum(row[1:])
     if checksum != (1 if k == 1 else 0):
         raise ValueError(f"row checksum failed for k={k}: {checksum}")

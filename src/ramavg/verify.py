@@ -2,8 +2,9 @@
 
 The catalog below is closed: each tag names exactly one evaluator and
 one comparison mode (exact rational equality, or the mixed float criterion
-averages.within_tolerance_columns). Evaluators return side columns only and
-_compare compares them: the mode is owned here, not by callers or
+within_tolerance at a tolerance no looser than DEFAULT_TOLERANCE).
+Evaluators return side columns only and _compare compares them: the mode,
+the criterion and the default tolerance are owned here, not by callers or
 evaluators, so an exact identity can never be checked sloppily from the
 command line.
 
@@ -31,7 +32,7 @@ for prop1's closed sides, of each tuple table for prop7 and of the FFT
 row per k for inverse-dft, one read of k's divisors, gcd-class totals,
 mu(k/d) and phi(k) for every f of prop3 and prop3-corollary; for
 cross-evaluator, the divisor and Holder forms once per gcd class of the
-run, the float form from one FFT row per k and its check over the run);
+run and the float form from one FFT row per k);
 the other identities evaluate case by case, their pairs gathered into the
 two columns. If a run raises, each of its cases is evaluated alone, so a
 failure stays with the cases that cause it, and the run's columns are
@@ -52,7 +53,7 @@ into columns, giving a passed column and, in tolerance mode, an abs_error
 column. A run is compared without a Python call per case: == mapped over
 the lhs and rhs columns of an exact run; for a tolerance run, |lhs - rhs|
 over float64 arrays gives the abs_error column and, with the same arrays,
-feeds averages.within_tolerance_columns, which evaluates its rule over
+the passed column by the rule of within_tolerance, evaluated over
 them. In a run with a reason or a raised case those cases fail, and an
 exact one is compared case by case. run_suite tallies the counts and the
 worst errors from the columns and renders only the failing cases, from
@@ -115,6 +116,8 @@ from .arith import euler_phi
 from .ramanujan import ramanujan_sum_batch, ramanujan_sum_float_batch, ramanujan_sum_holder_batch
 
 __all__ = [
+    "DEFAULT_TOLERANCE",
+    "within_tolerance",
     "ConfigError",
     "ParamError",
     "GRID_BUDGET",
@@ -559,24 +562,21 @@ def _e_integrality(ks):
 def _cross_evaluator(k, rests, seed):
     """Divisor formula vs Holder form, with the rounded float definition
     as a third evaluator that fails a case by its reason; each evaluator
-    takes the whole run. The oracle is checked over the run with numpy,
-    where rint rounds as round does (half to even) and each exact value
-    converts to float64 exactly. Only a run where some case fails that
-    check is checked again case by case, which gives each failing case its
-    reason and raises on a non-finite oracle, as round does."""
+    takes the whole run. The oracle is checked once per case; round
+    raises on a non-finite oracle, so _evaluate then takes the run one
+    case at a time and that case fails with round's message."""
     js = [j for j, in rests]
     lhs = ramanujan_sum_batch(k, js)
     rhs = ramanujan_sum_holder_batch(k, js)
-    floats = ramanujan_sum_float_batch(k, js)
     bound = 1e-6 * k
-    oracle, exact_values = np.array(floats, np.float64), np.array(lhs, np.float64)
-    if ((np.rint(oracle) == exact_values) & (np.abs(oracle - exact_values) <= bound)).all():
-        return lhs, rhs
-    return lhs, rhs, [
+    reasons = [
         None if round(f) == a and abs(f - a) <= bound
         else f"float oracle {_fmt_float(f)} disagrees with the exact value {a}"
-        for a, f in zip(lhs, floats)
+        for a, f in zip(lhs, ramanujan_sum_float_batch(k, js))
     ]
+    if any(reasons):
+        return lhs, rhs, reasons
+    return lhs, rhs
 
 
 def _bernoulli_poly_sum_direct(k: int, m: int) -> Fraction:
@@ -729,10 +729,21 @@ def _lookup(tag: str) -> IdentityDef:
 # --- running cases ----------------------------------------------------------
 
 
+DEFAULT_TOLERANCE = 1e-8
+
+
+def within_tolerance(lhs: float, rhs: float, tolerance: float) -> bool:
+    """The mixed criterion of tolerance mode for one case: |lhs - rhs| <=
+    tolerance * (1 + max|side|), which stays meaningful when a side is
+    exactly zero. A NaN side never passes. _compare evaluates the same
+    rule, in the same order, over a run's float64 columns."""
+    return abs(lhs - rhs) <= tolerance * (1 + max(abs(lhs), abs(rhs)))
+
+
 def _check_tolerance(tolerance: float) -> None:
-    if not (0 < tolerance <= averages.DEFAULT_TOLERANCE):
+    if not (0 < tolerance <= DEFAULT_TOLERANCE):
         raise ConfigError(
-            f"tolerance may only be tightened below {averages.DEFAULT_TOLERANCE}, "
+            f"tolerance may only be tightened below {DEFAULT_TOLERANCE}, "
             f"got {tolerance}"
         )
 
@@ -774,8 +785,8 @@ def _compare(
 ) -> _Columns:
     """Evaluate one run and compare each of its cases once, over the side
     columns the evaluator gives: == on the sides of an exact identity,
-    averages.within_tolerance_columns at `tolerance` on those of a
-    tolerance one, whose abs_error column is |lhs - rhs| in float64. A case
+    within_tolerance's rule at `tolerance` on those of a tolerance one,
+    over float64 arrays, whose abs_error column is |lhs - rhs|. A case
     with a reason fails; one that raised, with None sides, has no
     abs_error. The run is not checked against the schema: it comes from a
     grid, or from run_identity, which has checked its case."""
@@ -794,7 +805,7 @@ def _compare(
         a, b = np.array(lhs, np.float64), np.array(rhs, np.float64)
         with np.errstate(over="ignore", invalid="ignore"):
             diff = np.abs(a - b)
-        passed = averages.within_tolerance_columns(a, b, diff, tolerance)
+        passed = (diff <= tolerance * (1 + np.maximum(np.abs(a), np.abs(b)))).tolist()
         errors = diff.tolist()
         if reasons is not None:
             passed = [r is None and ok for r, ok in zip(reasons, passed)]
@@ -851,7 +862,7 @@ def _render(
 def run_identity(
     tag: str,
     params: tuple,
-    tolerance: float = averages.DEFAULT_TOLERANCE,
+    tolerance: float = DEFAULT_TOLERANCE,
     seed: int = averages.DEFAULT_SEED,
 ) -> IdentityCase:
     """Evaluate one case, as a run of one. Schema violations raise
@@ -883,7 +894,7 @@ class SuiteConfig:
     r_max: Optional[int] = None
     m_max: Optional[int] = None
     n_max: Optional[int] = None
-    tolerance: float = averages.DEFAULT_TOLERANCE
+    tolerance: float = DEFAULT_TOLERANCE
     seed: int = averages.DEFAULT_SEED
 
 

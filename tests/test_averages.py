@@ -11,7 +11,6 @@ import ramavg.multivar as multivar
 from ramavg.arith import divisors, euler_phi, mobius
 from ramavg.averages import (
     COSINE_LIMIT,
-    DEFAULT_TOLERANCE,
     NAMED_FUNCTIONS,
     bernoulli_weighted_batch,
     bernoulli_weighted_pair,
@@ -31,11 +30,10 @@ from ramavg.averages import (
     s_r_closed,
     s_r_closed_batch,
     s_r_direct,
-    within_tolerance,
-    within_tolerance_columns,
 )
 from ramavg.exact import bernoulli_number, bernoulli_polynomial
 from ramavg.ramanujan import ramanujan_row
+from ramavg.verify import DEFAULT_TOLERANCE, IdentityDef, Param, _compare, within_tolerance
 
 
 @pytest.mark.parametrize("batch, args, message", [
@@ -414,17 +412,24 @@ class TestWithinTolerance:
             0.0, -0.0, 1.0, -1.0, 1.0 + 1e-9, 1e-8, tiny, -tiny, 2.2250738585072014e-308 / 3,
             1e308, -1e308, math.inf, -math.inf, math.nan,
         ]
-        lhs, rhs = zip(*itertools.product(values, repeat=2))
-        errors = [abs(a - b) for a, b in zip(lhs, rhs)]
+        lhs, rhs = (list(side) for side in zip(*itertools.product(values, repeat=2)))
+        # A tolerance identity whose one run holds every pair of values.
+        ident = IdentityDef(
+            "grid", "tolerance", (Param("k"), Param("n")), lambda lead, rests, seed: (lhs, rhs), {}
+        )
+
+        def passed(tolerance):
+            return _compare(ident, 1, [(n,) for n in range(len(lhs))], tolerance, 0).passed
+
         for tolerance in (DEFAULT_TOLERANCE, 1e-16, tiny):
-            columns = within_tolerance_columns(lhs, rhs, errors, tolerance)
+            columns = passed(tolerance)
             assert columns == [within_tolerance(a, b, tolerance) for a, b in zip(lhs, rhs)]
             # The rule as written before it took columns.
             assert columns == [
                 abs(a - b) <= tolerance * (1 + max(abs(a), abs(b))) for a, b in zip(lhs, rhs)
             ]
             assert all(type(ok) is bool for ok in columns)
-        ok = dict(zip(zip(lhs, rhs), within_tolerance_columns(lhs, rhs, errors, DEFAULT_TOLERANCE)))
+        ok = dict(zip(zip(lhs, rhs), passed(DEFAULT_TOLERANCE)))
         assert ok[math.inf, math.inf] is False and ok[math.inf, 1.0] is True
         assert ok[0.0, -0.0] is True and ok[tiny, -tiny] is True
         # 1e308 - (-1e308) overflows to inf, past the finite bound.

@@ -199,6 +199,26 @@ def test_wrong_float_oracle_fails_only_its_case(monkeypatch):
     assert_csv_is_the_attribute_rendering(sweep(config))
 
 
+@pytest.mark.parametrize("value, message", [
+    (math.nan, "cannot convert float NaN to integer"),
+    (math.inf, "cannot convert float infinity to integer"),
+    (-math.inf, "cannot convert float infinity to integer"),
+])
+def test_a_non_finite_float_oracle_fails_only_its_case(monkeypatch, value, message):
+    # round raises on the oracle, so the run is evaluated case by case and
+    # only (6, 4) fails, with round's message and no sides.
+    real = verify.ramanujan_sum_float_batch
+    monkeypatch.setattr(
+        verify, "ramanujan_sum_float_batch",
+        lambda k, js: [value if (k, j) == (6, 4) else f for f, j in zip(real(k, js), js)],
+    )
+    config = small_config("cross-evaluator", k_max=7)
+    assert len(grid_of(config)) == 35
+    assert_only_these_fail(config, {(6, 4)})
+    case = run_identity("cross-evaluator", (6, 4))
+    assert (case.lhs, case.rhs, case.error) == ("", "", message)
+
+
 # --- the CSV is written from each run's columns -----------------------------
 
 
@@ -209,7 +229,7 @@ def assert_csv_is_the_attribute_rendering(swept):
     assert swept.csv == csv_by_attributes(swept.cases)
 
 
-@pytest.mark.parametrize("tolerance", [averages.DEFAULT_TOLERANCE, 1e-16])
+@pytest.mark.parametrize("tolerance", [verify.DEFAULT_TOLERANCE, 1e-16])
 @pytest.mark.parametrize("tag", IDENTITY_TAGS)
 def test_the_csv_of_each_small_grid_is_the_attribute_rendering(tag, tolerance):
     assert_csv_is_the_attribute_rendering(sweep(small_config(tag, tolerance=tolerance)))

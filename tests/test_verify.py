@@ -12,8 +12,11 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
+import ramavg.arith as arith
 import ramavg.averages as averages
 import ramavg.exact as exact
+import ramavg.multivar as multivar
+import ramavg.ramanujan as ramanujan
 import ramavg.verify as verify
 from ramavg.verify import (
     ConfigError,
@@ -126,6 +129,14 @@ class TestRunIdentity:
         assert not case.passed
         assert case.lhs == case.rhs == "1"
         assert case.error == "float oracle 0.25 disagrees with the exact value 1"
+
+    def test_a_clean_cross_evaluator_run_has_no_reasons_column(self):
+        ident = verify._lookup("cross-evaluator")
+        for k in (1, 6, 30):
+            columns = verify._compare(
+                ident, k, [(j,) for j in range(-k, k + 1)], verify.DEFAULT_TOLERANCE, 0
+            )
+            assert columns.reasons is None and all(columns.passed), k
 
     def test_tolerance_may_only_tighten(self):
         for bad in (0.0, -1e-9, 2e-8, 1e-6):
@@ -579,13 +590,13 @@ class TestVerdicts:
             averages.log_weighted_pair(5, 1.0)
         # Sides are plain (lhs, rhs) tuples, with nothing that compares them.
         assert type(averages.log_weighted_pair(5)) is tuple
-        # The criterion itself, over columns and for one case, is the one
-        # function that reads a tolerance.
-        criterion = (averages.within_tolerance_columns, averages.within_tolerance)
-        for name in averages.__all__:
-            fn = getattr(averages, name)
-            if inspect.isfunction(fn) and fn not in criterion:
-                assert "tolerance" not in inspect.signature(fn).parameters, name
+        # The default and the criterion live in verify alone.
+        assert [name for name in vars(averages) if "tolerance" in name.lower()] == []
+        for module in (arith, exact, ramanujan, averages, multivar):
+            for name in module.__all__:
+                fn = getattr(module, name)
+                if inspect.isfunction(fn):
+                    assert "tolerance" not in inspect.signature(fn).parameters, name
         for ident in verify._CATALOG.values():
             assert len(inspect.signature(ident.evaluate).parameters) == 3, ident.tag
 
@@ -720,7 +731,7 @@ class TestSerialization:
         # row per case after the header, and csv.writer writes the same
         # bytes again, so cases_to_csv quotes what csv.writer would quote.
         failing = 0
-        for tag, tolerance in iter_product(IDENTITY_TAGS, (averages.DEFAULT_TOLERANCE, 1e-16)):
+        for tag, tolerance in iter_product(IDENTITY_TAGS, (verify.DEFAULT_TOLERANCE, 1e-16)):
             ident = verify._lookup(tag)
             for bounds in small_bounds(tag):
                 runs = verify._grid(ident, bounds, averages.DEFAULT_SEED)
@@ -993,7 +1004,7 @@ class TestCsvQuoting:
                  (prop1, 3, b), (prop7, (1, 2), a), (prop1, 2, c)]
         rendered.clear()
         for ident, lead, rests in calls:
-            cols = verify._compare(ident, lead, rests, averages.DEFAULT_TOLERANCE, 0)
+            cols = verify._compare(ident, lead, rests, verify.DEFAULT_TOLERANCE, 0)
             fresh = verify._render(ident, lead, list(rests), *cols)
             prefix = f"{ident.param_names[0]}={verify._fmt_value(lead)}"
             assert [case.params for case in fresh] == [f"{prefix},r={r}" for (r,) in rests]
@@ -1029,15 +1040,14 @@ TOLERANCE_SIDE = st.floats() | st.integers(-(2**53) + 1, 2**53 - 1)
 
 
 class TestColumnCriterion:
-    """The tolerance columns that _compare gives a run, through
-    averages.within_tolerance_columns over float64 arrays, are the scalar
-    rule averages.within_tolerance case by case, and abs_error is the
-    Python float abs(a - b)."""
+    """The tolerance columns that _compare gives a run, over float64
+    arrays, are the scalar rule verify.within_tolerance case by case, and
+    abs_error is the Python float abs(a - b)."""
 
     @given(
         st.lists(st.tuples(TOLERANCE_SIDE, TOLERANCE_SIDE), min_size=1, max_size=300),
-        st.sampled_from([averages.DEFAULT_TOLERANCE, 1e-16, 5e-324])
-        | st.floats(5e-324, averages.DEFAULT_TOLERANCE),
+        st.sampled_from([verify.DEFAULT_TOLERANCE, 1e-16, 5e-324])
+        | st.floats(5e-324, verify.DEFAULT_TOLERANCE),
     )
     @example([(math.inf, math.inf), (1e308, -1e308), (math.nan, 1.0), (5e-324, -0.0)], 1e-8)
     @example([(2**53 - 1, -2), (3, 3.0)], 1e-16)
@@ -1049,13 +1059,8 @@ class TestColumnCriterion:
             "drawn", "tolerance", (Param("k"), Param("n")), lambda lead, rests, seed: (lhs, rhs), {}
         )
         columns = verify._compare(ident, 1, [(n,) for n in range(len(pairs))], tolerance, 0)
-        expected = [averages.within_tolerance(a, b, tolerance) for a, b in pairs]
+        expected = [verify.within_tolerance(a, b, tolerance) for a, b in pairs]
         assert type(columns.passed) is list and all(type(ok) is bool for ok in columns.passed)
         assert columns.passed == expected
         assert [e.hex() for e in columns.errors] == [float(abs(a - b)).hex() for a, b in pairs]
         assert columns.reasons is None
-        # The criterion alone, given the columns as lists.
-        errors = [abs(a - b) for a, b in pairs]
-        passed = averages.within_tolerance_columns(lhs, rhs, errors, tolerance)
-        assert type(passed) is list and all(type(ok) is bool for ok in passed)
-        assert passed == expected
