@@ -6,8 +6,13 @@ own required flags, so argparse alone reports a usage error: its usage and
 error lines, exit 2, nothing on stdout. The global flags are accepted
 before the subcommand, after it, and after the function or kind.
 
-Exit codes: 0 success, 1 verification failures, 2 bad usage/configuration,
-141 (128 + SIGPIPE) when the reader of stdout closes early; stderr stays empty.
+Exit codes: 0 success; 1 verification failures; 2 a refused call, that is
+a usage error, a bad configuration or a budget or cap refusal; 3 a program
+bug; 141 (128 + SIGPIPE) when the reader of stdout closes early, with stderr
+left empty. The commands raise, and main alone maps what they raise: each
+command's refusal classes (_COMMANDS) to one "error: <message>" line on
+stderr and exit 2, and any other exception to one "internal error: <repr>"
+line and exit 3.
 Exact values are printed as reduced rationals ("p/q", or a bare integer);
 decimals only appear with --approx (17 significant digits).
 """
@@ -154,46 +159,29 @@ def _render_rational(value, fmt: str, approx: bool) -> str:
 def _cmd_compute(args) -> int:
     wanted, evaluate = _COMPUTE[args.function]
     values = {name: getattr(args, name) for name in wanted}
-    if any(_over_degree_cap(flag, values.get(flag)) for flag in ("r", "m")):
-        return 2
-    # Rendering can fail too: past the interpreter's int-to-string digit
-    # limit (ValueError), or past a float's range with --approx
-    # (OverflowError).
-    try:
-        text = _render_rational(evaluate(*values.values()), args.format, args.approx)
-    except (ValueError, RuntimeError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(text)
+    for flag in ("r", "m"):
+        _check_degree(flag, values.get(flag))
+    print(_render_rational(evaluate(*values.values()), args.format, args.approx))
     return 0
 
 
-def _over_degree_cap(flag: str, degree: Optional[int]) -> bool:
-    if degree is None or degree <= DEGREE_CAP:
-        return False
-    print(f"error: --{flag} must be <= {DEGREE_CAP}", file=sys.stderr)
-    return True
+def _check_degree(flag: str, degree: Optional[int]) -> None:
+    if degree is not None and degree > DEGREE_CAP:
+        raise ParamError(f"--{flag} must be <= {DEGREE_CAP}")
 
 
-def _over_budget(moduli: int) -> bool:
-    if moduli <= TABLE_BUDGET:
-        return False
-    print(
-        f"error: the table exceeds the budget of {TABLE_BUDGET} moduli,"
-        " an s-r modulus counted once per degree",
-        file=sys.stderr,
-    )
-    return True
+def _check_budget(moduli: int) -> None:
+    if moduli > TABLE_BUDGET:
+        raise ParamError(
+            f"the table exceeds the budget of {TABLE_BUDGET} moduli,"
+            " an s-r modulus counted once per degree"
+        )
 
 
 def _cmd_table(args) -> int:
     fmt = args.format
     if args.kind == "ramanujan-row":
-        try:
-            values = ramanujan_row(args.k)
-        except BudgetError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        values = ramanujan_row(args.k)
         if fmt == "json":
             print(json.dumps({"k": args.k, "values": list(values)}))
         elif fmt == "csv":
@@ -205,8 +193,8 @@ def _cmd_table(args) -> int:
         return 0
 
     if args.kind == "s-r":
-        if _over_degree_cap("r", args.r) or _over_budget(args.k_max * args.r):
-            return 2
+        _check_degree("r", args.r)
+        _check_budget(args.k_max * args.r)
         rows = [(k, s_r_closed(k, args.r)) for k in range(1, args.k_max + 1)]
         if fmt == "json":
             print(json.dumps(
@@ -222,14 +210,9 @@ def _cmd_table(args) -> int:
     # e-values: every ordered tuple of a given arity up to a component bound
     # k_max**n is not raised to a huge n: for k_max >= 2 the budget is
     # already exceeded at n = its bit length.
-    if _over_budget(args.n * args.k_max ** min(args.n, TABLE_BUDGET.bit_length())):
-        return 2
-    tuples = list(iter_product(range(1, args.k_max + 1), repeat=args.n))
-    try:
-        rows = [(t, orbicyclic_divisor(t)) for t in tuples]
-    except RuntimeError as exc:  # enumeration budget
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    _check_budget(args.n * args.k_max ** min(args.n, TABLE_BUDGET.bit_length()))
+    rows = [(t, orbicyclic_divisor(t))
+            for t in iter_product(range(1, args.k_max + 1), repeat=args.n)]
     if fmt == "json":
         print(json.dumps([{"ks": list(t), "e": e} for t, e in rows]))
     else:
@@ -273,8 +256,7 @@ def _csv_sink():
 def _cmd_verify(args) -> int:
     identities: Optional[List[str]] = None
     if args.run_all and args.identities:
-        print("error: --all and --identity cannot be combined", file=sys.stderr)
-        return 2
+        raise ConfigError("--all and --identity cannot be combined")
     if args.identities:
         identities = []
         for entry in args.identities:
@@ -288,11 +270,7 @@ def _cmd_verify(args) -> int:
         tolerance=args.tolerance,
         seed=args.seed,
     )
-    try:
-        report = run_suite(config, _csv_sink() if args.format == "csv" else None)
-    except (ConfigError, ParamError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = run_suite(config, _csv_sink() if args.format == "csv" else None)
     if args.format == "json":
         _write(report_to_json(report) + "\n")
     elif args.format == "plain":
@@ -310,12 +288,23 @@ def _cmd_verify(args) -> int:
     return 0 if report.failed == 0 else 1
 
 
+# command -> (its function, the exceptions that refuse a call). compute's
+# ValueError covers a domain error and a value past the interpreter's
+# int-to-string digit limit, its OverflowError a value past a float's range
+# with --approx.
+_COMMANDS = {
+    "compute": (_cmd_compute, (ValueError, BudgetError, OverflowError)),
+    "table": (_cmd_table, (ParamError, BudgetError)),
+    "verify": (_cmd_verify, (ConfigError, ParamError)),
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # a usage error (2), or --help (0)
         return exc.code
-    command = {"compute": _cmd_compute, "table": _cmd_table}.get(args.command, _cmd_verify)
+    command, refusals = _COMMANDS[args.command]
     try:
         status = command(args)
         sys.stdout.flush()
@@ -325,6 +314,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
+    except refusals as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a program bug; repr keeps it to one line
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
     return status
 
 

@@ -11,6 +11,7 @@ import pytest
 
 import ramavg.averages as averages
 import ramavg.cli as cli
+import ramavg.multivar as multivar
 import ramavg.ramanujan as ramanujan
 import ramavg.verify as verify
 from ramavg.cli import main
@@ -87,8 +88,10 @@ class TestCompute:
         ("compute", "psi", "--n", "5"),
         ("compute", "--k", "4", "--j", "2", "c"),  # value flags before the function
         ("compute", "E", "--ks", "2,0"),
+        ("compute", "E", "--ks", "2,x"),
         ("compute", "c", "--k", "4", "--j", "x"),
         ("table", "s-r", "--k-max", "3", "--r", "1", "--n", "2"),
+        ("table", "s-r", "--k-max", "x", "--r", "1"),
     ])
     def test_usage_errors_come_from_argparse(self, capsys, argv):
         # main returns argparse's status: no SystemExit escapes it.
@@ -145,6 +148,28 @@ class TestTable:
         data = json.loads(out)
         assert code == 0
         assert data == {"k": 6, "values": [2, 1, -1, -2, -1, 1, 2]}
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("ramanujan-row", "--k", "6", "--format", "csv"),
+         "j,c\n0,2\n1,1\n2,-1\n3,-2\n4,-1\n5,1\n6,2\n"),
+        (("s-r", "--k-max", "3", "--r", "1", "--format", "json"),
+         '[{"k": 1, "num": 1, "den": 1}, {"k": 2, "num": 1, "den": 4},'
+         ' {"k": 3, "num": 1, "den": 3}]\n'),
+        (("e-values", "--n", "2", "--k-max", "2", "--format", "json"),
+         '[{"ks": [1, 1], "e": 1}, {"ks": [1, 2], "e": 0},'
+         ' {"ks": [2, 1], "e": 0}, {"ks": [2, 2], "e": 1}]\n'),
+    ], ids=["ramanujan-row-csv", "s-r-json", "e-values-json"])
+    def test_output_bytes(self, capsys, argv, expected):
+        code, out, _ = run_cli(capsys, "table", *argv)
+        assert code == 0 and out == expected
+
+    def test_e_values_past_the_divisor_tuple_budget_exits_2(self, capsys, monkeypatch):
+        # (1, 1) .. (1, 4) and (2, 1) hold at most 3 divisor tuples; (2, 2)
+        # holds 4 and is refused.
+        monkeypatch.setattr(multivar, "DIVISOR_TUPLE_BUDGET", 3)
+        code, out, err = run_cli(capsys, "table", "e-values", "--n", "2", "--k-max", "4")
+        assert code == 2 and out == ""
+        assert err == "error: divisor-tuple count 4 for (2, 2) exceeds 3\n"
 
     def test_ramanujan_row_over_budget(self, capsys, monkeypatch):
         monkeypatch.setattr(ramanujan, "divisors", None)  # no row is built
@@ -357,6 +382,23 @@ class TestVerify:
         assert code == 1
         assert "FAIL prop1" in out
 
+    def test_plain_report_lists_the_worst_error_of_a_float_identity(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--identity", "prop2", "--k-max", "5")
+        assert code == 0
+        # The value depends on the platform's libm.
+        assert any(line.startswith("worst abs error prop2: ") for line in out.splitlines())
+
+    def test_plain_report_lists_fifty_failures_and_counts_the_rest(self, capsys, monkeypatch):
+        monkeypatch.setattr(averages, "s_r_closed_batch", lambda k, rs: [999] * len(rs))
+        code, out, _ = run_cli(
+            capsys, "verify", "--identity", "prop1", "--k-max", "60", "--r-max", "1"
+        )
+        lines = out.splitlines()
+        fails = [i for i, line in enumerate(lines) if line.startswith("FAIL prop1(")]
+        assert code == 1 and "total 60, passed 0, failed 60" in lines
+        assert len(fails) == 50 and fails == list(range(fails[0], fails[0] + 50))
+        assert lines[fails[-1] + 1] == "... and 10 more failures"
+
     def test_comma_separated_identities(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--identity", "half-sum,faulhaber", "--n-max", "10",
@@ -392,6 +434,33 @@ class TestVerify:
         body1.pop("wall_time_seconds")
         body4.pop("wall_time_seconds")
         assert body1 == body4
+
+
+class TestProgramBug:
+    """An exception that is not one of its command's refusals is a program
+    bug: exit 3, nothing on stdout and one line on stderr, which names the
+    exception by its repr."""
+
+    @staticmethod
+    def _raise(exc):
+        def raising(*args, **kwargs):
+            raise exc
+        return raising
+
+    @pytest.mark.parametrize("name, exc, argv", [
+        ("run_suite", ZeroDivisionError("division by zero"),
+         ("verify", "--identity", "prop1", "--k-max", "2")),
+        ("ramanujan_row", KeyError(6), ("table", "ramanujan-row", "--k", "6")),
+        ("orbicyclic_divisor", RuntimeError("E is off\nby one"),
+         ("compute", "E", "--ks", "2,3")),
+        ("orbicyclic_divisor", RuntimeError("E is off\nby one"),
+         ("table", "e-values", "--n", "2", "--k-max", "2")),
+    ], ids=["verify", "ramanujan-row", "compute-E", "e-values"])
+    def test_exits_3_with_one_line(self, capsys, monkeypatch, name, exc, argv):
+        monkeypatch.setattr(cli, name, self._raise(exc))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err == f"internal error: {exc!r}\n" and err.count("\n") == 1
 
 
 class _ClosedPipe(io.TextIOBase):

@@ -6,10 +6,12 @@ run must stay with the cases that cause it.
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 import ramavg.averages as averages
+import ramavg.exact as exact
 import ramavg.multivar as multivar
 import ramavg.verify as verify
 from ramavg.ramanujan import ramanujan_sum, ramanujan_sum_holder
@@ -217,6 +219,49 @@ def test_a_non_finite_float_oracle_fails_only_its_case(monkeypatch, value, messa
     assert_only_these_fail(config, {(6, 4)})
     case = run_identity("cross-evaluator", (6, 4))
     assert (case.lhs, case.rhs, case.error) == ("", "", message)
+
+
+def _with_fault(real, target, fault):
+    """real, with its result passed through fault for the case target."""
+    def faulty(*args):
+        value = real(*args)
+        return fault(*args, value) if args[:len(target)] == target else value
+    return faulty
+
+
+_E_FAULTS = {
+    # E(2, 4) = 0: its direct total and its weight k g_0 are both 0.
+    "direct-non-integral": ("_power_sums", lambda ks, top, t: [t[0] + 1, *t[1:]],
+                            "E(2, 4) is non-integral: 1/4"),
+    "direct-negative": ("_power_sums", lambda ks, top, t: [t[0] - 4, *t[1:]],
+                        "E(2, 4) is negative: -1"),
+    "divisor-non-integral": ("_weights", lambda ks, top, t: [t[0] + 1, *t[1:]],
+                             "divisor form of E(2, 4) is non-integral"),
+}
+
+
+@pytest.mark.parametrize("fault", _E_FAULTS)
+def test_an_e_self_check_fails_only_its_case(monkeypatch, fault):
+    name, change, message = _E_FAULTS[fault]
+    monkeypatch.setattr(multivar, name, _with_fault(getattr(multivar, name), ((2, 4),), change))
+    config = small_config("e-integrality")
+    assert ((2, 4),) in grid_of(config)
+    assert_only_these_fail(config, {((2, 4),)})
+    assert run_identity("e-integrality", ((2, 4),)).error == message
+
+
+@pytest.mark.parametrize("tag, message", [
+    ("faulhaber", "power_sum(3, 2) is non-integral: 29/2"),  # 14 + 1/2
+    ("coprime-power-sum", "coprime_power_sum(3, 2) is non-integral: 31/6"),  # 5 + 1/6
+])
+def test_a_power_sum_self_check_fails_only_its_case(monkeypatch, tag, message):
+    # The closed form of (n, r) = (3, 2) is off by 1 / (2 n^(r+1)).
+    def off(n, r, lead, weights, value):
+        return value + Fraction(1, 2 * n ** (r + 1))
+
+    monkeypatch.setattr(exact, "power_sum_closed", _with_fault(exact.power_sum_closed, (3, 2), off))
+    assert_only_these_fail(small_config(tag), {(3, 2)})
+    assert run_identity(tag, (3, 2)).error == message
 
 
 # --- the CSV is written from each run's columns -----------------------------
