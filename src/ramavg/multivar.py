@@ -15,21 +15,34 @@ function that needs k computes it from that tuple.
 
 Direct sums run over one period of at most PERIOD_BUDGET entries, and an
 object row (below) is charged _OBJECT_ENTRY_BYTES per entry against the
-PERIOD_BUDGET * 8 bytes of the largest int64 row. Divisor sums run over at
-most DIVISOR_TUPLE_BUDGET tuples. All three raise BudgetError (the one
-class of ramanujan, which bounds single rows by ROW_BUDGET) before
-allocating anything.
+PERIOD_BUDGET * 8 bytes of the largest int64 row. The divisor lattice is
+folded over at most DIVISOR_TUPLE_BUDGET tuples. All three raise
+BudgetError (the one class of ramanujan, which bounds single rows by
+ROW_BUDGET) before allocating anything.
 
 Each side is built one way. The direct side is one period of the product
 row, one ndarray multiplied by one period of c_{k_i} at a time: int64 when
 its own first entry c(0) = prod_i c_{k_i}(0) bounds it below 2^62, object
-(Python ints) otherwise; it reads no phi. The divisor side folds the lattice
-one modulus at a time, aggregating by lcm and dropping zero coefficients
-after each step; it enumerates the lattice and never factors prime by prime.
+(Python ints) otherwise; it reads no phi. The divisor side is built prime
+by prime. Each summand prod_i d_i mu(k_i/d_i) is multiplicative in the
+tuple, and lcm(d_i) is too, so k E and g_m are Euler products of local
+factors, one per prime p of the moduli. At p, with a_i = v_p(k_i) and
+A = max a_i, only b_i = v_p(d_i) in {a_i, a_i - 1} count, and the local
+divisor sum has just two keys, max b_i = A and A - 1 (_local_weights).
+The local factors are cached by p and the sorted exponents, so no divisor
+lattice is enumerated, and any tuple that factorize accepts (moduli up
+to 2^40) has a divisor side; E, g_m and the closed S_r read it.
 
-Each tuple's product row and divisor lattice are built once per sweep in
-catalog order, where each identity asks for its largest r first; a later
-request for a larger r rebuilds the row. Two per-tuple tables, keyed by ks and
+The multiplicativity check alone still folds the lattice (_divisor_terms,
+_lattice_weights): one modulus at a time, aggregating by lcm and dropping
+zero coefficients after each step, never prime by prime. An E built from
+local factors would satisfy E(ab) = E(a) E(b) by construction, so that
+check would compare a value with itself; and the product tuples' periods
+are too long for the direct side.
+
+Each tuple's product row and weights are built once per sweep in catalog
+order, where each identity asks for its largest r first; a later request
+for a larger r rebuilds the row. Two per-tuple tables, keyed by ks and
 bounded by lru_cache at 1 << 14 tuples, hold only bigints:
 
     _power_sum_table   T_r = sum_{j=1}^{k} j^r prod_i c_{k_i}(j), r = 0..top,
@@ -37,21 +50,23 @@ bounded by lru_cache at 1 << 14 tuples, hold only bigints:
                        31-bit int64 limbs, linear in r, or plain Python
                        ints on an object row), and rebuilt to a larger top
                        when a caller asks for one;
-    _weight_table      k E, g_1, g_2, ... from one divisor lattice, extended
-                       on demand.
+    _weight_table      k E, g_1, g_2, ... as products of the local factors
+                       of _local_table, extended on demand like them.
 
 E (from T_0 and from k E), S_r and g_m read them. The S_r of a tuple (k,)
 is the direct side of averages' power weight (s_r_direct, prop1), and
 averages' Bernoulli weight (prop6) reads the table of (k,). The tables hold
 k E, not E, so both integrality checks run at every read and their
-RuntimeError is never cached. A BudgetError is raised before anything is
-stored, so a table is either empty or complete up to its top; a tuple that
-a budget refuses gets no table at all (the table's lookup applies the
-budget), so it evicts none. A table of top R holds R + 1 integers of at
-most log2(prod phi(k_i)) + (R + 1) log2(k) + 1 bits. verify --all fills
-13,300 power-sum tables (the 12,340 tuples of the multivariable grid and
-the moduli 41..1000 of prop1) and 12,664 weight tables, about 6.8 MB
-together. No sweep re-reads a product row, so _product_row keeps one: at
+RuntimeError is never cached. A refusal (a BudgetError, or factorize's
+ValueError past 2^40) is raised before anything is stored, so a table is
+either empty or complete up to its top; a tuple that is refused gets no
+table at all (the table's lookup applies the check), so it evicts none. A
+table of top R holds R + 1 integers of at most log2(prod phi(k_i)) +
+(R + 1) log2(k) + 1 bits. verify --all fills 13,300 power-sum tables (the
+12,340 tuples of the multivariable grid and the moduli 41..1000 of prop1),
+about 5.4 MB by sys.getsizeof, and 12,340 weight tables, about 2.9 MB, from
+110 local tables of at most 3 factors, about 32 kB, keys included. No sweep
+re-reads a product row, so _product_row keeps one: at
 most PERIOD_BUDGET entries, 80 MB as int64, where its earlier 64 rows could
 take 5.1 GB. An object row holds one Python int per entry, and each rung of
 its ladder makes another: E with S_1 and S_2 peaked at 56-80 bytes per
@@ -73,7 +88,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .arith import divisors, euler_phi, mobius
+from .arith import divisors, euler_phi, factorize, mobius
 from .exact import power_sum_closed
 from .ramanujan import BudgetError, ramanujan_row
 
@@ -242,7 +257,75 @@ def orbicyclic_direct(ks: Sequence[int]) -> int:
     return result
 
 
-# --- divisor side: lattice enumeration -------------------------------------
+# --- divisor side: local terms prime by prime ------------------------------
+
+
+@lru_cache(maxsize=1 << 14)
+def _local_table(p: int, exps: Tuple[int, ...]) -> List[int]:
+    """The local factors at the prime p of k g_0 = k E, g_1, g_2, ... for a
+    tuple whose exponents of p are exps (ascending, each at least 1), as far
+    as _local_weights has extended them."""
+    return []
+
+
+def _local_weights(p: int, exps: Tuple[int, ...], top: int) -> List[int]:
+    """The local factors at p of k g_0 and g_1..g_top at least.
+
+    At p only b_i in {a_i, a_i - 1} have mu(p^(a_i - b_i)) != 0, so with
+    A = max a_i the local divisor sum has two keys, max b_i = A and A - 1:
+    c_(A-1) = prod_{a_i = A} (-p^(A-1)) prod_{a_i < A} phi(p^(a_i)), and
+    c_A = prod_i phi(p^(a_i)) - c_(A-1). Its local k E is c_A + c_(A-1) p,
+    and its local g_m (m >= 1) is (c_A p^(2m-1) + c_(A-1)) p^((2m-1)(A-1)).
+    The table is extended only once every missing factor is computed.
+    """
+    table = _local_table(p, exps)
+    if len(table) <= top:
+        high = exps[-1]
+        c_low = math.prod(-(p ** (a - 1)) if a == high else p**a - p ** (a - 1) for a in exps)
+        c_high = math.prod(p**a - p ** (a - 1) for a in exps) - c_low
+        table += [
+            c_high + c_low * p
+            if m == 0
+            else (c_high * p ** (2 * m - 1) + c_low) * p ** ((2 * m - 1) * (high - 1))
+            for m in range(len(table), top + 1)
+        ]
+    return table
+
+
+@lru_cache(maxsize=1 << 14)
+def _weight_table(ks: Tuple[int, ...]) -> List[int]:
+    """k g_0 = k E, g_1, g_2, ... of the tuple ks as far as _weights has
+    extended them. A new entry is made only for a tuple whose moduli
+    factorize admits: a refused one raises here, and lru_cache stores
+    nothing for a call that raises, so it cannot evict a built table."""
+    for k in ks:
+        factorize(k)
+    return []
+
+
+def _euler_products(ks: Tuple[int, ...], low: int, top: int) -> List[int]:
+    """k g_0 (when low is 0) and g_low..g_top as products over the primes
+    of ks of their local factors."""
+    exponents: Dict[int, List[int]] = {}
+    for k in ks:
+        for p, a in factorize(k):
+            exponents.setdefault(p, []).append(a)
+    factors = [_local_weights(p, tuple(sorted(a)), top) for p, a in exponents.items()]
+    return [math.prod(local[m] for local in factors) for m in range(low, top + 1)]
+
+
+def _weights(ks: Tuple[int, ...], top: int) -> List[int]:
+    """k g_0 and g_1..g_top at least, prime by prime: each missing weight
+    is a product of local factors, never a sum over the product row or the
+    divisor lattice. The table is extended only once every missing weight
+    is computed."""
+    table = _weight_table(ks)
+    if len(table) <= top:
+        table += _euler_products(ks, len(table), top)
+    return table
+
+
+# --- the divisor lattice, folded for the multiplicativity check -------------
 
 
 @lru_cache(maxsize=256)
@@ -252,8 +335,7 @@ def _divisor_terms(ks: Tuple[int, ...]) -> Tuple[Tuple[int, int], ...]:
     that lcm, and never 0. The lattice is folded one modulus at a time:
     each (lcm, coefficient) so far is multiplied by every (d, d mu(k_i/d))
     with mu(k_i/d) != 0, and the products are aggregated by lcm again.
-    _weights reads it only for a tuple whose _weight_table entry, and so
-    the lattice budget, admitted it.
+    _lattice_weights reads it only once the lattice budget admits the tuple.
     """
     terms = {1: 1}
     for k in ks:
@@ -268,32 +350,20 @@ def _divisor_terms(ks: Tuple[int, ...]) -> Tuple[Tuple[int, int], ...]:
     return tuple(sorted(terms.items()))
 
 
-@lru_cache(maxsize=1 << 14)
-def _weight_table(ks: Tuple[int, ...]) -> List[int]:
-    """k g_0 = k E, g_1, g_2, ... of the tuple ks as far as _weights has
-    extended them. A new entry is made only for a tuple whose divisor
-    lattice holds at most DIVISOR_TUPLE_BUDGET tuples: a refused one raises
-    here, and lru_cache stores nothing for a call that raises, so it cannot
-    evict a built table."""
+def _lattice_weights(ks: Tuple[int, ...], top: int) -> List[int]:
+    """k g_0 and g_1..g_top by folding the divisor lattice, which never
+    factors prime by prime: each weight is a sum over the lattice terms.
+    A lattice of more than DIVISOR_TUPLE_BUDGET tuples raises BudgetError
+    before it is folded."""
     budget = math.prod(len(divisors(k)) for k in ks)
     if budget > DIVISOR_TUPLE_BUDGET:
         raise BudgetError(f"divisor-tuple count {budget} for {ks} exceeds {DIVISOR_TUPLE_BUDGET}")
-    return []
-
-
-def _weights(ks: Tuple[int, ...], top: int) -> List[int]:
-    """k g_0 and g_1..g_top at least, from one divisor lattice: each missing
-    weight is a sum over the lattice terms, never over the product row. The
-    table is extended only once every missing weight is computed."""
-    table = _weight_table(ks)
-    if len(table) <= top:
-        terms = _divisor_terms(ks)
-        k = math.lcm(*ks)
-        table += [
-            sum(coef * (k // lc if m == 0 else lc ** (2 * m - 1)) for lc, coef in terms)
-            for m in range(len(table), top + 1)
-        ]
-    return table
+    terms = _divisor_terms(ks)
+    k = math.lcm(*ks)
+    return [
+        sum(coef * (k // lc if m == 0 else lc ** (2 * m - 1)) for lc, coef in terms)
+        for m in range(top + 1)
+    ]
 
 
 def _divisor_e(ks: Tuple[int, ...], weights: Sequence[int]) -> int:
@@ -305,7 +375,8 @@ def _divisor_e(ks: Tuple[int, ...], weights: Sequence[int]) -> int:
 
 
 def orbicyclic_divisor(ks: Sequence[int]) -> int:
-    """E by the divisor-lattice representation; integrality is asserted."""
+    """E by the divisor representation, prime by prime; integrality is
+    asserted."""
     ks = _moduli(ks)
     return _divisor_e(ks, _weights(ks, 0))
 
@@ -369,8 +440,11 @@ def s_r_multi_closed(ks: Sequence[int], r: int) -> Fraction:
 def multiplicativity_sides(a: Sequence[int], b: Sequence[int]) -> Tuple[int, int]:
     """(E(a_1 b_1, ..., a_n b_n), E(a) E(b)) for coprime tuples.
 
-    Requires equal arity and gcd(prod a_i, prod b_i) = 1; evaluation uses
-    the divisor representation so componentwise products stay affordable.
+    Requires equal arity and gcd(prod a_i, prod b_i) = 1. Each E is folded
+    from its divisor lattice (_lattice_weights), which never factors prime
+    by prime: an E built from local factors would make the two sides equal
+    by construction, and the product tuples' periods are too long for the
+    direct side.
     """
     a = _moduli(a)
     b = _moduli(b)
@@ -379,4 +453,5 @@ def multiplicativity_sides(a: Sequence[int], b: Sequence[int]) -> Tuple[int, int
     if math.gcd(math.prod(a), math.prod(b)) != 1:
         raise ValueError(f"tuples {a} and {b} are not coprime")
     combined = tuple(x * y for x, y in zip(a, b))
-    return orbicyclic_divisor(combined), orbicyclic_divisor(a) * orbicyclic_divisor(b)
+    e_ab, e_a, e_b = (_divisor_e(ks, _lattice_weights(ks, 0)) for ks in (combined, a, b))
+    return e_ab, e_a * e_b

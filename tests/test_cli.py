@@ -163,13 +163,19 @@ class TestTable:
         code, out, _ = run_cli(capsys, "table", *argv)
         assert code == 0 and out == expected
 
-    def test_e_values_past_the_divisor_tuple_budget_exits_2(self, capsys, monkeypatch):
-        # (1, 1) .. (1, 4) and (2, 1) hold at most 3 divisor tuples; (2, 2)
-        # holds 4 and is refused.
-        monkeypatch.setattr(multivar, "DIVISOR_TUPLE_BUDGET", 3)
-        code, out, err = run_cli(capsys, "table", "e-values", "--n", "2", "--k-max", "4")
-        assert code == 2 and out == ""
-        assert err == "error: divisor-tuple count 4 for (2, 2) exceeds 3\n"
+    def test_e_values_read_no_divisor_lattice(self, capsys, monkeypatch, clear_run_caches):
+        # E is built prime by prime; the lattice fold is the multiplicativity
+        # check's alone.
+        argv = ("table", "e-values", "--n", "2", "--k-max", "4", "--format", "csv")
+        code, expected, _ = run_cli(capsys, *argv)
+        assert code == 0 and expected.count("\n") == 17
+        clear_run_caches()
+
+        def refusing(ks):
+            raise AssertionError(f"the divisor lattice of {ks} was read")
+
+        monkeypatch.setattr(multivar, "_divisor_terms", refusing)
+        assert run_cli(capsys, *argv) == (0, expected, "")
 
     def test_ramanujan_row_over_budget(self, capsys, monkeypatch):
         monkeypatch.setattr(ramanujan, "divisors", None)  # no row is built

@@ -223,8 +223,8 @@ class TestOrbicyclic:
 
     def test_budget_rejection(self):
         # tau(720720) = 240, so three copies enumerate 240^3 > 10^7 tuples.
-        with pytest.raises(BudgetError):
-            orbicyclic_divisor((720720, 720720, 720720))
+        with pytest.raises(BudgetError, match="divisor-tuple count 13824000"):
+            multiplicativity_sides((720720, 720720, 720720), (1, 1, 1))
 
     def test_period_budget_rejection(self, monkeypatch):
         # lcm(10007, 1009) = 10,097,063 is just past the budget, so a missing
@@ -278,19 +278,25 @@ class TestARefusedTupleGetsNoTable:
         assert multivar._power_sum_table.cache_info().currsize == size + 1
 
     def test_the_divisor_tuple_budget(self, monkeypatch):
-        # tau(4) tau(6) = 12 tuples, tau(2) tau(3) = 4.
+        # multiplicativity_sides((4, 2), (1, 3)) folds the lattice of the
+        # product tuple (4, 6), tau(4) tau(6) = 12 tuples, first; that of
+        # (2, 3) holds 4.
         monkeypatch.setattr(multivar, "DIVISOR_TUPLE_BUDGET", 10)
+        with pytest.raises(BudgetError, match=r"divisor-tuple count 12 for \(4, 6\)"):
+            multiplicativity_sides((4, 2), (1, 3))
+        assert multiplicativity_sides((2, 1), (1, 3)) == (0, 0)
+        # The weight tables apply factorize's range, not the lattice budget.
         cache = multivar._weight_table.cache_info
         size = cache().currsize
         refused = (orbicyclic_divisor, lambda t: g_m(t, 1), lambda t: s_r_multi_closed(t, 1))
         for call in refused:
-            with pytest.raises(BudgetError, match=r"divisor-tuple count 12 for \(4, 6\)"):
-                call((4, 6))
+            with pytest.raises(ValueError, match="exceeds the supported range"):
+                call((2**40 + 1,))
         assert cache().currsize == size
-        assert orbicyclic_divisor((2, 3)) == e_brute((2, 3)) == 0
-        assert g_m((2, 3), 1) == g_m((3, 2), 1)
+        assert orbicyclic_divisor((4, 6)) == e_brute((4, 6)) == 0
+        assert g_m((4, 6), 1) == g_m((6, 4), 1)
         assert cache().currsize == size + 2
-        assert len(multivar._weight_table((2, 3))) == 2
+        assert len(multivar._weight_table((4, 6))) == 2
 
 
 def divisor_terms_by_tuples(ks):
@@ -330,6 +336,26 @@ class TestDivisorFold:
             assert all(coef for _, coef in terms), ks
             dropped += len(reference) - len(terms)
         assert dropped > 0  # the enumeration keeps cancelled lcms; the fold must not
+
+
+class TestLocalTerms:
+    """k E and g_m built prime by prime from local factors are the folded
+    divisor lattice's, and reach tuples whose lattice DIVISOR_TUPLE_BUDGET
+    refuses."""
+
+    @given(st.lists(st.integers(1, 60), min_size=1, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_the_local_terms_are_the_lattice_fold(self, ks):
+        ks = tuple(ks)
+        assert multivar._weights(ks, 3)[:4] == multivar._lattice_weights(ks, 3)
+
+    @pytest.mark.parametrize("ks, e", [
+        ((720720,) * 4, 1165133106708480),  # a lattice of 240^4 = 3.3e9 tuples
+        ((720720, 360360, 5040), 24883200),  # 240 * 192 * 60 = 2.8e6 tuples
+    ])
+    def test_tuples_of_large_lattices(self, ks, e):
+        assert orbicyclic_divisor(ks) == orbicyclic_direct(ks) == e
+        assert s_r_multi_closed(ks, 2) == s_r_multi_direct(ks, 2)
 
 
 class TestBigintRow:

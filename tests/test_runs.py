@@ -356,24 +356,38 @@ def tuple_config(tags, **bounds):
     return SuiteConfig(identities=tags, **{"k_max": 8, "n_max": 3, **bounds})
 
 
-def test_one_product_row_and_one_lattice_per_tuple(monkeypatch):
-    rows, lattices = [], []
-    real_row, real_terms = multivar._product_row, multivar._divisor_terms
+def test_one_product_row_and_one_weight_build_per_tuple(monkeypatch):
+    rows, builds = [], []
+    real_row, real_build = multivar._product_row, multivar._euler_products
 
     def row(ks):
         rows.append(ks)
         return real_row(ks)
 
-    def terms(ks):
-        lattices.append(ks)
-        return real_terms(ks)
+    def build(ks, low, top):
+        builds.append(ks)
+        return real_build(ks, low, top)
 
     monkeypatch.setattr(multivar, "_product_row", row)
-    monkeypatch.setattr(multivar, "_divisor_terms", terms)
+    monkeypatch.setattr(multivar, "_euler_products", build)
     report = run_suite(tuple_config(TUPLE_TAGS, r_max=5))
     tuples = verify._tuple_grid(8, 3)
     assert report.total == 7 * len(tuples) and report.failed == 0
-    assert rows == lattices == tuples
+    assert rows == builds == tuples
+
+
+def test_only_e_multiplicativity_folds_the_divisor_lattice(monkeypatch):
+    folded, real = [], multivar._divisor_terms
+
+    def terms(ks):
+        folded.append(ks)
+        return real(ks)
+
+    monkeypatch.setattr(multivar, "_divisor_terms", terms)
+    assert run_suite(tuple_config(TUPLE_TAGS, r_max=5)).failed == 0
+    assert folded == []
+    assert run_suite(small_config("e-multiplicativity")).failed == 0
+    assert folded
 
 
 def test_a_growing_power_table_gives_the_cases_of_fresh_singles(clear_run_caches):

@@ -79,6 +79,7 @@ PERTURBED = {
     "multivar.euler_phi": _plus(1),
     "multivar.mobius": _plus(1),
     "multivar.power_sum_closed": _plus(1),
+    "multivar.factorize": _one_more_prime,
     "verify.euler_phi": _plus(1),
     "exact.power_sum_closed": _plus(1),
     "exact.factorize": _one_more_prime,

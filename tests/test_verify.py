@@ -94,7 +94,8 @@ class TestRunIdentity:
             run_identity("prop1", (2,))
 
     def test_budget_error_becomes_failed_case(self):
-        case = run_identity("e-integrality", ((720720, 720720, 720720),))
+        # Its period, lcm = 10,097,063, is past multivar.PERIOD_BUDGET.
+        case = run_identity("e-integrality", ((10007, 1009),))
         assert not case.passed
         assert case.error is not None and "budget" in case.error.lower() or "exceeds" in case.error
 
