@@ -64,7 +64,12 @@ case is its run's prefix, the leading value's text rendered once per run,
 and its trailing text, a str.format template of its trailing values,
 rendered once per product grid, by _grid onto the trailing list its runs
 share (_Trailing), and once per run otherwise; _side_texts gives the lhs
-and rhs text of a run's columns or of their rows. cases_to_csv writes one
+and rhs text of a run's columns or of their rows. A float column (a
+tolerance side, or abs_error in the CSV) is formatted once per distinct
+float64 bit pattern, not once per case (_fmt_floats): bits, not ==, since
+0.0 and -0.0 render as "0" and "-0". A column of one value (a run of one
+case), and a side column of a run with reasons, which holds None for a
+case that raised, are formatted case by case. cases_to_csv writes one
 run's rows from those text columns, its abs_error and passed columns
 mapped to text, each row the ",".join of its fields. The schema leaves one
 field that needs CSV quoting: a params field with trailing values, which
@@ -222,7 +227,7 @@ def cases_to_csv(ident: IdentityDef, lead, rests: Sequence[tuple], columns: _Col
     if errors is None:
         errors = repeat("")
     elif reasons is None:  # every case has an abs_error
-        errors = map(_fmt_float, errors)
+        errors = _fmt_floats(errors)
     else:
         errors = ["" if e is None else _fmt_float(e) for e in errors]
     # One ",".join over the run's fields, row after row, builds no string
@@ -245,9 +250,23 @@ def cases_to_csv(ident: IdentityDef, lead, rests: Sequence[tuple], columns: _Col
 _fmt_rational: Callable[[Union[int, Fraction]], str] = str
 
 
-# f"{x:.17g}" as a bound C method, so rendering a float column calls no
-# Python function.
+# f"{x:.17g}" as a bound C method, so rendering a float calls no Python
+# function. A float column without reasons calls it through _fmt_floats,
+# once per distinct value.
 _fmt_float: Callable[[float], str] = "{:.17g}".format
+
+
+def _fmt_floats(column: Sequence[float]) -> List[str]:
+    """_fmt_float of each value of a float column, in order, each distinct
+    value formatted once. Values are told apart by their float64 bits, not
+    by ==, which would merge 0.0 and -0.0 (rendered "0" and "-0"). A
+    column of one value has nothing to share and is formatted directly."""
+    if len(column) < 2:
+        return list(map(_fmt_float, column))
+    bits = np.array(column, np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = np.array(list(map(_fmt_float, distinct.view(np.float64).tolist())), object)
+    return texts[inverse].tolist()
 
 
 def _fmt_value(v) -> str:
@@ -836,11 +855,15 @@ def _trailing_text(ident: IdentityDef, rests: Sequence[tuple]):
 
 def _side_texts(ident: IdentityDef, lhs, rhs, reasons):
     """The lhs and rhs text of each case of one run's columns, or of the
-    same rows of each; the sides of a case that raised render as ""."""
-    fmt = _fmt_rational if ident.mode == "exact" else _fmt_float
-    if reasons is None:
-        return map(fmt, lhs), map(fmt, rhs)
-    return ["" if v is None else fmt(v) for v in lhs], ["" if v is None else fmt(v) for v in rhs]
+    same rows of each; the sides of a case that raised render as "". A
+    float column without reasons goes through _fmt_floats; one with
+    reasons holds None sides, so it is formatted case by case."""
+    if reasons is not None:
+        fmt = _fmt_rational if ident.mode == "exact" else _fmt_float
+        return ["" if v is None else fmt(v) for v in lhs], ["" if v is None else fmt(v) for v in rhs]
+    if ident.mode == "exact":
+        return map(_fmt_rational, lhs), map(_fmt_rational, rhs)
+    return _fmt_floats(lhs), _fmt_floats(rhs)
 
 
 def _render(

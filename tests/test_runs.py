@@ -8,6 +8,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import ramavg.averages as averages
@@ -122,6 +123,42 @@ def assert_only_these_fail(config, failing, raised=True):
             assert bool(case.error) == raised
         else:
             assert case.passed and case.error is None
+
+
+def test_signed_zeros_render_as_their_cases(monkeypatch):
+    # 0.0 == -0.0, but a side renders as "0" or "-0", so the lhs column of
+    # k = 6 renders each case as its own value: -0.0 at n = 1 and n = 2,
+    # 0.0 at n = 4 and n = 5. Where the rhs is 1 (n = 1, 5) the case fails.
+    real = averages.inverse_dft_batch
+    zeros = {1: -0.0, 2: -0.0, 4: 0.0, 5: 0.0}
+
+    def signed(k, ns):
+        lhs, rhs = real(k, ns)
+        if k == 6:
+            lhs = [zeros.get(n, v) for n, v in zip(ns, lhs)]
+        return lhs, rhs
+
+    monkeypatch.setattr(averages, "inverse_dft_batch", signed)
+    config = small_config("inverse-dft")
+    assert_only_these_fail(config, {(6, 1), (6, 5)}, raised=False)
+    rows = sweep(config).csv.splitlines()
+    for row in (
+        'inverse-dft,"k=6,n=1",tolerance,-0,1,1,false',
+        'inverse-dft,"k=6,n=2",tolerance,-0,0,0,true',
+        'inverse-dft,"k=6,n=4",tolerance,0,0,0,true',
+        'inverse-dft,"k=6,n=5",tolerance,0,1,1,false',
+    ):
+        assert row in rows
+
+    # At 1e-16 the k = 11 run fails too, and a sweep without a sink
+    # renders the failing rows alone: each reads as its case alone.
+    strict = small_config("inverse-dft", tolerance=1e-16)
+    cases = assert_reports_agree(strict).cases
+    failing = [(case, params) for case, params in zip(cases, grid_of(strict)) if not case.passed]
+    assert {(6, 1), (6, 5), (11, 2)} <= {params for _, params in failing}
+    for case, params in failing:
+        assert case == run_identity("inverse-dft", params, tolerance=1e-16)
+    assert [case.lhs for case, params in failing if params in {(6, 1), (6, 5)}] == ["-0", "0"]
 
 
 def test_imaginary_part_fails_only_its_own_cases(monkeypatch):
@@ -634,10 +671,20 @@ def test_a_passing_sweep_that_keeps_no_case_renders_nothing(monkeypatch):
 
     # The same sweep with a sink that collects every run renders nothing
     # either, until its runs are rendered: then both sides of each case for
-    # the cases, and both sides and each abs_error for the CSV.
+    # the cases, and both sides and each abs_error for the CSV. A float
+    # column is formatted once per distinct float64 bit pattern, a column of
+    # one value once.
     runs = []
     kept = run_suite(config, lambda *run: runs.append(run))
     assert calls == {"rational": 0, "float": 0}
     exact = sum(c.mode == "exact" for c in Swept.of(kept, runs).cases)
-    assert calls == {"rational": 4 * exact, "float": 5 * (kept.total - exact)}
+
+    def patterns(column):
+        return len(set(np.array(column, np.float64).view(np.int64).tolist()))
+
+    floats = sum(
+        2 * patterns(columns.lhs) + 2 * patterns(columns.rhs) + patterns(columns.errors)
+        for ident, _, _, columns in runs if ident.mode == "tolerance"
+    )
+    assert calls == {"rational": 4 * exact, "float": floats}
     assert kept.body_dict() == report.body_dict()

@@ -937,6 +937,12 @@ class TestIdentityCase:
         assert len(cases) == 9
         assert cases[-1][3:5] == ("1/3", "-2/3")
         assert cases_to_csv(*runs[-1]) == 'prop7,"ks=1|2,r=1",exact,1/3,-2/3,,false\n'
+        # A float run with reasons is rendered case by case: a raised case's
+        # None sides and abs_error are empty, not "nan".
+        assert cases_to_csv(*runs[2]) == (
+            'inverse-dft,"k=7,n=1",tolerance,2.5,3,0.5,false\n'
+            'inverse-dft,"k=7,n=2",tolerance,,,,false\n'
+        )
         assert text == csv_by_attributes(cases)
         assert Swept.of(None, []).csv == verify.CSV_HEADER == csv_by_attributes([])
 
@@ -1038,6 +1044,46 @@ class TestDefaultBounds:
 # A tolerance side: any float, NaN, +-inf, +-0.0 and subnormals among
 # them, or an int below 2^53, which float64 holds exactly.
 TOLERANCE_SIDE = st.floats() | st.integers(-(2**53) + 1, 2**53 - 1)
+
+# Values that == merges but _fmt_float tells apart (+-0.0, NaN of either
+# sign), +-inf, subnormals, ordinary floats and an int float64 holds.
+FLOAT_POOL = (
+    0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.5e-310,
+    1.0, -1.0, 0.1, 1 / 3, 1e300, 2**53 - 1,
+)
+
+
+class TestFmtFloats:
+    """_fmt_floats formats each distinct float64 bit pattern of a column
+    once and reads as _fmt_float of each value in order."""
+
+    @given(
+        st.lists(TOLERANCE_SIDE, max_size=5)
+        .map(lambda drawn: FLOAT_POOL + tuple(drawn))
+        .flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=300))
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_each_value_reads_as_alone(self, column):
+        texts = verify._fmt_floats(column)
+        assert type(texts) is list
+        assert texts == list(map(verify._fmt_float, column))
+
+    def test_signed_zeros_stay_apart(self, monkeypatch):
+        real, calls = verify._fmt_float, []
+
+        def counting(x):
+            calls.append(x)
+            return real(x)
+
+        monkeypatch.setattr(verify, "_fmt_float", counting)
+        column = [0.0, -0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1.0, 1.0]
+        assert verify._fmt_floats(column) == [
+            "0", "-0", "0", "nan", "inf", "-inf", "4.9406564584124654e-324", "1", "1",
+        ]
+        assert len(calls) == 7  # one per distinct bit pattern
+        calls.clear()
+        assert verify._fmt_floats([-0.0]) == ["-0"] and calls == [-0.0]
+        assert verify._fmt_floats([]) == []
 
 
 class TestColumnCriterion:
