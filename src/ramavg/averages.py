@@ -2,8 +2,9 @@
 
 Every identity comes as a pair evaluator returning its two sides only, as
 a plain (lhs, rhs) tuple; a batch form over the cases of one k returns the
-side columns (lhs, rhs), a row per case. Nothing here compares them: the
-verify engine does, as they come, by the identity's mode and tolerance.
+side columns (lhs, rhs), a row per case (inverse_dft_batch's as float64
+arrays). Nothing here compares them: the verify engine does, as they come,
+by the identity's mode and tolerance.
 
 Summation bounds are part of the contract and differ per identity:
 
@@ -427,9 +428,10 @@ def _dft_values(k: int) -> np.ndarray:
     return np.fft.ifft(np.array(ramanujan_row(k)[:k], dtype=np.float64))
 
 
-def inverse_dft_batch(k: int, ns: Sequence[int]) -> Tuple[List[float], List[float]]:
+def inverse_dft_batch(k: int, ns: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
     """(1/k) sum_{j=1}^{k} exp(2 pi i j n / k) c_k(j)  vs  [gcd(k, n) = 1],
-    for every n in ns, as the columns (lhs, rhs) with a row per n.
+    for every n in ns, as the float64 array columns (lhs, rhs) with a row
+    per n.
 
     The left column gathers entry n mod k of the per-modulus FFT
     _dft_values(k), computed once for the batch, and the right one tests
@@ -450,10 +452,10 @@ def inverse_dft_batch(k: int, ns: Sequence[int]) -> Tuple[List[float], List[floa
         raise RuntimeError(
             f"imaginary part {float(values.imag[i])} of the mean too large for k={k}, n={ns[i]}"
         )
-    return values.real.tolist(), (np.gcd(residues, k) == 1).astype(np.float64).tolist()
+    return values.real, (np.gcd(residues, k) == 1).astype(np.float64)
 
 
 def inverse_dft_check(k: int, n: int) -> Tuple[float, float]:
-    """One case of inverse_dft_batch, as a pair."""
+    """One case of inverse_dft_batch, as a pair of floats."""
     (lhs,), (rhs,) = inverse_dft_batch(k, (n,))
-    return lhs, rhs
+    return float(lhs), float(rhs)

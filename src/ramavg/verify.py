@@ -21,22 +21,29 @@ parameter (k, or the tuple ks). _grid builds each grid as its runs, pairs
 (leading value, trailing values of each case): a product grid builds the
 product of its trailing parameters once and every run shares that list
 (an empty parameter gives no runs), and a spelled-out grid gives its runs
-itself, one per k for cross-evaluator, one per r for half-sum and one per
-drawn pair for e-multiplicativity. An identity's evaluate takes the
-leading value, the trailing values of every case of the run and the seed,
-and returns the run's side columns, (lhs, rhs) or (lhs, rhs, reasons),
-each with a row per case (see _Evaluator). So a kernel shares work across
-the run and returns the columns it computes (one read of the power-sum
-table of (k,) for prop1 and prop6, and of phi(k) and the Jordan totients
-for prop1's closed sides, of each tuple table for prop7 and of the FFT
-row per k for inverse-dft, one read of k's divisors, gcd-class totals,
-mu(k/d) and phi(k) for every f of prop3 and prop3-corollary; for
-cross-evaluator, the divisor and Holder forms once per gcd class of the
-run and the float form from one FFT row per k);
-the other identities evaluate case by case, their pairs gathered into the
-two columns. If a run raises, each of its cases is evaluated alone, so a
+itself, one per k for cross-evaluator, each a slice of one list of j, and
+one per drawn pair for e-multiplicativity. An identity of one parameter
+(prop2, prop4, gamma-product, mobius-log, prop5-exact, prop5-cosine,
+prop7-corollary, e-integrality, half-sum) has no leading value: its grid
+is one run, (None, [(v,), ...]), every case's value a trailing value, and
+run_identity gives one of its cases the same shape. An identity's
+evaluate takes the leading value, the trailing values of every case of
+the run and the seed, and returns the run's side columns, (lhs, rhs) or
+(lhs, rhs, reasons), each with a row per case (see _Evaluator); a float
+side column may be a float64 array (inverse-dft's is). So a kernel shares
+work across the run and returns the columns it computes (one read of the
+power-sum table of (k,) for prop1 and prop6, and of phi(k) and the
+Jordan totients for prop1's closed sides, of each tuple table for prop7
+and of the FFT row per k for inverse-dft, one read of k's divisors,
+gcd-class totals, mu(k/d) and phi(k) for every f of prop3 and
+prop3-corollary; for cross-evaluator, the divisor and Holder forms once
+per gcd class of the run and the float form from one FFT row per k); the
+other identities evaluate case by case, their pairs gathered into the two
+columns. If a run raises, each of its cases is evaluated alone, so a
 failure stays with the cases that cause it, and the run's columns are
-assembled from those runs of one.
+assembled from those runs of one. A one-parameter identity's run is its
+whole grid, so a case of it that raises has every case of the grid
+evaluated again, one at a time; a run that raises nowhere pays nothing.
 
 Each caller checks what it is given, and only that. run_identity takes
 its case from outside the program and checks it against the schema (one
@@ -53,27 +60,33 @@ into columns, giving a passed column and, in tolerance mode, an abs_error
 column. A run is compared without a Python call per case: == mapped over
 the lhs and rhs columns of an exact run; for a tolerance run, |lhs - rhs|
 over float64 arrays gives the abs_error column and, with the same arrays,
-the passed column by the rule of within_tolerance, evaluated over
-them. In a run with a reason or a raised case those cases fail, and an
-exact one is compared case by case. run_suite tallies the counts and the
-worst errors from the columns and renders only the failing cases, from
-their rows of each column. It keeps no run: a caller that wants every case
-(the CLI's CSV, the tests) passes a sink, which run_suite calls with each
-run and its columns as soon as the run is compared. The params text of a
-case is its run's prefix, the leading value's text rendered once per run,
-and its trailing text, a str.format template of its trailing values,
+the passed column by the rule of within_tolerance, evaluated over them.
+The tolerance sides and the abs_error column stay float64 arrays from
+there to the writer, except in a run with a reason or a raised case, whose
+columns are lists, as its sides hold None. In such a run those cases fail,
+and an exact one is compared case by case. run_suite tallies the counts
+and the worst errors from the columns and renders only the failing cases,
+from their rows of each column. It keeps no run: a caller that wants every
+case (the CLI's CSV, the tests) passes a sink, which run_suite calls with
+each run and its columns as soon as the run is compared. The params text
+of a case is its run's prefix, the leading value's text rendered once per
+run, and its trailing text, a str.format template of its trailing values,
 rendered once per product grid, by _grid onto the trailing list its runs
-share (_Trailing), and once per run otherwise; _side_texts gives the lhs
+share (_Trailing), once per cross-evaluator grid, whose runs hold slices
+of that text, and once per run otherwise. A one-parameter run has no
+prefix, and its text is rendered only for a report that shows its cases:
+the CSV, or the failing rows of a JSON sweep. _side_texts gives the lhs
 and rhs text of a run's columns or of their rows. A float column (a
 tolerance side, or abs_error in the CSV) is formatted once per distinct
 float64 bit pattern, not once per case (_fmt_floats): bits, not ==, since
-0.0 and -0.0 render as "0" and "-0". A column of one value (a run of one
-case), and a side column of a run with reasons, which holds None for a
-case that raised, are formatted case by case. cases_to_csv writes one
-run's rows from those text columns, its abs_error and passed columns
+0.0 and -0.0 render as "0" and "-0". A column of one value (such as
+run_identity's), and a side column of a run with reasons, which holds None
+for a case that raised, are formatted case by case. cases_to_csv writes
+one run's rows from those text columns, its abs_error and passed columns
 mapped to text, each row the ",".join of its fields. The schema leaves one
-field that needs CSV quoting: a params field with trailing values, which
-holds the template's comma and is always quoted. No other field can hold a
+field that needs CSV quoting: a params field with a leading value and
+trailing values, which holds the template's comma and is always quoted; a
+one-parameter identity's, "k=5", holds none. No other field can hold a
 ",", '"', "\\r" or "\\n": tags and modes are fixed words, a parameter
 value renders as digits, "|", a named function, rand and ASCII digits or a
 fixed choice, and a side or abs_error as str of an int or a Fraction or as
@@ -109,6 +122,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import chain, combinations_with_replacement, repeat, starmap
 from itertools import product as iter_product
 from operator import add, eq
@@ -212,17 +226,17 @@ def cases_to_csv(ident: IdentityDef, lead, rests: Sequence[tuple], columns: _Col
     """The CSV rows of one run as run_suite gives it to its sink, one
     ",".join of its fields row after row, from text columns: the params
     and sides as _render renders them, abs_error to 17 significant digits
-    ("" where there is none) and passed as true or false. A params field
-    with trailing values is quoted, as it holds the trailing template's
-    comma; every other field is written as it is, since the schema lets no
-    other field hold a ",", '"', "\\r" or "\\n" (see the module docstring;
-    TestCsvQuoting holds the catalog to it)."""
+    ("" where there is none) and passed as true or false; a float column
+    may be a list or a float64 array. The params field of a run with a
+    leading value is quoted, as it holds the trailing template's comma; a
+    one-parameter run's (lead None) and every other field are written as
+    they are, since the schema lets no other field hold a ",", '"', "\\r"
+    or "\\n" (see the module docstring; TestCsvQuoting holds the catalog
+    to it). A one-parameter grid is one run, so its rows are one string."""
     lhs, rhs, reasons, passed, errors = columns
-    prefix = _prefix(ident, lead)
-    if ident.trailing:
-        params = map(('"' + prefix).__add__, _trailing_text(ident, rests)[1])
-    else:
-        params = repeat(prefix, len(rests))
+    params = _trailing_text(ident, rests)[1]
+    if lead is not None:
+        params = map(('"' + _prefix(ident, lead)).__add__, params)
     lhs, rhs = _side_texts(ident, lhs, rhs, reasons)
     if errors is None:
         errors = repeat("")
@@ -257,13 +271,15 @@ _fmt_float: Callable[[float], str] = "{:.17g}".format
 
 
 def _fmt_floats(column: Sequence[float]) -> List[str]:
-    """_fmt_float of each value of a float column, in order, each distinct
-    value formatted once. Values are told apart by their float64 bits, not
-    by ==, which would merge 0.0 and -0.0 (rendered "0" and "-0"). A
-    column of one value has nothing to share and is formatted directly."""
+    """_fmt_float of each value of a float column, a list or a float64
+    array, read with np.asarray, in order, each distinct value formatted
+    once. Values are told apart by their float64 bits, not by ==, which
+    would merge 0.0 and -0.0 (rendered "0" and "-0"). A column of one
+    value has nothing to share and is formatted directly."""
+    column = np.asarray(column, np.float64)
     if len(column) < 2:
-        return list(map(_fmt_float, column))
-    bits = np.array(column, np.float64).view(np.int64)
+        return list(map(_fmt_float, column.tolist()))
+    bits = column.view(np.int64)
     distinct, inverse = np.unique(bits, return_inverse=True)
     texts = np.array(list(map(_fmt_float, distinct.view(np.float64).tolist())), object)
     return texts[inverse].tolist()
@@ -348,11 +364,16 @@ class IdentityDef:
     # counted without building the grid; given with every grid.
     size: Optional[Callable[[dict], int]] = None
     param_names: Tuple[str, ...] = field(init=False)
-    trailing: str = field(init=False)  # ",name={}" per trailing parameter, for str.format
+    # The str.format template of a case's params text after its run's
+    # prefix: ",name={}" per trailing parameter, or "name={}" for a
+    # one-parameter identity, whose runs have no leading value.
+    trailing: str = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "param_names", tuple(p.name for p in self.params))
-        object.__setattr__(self, "trailing", "".join(f",{p.name}={{}}" for p in self.params[1:]))
+        names = tuple(p.name for p in self.params)
+        object.__setattr__(self, "param_names", names)
+        trailing = "".join(f",{name}={{}}" for name in names[1:]) or f"{names[0]}={{}}"
+        object.__setattr__(self, "trailing", trailing)
 
 
 # rand followed by one to nine ASCII digits: str.isdigit would also take
@@ -416,31 +437,48 @@ def _validate(ident: IdentityDef, params: tuple) -> None:
 # builds any, a case of moduli tuples counted once per modulus it holds:
 # 4x the largest default grid (inverse-dft, 250,000 cases), and above
 # verify --all (604,001). A sweep holds one grid at a time. A counted case
-# takes at most about 97 bytes of its grid, at the peak of the build and
-# once built alike (a one-parameter identity, one run per case;
-# cross-evaluator's about 70); the runs of a product grid share one
-# trailing list, so a case of a run of many takes a few bytes. So the
-# budget bounds the grid a sweep holds to about 97 MB. A sweep keeps no
-# run (a CSV is written run by run): only its failing cases, rendered,
-# about 310 bytes each, so up to about 310 MB if every case fails.
+# takes at most about 88 bytes of its grid, at the peak of the build and
+# once built alike, under tracemalloc: a one-parameter identity's case, a
+# 1-tuple of an int past the small-int cache in the grid's one run (prop2
+# at k_max = 10^6: 88.4); cross-evaluator's about 25, its runs slices of
+# one list; the runs of a product grid share one trailing list, so a case
+# of a run of many takes a few bytes. So the budget bounds the grid a
+# sweep holds to about 88 MB. A run is evaluated, compared and written
+# whole, and a one-parameter grid is one run, so such a sweep also holds
+# every column of its grid at once, and in CSV its text: mobius-log at
+# k_max = 200,000 peaked at 125 MB RSS in JSON and 172 MB in CSV. A sweep
+# keeps no run (a CSV is written run by run): only its failing cases,
+# rendered, about 310 bytes each, so up to about 310 MB if every case fails.
 GRID_BUDGET = 1_000_000
 
 
 class _Trailing(list):
-    """The trailing values of a product grid's cases: the one list that all
-    runs of the grid share, never changed once built, with its text, the
-    (text, closes) of _trailing_text, which _grid binds as it builds it."""
+    """Trailing values whose text is rendered once for many runs: the one
+    list that all runs of a product grid share, or a run's slice of
+    cross-evaluator's list of j, never changed once built, with its text,
+    the (text, closes) of _trailing_text, bound as the list is built."""
 
     __slots__ = ("text",)
 
 
+def _one_run(values) -> List[tuple]:
+    """The grid of a one-parameter identity: one run without a leading
+    value, (None, [(v,) for each of values]), or no run if values is
+    empty. Its text is rendered only when a report needs it."""
+    cases = [(v,) for v in values]
+    return [(None, cases)] if cases else []
+
+
 def _grid(ident: IdentityDef, bounds: Dict[str, int], seed: int) -> List[tuple]:
     """The grid as runs (leading value, trailing values of each case):
-    ident.grid's, in its order, or the product grid's, ascending, whose
-    runs share one _Trailing list of its trailing product, with the list's
-    text rendered here; an empty parameter gives no runs."""
+    ident.grid's, in its order, or the product grid's, ascending. A
+    one-parameter identity's is one run of every case (_one_run); the runs
+    of any other share one _Trailing list of its trailing product, with the
+    list's text rendered here. An empty parameter gives no runs."""
     if ident.grid is not None:
         return ident.grid(bounds, seed)
+    if len(ident.params) == 1:
+        return _one_run(ident.params[0].values(bounds))
     rests = _Trailing(iter_product(*(p.values(bounds) for p in ident.params[1:])))
     if not rests:
         return []
@@ -516,9 +554,13 @@ def _coprime_pair_grid(pairs: int, component_max: int, arity_max: int, seed: int
 
 def _per_case(fn: Callable[..., tuple]) -> _Evaluator:
     """The batch evaluator of an identity without a kernel: fn(*params), a
-    pair, on each case of the run, the pairs gathered into the lhs and rhs
-    columns."""
-    return lambda lead, rests, seed: tuple(zip(*[fn(lead, *rest) for rest in rests]))
+    pair, on each case of the run, fn(*rest) in a run without a leading
+    value (a one-parameter identity's) and fn(lead, *rest) in any other,
+    the pairs gathered into the lhs and rhs columns."""
+    def evaluate(lead, rests, seed):
+        case = fn if lead is None else partial(fn, lead)
+        return tuple(zip(*starmap(case, rests)))
+    return evaluate
 
 
 def _prop1(k, rests, seed):
@@ -596,6 +638,22 @@ def _cross_evaluator(k, rests, seed):
     if any(reasons):
         return lhs, rhs, reasons
     return lhs, rhs
+
+
+def _cross_evaluator_grid(b, seed):
+    """A run per k = 1..k_max of the cases j = 0..k: slices of one
+    _Trailing of j = 0..k_max, each holding its slice of that list's text,
+    which is rendered once."""
+    if b["k_max"] < 1:
+        return []
+    js = _Trailing((j,) for j in range(b["k_max"] + 1))
+    text, closes = _trailing_text(_CATALOG["cross-evaluator"], js)
+    runs = []
+    for k in range(1, b["k_max"] + 1):
+        rests = _Trailing(js[: k + 1])
+        rests.text = text[: k + 1], closes[: k + 1]
+        runs.append((k, rests))
+    return runs
 
 
 def _bernoulli_poly_sum_direct(k: int, m: int) -> Fraction:
@@ -696,7 +754,7 @@ _CATALOG: Dict[str, IdentityDef] = {
         IdentityDef(
             "cross-evaluator", "exact", (Param("k"), Param("j", minimum=0)), _cross_evaluator,
             {"k_max": 300},
-            lambda b, seed: [(k, [(j,) for j in range(k + 1)]) for k in range(1, b["k_max"] + 1)],
+            _cross_evaluator_grid,
             # sum of k + 1 over k = 1..k_max
             lambda b: max(b["k_max"], 0) * (max(b["k_max"], 0) + 3) // 2,
         ),
@@ -708,7 +766,7 @@ _CATALOG: Dict[str, IdentityDef] = {
             "half-sum", "exact", (Param("r", minimum=0, cap=exact.DEGREE_CAP, bound="r_max"),),
             _per_case(lambda r: (exact.half_sum_check(r), Fraction(r + 1, 2))),
             {"r_max": 40},
-            lambda b, seed: [(r, [()]) for r in range(1, b["r_max"] + 1)],
+            lambda b, seed: _one_run(range(1, b["r_max"] + 1)),
             lambda b: max(b["r_max"], 0),
         ),
         # Closed-form power sum vs the brute-force loop.
@@ -775,7 +833,8 @@ def _evaluate(ident: IdentityDef, lead, rests: Sequence[tuple], seed: int) -> _S
     run raises, each of its cases is evaluated as a run of one, so a
     failure stays with the cases that cause it and its reason is the one
     the case gives alone; the columns are then assembled from those runs
-    of one, with a reasons column."""
+    of one, with a reasons column, as lists. A one-parameter identity's
+    run is its whole grid, which is then evaluated again case by case."""
     try:
         return ident.evaluate(lead, rests, seed)
     except _CAUGHT as exc:
@@ -790,7 +849,9 @@ def _evaluate(ident: IdentityDef, lead, rests: Sequence[tuple], seed: int) -> _S
 
 
 class _Columns(NamedTuple):
-    """One compared run, a column per field with a row per case."""
+    """One compared run, a column per field with a row per case. The sides
+    and abs_error of a tolerance run without reasons are float64 arrays;
+    every other column is a sequence of Python values."""
 
     lhs: Sequence
     rhs: Sequence
@@ -805,10 +866,12 @@ def _compare(
     """Evaluate one run and compare each of its cases once, over the side
     columns the evaluator gives: == on the sides of an exact identity,
     within_tolerance's rule at `tolerance` on those of a tolerance one,
-    over float64 arrays, whose abs_error column is |lhs - rhs|. A case
-    with a reason fails; one that raised, with None sides, has no
-    abs_error. The run is not checked against the schema: it comes from a
-    grid, or from run_identity, which has checked its case."""
+    over the sides read with np.asarray as float64 arrays, whose abs_error
+    column is |lhs - rhs|. Without reasons the run's columns keep those
+    three arrays; with them, the columns are lists: a case with a reason
+    fails, and one that raised, with None sides, has no abs_error. The run
+    is not checked against the schema: it comes from a grid, or from
+    run_identity, which has checked its case."""
     lhs, rhs, *reasons = _evaluate(ident, lead, rests, seed)
     reasons = reasons[0] if reasons else None
     errors = None
@@ -821,15 +884,23 @@ def _compare(
         # float64 holds the None side of a case that raised as NaN. Like
         # Python's float -, the subtraction overflows to inf and gives NaN
         # for inf - inf without a warning.
-        a, b = np.array(lhs, np.float64), np.array(rhs, np.float64)
+        a, b = np.asarray(lhs, np.float64), np.asarray(rhs, np.float64)
         with np.errstate(over="ignore", invalid="ignore"):
             diff = np.abs(a - b)
         passed = (diff <= tolerance * (1 + np.maximum(np.abs(a), np.abs(b)))).tolist()
-        errors = diff.tolist()
-        if reasons is not None:
-            passed = [r is None and ok for r, ok in zip(reasons, passed)]
-            errors = [None if v is None else e for v, e in zip(lhs, errors)]
+        if reasons is None:
+            return _Columns(a, b, None, passed, diff)
+        passed = [r is None and ok for r, ok in zip(reasons, passed)]
+        errors = [None if v is None else e for v, e in zip(lhs, diff.tolist())]
     return _Columns(lhs, rhs, reasons, passed, errors)
+
+
+def _rows(column, rows: List[int]):
+    """The given rows of a column: an array's as an array, any other's as
+    a list; None for no column."""
+    if isinstance(column, np.ndarray):
+        return column[rows]
+    return None if column is None else [column[i] for i in rows]
 
 
 def _prefix(ident: IdentityDef, lead) -> str:
@@ -839,10 +910,12 @@ def _prefix(ident: IdentityDef, lead) -> str:
 
 def _trailing_text(ident: IdentityDef, rests: Sequence[tuple]):
     """(text, closes) of each case of a run: ident.trailing.format of its
-    trailing values, and the same text with the '"' that closes the quoted
-    CSV params field appended; no trailing value holds a '"' to escape
-    (see cases_to_csv). A product grid's list holds the text _grid
-    rendered from it; any other list is rendered on each call."""
+    trailing values, and its CSV params field after the run's opening:
+    the same text with the '"' that closes the quoted field appended, or,
+    for a one-parameter identity, whose field is not quoted, the text
+    itself. No trailing value holds a '"' to escape (see cases_to_csv). A
+    _Trailing list holds the text rendered as it was built; any other list
+    is rendered on each call."""
     kept = getattr(rests, "text", None)
     if kept is not None:
         return kept
@@ -850,6 +923,8 @@ def _trailing_text(ident: IdentityDef, rests: Sequence[tuple]):
     if tuple in map(type, rests[0]):  # a trailing parameter is all tuples or none
         values = [tuple(map(_fmt_value, rest)) for rest in rests]
     text = list(starmap(ident.trailing.format, values))
+    if len(ident.params) == 1:
+        return text, text
     return text, list(map(add, text, repeat('"')))
 
 
@@ -870,12 +945,16 @@ def _render(
     ident: IdentityDef, lead, rests: Sequence[tuple], lhs, rhs, reasons, passed, errors
 ) -> List[IdentityCase]:
     """The IdentityCases of one run's columns as _compare gave them, or of
-    the same rows of each: the params from the run's _prefix and
-    _trailing_text, the sides from _side_texts. Each case takes its
-    passed flag and abs_error from the columns, so rendering never
-    compares."""
-    params = map(_prefix(ident, lead).__add__, _trailing_text(ident, rests)[0])
+    the same rows of each: the params from _trailing_text, after the run's
+    _prefix when it has a leading value, the sides from _side_texts. Each
+    case takes its passed flag and abs_error from the columns, so
+    rendering never compares; an abs_error array gives plain floats."""
+    params = _trailing_text(ident, rests)[0]
+    if lead is not None:
+        params = map(_prefix(ident, lead).__add__, params)
     lhs, rhs = _side_texts(ident, lhs, rhs, reasons)
+    if isinstance(errors, np.ndarray):
+        errors = errors.tolist()
     return list(map(
         IdentityCase, repeat(ident.tag), params, repeat(ident.mode), lhs, rhs, passed,
         repeat(None) if errors is None else errors, repeat(None) if reasons is None else reasons,
@@ -888,7 +967,8 @@ def run_identity(
     tolerance: float = DEFAULT_TOLERANCE,
     seed: int = averages.DEFAULT_SEED,
 ) -> IdentityCase:
-    """Evaluate one case, as a run of one. Schema violations raise
+    """Evaluate one case, as a run of one, with no leading value for a
+    one-parameter identity, as its grid's run has. Schema violations raise
     ParamError and a loosened tolerance raises ConfigError; evaluator
     failures (budget, internal assertions) become failed cases instead.
     The one caller of the schema check: its params come from outside.
@@ -900,7 +980,7 @@ def run_identity(
             f"{tag} expects parameters {ident.param_names}, got {len(params)} values"
         )
     _validate(ident, params)
-    lead, rests = params[0], (params[1:],)
+    lead, rests = (None, (params,)) if len(params) == 1 else (params[0], (params[1:],))
     return _render(ident, lead, rests, *_compare(ident, lead, rests, tolerance, seed))[0]
 
 
@@ -999,19 +1079,19 @@ def run_suite(config: SuiteConfig, sink: Optional[_Sink] = None) -> Verification
                 sink(ident, lead, rests, columns)
             errors = columns.errors
             if errors is not None:
-                # A left fold from 0.0, as max() takes its arguments: a NaN
-                # error never replaces the value. Only a case that raised,
-                # in a run with reasons, has no error.
+                # The largest error, a NaN never taking its place (fmax), as
+                # max() from 0.0 folds its arguments. Only a case that
+                # raised, in a run with reasons, has no error.
                 if columns.reasons is not None:
                     errors = [e for e in errors if e is not None]
-                if errors:
-                    worst[tag] = max(worst.get(tag, 0.0), *errors)
+                if len(errors):
+                    worst[tag] = float(np.fmax.reduce(errors, initial=worst.get(tag, 0.0)))
             if not all(columns.passed):
                 # Only the failing cases are rendered, from their rows of
                 # each column.
                 bad = [i for i, ok in enumerate(columns.passed) if not ok]
                 failures += _render(ident, lead, [rests[i] for i in bad], *(
-                    None if column is None else [column[i] for i in bad] for column in columns
+                    _rows(column, bad) for column in columns
                 ))
         total += cases
         timings[tag] = (cases, time.perf_counter() - identity_start)

@@ -334,6 +334,72 @@ def test_the_csv_of_a_refused_case_has_empty_sides(monkeypatch):
     assert_csv_is_the_attribute_rendering(swept)
 
 
+# --- a one-parameter grid is one run; float columns stay arrays ------------
+
+
+def test_a_one_parameter_case_that_raises_fails_alone(monkeypatch):
+    # prop2's grid is one run of every k: the run raises, so each case is
+    # evaluated alone and only k = 7 fails, with its own message.
+    real = averages.log_weighted_pair
+
+    def raising(k):
+        if k == 7:
+            raise RuntimeError("log weight refused at k=7")
+        return real(k)
+
+    monkeypatch.setattr(averages, "log_weighted_pair", raising)
+    config = small_config("prop2")
+    assert runs_of(config) == [(None, [(k,) for k in range(1, 13)])]
+    assert_only_these_fail(config, {(7,)})
+    assert run_identity("prop2", (7,)).error == "log weight refused at k=7"
+
+
+def collect_columns(config):
+    """run_suite(config) and the _Columns of each run, in sweep order."""
+    columns = []
+    report = run_suite(config, lambda ident, lead, rests, cols: columns.append(cols))
+    return report, columns
+
+
+@pytest.mark.parametrize("tolerance", [verify.DEFAULT_TOLERANCE, 1e-16])
+def test_inverse_dft_columns_as_lists_report_as_arrays(monkeypatch, tolerance):
+    # The evaluator returns float64 arrays; the same values as lists must
+    # give the same columns, bit for bit, the same CSV and the same JSON.
+    config = small_config("inverse-dft", tolerance=tolerance)
+    report, arrays = collect_columns(config)
+    csv = sweep(config).csv
+    real = averages.inverse_dft_batch
+    monkeypatch.setattr(averages, "inverse_dft_batch", lambda k, ns: tuple(
+        column.tolist() for column in real(k, ns)
+    ))
+    listed_report, lists = collect_columns(config)
+    assert len(arrays) == len(lists) == 12
+    for a, b in zip(arrays, lists):
+        for x, y in zip(a, b):
+            if x is None or y is None:
+                assert x is y is None
+            else:
+                x, y = np.asarray(x), np.asarray(y)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    assert sweep(config).csv == csv
+    assert json.dumps(listed_report.body_dict()) == json.dumps(report.body_dict())
+    assert (report.failed > 0) == (tolerance < verify.DEFAULT_TOLERANCE)
+
+
+def test_abs_errors_and_worst_errors_are_plain_floats():
+    # At 1e-16 some rows of every tolerance identity's small grid fail;
+    # the abs_error of each, read from an array column, is a float.
+    tags = [tag for tag in IDENTITY_TAGS if verify._lookup(tag).mode == "tolerance"]
+    report = run_suite(small_config(*tags, tolerance=1e-16))
+    failing = [case for case in report.failures if case.identity == "inverse-dft"]
+    assert failing and report.failures
+    assert all(type(case.abs_error) is float for case in report.failures)
+    assert list(report.worst_errors) == tags
+    assert all(type(value) is float for value in report.worst_errors.values())
+    case = run_identity("inverse-dft", (11, 2), tolerance=1e-16)
+    assert not case.passed and type(case.abs_error) is float
+
+
 # --- bool is not an integer -------------------------------------------------
 
 # Per tag, the smallest accepted parameters.

@@ -115,8 +115,8 @@ def _sides(tag):
     lhs, rhs = [], []
     for lead, rests in runs_of(config):
         columns = verify._evaluate(ident, lead, rests, config.seed)
-        lhs += columns[0]
-        rhs += columns[1]
+        lhs += list(columns[0])
+        rhs += list(columns[1])
     return lhs, rhs
 
 
@@ -197,7 +197,7 @@ def test_one_perturbed_case_fails_alone(monkeypatch, tag):
     def evaluate(lead, rests, seed):
         columns = list(ident.evaluate(lead, rests, seed))
         columns[closed] = [
-            shift(side) if (lead, *rest) == case else side
+            shift(side) if (rest if lead is None else (lead, *rest)) == case else side
             for side, rest in zip(columns[closed], rests, strict=True)
         ]
         return tuple(columns)

@@ -267,9 +267,8 @@ class TestDegreeCap:
     def test_a_bound_above_the_cap_is_refused_before_the_grid(self, monkeypatch, tag):
         built = []
         params, _ = SCHEMA_EDGES[tag]
-        monkeypatch.setattr(
-            verify, "_grid", lambda ident, b, seed: built.append(b) or [(params[0], [params[1:]])]
-        )
+        run = (None, [params]) if len(params) == 1 else (params[0], [params[1:]])
+        monkeypatch.setattr(verify, "_grid", lambda ident, b, seed: built.append(b) or [run])
         bound = f"{DEGREE_PARAMS[tag]}_max"
         with pytest.raises(ParamError, match=over_cap(tag)):
             run_suite(SuiteConfig(identities=[tag], **{bound: exact.DEGREE_CAP + 1}))
@@ -293,8 +292,9 @@ def small_bounds(tag):
 
 def flat(runs):
     """The cases of a grid given as runs (leading value, trailing values),
-    in order."""
-    return [(lead, *rest) for lead, rests in runs for rest in rests]
+    in order; a run without a leading value (a one-parameter identity's)
+    gives each case as its trailing values alone."""
+    return [rest if lead is None else (lead, *rest) for lead, rests in runs for rest in rests]
 
 
 def moduli_held(case):
@@ -373,7 +373,8 @@ class TestGridBudget:
         # No run is empty. Leading values do not repeat, except in
         # e-multiplicativity's grid, a run per drawn pair, whose a may
         # repeat. The runs of a product grid share the one list of its
-        # trailing product.
+        # trailing product; a one-parameter grid is one run of 1-tuples,
+        # without a leading value.
         ident = verify._lookup(tag)
         for bounds in small_bounds(tag):
             runs = verify._grid(ident, bounds, 7)
@@ -383,7 +384,9 @@ class TestGridBudget:
                 assert all(len(rests) == 1 for _, rests in runs), bounds
             else:
                 assert len(set(leads)) == len(leads), bounds
-            if ident.grid is None and runs:
+            if ident.grid is None and runs and len(ident.params) == 1:
+                assert runs == [(None, list(iter_product(ident.params[0].values(bounds))))], bounds
+            elif ident.grid is None and runs:
                 trailing = list(iter_product(*(p.values(bounds) for p in ident.params[1:])))
                 assert runs[0][1] == trailing, bounds
                 assert all(rests is runs[0][1] for _, rests in runs), bounds
@@ -920,16 +923,16 @@ class TestIdentityCase:
             (lookup("prop1"), 2, [(1,), (2,)],
              columns([Fraction(1, 4), 5], [Fraction(1, 4), Fraction(-6, 7)], None,
                      [True, False], None)),
-            (lookup("prop2"), 5, [()],
+            (lookup("prop2"), None, [(5,)],
              columns([0.1], [0.10000000000000001], None, [True], [1.3877787807814457e-17])),
             (lookup("inverse-dft"), 7, [(1,), (2,)],
              columns([2.5, None], [3.0, None], [None, "budget: refused"], [False, False],
                      [0.5, None])),
-            (lookup("e-integrality"), (720720, 720720), [()],
+            (lookup("e-integrality"), None, [((720720, 720720),)],
              columns([None], [None], ["budget: the lattice exceeds 10 terms"], [False], None)),
             (lookup("e-multiplicativity"), (2, 3), [((5, 7),)],
              columns([1], [1], None, [True], None)),
-            (lookup("gamma-product"), 3, [()], columns([1.0], [1.0], None, [True], [0.0])),
+            (lookup("gamma-product"), None, [(3,)], columns([1.0], [1.0], None, [True], [0.0])),
             (lookup("prop7"), (1, 2), [(1,)],
              columns([Fraction(1, 3)], [Fraction(-2, 3)], None, [False], None)),
         ]
@@ -1022,6 +1025,31 @@ class TestCsvQuoting:
         assert a.text is texts[0] and b.text is texts[1] and not hasattr(c, "text")
         shared = [rests for _, rests in rendered if type(rests) is verify._Trailing]
         assert len(shared) == 4 and all(rests is c for rests in shared)
+
+    def test_each_cross_evaluator_run_holds_the_text_of_its_own_list(self, monkeypatch):
+        # cross-evaluator's runs are slices of one list of j = 0..k_max,
+        # whose text is rendered once, as the grid is built; each run's
+        # slice of that text is the text of its own list.
+        rendered, real = [], verify._trailing_text
+
+        def counting(ident, rests):
+            if getattr(rests, "text", None) is None:
+                rendered.append(len(rests))
+            return real(ident, rests)
+
+        monkeypatch.setattr(verify, "_trailing_text", counting)
+        ident = verify._lookup("cross-evaluator")
+        runs = verify._grid(ident, {"k_max": 6}, 0)
+        assert rendered == [7]
+        assert [k for k, _ in runs] == list(range(1, 7))
+        for k, rests in runs:
+            assert type(rests) is verify._Trailing and rests == [(j,) for j in range(k + 1)]
+            assert rests.text == real(ident, list(rests))
+        swept = sweep(SuiteConfig(identities=["cross-evaluator"], k_max=6))
+        assert rendered == [7, 7] and swept.report.total == 27
+        assert swept.csv == csv_by_attributes(swept.cases)
+        assert [c.params for c in swept.cases[:3]] == ["k=1,j=0", "k=1,j=1", "k=2,j=0"]
+        assert verify._grid(ident, {"k_max": 0}, 0) == []
 
 
 class TestDefaultBounds:
