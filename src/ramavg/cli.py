@@ -3,8 +3,11 @@ averages, and run verification sweeps.
 
 Each compute function and table kind is a subparser of its own, with its
 own required flags, so argparse alone reports a usage error: its usage and
-error lines, exit 2, nothing on stdout. The global flags are accepted
-before the subcommand, after it, and after the function or kind.
+error lines, exit 2, nothing on stdout. argparse also reports verify's
+selection conflict, --all with --identity, as the two exclude each other.
+The global flags (_GLOBAL_FLAGS) are accepted before the subcommand, after
+it, and after the function or kind, and each subcommand's --help shows
+them.
 
 Exit codes: 0 success; 1 verification failures; 2 a refused call, that is
 a usage error, a bad configuration or a budget or cap refusal; 3 a program
@@ -35,6 +38,7 @@ from .exact import DEGREE_CAP, bernoulli_number
 from .multivar import g_m, orbicyclic_divisor
 from .ramanujan import BudgetError, ramanujan_row, ramanujan_sum
 from .verify import (
+    BOUNDS,
     CSV_HEADER,
     DEFAULT_TOLERANCE,
     ConfigError,
@@ -46,7 +50,17 @@ from .verify import (
     run_suite,
 )
 
-_FORMATS = ("plain", "json", "csv")
+# (flag, its default, its argparse keywords) of each global flag.
+_GLOBAL_FLAGS = (
+    ("--format", "plain", {"choices": ("plain", "json", "csv")}),
+    ("--tolerance", DEFAULT_TOLERANCE,
+     {"type": float, "help": "float comparison tolerance; may only be tightened"}),
+    ("--threads", 1, {"type": int, "help": "accepted and ignored: sweeps always run serially"}),
+    ("--seed", DEFAULT_SEED,
+     {"type": int, "help": "seed for randomized test functions and tuple pairs"}),
+    ("--approx", False, {"action": "store_true",
+                         "help": "render exact rationals as 17-significant-digit decimals"}),
+)
 
 # The most moduli one table may list: k_max * r for s-r, whose closed form
 # costs about r steps per modulus, and n * k_max**n for e-values. It is
@@ -90,35 +104,28 @@ def _positive_int(text: str) -> int:
     return value
 
 
-# kind -> its flags, each a required positive int.
-_TABLES = {"ramanujan-row": ("k",), "s-r": ("k-max", "r"), "e-values": ("n", "k-max")}
+def _tags(text: str) -> List[str]:
+    """The identity tags of one --identity value, split on commas; empty
+    parts are dropped, so "," selects none."""
+    return [tag for tag in text.split(",") if tag]
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser, built on the first call of a process: with one parser
     per compute function and table kind, a build costs a few milliseconds."""
-    common = argparse.ArgumentParser(add_help=False)
-    # SUPPRESS keeps values parsed before the subcommand from being clobbered.
-    common.add_argument("--format", choices=_FORMATS, default=argparse.SUPPRESS)
-    common.add_argument("--tolerance", type=float, default=argparse.SUPPRESS)
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--approx", action="store_true", default=argparse.SUPPRESS)
-
     parser = argparse.ArgumentParser(
         prog="ramavg",
         description="Ramanujan sums, their weighted averages, and identity verification.",
     )
-    parser.add_argument("--format", choices=_FORMATS, default="plain")
-    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
-                        help="float comparison tolerance; may only be tightened")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted and ignored: sweeps always run serially")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed for randomized test functions and tuple pairs")
-    parser.add_argument("--approx", action="store_true",
-                        help="render exact rationals as 17-significant-digit decimals")
+    common = argparse.ArgumentParser(add_help=False)
+    for flag, default, keywords in _GLOBAL_FLAGS:
+        parser.add_argument(flag, default=default, **keywords)
+        # SUPPRESS keeps a value parsed before the subcommand from being
+        # clobbered. The top level takes no parents=[common]: argparse
+        # shares the actions of a parent, so a set_defaults there would
+        # rewrite the subcommands' defaults too.
+        common.add_argument(flag, default=argparse.SUPPRESS, **keywords)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", parents=[common], help="compute a single value")
@@ -137,13 +144,12 @@ def _parser() -> argparse.ArgumentParser:
             leaf.add_argument(f"--{flag}", type=_positive_int, required=True)
 
     p_verify = sub.add_parser("verify", parents=[common], help="run identity sweeps")
-    p_verify.add_argument("--all", action="store_true", dest="run_all")
-    p_verify.add_argument("--identity", action="append", dest="identities",
-                          metavar="TAG", help=f"one of: {', '.join(IDENTITY_TAGS)}")
-    p_verify.add_argument("--k-max", type=int, dest="k_max")
-    p_verify.add_argument("--r-max", type=int, dest="r_max")
-    p_verify.add_argument("--m-max", type=int, dest="m_max")
-    p_verify.add_argument("--n-max", type=int, dest="n_max")
+    selection = p_verify.add_mutually_exclusive_group()
+    selection.add_argument("--all", action="store_true")
+    selection.add_argument("--identity", action="extend", type=_tags, dest="identities",
+                           metavar="TAG", help=f"one of: {', '.join(IDENTITY_TAGS)}")
+    for name in BOUNDS:
+        p_verify.add_argument("--" + name.replace("_", "-"), type=int)
     return parser
 
 
@@ -178,48 +184,47 @@ def _check_budget(moduli: int) -> None:
         )
 
 
-def _cmd_table(args) -> int:
-    fmt = args.format
+# kind -> its flags, each a required positive int.
+_TABLES = {"ramanujan-row": ("k",), "s-r": ("k-max", "r"), "e-values": ("n", "k-max")}
+
+
+def _table(args):
+    """The table of args.kind: its CSV header, its rows as (key, value)
+    pairs, and a function that builds its JSON value."""
     if args.kind == "ramanujan-row":
         values = ramanujan_row(args.k)
-        if fmt == "json":
-            print(json.dumps({"k": args.k, "values": list(values)}))
-        elif fmt == "csv":
-            print("j,c")
-            for j, v in enumerate(values):
-                print(f"{j},{v}")
-        else:
-            print(",".join(str(v) for v in values))
-        return 0
-
+        return "j,c", enumerate(values), lambda: {"k": args.k, "values": list(values)}
     if args.kind == "s-r":
         _check_degree("r", args.r)
         _check_budget(args.k_max * args.r)
-        rows = [(k, s_r_closed(k, args.r)) for k in range(1, args.k_max + 1)]
-        if fmt == "json":
-            print(json.dumps(
-                [{"k": k, "num": v.numerator, "den": v.denominator} for k, v in rows]
-            ))
-        else:
-            if fmt == "csv":
-                print("k,s_r")
-            for k, v in rows:
-                print(f"{k},{_render_rational(v, 'plain', args.approx)}")
-        return 0
-
+        values = [(k, s_r_closed(k, args.r)) for k in range(1, args.k_max + 1)]
+        rows = ((k, _render_rational(v, "plain", args.approx)) for k, v in values)
+        return "k,s_r", rows, lambda: [
+            {"k": k, "num": v.numerator, "den": v.denominator} for k, v in values
+        ]
     # e-values: every ordered tuple of a given arity up to a component bound
     # k_max**n is not raised to a huge n: for k_max >= 2 the budget is
     # already exceeded at n = its bit length.
     _check_budget(args.n * args.k_max ** min(args.n, TABLE_BUDGET.bit_length()))
-    rows = [(t, orbicyclic_divisor(t))
-            for t in iter_product(range(1, args.k_max + 1), repeat=args.n)]
-    if fmt == "json":
-        print(json.dumps([{"ks": list(t), "e": e} for t, e in rows]))
+    values = [(t, orbicyclic_divisor(t))
+              for t in iter_product(range(1, args.k_max + 1), repeat=args.n)]
+    rows = (("|".join(map(str, t)), e) for t, e in values)
+    return "ks,e", rows, lambda: [{"ks": list(t), "e": e} for t, e in values]
+
+
+def _cmd_table(args) -> int:
+    """Write the table: its JSON value, or its rows a line at a time, after
+    the header in CSV; a plain ramanujan-row is one line of its values."""
+    header, rows, json_value = _table(args)
+    if args.format == "json":
+        print(json.dumps(json_value()))
+    elif args.format == "plain" and args.kind == "ramanujan-row":
+        print(",".join(str(v) for _, v in rows))
     else:
-        if fmt == "csv":
-            print("ks,e")
-        for t, e in rows:
-            print(f"{'|'.join(str(x) for x in t)},{e}")
+        if args.format == "csv":
+            print(header)
+        for key, value in rows:
+            print(f"{key},{value}")
     return 0
 
 
@@ -254,21 +259,11 @@ def _csv_sink():
 
 
 def _cmd_verify(args) -> int:
-    identities: Optional[List[str]] = None
-    if args.run_all and args.identities:
-        raise ConfigError("--all and --identity cannot be combined")
-    if args.identities:
-        identities = []
-        for entry in args.identities:
-            identities.extend(part for part in entry.split(",") if part)
     config = SuiteConfig(
-        identities=identities,
-        k_max=args.k_max,
-        r_max=args.r_max,
-        m_max=args.m_max,
-        n_max=args.n_max,
+        identities=args.identities,
         tolerance=args.tolerance,
         seed=args.seed,
+        **{name: getattr(args, name) for name in BOUNDS},
     )
     report = run_suite(config, _csv_sink() if args.format == "csv" else None)
     if args.format == "json":

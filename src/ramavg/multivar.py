@@ -13,12 +13,13 @@ public function checks them once with _moduli, which gives the tuple of
 int moduli that the private functions, caches and tables take, and each
 function that needs k computes it from that tuple.
 
-Direct sums run over one period of at most PERIOD_BUDGET entries, and an
-object row (below) is charged _OBJECT_ENTRY_BYTES per entry against the
-PERIOD_BUDGET * 8 bytes of the largest int64 row. The divisor lattice is
-folded over at most DIVISOR_TUPLE_BUDGET tuples. All three raise
-BudgetError (the one class of ramanujan, which bounds single rows by
-ROW_BUDGET) before allocating anything.
+Direct sums run over one period of at most ramanujan.ROW_BUDGET entries,
+the budget of a single row c_k(0..k) too, so every modulus of a period
+within it has its row. An object row (below) is charged
+_OBJECT_ENTRY_BYTES per entry against the ROW_BUDGET * 8 bytes of the
+largest int64 row. The divisor lattice is folded over at most
+DIVISOR_TUPLE_BUDGET tuples. All three raise BudgetError (the one class of
+ramanujan) before allocating anything.
 
 Each side is built one way. The direct side is one period of the product
 row, one ndarray multiplied by one period of c_{k_i} at a time: int64 when
@@ -66,12 +67,12 @@ table of top R holds R + 1 integers of at most log2(prod phi(k_i)) +
 12,340 tuples of the multivariable grid and the moduli 41..1000 of prop1),
 about 5.4 MB by sys.getsizeof, and 12,340 weight tables, about 2.9 MB, from
 110 local tables of at most 3 factors, about 32 kB, keys included. No sweep
-re-reads a product row, so _product_row keeps one: at
-most PERIOD_BUDGET entries, 80 MB as int64, where its earlier 64 rows could
+re-reads a product row, so _product_row keeps one: at most
+ROW_BUDGET entries, 80 MB as int64, where its earlier 64 rows could
 take 5.1 GB. An object row holds one Python int per entry, and each rung of
 its ladder makes another: E with S_1 and S_2 peaked at 56-80 bytes per
 entry over one period of 10^6 entries, so it is admitted up to
-PERIOD_BUDGET / 10 entries.
+ROW_BUDGET / 10 entries.
 
 Single-component tuples go through exactly the same code paths as n >= 2;
 their agreement with the single-variable closed forms is asserted by
@@ -90,12 +91,11 @@ import numpy as np
 
 from .arith import divisors, euler_phi, factorize, mobius
 from .exact import power_sum_closed
-from .ramanujan import BudgetError, ramanujan_row
+from .ramanujan import ROW_BUDGET, BudgetError, ramanujan_row
 
 __all__ = [
     "BudgetError",
     "DIVISOR_TUPLE_BUDGET",
-    "PERIOD_BUDGET",
     "orbicyclic_direct",
     "orbicyclic_divisor",
     "g_m",
@@ -107,7 +107,6 @@ __all__ = [
 ]
 
 DIVISOR_TUPLE_BUDGET = 10**7
-PERIOD_BUDGET = 10**7  # entries of one product row; the default grids peak at 57,720
 # Peak bytes per entry of an object row's E, S_1 and S_2, measured by RSS.
 _OBJECT_ENTRY_BYTES = 80
 
@@ -144,15 +143,16 @@ def _row_bound(ks: Tuple[int, ...], length: int) -> int:
     """The element bound of the product row of the moduli ks, of period
     length = lcm(ks): its own c(0) = prod_i c_{k_i}(0), read from the rows
     of c_{k_i}, once the period budget admits the row. A period past
-    PERIOD_BUDGET entries, or an object row (a bound past int64) past
-    PERIOD_BUDGET * 8 bytes, raises BudgetError first."""
-    if length > PERIOD_BUDGET:
-        raise BudgetError(f"period lcm{ks} = {length} exceeds {PERIOD_BUDGET}")
+    ROW_BUDGET entries (the default grids peak at 57,720), or an object row
+    (a bound past int64) past ROW_BUDGET * 8 bytes, raises BudgetError
+    first."""
+    if length > ROW_BUDGET:
+        raise BudgetError(f"period lcm{ks} = {length} exceeds {ROW_BUDGET}")
     bound = math.prod(ramanujan_row(k)[0] for k in ks)
-    if bound >= _INT64_SAFE and length * _OBJECT_ENTRY_BYTES > PERIOD_BUDGET * 8:
+    if bound >= _INT64_SAFE and length * _OBJECT_ENTRY_BYTES > ROW_BUDGET * 8:
         raise BudgetError(
             f"object row lcm{ks} = {length} entries at {_OBJECT_ENTRY_BYTES} bytes each"
-            f" exceeds {PERIOD_BUDGET * 8} bytes"
+            f" exceeds {ROW_BUDGET * 8} bytes"
         )
     return bound
 

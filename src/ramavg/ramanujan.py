@@ -19,7 +19,7 @@ evaluate the same formula once per gcd class; the float batch reads the
 FFT row of k once.
 
 A row c_k(0..k) is refused with BudgetError before it is allocated when
-k exceeds ROW_BUDGET.
+k exceeds ROW_BUDGET, which multivar also reads as its period budget.
 
 j is an arbitrary integer everywhere: every batch reduces each j itself
 (to gcd(k, j), or to j mod k for the FFT row), and j = 0 falls under
@@ -54,11 +54,12 @@ __all__ = [
 # Beyond this k the definitional float sum accumulates too much error to
 # be a trustworthy oracle.
 FLOAT_EVAL_LIMIT = 10**5
-# Largest k of a row c_k(0..k). Not below multivar.PERIOD_BUDGET, so every
-# modulus of a product row within that budget has its row. A k past it is
-# refused here, or, for the S_r direct side of (k,) (averages.s_r_direct,
-# verify's prop1), by the period budget of multivar._row_bound first, which
-# multivar._power_sum_table applies before any row is read.
+# Largest k of a row c_k(0..k), and the most entries of one period of a
+# multivar product row, so every modulus of a period within the budget has
+# its row. A k past it is refused here, or, for the S_r direct side of (k,)
+# (averages.s_r_direct, verify's prop1), by the period budget of
+# multivar._row_bound first, which multivar._power_sum_table applies
+# before any row is read.
 ROW_BUDGET = 10**7
 
 

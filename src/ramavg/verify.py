@@ -79,22 +79,21 @@ the CSV, or the failing rows of a JSON sweep. _side_texts gives the lhs
 and rhs text of a run's columns or of their rows. A float column (a
 tolerance side, or abs_error in the CSV) is formatted once per distinct
 float64 bit pattern, not once per case (_fmt_floats): bits, not ==, since
-0.0 and -0.0 render as "0" and "-0". A column of one value (such as
-run_identity's), and a side column of a run with reasons, which holds None
-for a case that raised, are formatted case by case. cases_to_csv writes
-one run's rows from those text columns, its abs_error and passed columns
-mapped to text, each row the ",".join of its fields. The schema leaves one
-field that needs CSV quoting: a params field with a leading value and
-trailing values, which holds the template's comma and is always quoted; a
-one-parameter identity's, "k=5", holds none. No other field can hold a
-",", '"', "\\r" or "\\n": tags and modes are fixed words, a parameter
-value renders as digits, "|", a named function, rand and ASCII digits or a
-fixed choice, and a side or abs_error as str of an int or a Fraction or as
-"{:.17g}" of a float (TestCsvQuoting holds the catalog to this). _render,
-the only code that builds an IdentityCase, pairs the same texts with the
-passed, abs_error and reason columns. Neither compares, so a case reads
-the same whichever report shows it. run_identity compares and renders its
-one case.
+0.0 and -0.0 render as "0" and "-0". A side column of a run with reasons,
+which holds None for a case that raised, is formatted case by case.
+cases_to_csv writes one run's rows from those text columns, its abs_error
+and passed columns mapped to text, each row the ",".join of its fields.
+The schema leaves one field that needs CSV quoting: a params field with a
+leading value and trailing values, which holds the template's comma and is
+always quoted; a one-parameter identity's, "k=5", holds none. No other
+field can hold a ",", '"', "\\r" or "\\n": tags and modes are fixed words,
+a parameter value renders as digits, "|", a named function, rand and ASCII
+digits or a fixed choice, and a side or abs_error as str of an int or a
+Fraction or as "{:.17g}" of a float (TestCsvQuoting holds the catalog to
+this). _render, the only code that builds an IdentityCase, pairs the same
+texts with the passed, abs_error and reason columns. Neither compares, so
+a case reads the same whichever report shows it. run_identity compares and
+renders its one case.
 
 Before any grid is built, run_suite refuses a grid bound above a
 parameter's cap, and counts the cases of every selected grid from its
@@ -143,6 +142,7 @@ __all__ = [
     "IdentityCase",
     "VerificationReport",
     "SuiteConfig",
+    "BOUNDS",
     "IDENTITY_TAGS",
     "run_identity",
     "run_suite",
@@ -274,11 +274,8 @@ def _fmt_floats(column: Sequence[float]) -> List[str]:
     """_fmt_float of each value of a float column, a list or a float64
     array, read with np.asarray, in order, each distinct value formatted
     once. Values are told apart by their float64 bits, not by ==, which
-    would merge 0.0 and -0.0 (rendered "0" and "-0"). A column of one
-    value has nothing to share and is formatted directly."""
+    would merge 0.0 and -0.0 (rendered "0" and "-0")."""
     column = np.asarray(column, np.float64)
-    if len(column) < 2:
-        return list(map(_fmt_float, column.tolist()))
     bits = column.view(np.int64)
     distinct, inverse = np.unique(bits, return_inverse=True)
     texts = np.array(list(map(_fmt_float, distinct.view(np.float64).tolist())), object)
@@ -1001,9 +998,14 @@ class SuiteConfig:
     seed: int = averages.DEFAULT_SEED
 
 
+# The grid bounds a SuiteConfig may override, each a field of it and a CLI
+# flag (--k-max, ...).
+BOUNDS = ("k_max", "r_max", "m_max", "n_max")
+
+
 def _effective_bounds(ident: IdentityDef, config: SuiteConfig) -> Dict[str, int]:
     bounds = dict(ident.bounds)
-    for name in ("k_max", "r_max", "m_max", "n_max"):
+    for name in BOUNDS:
         override = getattr(config, name)
         if override is not None and name in bounds:
             bounds[name] = override

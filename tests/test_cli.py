@@ -3,6 +3,7 @@ import errno
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -150,15 +151,35 @@ class TestTable:
         assert data == {"k": 6, "values": [2, 1, -1, -2, -1, 1, 2]}
 
     @pytest.mark.parametrize("argv, expected", [
+        (("ramanujan-row", "--k", "6", "--format", "plain"), "2,1,-1,-2,-1,1,2\n"),
+        (("ramanujan-row", "--k", "6", "--format", "json"),
+         '{"k": 6, "values": [2, 1, -1, -2, -1, 1, 2]}\n'),
         (("ramanujan-row", "--k", "6", "--format", "csv"),
          "j,c\n0,2\n1,1\n2,-1\n3,-2\n4,-1\n5,1\n6,2\n"),
+        (("s-r", "--k-max", "3", "--r", "1", "--format", "plain"), "1,1\n2,1/4\n3,1/3\n"),
         (("s-r", "--k-max", "3", "--r", "1", "--format", "json"),
          '[{"k": 1, "num": 1, "den": 1}, {"k": 2, "num": 1, "den": 4},'
          ' {"k": 3, "num": 1, "den": 3}]\n'),
+        (("s-r", "--k-max", "3", "--r", "1", "--format", "csv"), "k,s_r\n1,1\n2,1/4\n3,1/3\n"),
+        (("s-r", "--k-max", "3", "--r", "2", "--approx"),
+         "1,1\n2,0.375\n3,0.48148148148148145\n"),
+        (("s-r", "--k-max", "3", "--r", "2", "--approx", "--format", "csv"),
+         "k,s_r\n1,1\n2,0.375\n3,0.48148148148148145\n"),
+        (("s-r", "--k-max", "3", "--r", "2", "--approx", "--format", "json"),
+         '[{"k": 1, "num": 1, "den": 1}, {"k": 2, "num": 3, "den": 8},'
+         ' {"k": 3, "num": 13, "den": 27}]\n'),
+        (("e-values", "--n", "2", "--k-max", "2", "--format", "plain"),
+         "1|1,1\n1|2,0\n2|1,0\n2|2,1\n"),
         (("e-values", "--n", "2", "--k-max", "2", "--format", "json"),
          '[{"ks": [1, 1], "e": 1}, {"ks": [1, 2], "e": 0},'
          ' {"ks": [2, 1], "e": 0}, {"ks": [2, 2], "e": 1}]\n'),
-    ], ids=["ramanujan-row-csv", "s-r-json", "e-values-json"])
+        (("e-values", "--n", "2", "--k-max", "2", "--format", "csv"),
+         "ks,e\n1|1,1\n1|2,0\n2|1,0\n2|2,1\n"),
+    ], ids=[
+        "ramanujan-row-plain", "ramanujan-row-json", "ramanujan-row-csv",
+        "s-r-plain", "s-r-json", "s-r-csv", "s-r-approx-plain", "s-r-approx-csv", "s-r-approx-json",
+        "e-values-plain", "e-values-json", "e-values-csv",
+    ])
     def test_output_bytes(self, capsys, argv, expected):
         code, out, _ = run_cli(capsys, "table", *argv)
         assert code == 0 and out == expected
@@ -329,8 +350,10 @@ class TestVerify:
         code, out, err = run_cli(
             capsys, "verify", "--all", "--identity", "prop1", "--k-max", "2", "--format", "json"
         )
+        # argparse refuses the pair: its usage and error lines, exit 2.
         assert code == 2 and out == "" and swept == []
-        assert err == "error: --all and --identity cannot be combined\n"
+        assert err.startswith("usage: ramavg verify")
+        assert "argument --identity: not allowed with argument --all" in err
 
     @pytest.mark.parametrize("tag, cap", [
         ("prop5-cosine", averages.COSINE_LIMIT), ("inverse-dft", averages.DFT_LIMIT),
@@ -440,6 +463,48 @@ class TestVerify:
         body1.pop("wall_time_seconds")
         body4.pop("wall_time_seconds")
         assert body1 == body4
+
+
+class TestGlobalFlags:
+    """Each global flag is accepted after the function or kind, before the
+    command and after it, with the same output in each place."""
+
+    # command -> (its name, the rest of the call, the flags its output shows).
+    # compute prints a CSV value as plain text; the plain report's grid line
+    # shows the seed and the tolerance.
+    CALLS = {
+        "compute": ("compute", ("S", "--k", "2", "--r", "2"), {"--format json", "--approx"}),
+        "table": ("table", ("s-r", "--k-max", "3", "--r", "2"),
+                  {"--format json", "--format csv", "--approx"}),
+        "verify": ("verify", ("--identity", "prop3,half-sum", "--k-max", "6", "--r-max", "3"),
+                   {"--format json", "--format csv", "--seed 7", "--tolerance 1e-9"}),
+    }
+
+    @staticmethod
+    def _stable(result):
+        code, out, err = result
+        out = re.sub(r"wall time: .*|\"wall_time_seconds\": [^,\n]*", "", out)
+        return code, out, err
+
+    @pytest.mark.parametrize("flag", [
+        ("--format", "json"), ("--format", "csv"), ("--tolerance", "1e-9"),
+        ("--threads", "2"), ("--seed", "7"), ("--approx",),
+    ], ids=["json", "csv", "tolerance", "threads", "seed", "approx"])
+    @pytest.mark.parametrize("command", list(CALLS))
+    def test_same_output_in_each_place(self, capsys, command, flag):
+        name, rest, shown = self.CALLS[command]
+        after_function, before_command, after_command = (
+            self._stable(run_cli(capsys, *argv))
+            for argv in ((name, *rest, *flag), (*flag, name, *rest), (name, *flag, *rest))
+        )
+        assert after_function[0] == 0
+        assert after_function == before_command == after_command
+        without = self._stable(run_cli(capsys, name, *rest))
+        assert (after_function != without) == (" ".join(flag) in shown)
+
+    def test_each_command_help_shows_the_flag_help(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--help")
+        assert code == 0 and "may only be tightened" in out
 
 
 class TestProgramBug:

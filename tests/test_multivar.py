@@ -12,7 +12,7 @@ import ramavg.multivar as multivar
 from ramavg.arith import divisors, mobius
 from ramavg.averages import s_r_closed, s_r_direct
 from ramavg.multivar import (
-    PERIOD_BUDGET,
+    ROW_BUDGET,
     BudgetError,
     _divisor_terms,
     _power_sums,
@@ -230,7 +230,7 @@ class TestOrbicyclic:
         # lcm(10007, 1009) = 10,097,063 is just past the budget, so a missing
         # check would cost about 80 MB; np.ones is gone to catch it earlier.
         t = (10007, 1009)
-        assert math.lcm(*t) > PERIOD_BUDGET
+        assert math.lcm(*t) > ROW_BUDGET
         monkeypatch.setattr(np, "ones", None)
         with pytest.raises(BudgetError, match="period"):
             orbicyclic_direct(t)
@@ -246,7 +246,7 @@ class TestARefusedTupleGetsNoTable:
     budgets are patched down, so no call comes near the real ones."""
 
     def test_the_period_budget(self, monkeypatch):
-        monkeypatch.setattr(multivar, "PERIOD_BUDGET", 20)
+        monkeypatch.setattr(multivar, "ROW_BUDGET", 20)
         assert s_r_multi_direct((4, 6), 1) == s_r_multi_closed((4, 6), 1)  # lcm 12
         cache = multivar._power_sum_table.cache_info
         size = cache().currsize
@@ -267,12 +267,12 @@ class TestARefusedTupleGetsNoTable:
         # _OBJECT_ENTRY_BYTES each: past the bytes of `edge - 1` int64 entries.
         ks = (97,) * 10
         edge = -(-97 * multivar._OBJECT_ENTRY_BYTES // 8)
-        monkeypatch.setattr(multivar, "PERIOD_BUDGET", edge - 1)
+        monkeypatch.setattr(multivar, "ROW_BUDGET", edge - 1)
         size = multivar._power_sum_table.cache_info().currsize
         with pytest.raises(BudgetError, match="97 entries at .* bytes each exceeds"):
             orbicyclic_direct(ks)
         assert multivar._power_sum_table.cache_info().currsize == size
-        monkeypatch.setattr(multivar, "PERIOD_BUDGET", edge)
+        monkeypatch.setattr(multivar, "ROW_BUDGET", edge)
         assert orbicyclic_direct(ks) == 685394470094330976
         assert len(multivar._power_sum_table(ks)) == 1
         assert multivar._power_sum_table.cache_info().currsize == size + 1
@@ -383,14 +383,14 @@ class TestBigintRow:
         # 97 entries at _OBJECT_ENTRY_BYTES each fill the 8-byte entries
         # of an int64 row of `edge` entries, far more than 97.
         edge = -(-97 * multivar._OBJECT_ENTRY_BYTES // 8)
-        monkeypatch.setattr(multivar, "PERIOD_BUDGET", edge - 1)
+        monkeypatch.setattr(multivar, "ROW_BUDGET", edge - 1)
         with pytest.raises(BudgetError, match="97 entries at .* bytes each exceeds"):
             orbicyclic_direct(self.KS)
-        monkeypatch.setattr(multivar, "PERIOD_BUDGET", edge)
+        monkeypatch.setattr(multivar, "ROW_BUDGET", edge)
         assert orbicyclic_direct(self.KS) == 685394470094330976
 
     def test_an_int64_row_is_budgeted_by_its_entries(self, monkeypatch):
-        monkeypatch.setattr(multivar, "PERIOD_BUDGET", 60)
+        monkeypatch.setattr(multivar, "ROW_BUDGET", 60)
         assert orbicyclic_direct((4, 6, 10)) == orbicyclic_divisor((4, 6, 10))
 
 

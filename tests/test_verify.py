@@ -94,7 +94,7 @@ class TestRunIdentity:
             run_identity("prop1", (2,))
 
     def test_budget_error_becomes_failed_case(self):
-        # Its period, lcm = 10,097,063, is past multivar.PERIOD_BUDGET.
+        # Its period, lcm = 10,097,063, is past multivar.ROW_BUDGET.
         case = run_identity("e-integrality", ((10007, 1009),))
         assert not case.passed
         assert case.error is not None and "budget" in case.error.lower() or "exceeds" in case.error
@@ -680,9 +680,14 @@ class TestRunSuite:
 
     def test_bound_at_cap_is_swept(self, monkeypatch):
         built = []
-        monkeypatch.setattr(verify, "_grid", lambda ident, b, seed: built.append(b) or [(1, [()])])
+        # prop5-cosine's one run at the cap: the case k = COSINE_LIMIT alone.
+        monkeypatch.setattr(
+            verify, "_grid",
+            lambda ident, b, seed: built.append(b) or [(None, [(averages.COSINE_LIMIT,)])],
+        )
         report = run_suite(SuiteConfig(identities=["prop5-cosine"], k_max=averages.COSINE_LIMIT))
-        assert built == [{"k_max": averages.COSINE_LIMIT}] and report.total == 1
+        assert built == [{"k_max": averages.COSINE_LIMIT}]
+        assert report.total == report.passed == 1 and report.failures == []
 
     def test_worst_errors_only_for_tolerance_identities(self):
         report = run_suite(
