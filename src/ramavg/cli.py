@@ -29,6 +29,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import islice
 from itertools import product as iter_product
 from typing import List, Optional
 
@@ -184,6 +185,10 @@ def _check_budget(moduli: int) -> None:
         )
 
 
+# The values a plain ramanujan-row joins at a time: the text it holds is
+# bounded by this, not by k.
+_ROW_SLICE = 1 << 16
+
 # kind -> its flags, each a required positive int.
 _TABLES = {"ramanujan-row": ("k",), "s-r": ("k-max", "r"), "e-values": ("n", "k-max")}
 
@@ -214,12 +219,17 @@ def _table(args):
 
 def _cmd_table(args) -> int:
     """Write the table: its JSON value, or its rows a line at a time, after
-    the header in CSV; a plain ramanujan-row is one line of its values."""
+    the header in CSV; a plain ramanujan-row is one line of its values,
+    written _ROW_SLICE values at a time."""
     header, rows, json_value = _table(args)
     if args.format == "json":
         print(json.dumps(json_value()))
     elif args.format == "plain" and args.kind == "ramanujan-row":
-        print(",".join(str(v) for _, v in rows))
+        texts = (str(v) for _, v in rows)
+        sys.stdout.write(",".join(islice(texts, _ROW_SLICE)))
+        while chunk := ",".join(islice(texts, _ROW_SLICE)):
+            sys.stdout.write("," + chunk)
+        print()
     else:
         if args.format == "csv":
             print(header)
@@ -250,9 +260,9 @@ def _csv_sink():
     next run."""
     header = CSV_HEADER
 
-    def write_run(ident, lead, rests, columns):
+    def write_run(ident, lead, column, columns):
         nonlocal header
-        _write(header + cases_to_csv(ident, lead, rests, columns))
+        _write(header + cases_to_csv(ident, lead, column, columns))
         header = ""
 
     return write_run

@@ -1,115 +1,39 @@
 """Identity verification engine: sweeps, comparison modes, reports.
 
-The catalog below is closed: each tag names exactly one evaluator and
-one comparison mode (exact rational equality, or the mixed float criterion
-within_tolerance at a tolerance no looser than DEFAULT_TOLERANCE).
-Evaluators return side columns only and _compare compares them: the mode,
-the criterion and the default tolerance are owned here, not by callers or
-evaluators, so an exact identity can never be checked sloppily from the
-command line.
+The catalog is closed: each tag names one evaluator and one comparison
+mode. Evaluators return side columns only, and _compare alone compares
+them, so the mode, the criterion and the default tolerance are owned here,
+not by callers or evaluators: an exact identity can never be checked
+sloppily from the command line.
 
-Each identity declares its parameters once, as a schema (kind, minimum,
-optional cap, grid bound). A default grid is the product of the
-parameters' values (Param.values) and its size the product of their
-counts (Param.count), except three that are spelled out: cross-evaluator's
-(j <= k), e-multiplicativity's (coprime pairs drawn from the seed) and
-half-sum's (from r = 1, while its schema admits r = 0 so that run_identity
-reports that mismatch).
+Comparison modes:
+- exact: == on the sides, ints or reduced Fractions, never through floats;
+- tolerance: within_tolerance's mixed criterion, |lhs - rhs| <= tolerance
+  * (1 + max|side|), at a tolerance no looser than DEFAULT_TOLERANCE; a
+  NaN side never passes.
 
-Evaluation goes by runs: cases of a grid that share their leading
-parameter (k, or the tuple ks). _grid builds each grid as its runs, pairs
-(leading value, trailing values of each case): a product grid builds the
-product of its trailing parameters once and every run shares that list
-(an empty parameter gives no runs), and a spelled-out grid gives its runs
-itself, one per k for cross-evaluator, each a slice of one list of j, and
-one per drawn pair for e-multiplicativity. An identity of one parameter
-(prop2, prop4, gamma-product, mobius-log, prop5-exact, prop5-cosine,
-prop7-corollary, e-integrality, half-sum) has no leading value: its grid
-is one run, (None, [(v,), ...]), every case's value a trailing value, and
-run_identity gives one of its cases the same shape. An identity's
-evaluate takes the leading value, the trailing values of every case of
-the run and the seed, and returns the run's side columns, (lhs, rhs) or
-(lhs, rhs, reasons), each with a row per case (see _Evaluator); a float
-side column may be a float64 array (inverse-dft's is). So a kernel shares
-work across the run and returns the columns it computes (one read of the
-power-sum table of (k,) for prop1 and prop6, and of phi(k) and the
-Jordan totients for prop1's closed sides, of each tuple table for prop7
-and of the FFT row per k for inverse-dft, one read of k's divisors,
-gcd-class totals, mu(k/d) and phi(k) for every f of prop3 and
-prop3-corollary; for cross-evaluator, the divisor and Holder forms once
-per gcd class of the run and the float form from one FFT row per k); the
-other identities evaluate case by case, their pairs gathered into the two
-columns. If a run raises, each of its cases is evaluated alone, so a
-failure stays with the cases that cause it, and the run's columns are
-assembled from those runs of one. A one-parameter identity's run is its
-whole grid, so a case of it that raises has every case of the grid
-evaluated again, one at a time; a run that raises nowhere pays nothing.
+Runs: each identity declares one or two parameters (Param), and a grid is
+a list of runs (lead, column), the cases that share the first parameter's
+value lead (k, or the tuple ks), column holding the second parameter's
+value of each case. A one-parameter identity's grid is one run with lead
+None, its column the values of its only parameter. An evaluator takes
+(lead, column, seed) and returns the run's side columns, a row per case.
+If a run raises, each of its cases is evaluated alone, so a failure stays
+with the cases that cause it.
 
-Each caller checks what it is given, and only that. run_identity takes
-its case from outside the program and checks it against the schema (one
-validator, each value in order), raising the ParamError of its first bad
-value. run_suite checks its own inputs: the selected tags, the tolerance
-and each grid bound against its parameter's cap. The grids it then builds
-hold only values of the schema, so their cases are not checked again;
-tests check every case of every grid against the validator instead.
+Budgets and refusals: before any grid is built, run_suite refuses a grid
+bound above its parameter's cap, or more than GRID_BUDGET cases in all (a
+case of moduli tuples counted once per modulus, a coprime pair once per
+candidate its draw filters), with ParamError; an unknown, empty or
+repeated selection, grids that are all empty, or a loosened tolerance,
+with ConfigError. run_identity checks its one case against the schema. An
+evaluator's budget refusal or internal check fails its case, never the
+sweep, and the report's exit status carries the verdict.
 
-A run is compared once, over columns, and its text is rendered only when a
-report is written. _compare evaluates the run and compares each case once
-over the side columns the evaluator returns, so nothing transposes rows
-into columns, giving a passed column and, in tolerance mode, an abs_error
-column. A run is compared without a Python call per case: == mapped over
-the lhs and rhs columns of an exact run; for a tolerance run, |lhs - rhs|
-over float64 arrays gives the abs_error column and, with the same arrays,
-the passed column by the rule of within_tolerance, evaluated over them.
-The tolerance sides and the abs_error column stay float64 arrays from
-there to the writer, except in a run with a reason or a raised case, whose
-columns are lists, as its sides hold None. In such a run those cases fail,
-and an exact one is compared case by case. run_suite tallies the counts
-and the worst errors from the columns and renders only the failing cases,
-from their rows of each column. It keeps no run: a caller that wants every
-case (the CLI's CSV, the tests) passes a sink, which run_suite calls with
-each run and its columns as soon as the run is compared. The params text
-of a case is its run's prefix, the leading value's text rendered once per
-run, and its trailing text, a str.format template of its trailing values,
-rendered once per product grid, by _grid onto the trailing list its runs
-share (_Trailing), once per cross-evaluator grid, whose runs hold slices
-of that text, and once per run otherwise. A one-parameter run has no
-prefix, and its text is rendered only for a report that shows its cases:
-the CSV, or the failing rows of a JSON sweep. _side_texts gives the lhs
-and rhs text of a run's columns or of their rows. A float column (a
-tolerance side, or abs_error in the CSV) is formatted once per distinct
-float64 bit pattern, not once per case (_fmt_floats): bits, not ==, since
-0.0 and -0.0 render as "0" and "-0". A side column of a run with reasons,
-which holds None for a case that raised, is formatted case by case.
-cases_to_csv writes one run's rows from those text columns, its abs_error
-and passed columns mapped to text, each row the ",".join of its fields.
-The schema leaves one field that needs CSV quoting: a params field with a
-leading value and trailing values, which holds the template's comma and is
-always quoted; a one-parameter identity's, "k=5", holds none. No other
-field can hold a ",", '"', "\\r" or "\\n": tags and modes are fixed words,
-a parameter value renders as digits, "|", a named function, rand and ASCII
-digits or a fixed choice, and a side or abs_error as str of an int or a
-Fraction or as "{:.17g}" of a float (TestCsvQuoting holds the catalog to
-this). _render, the only code that builds an IdentityCase, pairs the same
-texts with the passed, abs_error and reason columns. Neither compares, so
-a case reads the same whichever report shows it. run_identity compares and
-renders its one case.
-
-Before any grid is built, run_suite refuses a grid bound above a
-parameter's cap, and counts the cases of every selected grid from its
-bounds (no grid is built to count it), a case of moduli tuples once per
-modulus it holds and a coprime pair also once per candidate its draw
-filters: more than GRID_BUDGET in all raise ParamError, and none at all
-ConfigError, as a count is 0 exactly when its grid is empty. It then
-builds each grid when the sweep reaches its identity, and drops it before
-it builds the next, so a sweep holds one grid at a time.
-
-A sweep never aborts on a failing or erroring case; errors are recorded
-on the case and the report's exit status carries the overall verdict.
-Sweeps run serially. Reports are deterministic: a grid's cases come in
-ascending parameter order, except e-multiplicativity's, which come in the
-order the seeded draw gives them, and the JSON body (everything except
-wall_time_seconds) is byte-stable across reruns.
+Determinism: a grid's cases come in ascending parameter order, except
+e-multiplicativity's, which come in the order of its seeded draw, and the
+JSON body (everything except wall_time_seconds) is byte-stable across
+reruns.
 """
 
 from __future__ import annotations
@@ -122,8 +46,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import chain, combinations_with_replacement, repeat, starmap
-from itertools import product as iter_product
+from itertools import chain, combinations_with_replacement, repeat
 from operator import add, eq
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -222,19 +145,18 @@ def report_to_json(report: VerificationReport) -> str:
 CSV_HEADER = "identity,params,mode,lhs,rhs,abs_error,pass\n"
 
 
-def cases_to_csv(ident: IdentityDef, lead, rests: Sequence[tuple], columns: _Columns) -> str:
-    """The CSV rows of one run as run_suite gives it to its sink, one
-    ",".join of its fields row after row, from text columns: the params
-    and sides as _render renders them, abs_error to 17 significant digits
-    ("" where there is none) and passed as true or false; a float column
-    may be a list or a float64 array. The params field of a run with a
-    leading value is quoted, as it holds the trailing template's comma; a
-    one-parameter run's (lead None) and every other field are written as
-    they are, since the schema lets no other field hold a ",", '"', "\\r"
-    or "\\n" (see the module docstring; TestCsvQuoting holds the catalog
-    to it). A one-parameter grid is one run, so its rows are one string."""
+def cases_to_csv(ident: IdentityDef, lead, column: Sequence, columns: _Columns) -> str:
+    """The CSV rows of one run as run_suite gives it to its sink: the
+    params and sides as _render renders them, abs_error to 17 significant
+    digits ("" where there is none) and passed as true or false. The
+    params field of a run with a leading value is quoted, as it holds a
+    comma; every other field is written as it is, since the schema lets no
+    other field hold a ",", '"', "\\r" or "\\n": tags and modes are fixed
+    words, a parameter value renders as digits, "|", a function name or a
+    fixed choice, and a side as str of an int or a Fraction or as
+    "{:.17g}" of a float (TestCsvQuoting holds the catalog to this)."""
     lhs, rhs, reasons, passed, errors = columns
-    params = _trailing_text(ident, rests)[1]
+    params = _trailing_text(ident, column)[1]
     if lead is not None:
         params = map(('"' + _prefix(ident, lead)).__add__, params)
     lhs, rhs = _side_texts(ident, lhs, rhs, reasons)
@@ -288,15 +210,14 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-# (leading value, trailing values of each case of the run, seed) -> the
-# side columns of the run, each with a row per case: (lhs, rhs), or
-# (lhs, rhs, reasons) for a run where some case fails for a reason its
-# sides do not show (cross-evaluator's float oracle), reasons holding None
-# for each case that has none. _evaluate gives a case that raised the
-# sides None and the exception as its reason. _compare reads the columns
-# as they come: nothing transposes rows into columns.
+# (lead, column, seed) -> the side columns of the run, each with a row per
+# case: (lhs, rhs), or (lhs, rhs, reasons) for a run where some case fails
+# for a reason its sides do not show (cross-evaluator's float oracle),
+# reasons holding None for each case that has none; a float side column
+# may be a float64 array. _evaluate gives a case that raised the sides
+# None and the exception as its reason.
 _SideColumns = Tuple[Sequence, ...]
-_Evaluator = Callable[[object, Sequence[tuple], int], _SideColumns]
+_Evaluator = Callable[[object, Sequence, int], _SideColumns]
 
 
 # --- the identity catalog ---------------------------------------------------
@@ -351,26 +272,25 @@ class IdentityDef:
     params: Tuple[Param, ...]
     evaluate: _Evaluator
     bounds: Dict[str, int]  # default grid bounds
-    # (bounds, seed) -> the grid as _grid gives it, runs (leading value,
-    # trailing values of each case), in ascending order except for drawn
-    # grids (e-multiplicativity's, in the order of its seeded draw); None
-    # means the product of the parameters' values.
-    grid: Optional[Callable[[dict, int], List[Tuple[object, List[tuple]]]]] = None
+    # (bounds, seed) -> the grid as _grid gives it, runs (lead, column), in
+    # ascending order except for drawn grids (e-multiplicativity's, in the
+    # order of its seeded draw); None means the product of the parameters'
+    # values.
+    grid: Optional[Callable[[dict, int], List[Tuple[object, Sequence]]]] = None
     # bounds -> the cases of grid(bounds, seed), a case of moduli tuples
     # counted once per modulus it holds (or can hold, for drawn arities),
     # counted without building the grid; given with every grid.
     size: Optional[Callable[[dict], int]] = None
     param_names: Tuple[str, ...] = field(init=False)
     # The str.format template of a case's params text after its run's
-    # prefix: ",name={}" per trailing parameter, or "name={}" for a
-    # one-parameter identity, whose runs have no leading value.
+    # prefix: ",name={}" of the second parameter, or "name={}" of a
+    # one-parameter identity's only one, whose runs have no leading value.
     trailing: str = field(init=False)
 
     def __post_init__(self):
         names = tuple(p.name for p in self.params)
         object.__setattr__(self, "param_names", names)
-        trailing = "".join(f",{name}={{}}" for name in names[1:]) or f"{names[0]}={{}}"
-        object.__setattr__(self, "trailing", trailing)
+        object.__setattr__(self, "trailing", ("," if len(names) > 1 else "") + names[-1] + "={}")
 
 
 # rand followed by one to nine ASCII digits: str.isdigit would also take
@@ -433,54 +353,55 @@ def _validate(ident: IdentityDef, params: tuple) -> None:
 # Cases of all the grids of one sweep, which run_suite counts before it
 # builds any, a case of moduli tuples counted once per modulus it holds:
 # 4x the largest default grid (inverse-dft, 250,000 cases), and above
-# verify --all (604,001). A sweep holds one grid at a time. A counted case
-# takes at most about 88 bytes of its grid, at the peak of the build and
-# once built alike, under tracemalloc: a one-parameter identity's case, a
-# 1-tuple of an int past the small-int cache in the grid's one run (prop2
-# at k_max = 10^6: 88.4); cross-evaluator's about 25, its runs slices of
-# one list; the runs of a product grid share one trailing list, so a case
-# of a run of many takes a few bytes. So the budget bounds the grid a
-# sweep holds to about 88 MB. A run is evaluated, compared and written
-# whole, and a one-parameter grid is one run, so such a sweep also holds
-# every column of its grid at once, and in CSV its text: mobius-log at
-# k_max = 200,000 peaked at 125 MB RSS in JSON and 172 MB in CSV. A sweep
-# keeps no run (a CSV is written run by run): only its failing cases,
-# rendered, about 310 bytes each, so up to about 310 MB if every case fails.
+# verify --all (604,001). A sweep holds one grid at a time. Under
+# tracemalloc, at 2*10^5 counted cases, a case takes at most about 152
+# bytes of its grid at the peak of the build (144 once built): prop7 at
+# n_max = r_max = 1, a run (ks, column) for each 1-tuple ks. A run of one
+# case in any other product grid (prop1 at r_max = 1) or a 1-tuple of
+# moduli (e-integrality at n_max = 1) takes about 96, a cross-evaluator
+# case about 25, and a one-parameter grid of ints, whose column is its
+# range, next to nothing. So the budget bounds the grid a sweep holds to
+# about 152 MB. A run is evaluated, compared and written whole, and a
+# one-parameter grid is one run, so such a sweep also holds every column
+# of its grid at once, and in CSV its text: mobius-log at k_max = 200,000
+# peaked at 109 MB RSS in JSON and 157 MB in CSV. A sweep keeps no run (a
+# CSV is written run by run): only its failing cases, rendered, about 310
+# bytes each, so up to about 310 MB if every case fails.
 GRID_BUDGET = 1_000_000
 
 
 class _Trailing(list):
-    """Trailing values whose text is rendered once for many runs: the one
-    list that all runs of a product grid share, or a run's slice of
-    cross-evaluator's list of j, never changed once built, with its text,
-    the (text, closes) of _trailing_text, bound as the list is built."""
+    """A column whose text is rendered once for many runs: the one column
+    that all runs of a product grid share, or a run's slice of
+    cross-evaluator's column of j, never changed once built, with its text,
+    the (text, closes) of _trailing_text, bound as the column is built."""
 
     __slots__ = ("text",)
 
 
-def _one_run(values) -> List[tuple]:
-    """The grid of a one-parameter identity: one run without a leading
-    value, (None, [(v,) for each of values]), or no run if values is
-    empty. Its text is rendered only when a report needs it."""
-    cases = [(v,) for v in values]
-    return [(None, cases)] if cases else []
+def _one_run(values: Sequence) -> List[tuple]:
+    """The grid of a one-parameter identity: one run (None, values), or no
+    run if values is empty. Its text is rendered only when a report needs
+    it."""
+    return [(None, values)] if len(values) else []
 
 
 def _grid(ident: IdentityDef, bounds: Dict[str, int], seed: int) -> List[tuple]:
-    """The grid as runs (leading value, trailing values of each case):
-    ident.grid's, in its order, or the product grid's, ascending. A
-    one-parameter identity's is one run of every case (_one_run); the runs
-    of any other share one _Trailing list of its trailing product, with the
-    list's text rendered here. An empty parameter gives no runs."""
+    """The grid as runs (lead, column): ident.grid's, in its order, or the
+    product grid's, ascending. A one-parameter identity's is one run of
+    every case (_one_run); the runs of any other share one _Trailing
+    column of the second parameter's values, with its text rendered here.
+    An empty parameter gives no runs."""
     if ident.grid is not None:
         return ident.grid(bounds, seed)
     if len(ident.params) == 1:
         return _one_run(ident.params[0].values(bounds))
-    rests = _Trailing(iter_product(*(p.values(bounds) for p in ident.params[1:])))
-    if not rests:
+    first, second = ident.params
+    column = _Trailing(second.values(bounds))
+    if not column:
         return []
-    rests.text = _trailing_text(ident, rests)
-    return [(lead, rests) for lead in ident.params[0].values(bounds)]
+    column.text = _trailing_text(ident, column)
+    return [(lead, column) for lead in first.values(bounds)]
 
 
 def _grid_size(ident: IdentityDef, bounds: Dict[str, int]) -> int:
@@ -527,8 +448,8 @@ def _tuple_grid(component_max: int, arity_max: int) -> List[tuple]:
 
 def _coprime_pair_grid(pairs: int, component_max: int, arity_max: int, seed: int) -> List[tuple]:
     """Seeded coprime tuple pairs (a_1..a_n), (b_1..b_n), a run
-    ((a_1..a_n), [((b_1..b_n),)]) per pair drawn; none without components
-    or arities to draw from."""
+    ((a_1..a_n), [(b_1..b_n)]) per pair drawn; none without components or
+    arities to draw from."""
     if component_max < 1 or arity_max < 1:
         return []
     rng = random.Random(f"e-mult:{seed}")
@@ -539,7 +460,7 @@ def _coprime_pair_grid(pairs: int, component_max: int, arity_max: int, seed: int
         prod_a = math.prod(a)
         candidates = [v for v in range(1, component_max + 1) if math.gcd(v, prod_a) == 1]
         b = tuple(rng.choice(candidates) for _ in range(n))
-        out.append((a, [(b,)]))
+        out.append((a, [b]))
     return out
 
 
@@ -550,42 +471,40 @@ def _coprime_pair_grid(pairs: int, component_max: int, arity_max: int, seed: int
 
 
 def _per_case(fn: Callable[..., tuple]) -> _Evaluator:
-    """The batch evaluator of an identity without a kernel: fn(*params), a
-    pair, on each case of the run, fn(*rest) in a run without a leading
-    value (a one-parameter identity's) and fn(lead, *rest) in any other,
-    the pairs gathered into the lhs and rhs columns."""
-    def evaluate(lead, rests, seed):
+    """The batch evaluator of an identity without a kernel: fn on each case
+    of the run, fn(v) in a run without a leading value (a one-parameter
+    identity's) and fn(lead, v) in any other, the pairs it returns
+    gathered into the lhs and rhs columns."""
+    def evaluate(lead, column, seed):
         case = fn if lead is None else partial(fn, lead)
-        return tuple(zip(*starmap(case, rests)))
+        return tuple(zip(*map(case, column)))
     return evaluate
 
 
-def _prop1(k, rests, seed):
+def _prop1(k, rs, seed):
     """multivar's S_r of (k,): one power-sum table read for every r of the
     run, and one read of phi(k) and the Jordan totients for its closed sides."""
-    rs = [r for r, in rests]
     return multivar.s_r_multi_direct_batch((k,), rs), averages.s_r_closed_batch(k, rs)
 
 
-def _prop6(k, rests, seed):
+def _prop6(k, ms, seed):
     """One power-sum table read for every m of the run."""
-    return averages.bernoulli_weighted_batch(k, [m for m, in rests])
+    return averages.bernoulli_weighted_batch(k, ms)
 
 
-def _inverse_dft(k, rests, seed):
-    return averages.inverse_dft_batch(k, [n for n, in rests])
+def _inverse_dft(k, ns, seed):
+    return averages.inverse_dft_batch(k, ns)
 
 
-def _prop7(ks, rests, seed):
+def _prop7(ks, rs, seed):
     """One read of each tuple table for the whole run."""
-    rs = [r for r, in rests]
     return multivar.s_r_multi_direct_batch(ks, rs), multivar.s_r_multi_closed_batch(ks, rs)
 
 
-def _prop3(k, rests, seed):
+def _prop3(k, names, seed):
     """One read of k's divisors, class totals, mu(k/d) and phi(k) for
     every f of the run."""
-    return averages.gcd_weighted_batch(k, [_resolve_function(name, seed) for name, in rests])
+    return averages.gcd_weighted_batch(k, [_resolve_function(name, seed) for name in names])
 
 
 # The three stated specializations of prop3.
@@ -596,9 +515,8 @@ _COROLLARY_RHS = {
 }
 
 
-def _prop3_corollary(k, rests, seed):
+def _prop3_corollary(k, names, seed):
     """prop3's kernel for the left sides; each stated closed form per case."""
-    names = [name for name, in rests]
     lhs, _ = averages.gcd_weighted_batch(k, [averages.NAMED_FUNCTIONS[n] for n in names])
     return lhs, [_COROLLARY_RHS[n](k) for n in names]
 
@@ -617,13 +535,12 @@ def _e_integrality(ks):
     return multivar.orbicyclic_direct(ks), multivar.orbicyclic_divisor(ks)
 
 
-def _cross_evaluator(k, rests, seed):
+def _cross_evaluator(k, js, seed):
     """Divisor formula vs Holder form, with the rounded float definition
     as a third evaluator that fails a case by its reason; each evaluator
     takes the whole run. The oracle is checked once per case; round
     raises on a non-finite oracle, so _evaluate then takes the run one
     case at a time and that case fails with round's message."""
-    js = [j for j, in rests]
     lhs = ramanujan_sum_batch(k, js)
     rhs = ramanujan_sum_holder_batch(k, js)
     bound = 1e-6 * k
@@ -639,17 +556,17 @@ def _cross_evaluator(k, rests, seed):
 
 def _cross_evaluator_grid(b, seed):
     """A run per k = 1..k_max of the cases j = 0..k: slices of one
-    _Trailing of j = 0..k_max, each holding its slice of that list's text,
-    which is rendered once."""
+    _Trailing of j = 0..k_max, each holding its slice of that column's
+    text, which is rendered once."""
     if b["k_max"] < 1:
         return []
-    js = _Trailing((j,) for j in range(b["k_max"] + 1))
+    js = _Trailing(range(b["k_max"] + 1))
     text, closes = _trailing_text(_CATALOG["cross-evaluator"], js)
     runs = []
     for k in range(1, b["k_max"] + 1):
-        rests = _Trailing(js[: k + 1])
-        rests.text = text[: k + 1], closes[: k + 1]
-        runs.append((k, rests))
+        column = _Trailing(js[: k + 1])
+        column.text = text[: k + 1], closes[: k + 1]
+        runs.append((k, column))
     return runs
 
 
@@ -825,7 +742,7 @@ def _check_tolerance(tolerance: float) -> None:
 _CAUGHT = (multivar.BudgetError, RuntimeError, OverflowError, ValueError)
 
 
-def _evaluate(ident: IdentityDef, lead, rests: Sequence[tuple], seed: int) -> _SideColumns:
+def _evaluate(ident: IdentityDef, lead, column: Sequence, seed: int) -> _SideColumns:
     """The side columns of one run, as ident.evaluate gives them. When the
     run raises, each of its cases is evaluated as a run of one, so a
     failure stays with the cases that cause it and its reason is the one
@@ -833,11 +750,11 @@ def _evaluate(ident: IdentityDef, lead, rests: Sequence[tuple], seed: int) -> _S
     of one, with a reasons column, as lists. A one-parameter identity's
     run is its whole grid, which is then evaluated again case by case."""
     try:
-        return ident.evaluate(lead, rests, seed)
+        return ident.evaluate(lead, column, seed)
     except _CAUGHT as exc:
-        if len(rests) == 1:
+        if len(column) == 1:
             return [None], [None], [str(exc)]
-        singles = [_evaluate(ident, lead, (rest,), seed) for rest in rests]
+        singles = [_evaluate(ident, lead, (v,), seed) for v in column]
         return (
             [single[0][0] for single in singles],
             [single[1][0] for single in singles],
@@ -858,7 +775,7 @@ class _Columns(NamedTuple):
 
 
 def _compare(
-    ident: IdentityDef, lead, rests: Sequence[tuple], tolerance: float, seed: int
+    ident: IdentityDef, lead, column: Sequence, tolerance: float, seed: int
 ) -> _Columns:
     """Evaluate one run and compare each of its cases once, over the side
     columns the evaluator gives: == on the sides of an exact identity,
@@ -869,7 +786,7 @@ def _compare(
     fails, and one that raised, with None sides, has no abs_error. The run
     is not checked against the schema: it comes from a grid, or from
     run_identity, which has checked its case."""
-    lhs, rhs, *reasons = _evaluate(ident, lead, rests, seed)
+    lhs, rhs, *reasons = _evaluate(ident, lead, column, seed)
     reasons = reasons[0] if reasons else None
     errors = None
     if ident.mode == "exact":
@@ -905,21 +822,20 @@ def _prefix(ident: IdentityDef, lead) -> str:
     return f"{ident.param_names[0]}={_fmt_value(lead)}"
 
 
-def _trailing_text(ident: IdentityDef, rests: Sequence[tuple]):
+def _trailing_text(ident: IdentityDef, column: Sequence):
     """(text, closes) of each case of a run: ident.trailing.format of its
-    trailing values, and its CSV params field after the run's opening:
+    value in the column, and its CSV params field after the run's opening:
     the same text with the '"' that closes the quoted field appended, or,
     for a one-parameter identity, whose field is not quoted, the text
-    itself. No trailing value holds a '"' to escape (see cases_to_csv). A
-    _Trailing list holds the text rendered as it was built; any other list
-    is rendered on each call."""
-    kept = getattr(rests, "text", None)
+    itself. No value holds a '"' to escape (see cases_to_csv). A _Trailing
+    column holds the text rendered as it was built; any other column is
+    rendered on each call."""
+    kept = getattr(column, "text", None)
     if kept is not None:
         return kept
-    values = rests
-    if tuple in map(type, rests[0]):  # a trailing parameter is all tuples or none
-        values = [tuple(map(_fmt_value, rest)) for rest in rests]
-    text = list(starmap(ident.trailing.format, values))
+    if isinstance(column[0], tuple):  # a column is all moduli tuples or none
+        column = map(_fmt_value, column)
+    text = list(map(ident.trailing.format, column))
     if len(ident.params) == 1:
         return text, text
     return text, list(map(add, text, repeat('"')))
@@ -939,14 +855,14 @@ def _side_texts(ident: IdentityDef, lhs, rhs, reasons):
 
 
 def _render(
-    ident: IdentityDef, lead, rests: Sequence[tuple], lhs, rhs, reasons, passed, errors
+    ident: IdentityDef, lead, column: Sequence, lhs, rhs, reasons, passed, errors
 ) -> List[IdentityCase]:
     """The IdentityCases of one run's columns as _compare gave them, or of
     the same rows of each: the params from _trailing_text, after the run's
     _prefix when it has a leading value, the sides from _side_texts. Each
     case takes its passed flag and abs_error from the columns, so
     rendering never compares; an abs_error array gives plain floats."""
-    params = _trailing_text(ident, rests)[0]
+    params = _trailing_text(ident, column)[0]
     if lead is not None:
         params = map(_prefix(ident, lead).__add__, params)
     lhs, rhs = _side_texts(ident, lhs, rhs, reasons)
@@ -977,8 +893,8 @@ def run_identity(
             f"{tag} expects parameters {ident.param_names}, got {len(params)} values"
         )
     _validate(ident, params)
-    lead, rests = (None, (params,)) if len(params) == 1 else (params[0], (params[1:],))
-    return _render(ident, lead, rests, *_compare(ident, lead, rests, tolerance, seed))[0]
+    lead, column = (None, params) if len(params) == 1 else (params[0], params[1:])
+    return _render(ident, lead, column, *_compare(ident, lead, column, tolerance, seed))[0]
 
 
 # --- suites -----------------------------------------------------------------
@@ -1017,9 +933,9 @@ def _describe_bounds(tag: str, bounds: Dict[str, int]) -> str:
     return f"{tag}[{inner}]"
 
 
-# Called by run_suite with (identity, leading value, trailing values,
-# _Columns) of each run, as soon as the run is compared.
-_Sink = Callable[[IdentityDef, object, Sequence[tuple], _Columns], object]
+# Called by run_suite with (identity, lead, column, _Columns) of each run,
+# as soon as the run is compared.
+_Sink = Callable[[IdentityDef, object, Sequence, _Columns], object]
 
 
 def run_suite(config: SuiteConfig, sink: Optional[_Sink] = None) -> VerificationReport:
@@ -1074,11 +990,11 @@ def run_suite(config: SuiteConfig, sink: Optional[_Sink] = None) -> Verification
         identity_start = time.perf_counter()
         cases = 0
         # The grid lives as long as this loop: one grid at a time.
-        for lead, rests in _grid(ident, b, config.seed):
-            cases += len(rests)
-            columns = _compare(ident, lead, rests, config.tolerance, config.seed)
+        for lead, column in _grid(ident, b, config.seed):
+            cases += len(column)
+            columns = _compare(ident, lead, column, config.tolerance, config.seed)
             if sink is not None:
-                sink(ident, lead, rests, columns)
+                sink(ident, lead, column, columns)
             errors = columns.errors
             if errors is not None:
                 # The largest error, a NaN never taking its place (fmax), as
@@ -1092,7 +1008,7 @@ def run_suite(config: SuiteConfig, sink: Optional[_Sink] = None) -> Verification
                 # Only the failing cases are rendered, from their rows of
                 # each column.
                 bad = [i for i, ok in enumerate(columns.passed) if not ok]
-                failures += _render(ident, lead, [rests[i] for i in bad], *(
+                failures += _render(ident, lead, [column[i] for i in bad], *(
                     _rows(column, bad) for column in columns
                 ))
         total += cases

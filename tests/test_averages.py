@@ -415,11 +415,11 @@ class TestWithinTolerance:
         lhs, rhs = (list(side) for side in zip(*itertools.product(values, repeat=2)))
         # A tolerance identity whose one run holds every pair of values.
         ident = IdentityDef(
-            "grid", "tolerance", (Param("k"), Param("n")), lambda lead, rests, seed: (lhs, rhs), {}
+            "grid", "tolerance", (Param("k"), Param("n")), lambda lead, ns, seed: (lhs, rhs), {}
         )
 
         def passed(tolerance):
-            return _compare(ident, 1, [(n,) for n in range(len(lhs))], tolerance, 0).passed
+            return _compare(ident, 1, list(range(len(lhs))), tolerance, 0).passed
 
         for tolerance in (DEFAULT_TOLERANCE, 1e-16, tiny):
             columns = passed(tolerance)

@@ -184,6 +184,26 @@ class TestTable:
         code, out, _ = run_cli(capsys, "table", *argv)
         assert code == 0 and out == expected
 
+    @pytest.mark.parametrize("k, slices", [(1, 1), (5, 2), (6, 3), (10, 4)])
+    def test_a_plain_row_is_written_in_slices(self, monkeypatch, k, slices):
+        # Three values a slice: the k + 1 values of the row end within the
+        # first slice (k = 1), at a slice edge (k = 5) or inside a later
+        # slice (k = 6, 10). Each slice is one write; print's newline ends
+        # the line. The bytes are those of one join of the whole row.
+        class Writes(io.StringIO):
+            count = 0
+
+            def write(self, text):
+                self.count += 1
+                return super().write(text)
+
+        expected = ",".join(map(str, ramanujan.ramanujan_row(k))) + "\n"
+        monkeypatch.setattr(cli, "_ROW_SLICE", 3)
+        out = Writes()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["table", "ramanujan-row", "--k", str(k)]) == 0
+        assert out.getvalue() == expected and out.count == slices + 1
+
     def test_e_values_read_no_divisor_lattice(self, capsys, monkeypatch, clear_run_caches):
         # E is built prime by prime; the lattice fold is the multiplicativity
         # check's alone.

@@ -349,7 +349,9 @@ def test_a_one_parameter_case_that_raises_fails_alone(monkeypatch):
 
     monkeypatch.setattr(averages, "log_weighted_pair", raising)
     config = small_config("prop2")
-    assert runs_of(config) == [(None, [(k,) for k in range(1, 13)])]
+    assert [(lead, list(column)) for lead, column in runs_of(config)] == [
+        (None, list(range(1, 13)))
+    ]
     assert_only_these_fail(config, {(7,)})
     assert run_identity("prop2", (7,)).error == "log weight refused at k=7"
 
@@ -357,7 +359,7 @@ def test_a_one_parameter_case_that_raises_fails_alone(monkeypatch):
 def collect_columns(config):
     """run_suite(config) and the _Columns of each run, in sweep order."""
     columns = []
-    report = run_suite(config, lambda ident, lead, rests, cols: columns.append(cols))
+    report = run_suite(config, lambda ident, lead, column, cols: columns.append(cols))
     return report, columns
 
 

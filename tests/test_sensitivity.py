@@ -113,8 +113,8 @@ def _sides(tag):
     ident = verify._lookup(tag)
     config = small_config(tag)
     lhs, rhs = [], []
-    for lead, rests in runs_of(config):
-        columns = verify._evaluate(ident, lead, rests, config.seed)
+    for lead, column in runs_of(config):
+        columns = verify._evaluate(ident, lead, column, config.seed)
         lhs += list(columns[0])
         rhs += list(columns[1])
     return lhs, rhs
@@ -194,11 +194,11 @@ def test_one_perturbed_case_fails_alone(monkeypatch, tag):
     grid = grid_of(config)
     case = grid[len(grid) // 2]
 
-    def evaluate(lead, rests, seed):
-        columns = list(ident.evaluate(lead, rests, seed))
+    def evaluate(lead, column, seed):
+        columns = list(ident.evaluate(lead, column, seed))
         columns[closed] = [
-            shift(side) if (rest if lead is None else (lead, *rest)) == case else side
-            for side, rest in zip(columns[closed], rests, strict=True)
+            shift(side) if ((v,) if lead is None else (lead, v)) == case else side
+            for side, v in zip(columns[closed], column, strict=True)
         ]
         return tuple(columns)
 

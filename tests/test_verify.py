@@ -3,6 +3,7 @@ import inspect
 import io
 import json
 import math
+import tracemalloc
 import weakref
 from fractions import Fraction
 from itertools import product as iter_product
@@ -64,6 +65,12 @@ class TestCatalog:
                 SuiteConfig(identities=[tag], k_max=6, r_max=2, m_max=2, n_max=2)
             )
             assert report.total >= 1, tag
+
+    def test_every_tag_declares_one_or_two_parameters(self):
+        # A run is (lead, column): the first parameter leads, and the
+        # column holds the second, or a one-parameter identity's only one.
+        for tag in IDENTITY_TAGS:
+            assert len(verify._lookup(tag).params) in (1, 2), tag
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ConfigError):
@@ -135,7 +142,7 @@ class TestRunIdentity:
         ident = verify._lookup("cross-evaluator")
         for k in (1, 6, 30):
             columns = verify._compare(
-                ident, k, [(j,) for j in range(-k, k + 1)], verify.DEFAULT_TOLERANCE, 0
+                ident, k, list(range(-k, k + 1)), verify.DEFAULT_TOLERANCE, 0
             )
             assert columns.reasons is None and all(columns.passed), k
 
@@ -267,7 +274,7 @@ class TestDegreeCap:
     def test_a_bound_above_the_cap_is_refused_before_the_grid(self, monkeypatch, tag):
         built = []
         params, _ = SCHEMA_EDGES[tag]
-        run = (None, [params]) if len(params) == 1 else (params[0], [params[1:]])
+        run = (None, list(params)) if len(params) == 1 else (params[0], list(params[1:]))
         monkeypatch.setattr(verify, "_grid", lambda ident, b, seed: built.append(b) or [run])
         bound = f"{DEGREE_PARAMS[tag]}_max"
         with pytest.raises(ParamError, match=over_cap(tag)):
@@ -291,10 +298,10 @@ def small_bounds(tag):
 
 
 def flat(runs):
-    """The cases of a grid given as runs (leading value, trailing values),
-    in order; a run without a leading value (a one-parameter identity's)
-    gives each case as its trailing values alone."""
-    return [rest if lead is None else (lead, *rest) for lead, rests in runs for rest in rests]
+    """The cases of a grid given as runs (lead, column), in order, each as
+    its parameters; a run without a leading value (a one-parameter
+    identity's) gives each case as its one value."""
+    return [(v,) if lead is None else (lead, v) for lead, column in runs for v in column]
 
 
 def moduli_held(case):
@@ -372,24 +379,44 @@ class TestGridBudget:
     def test_a_product_grid_is_runs_that_share_one_trailing_list(self, tag):
         # No run is empty. Leading values do not repeat, except in
         # e-multiplicativity's grid, a run per drawn pair, whose a may
-        # repeat. The runs of a product grid share the one list of its
-        # trailing product; a one-parameter grid is one run of 1-tuples,
-        # without a leading value.
+        # repeat. The runs of a product grid share the one column of its
+        # second parameter's values; a one-parameter grid is one run of its
+        # parameter's values, without a leading value. No case wraps its
+        # value in a tuple: each value of a column passes the schema of the
+        # identity's last parameter as it is.
         ident = verify._lookup(tag)
         for bounds in small_bounds(tag):
             runs = verify._grid(ident, bounds, 7)
             leads = [lead for lead, _ in runs]
-            assert all(rests for _, rests in runs), bounds
+            assert all(len(column) for _, column in runs), bounds
+            for lead, column in runs:
+                for v in column:
+                    verify._check_param(ident.params[-1], v, lead)
             if tag == "e-multiplicativity":
-                assert all(len(rests) == 1 for _, rests in runs), bounds
+                assert all(len(column) == 1 for _, column in runs), bounds
             else:
                 assert len(set(leads)) == len(leads), bounds
             if ident.grid is None and runs and len(ident.params) == 1:
-                assert runs == [(None, list(iter_product(ident.params[0].values(bounds))))], bounds
+                assert runs == [(None, ident.params[0].values(bounds))], bounds
             elif ident.grid is None and runs:
-                trailing = list(iter_product(*(p.values(bounds) for p in ident.params[1:])))
-                assert runs[0][1] == trailing, bounds
-                assert all(rests is runs[0][1] for _, rests in runs), bounds
+                assert runs[0][1] == list(ident.params[1].values(bounds)), bounds
+                assert all(column is runs[0][1] for _, column in runs), bounds
+
+    def test_a_one_parameter_grid_holds_few_bytes_per_case(self):
+        # prop2's grid at k_max = 10^5, at the peak of its build, under
+        # tracemalloc: 87.9 bytes a case when each case was a 1-tuple of
+        # its k in a list.
+        ident = verify._lookup("prop2")
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            runs = verify._grid(ident, {"k_max": 10**5}, 0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert sum(len(column) for _, column in runs) == 10**5
+        assert peak <= 48 * 10**5
 
     @pytest.mark.parametrize("tag", sorted(
         tag for tag in EXPECTED_TAGS
@@ -683,7 +710,7 @@ class TestRunSuite:
         # prop5-cosine's one run at the cap: the case k = COSINE_LIMIT alone.
         monkeypatch.setattr(
             verify, "_grid",
-            lambda ident, b, seed: built.append(b) or [(None, [(averages.COSINE_LIMIT,)])],
+            lambda ident, b, seed: built.append(b) or [(None, [averages.COSINE_LIMIT])],
         )
         report = run_suite(SuiteConfig(identities=["prop5-cosine"], k_max=averages.COSINE_LIMIT))
         assert built == [{"k_max": averages.COSINE_LIMIT}]
@@ -745,14 +772,14 @@ class TestSerialization:
             for bounds in small_bounds(tag):
                 runs = verify._grid(ident, bounds, averages.DEFAULT_SEED)
                 text = verify.CSV_HEADER + "".join(
-                    cases_to_csv(ident, lead, rests, verify._compare(
-                        ident, lead, rests, tolerance, averages.DEFAULT_SEED
+                    cases_to_csv(ident, lead, column, verify._compare(
+                        ident, lead, column, tolerance, averages.DEFAULT_SEED
                     ))
-                    for lead, rests in runs
+                    for lead, column in runs
                 )
                 rows = list(csv.reader(io.StringIO(text, newline="")))
                 assert all(len(row) == 7 for row in rows), (tag, bounds)
-                assert len(rows) == 1 + sum(len(rests) for _, rests in runs), (tag, bounds)
+                assert len(rows) == 1 + sum(len(column) for _, column in runs), (tag, bounds)
                 buf = io.StringIO()
                 csv.writer(buf, lineterminator="\n").writerows(rows)
                 assert buf.getvalue() == text, (tag, bounds)
@@ -860,8 +887,8 @@ class Swept(NamedTuple):
 
     @classmethod
     def of(cls, report, runs):
-        cases = [case for ident, lead, rests, columns in runs
-                 for case in verify._render(ident, lead, rests, *columns)]
+        cases = [case for ident, lead, column, columns in runs
+                 for case in verify._render(ident, lead, column, *columns)]
         return cls(report, cases, verify.CSV_HEADER + "".join(cases_to_csv(*r) for r in runs))
 
 
@@ -925,20 +952,20 @@ class TestIdentityCase:
         # tuples and commas, which the CSV quotes as csv.writer does.
         columns, lookup = verify._Columns, verify._lookup
         runs = [
-            (lookup("prop1"), 2, [(1,), (2,)],
+            (lookup("prop1"), 2, [1, 2],
              columns([Fraction(1, 4), 5], [Fraction(1, 4), Fraction(-6, 7)], None,
                      [True, False], None)),
-            (lookup("prop2"), None, [(5,)],
+            (lookup("prop2"), None, [5],
              columns([0.1], [0.10000000000000001], None, [True], [1.3877787807814457e-17])),
-            (lookup("inverse-dft"), 7, [(1,), (2,)],
+            (lookup("inverse-dft"), 7, [1, 2],
              columns([2.5, None], [3.0, None], [None, "budget: refused"], [False, False],
                      [0.5, None])),
-            (lookup("e-integrality"), None, [((720720, 720720),)],
+            (lookup("e-integrality"), None, [(720720, 720720)],
              columns([None], [None], ["budget: the lattice exceeds 10 terms"], [False], None)),
-            (lookup("e-multiplicativity"), (2, 3), [((5, 7),)],
+            (lookup("e-multiplicativity"), (2, 3), [(5, 7)],
              columns([1], [1], None, [True], None)),
-            (lookup("gamma-product"), None, [(3,)], columns([1.0], [1.0], None, [True], [0.0])),
-            (lookup("prop7"), (1, 2), [(1,)],
+            (lookup("gamma-product"), None, [3], columns([1.0], [1.0], None, [True], [0.0])),
+            (lookup("prop7"), (1, 2), [1],
              columns([Fraction(1, 3)], [Fraction(-2, 3)], None, [False], None)),
         ]
         _, cases, text = Swept.of(None, runs)
@@ -989,21 +1016,21 @@ class TestCsvQuoting:
 
     def test_the_trailing_text_of_a_shared_list_never_goes_stale(self, monkeypatch):
         # _grid renders a product grid's trailing text once, onto the one
-        # list its runs share, and a sweep renders it no more. prop1 runs
-        # over two such lists interleaved (A, B, A), and prop7, whose
-        # template is prop1's, over A; a hand-built list of B's length
+        # column its runs share, and a sweep renders it no more. prop1 runs
+        # over two such columns interleaved (A, B, A), and prop7, whose
+        # template is prop1's, over A; a hand-built column of B's length
         # without text (C) is rendered on each call. Each run is written
-        # as from a plain copy of its list.
+        # as from a plain copy of its column.
         rendered, real = [], verify._trailing_text
 
-        def counting(ident, rests):
-            if getattr(rests, "text", None) is None:
-                rendered.append((ident.tag, rests))
-            return real(ident, rests)
+        def counting(ident, column):
+            if getattr(column, "text", None) is None:
+                rendered.append((ident.tag, column))
+            return real(ident, column)
 
         monkeypatch.setattr(verify, "_trailing_text", counting)
         sweep(SuiteConfig(identities=["prop1", "prop7", "inverse-dft"], k_max=4, n_max=3, r_max=2))
-        assert [(tag, type(rests)) for tag, rests in rendered] == [
+        assert [(tag, type(column)) for tag, column in rendered] == [
             (tag, verify._Trailing) for tag in ("prop1", "prop7", "inverse-dft")
         ]
 
@@ -1011,45 +1038,45 @@ class TestCsvQuoting:
         assert prop1.trailing == prop7.trailing == ",r={}"
         ((_, a),) = verify._grid(prop1, {"k_max": 1, "r_max": 2}, 0)
         ((_, b),) = verify._grid(prop1, {"k_max": 1, "r_max": 3}, 0)
-        c = verify._Trailing([(4,), (5,), (6,)])
+        c = verify._Trailing([4, 5, 6])
         assert type(a) is type(b) is verify._Trailing and len(b) == len(c)
         texts = [a.text, b.text]
         assert texts == [real(prop1, list(a)), real(prop1, list(b))]
         calls = [(prop1, 2, a), (prop1, 3, b), (prop1, 2, a), (prop7, (1, 2), c),
                  (prop1, 3, b), (prop7, (1, 2), a), (prop1, 2, c)]
         rendered.clear()
-        for ident, lead, rests in calls:
-            cols = verify._compare(ident, lead, rests, verify.DEFAULT_TOLERANCE, 0)
-            fresh = verify._render(ident, lead, list(rests), *cols)
+        for ident, lead, column in calls:
+            cols = verify._compare(ident, lead, column, verify.DEFAULT_TOLERANCE, 0)
+            fresh = verify._render(ident, lead, list(column), *cols)
             prefix = f"{ident.param_names[0]}={verify._fmt_value(lead)}"
-            assert [case.params for case in fresh] == [f"{prefix},r={r}" for (r,) in rests]
-            assert cases_to_csv(ident, lead, rests, cols) == rows_by_attributes(fresh)
-            assert verify._render(ident, lead, rests, *cols) == fresh
+            assert [case.params for case in fresh] == [f"{prefix},r={r}" for r in column]
+            assert cases_to_csv(ident, lead, column, cols) == rows_by_attributes(fresh)
+            assert verify._render(ident, lead, column, *cols) == fresh
         # A and B keep the text _grid gave them and are not rendered again;
         # C, never given one, is rendered by each cases_to_csv and _render.
         assert a.text is texts[0] and b.text is texts[1] and not hasattr(c, "text")
-        shared = [rests for _, rests in rendered if type(rests) is verify._Trailing]
-        assert len(shared) == 4 and all(rests is c for rests in shared)
+        shared = [column for _, column in rendered if type(column) is verify._Trailing]
+        assert len(shared) == 4 and all(column is c for column in shared)
 
     def test_each_cross_evaluator_run_holds_the_text_of_its_own_list(self, monkeypatch):
-        # cross-evaluator's runs are slices of one list of j = 0..k_max,
+        # cross-evaluator's runs are slices of one column of j = 0..k_max,
         # whose text is rendered once, as the grid is built; each run's
-        # slice of that text is the text of its own list.
+        # slice of that text is the text of its own column.
         rendered, real = [], verify._trailing_text
 
-        def counting(ident, rests):
-            if getattr(rests, "text", None) is None:
-                rendered.append(len(rests))
-            return real(ident, rests)
+        def counting(ident, column):
+            if getattr(column, "text", None) is None:
+                rendered.append(len(column))
+            return real(ident, column)
 
         monkeypatch.setattr(verify, "_trailing_text", counting)
         ident = verify._lookup("cross-evaluator")
         runs = verify._grid(ident, {"k_max": 6}, 0)
         assert rendered == [7]
         assert [k for k, _ in runs] == list(range(1, 7))
-        for k, rests in runs:
-            assert type(rests) is verify._Trailing and rests == [(j,) for j in range(k + 1)]
-            assert rests.text == real(ident, list(rests))
+        for k, column in runs:
+            assert type(column) is verify._Trailing and column == list(range(k + 1))
+            assert column.text == real(ident, list(column))
         swept = sweep(SuiteConfig(identities=["cross-evaluator"], k_max=6))
         assert rendered == [7, 7] and swept.report.total == 27
         assert swept.csv == csv_by_attributes(swept.cases)
@@ -1136,9 +1163,9 @@ class TestColumnCriterion:
     def test_the_columns_are_the_rule_case_by_case(self, pairs, tolerance):
         lhs, rhs = (list(column) for column in zip(*pairs))
         ident = verify.IdentityDef(
-            "drawn", "tolerance", (Param("k"), Param("n")), lambda lead, rests, seed: (lhs, rhs), {}
+            "drawn", "tolerance", (Param("k"), Param("n")), lambda lead, ns, seed: (lhs, rhs), {}
         )
-        columns = verify._compare(ident, 1, [(n,) for n in range(len(pairs))], tolerance, 0)
+        columns = verify._compare(ident, 1, list(range(len(pairs))), tolerance, 0)
         expected = [verify.within_tolerance(a, b, tolerance) for a, b in pairs]
         assert type(columns.passed) is list and all(type(ok) is bool for ok in columns.passed)
         assert columns.passed == expected
