@@ -72,7 +72,7 @@ from .arith import (
     von_mangoldt,
 )
 from .exact import bernoulli_number, bernoulli_polynomial_coefficients, power_sum_closed
-from .ramanujan import ramanujan_row
+from .ramanujan import EvaluationError, ramanujan_row
 
 __all__ = [
     "DEFAULT_SEED",
@@ -449,7 +449,7 @@ def inverse_dft_batch(k: int, ns: Sequence[int]) -> Tuple[np.ndarray, np.ndarray
     large = np.abs(values.imag) > 1e-8
     if large.any():
         i = int(large.argmax())
-        raise RuntimeError(
+        raise EvaluationError(
             f"imaginary part {float(values.imag[i])} of the mean too large for k={k}, n={ns[i]}"
         )
     return values.real, (np.gcd(residues, k) == 1).astype(np.float64)

@@ -27,6 +27,7 @@ from math import comb
 from typing import List, Sequence, Tuple
 
 from .arith import Rational, factorize
+from .ramanujan import EvaluationError
 
 __all__ = [
     "DEGREE_CAP",
@@ -110,7 +111,7 @@ def power_sum(n: int, r: int) -> int:
         raise ValueError("power_sum requires n >= 1 and r >= 1")
     acc = n ** (r + 1) * power_sum_closed(n, r, 1, [1] * (r // 2 + 1))
     if acc.denominator != 1:
-        raise RuntimeError(f"power_sum({n}, {r}) is non-integral: {acc}")
+        raise EvaluationError(f"power_sum({n}, {r}) is non-integral: {acc}")
     return acc.numerator
 
 
@@ -133,7 +134,7 @@ def coprime_power_sum(n: int, r: int) -> int:
     weights = [cofactor * math.prod(p - p ** (2 * m) for p in primes) for m in range(r // 2 + 1)]
     acc = n**r * power_sum_closed(n, r, 0, weights)
     if acc.denominator != 1:
-        raise RuntimeError(f"coprime_power_sum({n}, {r}) is non-integral: {acc}")
+        raise EvaluationError(f"coprime_power_sum({n}, {r}) is non-integral: {acc}")
     return acc.numerator
 
 

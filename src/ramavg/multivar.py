@@ -58,7 +58,7 @@ E (from T_0 and from k E), S_r and g_m read them. The S_r of a tuple (k,)
 is the direct side of averages' power weight (s_r_direct, prop1), and
 averages' Bernoulli weight (prop6) reads the table of (k,). The tables hold
 k E, not E, so both integrality checks run at every read and their
-RuntimeError is never cached. A refusal (a BudgetError, or factorize's
+EvaluationError is never cached. A refusal (a BudgetError, or factorize's
 ValueError past 2^40) is raised before anything is stored, so a table is
 either empty or complete up to its top; a tuple that is refused gets no
 table at all (the table's lookup applies the check), so it evicts none. A
@@ -91,7 +91,7 @@ import numpy as np
 
 from .arith import divisors, euler_phi, factorize, mobius
 from .exact import power_sum_closed
-from .ramanujan import ROW_BUDGET, BudgetError, ramanujan_row
+from .ramanujan import ROW_BUDGET, BudgetError, EvaluationError, ramanujan_row
 
 __all__ = [
     "BudgetError",
@@ -250,10 +250,10 @@ def orbicyclic_direct(ks: Sequence[int]) -> int:
     k = math.lcm(*ks)
     total = _power_sums(ks, 0)[0]
     if total % k:
-        raise RuntimeError(f"E{ks} is non-integral: {total}/{k}")
+        raise EvaluationError(f"E{ks} is non-integral: {total}/{k}")
     result = total // k
     if result < 0:
-        raise RuntimeError(f"E{ks} is negative: {result}")
+        raise EvaluationError(f"E{ks} is negative: {result}")
     return result
 
 
@@ -370,7 +370,7 @@ def _divisor_e(ks: Tuple[int, ...], weights: Sequence[int]) -> int:
     """E = (k g_0) / k from a weight table; integrality is asserted."""
     k = math.lcm(*ks)
     if weights[0] % k:
-        raise RuntimeError(f"divisor form of E{ks} is non-integral")
+        raise EvaluationError(f"divisor form of E{ks} is non-integral")
     return weights[0] // k
 
 

@@ -18,8 +18,13 @@ exact forms depend on j only through g = gcd(k, j), so their batches
 evaluate the same formula once per gcd class; the float batch reads the
 FFT row of k once.
 
-A row c_k(0..k) is refused with BudgetError before it is allocated when
-k exceeds ROW_BUDGET, which multivar also reads as its period budget.
+BudgetError and EvaluationError are the two exceptions an evaluator of
+this package fails a case with, and the only ones verify catches.
+BudgetError refuses before anything is allocated: here a row c_k(0..k)
+past ROW_BUDGET, which multivar also reads as its period budget.
+EvaluationError is a failed self-check (here an inexact Holder division,
+an imaginary part that does not cancel, a row checksum). A ValueError is
+a domain error, which the caller's schema refuses first.
 
 j is an arbitrary integer everywhere: every batch reduces each j itself
 (to gcd(k, j), or to j mod k for the FFT row), and j = 0 falls under
@@ -49,6 +54,7 @@ __all__ = [
     "FLOAT_EVAL_LIMIT",
     "ROW_BUDGET",
     "BudgetError",
+    "EvaluationError",
 ]
 
 # Beyond this k the definitional float sum accumulates too much error to
@@ -65,6 +71,10 @@ ROW_BUDGET = 10**7
 
 class BudgetError(RuntimeError):
     """A row, a period row or a divisor-tuple enumeration would exceed its budget."""
+
+
+class EvaluationError(RuntimeError):
+    """An evaluator's self-check failed: its value cannot be trusted."""
 
 
 def _gcd_classes(k: int, js: Sequence[int]) -> List[int]:
@@ -100,7 +110,7 @@ def ramanujan_sum_holder_batch(k: int, js: Sequence[int]) -> List[int]:
         num = phi * mobius(k // g)
         den = euler_phi(k // g)
         if num % den:
-            raise RuntimeError(f"Holder division not exact for k={k}, j={js[gs.index(g)]}")
+            raise EvaluationError(f"Holder division not exact for k={k}, j={js[gs.index(g)]}")
         value[g] = num // den
     return list(map(value.__getitem__, gs))
 
@@ -133,7 +143,7 @@ def ramanujan_sum_float_batch(k: int, js: Sequence[int]) -> List[float]:
     large = np.abs(z.imag) >= 1e-6 * k
     if large.any():
         i = int(large.argmax())
-        raise RuntimeError(f"imaginary part {z.imag[i]} too large for k={k}, j={js[i]}")
+        raise EvaluationError(f"imaginary part {z.imag[i]} too large for k={k}, j={js[i]}")
     return z.real.tolist()
 
 
@@ -166,5 +176,5 @@ def ramanujan_row(k: int) -> Tuple[int, ...]:
                 row[j] += v
     checksum = sum(row[1:])
     if checksum != (1 if k == 1 else 0):
-        raise ValueError(f"row checksum failed for k={k}: {checksum}")
+        raise EvaluationError(f"row checksum failed for k={k}: {checksum}")
     return tuple(row)

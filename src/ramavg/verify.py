@@ -17,18 +17,23 @@ a list of runs (lead, column), the cases that share the first parameter's
 value lead (k, or the tuple ks), column holding the second parameter's
 value of each case. A one-parameter identity's grid is one run with lead
 None, its column the values of its only parameter. An evaluator takes
-(lead, column, seed) and returns the run's side columns, a row per case.
-If a run raises, each of its cases is evaluated alone, so a failure stays
-with the cases that cause it.
+(lead, column, seed) and returns the run's two side columns (lhs, rhs), a
+row per case.
+
+Outcomes: a case passes or fails by its sides, or fails because its
+evaluator raised one of the two classes of ramanujan (_CAUGHT):
+BudgetError, a refusal, whose reason starts "budget: ", or
+EvaluationError, a failed self-check, whose reason is its message. A run
+that raises one is evaluated again case by case, so a failure stays with
+the cases that cause it. Any other exception is a program bug and leaves
+run_suite and run_identity.
 
 Budgets and refusals: before any grid is built, run_suite refuses a grid
 bound above its parameter's cap, or more than GRID_BUDGET cases in all (a
 case of moduli tuples counted once per modulus, a coprime pair once per
 candidate its draw filters), with ParamError; an unknown, empty or
 repeated selection, grids that are all empty, or a loosened tolerance,
-with ConfigError. run_identity checks its one case against the schema. An
-evaluator's budget refusal or internal check fails its case, never the
-sweep, and the report's exit status carries the verdict.
+with ConfigError. run_identity checks its one case against the schema.
 
 Determinism: a grid's cases come in ascending parameter order, except
 e-multiplicativity's, which come in the order of its seeded draw, and the
@@ -54,6 +59,7 @@ import numpy as np
 
 from . import averages, exact, multivar
 from .arith import euler_phi
+from .ramanujan import FLOAT_EVAL_LIMIT, BudgetError, EvaluationError
 from .ramanujan import ramanujan_sum_batch, ramanujan_sum_float_batch, ramanujan_sum_holder_batch
 
 __all__ = [
@@ -210,13 +216,10 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-# (lead, column, seed) -> the side columns of the run, each with a row per
-# case: (lhs, rhs), or (lhs, rhs, reasons) for a run where some case fails
-# for a reason its sides do not show (cross-evaluator's float oracle),
-# reasons holding None for each case that has none; a float side column
-# may be a float64 array. _evaluate gives a case that raised the sides
-# None and the exception as its reason.
-_SideColumns = Tuple[Sequence, ...]
+# (lead, column, seed) -> the side columns (lhs, rhs) of the run, each with
+# a row per case; a float side column may be a float64 array. An evaluator
+# fails a case only by raising BudgetError or EvaluationError.
+_SideColumns = Tuple[Sequence, Sequence]
 _Evaluator = Callable[[object, Sequence, int], _SideColumns]
 
 
@@ -536,21 +539,17 @@ def _e_integrality(ks):
 
 
 def _cross_evaluator(k, js, seed):
-    """Divisor formula vs Holder form, with the rounded float definition
-    as a third evaluator that fails a case by its reason; each evaluator
-    takes the whole run. The oracle is checked once per case; round
-    raises on a non-finite oracle, so _evaluate then takes the run one
-    case at a time and that case fails with round's message."""
+    """Divisor formula vs Holder form, with the float definition as a
+    third evaluator; each evaluator takes the whole run. The float oracle
+    is a self-check: it must lie within 1e-6 * k of the divisor value (at
+    most 0.1, as k <= FLOAT_EVAL_LIMIT), which no NaN or infinity does,
+    and the first j whose oracle does not raises EvaluationError."""
     lhs = ramanujan_sum_batch(k, js)
     rhs = ramanujan_sum_holder_batch(k, js)
     bound = 1e-6 * k
-    reasons = [
-        None if round(f) == a and abs(f - a) <= bound
-        else f"float oracle {_fmt_float(f)} disagrees with the exact value {a}"
-        for a, f in zip(lhs, ramanujan_sum_float_batch(k, js))
-    ]
-    if any(reasons):
-        return lhs, rhs, reasons
+    for a, f in zip(lhs, ramanujan_sum_float_batch(k, js)):
+        if not abs(f - a) <= bound:
+            raise EvaluationError(f"float oracle {f:.17g} disagrees with the exact value {a}")
     return lhs, rhs
 
 
@@ -666,7 +665,9 @@ _CATALOG: Dict[str, IdentityDef] = {
             _coprime_pair_size,
         ),
         IdentityDef(
-            "cross-evaluator", "exact", (Param("k"), Param("j", minimum=0)), _cross_evaluator,
+            "cross-evaluator", "exact",
+            (Param("k", cap=FLOAT_EVAL_LIMIT, bound="k_max"), Param("j", minimum=0)),
+            _cross_evaluator,
             {"k_max": 300},
             _cross_evaluator_grid,
             # sum of k + 1 over k = 1..k_max
@@ -739,27 +740,26 @@ def _check_tolerance(tolerance: float) -> None:
         )
 
 
-_CAUGHT = (multivar.BudgetError, RuntimeError, OverflowError, ValueError)
+# What fails a case rather than the sweep: a refusal and a failed self-check.
+_CAUGHT = (BudgetError, EvaluationError)
 
 
-def _evaluate(ident: IdentityDef, lead, column: Sequence, seed: int) -> _SideColumns:
-    """The side columns of one run, as ident.evaluate gives them. When the
-    run raises, each of its cases is evaluated as a run of one, so a
-    failure stays with the cases that cause it and its reason is the one
-    the case gives alone; the columns are then assembled from those runs
-    of one, with a reasons column, as lists. A one-parameter identity's
-    run is its whole grid, which is then evaluated again case by case."""
+def _evaluate(ident: IdentityDef, lead, column: Sequence, seed: int) -> tuple:
+    """(lhs, rhs, reasons) of one run: ident.evaluate's side columns and
+    reasons None. When the run raises one of _CAUGHT, each of its cases is
+    evaluated as a run of one, so a failure stays with the cases that
+    cause it, and the columns are assembled from those runs as lists: a
+    case that raised has None sides and its message as its reason, after
+    "budget: " for a BudgetError; any other case has the reason None. A
+    one-parameter identity's run is its whole grid."""
     try:
-        return ident.evaluate(lead, column, seed)
+        lhs, rhs = ident.evaluate(lead, column, seed)
+        return lhs, rhs, None
     except _CAUGHT as exc:
         if len(column) == 1:
-            return [None], [None], [str(exc)]
+            return [None], [None], [f"budget: {exc}" if isinstance(exc, BudgetError) else str(exc)]
         singles = [_evaluate(ident, lead, (v,), seed) for v in column]
-        return (
-            [single[0][0] for single in singles],
-            [single[1][0] for single in singles],
-            [single[2][0] if len(single) == 3 else None for single in singles],
-        )
+        return tuple([None if c is None else c[0] for c in side] for side in zip(*singles))
 
 
 class _Columns(NamedTuple):
@@ -782,12 +782,11 @@ def _compare(
     within_tolerance's rule at `tolerance` on those of a tolerance one,
     over the sides read with np.asarray as float64 arrays, whose abs_error
     column is |lhs - rhs|. Without reasons the run's columns keep those
-    three arrays; with them, the columns are lists: a case with a reason
-    fails, and one that raised, with None sides, has no abs_error. The run
+    three arrays; with them (some case raised), the columns are lists: a
+    case that raised fails, with None sides and no abs_error. The run
     is not checked against the schema: it comes from a grid, or from
     run_identity, which has checked its case."""
-    lhs, rhs, *reasons = _evaluate(ident, lead, column, seed)
-    reasons = reasons[0] if reasons else None
+    lhs, rhs, reasons = _evaluate(ident, lead, column, seed)
     errors = None
     if ident.mode == "exact":
         if reasons is None:
@@ -882,8 +881,8 @@ def run_identity(
 ) -> IdentityCase:
     """Evaluate one case, as a run of one, with no leading value for a
     one-parameter identity, as its grid's run has. Schema violations raise
-    ParamError and a loosened tolerance raises ConfigError; evaluator
-    failures (budget, internal assertions) become failed cases instead.
+    ParamError and a loosened tolerance raises ConfigError; a BudgetError
+    or EvaluationError fails the case, and any other exception is raised.
     The one caller of the schema check: its params come from outside.
     """
     _check_tolerance(tolerance)

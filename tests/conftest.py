@@ -18,6 +18,7 @@ RUN_CACHES = (
     averages.random_function,
     multivar._product_row,
     multivar._divisor_terms,
+    multivar._local_table,
     multivar._power_sum_table,
     multivar._weight_table,
 )

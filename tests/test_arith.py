@@ -71,6 +71,13 @@ class TestFactorize:
         finally:
             factorize.cache_clear()
 
+    def test_a_composite_past_the_witnesses_is_not_prime(self):
+        # 1763 = 41 * 43 has no factor among the witnesses, so only the
+        # Miller-Rabin rounds find it composite.
+        assert not is_prime(1763)
+        for n in range(3000):
+            assert is_prime(n) == (trial_division(n) == ((n, 1),)), n
+
     def test_listed_primes_are_prime(self):
         for n in (2, 97, 360360, 2**20 + 7, 10**12 + 39):
             for p, _ in factorize(n):

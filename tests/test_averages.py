@@ -31,7 +31,8 @@ from ramavg.averages import (
     s_r_closed_batch,
     s_r_direct,
 )
-from ramavg.exact import bernoulli_number, bernoulli_polynomial
+from ramavg.arith import jordan_totient
+from ramavg.exact import bernoulli_number, bernoulli_polynomial, coprime_power_sum, half_sum_check
 from ramavg.ramanujan import ramanujan_row
 from ramavg.verify import DEFAULT_TOLERANCE, IdentityDef, Param, _compare, within_tolerance
 
@@ -47,6 +48,26 @@ from ramavg.verify import DEFAULT_TOLERANCE, IdentityDef, Param, _compare, withi
 def test_a_batch_names_itself_in_its_error(batch, args, message):
     with pytest.raises(ValueError, match=rf"^{batch.__name__} requires {message}$"):
         batch(*args)
+
+
+@pytest.mark.parametrize("fn, args, message", [
+    (jordan_totient, (2, 0), "n >= 1, got 0"),
+    (jordan_totient, (-1, 5), "m >= 0, got -1"),
+    (log_factorial, (-1,), "d >= 0, got -1"),
+    (log_weighted_pair, (0,), "k >= 1, got 0"),
+    (mobius_log_check, (0,), "k >= 1, got 0"),
+    (binomial_weighted_exact, (0,), "k >= 1, got 0"),
+    (binomial_weighted_cosine, (0,), "k >= 1, got 0"),
+    (gamma_product_check, (0,), "n >= 1, got 0"),
+    (bernoulli_polynomial, (-1, 0), "m >= 0, got -1"),
+    (coprime_power_sum, (5, 0), "r >= 1"),
+    (half_sum_check, (-1,), "r >= 0, got -1"),
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_a_value_outside_the_domain_is_refused(fn, args, message):
+    # No case that verify's schema admits reaches these, so inside a sweep
+    # this ValueError is a program bug.
+    with pytest.raises(ValueError, match=rf"^{fn.__name__} requires {message}$"):
+        fn(*args)
 
 
 class TestPowerWeight:

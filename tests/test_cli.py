@@ -377,12 +377,14 @@ class TestVerify:
 
     @pytest.mark.parametrize("tag, cap", [
         ("prop5-cosine", averages.COSINE_LIMIT), ("inverse-dft", averages.DFT_LIMIT),
+        ("cross-evaluator", ramanujan.FLOAT_EVAL_LIMIT),
     ])
     def test_bound_above_cap_exits_2_before_sweeping(self, capsys, monkeypatch, tag, cap):
         built, evaluated = [], []
         monkeypatch.setattr(verify, "_grid", lambda *args: built.append(args) or [])
         for name in ("binomial_weighted_cosine", "inverse_dft_batch"):
             monkeypatch.setattr(averages, name, lambda *args: evaluated.append(args))
+        monkeypatch.setattr(verify, "ramanujan_sum_float_batch", lambda *args: evaluated.append(args))
         code, out, err = run_cli(
             capsys, "verify", "--identity", tag, "--k-max", str(cap + 1), "--n-max", "1"
         )

@@ -13,6 +13,7 @@ from ramavg.ramanujan import (
     FLOAT_EVAL_LIMIT,
     ROW_BUDGET,
     BudgetError,
+    EvaluationError,
     ramanujan_row,
     ramanujan_sum,
     ramanujan_sum_float,
@@ -123,7 +124,7 @@ class TestRows:
         # multiples in 1..6: the checksum is 4 * 6 = 24, not 0.
         ramanujan_row.cache_clear()
         monkeypatch.setattr(ramanujan, "mobius", lambda n: 1)
-        with pytest.raises(ValueError, match=r"^row checksum failed for k=6: 24$"):
+        with pytest.raises(EvaluationError, match=r"^row checksum failed for k=6: 24$"):
             ramanujan_row(6)
         assert ramanujan_row.cache_info().currsize == 0
         monkeypatch.undo()

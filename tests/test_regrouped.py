@@ -44,6 +44,7 @@ from ramavg.exact import (
 from ramavg.multivar import g_m, s_r_multi_closed
 from ramavg.ramanujan import (
     FLOAT_EVAL_LIMIT,
+    EvaluationError,
     ramanujan_row,
     ramanujan_sum_batch,
     ramanujan_sum_float,
@@ -261,12 +262,12 @@ class TestFourierSums:
         monkeypatch.setattr(averages, "_dft_values", lambda k: np.full(k, 1 + 0.9e-8j))
         assert inverse_dft_check(k, 3)[0] == 1.0
         monkeypatch.setattr(averages, "_dft_values", lambda k: np.full(k, 1 + 1.1e-8j))
-        with pytest.raises(RuntimeError, match="imaginary"):
+        with pytest.raises(EvaluationError, match="imaginary"):
             inverse_dft_check(k, 3)
         monkeypatch.setattr(ramanujan, "_float_row", lambda k: np.full(k, 1 + 0.9e-6j * k))
         assert ramanujan_sum_float(k, 3) == 1.0
         monkeypatch.setattr(ramanujan, "_float_row", lambda k: np.full(k, 1 + 1.1e-6j * k))
-        with pytest.raises(RuntimeError, match="imaginary"):
+        with pytest.raises(EvaluationError, match="imaginary"):
             ramanujan_sum_float(k, 3)
 
 
@@ -304,11 +305,11 @@ class TestRamanujanBatches:
         row = np.ones(7, dtype=complex)
         row[[3, 5]] += 1j
         monkeypatch.setattr(ramanujan, "_float_row", lambda k: row)
-        with pytest.raises(RuntimeError, match="too large for k=7, j=12$"):
+        with pytest.raises(EvaluationError, match="too large for k=7, j=12$"):
             ramanujan_sum_float_batch(7, [1, 12, 10, 3])
         # An inexact Holder division in the class g = 3 of k = 6 (phi(2)
         # read as 7): 9 is the first j of that class.
         real_phi = ramanujan.euler_phi
         monkeypatch.setattr(ramanujan, "euler_phi", lambda n: 7 if n == 2 else real_phi(n))
-        with pytest.raises(RuntimeError, match="not exact for k=6, j=9$"):
+        with pytest.raises(EvaluationError, match="not exact for k=6, j=9$"):
             ramanujan_sum_holder_batch(6, [1, 2, 9, 3, -3])

@@ -7,15 +7,18 @@ run must stay with the cases that cause it.
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ramavg.averages as averages
+import ramavg.cli as cli
 import ramavg.exact as exact
 import ramavg.multivar as multivar
 import ramavg.verify as verify
-from ramavg.ramanujan import ramanujan_sum, ramanujan_sum_holder
+from conftest import RUN_CACHES
+from ramavg.ramanujan import BudgetError, EvaluationError, ramanujan_sum, ramanujan_sum_holder
 from ramavg.verify import IDENTITY_TAGS, ParamError, SuiteConfig, run_identity, run_suite
 from test_verify import SCHEMA_EDGES, Swept, csv_by_attributes, flat, sweep
 
@@ -198,7 +201,7 @@ def test_a_raising_function_fails_only_its_own_cases(monkeypatch, tag):
 
     def sigma(n):
         if n == 6:
-            raise ValueError("sigma refused 6")
+            raise EvaluationError("sigma refused 6")
         return real(n)
 
     monkeypatch.setitem(averages.NAMED_FUNCTIONS, "sigma", sigma)
@@ -238,14 +241,12 @@ def test_wrong_float_oracle_fails_only_its_case(monkeypatch):
     assert_csv_is_the_attribute_rendering(sweep(config))
 
 
-@pytest.mark.parametrize("value, message", [
-    (math.nan, "cannot convert float NaN to integer"),
-    (math.inf, "cannot convert float infinity to integer"),
-    (-math.inf, "cannot convert float infinity to integer"),
-])
-def test_a_non_finite_float_oracle_fails_only_its_case(monkeypatch, value, message):
-    # round raises on the oracle, so the run is evaluated case by case and
-    # only (6, 4) fails, with round's message and no sides.
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_float_oracle_fails_only_its_case(monkeypatch, value):
+    # No NaN or infinity is within the oracle's bound, so the run raises,
+    # is evaluated case by case, and only (6, 4) fails, with the oracle's
+    # message and no sides.
+    message = f"float oracle {value} disagrees with the exact value -1"
     real = verify.ramanujan_sum_float_batch
     monkeypatch.setattr(
         verify, "ramanujan_sum_float_batch",
@@ -317,6 +318,84 @@ def test_the_csv_of_each_small_grid_is_the_attribute_rendering(tag, tolerance):
     assert_csv_is_the_attribute_rendering(sweep(small_config(tag, tolerance=tolerance)))
 
 
+@pytest.mark.parametrize("exc, error", [
+    (BudgetError("dft refused 6, 3"), "budget: dft refused 6, 3"),
+    (EvaluationError("dft refused 6, 3"), "dft refused 6, 3"),
+    (ZeroDivisionError("division by zero"), None),
+    (ValueError("dft refused 6, 3"), None),
+], ids=["budget", "evaluation", "zero-division", "value"])
+def test_a_raising_evaluator_has_one_of_three_outcomes(monkeypatch, capsys, exc, error):
+    # A refusal fails its case with "budget: " and its message, a failed
+    # self-check with its message; any other exception is a program bug,
+    # which leaves run_suite and run_identity, on both report paths, and
+    # ends the CLI with exit 3.
+    real = averages.inverse_dft_batch
+
+    def raising(k, ns):
+        if k == 6 and 3 in ns:
+            raise exc
+        return real(k, ns)
+
+    monkeypatch.setattr(averages, "inverse_dft_batch", raising)
+    config = small_config("inverse-dft")
+    if error is not None:
+        assert_only_these_fail(config, {(6, 3)})
+        assert run_identity("inverse-dft", (6, 3)).error == error
+        return
+    for report in (lambda: sweep(config), lambda: run_suite(config)):
+        with pytest.raises(type(exc)) as raised:
+            report()
+        assert raised.value is exc
+    with pytest.raises(type(exc)):
+        run_identity("inverse-dft", (6, 3))
+    assert run_identity("inverse-dft", (6, 4)).passed
+    argv = ["verify", "--identity", "inverse-dft", "--k-max", "12", "--n-max", "12"]
+    assert cli.main([*argv, "--format", "json"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"internal error: {exc!r}\n"
+
+
+def test_only_a_refusal_and_a_failed_self_check_fail_a_case():
+    assert verify._CAUGHT == (BudgetError, EvaluationError)
+    for path in sorted(Path(verify.__file__).parent.glob("*.py")):
+        assert "raise RuntimeError" not in path.read_text(), path.name
+
+
+@pytest.mark.parametrize("tag", IDENTITY_TAGS)
+def test_each_evaluator_returns_two_side_columns(tag):
+    config = small_config(tag)
+    ident = verify._lookup(tag)
+    runs = runs_of(config)
+    assert runs
+    for lead, column in runs:
+        sides = ident.evaluate(lead, column, config.seed)
+        assert len(sides) == 2
+        assert [len(side) for side in sides] == [len(column)] * 2
+
+
+@pytest.mark.parametrize("tag, params", [
+    ("prop3", (2**41, "id")),
+    ("prop3-corollary", (2**41, "id")),
+    ("mobius-log", (2**41,)),
+    ("coprime-power-sum", (2**41, 1)),
+    ("e-multiplicativity", ((2**41,), (1,))),
+])
+def test_a_modulus_past_the_factorization_range_raises(tag, params):
+    # The schema admits any positive modulus, and these evaluators factor
+    # it before any budget is read: a domain error, not a failed case.
+    with pytest.raises(ValueError, match=r"exceeds the supported range \(2\*\*40\)$"):
+        run_identity(tag, params)
+
+
+def test_every_cache_of_averages_and_multivar_is_a_run_cache():
+    # A cache left out keeps what one test built for the next one, which
+    # then misses a fault it patches into the code that builds it.
+    for module in (averages, multivar):
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_clear") and value.__module__ == module.__name__:
+                assert value in RUN_CACHES, f"{module.__name__}.{name}"
+
+
 def test_the_csv_of_a_refused_case_has_empty_sides(monkeypatch):
     real = averages.inverse_dft_batch
 
@@ -344,7 +423,7 @@ def test_a_one_parameter_case_that_raises_fails_alone(monkeypatch):
 
     def raising(k):
         if k == 7:
-            raise RuntimeError("log weight refused at k=7")
+            raise EvaluationError("log weight refused at k=7")
         return real(k)
 
     monkeypatch.setattr(averages, "log_weighted_pair", raising)
@@ -525,7 +604,7 @@ def test_a_refused_row_fails_its_tuple_everywhere_and_stores_nothing(monkeypatch
         ("prop7-corollary", "ks=2|3"),
         ("e-integrality", "ks=2|3"),
     }
-    assert {c.error for c in cases if not c.passed} == {"period lcm(2, 3) refused"}
+    assert {c.error for c in cases if not c.passed} == {"budget: period lcm(2, 3) refused"}
     assert multivar._power_sum_table((2, 3)) == []
     assert len(multivar._power_sum_table((2, 4))) == 5
 
@@ -569,7 +648,7 @@ def test_a_refused_one_modulus_row_fails_only_its_k(monkeypatch):
         *(("prop1", f"k=6,r={r}") for r in range(1, 5)),
         *(("prop6", f"k=6,m={m}") for m in range(1, 5)),
     }
-    assert {c.error for c in cases if not c.passed} == {"period lcm(6,) refused"}
+    assert {c.error for c in cases if not c.passed} == {"budget: period lcm(6,) refused"}
     assert multivar._power_sum_table((6,)) == []
     assert len(multivar._power_sum_table((5,))) == 5
 
@@ -579,9 +658,11 @@ def test_a_refused_one_modulus_row_fails_only_its_k(monkeypatch):
 
 def test_mixed_runs_in_each_mode(monkeypatch):
     """One run of an exact tag and one of a tolerance tag each hold a
-    passing case, a failing case and a case with a reason, the tolerance
-    run also a NaN lhs; one run of each raises, so its cases are evaluated
-    alone and only the raising one is recorded as raised."""
+    passing case, a failing case and a case whose self-check fails
+    (EvaluationError), the tolerance run also a NaN lhs; another run of
+    each raises, the exact one an EvaluationError and the tolerance one a
+    BudgetError. A run that raises is evaluated case by case, and only the
+    raising case is recorded as raised."""
     real_divisor, real_holder = ramanujan_sum, ramanujan_sum_holder
     real_divisors, real_holders, real_oracles = (
         verify.ramanujan_sum_batch, verify.ramanujan_sum_holder_batch,
@@ -590,7 +671,7 @@ def test_mixed_runs_in_each_mode(monkeypatch):
 
     def divisor(k, js):
         if k == 7 and 3 in js:
-            raise ValueError("divisor refused 7, 3")
+            raise EvaluationError("divisor refused 7, 3")
         return real_divisors(k, js)
 
     def holder(k, js):
@@ -608,18 +689,19 @@ def test_mixed_runs_in_each_mode(monkeypatch):
     def dft(k, ns):
         dft_calls.append((k, list(ns)))
         if k == 7 and 3 in ns:
-            raise RuntimeError("dft refused 7, 3")
+            raise multivar.BudgetError("dft refused 7, 3")
+        if k == 6 and 4 in ns:
+            raise EvaluationError("reason at 6, 4")
         lhs, rhs = real_dft(k, ns)
         if k != 6:
             return lhs, rhs
-        # The side columns as rows (lhs, rhs, reason), faulted, and back.
+        # The side columns as rows (lhs, rhs), faulted, and back.
         faults = {
-            1: lambda lhs, rhs: (float("nan"), rhs, None),
-            3: lambda lhs, rhs: (lhs, rhs + 0.25, None),
-            4: lambda lhs, rhs: (lhs, rhs, "reason at 6, 4"),
-            5: lambda lhs, rhs: (lhs, rhs + 0.125, None),
+            1: lambda lhs, rhs: (float("nan"), rhs),
+            3: lambda lhs, rhs: (lhs, rhs + 0.25),
+            5: lambda lhs, rhs: (lhs, rhs + 0.125),
         }
-        rows = [faults[n](a, b) if n in faults else (a, b, None) for n, a, b in zip(ns, lhs, rhs)]
+        rows = [faults[n](a, b) if n in faults else (a, b) for n, a, b in zip(ns, lhs, rhs)]
         return tuple(map(list, zip(*rows)))
 
     monkeypatch.setattr(averages, "inverse_dft_batch", dft)
@@ -648,7 +730,8 @@ def test_mixed_runs_in_each_mode(monkeypatch):
     expected = {
         ("cross-evaluator", "k=6,j=2"): exact(6, 2, rhs=str(real_holder(6, 2) + 1), passed=False),
         ("cross-evaluator", "k=6,j=4"): exact(
-            6, 4, passed=False, error="float oracle -0.5 disagrees with the exact value -1"
+            6, 4, lhs="", rhs="", passed=False,
+            error="float oracle -0.5 disagrees with the exact value -1",
         ),
         ("cross-evaluator", "k=7,j=3"): exact(
             7, 3, lhs="", rhs="", passed=False, error="divisor refused 7, 3"
@@ -659,12 +742,14 @@ def test_mixed_runs_in_each_mode(monkeypatch):
         ("inverse-dft", "k=6,n=3"): tolerance(
             6, 3, rhs=f"{rhs63 + 0.25:.17g}", passed=False, abs_error=abs(lhs63 - rhs63 - 0.25)
         ),
-        ("inverse-dft", "k=6,n=4"): tolerance(6, 4, passed=False, error="reason at 6, 4"),
+        ("inverse-dft", "k=6,n=4"): tolerance(
+            6, 4, lhs="", rhs="", passed=False, abs_error=None, error="reason at 6, 4"
+        ),
         ("inverse-dft", "k=6,n=5"): tolerance(
             6, 5, rhs=f"{rhs65 + 0.125:.17g}", passed=False, abs_error=abs(lhs65 - rhs65 - 0.125)
         ),
         ("inverse-dft", "k=7,n=3"): tolerance(
-            7, 3, lhs="", rhs="", passed=False, abs_error=None, error="dft refused 7, 3"
+            7, 3, lhs="", rhs="", passed=False, abs_error=None, error="budget: dft refused 7, 3"
         ),
     }
     grid = [("cross-evaluator", f"k={k},j={j}") for k in range(1, 8) for j in range(k + 1)]

@@ -135,7 +135,7 @@ class TestRunIdentity:
         monkeypatch.setattr(verify, "ramanujan_sum_float_batch", lambda k, js: [0.25] * len(js))
         case = run_identity("cross-evaluator", (6, 1))
         assert not case.passed
-        assert case.lhs == case.rhs == "1"
+        assert case.lhs == case.rhs == ""
         assert case.error == "float oracle 0.25 disagrees with the exact value 1"
 
     def test_a_clean_cross_evaluator_run_has_no_reasons_column(self):
@@ -191,6 +191,9 @@ SCHEMA_EDGES = {
 SCHEMA_CAPS = {
     "prop5-cosine": ((averages.COSINE_LIMIT,), (averages.COSINE_LIMIT + 1,)),
     "inverse-dft": ((averages.DFT_LIMIT, 1), (averages.DFT_LIMIT + 1, 1)),
+    "cross-evaluator": (
+        (ramanujan.FLOAT_EVAL_LIMIT, 0), (ramanujan.FLOAT_EVAL_LIMIT + 1, 0)
+    ),
 }
 
 
@@ -695,12 +698,14 @@ class TestRunSuite:
     @pytest.mark.parametrize("tag, bounds", [
         ("prop5-cosine", dict(k_max=averages.COSINE_LIMIT + 1)),
         ("inverse-dft", dict(k_max=averages.DFT_LIMIT + 1, n_max=1)),
+        ("cross-evaluator", dict(k_max=ramanujan.FLOAT_EVAL_LIMIT + 1)),
     ])
     def test_bound_above_cap_is_refused_before_the_grid(self, monkeypatch, tag, bounds):
         built, evaluated = [], []
         monkeypatch.setattr(verify, "_grid", lambda *args: built.append(args) or [])
         for name in ("binomial_weighted_cosine", "inverse_dft_batch"):
             monkeypatch.setattr(averages, name, lambda *args: evaluated.append(args))
+        monkeypatch.setattr(verify, "ramanujan_sum_float_batch", lambda *args: evaluated.append(args))
         with pytest.raises(ParamError, match=r"^k must be <= \d+$"):
             run_suite(SuiteConfig(identities=["prop1", tag], r_max=1, **bounds))
         assert built == [] and evaluated == []
