@@ -77,6 +77,7 @@ from .ramanujan import EvaluationError, ramanujan_row
 __all__ = [
     "DEFAULT_SEED",
     "COSINE_LIMIT",
+    "BINOMIAL_EXACT_LIMIT",
     "DFT_LIMIT",
     "NAMED_FUNCTIONS",
     "random_function",
@@ -101,6 +102,10 @@ __all__ = [
 
 DEFAULT_SEED = 123456789
 COSINE_LIMIT = 1000  # cos^k underflows past this; reject rather than mislead
+# binomial_weighted_exact's sides have 4,216 digits at this k and pass the
+# interpreter's 4,300-digit limit on int to str from about k = 14,280, so
+# a report could not render them.
+BINOMIAL_EXACT_LIMIT = 14_000
 DFT_LIMIT = 10**5
 
 # A map from positive integers to exact rationals.

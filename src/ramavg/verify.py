@@ -22,10 +22,12 @@ row per case.
 
 Outcomes: a case passes or fails by its sides, or fails because its
 evaluator raised one of the two classes of ramanujan (_CAUGHT):
-BudgetError, a refusal, whose reason starts "budget: ", or
-EvaluationError, a failed self-check, whose reason is its message. A run
-that raises one is evaluated again case by case, so a failure stays with
-the cases that cause it. Any other exception is a program bug and leaves
+BudgetError, a refusal, whose error starts "budget: ", or
+EvaluationError, a failed self-check, whose error is its message. A run
+that raises one is evaluated again as runs of one, each compared,
+handed on and rendered as any run, so a failure stays with the cases
+that cause it: a case that raised is a run of one that fails, with its
+error and empty sides. Any other exception is a program bug and leaves
 run_suite and run_identity.
 
 Budgets and refusals: before any grid is built, run_suite refuses a grid
@@ -53,7 +55,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain, combinations_with_replacement, repeat
 from operator import add, eq
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -161,17 +163,12 @@ def cases_to_csv(ident: IdentityDef, lead, column: Sequence, columns: _Columns) 
     words, a parameter value renders as digits, "|", a function name or a
     fixed choice, and a side as str of an int or a Fraction or as
     "{:.17g}" of a float (TestCsvQuoting holds the catalog to this)."""
-    lhs, rhs, reasons, passed, errors = columns
+    lhs, rhs, passed, errors, error = columns
     params = _trailing_text(ident, column)[1]
     if lead is not None:
         params = map(('"' + _prefix(ident, lead)).__add__, params)
-    lhs, rhs = _side_texts(ident, lhs, rhs, reasons)
-    if errors is None:
-        errors = repeat("")
-    elif reasons is None:  # every case has an abs_error
-        errors = _fmt_floats(errors)
-    else:
-        errors = ["" if e is None else _fmt_float(e) for e in errors]
+    lhs, rhs = _side_texts(ident, lhs, rhs, error)
+    errors = repeat("") if errors is None else _fmt_floats(errors)
     # One ",".join over the run's fields, row after row, builds no string
     # per row: a pass field carries its row's newline and the identity
     # field of the next row, so every separator of the join is a comma.
@@ -193,8 +190,8 @@ _fmt_rational: Callable[[Union[int, Fraction]], str] = str
 
 
 # f"{x:.17g}" as a bound C method, so rendering a float calls no Python
-# function. A float column without reasons calls it through _fmt_floats,
-# once per distinct value.
+# function. A float column calls it through _fmt_floats, once per distinct
+# value.
 _fmt_float: Callable[[float], str] = "{:.17g}".format
 
 
@@ -353,23 +350,9 @@ def _validate(ident: IdentityDef, params: tuple) -> None:
         _check_param(p, v, params[0])
 
 
-# Cases of all the grids of one sweep, which run_suite counts before it
-# builds any, a case of moduli tuples counted once per modulus it holds:
-# 4x the largest default grid (inverse-dft, 250,000 cases), and above
-# verify --all (604,001). A sweep holds one grid at a time. Under
-# tracemalloc, at 2*10^5 counted cases, a case takes at most about 152
-# bytes of its grid at the peak of the build (144 once built): prop7 at
-# n_max = r_max = 1, a run (ks, column) for each 1-tuple ks. A run of one
-# case in any other product grid (prop1 at r_max = 1) or a 1-tuple of
-# moduli (e-integrality at n_max = 1) takes about 96, a cross-evaluator
-# case about 25, and a one-parameter grid of ints, whose column is its
-# range, next to nothing. So the budget bounds the grid a sweep holds to
-# about 152 MB. A run is evaluated, compared and written whole, and a
-# one-parameter grid is one run, so such a sweep also holds every column
-# of its grid at once, and in CSV its text: mobius-log at k_max = 200,000
-# peaked at 109 MB RSS in JSON and 157 MB in CSV. A sweep keeps no run (a
-# CSV is written run by run): only its failing cases, rendered, about 310
-# bytes each, so up to about 310 MB if every case fails.
+# Cases of all the grids of one sweep, a case of moduli tuples counted once
+# per modulus it holds and a coprime pair once per candidate its draw
+# filters; run_suite checks it before it builds any grid.
 GRID_BUDGET = 1_000_000
 
 
@@ -632,7 +615,8 @@ _CATALOG: Dict[str, IdentityDef] = {
             {"k_max": 500},
         ),
         IdentityDef(
-            "prop5-exact", "exact", (_K,),
+            "prop5-exact", "exact",
+            (Param("k", cap=averages.BINOMIAL_EXACT_LIMIT, bound="k_max"),),
             _per_case(lambda k: averages.binomial_weighted_exact(k)),
             {"k_max": 200},
         ),
@@ -744,68 +728,53 @@ def _check_tolerance(tolerance: float) -> None:
 _CAUGHT = (BudgetError, EvaluationError)
 
 
-def _evaluate(ident: IdentityDef, lead, column: Sequence, seed: int) -> tuple:
-    """(lhs, rhs, reasons) of one run: ident.evaluate's side columns and
-    reasons None. When the run raises one of _CAUGHT, each of its cases is
-    evaluated as a run of one, so a failure stays with the cases that
-    cause it, and the columns are assembled from those runs as lists: a
-    case that raised has None sides and its message as its reason, after
-    "budget: " for a BudgetError; any other case has the reason None. A
-    one-parameter identity's run is its whole grid."""
-    try:
-        lhs, rhs = ident.evaluate(lead, column, seed)
-        return lhs, rhs, None
-    except _CAUGHT as exc:
-        if len(column) == 1:
-            return [None], [None], [f"budget: {exc}" if isinstance(exc, BudgetError) else str(exc)]
-        singles = [_evaluate(ident, lead, (v,), seed) for v in column]
-        return tuple([None if c is None else c[0] for c in side] for side in zip(*singles))
-
-
 class _Columns(NamedTuple):
     """One compared run, a column per field with a row per case. The sides
-    and abs_error of a tolerance run without reasons are float64 arrays;
-    every other column is a sequence of Python values."""
+    and abs_error of a tolerance run are float64 arrays; every other column
+    is a sequence of Python values. A run of one case that raised fails,
+    with None sides, no abs_error and its error."""
 
     lhs: Sequence
     rhs: Sequence
-    reasons: Optional[Sequence[Optional[str]]]  # None when no case has a reason
     passed: Sequence[bool]
-    errors: Optional[Sequence[Optional[float]]]  # abs_error; None in exact mode
+    errors: Optional[Sequence[float]]  # abs_error; None in exact mode and for a raised case
+    error: Optional[str] = None  # the message of a raised case
 
 
 def _compare(
     ident: IdentityDef, lead, column: Sequence, tolerance: float, seed: int
-) -> _Columns:
+) -> Iterator[Tuple[Sequence, _Columns]]:
     """Evaluate one run and compare each of its cases once, over the side
     columns the evaluator gives: == on the sides of an exact identity,
     within_tolerance's rule at `tolerance` on those of a tolerance one,
     over the sides read with np.asarray as float64 arrays, whose abs_error
-    column is |lhs - rhs|. Without reasons the run's columns keep those
-    three arrays; with them (some case raised), the columns are lists: a
-    case that raised fails, with None sides and no abs_error. The run
-    is not checked against the schema: it comes from a grid, or from
-    run_identity, which has checked its case."""
-    lhs, rhs, reasons = _evaluate(ident, lead, column, seed)
-    errors = None
-    if ident.mode == "exact":
-        if reasons is None:
-            passed = list(map(eq, lhs, rhs))
-        else:
-            passed = [r is None and a == b for a, b, r in zip(lhs, rhs, reasons)]
+    column is |lhs - rhs|. Yields (column, _Columns): the run itself, or,
+    when it raises one of _CAUGHT, each of its cases as a run of one, so a
+    failure stays with the cases that cause it. A case that raised is a
+    failing run of one whose error is the message, after "budget: " for a
+    BudgetError. The run is not checked against the schema: it comes from
+    a grid, or from run_identity, which has checked its case."""
+    try:
+        lhs, rhs = ident.evaluate(lead, column, seed)
+    except _CAUGHT as exc:
+        error = f"budget: {exc}" if isinstance(exc, BudgetError) else str(exc)
     else:
-        # float64 holds the None side of a case that raised as NaN. Like
-        # Python's float -, the subtraction overflows to inf and gives NaN
-        # for inf - inf without a warning.
+        if ident.mode == "exact":
+            yield column, _Columns(lhs, rhs, list(map(eq, lhs, rhs)), None)
+            return
+        # Like Python's float -, the subtraction overflows to inf and gives
+        # NaN for inf - inf without a warning.
         a, b = np.asarray(lhs, np.float64), np.asarray(rhs, np.float64)
         with np.errstate(over="ignore", invalid="ignore"):
             diff = np.abs(a - b)
         passed = (diff <= tolerance * (1 + np.maximum(np.abs(a), np.abs(b)))).tolist()
-        if reasons is None:
-            return _Columns(a, b, None, passed, diff)
-        passed = [r is None and ok for r, ok in zip(reasons, passed)]
-        errors = [None if v is None else e for v, e in zip(lhs, diff.tolist())]
-    return _Columns(lhs, rhs, reasons, passed, errors)
+        yield column, _Columns(a, b, passed, diff)
+        return
+    if len(column) == 1:
+        yield column, _Columns([None], [None], [False], None, error)
+        return
+    for v in column:
+        yield from _compare(ident, lead, (v,), tolerance, seed)
 
 
 def _rows(column, rows: List[int]):
@@ -840,21 +809,19 @@ def _trailing_text(ident: IdentityDef, column: Sequence):
     return text, list(map(add, text, repeat('"')))
 
 
-def _side_texts(ident: IdentityDef, lhs, rhs, reasons):
+def _side_texts(ident: IdentityDef, lhs, rhs, error):
     """The lhs and rhs text of each case of one run's columns, or of the
-    same rows of each; the sides of a case that raised render as "". A
-    float column without reasons goes through _fmt_floats; one with
-    reasons holds None sides, so it is formatted case by case."""
-    if reasons is not None:
-        fmt = _fmt_rational if ident.mode == "exact" else _fmt_float
-        return ["" if v is None else fmt(v) for v in lhs], ["" if v is None else fmt(v) for v in rhs]
+    same rows of each: a float column through _fmt_floats. The sides of a
+    run of one that raised (error is set) render as ""."""
+    if error is not None:
+        return [""], [""]
     if ident.mode == "exact":
         return map(_fmt_rational, lhs), map(_fmt_rational, rhs)
     return _fmt_floats(lhs), _fmt_floats(rhs)
 
 
 def _render(
-    ident: IdentityDef, lead, column: Sequence, lhs, rhs, reasons, passed, errors
+    ident: IdentityDef, lead, column: Sequence, lhs, rhs, passed, errors, error
 ) -> List[IdentityCase]:
     """The IdentityCases of one run's columns as _compare gave them, or of
     the same rows of each: the params from _trailing_text, after the run's
@@ -864,12 +831,12 @@ def _render(
     params = _trailing_text(ident, column)[0]
     if lead is not None:
         params = map(_prefix(ident, lead).__add__, params)
-    lhs, rhs = _side_texts(ident, lhs, rhs, reasons)
+    lhs, rhs = _side_texts(ident, lhs, rhs, error)
     if isinstance(errors, np.ndarray):
         errors = errors.tolist()
     return list(map(
         IdentityCase, repeat(ident.tag), params, repeat(ident.mode), lhs, rhs, passed,
-        repeat(None) if errors is None else errors, repeat(None) if reasons is None else reasons,
+        repeat(None) if errors is None else errors, repeat(error),
     ))
 
 
@@ -893,7 +860,8 @@ def run_identity(
         )
     _validate(ident, params)
     lead, column = (None, params) if len(params) == 1 else (params[0], params[1:])
-    return _render(ident, lead, column, *_compare(ident, lead, column, tolerance, seed))[0]
+    ((column, columns),) = _compare(ident, lead, column, tolerance, seed)
+    return _render(ident, lead, column, *columns)[0]
 
 
 # --- suites -----------------------------------------------------------------
@@ -932,8 +900,8 @@ def _describe_bounds(tag: str, bounds: Dict[str, int]) -> str:
     return f"{tag}[{inner}]"
 
 
-# Called by run_suite with (identity, lead, column, _Columns) of each run,
-# as soon as the run is compared.
+# Called by run_suite with (identity, lead, column, _Columns) of each run
+# _compare yields, as soon as the run is compared.
 _Sink = Callable[[IdentityDef, object, Sequence, _Columns], object]
 
 
@@ -943,15 +911,16 @@ def run_suite(config: SuiteConfig, sink: Optional[_Sink] = None) -> Verification
 
     Each identity's grid is built by _grid when the sweep reaches it,
     walked in its runs and dropped before the next grid is built. Each run
-    is evaluated and compared at once, handed to sink when one is given
-    (the CLI writes its CSV rows there, with cases_to_csv), and only its
-    failing cases are rendered; no run is kept. Whatever sink raises ends
-    the sweep. An unknown, empty or repeated selection, grids that are all
-    empty, or a loosened tolerance, raises ConfigError; a grid bound above
-    a parameter's cap, or grids past GRID_BUDGET, raise ParamError, all
-    before any grid is built, so sink is never called on a refused sweep.
-    The grids are built from the schema, so their cases are not checked
-    again. Each identity's timing counts its grid's build.
+    is evaluated and compared at once (by _compare, as runs of one if it
+    raises), handed to sink when one is given (the CLI writes its CSV rows
+    there, with cases_to_csv), and only its failing cases are rendered; no
+    run is kept. Whatever sink raises ends the sweep. An unknown, empty or
+    repeated selection, grids that are all empty, or a loosened tolerance,
+    raises ConfigError; a grid bound above a parameter's cap, or grids
+    past GRID_BUDGET, raise ParamError, all before any grid is built, so
+    sink is never called on a refused sweep. The grids are built from the
+    schema, so their cases are not checked again. Each identity's timing
+    counts its grid's build.
     """
     start = time.perf_counter()
     _check_tolerance(config.tolerance)
@@ -989,27 +958,23 @@ def run_suite(config: SuiteConfig, sink: Optional[_Sink] = None) -> Verification
         identity_start = time.perf_counter()
         cases = 0
         # The grid lives as long as this loop: one grid at a time.
-        for lead, column in _grid(ident, b, config.seed):
-            cases += len(column)
-            columns = _compare(ident, lead, column, config.tolerance, config.seed)
-            if sink is not None:
-                sink(ident, lead, column, columns)
-            errors = columns.errors
-            if errors is not None:
-                # The largest error, a NaN never taking its place (fmax), as
-                # max() from 0.0 folds its arguments. Only a case that
-                # raised, in a run with reasons, has no error.
-                if columns.reasons is not None:
-                    errors = [e for e in errors if e is not None]
-                if len(errors):
-                    worst[tag] = float(np.fmax.reduce(errors, initial=worst.get(tag, 0.0)))
-            if not all(columns.passed):
-                # Only the failing cases are rendered, from their rows of
-                # each column.
-                bad = [i for i, ok in enumerate(columns.passed) if not ok]
-                failures += _render(ident, lead, [column[i] for i in bad], *(
-                    _rows(column, bad) for column in columns
-                ))
+        for lead, run in _grid(ident, b, config.seed):
+            cases += len(run)
+            for column, columns in _compare(ident, lead, run, config.tolerance, config.seed):
+                if sink is not None:
+                    sink(ident, lead, column, columns)
+                if columns.errors is not None:
+                    # The largest error, a NaN never taking its place
+                    # (fmax), as max() from 0.0 folds its arguments.
+                    worst[tag] = float(np.fmax.reduce(columns.errors, initial=worst.get(tag, 0.0)))
+                if not all(columns.passed):
+                    # Only the failing cases are rendered, from their rows
+                    # of each column.
+                    *fields, error = columns
+                    bad = [i for i, ok in enumerate(columns.passed) if not ok]
+                    failures += _render(ident, lead, [column[i] for i in bad], *(
+                        _rows(part, bad) for part in fields
+                    ), error)
         total += cases
         timings[tag] = (cases, time.perf_counter() - identity_start)
 

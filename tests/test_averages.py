@@ -440,7 +440,8 @@ class TestWithinTolerance:
         )
 
         def passed(tolerance):
-            return _compare(ident, 1, list(range(len(lhs))), tolerance, 0).passed
+            ((_, columns),) = _compare(ident, 1, list(range(len(lhs))), tolerance, 0)
+            return columns.passed
 
         for tolerance in (DEFAULT_TOLERANCE, 1e-16, tiny):
             columns = passed(tolerance)

@@ -376,13 +376,13 @@ class TestVerify:
         assert "argument --identity: not allowed with argument --all" in err
 
     @pytest.mark.parametrize("tag, cap", [
-        ("prop5-cosine", averages.COSINE_LIMIT), ("inverse-dft", averages.DFT_LIMIT),
-        ("cross-evaluator", ramanujan.FLOAT_EVAL_LIMIT),
+        ("prop5-cosine", averages.COSINE_LIMIT), ("prop5-exact", averages.BINOMIAL_EXACT_LIMIT),
+        ("inverse-dft", averages.DFT_LIMIT), ("cross-evaluator", ramanujan.FLOAT_EVAL_LIMIT),
     ])
     def test_bound_above_cap_exits_2_before_sweeping(self, capsys, monkeypatch, tag, cap):
         built, evaluated = [], []
         monkeypatch.setattr(verify, "_grid", lambda *args: built.append(args) or [])
-        for name in ("binomial_weighted_cosine", "inverse_dft_batch"):
+        for name in ("binomial_weighted_cosine", "binomial_weighted_exact", "inverse_dft_batch"):
             monkeypatch.setattr(averages, name, lambda *args: evaluated.append(args))
         monkeypatch.setattr(verify, "ramanujan_sum_float_batch", lambda *args: evaluated.append(args))
         code, out, err = run_cli(

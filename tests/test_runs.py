@@ -413,6 +413,39 @@ def test_the_csv_of_a_refused_case_has_empty_sides(monkeypatch):
     assert_csv_is_the_attribute_rendering(swept)
 
 
+@pytest.mark.parametrize("exc, error", [
+    (BudgetError("dft refused 6, 3"), "budget: dft refused 6, 3"),
+    (EvaluationError("dft refused 6, 3"), "dft refused 6, 3"),
+], ids=["budget", "evaluation"])
+def test_a_raising_run_reaches_the_sink_as_runs_of_one(monkeypatch, exc, error):
+    # The k = 6 run raises, so the sink gets each of its cases as a run of
+    # one, and every other run whole. No side, passed or abs_error column
+    # holds None, except the sides of the (6, 3) run, the one with an error.
+    real = averages.inverse_dft_batch
+
+    def raising(k, ns):
+        if k == 6 and 3 in ns:
+            raise exc
+        return real(k, ns)
+
+    monkeypatch.setattr(averages, "inverse_dft_batch", raising)
+    config = small_config("inverse-dft")
+    runs = []
+    run_suite(config, lambda ident, lead, column, cols: runs.append((lead, list(column), cols)))
+    ns = list(range(1, 13))
+    assert [(lead, column) for lead, column, _ in runs] == [
+        *((k, ns) for k in range(1, 6)), *((6, [n]) for n in ns), *((k, ns) for k in range(7, 13)),
+    ]
+    for lead, column, columns in runs:
+        if (lead, column) == (6, [3]):
+            assert columns == ([None], [None], [False], None, error)
+            continue
+        assert columns.error is None
+        for part in (columns.lhs, columns.rhs, columns.passed, columns.errors):
+            assert len(part) == len(column) and not any(v is None for v in part)
+    assert_only_these_fail(config, {(6, 3)})
+
+
 # --- a one-parameter grid is one run; float columns stay arrays ------------
 
 
@@ -769,7 +802,11 @@ def test_mixed_runs_in_each_mode(monkeypatch):
 
     failing = [key for key in grid if key in expected]
     assert [(c.identity, c.params) for c in report.failures] == failing
-    assert report.failures == [c for c in cases if not c.passed]
+    # Two NaNs are never ==, so the cases are compared as JSON, which
+    # renders a NaN abs_error as NaN.
+    assert [json.dumps(c.as_dict()) for c in report.failures] == [
+        json.dumps(c.as_dict()) for c in cases if not c.passed
+    ]
     assert (report.total, report.passed, report.failed) == (len(grid), len(grid) - 8, 8)
 
     # worst_errors is the left fold of max from 0.0 over each case in order,

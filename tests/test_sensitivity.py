@@ -108,15 +108,15 @@ CLOSED_READS_NONE = {"gamma-product", "inverse-dft", "bernoulli-poly-sum"}
 
 
 def _sides(tag):
-    """The lhs and rhs columns of tag's small grid, each run's side columns
-    joined in grid order."""
+    """The lhs and rhs columns of tag's small grid, the side columns of each
+    run _compare yields joined in grid order."""
     ident = verify._lookup(tag)
     config = small_config(tag)
     lhs, rhs = [], []
-    for lead, column in runs_of(config):
-        columns = verify._evaluate(ident, lead, column, config.seed)
-        lhs += list(columns[0])
-        rhs += list(columns[1])
+    for lead, run in runs_of(config):
+        for _, columns in verify._compare(ident, lead, run, config.tolerance, config.seed):
+            lhs += list(columns.lhs)
+            rhs += list(columns.rhs)
     return lhs, rhs
 
 

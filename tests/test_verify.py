@@ -138,13 +138,12 @@ class TestRunIdentity:
         assert case.lhs == case.rhs == ""
         assert case.error == "float oracle 0.25 disagrees with the exact value 1"
 
-    def test_a_clean_cross_evaluator_run_has_no_reasons_column(self):
+    def test_a_clean_cross_evaluator_run_is_one_run_without_an_error(self):
         ident = verify._lookup("cross-evaluator")
         for k in (1, 6, 30):
-            columns = verify._compare(
-                ident, k, list(range(-k, k + 1)), verify.DEFAULT_TOLERANCE, 0
-            )
-            assert columns.reasons is None and all(columns.passed), k
+            run = list(range(-k, k + 1))
+            ((column, columns),) = verify._compare(ident, k, run, verify.DEFAULT_TOLERANCE, 0)
+            assert column is run and columns.error is None and all(columns.passed), k
 
     def test_tolerance_may_only_tighten(self):
         for bad in (0.0, -1e-9, 2e-8, 1e-6):
@@ -190,6 +189,7 @@ SCHEMA_EDGES = {
 # Tags with a cap: the largest accepted parameters and the smallest rejected.
 SCHEMA_CAPS = {
     "prop5-cosine": ((averages.COSINE_LIMIT,), (averages.COSINE_LIMIT + 1,)),
+    "prop5-exact": ((averages.BINOMIAL_EXACT_LIMIT,), (averages.BINOMIAL_EXACT_LIMIT + 1,)),
     "inverse-dft": ((averages.DFT_LIMIT, 1), (averages.DFT_LIMIT + 1, 1)),
     "cross-evaluator": (
         (ramanujan.FLOAT_EVAL_LIMIT, 0), (ramanujan.FLOAT_EVAL_LIMIT + 1, 0)
@@ -267,7 +267,7 @@ class TestDegreeCap:
     def test_a_case_is_validated_up_to_the_cap(self, monkeypatch, tag):
         # Only the schema is checked: no table of degree 400 is built.
         ident = verify._lookup(tag)
-        monkeypatch.setattr(verify, "_evaluate", None)
+        monkeypatch.setattr(verify, "_compare", None)
         params = with_degree(tag, exact.DEGREE_CAP)
         verify._validate(ident, params)
         with pytest.raises(ParamError, match=over_cap(tag)):
@@ -699,11 +699,12 @@ class TestRunSuite:
         ("prop5-cosine", dict(k_max=averages.COSINE_LIMIT + 1)),
         ("inverse-dft", dict(k_max=averages.DFT_LIMIT + 1, n_max=1)),
         ("cross-evaluator", dict(k_max=ramanujan.FLOAT_EVAL_LIMIT + 1)),
+        ("prop5-exact", dict(k_max=averages.BINOMIAL_EXACT_LIMIT + 1)),
     ])
     def test_bound_above_cap_is_refused_before_the_grid(self, monkeypatch, tag, bounds):
         built, evaluated = [], []
         monkeypatch.setattr(verify, "_grid", lambda *args: built.append(args) or [])
-        for name in ("binomial_weighted_cosine", "inverse_dft_batch"):
+        for name in ("binomial_weighted_cosine", "binomial_weighted_exact", "inverse_dft_batch"):
             monkeypatch.setattr(averages, name, lambda *args: evaluated.append(args))
         monkeypatch.setattr(verify, "ramanujan_sum_float_batch", lambda *args: evaluated.append(args))
         with pytest.raises(ParamError, match=r"^k must be <= \d+$"):
@@ -777,10 +778,11 @@ class TestSerialization:
             for bounds in small_bounds(tag):
                 runs = verify._grid(ident, bounds, averages.DEFAULT_SEED)
                 text = verify.CSV_HEADER + "".join(
-                    cases_to_csv(ident, lead, column, verify._compare(
-                        ident, lead, column, tolerance, averages.DEFAULT_SEED
-                    ))
-                    for lead, column in runs
+                    cases_to_csv(ident, lead, column, columns)
+                    for lead, run in runs
+                    for column, columns in verify._compare(
+                        ident, lead, run, tolerance, averages.DEFAULT_SEED
+                    )
                 )
                 rows = list(csv.reader(io.StringIO(text, newline="")))
                 assert all(len(row) == 7 for row in rows), (tag, bounds)
@@ -953,33 +955,31 @@ class TestIdentityCase:
     def test_csv_equals_the_attribute_rendering(self):
         # Runs of each shape a sweep gives its sink: exact ints and
         # Fractions, float sides with their abs_error, a raised case in each
-        # mode (empty sides, no abs_error), failed cases, and params holding
-        # tuples and commas, which the CSV quotes as csv.writer does.
+        # mode (a run of one with empty sides and no abs_error), failed
+        # cases, and params holding tuples and commas, which the CSV quotes
+        # as csv.writer does.
         columns, lookup = verify._Columns, verify._lookup
         runs = [
             (lookup("prop1"), 2, [1, 2],
-             columns([Fraction(1, 4), 5], [Fraction(1, 4), Fraction(-6, 7)], None,
-                     [True, False], None)),
+             columns([Fraction(1, 4), 5], [Fraction(1, 4), Fraction(-6, 7)], [True, False], None)),
             (lookup("prop2"), None, [5],
-             columns([0.1], [0.10000000000000001], None, [True], [1.3877787807814457e-17])),
-            (lookup("inverse-dft"), 7, [1, 2],
-             columns([2.5, None], [3.0, None], [None, "budget: refused"], [False, False],
-                     [0.5, None])),
+             columns([0.1], [0.10000000000000001], [True], [1.3877787807814457e-17])),
+            (lookup("inverse-dft"), 7, (1,), columns([2.5], [3.0], [False], [0.5])),
+            (lookup("inverse-dft"), 7, (2,),
+             columns([None], [None], [False], None, "budget: refused")),
             (lookup("e-integrality"), None, [(720720, 720720)],
-             columns([None], [None], ["budget: the lattice exceeds 10 terms"], [False], None)),
-            (lookup("e-multiplicativity"), (2, 3), [(5, 7)],
-             columns([1], [1], None, [True], None)),
-            (lookup("gamma-product"), None, [3], columns([1.0], [1.0], None, [True], [0.0])),
+             columns([None], [None], [False], None, "budget: the lattice exceeds 10 terms")),
+            (lookup("e-multiplicativity"), (2, 3), [(5, 7)], columns([1], [1], [True], None)),
+            (lookup("gamma-product"), None, [3], columns([1.0], [1.0], [True], [0.0])),
             (lookup("prop7"), (1, 2), [1],
-             columns([Fraction(1, 3)], [Fraction(-2, 3)], None, [False], None)),
+             columns([Fraction(1, 3)], [Fraction(-2, 3)], [False], None)),
         ]
         _, cases, text = Swept.of(None, runs)
         assert len(cases) == 9
         assert cases[-1][3:5] == ("1/3", "-2/3")
         assert cases_to_csv(*runs[-1]) == 'prop7,"ks=1|2,r=1",exact,1/3,-2/3,,false\n'
-        # A float run with reasons is rendered case by case: a raised case's
-        # None sides and abs_error are empty, not "nan".
-        assert cases_to_csv(*runs[2]) == (
+        # A raised case's None sides and abs_error are empty, not "nan".
+        assert cases_to_csv(*runs[2]) + cases_to_csv(*runs[3]) == (
             'inverse-dft,"k=7,n=1",tolerance,2.5,3,0.5,false\n'
             'inverse-dft,"k=7,n=2",tolerance,,,,false\n'
         )
@@ -1051,7 +1051,7 @@ class TestCsvQuoting:
                  (prop1, 3, b), (prop7, (1, 2), a), (prop1, 2, c)]
         rendered.clear()
         for ident, lead, column in calls:
-            cols = verify._compare(ident, lead, column, verify.DEFAULT_TOLERANCE, 0)
+            ((_, cols),) = verify._compare(ident, lead, column, verify.DEFAULT_TOLERANCE, 0)
             fresh = verify._render(ident, lead, list(column), *cols)
             prefix = f"{ident.param_names[0]}={verify._fmt_value(lead)}"
             assert [case.params for case in fresh] == [f"{prefix},r={r}" for r in column]
@@ -1170,9 +1170,9 @@ class TestColumnCriterion:
         ident = verify.IdentityDef(
             "drawn", "tolerance", (Param("k"), Param("n")), lambda lead, ns, seed: (lhs, rhs), {}
         )
-        columns = verify._compare(ident, 1, list(range(len(pairs))), tolerance, 0)
+        ((_, columns),) = verify._compare(ident, 1, list(range(len(pairs))), tolerance, 0)
         expected = [verify.within_tolerance(a, b, tolerance) for a, b in pairs]
         assert type(columns.passed) is list and all(type(ok) is bool for ok in columns.passed)
         assert columns.passed == expected
         assert [e.hex() for e in columns.errors] == [float(abs(a - b)).hex() for a, b in pairs]
-        assert columns.reasons is None
+        assert columns.error is None
